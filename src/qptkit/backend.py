@@ -8,12 +8,21 @@ qubits are treated as instantaneous for spectators).
 
 Evolution semantics, in order, per instruction:
 
-* gate: ideal unitary, then, with noise on, amplitude damping followed by
-  pure dephasing for the gate duration on each involved qubit (on every
-  qubit when idle_decay is on);
+* gate: ideal unitary, then, with noise on, ``decoherence_channel``
+  (amplitude damping followed by pure dephasing) for the gate duration on
+  each involved qubit (on every qubit when idle_decay is on);
 * measure: with noise on, the measured qubit decays for the measure
   duration; the qubit-to-classical-bit assignment is recorded and read out
   from the final state's diagonal.
+
+Only the qubits some instruction touches are simulated.  Every other qubit
+stays in |0><0|, which is a fixed point of both amplitude damping and pure
+dephasing, so leaving it out is exact whether idle_decay is on or off.  The
+active register is held as a ``(2,)*2k`` tensor, and each instruction is one
+fused superoperator (gate then decay, or the measure decay alone), cached
+per (gate, per-target NoiseParams, duration) and contracted onto its target
+axes with ``np.tensordot``.  ``final_state`` is still the density matrix of
+the whole circuit register, with the active block scattered back by index.
 
 Sampling draws one uniform per shot for the outcome (inverse CDF over
 classical outcomes in increasing integer order) followed by one uniform per
@@ -42,14 +51,16 @@ readout_flip 0.0, durations 60/300/300, noise on, idle_decay off, format 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .channels import NoiseParams, amplitude_damping, pure_dephasing
-from .operators import GATE_ARITY, check_density_matrix, embed_gate, standard_gate
+from .channels import NoiseParams, decoherence_channel
+from .operators import GATE_ARITY, check_density_matrix, num_qubits, standard_gate
 from .qasm import Circuit, CouplingMap, Gate, Measure, validate_topology
 
 __all__ = [
@@ -249,49 +260,79 @@ def _check_topology(circuit: Circuit, backend: BackendModel) -> None:
         )
 
 
-def _decayed(rho: np.ndarray, qubit: int, n: int, duration_ns: float,
-             params: NoiseParams) -> np.ndarray:
-    if duration_ns == 0:
-        return rho
-    for ch in (
-        amplitude_damping(duration_ns, params.t1_us),
-        pure_dephasing(duration_ns, params.t1_us, params.t2_us),
-    ):
-        acc = np.zeros_like(rho)
-        for op in ch.operators:
-            e = embed_gate(op, [qubit], n)
-            acc += e @ rho @ e.conj().T
-        rho = acc
-    return rho
+@lru_cache(maxsize=1024)
+def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
+                   duration_ns: float) -> np.ndarray:
+    """Tensor of the map rho -> D(U rho U^dagger) on len(decay) or arity qubits.
+
+    U is the named gate (identity when ``gate`` is None) and D the product of
+    ``decoherence_channel`` on each target for ``duration_ns``, one NoiseParams
+    per target (no decay when ``decay`` is empty).  Axes are (out row, out col,
+    in row, in col), each split into one axis of size 2 per target, most
+    significant target first.
+    """
+    ops = [standard_gate(gate)] if gate is not None else [np.eye(1 << len(decay))]
+    if decay:
+        per_target = [decoherence_channel(p.for_duration(duration_ns)).operators
+                      for p in decay]
+        ops = [reduce(np.kron, combo) @ u
+               for combo in itertools.product(*per_target) for u in ops]
+    m = num_qubits(ops[0])
+    sup = sum(np.kron(a, a.conj()) for a in ops).reshape((2,) * (4 * m))
+    sup.setflags(write=False)
+    return sup
+
+
+def _apply(sup: np.ndarray, rho: np.ndarray, axes: list[int], k: int) -> np.ndarray:
+    """Apply a superoperator tensor to the (2,)*2k state on the given row axes."""
+    m = len(axes)
+    state_axes = axes + [k + a for a in axes]
+    out = np.tensordot(sup, rho, axes=(list(range(2 * m, 4 * m)), state_axes))
+    return np.moveaxis(out, list(range(2 * m)), state_axes)
 
 
 def _evolve(circuit: Circuit, backend: BackendModel) -> tuple[np.ndarray, list[Measure]]:
-    n = circuit.qubit_count
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
+    active = sorted({q for inst in circuit.instructions
+                     for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))},
+                    reverse=True)
+    k = len(active)
+    axis = {q: i for i, q in enumerate(active)}
+    rho = np.zeros((2,) * (2 * k), dtype=complex)
+    rho[(0,) * (2 * k)] = 1.0
     measures: list[Measure] = []
     for pos, inst in enumerate(circuit.instructions):
         if isinstance(inst, Gate):
-            u = embed_gate(standard_gate(inst.name), inst.targets, n)
-            rho = u @ rho @ u.conj().T
-            if backend.noise_enabled:
-                duration = backend.gate_durations_ns[inst.name]
-                involved = range(n) if backend.idle_decay else inst.targets
-                for q in involved:
-                    rho = _decayed(rho, q, n, duration, backend.qubits[q])
+            gate, targets = inst.name, inst.targets
+            duration = backend.gate_durations_ns[gate]
         else:
             measures.append(inst)
-            if backend.noise_enabled:
-                rho = _decayed(rho, inst.qubit, n, backend.measure_duration_ns,
-                               backend.qubits[inst.qubit])
-        tr = np.trace(rho).real
+            gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
+        decay = backend.noise_enabled and duration != 0
+        params = tuple(backend.qubits[q] for q in targets) if decay else ()
+        if gate is not None or decay:
+            sup = _superoperator(gate, params, duration)
+            rho = _apply(sup, rho, [axis[q] for q in targets], k)
+        if decay and gate is not None and backend.idle_decay:
+            for q in active:
+                if q not in targets:
+                    sup = _superoperator(None, (backend.qubits[q],), duration)
+                    rho = _apply(sup, rho, [axis[q]], k)
+        tr = np.trace(rho.reshape(1 << k, 1 << k)).real
         if abs(tr - 1.0) > 1e-9:
             raise ValueError(
                 f"instruction {pos}: state trace drifted to {tr!r} during evolution"
             )
-    check_density_matrix(rho, atol=1e-9)
-    return rho, measures
+    reduced = rho.reshape(1 << k, 1 << k)
+    check_density_matrix(reduced, atol=1e-9)
+    # bit k-1-i of a local index is qubit active[i]; scatter back to the full register
+    local = np.arange(1 << k)
+    index = np.zeros_like(local)
+    for i, q in enumerate(active):
+        index |= ((local >> (k - 1 - i)) & 1) << q
+    dim = 1 << circuit.qubit_count
+    full = np.zeros((dim, dim), dtype=complex)
+    full[np.ix_(index, index)] = reduced
+    return full, measures
 
 
 def _distribution(rho: np.ndarray, measures: list[Measure],

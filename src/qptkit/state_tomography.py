@@ -289,10 +289,8 @@ def read_dataset(text: str) -> TomographyDataset:
 # --- running tomography against a backend --------------------------------------
 
 
-def child_seeds(seed: int | None, count: int) -> list[int | None]:
-    """Per-circuit seeds derived from one master seed (all None when unseeded)."""
-    if seed is None:
-        return [None] * count
+def child_seeds(seed: int | None, count: int) -> list[int]:
+    """Per-circuit seeds derived from one master seed (fresh OS entropy when None)."""
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
@@ -313,7 +311,7 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
             result = execute_exact(circuit, backend)
             records[tag] = dict(result.probabilities)
         else:
-            result = execute(circuit, backend, shots, 0 if s is None else s)
+            result = execute(circuit, backend, shots, s)
             records[tag] = {k: float(v) for k, v in result.counts.items()}
     return TomographyDataset(qubit_count=len(qubits), shots=shots, records=records)
 

@@ -7,15 +7,23 @@ import pytest
 
 from qptkit import (
     DEFAULT_DURATIONS_NS,
+    SINGLE_QUBIT_GATES,
     BackendModel,
+    Circuit,
     ConfigError,
+    Gate,
+    Measure,
     TopologyError,
     builtin_backend,
     builtin_backend_names,
+    decoherence_channel,
+    embed_channel,
+    embed_gate,
     execute,
     execute_exact,
     load_backend,
     parse_qasm,
+    standard_gate,
 )
 
 
@@ -286,3 +294,71 @@ def test_sampling_rejects_unmeasured(qx4_quiet):
         execute(c, qx4_quiet, shots=10, seed=0)
     with pytest.raises(ValueError, match="shots"):
         execute(parse_qasm(H_MEASURED), qx4_quiet, shots=0, seed=0)
+
+
+# --- dense oracle ------------------------------------------------------------
+
+
+def _dense_reference(circuit, backend):
+    """Full-register evolution: embedded gates, embedded decay Kraus sums."""
+    n = circuit.qubit_count
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+
+    def decay(rho, q, duration):
+        channel = decoherence_channel(backend.qubits[q].for_duration(duration))
+        ops = embed_channel(channel, [q], n).operators
+        return sum(e @ rho @ e.conj().T for e in ops)
+
+    for inst in circuit.instructions:
+        if isinstance(inst, Gate):
+            u = embed_gate(standard_gate(inst.name), inst.targets, n)
+            rho = u @ rho @ u.conj().T
+            if backend.noise_enabled:
+                involved = range(n) if backend.idle_decay else inst.targets
+                for q in involved:
+                    rho = decay(rho, q, backend.gate_durations_ns[inst.name])
+        elif backend.noise_enabled:
+            rho = decay(rho, inst.qubit, backend.measure_duration_ns)
+    probs = {}
+    for idx, w in enumerate(np.diag(rho).real):
+        bits = ["0"] * circuit.classical_count
+        for m in circuit.measurements:
+            bits[circuit.classical_count - 1 - m.clbit] = str((idx >> m.qubit) & 1)
+        key = "".join(bits)
+        probs[key] = probs.get(key, 0.0) + w
+    return rho, probs
+
+
+def _random_measured_circuit(rng, coupling_pairs):
+    qubits = [int(q) for q in rng.permutation(5)[: int(rng.integers(1, 6))]]
+    pairs = [p for p in coupling_pairs if p[0] in qubits and p[1] in qubits]
+    instructions = []
+    for _ in range(int(rng.integers(1, 12))):
+        if pairs and rng.random() < 0.3:
+            instructions.append(Gate("cx", pairs[int(rng.integers(len(pairs)))]))
+        else:
+            name = SINGLE_QUBIT_GATES[int(rng.integers(len(SINGLE_QUBIT_GATES)))]
+            instructions.append(Gate(name, (qubits[int(rng.integers(len(qubits)))],)))
+    measured = qubits[: int(rng.integers(1, len(qubits) + 1))]
+    for clbit, q in enumerate(measured):
+        instructions.append(Measure(q, clbit))
+    # a gate after the measures lets idle decay act on measured qubits
+    if len(measured) < len(qubits):
+        instructions.append(Gate("h", (qubits[-1],)))
+    return Circuit(5, len(measured), tuple(instructions))
+
+
+@pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
+def test_execute_exact_matches_dense_oracle(qx4, mode):
+    backend = {"quiet": qx4.with_noise(False), "noisy": qx4,
+               "idle": qx4.with_idle_decay(True)}[mode]
+    rng = np.random.default_rng(2024)
+    for _ in range(25):
+        circuit = _random_measured_circuit(rng, sorted(qx4.coupling.pairs))
+        rho, probs = _dense_reference(circuit, backend)
+        got = execute_exact(circuit, backend)
+        assert np.abs(got.final_state - rho).max() <= 1e-12
+        assert set(got.probabilities) <= set(probs)
+        for key, p in probs.items():
+            assert abs(got.probabilities.get(key, 0.0) - p) <= 1e-12
