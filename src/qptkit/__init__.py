@@ -19,6 +19,7 @@ from .backend import (
     builtin_backend_names,
     execute,
     execute_exact,
+    execute_many,
     load_backend,
     read_backend,
 )

@@ -24,6 +24,19 @@ per (gate, per-target NoiseParams, duration) and contracted onto its target
 axes with ``np.tensordot``.  ``final_state`` is still the density matrix of
 the whole circuit register, with the active block scattered back by index.
 
+``execute_many`` runs a sequence of circuits through that one evolution and
+yields each result as its circuit finishes; ``execute_exact`` and
+``execute`` are its one-circuit case.  It keeps a stack of checkpoints.
+While a circuit evolves, the state after the instructions it shares with
+the next circuit is pushed, and the next circuit resumes from the deepest
+checkpoint that is a prefix of its own and evolves only the rest.  So
+tomography circuits that share a preparation and differ in their
+measurement rotations evolve the preparation once, and the rotations they
+share once more.  A circuit on a different set of active qubits empties the
+stack and starts from the ground state.  Every instruction still passes its
+trace check and every result ``check_density_matrix``; results are bitwise
+those of one call per circuit.
+
 Sampling draws one uniform per shot for the outcome (inverse CDF over
 classical outcomes in increasing integer order) followed by one uniform per
 measured classical bit, in increasing classical-bit order, for the readout
@@ -52,6 +65,7 @@ readout_flip 0.0, durations 60/300/300, noise on, idle_decay off, format 1.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
@@ -76,6 +90,7 @@ __all__ = [
     "builtin_backend_names",
     "execute_exact",
     "execute",
+    "execute_many",
 ]
 
 QUBIT_COUNT = 5
@@ -291,92 +306,131 @@ def _apply(sup: np.ndarray, rho: np.ndarray, axes: list[int], k: int) -> np.ndar
     return np.moveaxis(out, list(range(2 * m)), state_axes)
 
 
-def _evolve(circuit: Circuit, backend: BackendModel) -> tuple[np.ndarray, list[Measure]]:
-    active = sorted({q for inst in circuit.instructions
-                     for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))},
-                    reverse=True)
+def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
+    """Number of leading instructions two instruction tuples have in common."""
+    count = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        count += 1
+    return count
+
+
+def _evolve(circuits: Sequence[Circuit], backend: BackendModel
+            ) -> Iterator[tuple[Circuit, np.ndarray, tuple[int, ...]]]:
+    """Yield each circuit with its final active-register density matrix and qubits.
+
+    ``saved`` is a stack of checkpoints (instructions applied, state), deepest
+    last, all on the prefix of the circuit evolved last.  While a circuit
+    evolves, the state at the depth where the next circuit branches off it
+    is pushed; the next circuit pops what lies deeper and resumes from the
+    top.  A circuit on other active qubits starts again from the ground
+    state.  The yielded matrix is a view of a checkpoint and must not be
+    written to.
+    """
+    active: tuple[int, ...] | None = None
+    saved: list[tuple[int, np.ndarray]] = []
+    branch = 0
+    for i, circuit in enumerate(circuits):
+        _check_topology(circuit, backend)
+        touched = tuple(sorted({q for inst in circuit.instructions
+                                for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))},
+                               reverse=True))
+        if touched != active:
+            active = touched
+            k = len(active)
+            axis = {q: a for a, q in enumerate(active)}
+            ground = np.zeros((2,) * (2 * k), dtype=complex)
+            ground[(0,) * (2 * k)] = 1.0
+            saved = [(0, ground)]
+        instructions = circuit.instructions
+        while saved[-1][0] > branch:
+            saved.pop()
+        depth, rho = saved[-1]
+        following = circuits[i + 1].instructions if i + 1 < len(circuits) else ()
+        branch = _shared_prefix(instructions, following)
+        for pos in range(depth, len(instructions)):
+            inst = instructions[pos]
+            if isinstance(inst, Gate):
+                gate, targets = inst.name, inst.targets
+                duration = backend.gate_durations_ns[gate]
+            else:
+                gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
+            decay = backend.noise_enabled and duration != 0
+            params = tuple(backend.qubits[q] for q in targets) if decay else ()
+            if gate is not None or decay:
+                sup = _superoperator(gate, params, duration)
+                rho = _apply(sup, rho, [axis[q] for q in targets], k)
+            if decay and gate is not None and backend.idle_decay:
+                for q in active:
+                    if q not in targets:
+                        sup = _superoperator(None, (backend.qubits[q],), duration)
+                        rho = _apply(sup, rho, [axis[q]], k)
+            tr = np.trace(rho.reshape(1 << k, 1 << k)).real
+            if abs(tr - 1.0) > 1e-9:
+                raise ValueError(
+                    f"instruction {pos}: state trace drifted to {tr!r} during evolution"
+                )
+            if pos + 1 == branch:
+                saved.append((branch, rho))
+        reduced = rho.reshape(1 << k, 1 << k)
+        check_density_matrix(reduced, atol=1e-9)
+        yield circuit, reduced, active
+
+
+def _full_register(reduced: np.ndarray, active: tuple[int, ...],
+                   qubit_count: int) -> np.ndarray:
+    """Scatter an active-register state into the whole register (others in |0>)."""
     k = len(active)
-    axis = {q: i for i, q in enumerate(active)}
-    rho = np.zeros((2,) * (2 * k), dtype=complex)
-    rho[(0,) * (2 * k)] = 1.0
-    measures: list[Measure] = []
-    for pos, inst in enumerate(circuit.instructions):
-        if isinstance(inst, Gate):
-            gate, targets = inst.name, inst.targets
-            duration = backend.gate_durations_ns[gate]
-        else:
-            measures.append(inst)
-            gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
-        decay = backend.noise_enabled and duration != 0
-        params = tuple(backend.qubits[q] for q in targets) if decay else ()
-        if gate is not None or decay:
-            sup = _superoperator(gate, params, duration)
-            rho = _apply(sup, rho, [axis[q] for q in targets], k)
-        if decay and gate is not None and backend.idle_decay:
-            for q in active:
-                if q not in targets:
-                    sup = _superoperator(None, (backend.qubits[q],), duration)
-                    rho = _apply(sup, rho, [axis[q]], k)
-        tr = np.trace(rho.reshape(1 << k, 1 << k)).real
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(
-                f"instruction {pos}: state trace drifted to {tr!r} during evolution"
-            )
-    reduced = rho.reshape(1 << k, 1 << k)
-    check_density_matrix(reduced, atol=1e-9)
-    # bit k-1-i of a local index is qubit active[i]; scatter back to the full register
+    # bit k-1-i of a local index is qubit active[i]
     local = np.arange(1 << k)
     index = np.zeros_like(local)
     for i, q in enumerate(active):
         index |= ((local >> (k - 1 - i)) & 1) << q
-    dim = 1 << circuit.qubit_count
+    dim = 1 << qubit_count
     full = np.zeros((dim, dim), dtype=complex)
     full[np.ix_(index, index)] = reduced
-    return full, measures
+    return full
 
 
-def _distribution(rho: np.ndarray, measures: list[Measure],
-                  classical_count: int) -> dict[str, float]:
-    weights = np.clip(np.diag(rho).real, 0.0, None)
+@lru_cache(maxsize=64)
+def _outcome_keys(active: tuple[int, ...], measures: tuple[Measure, ...],
+                  classical_count: int) -> tuple[str, ...]:
+    """Classical bitstring read out at each local index of the active register."""
+    k, m = len(active), classical_count
+    shift = {q: k - 1 - i for i, q in enumerate(active)}
+    keys = []
+    for idx in range(1 << k):
+        bits = ["0"] * m
+        for meas in measures:
+            bits[m - 1 - meas.clbit] = str((idx >> shift[meas.qubit]) & 1)
+        keys.append("".join(bits))
+    return tuple(keys)
+
+
+def _distribution(reduced: np.ndarray, active: tuple[int, ...],
+                  circuit: Circuit) -> dict[str, float]:
+    """Outcome weights by classical bitstring, from the active-register diagonal.
+
+    Local indices run in the same order as the whole-register indices they
+    stand for, so the weights accumulate in whole-register order.
+    """
+    keys = _outcome_keys(active, circuit.measurements, circuit.classical_count)
+    weights = np.clip(np.diag(reduced).real, 0.0, None)
     probs: dict[str, float] = {}
-    for idx, w in enumerate(weights):
+    for key, w in zip(keys, weights.tolist()):
         if w == 0.0:
             continue
-        bits = ["0"] * classical_count
-        for m in measures:
-            bits[classical_count - 1 - m.clbit] = str((idx >> m.qubit) & 1)
-        key = "".join(bits)
-        probs[key] = probs.get(key, 0.0) + float(w)
+        probs[key] = probs.get(key, 0.0) + w
     total = sum(probs.values())
-    return {k: v / total for k, v in sorted(probs.items())}
+    return {key: v / total for key, v in sorted(probs.items())}
 
 
-def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
-    """Evolve the density matrix; no sampling.
-
-    ``final_state`` is the register state after all instructions (including
-    measure-duration decay when noise is on); ``probabilities`` maps classical
-    bitstrings to exact outcome weights, or None when nothing is measured.
-    """
-    _check_topology(circuit, backend)
-    rho, measures = _evolve(circuit, backend)
-    probabilities = (
-        _distribution(rho, measures, circuit.classical_count) if measures else None
-    )
-    return ExecutionResult(final_state=rho, probabilities=probabilities)
-
-
-def execute(circuit: Circuit, backend: BackendModel, shots: int, seed: int) -> ExecutionResult:
-    """Sample counts for a measured circuit; deterministic in the seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    exact = execute_exact(circuit, backend)
-    if exact.probabilities is None:
-        raise ValueError("circuit has no measurements to sample")
-
+def _sample(probabilities: dict[str, float], circuit: Circuit, backend: BackendModel,
+            shots: int, seed: int | None) -> dict[str, int]:
     m = circuit.classical_count
     outcome_probs = np.zeros(1 << m)
-    for key, p in exact.probabilities.items():
+    for key, p in probabilities.items():
         outcome_probs[int(key, 2)] = p
     cdf = np.cumsum(outcome_probs)
     cdf /= cdf[-1]
@@ -391,5 +445,50 @@ def execute(circuit: Circuit, backend: BackendModel, shots: int, seed: int) -> E
         outcomes = outcomes ^ (flipped.astype(np.int64) << meas.clbit)
 
     values, freq = np.unique(outcomes, return_counts=True)
-    counts = {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
-    return ExecutionResult(counts=counts, shots=shots)
+    return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
+
+
+def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
+                 shots: int | None = None,
+                 seeds: Sequence[int | None] | None = None) -> Iterator[ExecutionResult]:
+    """Run circuits in order, yielding one result per circuit as it finishes.
+
+    With ``shots=None`` each result is what ``execute_exact`` returns;
+    otherwise it is what ``execute`` returns with the matching entry of
+    ``seeds``.  Consecutive circuits that share an instruction prefix on the
+    same active qubits evolve that prefix once.
+    """
+    if shots is not None:
+        if shots < 1:
+            raise ValueError(f"shots must be positive, got {shots}")
+        if seeds is None or len(seeds) != len(circuits):
+            raise ValueError("sampling needs one seed per circuit")
+    for pos, (circuit, reduced, active) in enumerate(_evolve(circuits, backend)):
+        probabilities = (
+            _distribution(reduced, active, circuit) if circuit.measurements else None
+        )
+        if shots is None:
+            yield ExecutionResult(
+                final_state=_full_register(reduced, active, circuit.qubit_count),
+                probabilities=probabilities,
+            )
+        elif probabilities is None:
+            raise ValueError("circuit has no measurements to sample")
+        else:
+            counts = _sample(probabilities, circuit, backend, shots, seeds[pos])
+            yield ExecutionResult(counts=counts, shots=shots)
+
+
+def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
+    """Evolve the density matrix; no sampling.
+
+    ``final_state`` is the register state after all instructions (including
+    measure-duration decay when noise is on); ``probabilities`` maps classical
+    bitstrings to exact outcome weights, or None when nothing is measured.
+    """
+    return next(execute_many([circuit], backend))
+
+
+def execute(circuit: Circuit, backend: BackendModel, shots: int, seed: int) -> ExecutionResult:
+    """Sample counts for a measured circuit; deterministic in the seed."""
+    return next(execute_many([circuit], backend, shots, [seed]))

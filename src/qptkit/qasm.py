@@ -90,49 +90,8 @@ class Circuit:
         measured: set[int] = set()
         used_clbits: set[int] = set()
         for pos, inst in enumerate(self.instructions):
-            if isinstance(inst, Gate):
-                arity = GATE_ARITY.get(inst.name)
-                if arity is None:
-                    raise CircuitError(f"instruction {pos}: unknown gate {inst.name!r}")
-                if len(inst.targets) != arity:
-                    raise CircuitError(
-                        f"instruction {pos}: gate {inst.name!r} takes {arity} "
-                        f"qubit(s), got {len(inst.targets)}"
-                    )
-                if len(set(inst.targets)) != len(inst.targets):
-                    raise CircuitError(
-                        f"instruction {pos}: gate {inst.name!r} repeats a qubit"
-                    )
-                for t in inst.targets:
-                    if not 0 <= t < self.qubit_count:
-                        raise CircuitError(
-                            f"instruction {pos}: qubit index {t} out of range"
-                        )
-                    if t in measured:
-                        raise CircuitError(
-                            f"instruction {pos}: qubit {t} already measured"
-                        )
-            elif isinstance(inst, Measure):
-                if not 0 <= inst.qubit < self.qubit_count:
-                    raise CircuitError(
-                        f"instruction {pos}: qubit index {inst.qubit} out of range"
-                    )
-                if not 0 <= inst.clbit < self.classical_count:
-                    raise CircuitError(
-                        f"instruction {pos}: classical index {inst.clbit} out of range"
-                    )
-                if inst.qubit in measured:
-                    raise CircuitError(
-                        f"instruction {pos}: qubit {inst.qubit} already measured"
-                    )
-                if inst.clbit in used_clbits:
-                    raise CircuitError(
-                        f"instruction {pos}: classical bit {inst.clbit} written twice"
-                    )
-                measured.add(inst.qubit)
-                used_clbits.add(inst.clbit)
-            else:
-                raise CircuitError(f"instruction {pos}: unsupported object {inst!r}")
+            _check_instruction(pos, inst, self.qubit_count, self.classical_count,
+                               measured, used_clbits)
 
     @property
     def measurements(self) -> tuple[Measure, ...]:
@@ -143,6 +102,59 @@ class Circuit:
         m = self.classical_count if classical_count is None else classical_count
         return Circuit(self.qubit_count, m, self.instructions + tuple(extra),
                        self.qreg, self.creg)
+
+
+def _check_instruction(pos: int, inst: Gate | Measure, qubit_count: int,
+                       classical_count: int, measured: set[int],
+                       used_clbits: set[int]) -> None:
+    """Check instruction ``pos`` against its registers and everything before it.
+
+    ``measured`` and ``used_clbits`` hold the qubits and classical bits that
+    earlier instructions measured and wrote; a measure adds to both.
+    """
+    if isinstance(inst, Gate):
+        arity = GATE_ARITY.get(inst.name)
+        if arity is None:
+            raise CircuitError(f"instruction {pos}: unknown gate {inst.name!r}")
+        if len(inst.targets) != arity:
+            raise CircuitError(
+                f"instruction {pos}: gate {inst.name!r} takes {arity} "
+                f"qubit(s), got {len(inst.targets)}"
+            )
+        if len(set(inst.targets)) != len(inst.targets):
+            raise CircuitError(
+                f"instruction {pos}: gate {inst.name!r} repeats a qubit"
+            )
+        for t in inst.targets:
+            if not 0 <= t < qubit_count:
+                raise CircuitError(
+                    f"instruction {pos}: qubit index {t} out of range"
+                )
+            if t in measured:
+                raise CircuitError(
+                    f"instruction {pos}: qubit {t} already measured"
+                )
+    elif isinstance(inst, Measure):
+        if not 0 <= inst.qubit < qubit_count:
+            raise CircuitError(
+                f"instruction {pos}: qubit index {inst.qubit} out of range"
+            )
+        if not 0 <= inst.clbit < classical_count:
+            raise CircuitError(
+                f"instruction {pos}: classical index {inst.clbit} out of range"
+            )
+        if inst.qubit in measured:
+            raise CircuitError(
+                f"instruction {pos}: qubit {inst.qubit} already measured"
+            )
+        if inst.clbit in used_clbits:
+            raise CircuitError(
+                f"instruction {pos}: classical bit {inst.clbit} written twice"
+            )
+        measured.add(inst.qubit)
+        used_clbits.add(inst.clbit)
+    else:
+        raise CircuitError(f"instruction {pos}: unsupported object {inst!r}")
 
 
 @dataclass(frozen=True)
@@ -328,6 +340,15 @@ def parse_qasm(text: str) -> Circuit:
         creg_name, classical_count = register_decl("creg")
 
     instructions: list[Gate | Measure] = []
+    measured: set[int] = set()
+    used_clbits: set[int] = set()
+    # a header Circuit rejects (a register name) is reported at the first
+    # statement, or by the final Circuit when there is none
+    try:
+        Circuit(qubit_count, classical_count, (), qreg_name, creg_name)
+        header_error = None
+    except CircuitError as exc:
+        header_error = str(exc)
 
     def qubit_ref(stmt_tok: _Token) -> int:
         name, index, itok = p.indexed_ref()
@@ -372,9 +393,12 @@ def parse_qasm(text: str) -> Circuit:
         else:
             raise QasmError(f"unknown gate {stmt.text!r}", stmt.line, stmt.col)
 
+        # the checks Circuit makes, one statement at a time
+        if header_error is not None:
+            raise QasmError(header_error, stmt.line, stmt.col)
         try:
-            Circuit(qubit_count, classical_count, tuple(instructions),
-                    qreg_name, creg_name)
+            _check_instruction(len(instructions) - 1, instructions[-1], qubit_count,
+                               classical_count, measured, used_clbits)
         except CircuitError as exc:
             raise QasmError(str(exc), stmt.line, stmt.col) from None
 

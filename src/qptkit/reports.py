@@ -159,7 +159,10 @@ def parse_report(text: str) -> dict:
         )
         _require(-1.0 <= report["fidelity"] <= 1.0 + 1e-9, "fidelity out of range")
         _require(report["residual"] >= 0.0, "negative residual")
-        expected = 12 if d2 == 4 else 144
+        n = (d2.bit_length() - 1) // 2
+        _require(n >= 1 and d2 == 4**n, f"chi dimension {d2} is not 4**n")
+        # 4**n preparations, each measured in 3**n settings
+        expected = 4**n * 3**n
         _require(report["executions"] == expected,
                  f"executions {report['executions']} != {expected}")
     elif kind == "qpt-seeds":

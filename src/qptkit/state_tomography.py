@@ -20,6 +20,13 @@ followed by symmetrisation (rho + rho^dagger)/2.  The result can carry small
 negative eigenvalues at finite shots; ``project_psd`` clips them for
 reporting, the raw matrix is never silently altered.
 
+``collect_dataset`` builds the 3**n setting circuits of a preparation and
+runs them through one ``backend.execute_many`` stream, so the preparation
+is evolved once and the settings branch off it (sampled runs keep one seed
+per setting).  An expectation value reads its setting directly: for a
+Pauli string, Z at every I position is the first compatible tag, and the
+enumeration is scanned only when that setting was not recorded.
+
 Datasets serialise to line-oriented text (``format=1`` header, one record
 per setting) so runs can be stored and re-analysed.
 """
@@ -31,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import BackendModel, execute, execute_exact
-from .operators import pauli_string_matrix
+from .backend import BackendModel, execute_many
 from .qasm import Circuit, Gate, Measure
 
 __all__ = [
@@ -138,6 +144,10 @@ class TomographyDataset:
 
 
 def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
+    # Z at every I position is the first compatible tag in Z < X < Y order
+    tag = pauli.replace("I", "Z")
+    if tag in dataset.records:
+        return tag
     for tag in qst_settings(dataset.qubit_count):
         if tag not in dataset.records:
             continue
@@ -177,22 +187,37 @@ def all_expectations(dataset: TomographyDataset) -> dict[str, float]:
     }
 
 
+# I, X, Y, Z in monomial form: row r has its one nonzero entry at column
+# r ^ _PAULI_XBIT[letter], and that entry is _PAULI_PHASE[letter, r].
+_PAULI_XBIT = np.array([0, 1, 1, 0])
+_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
+
+
 def reconstruct_density(expectations: dict[str, float], qubit_count: int) -> np.ndarray:
     """Linear inversion rho = 2^-n sum <P> P, symmetrised.
 
     All 4**n strings except the identity must be present; the identity
-    coefficient is pinned to 1, which fixes the trace exactly.
+    coefficient is pinned to 1, which fixes the trace exactly.  Each string
+    is added in monomial form: row r holds its one nonzero entry at column
+    r ^ xmask, so only those 2**n entries are touched, in lexicographic
+    string order as in the dense sum.
     """
     n = qubit_count
     dim = 1 << n
+    rows = np.arange(dim)
+    # the same form for every string, in lexicographic order
+    phases, xmasks = np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        phases = np.kron(phases, _PAULI_PHASE)
+        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
     rho = np.eye(dim, dtype=complex)
-    for letters in itertools.product("IXYZ", repeat=n):
-        pauli = "".join(letters)
-        if pauli == "I" * n:
+    for idx, letters in enumerate(itertools.product("IXYZ", repeat=n)):
+        if idx == 0:  # the identity string, pinned to 1 by the eye above
             continue
+        pauli = "".join(letters)
         if pauli not in expectations:
             raise ValueError(f"missing expectation for {pauli!r}")
-        rho += expectations[pauli] * pauli_string_matrix(pauli)
+        rho[rows, rows ^ xmasks[idx]] += expectations[pauli] * phases[idx]
     rho /= dim
     return (rho + rho.conj().T) / 2.0
 
@@ -299,19 +324,22 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
-    """Run every setting circuit for ``prep`` and bundle the outcomes."""
+    """Run every setting circuit for ``prep`` and bundle the outcomes.
+
+    The 3**n circuits go through one ``execute_many`` stream in canonical
+    order, so ``prep`` is evolved once and each setting evolves only the
+    rotations and measures it does not share with the setting before it.
+    """
     if qubits is None:
         qubits = tuple(range(prep.qubit_count - 1, -1, -1))
     settings = qst_settings(len(qubits))
-    seeds = child_seeds(seed, len(settings))
+    circuits = [append_setting(prep, tag, qubits) for tag in settings]
+    seeds = None if shots is None else child_seeds(seed, len(settings))
     records: dict[str, dict[str, float]] = {}
-    for tag, s in zip(settings, seeds):
-        circuit = append_setting(prep, tag, qubits)
+    for tag, result in zip(settings, execute_many(circuits, backend, shots, seeds)):
         if shots is None:
-            result = execute_exact(circuit, backend)
             records[tag] = dict(result.probabilities)
         else:
-            result = execute(circuit, backend, shots, s)
             records[tag] = {k: float(v) for k, v in result.counts.items()}
     return TomographyDataset(qubit_count=len(qubits), shots=shots, records=records)
 

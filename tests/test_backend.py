@@ -21,6 +21,7 @@ from qptkit import (
     embed_gate,
     execute,
     execute_exact,
+    execute_many,
     load_backend,
     parse_qasm,
     standard_gate,
@@ -362,3 +363,82 @@ def test_execute_exact_matches_dense_oracle(qx4, mode):
         assert set(got.probabilities) <= set(probs)
         for key, p in probs.items():
             assert abs(got.probabilities.get(key, 0.0) - p) <= 1e-12
+
+
+_MODES = ["quiet", "noisy", "idle"]
+
+
+def _mode_backend(qx4, mode):
+    return {"quiet": qx4.with_noise(False), "noisy": qx4,
+            "idle": qx4.with_idle_decay(True)}[mode]
+
+
+def _assert_same_result(got, want):
+    """Bitwise equality of two ExecutionResults."""
+    assert (got.final_state is None) == (want.final_state is None)
+    if want.final_state is not None:
+        assert np.array_equal(got.final_state, want.final_state)
+    assert got.probabilities == want.probabilities
+    if want.probabilities is not None:
+        assert list(got.probabilities) == list(want.probabilities)
+        assert np.array_equal(list(got.probabilities.values()),
+                              list(want.probabilities.values()))
+    assert got.counts == want.counts and got.shots == want.shots
+
+
+def _qubits(circuit):
+    return {q for inst in circuit.instructions
+            for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))}
+
+
+def _mixed_batch(rng, coupling_pairs):
+    """Circuits in runs that share prefixes, on changing active registers."""
+    batch = []
+    for _ in range(8):
+        base = _random_measured_circuit(rng, coupling_pairs)
+        gates = [i for i in base.instructions if isinstance(i, Gate)]
+        measures = base.measurements
+        for _ in range(int(rng.integers(1, 4))):
+            cut = int(rng.integers(0, len(gates) + 1))
+            head = gates[:cut]
+            extra = [Gate(SINGLE_QUBIT_GATES[int(rng.integers(len(SINGLE_QUBIT_GATES)))],
+                          (m.qubit,)) for m in measures if rng.random() < 0.5]
+            batch.append(Circuit(5, base.classical_count, (*head, *extra, *measures)))
+        batch.append(base)
+    batch.append(Circuit(5, 0))
+    return batch
+
+
+@pytest.mark.parametrize("mode", _MODES)
+def test_execute_many_mixed_batch_matches_one_call_per_circuit(qx4, mode):
+    backend = _mode_backend(qx4, mode)
+    rng = np.random.default_rng(77)
+    batch = _mixed_batch(rng, sorted(qx4.coupling.pairs))
+    neighbours = list(zip(batch, batch[1:]))
+    # some neighbours share a prefix, some run on different active qubits
+    assert any(a.instructions[:2] == b.instructions[:2] and len(b.instructions) > 2
+               for a, b in neighbours)
+    assert any(_qubits(a) != _qubits(b) for a, b in neighbours)
+    got = list(execute_many(batch, backend))
+    assert len(got) == len(batch)
+    for circuit, result in zip(batch, got):
+        _assert_same_result(result, execute_exact(circuit, backend))
+    measured = [c for c in batch if c.measurements]
+    seeds = [int(s) for s in rng.integers(0, 2**32, size=len(measured))]
+    sampled = list(execute_many(measured, backend, shots=200, seeds=seeds))
+    for circuit, seed, result in zip(measured, seeds, sampled):
+        _assert_same_result(result, execute(circuit, backend, shots=200, seed=seed))
+
+
+def test_execute_many_rejections(qx4_quiet):
+    c = parse_qasm(H_MEASURED)
+    with pytest.raises(ValueError, match="one seed per circuit"):
+        next(execute_many([c, c], qx4_quiet, shots=10, seeds=[1]))
+    with pytest.raises(ValueError, match="one seed per circuit"):
+        next(execute_many([c], qx4_quiet, shots=10))
+    with pytest.raises(ValueError, match="shots must be positive"):
+        next(execute_many([c], qx4_quiet, shots=0, seeds=[1]))
+    results = execute_many([c, Circuit(5, 0)], qx4_quiet, shots=10, seeds=[1, 2])
+    assert next(results).counts is not None
+    with pytest.raises(ValueError, match="no measurements"):
+        next(results)

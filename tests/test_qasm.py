@@ -1,5 +1,7 @@
 """Parser, printer, circuit invariants, coupling maps."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -148,6 +150,21 @@ def test_error_duplicate_classical_target():
     )
     with pytest.raises(QasmError, match="written twice"):
         parse_qasm(text)
+
+
+def test_parse_time_linear_in_gate_count():
+    def best_parse_time(gates):
+        text = "OPENQASM 2.0;\nqreg q[5];\n" + "h q[0];\ncx q[1], q[0];\n" * (gates // 2)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            circuit = parse_qasm(text)
+            best = min(best, time.perf_counter() - start)
+        assert len(circuit.instructions) == gates
+        return best
+
+    # 8x the gates: about 8x the time when linear, 64x when quadratic
+    assert best_parse_time(4000) < 24 * best_parse_time(500)
 
 
 def test_circuit_invariants_direct():

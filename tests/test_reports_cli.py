@@ -67,6 +67,7 @@ def test_report_bytes_deterministic(qx4_quiet):
         (lambda r: r.update(fidelity=2.0), "fidelity out of range"),
         (lambda r: r.update(residual=-1.0), "negative residual"),
         (lambda r: r.update(executions=13), "executions"),
+        (lambda r: r.update(executions=144), "executions 144 != 12"),
         (lambda r: r["chi_real"][0].append(0.0), "not 4x4"),
         (lambda r: r["chi_real"][0].__setitem__(1, 9.0), "not Hermitian"),
     ],

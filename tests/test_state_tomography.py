@@ -1,10 +1,13 @@
 """Measurement settings, Pauli estimation, density reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qptkit.backend
 from qptkit import (
     Circuit,
     Gate,
@@ -14,12 +17,15 @@ from qptkit import (
     child_seeds,
     collect_dataset,
     estimate_pauli,
+    execute,
     execute_exact,
     parse_qasm,
+    pauli_string_matrix,
     preparation_circuit,
     project_psd,
     qst_settings,
     read_dataset,
+    reconstruct_density,
     reconstruct_from_dataset,
     run_qst,
     state_fidelity,
@@ -100,6 +106,63 @@ def test_estimate_pauli_first_compatible_wins():
     # ZX precedes XX in the canonical enumeration, so it supplies <IX>.
     assert estimate_pauli(ds, "IX") == pytest.approx(0.5)
     assert estimate_pauli(ds, "XX") == pytest.approx(1.0)
+    # XZ, the first candidate for <XI>, is missing: the scan falls through to XX
+    assert estimate_pauli(ds, "XI") == pytest.approx(1.0)
+
+
+def _scan_estimate(dataset, pauli):
+    """The estimator as first written: scan every setting in canonical order."""
+    for tag in qst_settings(dataset.qubit_count):
+        if tag in dataset.records and all(p in ("I", s) for p, s in zip(pauli, tag)):
+            break
+    else:
+        return None
+    acc = total = 0.0
+    for outcome, weight in dataset.records[tag].items():
+        sign = 1.0
+        for p, ch in enumerate(pauli):
+            if ch != "I" and outcome[p] == "1":
+                sign = -sign
+        acc += sign * weight
+        total += weight
+    return acc / total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_estimate_pauli_matches_full_scan_with_missing_settings(n):
+    rng = np.random.default_rng(n)
+    outcomes = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    for _ in range(20):
+        tags = [t for t in qst_settings(n) if rng.random() < 0.5] or ["Z" * n]
+        records = {}
+        for tag in tags:
+            counts = rng.multinomial(64, rng.dirichlet(np.ones(len(outcomes))))
+            records[tag] = {o: float(c) for o, c in zip(outcomes, counts) if c}
+        ds = TomographyDataset(n, 64, records)
+        for letters in itertools.product("IXYZ", repeat=n):
+            pauli = "".join(letters)
+            want = 1.0 if pauli == "I" * n else _scan_estimate(ds, pauli)
+            if want is None:
+                with pytest.raises(ValueError, match="no recorded setting"):
+                    estimate_pauli(ds, pauli)
+            else:
+                assert estimate_pauli(ds, pauli) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reconstruct_density_matches_dense_sum(n):
+    rng = np.random.default_rng(10 + n)
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    expectations = {p: float(v) for p, v in zip(strings, rng.uniform(-1, 1, len(strings)))}
+    rho = np.eye(1 << n, dtype=complex)
+    for pauli in strings[1:]:
+        rho += expectations[pauli] * pauli_string_matrix(pauli)
+    rho /= 1 << n
+    want = (rho + rho.conj().T) / 2.0
+    assert np.array_equal(reconstruct_density(expectations, n), want)
+    del expectations[strings[-1]]
+    with pytest.raises(ValueError, match="missing expectation"):
+        reconstruct_density(expectations, n)
 
 
 def test_estimate_pauli_rejections():
@@ -275,3 +338,54 @@ def test_golden_counts_cx_bell_preparation(qx4):
     assert ds.records["ZZ"] == {"00": 4084, "01": 68, "10": 46, "11": 3994}
     assert ds.records["XX"] == {"00": 4091, "01": 102, "10": 83, "11": 3916}
     assert ds.records["YY"] == {"00": 146, "01": 4052, "10": 3946, "11": 48}
+
+
+def _setting_loop(prep, backend, qubits, shots=None, seed=None):
+    """collect_dataset as one execute_exact / execute call per setting circuit."""
+    settings = qst_settings(len(qubits))
+    records = {}
+    for tag, s in zip(settings, child_seeds(seed, len(settings))):
+        circuit = append_setting(prep, tag, qubits)
+        if shots is None:
+            records[tag] = execute_exact(circuit, backend).probabilities
+        else:
+            records[tag] = execute(circuit, backend, shots, s).counts
+    return records
+
+
+@pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
+def test_collect_dataset_matches_per_setting_loop(qx4, mode):
+    backend = {"quiet": qx4.with_noise(False), "noisy": qx4,
+               "idle": qx4.with_idle_decay(True)}[mode]
+    cases = [
+        (preparation_circuit("r", (4,), 5).extended(Gate("t", (4,))), (4,)),
+        (preparation_circuit("pr", (2, 1), 5).extended(Gate("cx", (2, 1))), (2, 1)),
+        (parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[1];\ncx q[1],q[0];\n"
+                    "t q[2];\nh q[2];\n"), None),
+    ]
+    for prep, qubits in cases:
+        measured = qubits or tuple(range(prep.qubit_count - 1, -1, -1))
+        exact = collect_dataset(prep, backend, qubits=qubits)
+        want = _setting_loop(prep, backend, measured)
+        assert list(exact.records) == list(want)
+        for tag, probs in want.items():
+            assert list(exact.records[tag]) == list(probs)
+            assert np.array_equal(list(exact.records[tag].values()), list(probs.values()))
+        sampled = collect_dataset(prep, backend, qubits=qubits, shots=500, seed=9)
+        want = _setting_loop(prep, backend, measured, shots=500, seed=9)
+        assert sampled.records == want
+
+
+def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
+    applied = []
+    original = qptkit.backend._apply
+
+    def counting_apply(sup, rho, axes, k):
+        applied.append(axes)
+        return original(sup, rho, axes, k)
+
+    monkeypatch.setattr(qptkit.backend, "_apply", counting_apply)
+    prep = parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\nh q[0];\ns q[0];\n")
+    collect_dataset(prep, qx4_quiet)
+    # 4 preparation gates once, then h (X) and sdg, h (Y); noiseless measures apply nothing
+    assert len(applied) == 4 + 1 + 2
