@@ -2,7 +2,8 @@
 """Exact noiseless tomography sweep: every gate on every line, cx on the map.
 
 Every fidelity should print as 1.000000; the point is to exercise the full
-linear-inversion pipeline end to end and to time the 48-placement sweep.
+linear-inversion pipeline end to end and to time the 51-placement sweep
+(45 single-qubit placements and 6 cx pairs on qx4).
 """
 
 import argparse

@@ -50,17 +50,14 @@ from .operators import (
     standard_gate,
 )
 from .process_tomography import (
-    BetaTensor,
     ChiMatrix,
     FixedOperatorSet,
-    InputBasis,
-    LambdaVector,
     PreparationRecipe,
     QptResult,
     beta_tensor,
+    chi_from_outputs,
     chi_to_channel,
     fixed_operator_set,
-    lambda_from_outputs,
     matrix_unit_basis,
     preparation_circuit,
     preparation_recipes,
@@ -70,7 +67,6 @@ from .process_tomography import (
     project_result,
     qpt_channel,
     run_qpt,
-    solve_chi,
     theoretical_chi,
     tp_deviation,
 )

@@ -288,8 +288,7 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
     """
     ops = [standard_gate(gate)] if gate is not None else [np.eye(1 << len(decay))]
     if decay:
-        per_target = [decoherence_channel(p.for_duration(duration_ns)).operators
-                      for p in decay]
+        per_target = [decoherence_channel(p, duration_ns).operators for p in decay]
         ops = [reduce(np.kron, combo) @ u
                for combo in itertools.product(*per_target) for u in ops]
     m = num_qubits(ops[0])

@@ -71,17 +71,14 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Per-qubit decoherence figures plus a reference duration.
+    """Per-qubit decoherence figures.
 
-    t1_us, t2_us are relaxation times in microseconds; duration_ns is the
-    evolution time (in nanoseconds) used when this record is turned into a
-    channel; readout_flip_prob is a symmetric classical bit-flip applied to
-    sampled measurement outcomes.
+    t1_us, t2_us are relaxation times in microseconds; readout_flip_prob is a
+    symmetric classical bit-flip applied to sampled measurement outcomes.
     """
 
     t1_us: float
     t2_us: float
-    duration_ns: float = 0.0
     readout_flip_prob: float = 0.0
 
     def __post_init__(self) -> None:
@@ -91,15 +88,10 @@ class NoiseParams:
             raise ValueError(
                 f"t2 must satisfy 0 < t2 <= 2*t1, got t2={self.t2_us} with t1={self.t1_us}"
             )
-        if self.duration_ns < 0:
-            raise ValueError(f"duration must be non-negative, got {self.duration_ns}")
         if not (0 <= self.readout_flip_prob <= 0.5):
             raise ValueError(
                 f"readout flip probability must lie in [0, 0.5], got {self.readout_flip_prob}"
             )
-
-    def for_duration(self, duration_ns: float) -> "NoiseParams":
-        return NoiseParams(self.t1_us, self.t2_us, duration_ns, self.readout_flip_prob)
 
 
 def identity_channel(qubit_count: int) -> KrausChannel:
@@ -149,11 +141,11 @@ def pure_dephasing(duration_ns: float, t1_us: float, t2_us: float) -> KrausChann
     return KrausChannel(1, (e0, e1))
 
 
-def decoherence_channel(params: NoiseParams) -> KrausChannel:
-    """Amplitude damping followed by pure dephasing for params.duration_ns."""
+def decoherence_channel(params: NoiseParams, duration_ns: float) -> KrausChannel:
+    """Amplitude damping followed by pure dephasing for duration_ns."""
     return compose(
-        amplitude_damping(params.duration_ns, params.t1_us),
-        pure_dephasing(params.duration_ns, params.t1_us, params.t2_us),
+        amplitude_damping(duration_ns, params.t1_us),
+        pure_dephasing(duration_ns, params.t1_us, params.t2_us),
     )
 
 

@@ -229,8 +229,6 @@ def _add_backend_options(p: argparse.ArgumentParser) -> None:
 def _add_sampling_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=int,
                    help="sample counts instead of using exact probabilities")
-    p.add_argument("--exact", action="store_true",
-                   help="exact probabilities (the default; excludes --shots)")
     p.add_argument("--seed", type=int, help="base RNG seed for sampled runs")
 
 
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "exact", False) and getattr(args, "shots", None) is not None:
-        parser.error("--exact and --shots are mutually exclusive")
     if getattr(args, "seeds", 1) < 1:
         parser.error("--seeds must be at least 1")
     return args.func(args)

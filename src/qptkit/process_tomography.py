@@ -9,17 +9,22 @@ The fixed set is I, X, -iY, Z for one qubit; for two qubits the sixteen
 Kronecker products of those factors, ordered first factor slowest, are used,
 so every operator carries a (-i) per Y factor and all sixteen matrices are
 real.  The input basis is the d^2 matrix units |a><b| in row-major (a, b)
-order.  Feeding each basis element through the channel and expanding the
-outputs in the same units gives
+order.  Their outputs form the Choi matrix of the channel,
 
-    eps(rho_j) = sum_k lambda_jk rho_k ,
-    E_m rho_j E_n^dagger = sum_k beta^{jk}_{mn} rho_k ,
+    C[(a,k),(b,l)] = eps(|a><b|)[k,l] = sum_mn chi_mn E_m[k,a] E_n[l,b]^* ,
 
-and chi solves the linear system beta . vec(chi) = lambda, with (j, k) and
-(m, n) both flattened row-major.  For matrix-unit bases beta and lambda are
-exact coordinate read-offs (entry (a_k, b_k) of the matrix in question), no
-fitting involved; beta is orthogonal up to scale, so the solve is
-numerically trivial.
+that is C = W chi W^dagger with W[(a,k),m] = E_m[k,a].  The fixed set is
+orthogonal, Tr(E_m^dagger E_n) = d delta_mn, so W^dagger W = d I and
+
+    chi = W^dagger C W / d^2
+
+exactly (Nielsen & Chuang §8.4.2, Box 8.5).  This is the paper's linear
+inversion chi = B^-1 lambda in closed form: with lambda the row-major stack
+of the outputs and B[(j,k),(m,n)] entry k of E_m rho_j E_n^dagger
+(rho_j the j-th unit, (j, k) and (m, n) flattened row-major), the same
+orthogonality gives B^dagger B = d^2 I, so B^-1 lambda = B^dagger lambda / d^2,
+whose entries are those of W^dagger C W / d^2.  ``beta_tensor`` builds B
+for the tests that tie the two together.
 
 Matrix units are not states, so each one is assembled from at most four
 physically preparable pure states
@@ -74,10 +79,7 @@ from .state_tomography import (
 
 __all__ = [
     "FixedOperatorSet",
-    "InputBasis",
     "PreparationRecipe",
-    "BetaTensor",
-    "LambdaVector",
     "ChiMatrix",
     "QptResult",
     "fixed_operator_set",
@@ -87,8 +89,7 @@ __all__ = [
     "preparation_circuit",
     "PREPARATION_GATES",
     "beta_tensor",
-    "lambda_from_outputs",
-    "solve_chi",
+    "chi_from_outputs",
     "theoretical_chi",
     "chi_to_channel",
     "tp_deviation",
@@ -105,7 +106,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FixedOperatorSet:
-    """The expansion operators {E_m}, with printable labels."""
+    """The expansion operators {E_m}, with printable labels.
+
+    The set must be complete and orthogonal, Tr(E_m^dagger E_n) = d delta_mn
+    over d^2 operators of size d x d: the closed-form inversion relies on it.
+    """
 
     qubit_count: int
     labels: tuple[str, ...]
@@ -116,17 +121,19 @@ class FixedOperatorSet:
         for op in ops:
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-        gram = np.array(
-            [[np.trace(dagger(a) @ b) for b in ops] for a in ops]
-        )
-        if np.linalg.matrix_rank(gram) != len(ops):
-            raise ValueError("fixed operator set has a singular Gram matrix")
-        gram.setflags(write=False)
-        object.__setattr__(self, "_gram", gram)
-
-    @property
-    def gram(self) -> np.ndarray:
-        return self._gram
+        d = 1 << self.qubit_count
+        if len(ops) != d * d or any(op.shape != (d, d) for op in ops):
+            raise ValueError(
+                f"a {self.qubit_count}-qubit operator set needs {d * d} matrices "
+                f"of shape {(d, d)}"
+            )
+        gram = np.array([[np.trace(dagger(a) @ b) for b in ops] for a in ops])
+        dev = np.abs(gram - d * np.eye(d * d)).max()
+        if dev > 1e-12:
+            raise ValueError(
+                f"fixed operator set is not orthogonal: Tr(E_m^dagger E_n) "
+                f"misses d delta_mn by {dev:.3e}"
+            )
 
 
 _SINGLE_FIXED = (
@@ -156,35 +163,19 @@ def fixed_operator_set(qubit_count: int) -> FixedOperatorSet:
     raise ValueError(f"fixed operator sets cover 1 or 2 qubits, got {qubit_count}")
 
 
-@dataclass(frozen=True)
-class InputBasis:
-    """Matrix units |a><b| in row-major (a, b) order."""
-
-    qubit_count: int
-    labels: tuple[str, ...]
-    elements: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        elems = tuple(np.array(e, dtype=complex) for e in self.elements)
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
-
-
 @lru_cache(maxsize=None)
-def matrix_unit_basis(qubit_count: int) -> InputBasis:
+def matrix_unit_basis(qubit_count: int) -> tuple[np.ndarray, ...]:
+    """Read-only matrix units |a><b| in row-major (a, b) order."""
     if qubit_count not in (1, 2):
         raise ValueError(f"input bases cover 1 or 2 qubits, got {qubit_count}")
     d = 1 << qubit_count
-    labels = []
-    elements = []
-    for a in range(d):
-        for b in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[a, b] = 1.0
-            elements.append(unit)
-            labels.append(f"|{a:0{qubit_count}b}><{b:0{qubit_count}b}|")
-    return InputBasis(qubit_count, tuple(labels), tuple(elements))
+    units = []
+    for j in range(d * d):
+        unit = np.zeros((d, d), dtype=complex)
+        unit.flat[j] = 1.0
+        unit.setflags(write=False)
+        units.append(unit)
+    return tuple(units)
 
 
 # --- physical preparations ------------------------------------------------------
@@ -269,7 +260,7 @@ def preparation_recipes(qubit_count: int) -> tuple[PreparationRecipe, ...]:
         acc = np.zeros((d, d), dtype=complex)
         for coeff, label in recipe.terms:
             acc += coeff * preparation_state(label)
-        dev = np.abs(acc - basis.elements[recipe.target_index]).max()
+        dev = np.abs(acc - basis[recipe.target_index]).max()
         if dev > 1e-12:
             raise AssertionError(
                 f"recipe for basis element {recipe.target_index} is off by {dev:.3e}"
@@ -277,73 +268,27 @@ def preparation_recipes(qubit_count: int) -> tuple[PreparationRecipe, ...]:
     return tuple(recipes)
 
 
-# --- the linear system ----------------------------------------------------------
+# --- the inversion ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BetaTensor:
-    """beta[(j,k),(m,n)] with both index pairs flattened row-major."""
-
-    qubit_count: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class LambdaVector:
-    """lambda[(j,k)] flattened row-major."""
-
-    qubit_count: int
-    vector: np.ndarray
-
-
-def beta_tensor(basis: InputBasis, ops: FixedOperatorSet) -> BetaTensor:
-    """Expansion coefficients of E_m rho_j E_n^dagger in the matrix units.
+def beta_tensor(qubit_count: int) -> np.ndarray:
+    """The paper's B: entry k of E_m rho_j E_n^dagger at row (j, k), column (m, n).
 
     For matrix units the coefficient of rho_k is just entry (a_k, b_k), i.e.
-    the row-major flattening of the conjugated matrix.
+    the row-major flattening of the matrix.  ``chi_from_outputs`` does not use
+    it; it is the oracle that ties the closed form to chi = B^-1 lambda.
     """
-    if basis.qubit_count != ops.qubit_count:
-        raise ValueError("input basis and operator set disagree on qubit count")
-    d2 = len(basis.elements)
+    ops = fixed_operator_set(qubit_count).operators
+    basis = matrix_unit_basis(qubit_count)
+    d2 = len(basis)
     beta = np.zeros((d2 * d2, d2 * d2), dtype=complex)
-    for m, em in enumerate(ops.operators):
-        for n, en in enumerate(ops.operators):
+    for m, em in enumerate(ops):
+        for n, en in enumerate(ops):
             col = m * d2 + n
             en_dag = en.conj().T
-            for j, rho_j in enumerate(basis.elements):
+            for j, rho_j in enumerate(basis):
                 beta[j * d2:(j + 1) * d2, col] = (em @ rho_j @ en_dag).reshape(-1)
-    return BetaTensor(basis.qubit_count, beta)
-
-
-@lru_cache(maxsize=None)
-def _beta_for(qubit_count: int) -> BetaTensor:
-    return beta_tensor(matrix_unit_basis(qubit_count), fixed_operator_set(qubit_count))
-
-
-def lambda_from_outputs(outputs, basis: InputBasis) -> LambdaVector:
-    """Stack the matrix-unit coefficients of the channel outputs eps(rho_j).
-
-    Trace preservation fixes Tr(eps(rho_j)) = Tr(rho_j); that is checked here
-    (it holds exactly for tomographic reconstructions because the identity
-    coefficient is pinned).
-    """
-    d2 = len(basis.elements)
-    d = 1 << basis.qubit_count
-    outputs = [np.asarray(o, dtype=complex) for o in outputs]
-    if len(outputs) != d2:
-        raise ValueError(f"expected {d2} channel outputs, got {len(outputs)}")
-    lam = np.zeros(d2 * d2, dtype=complex)
-    for j, out in enumerate(outputs):
-        if out.shape != (d, d):
-            raise ValueError(f"output {j} has shape {out.shape}, expected {(d, d)}")
-        expected = complex(np.trace(basis.elements[j]))
-        got = complex(np.trace(out))
-        if abs(got - expected) > 1e-8:
-            raise ValueError(
-                f"output {j}: trace {got:.6g} differs from Tr(rho_j) = {expected:.6g}"
-            )
-        lam[j * d2:(j + 1) * d2] = out.reshape(-1)
-    return LambdaVector(basis.qubit_count, lam)
+    return beta
 
 
 @dataclass(frozen=True)
@@ -363,48 +308,59 @@ class ChiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def solve_chi(beta: BetaTensor, lam: LambdaVector) -> ChiMatrix:
-    """chi = beta^-1 lambda, reshaped row-major and symmetrised."""
-    if beta.qubit_count != lam.qubit_count:
-        raise ValueError("beta and lambda disagree on qubit count")
-    x = np.linalg.solve(beta.matrix, lam.vector)
-    residual = float(np.abs(beta.matrix @ x - lam.vector).max())
-    d2 = 1 << (2 * beta.qubit_count)
-    chi = x.reshape(d2, d2)
-    chi = (chi + chi.conj().T) / 2.0
-    return ChiMatrix(beta.qubit_count, chi, residual)
+def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
+    """chi of the channel whose outputs eps(|a><b|) are given in row-major (a, b) order.
+
+    Trace preservation fixes Tr(eps(|a><b|)) = delta_ab; that is checked here
+    (it holds exactly for tomographic reconstructions because the identity
+    coefficient is pinned).  chi = W^dagger C W / d^2 as in the module
+    docstring; ``residual`` is max|W chi W^dagger - C| before Hermitisation,
+    the entries of B chi - lambda in another order.
+    """
+    ops = fixed_operator_set(qubit_count).operators
+    d = 1 << qubit_count
+    d2 = d * d
+    outputs = [np.asarray(o, dtype=complex) for o in outputs]
+    if len(outputs) != d2:
+        raise ValueError(f"expected {d2} channel outputs, got {len(outputs)}")
+    for j, out in enumerate(outputs):
+        if out.shape != (d, d):
+            raise ValueError(f"output {j} has shape {out.shape}, expected {(d, d)}")
+        expected = complex(j // d == j % d)
+        got = complex(np.trace(out))
+        if abs(got - expected) > 1e-8:
+            raise ValueError(
+                f"output {j}: trace {got:.6g} differs from Tr(rho_j) = {expected:.6g}"
+            )
+    choi = np.array(outputs).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    w = np.array(ops).transpose(2, 1, 0).reshape(d2, d2)
+    chi = w.conj().T @ choi @ w / d2
+    residual = float(np.abs(w @ chi @ w.conj().T - choi).max())
+    return ChiMatrix(qubit_count, (chi + chi.conj().T) / 2.0, residual)
 
 
-def theoretical_chi(gate, ops: FixedOperatorSet | None = None) -> ChiMatrix:
-    """Rank-one chi of an ideal unitary (gate name or explicit matrix)."""
+def theoretical_chi(gate) -> ChiMatrix:
+    """Rank-one chi of an ideal unitary (gate name or explicit matrix).
+
+    U = sum_m c_m E_m with c_m = Tr(E_m^dagger U) / d by orthogonality.
+    """
     u = standard_gate(gate) if isinstance(gate, str) else np.asarray(gate, dtype=complex)
     n = u.shape[0].bit_length() - 1
-    if ops is None:
-        ops = fixed_operator_set(n)
+    ops = fixed_operator_set(n)
     if u.shape != ops.operators[0].shape:
-        raise ValueError(
-            f"unitary shape {u.shape} does not match the {ops.qubit_count}-qubit set"
-        )
-    rhs = np.array([np.trace(dagger(em) @ u) for em in ops.operators])
-    coeffs = np.linalg.solve(ops.gram, rhs)
-    rebuilt = sum(c * em for c, em in zip(coeffs, ops.operators))
-    dev = np.abs(rebuilt - u).max()
-    if dev > 1e-9:
-        raise ValueError(f"matrix lies {dev:.3e} outside the operator set's span")
+        raise ValueError(f"unitary shape {u.shape} does not match the {n}-qubit set")
+    coeffs = np.array([np.trace(dagger(em) @ u) for em in ops.operators]) / u.shape[0]
     chi = np.outer(coeffs, coeffs.conj())
-    return ChiMatrix(ops.qubit_count, (chi + chi.conj().T) / 2.0, 0.0)
+    return ChiMatrix(n, (chi + chi.conj().T) / 2.0, 0.0)
 
 
-def chi_to_channel(chi: ChiMatrix, ops: FixedOperatorSet | None = None):
+def chi_to_channel(chi: ChiMatrix):
     """Return the linear map rho -> sum_mn chi_mn E_m rho E_n^dagger.
 
     The map is applied literally, so it accepts any matrix of the right
     dimension (basis elements included), not just density matrices.
     """
-    if ops is None:
-        ops = fixed_operator_set(chi.qubit_count)
-    if ops.qubit_count != chi.qubit_count:
-        raise ValueError("chi and operator set disagree on qubit count")
+    ops = fixed_operator_set(chi.qubit_count)
     pairs = [
         (chi.matrix[m, n], em, en.conj().T)
         for m, em in enumerate(ops.operators)
@@ -422,13 +378,12 @@ def chi_to_channel(chi: ChiMatrix, ops: FixedOperatorSet | None = None):
     return apply
 
 
-def tp_deviation(chi: ChiMatrix, ops: FixedOperatorSet | None = None) -> float:
+def tp_deviation(chi: ChiMatrix) -> float:
     """Max-norm deviation of sum_mn chi_mn E_n^dagger E_m from the identity.
 
     Zero exactly when the reconstructed channel is trace preserving.
     """
-    if ops is None:
-        ops = fixed_operator_set(chi.qubit_count)
+    ops = fixed_operator_set(chi.qubit_count)
     d = 1 << chi.qubit_count
     acc = np.zeros((d, d), dtype=complex)
     for m, em in enumerate(ops.operators):
@@ -469,18 +424,16 @@ def _distinct_labels(recipes) -> list[str]:
     return sorted({label for r in recipes for _, label in r.terms})
 
 
-def _chi_from_outputs(out_by_label: dict[str, np.ndarray], qubit_count: int) -> ChiMatrix:
-    basis = matrix_unit_basis(qubit_count)
-    recipes = preparation_recipes(qubit_count)
+def _chi_from_preparations(out_by_label: dict[str, np.ndarray], qubit_count: int) -> ChiMatrix:
+    """Combine the preparations' outputs into the matrix units' by their recipes."""
+    d = 1 << qubit_count
     outputs = []
-    for recipe in recipes:
-        d = 1 << qubit_count
+    for recipe in preparation_recipes(qubit_count):
         acc = np.zeros((d, d), dtype=complex)
         for coeff, label in recipe.terms:
             acc += coeff * out_by_label[label]
         outputs.append(acc)
-    lam = lambda_from_outputs(outputs, basis)
-    return solve_chi(_beta_for(qubit_count), lam)
+    return chi_from_outputs(outputs, qubit_count)
 
 
 def qpt_channel(channel: KrausChannel) -> ChiMatrix:
@@ -502,7 +455,7 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
             for p in itertools.product("IXYZ", repeat=n)
         }
         out_by_label[label] = reconstruct_density(exps, n)
-    return _chi_from_outputs(out_by_label, n)
+    return _chi_from_preparations(out_by_label, n)
 
 
 @dataclass(frozen=True)
@@ -588,7 +541,7 @@ def run_qpt(
         out_by_label[label] = reconstruct_from_dataset(dataset)
     assert executions == len(labels) * settings_per_label
 
-    chi = _chi_from_outputs(out_by_label, n)
+    chi = _chi_from_preparations(out_by_label, n)
     theory = theoretical_chi(gate)
     fidelity = process_fidelity(theory, chi)
     return QptResult(

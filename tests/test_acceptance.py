@@ -21,7 +21,6 @@ from qptkit import (
     compose,
     embed_channel,
     emit_qasm,
-    fixed_operator_set,
     matrix_unit_basis,
     parse_qasm,
     preparation_recipes,
@@ -108,7 +107,7 @@ def test_channel_oracle_equivalence():
         amp, deph = _random_decoherence(rng)
         channel = compose(compose(unitary_as_channel(haar_unitary(rng, 2)), amp), deph)
         tomographed = chi_to_channel(qpt_channel(channel))
-        for unit in matrix_unit_basis(1).elements:
+        for unit in matrix_unit_basis(1):
             dev = np.abs(
                 tomographed(unit) - apply_channel(channel, unit, check=False)
             ).max()
@@ -122,7 +121,7 @@ def test_channel_oracle_equivalence():
             channel = compose(channel, embed_channel(amp, [q], 2))
             channel = compose(channel, embed_channel(deph, [q], 2))
         tomographed = chi_to_channel(qpt_channel(channel))
-        for unit in matrix_unit_basis(2).elements:
+        for unit in matrix_unit_basis(2):
             dev = np.abs(
                 tomographed(unit) - apply_channel(channel, unit, check=False)
             ).max()
@@ -142,7 +141,7 @@ def test_preparation_recipe_identities():
         basis = matrix_unit_basis(n)
         for recipe in preparation_recipes(n):
             acc = sum(c * preparation_state(label) for c, label in recipe.terms)
-            dev = np.abs(acc - basis.elements[recipe.target_index]).max()
+            dev = np.abs(acc - basis[recipe.target_index]).max()
             worst = max(worst, dev)
     assert worst <= 1e-12
     _pass(f"all 20 preparation recipes rebuild their matrix units to {worst:.2e}")
@@ -153,7 +152,7 @@ def test_linear_system_quality(single_sweep, cx_sweep):
     residuals += [r.residual for r in cx_sweep[0].values()]
     assert max(residuals) <= 1e-10
     conds = {
-        n: np.linalg.cond(beta_tensor(matrix_unit_basis(n), fixed_operator_set(n)).matrix)
+        n: np.linalg.cond(beta_tensor(n))
         for n in (1, 2)
     }
     assert conds[1] < 10.0 and conds[2] < 10.0

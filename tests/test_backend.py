@@ -307,7 +307,7 @@ def _dense_reference(circuit, backend):
     rho[0, 0] = 1.0
 
     def decay(rho, q, duration):
-        channel = decoherence_channel(backend.qubits[q].for_duration(duration))
+        channel = decoherence_channel(backend.qubits[q], duration)
         ops = embed_channel(channel, [q], n).operators
         return sum(e @ rho @ e.conj().T for e in ops)
 

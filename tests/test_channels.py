@@ -92,19 +92,19 @@ def test_noise_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(50.0, 0.0)
     with pytest.raises(ValueError):
-        NoiseParams(50.0, 70.0, duration_ns=-1.0)
-    with pytest.raises(ValueError):
         NoiseParams(50.0, 70.0, readout_flip_prob=0.51)
 
 
 def test_decoherence_channel_matches_composition():
-    params = NoiseParams(48.7, 14.0, duration_ns=300.0)
-    combined = decoherence_channel(params)
+    params = NoiseParams(48.7, 14.0)
+    combined = decoherence_channel(params, 300.0)
     seq = compose(
         amplitude_damping(300.0, 48.7), pure_dephasing(300.0, 48.7, 14.0)
     )
     rho = random_density(np.random.default_rng(5), 2)
     assert np.abs(apply_channel(combined, rho) - apply_channel(seq, rho)).max() < 1e-12
+    with pytest.raises(ValueError, match="non-negative"):
+        decoherence_channel(params, -1.0)
 
 
 def test_unitary_as_channel():

@@ -1,4 +1,4 @@
-"""Operator sets, the beta/lambda inversion, chi matrices, QPT pipelines."""
+"""Operator sets, the closed-form chi inversion, chi matrices, QPT pipelines."""
 
 import math
 
@@ -12,9 +12,9 @@ from qptkit import (
     TopologyError,
     amplitude_damping,
     beta_tensor,
+    chi_from_outputs,
     chi_to_channel,
     fixed_operator_set,
-    lambda_from_outputs,
     matrix_unit_basis,
     preparation_circuit,
     preparation_recipes,
@@ -23,17 +23,19 @@ from qptkit import (
     project_result,
     qpt_channel,
     run_qpt,
-    solve_chi,
     theoretical_chi,
     tp_deviation,
     unitary_as_channel,
 )
-from qptkit.process_tomography import _beta_for
 from qptkit.qasm import Gate
 
 from conftest import haar_unitary, random_density
 
 MINUS_IY = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def _gram(ops):
+    return np.array([[np.trace(a.conj().T @ b) for b in ops.operators] for a in ops.operators])
 
 
 # --- fixed operator set & input basis ------------------------------------------
@@ -45,7 +47,7 @@ def test_single_qubit_operator_set():
     assert np.array_equal(ops.operators[2], MINUS_IY)
     for op in ops.operators:
         assert np.abs(op.imag).max() == 0.0
-    assert np.abs(ops.gram - 2.0 * np.eye(4)).max() < 1e-12
+    assert np.abs(_gram(ops) - 2.0 * np.eye(4)).max() < 1e-12
 
 
 def test_two_qubit_operator_set():
@@ -57,20 +59,33 @@ def test_two_qubit_operator_set():
     assert np.array_equal(ops.operators[10], np.kron(MINUS_IY, MINUS_IY))
     for op in ops.operators:
         assert np.abs(op.imag).max() == 0.0  # the -i prefactors keep everything real
-    assert np.abs(ops.gram - 4.0 * np.eye(16)).max() < 1e-12
+    assert np.abs(_gram(ops) - 4.0 * np.eye(16)).max() < 1e-12
     with pytest.raises(ValueError):
         fixed_operator_set(3)
 
 
+def test_operator_set_must_be_complete_and_orthogonal():
+    i, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    labels = ("a", "b", "c", "d")
+    with pytest.raises(ValueError, match="not orthogonal"):
+        FixedOperatorSet(1, labels, (i, x, x + z, z))
+    with pytest.raises(ValueError, match="not orthogonal"):
+        FixedOperatorSet(1, labels, (i / 2**0.5, x / 2**0.5, MINUS_IY / 2**0.5, z / 2**0.5))
+    with pytest.raises(ValueError, match="needs 4 matrices"):
+        FixedOperatorSet(1, labels[:2], (i, x))
+    with pytest.raises(ValueError, match="shape"):
+        FixedOperatorSet(1, labels, (np.eye(4),) * 4)
+
+
 def test_matrix_unit_basis():
     basis = matrix_unit_basis(1)
-    assert basis.labels == ("|0><0|", "|0><1|", "|1><0|", "|1><1|")
-    assert basis.elements[1][0, 1] == 1.0 and np.abs(basis.elements[1]).sum() == 1.0
+    assert len(basis) == 4
+    assert basis[1][0, 1] == 1.0 and np.abs(basis[1]).sum() == 1.0
     two = matrix_unit_basis(2)
-    assert len(two.elements) == 16
-    assert two.labels[1] == "|00><01|"
+    assert len(two) == 16
     # element j = a*4 + b carries its single 1 at row a, column b
-    assert two.elements[9][2, 1] == 1.0
+    assert two[9][2, 1] == 1.0 and np.abs(two[9]).sum() == 1.0
+    assert not two[9].flags.writeable
 
 
 # --- preparations ----------------------------------------------------------------
@@ -105,7 +120,7 @@ def test_recipes_rebuild_matrix_units(n):
     basis = matrix_unit_basis(n)
     for recipe in preparation_recipes(n):
         acc = sum(c * preparation_state(label) for c, label in recipe.terms)
-        assert np.abs(acc - basis.elements[recipe.target_index]).max() < 1e-12
+        assert np.abs(acc - basis[recipe.target_index]).max() < 1e-12
 
 
 def test_single_qubit_recipe_terms():
@@ -120,72 +135,94 @@ def test_single_qubit_recipe_terms():
     )
 
 
-# --- beta, lambda, solve ----------------------------------------------------------
+# --- beta and the closed-form inversion ------------------------------------------
 
 
 @pytest.mark.parametrize("n, d2", [(1, 4), (2, 16)])
 def test_beta_shape_and_conditioning(n, d2):
-    beta = beta_tensor(matrix_unit_basis(n), fixed_operator_set(n))
-    assert beta.matrix.shape == (d2 * d2, d2 * d2)
-    cond = np.linalg.cond(beta.matrix)
+    beta = beta_tensor(n)
+    assert beta.shape == (d2 * d2, d2 * d2)
+    cond = np.linalg.cond(beta)
     assert cond < 10.0
     assert abs(cond - 1.0) < 1e-9  # orthogonal columns of equal norm
-
-
-def test_beta_rejects_mismatched_sets():
-    with pytest.raises(ValueError, match="disagree"):
-        beta_tensor(matrix_unit_basis(1), fixed_operator_set(2))
+    # B^dagger B = d^2 I, which makes B^-1 lambda = B^dagger lambda / d^2
+    assert np.abs(beta.conj().T @ beta - d2 * np.eye(d2 * d2)).max() < 1e-12
 
 
 def test_beta_is_definitional():
     # beta[(j,:),(m,n)] must literally be the flattening of E_m rho_j E_n^dag.
     basis = matrix_unit_basis(1)
     ops = fixed_operator_set(1)
-    beta = beta_tensor(basis, ops).matrix
+    beta = beta_tensor(1)
     rng = np.random.default_rng(0)
     for _ in range(20):
         j = rng.integers(4)
         m = rng.integers(4)
         n = rng.integers(4)
-        block = ops.operators[m] @ basis.elements[j] @ ops.operators[n].conj().T
+        block = ops.operators[m] @ basis[j] @ ops.operators[n].conj().T
         assert np.array_equal(beta[j * 4:(j + 1) * 4, m * 4 + n], block.reshape(-1))
 
 
-def test_identity_channel_inverts_to_unit_chi():
-    basis = matrix_unit_basis(1)
-    lam = lambda_from_outputs(list(basis.elements), basis)
-    chi = solve_chi(_beta_for(1), lam)
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1.0
-    assert np.abs(chi.matrix - expected).max() < 1e-12
-    assert chi.residual < 1e-14
+def _with_unit_traces(outputs, d):
+    """Shift entry [0, 0] of each output so that Tr eps(|a><b|) = delta_ab.
+
+    That is the one constraint chi_from_outputs checks; the shift adds the
+    map rho -> Tr(c^T rho)|0><0| with c Hermitian when the traces are, so a
+    Hermitian chi stays Hermitian.
+    """
+    fixed = []
+    for j, out in enumerate(outputs):
+        out = np.array(out, dtype=complex)
+        out[0, 0] += (j // d == j % d) - np.trace(out)
+        fixed.append(out)
+    return fixed
 
 
-def test_round_trip_through_definition():
-    # Any hermitian chi pushed through its own channel must invert back.
-    rng = np.random.default_rng(7)
-    for n in (1, 2):
-        d2 = (1 << n) ** 2
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_matches_beta_solve(n):
+    # chi_from_outputs against the paper's chi = B^-1 lambda, Hermitised alike.
+    d, d2 = 1 << n, 4**n
+    beta = beta_tensor(n)
+    units = matrix_unit_basis(n)
+
+    identity = chi_from_outputs(units, n)
+    assert identity.matrix[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(identity.matrix).sum() == pytest.approx(1.0, abs=1e-14)
+    assert identity.residual < 1e-14
+
+    rng = np.random.default_rng(7 + n)
+    cases = []
+    for _ in range(10):
         raw = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
-        chi_in = (raw + raw.conj().T) / 2.0
-        apply = chi_to_channel(ChiMatrix(n, chi_in))
-        outputs = [apply(e) for e in matrix_unit_basis(n).elements]
-        lam_vec = np.concatenate([o.reshape(-1) for o in outputs])
-        x = np.linalg.solve(_beta_for(n).matrix, lam_vec)
-        assert np.abs(x.reshape(d2, d2) - chi_in).max() < 1e-10
+        hermitian = chi_to_channel(ChiMatrix(n, (raw + raw.conj().T) / 2.0))
+        cases.append([hermitian(e) for e in units])
+    for _ in range(50):
+        cases.append(list(rng.normal(size=(d2, d, d)) + 1j * rng.normal(size=(d2, d, d))))
+    cases = [_with_unit_traces(outputs, d) for outputs in cases]
+
+    # the oracle: one solve of B x = lambda per case, no trace check on this side
+    lam = np.array([np.concatenate([o.reshape(-1) for o in outputs]) for outputs in cases]).T
+    x = np.linalg.solve(beta, lam)
+    assert np.abs(beta @ x - lam).max() < 1e-12
+    for outputs, column in zip(cases, x.T):
+        want = column.reshape(d2, d2)
+        chi = chi_from_outputs(outputs, n)
+        assert np.abs(chi.matrix - (want + want.conj().T) / 2.0).max() < 1e-12
+        assert chi.residual < 1e-12
 
 
-def test_lambda_trace_rule():
-    basis = matrix_unit_basis(1)
-    outputs = [np.array(e) for e in basis.elements]
-    lambda_from_outputs(outputs, basis)  # identity channel passes
+def test_chi_from_outputs_input_checks():
+    outputs = list(matrix_unit_basis(1))
+    chi_from_outputs(outputs, 1)  # identity channel passes
     outputs[1] = outputs[1] + 0.5 * np.eye(2)  # off-diagonal unit must stay traceless
     with pytest.raises(ValueError, match="differs from Tr"):
-        lambda_from_outputs(outputs, basis)
+        chi_from_outputs(outputs, 1)
     with pytest.raises(ValueError, match="expected 4 channel outputs"):
-        lambda_from_outputs(outputs[:2], basis)
+        chi_from_outputs(outputs[:2], 1)
     with pytest.raises(ValueError, match="shape"):
-        lambda_from_outputs([np.eye(4)] * 4, basis)
+        chi_from_outputs([np.eye(4)] * 4, 1)
+    with pytest.raises(ValueError, match="1 or 2"):
+        chi_from_outputs([np.eye(8)] * 64, 3)
 
 
 # --- theoretical chi --------------------------------------------------------------
@@ -227,13 +264,11 @@ def test_chi_theory_cx():
 def test_chi_theory_accepts_matrices_and_checks_span():
     direct = theoretical_chi(np.array([[1, 0], [0, 1j]], dtype=complex))
     assert np.abs(direct.matrix - theoretical_chi("s").matrix).max() < 1e-12
-    reduced = FixedOperatorSet(
-        1, ("I", "X"), (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
-    )
-    with pytest.raises(ValueError, match="span"):
-        theoretical_chi(np.diag([1.0, -1.0]).astype(complex), ops=reduced)
+    # the complete operator set spans every d x d matrix, so only the shape can fail
     with pytest.raises(ValueError, match="does not match"):
-        theoretical_chi("cx", ops=fixed_operator_set(1))
+        theoretical_chi(np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="does not match"):
+        theoretical_chi(np.ones((4, 2), dtype=complex))
 
 
 def test_theory_is_trace_preserving_for_all_gates():

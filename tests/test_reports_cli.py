@@ -219,8 +219,6 @@ def test_cli_qpt_failure_exit_code(tmp_path, capsys):
 def test_cli_argument_validation(tmp_path):
     base = ["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4",
             "--out", str(tmp_path)]
-    with pytest.raises(SystemExit):
-        main(base + ["--exact", "--shots", "16"])
     with pytest.raises(SystemExit, match="--seed requires --shots"):
         main(base + ["--seed", "1"])
     with pytest.raises(SystemExit, match="--seeds requires --shots"):
