@@ -38,7 +38,6 @@ __all__ = [
     "kron",
     "embed_gate",
     "pauli_string_matrix",
-    "pauli_expectation",
     "check_density_matrix",
     "num_qubits",
 ]
@@ -168,23 +167,6 @@ def pauli_string_matrix(string: str) -> np.ndarray:
     except KeyError as exc:
         raise ValueError(f"invalid Pauli letter {exc.args[0]!r} in {string!r}") from None
     return reduce(kron, factors)
-
-
-def pauli_expectation(rho: np.ndarray, pauli: np.ndarray) -> float:
-    """Tr(pauli @ rho) as a real number.
-
-    For Hermitian ``pauli`` and a valid density matrix the imaginary part is
-    rounding noise (below 1e-9); it is discarded.
-    """
-    rho = np.asarray(rho)
-    pauli = np.asarray(pauli)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
-    if pauli.shape != rho.shape:
-        raise ValueError(
-            f"operator shape {pauli.shape} does not match state shape {rho.shape}"
-        )
-    return float(np.trace(pauli @ rho).real)
 
 
 def num_qubits(matrix: np.ndarray) -> int:

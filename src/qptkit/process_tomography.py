@@ -26,6 +26,11 @@ orthogonality gives B^dagger B = d^2 I, so B^-1 lambda = B^dagger lambda / d^2,
 whose entries are those of W^dagger C W / d^2.  ``beta_tensor`` builds B
 for the tests that tie the two together.
 
+W is built once per qubit count.  ``chi_to_channel`` and ``tp_deviation``
+read the Choi matrix W chi W^dagger back: the channel maps rho to
+sum_ab C[(a,k),(b,l)] rho[a,b], and sum_mn chi_mn E_n^dagger E_m is the
+transpose of C traced over the output, sum_k C[(a,k),(b,k)].
+
 Matrix units are not states, so each one is assembled from at most four
 physically preparable pure states
 
@@ -44,8 +49,10 @@ inversion, then the overlap fidelity
                                   / sqrt(Tr(chi_exp^dagger chi_exp))
 
 against the ideal gate's chi.  ``qpt_channel`` runs the same mathematics
-directly on a Kraus channel, which is how the pipeline is cross-checked
-against channels whose chi is known.
+directly on a Kraus channel: preparations -> channel -> recipes ->
+inversion, with no Pauli step (on an exact output state the state
+tomography is the identity).  That is how the preparations, recipes and
+inversion are cross-checked against channels whose chi is known.
 """
 
 from __future__ import annotations
@@ -59,21 +66,13 @@ import numpy as np
 
 from .backend import QUBIT_COUNT, BackendModel, TopologyError
 from .channels import KrausChannel, apply_channel
-from .operators import (
-    GATE_ARITY,
-    dagger,
-    kron,
-    pauli_expectation,
-    pauli_string_matrix,
-    standard_gate,
-)
+from .operators import GATE_ARITY, dagger, kron, standard_gate
 from .qasm import Circuit, Gate
 from .state_tomography import (
     child_seeds,
     collect_dataset,
     project_psd,
     qst_settings,
-    reconstruct_density,
     reconstruct_from_dataset,
 )
 
@@ -308,16 +307,37 @@ class ChiMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+@lru_cache(maxsize=None)
+def _choi_map(qubit_count: int) -> np.ndarray:
+    """Read-only W[(a,k),m] = E_m[k,a], so that the Choi matrix is W chi W^dagger.
+
+    The one place that knows the chi <-> Choi ordering; W^dagger W = d I.
+    """
+    ops = np.array(fixed_operator_set(qubit_count).operators)
+    d2 = len(ops)
+    w = ops.transpose(2, 1, 0).reshape(d2, d2)
+    w.setflags(write=False)
+    return w
+
+
+def _choi(chi: ChiMatrix) -> np.ndarray:
+    """Choi matrix W chi W^dagger as a tensor C[a,k,b,l] = eps(|a><b|)[k,l]."""
+    w = _choi_map(chi.qubit_count)
+    d = 1 << chi.qubit_count
+    return (w @ chi.matrix @ w.conj().T).reshape(d, d, d, d)
+
+
 def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
     """chi of the channel whose outputs eps(|a><b|) are given in row-major (a, b) order.
 
-    Trace preservation fixes Tr(eps(|a><b|)) = delta_ab; that is checked here
-    (it holds exactly for tomographic reconstructions because the identity
-    coefficient is pinned).  chi = W^dagger C W / d^2 as in the module
+    Every entry must be finite, and trace preservation fixes
+    Tr(eps(|a><b|)) = delta_ab; both are checked here (the trace holds
+    exactly for tomographic reconstructions because the identity coefficient
+    is pinned).  chi = W^dagger C W / d^2 as in the module
     docstring; ``residual`` is max|W chi W^dagger - C| before Hermitisation,
     the entries of B chi - lambda in another order.
     """
-    ops = fixed_operator_set(qubit_count).operators
+    w = _choi_map(qubit_count)
     d = 1 << qubit_count
     d2 = d * d
     outputs = [np.asarray(o, dtype=complex) for o in outputs]
@@ -326,6 +346,8 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
     for j, out in enumerate(outputs):
         if out.shape != (d, d):
             raise ValueError(f"output {j} has shape {out.shape}, expected {(d, d)}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"output {j} has non-finite entries")
         expected = complex(j // d == j % d)
         got = complex(np.trace(out))
         if abs(got - expected) > 1e-8:
@@ -333,7 +355,6 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
                 f"output {j}: trace {got:.6g} differs from Tr(rho_j) = {expected:.6g}"
             )
     choi = np.array(outputs).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
-    w = np.array(ops).transpose(2, 1, 0).reshape(d2, d2)
     chi = w.conj().T @ choi @ w / d2
     residual = float(np.abs(w @ chi @ w.conj().T - choi).max())
     return ChiMatrix(qubit_count, (chi + chi.conj().T) / 2.0, residual)
@@ -357,23 +378,14 @@ def theoretical_chi(gate) -> ChiMatrix:
 def chi_to_channel(chi: ChiMatrix):
     """Return the linear map rho -> sum_mn chi_mn E_m rho E_n^dagger.
 
-    The map is applied literally, so it accepts any matrix of the right
-    dimension (basis elements included), not just density matrices.
+    It is applied through the Choi matrix, rho -> sum_ab C[a,k,b,l] rho[a,b],
+    so it accepts any matrix of the right dimension (basis elements
+    included), not just density matrices.
     """
-    ops = fixed_operator_set(chi.qubit_count)
-    pairs = [
-        (chi.matrix[m, n], em, en.conj().T)
-        for m, em in enumerate(ops.operators)
-        for n, en in enumerate(ops.operators)
-        if chi.matrix[m, n] != 0
-    ]
+    choi = _choi(chi)
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for c, em, en_dag in pairs:
-            out += c * (em @ rho @ en_dag)
-        return out
+        return np.einsum("akbl,ab->kl", choi, np.asarray(rho, dtype=complex))
 
     return apply
 
@@ -381,15 +393,12 @@ def chi_to_channel(chi: ChiMatrix):
 def tp_deviation(chi: ChiMatrix) -> float:
     """Max-norm deviation of sum_mn chi_mn E_n^dagger E_m from the identity.
 
-    Zero exactly when the reconstructed channel is trace preserving.
+    Zero exactly when the reconstructed channel is trace preserving.  That
+    sum is the transpose of the Choi matrix traced over the output,
+    sum_k C[a,k,b,k], which is what is compared with the identity.
     """
-    ops = fixed_operator_set(chi.qubit_count)
-    d = 1 << chi.qubit_count
-    acc = np.zeros((d, d), dtype=complex)
-    for m, em in enumerate(ops.operators):
-        for n, en in enumerate(ops.operators):
-            acc += chi.matrix[m, n] * (en.conj().T @ em)
-    return float(np.abs(acc - np.eye(d)).max())
+    traced = np.trace(_choi(chi), axis1=1, axis2=3)
+    return float(np.abs(traced - np.eye(len(traced))).max())
 
 
 def _chi_array(chi) -> np.ndarray:
@@ -439,22 +448,18 @@ def _chi_from_preparations(out_by_label: dict[str, np.ndarray], qubit_count: int
 def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     """Tomograph a Kraus channel exactly (no circuits, no sampling).
 
-    Mirrors the measurement pipeline: each preparation state is pushed
-    through the channel, expanded in Pauli expectations, reconstructed, and
-    the recipe combinations feed the same linear inversion as ``run_qpt``.
+    Mirrors the measurement pipeline: each physical preparation state is
+    pushed through the channel, and the recipe combinations of the outputs
+    feed the same linear inversion as ``run_qpt``.  (On an exact state the
+    Pauli reconstruction of ``run_qpt`` is the identity, so it is skipped.)
     """
     n = channel.qubit_count
     if n not in (1, 2):
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
-    labels = _distinct_labels(preparation_recipes(n))
-    out_by_label = {}
-    for label in labels:
-        rho_out = apply_channel(channel, preparation_state(label))
-        exps = {
-            "".join(p): pauli_expectation(rho_out, pauli_string_matrix("".join(p)))
-            for p in itertools.product("IXYZ", repeat=n)
-        }
-        out_by_label[label] = reconstruct_density(exps, n)
+    out_by_label = {
+        label: apply_channel(channel, preparation_state(label))
+        for label in _distinct_labels(preparation_recipes(n))
+    }
     return _chi_from_preparations(out_by_label, n)
 
 

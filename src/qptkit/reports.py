@@ -14,8 +14,9 @@ State-tomography reports use kind "qst" with ``rho_real``/``rho_imag`` and a
 ``json.dumps(..., indent=2, sort_keys=True)``, so identical inputs yield
 byte-identical files; there are no timestamps.
 
-Loaders re-validate what they read (format version, shapes, Hermiticity,
-bounded fidelity), so every emitted report doubles as a self-check.
+Loaders re-validate what they read (format version, every field of the
+kind present, a one- or two-qubit chi, shapes, Hermiticity, bounded
+fidelity), so every emitted report doubles as a self-check.
 """
 
 from __future__ import annotations
@@ -132,6 +133,20 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid report: {message}")
 
 
+# the fields each kind of report carries, as the *_dict builders above write them
+_FIELDS = {
+    "qpt": ("format", "kind", "gate", "lines", "backend", "noise", "shots", "seed",
+            "executions", "operator_labels", "ordering", "residual", "tp_deviation",
+            "fidelity", "psd_projected", "chi_real", "chi_imag", "chi_theory_real",
+            "chi_theory_imag"),
+    "qpt-seeds": ("format", "kind", "gate", "lines", "backend", "noise", "shots",
+                  "executions", "seeds", "fidelities", "fidelity_mean", "fidelity_min",
+                  "fidelity_max"),
+    "qst": ("format", "kind", "backend", "noise", "shots", "seed", "executions", "qubits",
+            "fidelity", "psd_projected", "rho_real", "rho_imag"),
+}
+
+
 def load_report(path: str | Path) -> dict:
     """Read a report file and re-check its invariants."""
     return parse_report(Path(path).read_text(encoding="utf-8"))
@@ -142,10 +157,13 @@ def parse_report(text: str) -> dict:
     _require(isinstance(report, dict), "not a JSON object")
     _require(report.get("format") == 1, f"unsupported format {report.get('format')!r}")
     kind = report.get("kind")
-    _require(kind in ("qpt", "qpt-seeds", "qst"), f"unknown kind {kind!r}")
+    _require(kind in _FIELDS, f"unknown kind {kind!r}")
+    missing = [key for key in _FIELDS[kind] if key not in report]
+    _require(not missing, f"missing field(s) {', '.join(missing)}")
     if kind == "qpt":
-        labels = report["operator_labels"]
-        d2 = len(labels)
+        d2 = len(report["operator_labels"])
+        # the fixed operator sets, and so result_from_report, cover n = 1, 2
+        _require(d2 in (4, 16), f"chi dimension {d2} is not 4 or 16")
         for key in ("chi_real", "chi_imag", "chi_theory_real", "chi_theory_imag"):
             grid = report[key]
             _require(
@@ -160,7 +178,6 @@ def parse_report(text: str) -> dict:
         _require(-1.0 <= report["fidelity"] <= 1.0 + 1e-9, "fidelity out of range")
         _require(report["residual"] >= 0.0, "negative residual")
         n = (d2.bit_length() - 1) // 2
-        _require(n >= 1 and d2 == 4**n, f"chi dimension {d2} is not 4**n")
         # 4**n preparations, each measured in 3**n settings
         expected = 4**n * 3**n
         _require(report["executions"] == expected,

@@ -34,6 +34,7 @@ per setting) so runs can be stored and re-analysed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,8 @@ class TomographyDataset:
             for outcome, weight in counts.items():
                 if len(outcome) != n or any(ch not in "01" for ch in outcome):
                     raise ValueError(f"bad outcome key {outcome!r} under {tag!r}")
+                if not math.isfinite(weight):
+                    raise ValueError(f"non-finite weight for {outcome!r} under {tag!r}")
                 if weight < 0:
                     raise ValueError(f"negative weight for {outcome!r} under {tag!r}")
                 total += weight

@@ -14,24 +14,28 @@ import pytest
 from qptkit import (
     GATE_TABLE_ORDER,
     QasmError,
-    amplitude_damping,
-    apply_channel,
-    beta_tensor,
-    chi_to_channel,
-    compose,
-    embed_channel,
     emit_qasm,
-    matrix_unit_basis,
     parse_qasm,
-    preparation_recipes,
-    preparation_state,
     process_fidelity,
-    pure_dephasing,
     qpt_channel,
     run_qpt,
     theoretical_chi,
-    tp_deviation,
+)
+from qptkit.channels import (
+    amplitude_damping,
+    apply_channel,
+    compose,
+    embed_channel,
+    pure_dephasing,
     unitary_as_channel,
+)
+from qptkit.process_tomography import (
+    beta_tensor,
+    chi_to_channel,
+    matrix_unit_basis,
+    preparation_recipes,
+    preparation_state,
+    tp_deviation,
 )
 from qptkit.qasm import Circuit, Gate, Measure
 

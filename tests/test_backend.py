@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from qptkit import (
-    DEFAULT_DURATIONS_NS,
-    SINGLE_QUBIT_GATES,
     BackendModel,
     Circuit,
     ConfigError,
@@ -15,17 +13,15 @@ from qptkit import (
     Measure,
     TopologyError,
     builtin_backend,
-    builtin_backend_names,
-    decoherence_channel,
-    embed_channel,
-    embed_gate,
     execute,
     execute_exact,
     execute_many,
     load_backend,
     parse_qasm,
-    standard_gate,
 )
+from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names
+from qptkit.channels import decoherence_channel, embed_channel
+from qptkit.operators import SINGLE_QUBIT_GATES, embed_gate, standard_gate
 
 
 def _config(**overrides):

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
-from qptkit import (
-    KrausChannel,
-    NoiseParams,
+from qptkit import KrausChannel, NoiseParams
+from qptkit.channels import (
     amplitude_damping,
     apply_channel,
     compose,
@@ -18,10 +17,10 @@ from qptkit import (
     embed_channel,
     identity_channel,
     pure_dephasing,
-    standard_gate,
     unitary_as_channel,
     validate_completeness,
 )
+from qptkit.operators import standard_gate
 
 ONE = np.array([[0, 0], [0, 1]], dtype=complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, random_density
-from qptkit import (
+from conftest import haar_unitary
+from qptkit.operators import (
     GATES,
     check_density_matrix,
     dagger,
     embed_gate,
     kron,
-    pauli_expectation,
     pauli_string_matrix,
     standard_gate,
 )
@@ -165,39 +164,6 @@ def test_pauli_string_matrix():
                           kron(standard_gate("z"), standard_gate("x")))
     with pytest.raises(ValueError, match="invalid Pauli letter"):
         pauli_string_matrix("ZQ")
-
-
-def test_pauli_expectation_examples():
-    zero = np.array([[1, 0], [0, 0]], dtype=complex)
-    assert pauli_expectation(zero, standard_gate("z")) == 1.0
-    assert pauli_expectation(zero, standard_gate("x")) == 0.0
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    assert abs(pauli_expectation(plus, standard_gate("x")) - 1.0) < 1e-12
-
-
-def test_pauli_expectation_bell():
-    ket = np.zeros(4, dtype=complex)
-    ket[0b00] = RT2
-    ket[0b11] = RT2
-    bell = np.outer(ket, ket.conj())
-    assert abs(pauli_expectation(bell, pauli_string_matrix("ZZ")) - 1.0) < 1e-12
-    assert abs(pauli_expectation(bell, pauli_string_matrix("ZI"))) < 1e-12
-    assert abs(pauli_expectation(bell, pauli_string_matrix("XX")) - 1.0) < 1e-12
-
-
-def test_pauli_expectation_shape_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        pauli_expectation(np.eye(2), np.eye(4))
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-@settings(max_examples=50, deadline=None)
-def test_pauli_expectation_bounded(seed, n):
-    rng = np.random.default_rng(seed)
-    rho = random_density(rng, 1 << n)
-    string = "".join(rng.choice(list("IXYZ"), size=n))
-    value = pauli_expectation(rho, pauli_string_matrix(string))
-    assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
 def test_check_density_matrix_rejections():

@@ -7,25 +7,26 @@ import pytest
 
 from qptkit import (
     ChiMatrix,
-    FixedOperatorSet,
     KrausChannel,
     TopologyError,
-    amplitude_damping,
-    beta_tensor,
     chi_from_outputs,
+    process_fidelity,
+    qpt_channel,
+    run_qpt,
+    theoretical_chi,
+)
+from qptkit.channels import amplitude_damping, unitary_as_channel
+from qptkit.process_tomography import (
+    FixedOperatorSet,
+    beta_tensor,
     chi_to_channel,
     fixed_operator_set,
     matrix_unit_basis,
     preparation_circuit,
     preparation_recipes,
     preparation_state,
-    process_fidelity,
     project_result,
-    qpt_channel,
-    run_qpt,
-    theoretical_chi,
     tp_deviation,
-    unitary_as_channel,
 )
 from qptkit.qasm import Gate
 
@@ -223,6 +224,12 @@ def test_chi_from_outputs_input_checks():
         chi_from_outputs([np.eye(4)] * 4, 1)
     with pytest.raises(ValueError, match="1 or 2"):
         chi_from_outputs([np.eye(8)] * 64, 3)
+    with pytest.raises(ValueError, match="output 0 has non-finite entries"):
+        chi_from_outputs([np.full((2, 2), np.nan)] * 4, 1)
+    outputs = list(matrix_unit_basis(1))
+    outputs[2] = np.array([[0, np.inf], [0, 0]])
+    with pytest.raises(ValueError, match="output 2 has non-finite entries"):
+        chi_from_outputs(outputs, 1)
 
 
 # --- theoretical chi --------------------------------------------------------------
@@ -287,6 +294,12 @@ def test_chi_to_channel_examples():
     assert np.abs(apply_x(np.diag([1.0, 0.0])) - np.diag([0.0, 1.0])).max() < 1e-12
 
 
+def _random_hermitian_chi(rng, n):
+    d2 = 4**n
+    g = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+    return ChiMatrix(n, (g + g.conj().T) / 2.0)
+
+
 def test_chi_to_channel_matches_kraus():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -295,12 +308,40 @@ def test_chi_to_channel_matches_kraus():
         rho = random_density(rng, 2)
         direct = u @ rho @ u.conj().T
         assert np.abs(apply_u(rho) - direct).max() < 1e-10
+    # random Hermitian chi, not trace preserving, on arbitrary complex matrices,
+    # against the definition sum_mn chi_mn E_m rho E_n^dagger written out
+    for n in (1, 2):
+        ops = fixed_operator_set(n).operators
+        d = 1 << n
+        for _ in range(5):
+            chi = _random_hermitian_chi(rng, n)
+            rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            expected = sum(
+                chi.matrix[m, k] * (em @ rho @ en.conj().T)
+                for m, em in enumerate(ops)
+                for k, en in enumerate(ops)
+            )
+            scale = np.abs(expected).max()
+            assert np.abs(chi_to_channel(chi)(rho) - expected).max() <= 1e-12 * scale
 
 
 def test_tp_deviation_flags_lossy_chi():
     half = np.zeros((4, 4), dtype=complex)
     half[0, 0] = 0.5
     assert tp_deviation(ChiMatrix(1, half)) == pytest.approx(0.5)
+    # random Hermitian chi against the definition sum_mn chi_mn E_n^dagger E_m
+    rng = np.random.default_rng(22)
+    for n in (1, 2):
+        ops = fixed_operator_set(n).operators
+        for _ in range(5):
+            chi = _random_hermitian_chi(rng, n)
+            total = sum(
+                chi.matrix[m, k] * (en.conj().T @ em)
+                for m, em in enumerate(ops)
+                for k, en in enumerate(ops)
+            )
+            expected = np.abs(total - np.eye(1 << n)).max()
+            assert abs(tp_deviation(chi) - expected) <= 1e-12 * np.abs(total).max()
 
 
 def test_process_fidelity_reference_points():

@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptkit import (
-    Circuit,
-    CircuitError,
-    CouplingMap,
-    Gate,
-    Measure,
-    QasmError,
-    emit_qasm,
-    parse_qasm,
-    validate_topology,
-)
+from qptkit import Circuit, CircuitError, Gate, Measure, QasmError, emit_qasm, parse_qasm
+from qptkit.qasm import CouplingMap, validate_topology
 
 MINIMAL = """OPENQASM 2.0;
 include "qelib1.inc";

@@ -6,18 +6,17 @@ import json
 import numpy as np
 import pytest
 
-from qptkit import (
+from qptkit import parse_report, run_qpt
+from qptkit.reports import (
     chi_grids,
     chi_report_dict,
     dump_report,
     load_report,
-    parse_report,
-    read_dataset,
     render_fidelity_tables,
     result_from_report,
-    run_qpt,
     seed_summary_dict,
 )
+from qptkit.state_tomography import read_dataset
 from qptkit.cli import main
 
 
@@ -70,6 +69,12 @@ def test_report_bytes_deterministic(qx4_quiet):
         (lambda r: r.update(executions=144), "executions 144 != 12"),
         (lambda r: r["chi_real"][0].append(0.0), "not 4x4"),
         (lambda r: r["chi_real"][0].__setitem__(1, 9.0), "not Hermitian"),
+        (lambda r: r.pop("operator_labels"), "missing field.* operator_labels"),
+        (lambda r: r.update(operator_labels=["I"] * 64, executions=1728,
+                            **{key: [[0.0] * 64 for _ in range(64)]
+                               for key in ("chi_real", "chi_imag",
+                                           "chi_theory_real", "chi_theory_imag")}),
+         "chi dimension 64 is not 4 or 16"),
     ],
 )
 def test_report_validation(h_report, mutate, message):

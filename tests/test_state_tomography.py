@@ -13,21 +13,23 @@ from qptkit import (
     Gate,
     Measure,
     TomographyDataset,
-    append_setting,
-    child_seeds,
     collect_dataset,
-    estimate_pauli,
     execute,
     execute_exact,
     parse_qasm,
-    pauli_string_matrix,
-    preparation_circuit,
+    run_qst,
+)
+from qptkit.operators import pauli_string_matrix
+from qptkit.process_tomography import preparation_circuit
+from qptkit.state_tomography import (
+    append_setting,
+    child_seeds,
+    estimate_pauli,
     project_psd,
     qst_settings,
     read_dataset,
     reconstruct_density,
     reconstruct_from_dataset,
-    run_qst,
     state_fidelity,
     write_dataset,
 )
@@ -182,6 +184,10 @@ def test_dataset_validation():
         TomographyDataset(1, 100, {"Z": {"0": 30.0, "1": 20.0}})
     with pytest.raises(ValueError, match="negative weight"):
         TomographyDataset(1, None, {"Z": {"0": 1.5, "1": -0.5}})
+    with pytest.raises(ValueError, match="non-finite weight for '0' under 'Z'"):
+        read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:nan 1:1.0\n")
+    with pytest.raises(ValueError, match="non-finite weight for '1' under 'X'"):
+        TomographyDataset(1, 100, {"X": {"0": 100.0, "1": float("inf")}})
 
 
 def test_exact_qst_single_qubit(qx4_quiet):
