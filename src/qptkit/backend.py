@@ -20,9 +20,15 @@ stays in |0><0|, which is a fixed point of both amplitude damping and pure
 dephasing, so leaving it out is exact whether idle_decay is on or off.  The
 active register is held as a ``(2,)*2k`` tensor, and each instruction is one
 fused superoperator (gate then decay, or the measure decay alone), cached
-per (gate, per-target NoiseParams, duration) and contracted onto its target
-axes with ``np.tensordot``.  ``final_state`` is still the density matrix of
-the whole circuit register, with the active block scattered back by index.
+per (gate, per-target NoiseParams, duration).  It is applied as one matrix
+product: the state is viewed with its target row and column axes first (the
+axis order and its inverse are cached per target axes and register size),
+reshaped to ``4^m`` rows, multiplied by the ``4^m x 4^m`` superoperator and
+viewed back in the state's order; this is the operand layout of
+``np.tensordot``, so the result is the same to the bit.  The trace check
+after each instruction sums the diagonal of that view without copying it.
+``final_state`` is still the density matrix of the whole circuit register,
+with the active block scattered back by index.
 
 ``execute_many`` runs a sequence of circuits through that one evolution and
 yields each result as its circuit finishes; ``execute_exact`` and
@@ -38,10 +44,15 @@ trace check and every result ``check_density_matrix``; results are bitwise
 those of one call per circuit.
 
 Sampling draws one uniform per shot for the outcome (inverse CDF over
-classical outcomes in increasing integer order) followed by one uniform per
+classical outcomes in increasing integer order: the outcome is the number of
+cumulative weights at or below the draw) followed by one uniform per
 measured classical bit, in increasing classical-bit order, for the readout
-flip; the matrix of uniforms is generated shot-major.  Identical
-(circuit, backend, shots, seed) therefore reproduce identical counts.
+flip; the matrix of uniforms is generated shot-major.  The flip column of a
+bit whose flip probability is 0 is still drawn, only not compared, so a seed
+means the same draws whatever the flip probabilities.  Counts come from one
+``np.bincount`` over the outcome indices; outcomes drawn zero times are left
+out.  Identical (circuit, backend, shots, seed) therefore reproduce
+identical counts.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -297,12 +308,24 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
     return sup
 
 
-def _apply(sup: np.ndarray, rho: np.ndarray, axes: list[int], k: int) -> np.ndarray:
-    """Apply a superoperator tensor to the (2,)*2k state on the given row axes."""
-    m = len(axes)
-    state_axes = axes + [k + a for a in axes]
-    out = np.tensordot(sup, rho, axes=(list(range(2 * m, 4 * m)), state_axes))
-    return np.moveaxis(out, list(range(2 * m)), state_axes)
+@lru_cache(maxsize=256)
+def _layout(axes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis order putting the target row then column axes first, and its inverse."""
+    targets = axes + tuple(k + a for a in axes)
+    order = targets + tuple(a for a in range(2 * k) if a not in targets)
+    return order, tuple(np.argsort(order).tolist())
+
+
+def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
+    """Apply a superoperator tensor to the (2,)*2k state on the given row axes.
+
+    One matrix product on the layout ``np.tensordot`` would build, so the
+    result is bitwise the same; it is returned as a view in the state's order.
+    """
+    order, inverse = _layout(axes, k)
+    n = 1 << (2 * len(axes))
+    out = np.dot(sup.reshape(n, n), rho.transpose(order).reshape(n, -1))
+    return out.reshape((2,) * (2 * k)).transpose(inverse)
 
 
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
@@ -342,6 +365,7 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
             ground = np.zeros((2,) * (2 * k), dtype=complex)
             ground[(0,) * (2 * k)] = 1.0
             saved = [(0, ground)]
+            diagonal = list(range(k)) * 2
         instructions = circuit.instructions
         while saved[-1][0] > branch:
             saved.pop()
@@ -359,13 +383,14 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
             params = tuple(backend.qubits[q] for q in targets) if decay else ()
             if gate is not None or decay:
                 sup = _superoperator(gate, params, duration)
-                rho = _apply(sup, rho, [axis[q] for q in targets], k)
+                rho = _apply(sup, rho, tuple([axis[q] for q in targets]), k)
             if decay and gate is not None and backend.idle_decay:
                 for q in active:
                     if q not in targets:
                         sup = _superoperator(None, (backend.qubits[q],), duration)
-                        rho = _apply(sup, rho, [axis[q]], k)
-            tr = np.trace(rho.reshape(1 << k, 1 << k)).real
+                        rho = _apply(sup, rho, (axis[q],), k)
+            # the trace read off the strided view, without copying it
+            tr = np.einsum(rho, diagonal).real
             if abs(tr - 1.0) > 1e-9:
                 raise ValueError(
                     f"instruction {pos}: state trace drifted to {tr!r} during evolution"
@@ -437,14 +462,19 @@ def _sample(probabilities: dict[str, float], circuit: Circuit, backend: BackendM
     measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
     rng = np.random.default_rng(seed)
     uniforms = rng.random((shots, 1 + len(measured)))
-    outcomes = np.searchsorted(cdf, uniforms[:, 0], side="right")
+    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
+    # weights at or below each draw; the last is 1.0, which no draw reaches
+    first = np.ascontiguousarray(uniforms[:, 0])
+    outcomes = np.zeros(shots, dtype=np.intp)
+    for bound in cdf[:-1].tolist():
+        outcomes += first >= bound
     for col, meas in enumerate(measured, start=1):
         flip_prob = backend.qubits[meas.qubit].readout_flip_prob
-        flipped = uniforms[:, col] < flip_prob
-        outcomes = outcomes ^ (flipped.astype(np.int64) << meas.clbit)
+        if flip_prob > 0.0:
+            outcomes[uniforms[:, col] < flip_prob] ^= 1 << meas.clbit
 
-    values, freq = np.unique(outcomes, return_counts=True)
-    return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
+    counts = np.bincount(outcomes)
+    return {format(v, f"0{m}b"): c for v, c in enumerate(counts.tolist()) if c}
 
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,

@@ -23,6 +23,7 @@ always present, creg omitted when there are no classical bits) and
 
 from __future__ import annotations
 
+import copy
 import re
 from dataclasses import dataclass, field
 
@@ -98,10 +99,26 @@ class Circuit:
         return tuple(i for i in self.instructions if isinstance(i, Measure))
 
     def extended(self, *extra: Gate | Measure, classical_count: int | None = None) -> "Circuit":
-        """Copy with instructions appended (and optionally a new creg size)."""
+        """Copy with instructions appended (and optionally a new creg size).
+
+        Only the appended instructions are checked, against what the valid
+        prefix measured, unless a new creg size could invalidate a prefix
+        measure; then the whole circuit is checked as on construction.
+        """
         m = self.classical_count if classical_count is None else classical_count
-        return Circuit(self.qubit_count, m, self.instructions + tuple(extra),
-                       self.qreg, self.creg)
+        measures = self.measurements
+        if m != self.classical_count and (measures or m < 0):
+            return Circuit(self.qubit_count, m, self.instructions + extra,
+                           self.qreg, self.creg)
+        measured = {meas.qubit for meas in measures}
+        used_clbits = {meas.clbit for meas in measures}
+        for pos, inst in enumerate(extra, start=len(self.instructions)):
+            _check_instruction(pos, inst, self.qubit_count, m, measured, used_clbits)
+        # a copy skips __post_init__, whose checks the prefix already passed
+        circuit = copy.copy(self)
+        object.__setattr__(circuit, "classical_count", m)
+        object.__setattr__(circuit, "instructions", self.instructions + extra)
+        return circuit
 
 
 def _check_instruction(pos: int, inst: Gate | Measure, qubit_count: int,

@@ -15,8 +15,9 @@ State-tomography reports use kind "qst" with ``rho_real``/``rho_imag`` and a
 byte-identical files; there are no timestamps.
 
 Loaders re-validate what they read (format version, every field of the
-kind present, a one- or two-qubit chi, shapes, Hermiticity, bounded
-fidelity), so every emitted report doubles as a self-check.
+kind present, numeric fidelity, residual and executions, a one- or two-qubit
+chi or a 1- to 5-qubit rho, shapes, Hermiticity, bounded fidelity), so every
+emitted report doubles as a self-check.
 """
 
 from __future__ import annotations
@@ -133,6 +134,12 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid report: {message}")
 
 
+def _is_number(value, integral: bool = False) -> bool:
+    """A JSON number (an int if ``integral``); JSON's true and false are not."""
+    kinds = int if integral else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 # the fields each kind of report carries, as the *_dict builders above write them
 _FIELDS = {
     "qpt": ("format", "kind", "gate", "lines", "backend", "noise", "shots", "seed",
@@ -160,6 +167,10 @@ def parse_report(text: str) -> dict:
     _require(kind in _FIELDS, f"unknown kind {kind!r}")
     missing = [key for key in _FIELDS[kind] if key not in report]
     _require(not missing, f"missing field(s) {', '.join(missing)}")
+    for key, integral in (("fidelity", False), ("residual", False), ("executions", True)):
+        if key in _FIELDS[kind]:
+            _require(_is_number(report[key], integral),
+                     f"{key} {report[key]!r} is not {'an integer' if integral else 'a number'}")
     if kind == "qpt":
         d2 = len(report["operator_labels"])
         # the fixed operator sets, and so result_from_report, cover n = 1, 2
@@ -190,7 +201,10 @@ def parse_report(text: str) -> dict:
             "stored mean is inconsistent",
         )
     else:
-        dim = 1 << report["qubits"]
+        qubits = report["qubits"]
+        _require(_is_number(qubits, integral=True) and 1 <= qubits <= 5,
+                 f"qubits {qubits!r} is not an integer in 1..5")
+        dim = 1 << qubits
         for key in ("rho_real", "rho_imag"):
             grid = report[key]
             _require(len(grid) == dim and all(len(row) == dim for row in grid),

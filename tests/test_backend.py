@@ -1,5 +1,6 @@
 """Backend config parsing and density-matrix execution."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from qptkit import (
     load_backend,
     parse_qasm,
 )
+from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names
 from qptkit.channels import decoherence_channel, embed_channel
 from qptkit.operators import SINGLE_QUBIT_GATES, embed_gate, standard_gate
@@ -291,6 +293,105 @@ def test_sampling_rejects_unmeasured(qx4_quiet):
         execute(c, qx4_quiet, shots=10, seed=0)
     with pytest.raises(ValueError, match="shots"):
         execute(parse_qasm(H_MEASURED), qx4_quiet, shots=0, seed=0)
+
+
+# Counts recorded before the sampler counted with bincount; a seeded sampled
+# run must keep reproducing them exactly.
+
+
+def test_golden_counts_readout_flips():
+    b = load_backend(_config(q0__readout_flip="0.1", q1__readout_flip="0.3"))
+    # c[1] is never written, so a flip must land on the measure's own bit
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[3];\nh q[1];\ncx q[1], q[0];\n"
+                   "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\n")
+    res = execute(c, b, shots=2000, seed=5)
+    assert res.counts == {"000": 686, "001": 350, "100": 358, "101": 606}
+
+
+def test_golden_counts_five_qubits(qx4):
+    c = parse_qasm(
+        "OPENQASM 2.0;\nqreg q[5];\ncreg c[5];\nx q[0];\nh q[3];\ncx q[3], q[2];\nh q[4];\n"
+        "measure q[0] -> c[4];\nmeasure q[1] -> c[3];\nmeasure q[2] -> c[0];\n"
+        "measure q[3] -> c[2];\nmeasure q[4] -> c[1];\n"
+    )
+    res = execute(c, qx4, shots=4096, seed=11)
+    # 12 of the 32 outcomes drawn, keys in increasing order
+    assert list(res.counts.items()) == [
+        ("00000", 12), ("00010", 5), ("00101", 6), ("00111", 12), ("10000", 1061),
+        ("10001", 21), ("10010", 982), ("10011", 13), ("10100", 6), ("10101", 1013),
+        ("10110", 10), ("10111", 955),
+    ]
+
+
+def test_golden_counts_undrawn_outcome_absent(qx4):
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n")
+    assert 0.0 < execute_exact(c, qx4).probabilities["0"] < 0.01
+    assert execute(c, qx4, shots=64, seed=0).counts == {"1": 64}
+    assert execute(c, qx4, shots=64, seed=5).counts == {"0": 2, "1": 62}
+
+
+def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
+    """The sampler before it counted thresholds and shots with bincount."""
+    m = circuit.classical_count
+    outcome_probs = np.zeros(1 << m)
+    for key, p in probabilities.items():
+        outcome_probs[int(key, 2)] = p
+    cdf = np.cumsum(outcome_probs)
+    cdf /= cdf[-1]
+    measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
+    uniforms = np.random.default_rng(seed).random((shots, 1 + len(measured)))
+    outcomes = np.searchsorted(cdf, uniforms[:, 0], side="right")
+    for col, meas in enumerate(measured, start=1):
+        flipped = uniforms[:, col] < backend.qubits[meas.qubit].readout_flip_prob
+        outcomes = outcomes ^ (flipped.astype(np.int64) << meas.clbit)
+    values, freq = np.unique(outcomes, return_counts=True)
+    return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
+
+
+def test_sample_matches_searchsorted_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(40):
+        m = int(rng.integers(1, 6))
+        flips = {f"q{q}__readout_flip": str(rng.choice(["0.0", "0.05", "0.3"]))
+                 for q in range(5)}
+        backend = load_backend(_config(**flips))
+        qubits = rng.permutation(5)[:m]
+        clbits = rng.permutation(m)
+        circuit = Circuit(5, m, tuple(Measure(int(q), int(c)) for q, c in zip(qubits, clbits)))
+        weights = rng.random(1 << m) * (rng.random(1 << m) < 0.6)
+        weights[int(rng.integers(1 << m))] += 0.01
+        probabilities = {format(i, f"0{m}b"): w / weights.sum()
+                         for i, w in enumerate(weights) if w > 0}
+        shots = int(rng.integers(1, 3000))
+        want = _searchsorted_sample(probabilities, circuit, backend, shots, trial)
+        got = backend_module._sample(probabilities, circuit, backend, shots, trial)
+        assert list(got.items()) == list(want.items())
+
+
+def _tensordot_apply(sup, rho, axes, k):
+    """The contraction _apply replaced, written out."""
+    m = len(axes)
+    state_axes = list(axes) + [k + a for a in axes]
+    out = np.tensordot(sup, rho, axes=(list(range(2 * m, 4 * m)), state_axes))
+    return np.moveaxis(out, list(range(2 * m)), state_axes)
+
+
+def test_apply_matches_tensordot():
+    rng = np.random.default_rng(31)
+    for k in range(1, 6):
+        shape = (2,) * (2 * k)
+        rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # a strided view, as the evolution hands _apply after the first instruction
+        strided = rho.transpose(list(range(2 * k))[::-1])
+        for m in (1, 2):
+            sup = (rng.normal(size=(2,) * (4 * m))
+                   + 1j * rng.normal(size=(2,) * (4 * m)))
+            for axes in itertools.permutations(range(k), m):
+                for state in (rho, strided):
+                    want = _tensordot_apply(sup, state, axes, k)
+                    got = backend_module._apply(sup, state, axes, k)
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
 
 
 # --- dense oracle ------------------------------------------------------------

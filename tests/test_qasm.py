@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qptkit import Circuit, CircuitError, Gate, Measure, QasmError, emit_qasm, parse_qasm
+from qptkit import qasm
 from qptkit.qasm import CouplingMap, validate_topology
 
 MINIMAL = """OPENQASM 2.0;
@@ -171,6 +172,36 @@ def test_circuit_invariants_direct():
         Circuit(1, 1, (Measure(0, 0), Gate("x", (0,))))
 
 
+def test_extended_checks_only_what_it_appends(monkeypatch):
+    gates = Circuit(3, 0, tuple(Gate("h", (q % 3,)) for q in range(7)))
+    measured = Circuit(3, 2, (Gate("x", (0,)), Measure(0, 1)))
+    checked = []
+    original = qasm._check_instruction
+
+    def counting(pos, *rest):
+        checked.append(pos)
+        return original(pos, *rest)
+
+    monkeypatch.setattr(qasm, "_check_instruction", counting)
+    assert gates.extended() == gates and checked == []
+    wider = gates.extended(Gate("h", (1,)), Gate("s", (2,)), Measure(1, 0), classical_count=1)
+    assert checked == [7, 8, 9]
+    assert wider == Circuit(3, 1, gates.instructions + wider.instructions[7:])
+    checked.clear()
+    measured.extended(Gate("h", (1,)), Measure(1, 0))
+    assert checked == [2, 3]
+    checked.clear()
+    # a new creg size may not fit a prefix measure, so the prefix is checked again
+    measured.extended(Measure(2, 0), classical_count=3)
+    assert checked == [0, 1, 2]
+    with pytest.raises(CircuitError, match="^instruction 1: classical index 1 out of range"):
+        measured.extended(classical_count=1)
+    with pytest.raises(CircuitError, match="^instruction 2: qubit 0 already measured"):
+        measured.extended(Gate("h", (0,)))
+    with pytest.raises(CircuitError, match="^negative classical count -1"):
+        gates.extended(Gate("h", (1,)), classical_count=-1)
+
+
 GATE_POOL = ["id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx"]
 
 
@@ -207,6 +238,36 @@ def circuits(draw):
 @settings(max_examples=150, deadline=None)
 def test_roundtrip_structural_equality(circuit):
     assert parse_qasm(emit_qasm(circuit)) == circuit
+
+
+@st.composite
+def appended(draw):
+    """Instructions to append, valid or not."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["gate", "cx", "measure", "unknown"]))
+        a, b = draw(st.integers(-1, 5)), draw(st.integers(-1, 5))
+        out.append({"gate": Gate("h", (a,)), "cx": Gate("cx", (a, b)),
+                    "measure": Measure(a, b), "unknown": Gate("rx", (a,))}[kind])
+    return out
+
+
+def _built_or_error(build):
+    try:
+        return build()
+    except CircuitError as exc:
+        return str(exc)
+
+
+@given(circuits(), appended(), st.one_of(st.none(), st.integers(-1, 6)))
+@settings(max_examples=300, deadline=None)
+def test_extended_matches_construction(circuit, extra, classical_count):
+    m = circuit.classical_count if classical_count is None else classical_count
+    want = _built_or_error(lambda: Circuit(circuit.qubit_count, m,
+                                           circuit.instructions + tuple(extra),
+                                           circuit.qreg, circuit.creg))
+    got = _built_or_error(lambda: circuit.extended(*extra, classical_count=classical_count))
+    assert got == want
 
 
 def test_coupling_map_parsing():

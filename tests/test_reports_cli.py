@@ -12,6 +12,7 @@ from qptkit.reports import (
     chi_report_dict,
     dump_report,
     load_report,
+    qst_report_dict,
     render_fidelity_tables,
     result_from_report,
     seed_summary_dict,
@@ -41,6 +42,7 @@ def test_report_roundtrip(h_result, h_report):
     assert np.abs(theory.matrix - h_result.chi_theory.matrix).max() < 1e-12
     assert fidelity == h_result.fidelity
     assert chi.residual == h_result.residual
+    assert parse_report(dump_report(_QST_REPORT)) == _QST_REPORT
 
 
 def test_report_fields(h_report):
@@ -56,6 +58,17 @@ def test_report_bytes_deterministic(qx4_quiet):
     a = run_qpt("h", (0,), qx4_quiet, shots=256, seed=4)
     b = run_qpt("h", (0,), qx4_quiet, shots=256, seed=4)
     assert dump_report(chi_report_dict(a)) == dump_report(chi_report_dict(b))
+
+
+# a valid one-qubit qst report, for the cases that need one
+_QST_REPORT = qst_report_dict(backend_name="ibmqx4-sim", noise=False, shots=None, seed=None,
+                              executions=3, qubit_count=1, rho=np.diag([1.0, 0.0]),
+                              fidelity=1.0, psd_projected=False)
+
+
+def _as_qst(**changes):
+    """A mutation that turns the report into the qst one, with changes."""
+    return lambda r: (r.clear(), r.update(copy.deepcopy(_QST_REPORT), **changes))
 
 
 @pytest.mark.parametrize(
@@ -75,6 +88,18 @@ def test_report_bytes_deterministic(qx4_quiet):
                                for key in ("chi_real", "chi_imag",
                                            "chi_theory_real", "chi_theory_imag")}),
          "chi dimension 64 is not 4 or 16"),
+        (lambda r: r.update(fidelity="0.9"), "invalid report: fidelity '0.9' is not a number"),
+        (lambda r: r.update(residual=None), "invalid report: residual None is not a number"),
+        (lambda r: r.update(executions=12.0), "invalid report: executions 12.0 is not an integer"),
+        (lambda r: r.update(executions=True), "invalid report: executions True is not an integer"),
+        (_as_qst(qubits=-1), "invalid report: qubits -1 is not an integer in 1..5"),
+        (_as_qst(qubits="a"), "invalid report: qubits 'a' is not an integer in 1..5"),
+        (_as_qst(qubits=True), "invalid report: qubits True is not an integer in 1..5"),
+        # rejected before 1 << qubits, which would allocate without bound
+        (_as_qst(qubits=10**12), "invalid report: qubits 1000000000000 is not an integer"),
+        (_as_qst(qubits=2), "rho_real is not 4x4"),
+        (_as_qst(fidelity="high"), "invalid report: fidelity 'high' is not a number"),
+        (_as_qst(executions="3"), "invalid report: executions '3' is not an integer"),
     ],
 )
 def test_report_validation(h_report, mutate, message):
