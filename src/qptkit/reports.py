@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .process_tomography import ChiMatrix, QptResult, fixed_operator_set
+from .qasm import MAX_QUBITS
 
 __all__ = [
     "GATE_TABLE_ORDER",
@@ -202,8 +203,8 @@ def parse_report(text: str) -> dict:
         )
     else:
         qubits = report["qubits"]
-        _require(_is_number(qubits, integral=True) and 1 <= qubits <= 5,
-                 f"qubits {qubits!r} is not an integer in 1..5")
+        _require(_is_number(qubits, integral=True) and 1 <= qubits <= MAX_QUBITS,
+                 f"qubits {qubits!r} is not an integer in 1..{MAX_QUBITS}")
         dim = 1 << qubits
         for key in ("rho_real", "rho_imag"):
             grid = report[key]
