@@ -1,7 +1,7 @@
 """Chi-matrix process tomography against a noisy 5-qubit simulator.
 
-The pieces, bottom up: ``operators`` (gate matrices, embeddings, Pauli
-strings), ``channels`` (Kraus channels, T1/T2 decay), ``qasm``
+The pieces, bottom up: ``operators`` (gate matrices, index conventions,
+density-matrix checks), ``channels`` (Kraus channels, T1/T2 decay), ``qasm``
 (circuit container, parser, printer, coupling maps), ``backend``
 (density-matrix execution, device configs), ``state_tomography`` and
 ``process_tomography`` (the reconstructions), ``reports`` + ``cli``

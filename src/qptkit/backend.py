@@ -27,12 +27,14 @@ reshaped to ``4^m`` rows, multiplied by the ``4^m x 4^m`` superoperator and
 viewed back in the state's order; this is the operand layout of
 ``np.tensordot``, so the result is the same to the bit.  The trace check
 after each instruction sums the diagonal of that view without copying it.
-``final_state`` is still the density matrix of the whole circuit register,
-with the active block scattered back by index.
+Only ``execute_exact`` returns ``final_state``, the density matrix of the
+whole circuit register, with the active block scattered back by index;
+every other result carries the outcome weights or counts alone.
 
 ``execute_many`` runs a sequence of circuits through that one evolution and
-yields each result as its circuit finishes; ``execute_exact`` and
-``execute`` are its one-circuit case.  It keeps a stack of checkpoints.
+yields each result as its circuit finishes; ``execute`` is its one-circuit
+case, and ``execute_exact`` evolves its one circuit the same way.  The
+evolution keeps a stack of checkpoints.
 While a circuit evolves, the state after the instructions it shares with
 the next circuit is pushed, and the next circuit resumes from the deepest
 checkpoint that is a prefix of its own and evolves only the rest.  So
@@ -76,7 +78,7 @@ readout_flip 0.0, durations 60/300/300, noise on, idle_decay off, format 1.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
@@ -86,14 +88,13 @@ import numpy as np
 
 from .channels import NoiseParams, decoherence_channel
 from .operators import GATE_ARITY, check_density_matrix, num_qubits, standard_gate
-from .qasm import Circuit, CouplingMap, Gate, Measure, validate_topology
+from .qasm import QUBIT_COUNT, Circuit, CouplingMap, Gate, Measure, validate_topology
 
 __all__ = [
     "BackendModel",
     "ExecutionResult",
     "ConfigError",
     "TopologyError",
-    "QUBIT_COUNT",
     "DEFAULT_DURATIONS_NS",
     "load_backend",
     "read_backend",
@@ -103,8 +104,6 @@ __all__ = [
     "execute",
     "execute_many",
 ]
-
-QUBIT_COUNT = 5
 
 DEFAULT_DURATIONS_NS = {"single": 60.0, "cx": 300.0, "measure": 300.0}
 
@@ -160,7 +159,11 @@ class BackendModel:
 
 @dataclass(frozen=True)
 class ExecutionResult:
-    """Counts (sampled mode) or final state plus exact probabilities."""
+    """Counts (sampled mode) or exact probabilities.
+
+    ``final_state`` is set by ``execute_exact`` only; ``execute_many`` leaves
+    it None.
+    """
 
     counts: dict[str, int] | None = None
     shots: int | None = None
@@ -433,12 +436,15 @@ def _outcome_keys(active: tuple[int, ...], measures: tuple[Measure, ...],
 
 
 def _distribution(reduced: np.ndarray, active: tuple[int, ...],
-                  circuit: Circuit) -> dict[str, float]:
+                  circuit: Circuit) -> dict[str, float] | None:
     """Outcome weights by classical bitstring, from the active-register diagonal.
 
     Local indices run in the same order as the whole-register indices they
-    stand for, so the weights accumulate in whole-register order.
+    stand for, so the weights accumulate in whole-register order.  None when
+    the circuit measures nothing.
     """
+    if not circuit.measurements:
+        return None
     keys = _outcome_keys(active, circuit.measurements, circuit.classical_count)
     weights = np.clip(np.diag(reduced).real, 0.0, None)
     probs: dict[str, float] = {}
@@ -482,10 +488,12 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
                  seeds: Sequence[int | None] | None = None) -> Iterator[ExecutionResult]:
     """Run circuits in order, yielding one result per circuit as it finishes.
 
-    With ``shots=None`` each result is what ``execute_exact`` returns;
-    otherwise it is what ``execute`` returns with the matching entry of
-    ``seeds``.  Consecutive circuits that share an instruction prefix on the
-    same active qubits evolve that prefix once.
+    With ``shots=None`` each result carries only ``probabilities``, the same
+    weights ``execute_exact`` returns (None for a circuit that measures
+    nothing), and no ``final_state``; otherwise it is what ``execute``
+    returns with the matching entry of ``seeds``.  Consecutive circuits that
+    share an instruction prefix on the same active qubits evolve that prefix
+    once.
     """
     if shots is not None:
         if shots < 1:
@@ -493,14 +501,9 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
         if seeds is None or len(seeds) != len(circuits):
             raise ValueError("sampling needs one seed per circuit")
     for pos, (circuit, reduced, active) in enumerate(_evolve(circuits, backend)):
-        probabilities = (
-            _distribution(reduced, active, circuit) if circuit.measurements else None
-        )
+        probabilities = _distribution(reduced, active, circuit)
         if shots is None:
-            yield ExecutionResult(
-                final_state=_full_register(reduced, active, circuit.qubit_count),
-                probabilities=probabilities,
-            )
+            yield ExecutionResult(probabilities=probabilities)
         elif probabilities is None:
             raise ValueError("circuit has no measurements to sample")
         else:
@@ -515,7 +518,11 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     measure-duration decay when noise is on); ``probabilities`` maps classical
     bitstrings to exact outcome weights, or None when nothing is measured.
     """
-    return next(execute_many([circuit], backend))
+    ((_, reduced, active),) = _evolve([circuit], backend)
+    return ExecutionResult(
+        final_state=_full_register(reduced, active, circuit.qubit_count),
+        probabilities=_distribution(reduced, active, circuit),
+    )
 
 
 def execute(circuit: Circuit, backend: BackendModel, shots: int, seed: int) -> ExecutionResult:

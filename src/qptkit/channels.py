@@ -1,4 +1,4 @@
-"""Kraus-operator channels: unitaries, amplitude damping, pure dephasing.
+"""Kraus-operator channels: amplitude damping, pure dephasing, composition.
 
 Decoherence strengths are derived from relaxation times the way supercondu-
 cting-qubit experiments quote them: T1 and T2 in microseconds, gate
@@ -26,18 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_density_matrix, embed_gate, num_qubits
+from .operators import check_density_matrix
 
 __all__ = [
     "KrausChannel",
     "NoiseParams",
-    "identity_channel",
-    "unitary_as_channel",
     "amplitude_damping",
     "pure_dephasing",
     "decoherence_channel",
     "compose",
-    "embed_channel",
     "validate_completeness",
     "apply_channel",
 ]
@@ -94,20 +91,6 @@ class NoiseParams:
             )
 
 
-def identity_channel(qubit_count: int) -> KrausChannel:
-    return KrausChannel(qubit_count, (np.eye(1 << qubit_count, dtype=complex),))
-
-
-def unitary_as_channel(u: np.ndarray) -> KrausChannel:
-    """Wrap a unitary as a single-operator channel (unitarity is checked)."""
-    u = np.asarray(u, dtype=complex)
-    n = num_qubits(u)
-    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if dev > COMPLETENESS_ATOL:
-        raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
-    return KrausChannel(n, (u,))
-
-
 def amplitude_damping(duration_ns: float, t1_us: float) -> KrausChannel:
     """Single-qubit T1 decay over the given duration."""
     if t1_us <= 0:
@@ -158,12 +141,6 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
         )
     ops = tuple(f @ e for f in second.operators for e in first.operators)
     return KrausChannel(first.qubit_count, ops)
-
-
-def embed_channel(channel: KrausChannel, targets: list[int] | tuple[int, ...], qubit_count: int) -> KrausChannel:
-    """Embed every Kraus operator onto a larger register (identity elsewhere)."""
-    ops = tuple(embed_gate(op, targets, qubit_count) for op in channel.operators)
-    return KrausChannel(qubit_count, ops)
 
 
 def validate_completeness(channel: KrausChannel) -> float:

@@ -73,7 +73,7 @@ def _placements(gate: str, args, backend: BackendModel) -> list[tuple[int, ...]]
     arity = GATE_ARITY[gate]
     if args.all_lines:
         if arity == 1:
-            return [(q,) for q in range(5)]
+            return [(q,) for q in range(len(backend.qubits))]
         return [pair for pair in sorted(backend.coupling.pairs)]
     if not args.lines:
         raise SystemExit("error: give --lines (repeatable) or --all-lines")
@@ -96,16 +96,10 @@ def _report_name(gate: str, lines: tuple[int, ...], summary: bool) -> str:
 
 def cmd_qpt(args) -> int:
     backend = _resolve_backend(args.backend, args.noise, args.idle_decay)
-    if args.gate:
-        gates = []
-        for g in args.gate:
-            if g not in GATE_ARITY:
-                raise SystemExit(f"error: unknown gate {g!r}")
-            gates.append(g)
-    elif args.all_gates:
-        gates = list(GATE_TABLE_ORDER)
-    else:
-        raise SystemExit("error: give --gate (repeatable) or --all-gates")
+    gates = args.gate or GATE_TABLE_ORDER
+    for g in gates:
+        if g not in GATE_ARITY:
+            raise SystemExit(f"error: unknown gate {g!r}")
 
     shots = args.shots
     if shots is None and args.seed is not None:
@@ -240,10 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qpt", help="run chi-matrix process tomography")
-    p.add_argument("--gate", action="append",
-                   help="gate name (repeatable); cx takes control,target lines")
-    p.add_argument("--all-gates", action="store_true", dest="all_gates",
-                   help="all nine single-qubit gates")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--gate", action="append",
+                       help="gate name (repeatable); cx takes control,target lines")
+    which.add_argument("--all-gates", action="store_true", dest="all_gates",
+                       help="all nine single-qubit gates")
     p.add_argument("--lines", action="append",
                    help="qubit line(s), e.g. 2 or 3,2 (repeatable)")
     p.add_argument("--all-lines", action="store_true", dest="all_lines",

@@ -6,7 +6,7 @@ Conventions used throughout the package (stated once, here):
   computational-basis index, so ``q[0]`` is the least significant bit and a
   basis ket reads ``|q[n-1] ... q[1] q[0]>``.
 * Target lists, operator labels, Pauli strings and measurement-setting tags
-  are written most-significant qubit first.  ``embed_gate(CX, [1, 0], 2)``
+  are written most-significant qubit first.  A cx on targets ``(1, 0)``
   puts the control on ``q[1]`` (the high bit) and the target on ``q[0]``;
   the Pauli string ``"ZX"`` means Z on the first-listed (high) qubit.
 * Classical bitstrings (counts keys) are written with the highest classical
@@ -23,21 +23,15 @@ are load-bearing, not cosmetic.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 __all__ = [
     "GATES",
     "GATE_ARITY",
-    "SINGLE_QUBIT_GATES",
-    "PAULIS",
     "standard_gate",
-    "gate_arity",
     "dagger",
     "kron",
-    "embed_gate",
-    "pauli_string_matrix",
     "check_density_matrix",
     "num_qubits",
 ]
@@ -67,31 +61,11 @@ GATES: dict[str, np.ndarray] = {
 
 GATE_ARITY: dict[str, int] = {name: (2 if name == "cx" else 1) for name in GATES}
 
-SINGLE_QUBIT_GATES: tuple[str, ...] = tuple(
-    name for name, arity in GATE_ARITY.items() if arity == 1
-)
-
-PAULIS: dict[str, np.ndarray] = {
-    "I": GATES["id"],
-    "X": GATES["x"],
-    "Y": GATES["y"],
-    "Z": GATES["z"],
-}
-
 
 def standard_gate(name: str) -> np.ndarray:
     """Return the matrix for a named gate (read-only view)."""
     try:
         return GATES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown gate {name!r}; expected one of {sorted(GATES)}"
-        ) from None
-
-
-def gate_arity(name: str) -> int:
-    try:
-        return GATE_ARITY[name]
     except KeyError:
         raise ValueError(
             f"unknown gate {name!r}; expected one of {sorted(GATES)}"
@@ -106,67 +80,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor is the more significant one."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def embed_gate(gate: np.ndarray, targets: list[int] | tuple[int, ...], qubit_count: int) -> np.ndarray:
-    """Lift a k-qubit operator onto an n-qubit register.
-
-    ``targets[0]`` carries the most significant bit of the operator's own
-    index; identity acts on every qubit not listed.  Works for any matrix,
-    not just unitaries, so Kraus operators can be embedded the same way.
-
-    Parameters
-    ----------
-    gate : (2**k, 2**k) array
-    targets : distinct qubit indices, most significant first
-    qubit_count : size n of the full register
-
-    Returns
-    -------
-    (2**n, 2**n) complex array
-    """
-    gate = np.asarray(gate, dtype=complex)
-    targets = tuple(targets)
-    k = len(targets)
-    if gate.shape != (1 << k, 1 << k):
-        raise ValueError(
-            f"operator shape {gate.shape} does not match {k} target qubit(s)"
-        )
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits in {targets}")
-    for t in targets:
-        if not 0 <= t < qubit_count:
-            raise ValueError(
-                f"target qubit {t} out of range for a {qubit_count}-qubit register"
-            )
-
-    dim = 1 << qubit_count
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        loc = 0
-        for t in targets:
-            loc = (loc << 1) | ((col >> t) & 1)
-        base = col
-        for t in targets:
-            base &= ~(1 << t)
-        for out in range(1 << k):
-            row = base
-            for p, t in enumerate(targets):
-                if (out >> (k - 1 - p)) & 1:
-                    row |= 1 << t
-            full[row, col] = gate[out, loc]
-    return full
-
-
-def pauli_string_matrix(string: str) -> np.ndarray:
-    """Matrix of a Pauli string such as ``"ZX"`` (first character = high qubit)."""
-    if not string:
-        raise ValueError("empty Pauli string")
-    try:
-        factors = [PAULIS[ch] for ch in string]
-    except KeyError as exc:
-        raise ValueError(f"invalid Pauli letter {exc.args[0]!r} in {string!r}") from None
-    return reduce(kron, factors)
 
 
 def num_qubits(matrix: np.ndarray) -> int:

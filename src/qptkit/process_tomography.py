@@ -23,8 +23,9 @@ inversion chi = B^-1 lambda in closed form: with lambda the row-major stack
 of the outputs and B[(j,k),(m,n)] entry k of E_m rho_j E_n^dagger
 (rho_j the j-th unit, (j, k) and (m, n) flattened row-major), the same
 orthogonality gives B^dagger B = d^2 I, so B^-1 lambda = B^dagger lambda / d^2,
-whose entries are those of W^dagger C W / d^2.  ``beta_tensor`` builds B
-for the tests that tie the two together.
+whose entries are those of W^dagger C W / d^2.  B itself is built only by
+the test oracles (``beta_tensor`` in ``tests/oracles.py``), which tie the two
+together.
 
 W is built once per qubit count.  ``chi_to_channel`` and ``tp_deviation``
 read the Choi matrix W chi W^dagger back: the channel maps rho to
@@ -64,10 +65,10 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .backend import QUBIT_COUNT, BackendModel, TopologyError
+from .backend import BackendModel, TopologyError
 from .channels import KrausChannel, apply_channel
 from .operators import GATE_ARITY, dagger, kron, standard_gate
-from .qasm import Circuit, Gate
+from .qasm import QUBIT_COUNT, Circuit, Gate
 from .state_tomography import (
     child_seeds,
     collect_dataset,
@@ -87,13 +88,11 @@ __all__ = [
     "preparation_state",
     "preparation_circuit",
     "PREPARATION_GATES",
-    "beta_tensor",
     "chi_from_outputs",
     "theoretical_chi",
     "chi_to_channel",
     "tp_deviation",
     "process_fidelity",
-    "project_chi_psd",
     "qpt_channel",
     "run_qpt",
     "project_result",
@@ -195,12 +194,26 @@ _PREP_KETS = {
 }
 
 
-def preparation_state(label: str) -> np.ndarray:
-    """Density matrix of a product preparation such as ``"p0"`` (high qubit first)."""
-    if not label or any(ch not in _PREP_KETS for ch in label):
-        raise ValueError(f"bad preparation label {label!r}")
+def _product_state(label: str) -> np.ndarray:
     ket = reduce(np.kron, (_PREP_KETS[ch] for ch in label))
-    return np.outer(ket, ket.conj())
+    rho = np.outer(ket, ket.conj())
+    rho.setflags(write=False)
+    return rho
+
+
+# the 4 one-qubit and 16 two-qubit preparations, built once
+_PREP_STATES: dict[str, np.ndarray] = {
+    label: _product_state(label)
+    for n in (1, 2) for label in map("".join, itertools.product(_PREP_KETS, repeat=n))
+}
+
+
+def preparation_state(label: str) -> np.ndarray:
+    """Read-only state of a one- or two-qubit preparation, e.g. ``"p0"`` (high qubit first)."""
+    try:
+        return _PREP_STATES[label]
+    except KeyError:
+        raise ValueError(f"bad preparation label {label!r}") from None
 
 
 def preparation_circuit(label: str, lines: tuple[int, ...], qubit_count: int = QUBIT_COUNT) -> Circuit:
@@ -268,26 +281,6 @@ def preparation_recipes(qubit_count: int) -> tuple[PreparationRecipe, ...]:
 
 
 # --- the inversion ---------------------------------------------------------------
-
-
-def beta_tensor(qubit_count: int) -> np.ndarray:
-    """The paper's B: entry k of E_m rho_j E_n^dagger at row (j, k), column (m, n).
-
-    For matrix units the coefficient of rho_k is just entry (a_k, b_k), i.e.
-    the row-major flattening of the matrix.  ``chi_from_outputs`` does not use
-    it; it is the oracle that ties the closed form to chi = B^-1 lambda.
-    """
-    ops = fixed_operator_set(qubit_count).operators
-    basis = matrix_unit_basis(qubit_count)
-    d2 = len(basis)
-    beta = np.zeros((d2 * d2, d2 * d2), dtype=complex)
-    for m, em in enumerate(ops):
-        for n, en in enumerate(ops):
-            col = m * d2 + n
-            en_dag = en.conj().T
-            for j, rho_j in enumerate(basis):
-                beta[j * d2:(j + 1) * d2, col] = (em @ rho_j @ en_dag).reshape(-1)
-    return beta
 
 
 @dataclass(frozen=True)
@@ -421,11 +414,6 @@ def process_fidelity(chi_theory, chi_experiment) -> float:
     return float(value.real)
 
 
-def project_chi_psd(chi: ChiMatrix) -> ChiMatrix:
-    """Clip negative eigenvalues, renormalising to the original trace."""
-    return ChiMatrix(chi.qubit_count, project_psd(chi.matrix), chi.residual)
-
-
 # --- pipelines -------------------------------------------------------------------
 
 
@@ -487,7 +475,8 @@ class QptResult:
 
 def project_result(result: QptResult) -> QptResult:
     """PSD-project the experimental chi and recompute the derived figures."""
-    chi = project_chi_psd(result.chi)
+    raw = result.chi
+    chi = ChiMatrix(raw.qubit_count, project_psd(raw.matrix), raw.residual)
     return replace(
         result,
         chi=chi,

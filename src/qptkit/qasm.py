@@ -39,9 +39,11 @@ __all__ = [
     "parse_qasm",
     "emit_qasm",
     "validate_topology",
+    "QUBIT_COUNT",
 ]
 
-MAX_QUBITS = 5
+# qubits of the device register; a circuit uses at most this many
+QUBIT_COUNT = 5
 
 
 class CircuitError(ValueError):
@@ -79,9 +81,9 @@ class Circuit:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        if not 1 <= self.qubit_count <= MAX_QUBITS:
+        if not 1 <= self.qubit_count <= QUBIT_COUNT:
             raise CircuitError(
-                f"qubit count must be between 1 and {MAX_QUBITS}, got {self.qubit_count}"
+                f"qubit count must be between 1 and {QUBIT_COUNT}, got {self.qubit_count}"
             )
         if self.classical_count < 0:
             raise CircuitError(f"negative classical count {self.classical_count}")
@@ -185,7 +187,7 @@ class CouplingMap:
         for c, t in pairs:
             if c == t:
                 raise ValueError(f"coupling pair {c}>{t} has equal endpoints")
-            if not (0 <= c < MAX_QUBITS and 0 <= t < MAX_QUBITS):
+            if not (0 <= c < QUBIT_COUNT and 0 <= t < QUBIT_COUNT):
                 raise ValueError(f"coupling pair {c}>{t} out of range")
         object.__setattr__(self, "pairs", pairs)
 
@@ -337,9 +339,9 @@ def parse_qasm(text: str) -> Circuit:
         size, stok = p.expect_int()
         p.expect("]")
         p.expect(";")
-        if keyword == "qreg" and not 1 <= size <= MAX_QUBITS:
+        if keyword == "qreg" and not 1 <= size <= QUBIT_COUNT:
             raise QasmError(
-                f"qreg size {size} outside supported range 1..{MAX_QUBITS}",
+                f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
                 stok.line,
                 stok.col,
             )

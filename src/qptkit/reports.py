@@ -15,9 +15,10 @@ State-tomography reports use kind "qst" with ``rho_real``/``rho_imag`` and a
 byte-identical files; there are no timestamps.
 
 Loaders re-validate what they read (format version, every field of the
-kind present, numeric fidelity, residual and executions, a one- or two-qubit
-chi or a 1- to 5-qubit rho, shapes, Hermiticity, bounded fidelity), so every
-emitted report doubles as a self-check.
+kind present, numeric fidelity, residual and executions, integer seeds and
+bounded per-seed fidelities, a one- or two-qubit chi or a 1- to 5-qubit rho,
+shapes, Hermiticity, bounded fidelity), so every emitted report doubles as a
+self-check.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .process_tomography import ChiMatrix, QptResult, fixed_operator_set
-from .qasm import MAX_QUBITS
+from .qasm import QUBIT_COUNT
 
 __all__ = [
     "GATE_TABLE_ORDER",
@@ -141,6 +142,11 @@ def _is_number(value, integral: bool = False) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _is_fidelity(value) -> bool:
+    """A number in the range an overlap fidelity can take, rounding allowed."""
+    return _is_number(value) and -1.0 <= value <= 1.0 + 1e-9
+
+
 # the fields each kind of report carries, as the *_dict builders above write them
 _FIELDS = {
     "qpt": ("format", "kind", "gate", "lines", "backend", "noise", "shots", "seed",
@@ -168,7 +174,9 @@ def parse_report(text: str) -> dict:
     _require(kind in _FIELDS, f"unknown kind {kind!r}")
     missing = [key for key in _FIELDS[kind] if key not in report]
     _require(not missing, f"missing field(s) {', '.join(missing)}")
-    for key, integral in (("fidelity", False), ("residual", False), ("executions", True)):
+    for key, integral in (("fidelity", False), ("residual", False), ("executions", True),
+                          ("fidelity_mean", False), ("fidelity_min", False),
+                          ("fidelity_max", False)):
         if key in _FIELDS[kind]:
             _require(_is_number(report[key], integral),
                      f"{key} {report[key]!r} is not {'an integer' if integral else 'a number'}")
@@ -187,7 +195,7 @@ def parse_report(text: str) -> dict:
             float(np.abs(chi - chi.conj().T).max()) <= 1e-8,
             "stored chi is not Hermitian",
         )
-        _require(-1.0 <= report["fidelity"] <= 1.0 + 1e-9, "fidelity out of range")
+        _require(_is_fidelity(report["fidelity"]), "fidelity out of range")
         _require(report["residual"] >= 0.0, "negative residual")
         n = (d2.bit_length() - 1) // 2
         # 4**n preparations, each measured in 3**n settings
@@ -195,16 +203,20 @@ def parse_report(text: str) -> dict:
         _require(report["executions"] == expected,
                  f"executions {report['executions']} != {expected}")
     elif kind == "qpt-seeds":
-        _require(len(report["seeds"]) == len(report["fidelities"]) > 0,
-                 "seed/fidelity lists disagree")
+        seeds, fidelities = report["seeds"], report["fidelities"]
+        _require(isinstance(seeds, list) and all(_is_number(s, integral=True) for s in seeds),
+                 f"seeds {seeds!r} is not a list of integers")
+        _require(isinstance(fidelities, list) and all(map(_is_fidelity, fidelities)),
+                 f"fidelities {fidelities!r} is not a list of numbers in -1..1")
+        _require(len(seeds) == len(fidelities) > 0, "seed/fidelity lists disagree")
         _require(
-            abs(report["fidelity_mean"] - float(np.mean(report["fidelities"]))) < 1e-12,
+            abs(report["fidelity_mean"] - float(np.mean(fidelities))) < 1e-12,
             "stored mean is inconsistent",
         )
     else:
         qubits = report["qubits"]
-        _require(_is_number(qubits, integral=True) and 1 <= qubits <= MAX_QUBITS,
-                 f"qubits {qubits!r} is not an integer in 1..{MAX_QUBITS}")
+        _require(_is_number(qubits, integral=True) and 1 <= qubits <= QUBIT_COUNT,
+                 f"qubits {qubits!r} is not an integer in 1..{QUBIT_COUNT}")
         dim = 1 << qubits
         for key in ("rho_real", "rho_imag"):
             grid = report[key]

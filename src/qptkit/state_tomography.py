@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import BackendModel, execute_many
-from .qasm import Circuit, Gate, Measure
+from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
 
 __all__ = [
     "BASIS_ORDER",
@@ -66,8 +66,8 @@ BASIS_ORDER = "ZXY"
 
 def qst_settings(qubit_count: int) -> list[str]:
     """All 3**n setting tags in canonical order."""
-    if not 1 <= qubit_count <= 5:
-        raise ValueError(f"qubit count must be 1..5, got {qubit_count}")
+    if not 1 <= qubit_count <= QUBIT_COUNT:
+        raise ValueError(f"qubit count must be 1..{QUBIT_COUNT}, got {qubit_count}")
     return ["".join(p) for p in itertools.product(BASIS_ORDER, repeat=qubit_count)]
 
 
@@ -121,8 +121,8 @@ class TomographyDataset:
 
     def __post_init__(self) -> None:
         n = self.qubit_count
-        if not 1 <= n <= 5:
-            raise ValueError(f"qubit count must be 1..5, got {n}")
+        if not 1 <= n <= QUBIT_COUNT:
+            raise ValueError(f"qubit count must be 1..{QUBIT_COUNT}, got {n}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
         for tag, counts in self.records.items():

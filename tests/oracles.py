@@ -1,0 +1,130 @@
+"""Dense reference constructions that the tests check the package against.
+
+None of these is on the tomography pipeline: the backend evolves only the
+active qubits with cached superoperators, state tomography adds Paulis in
+monomial form, and chi is inverted in closed form.  Each function here
+builds the same object the slow, obvious way, on the conventions stated in
+``qptkit.operators``.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+
+import numpy as np
+
+from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
+from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
+from qptkit.process_tomography import fixed_operator_set, matrix_unit_basis
+
+SINGLE_QUBIT_GATES: tuple[str, ...] = tuple(
+    name for name, arity in GATE_ARITY.items() if arity == 1
+)
+
+PAULIS: dict[str, np.ndarray] = {
+    "I": GATES["id"],
+    "X": GATES["x"],
+    "Y": GATES["y"],
+    "Z": GATES["z"],
+}
+
+
+def embed_gate(gate: np.ndarray, targets: list[int] | tuple[int, ...], qubit_count: int) -> np.ndarray:
+    """Lift a k-qubit operator onto an n-qubit register.
+
+    ``targets[0]`` carries the most significant bit of the operator's own
+    index; identity acts on every qubit not listed.  Works for any matrix,
+    not just unitaries, so Kraus operators can be embedded the same way.
+
+    Parameters
+    ----------
+    gate : (2**k, 2**k) array
+    targets : distinct qubit indices, most significant first
+    qubit_count : size n of the full register
+
+    Returns
+    -------
+    (2**n, 2**n) complex array
+    """
+    gate = np.asarray(gate, dtype=complex)
+    targets = tuple(targets)
+    k = len(targets)
+    if gate.shape != (1 << k, 1 << k):
+        raise ValueError(
+            f"operator shape {gate.shape} does not match {k} target qubit(s)"
+        )
+    if len(set(targets)) != k:
+        raise ValueError(f"duplicate target qubits in {targets}")
+    for t in targets:
+        if not 0 <= t < qubit_count:
+            raise ValueError(
+                f"target qubit {t} out of range for a {qubit_count}-qubit register"
+            )
+
+    dim = 1 << qubit_count
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        loc = 0
+        for t in targets:
+            loc = (loc << 1) | ((col >> t) & 1)
+        base = col
+        for t in targets:
+            base &= ~(1 << t)
+        for out in range(1 << k):
+            row = base
+            for p, t in enumerate(targets):
+                if (out >> (k - 1 - p)) & 1:
+                    row |= 1 << t
+            full[row, col] = gate[out, loc]
+    return full
+
+
+def pauli_string_matrix(string: str) -> np.ndarray:
+    """Matrix of a Pauli string such as ``"ZX"`` (first character = high qubit)."""
+    if not string:
+        raise ValueError("empty Pauli string")
+    try:
+        factors = [PAULIS[ch] for ch in string]
+    except KeyError as exc:
+        raise ValueError(f"invalid Pauli letter {exc.args[0]!r} in {string!r}") from None
+    return reduce(kron, factors)
+
+
+def identity_channel(qubit_count: int) -> KrausChannel:
+    return KrausChannel(qubit_count, (np.eye(1 << qubit_count, dtype=complex),))
+
+
+def unitary_as_channel(u: np.ndarray) -> KrausChannel:
+    """Wrap a unitary as a single-operator channel (unitarity is checked)."""
+    u = np.asarray(u, dtype=complex)
+    n = num_qubits(u)
+    dev = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    if dev > COMPLETENESS_ATOL:
+        raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
+    return KrausChannel(n, (u,))
+
+
+def embed_channel(channel: KrausChannel, targets: list[int] | tuple[int, ...], qubit_count: int) -> KrausChannel:
+    """Embed every Kraus operator onto a larger register (identity elsewhere)."""
+    ops = tuple(embed_gate(op, targets, qubit_count) for op in channel.operators)
+    return KrausChannel(qubit_count, ops)
+
+
+def beta_tensor(qubit_count: int) -> np.ndarray:
+    """The paper's B: entry k of E_m rho_j E_n^dagger at row (j, k), column (m, n).
+
+    For matrix units the coefficient of rho_k is just entry (a_k, b_k), i.e.
+    the row-major flattening of the matrix.  ``chi_from_outputs`` does not use
+    it; it is the oracle that ties the closed form to chi = B^-1 lambda.
+    """
+    ops = fixed_operator_set(qubit_count).operators
+    basis = matrix_unit_basis(qubit_count)
+    d2 = len(basis)
+    beta = np.zeros((d2 * d2, d2 * d2), dtype=complex)
+    for m, em in enumerate(ops):
+        for n, en in enumerate(ops):
+            col = m * d2 + n
+            en_dag = en.conj().T
+            for j, rho_j in enumerate(basis):
+                beta[j * d2:(j + 1) * d2, col] = (em @ rho_j @ en_dag).reshape(-1)
+    return beta

@@ -21,16 +21,8 @@ from qptkit import (
     run_qpt,
     theoretical_chi,
 )
-from qptkit.channels import (
-    amplitude_damping,
-    apply_channel,
-    compose,
-    embed_channel,
-    pure_dephasing,
-    unitary_as_channel,
-)
+from qptkit.channels import amplitude_damping, apply_channel, compose, pure_dephasing
 from qptkit.process_tomography import (
-    beta_tensor,
     chi_to_channel,
     matrix_unit_basis,
     preparation_recipes,
@@ -40,6 +32,7 @@ from qptkit.process_tomography import (
 from qptkit.qasm import Circuit, Gate, Measure
 
 from conftest import haar_unitary
+from oracles import beta_tensor, embed_channel, unitary_as_channel
 
 DATA_DIR = Path(__file__).parent / "data"
 

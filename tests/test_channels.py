@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
+from oracles import embed_channel, identity_channel, unitary_as_channel
 from qptkit import KrausChannel, NoiseParams
 from qptkit.channels import (
     amplitude_damping,
     apply_channel,
     compose,
     decoherence_channel,
-    embed_channel,
-    identity_channel,
     pure_dephasing,
-    unitary_as_channel,
     validate_completeness,
 )
 from qptkit.operators import standard_gate

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
+from oracles import embed_gate, pauli_string_matrix
 from qptkit.operators import (
     GATES,
     check_density_matrix,
     dagger,
-    embed_gate,
     kron,
-    pauli_string_matrix,
     standard_gate,
 )
 

@@ -15,10 +15,9 @@ from qptkit import (
     run_qpt,
     theoretical_chi,
 )
-from qptkit.channels import amplitude_damping, unitary_as_channel
+from qptkit.channels import amplitude_damping
 from qptkit.process_tomography import (
     FixedOperatorSet,
-    beta_tensor,
     chi_to_channel,
     fixed_operator_set,
     matrix_unit_basis,
@@ -31,6 +30,7 @@ from qptkit.process_tomography import (
 from qptkit.qasm import Gate
 
 from conftest import haar_unitary, random_density
+from oracles import beta_tensor, unitary_as_channel
 
 MINUS_IY = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -101,8 +101,13 @@ def test_preparation_states():
     p0 = preparation_state("p0")
     assert p0.shape == (4, 4)
     assert abs(p0[0, 0] - 0.5) < 1e-15 and abs(p0[0, 2] - 0.5) < 1e-15
-    with pytest.raises(ValueError, match="bad preparation label"):
-        preparation_state("q")
+    for label in ("1", "r0"):
+        with pytest.raises(ValueError, match="read-only"):
+            preparation_state(label)[0, 0] = 0.0
+    # only the 4 one-qubit and 16 two-qubit labels exist
+    for label in ("q", "", "0q", "p0r", "000"):
+        with pytest.raises(ValueError, match="bad preparation label"):
+            preparation_state(label)
 
 
 def test_preparation_circuits():

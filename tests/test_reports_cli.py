@@ -43,6 +43,7 @@ def test_report_roundtrip(h_result, h_report):
     assert fidelity == h_result.fidelity
     assert chi.residual == h_result.residual
     assert parse_report(dump_report(_QST_REPORT)) == _QST_REPORT
+    assert parse_report(dump_report(_SEEDS_REPORT)) == _SEEDS_REPORT
 
 
 def test_report_fields(h_report):
@@ -66,9 +67,16 @@ _QST_REPORT = qst_report_dict(backend_name="ibmqx4-sim", noise=False, shots=None
                               fidelity=1.0, psd_projected=False)
 
 
-def _as_qst(**changes):
-    """A mutation that turns the report into the qst one, with changes."""
-    return lambda r: (r.clear(), r.update(copy.deepcopy(_QST_REPORT), **changes))
+# a valid qpt-seeds report, as seed_summary_dict writes one
+_SEEDS_REPORT = {"format": 1, "kind": "qpt-seeds", "gate": "h", "lines": [0],
+                 "backend": "ibmqx4-sim", "noise": False, "shots": 256, "executions": 12,
+                 "seeds": [3], "fidelities": [0.5], "fidelity_mean": 0.5,
+                 "fidelity_min": 0.5, "fidelity_max": 0.5}
+
+
+def _as(report, **changes):
+    """A mutation that turns the report into a copy of ``report``, with changes."""
+    return lambda r: (r.clear(), r.update(copy.deepcopy(report), **changes))
 
 
 @pytest.mark.parametrize(
@@ -92,14 +100,22 @@ def _as_qst(**changes):
         (lambda r: r.update(residual=None), "invalid report: residual None is not a number"),
         (lambda r: r.update(executions=12.0), "invalid report: executions 12.0 is not an integer"),
         (lambda r: r.update(executions=True), "invalid report: executions True is not an integer"),
-        (_as_qst(qubits=-1), "invalid report: qubits -1 is not an integer in 1..5"),
-        (_as_qst(qubits="a"), "invalid report: qubits 'a' is not an integer in 1..5"),
-        (_as_qst(qubits=True), "invalid report: qubits True is not an integer in 1..5"),
+        (_as(_QST_REPORT, qubits=-1), "invalid report: qubits -1 is not an integer in 1..5"),
+        (_as(_QST_REPORT, qubits="a"), "invalid report: qubits 'a' is not an integer in 1..5"),
+        (_as(_QST_REPORT, qubits=True), "invalid report: qubits True is not an integer in 1..5"),
         # rejected before 1 << qubits, which would allocate without bound
-        (_as_qst(qubits=10**12), "invalid report: qubits 1000000000000 is not an integer"),
-        (_as_qst(qubits=2), "rho_real is not 4x4"),
-        (_as_qst(fidelity="high"), "invalid report: fidelity 'high' is not a number"),
-        (_as_qst(executions="3"), "invalid report: executions '3' is not an integer"),
+        (_as(_QST_REPORT, qubits=10**12), "invalid report: qubits 1000000000000 is not an integer"),
+        (_as(_QST_REPORT, qubits=2), "rho_real is not 4x4"),
+        (_as(_QST_REPORT, fidelity="high"), "invalid report: fidelity 'high' is not a number"),
+        (_as(_QST_REPORT, executions="3"), "invalid report: executions '3' is not an integer"),
+        (_as(_SEEDS_REPORT, fidelities=["a"]),
+         r"invalid report: fidelities \['a'\] is not a list of numbers in -1..1"),
+        (_as(_SEEDS_REPORT, fidelities=[None]), r"invalid report: fidelities \[None\] is not a list"),
+        (_as(_SEEDS_REPORT, fidelities=[2.0]), r"invalid report: fidelities \[2.0\] is not a list"),
+        (_as(_SEEDS_REPORT, seeds=5), "invalid report: seeds 5 is not a list of integers"),
+        (_as(_SEEDS_REPORT, seeds=[3.0]), r"invalid report: seeds \[3.0\] is not a list of integers"),
+        (_as(_SEEDS_REPORT, fidelity_mean="x"), "invalid report: fidelity_mean 'x' is not a number"),
+        (_as(_SEEDS_REPORT, fidelity_max=None), "invalid report: fidelity_max None is not a number"),
     ],
 )
 def test_report_validation(h_report, mutate, message):
@@ -258,6 +274,21 @@ def test_cli_argument_validation(tmp_path):
               "--out", str(tmp_path)])
     with pytest.raises(SystemExit, match="unknown gate"):
         main(base[:2] + ["rx"] + base[3:])
+
+
+def test_cli_qpt_gate_and_all_gates_exclusive(tmp_path, capsys):
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exc:
+        main(["qpt", "--gate", "cx", "--all-gates", "--all-lines", "--backend", "qx4",
+              "--out", str(out)])
+    assert exc.value.code != 0
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["qpt", "--all-lines", "--backend", "qx4", "--out", str(out)])
+    assert exc.value.code != 0
+    assert "one of the arguments --gate --all-gates is required" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_qst(tmp_path, capsys):

@@ -19,7 +19,7 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from qptkit.operators import pauli_string_matrix
+from oracles import pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import (
     append_setting,
