@@ -45,16 +45,20 @@ stack and starts from the ground state.  Every instruction still passes its
 trace check and every result ``check_density_matrix``; results are bitwise
 those of one call per circuit.
 
+Outcomes are read-only arrays of length 2^m over the m classical bits:
+entry i is the outcome whose bitstring, classical bit m-1 first, is
+``format(i, f"0{m}b")``.  Exact weights are one ``np.bincount`` of the
+clipped diagonal over a cached outcome index per local index.
+
 Sampling draws one uniform per shot for the outcome (inverse CDF over
-classical outcomes in increasing integer order: the outcome is the number of
+outcome indices in increasing order: the outcome is the number of
 cumulative weights at or below the draw) followed by one uniform per
 measured classical bit, in increasing classical-bit order, for the readout
 flip; the matrix of uniforms is generated shot-major.  The flip column of a
 bit whose flip probability is 0 is still drawn, only not compared, so a seed
 means the same draws whatever the flip probabilities.  Counts come from one
-``np.bincount`` over the outcome indices; outcomes drawn zero times are left
-out.  Identical (circuit, backend, shots, seed) therefore reproduce
-identical counts.
+``np.bincount`` over the drawn outcome indices, zeros included.  Identical
+(circuit, backend, shots, seed) therefore reproduce identical counts.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -161,14 +165,16 @@ class BackendModel:
 class ExecutionResult:
     """Counts (sampled mode) or exact probabilities.
 
-    ``final_state`` is set by ``execute_exact`` only; ``execute_many`` leaves
-    it None.
+    ``counts`` (int) and ``probabilities`` (float) are read-only arrays
+    indexed by outcome, as in the module docstring; each is None when the
+    run did not produce it.  ``final_state`` is set by ``execute_exact``
+    only; ``execute_many`` leaves it None.
     """
 
-    counts: dict[str, int] | None = None
+    counts: np.ndarray | None = None
     shots: int | None = None
     final_state: np.ndarray | None = None
-    probabilities: dict[str, float] | None = None
+    probabilities: np.ndarray | None = None
 
 
 # --- config ------------------------------------------------------------------
@@ -333,12 +339,7 @@ def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> n
 
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
     """Number of leading instructions two instruction tuples have in common."""
-    count = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        count += 1
-    return count
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel
@@ -405,15 +406,21 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
         yield circuit, reduced, active
 
 
+def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
+    """Per local index of the active register (bit k-1-i is qubit active[i]),
+    the index with bit b set where qubit q is set, for each (q, b) in ``moves``."""
+    k = len(active)
+    local = np.arange(1 << k)
+    index = np.zeros_like(local)
+    for q, b in moves:
+        index |= ((local >> (k - 1 - active.index(q))) & 1) << b
+    return index
+
+
 def _full_register(reduced: np.ndarray, active: tuple[int, ...],
                    qubit_count: int) -> np.ndarray:
     """Scatter an active-register state into the whole register (others in |0>)."""
-    k = len(active)
-    # bit k-1-i of a local index is qubit active[i]
-    local = np.arange(1 << k)
-    index = np.zeros_like(local)
-    for i, q in enumerate(active):
-        index |= ((local >> (k - 1 - i)) & 1) << q
+    index = _scatter_bits(active, [(q, q) for q in active])
     dim = 1 << qubit_count
     full = np.zeros((dim, dim), dtype=complex)
     full[np.ix_(index, index)] = reduced
@@ -421,48 +428,36 @@ def _full_register(reduced: np.ndarray, active: tuple[int, ...],
 
 
 @lru_cache(maxsize=64)
-def _outcome_keys(active: tuple[int, ...], measures: tuple[Measure, ...],
-                  classical_count: int) -> tuple[str, ...]:
-    """Classical bitstring read out at each local index of the active register."""
-    k, m = len(active), classical_count
-    shift = {q: k - 1 - i for i, q in enumerate(active)}
-    keys = []
-    for idx in range(1 << k):
-        bits = ["0"] * m
-        for meas in measures:
-            bits[m - 1 - meas.clbit] = str((idx >> shift[meas.qubit]) & 1)
-        keys.append("".join(bits))
-    return tuple(keys)
+def _outcome_index(active: tuple[int, ...], measures: tuple[Measure, ...]) -> np.ndarray:
+    """Read-only outcome index read out at each local index of the active register."""
+    index = _scatter_bits(active, [(meas.qubit, meas.clbit) for meas in measures])
+    index.setflags(write=False)
+    return index
 
 
 def _distribution(reduced: np.ndarray, active: tuple[int, ...],
-                  circuit: Circuit) -> dict[str, float] | None:
-    """Outcome weights by classical bitstring, from the active-register diagonal.
+                  circuit: Circuit) -> np.ndarray | None:
+    """Read-only outcome weights by outcome index, from the active-register diagonal.
 
     Local indices run in the same order as the whole-register indices they
-    stand for, so the weights accumulate in whole-register order.  None when
-    the circuit measures nothing.
+    stand for, so the weights accumulate in whole-register order.  The
+    normalising total adds the outcomes in the order of their first nonzero
+    weight.  None when the circuit measures nothing.
     """
     if not circuit.measurements:
         return None
-    keys = _outcome_keys(active, circuit.measurements, circuit.classical_count)
+    index = _outcome_index(active, circuit.measurements)
     weights = np.clip(np.diag(reduced).real, 0.0, None)
-    probs: dict[str, float] = {}
-    for key, w in zip(keys, weights.tolist()):
-        if w == 0.0:
-            continue
-        probs[key] = probs.get(key, 0.0) + w
-    total = sum(probs.values())
-    return {key: v / total for key, v in sorted(probs.items())}
+    probs = np.bincount(index, weights=weights, minlength=1 << circuit.classical_count)
+    order = list(dict.fromkeys(index[weights != 0.0].tolist()))
+    probs /= sum(probs[order].tolist())
+    probs.setflags(write=False)
+    return probs
 
 
-def _sample(probabilities: dict[str, float], circuit: Circuit, backend: BackendModel,
-            shots: int, seed: int | None) -> dict[str, int]:
-    m = circuit.classical_count
-    outcome_probs = np.zeros(1 << m)
-    for key, p in probabilities.items():
-        outcome_probs[int(key, 2)] = p
-    cdf = np.cumsum(outcome_probs)
+def _sample(probabilities: np.ndarray, circuit: Circuit, backend: BackendModel,
+            shots: int, seed: int | None) -> np.ndarray:
+    cdf = np.cumsum(probabilities)
     cdf /= cdf[-1]
 
     measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
@@ -479,8 +474,9 @@ def _sample(probabilities: dict[str, float], circuit: Circuit, backend: BackendM
         if flip_prob > 0.0:
             outcomes[uniforms[:, col] < flip_prob] ^= 1 << meas.clbit
 
-    counts = np.bincount(outcomes)
-    return {format(v, f"0{m}b"): c for v, c in enumerate(counts.tolist()) if c}
+    counts = np.bincount(outcomes, minlength=len(probabilities))
+    counts.setflags(write=False)
+    return counts
 
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
@@ -515,8 +511,8 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     """Evolve the density matrix; no sampling.
 
     ``final_state`` is the register state after all instructions (including
-    measure-duration decay when noise is on); ``probabilities`` maps classical
-    bitstrings to exact outcome weights, or None when nothing is measured.
+    measure-duration decay when noise is on); ``probabilities`` holds the
+    exact outcome weights by outcome index, or None when nothing is measured.
     """
     ((_, reduced, active),) = _evolve([circuit], backend)
     return ExecutionResult(

@@ -109,12 +109,7 @@ def pure_dephasing(duration_ns: float, t1_us: float, t2_us: float) -> KrausChann
     With T2 = 2 T1 the pure-dephasing rate vanishes and the channel is the
     identity for any duration.
     """
-    if t1_us <= 0:
-        raise ValueError(f"t1 must be positive, got {t1_us}")
-    if not (0 < t2_us <= 2 * t1_us):
-        raise ValueError(
-            f"t2 must satisfy 0 < t2 <= 2*t1, got t2={t2_us} with t1={t1_us}"
-        )
+    NoiseParams(t1_us, t2_us)  # checks t1 and t2
     if duration_ns < 0:
         raise ValueError(f"duration must be non-negative, got {duration_ns}")
     rate_per_us = 1.0 / t2_us - 1.0 / (2.0 * t1_us)
@@ -152,20 +147,20 @@ def validate_completeness(channel: KrausChannel) -> float:
     return float(np.abs(acc - np.eye(dim)).max())
 
 
-def apply_channel(
-    channel: KrausChannel,
-    rho: np.ndarray,
-    *,
-    check: bool = True,
-    atol: float = COMPLETENESS_ATOL,
-) -> np.ndarray:
+def _check_trace_preserving(channel: KrausChannel) -> None:
+    dev = validate_completeness(channel)
+    if dev > COMPLETENESS_ATOL:
+        raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
+
+
+def apply_channel(channel: KrausChannel, rho: np.ndarray, *, check: bool = True) -> np.ndarray:
     """sum_k E_k rho E_k^dagger.
 
     With ``check=True`` (the default) the channel must be trace preserving
-    within ``atol`` and the output is re-validated as a density matrix; this
-    assumes the input was one.  Pass ``check=False`` to apply the same linear
-    map to arbitrary matrices, e.g. the non-Hermitian elements of an operator
-    basis.
+    within ``COMPLETENESS_ATOL`` and the output is re-validated as a density
+    matrix; this assumes the input was one.  Pass ``check=False`` to apply
+    the same linear map to arbitrary matrices, e.g. the non-Hermitian
+    elements of an operator basis.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << channel.qubit_count
@@ -174,12 +169,10 @@ def apply_channel(
             f"state shape {rho.shape} does not match a {channel.qubit_count}-qubit channel"
         )
     if check:
-        dev = validate_completeness(channel)
-        if dev > atol:
-            raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
+        _check_trace_preserving(channel)
     out = np.zeros_like(rho)
     for op in channel.operators:
         out += op @ rho @ op.conj().T
     if check:
-        check_density_matrix(out, atol=max(atol, 1e-9))
+        check_density_matrix(out)
     return out

@@ -23,7 +23,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .backend import BackendModel, builtin_backend, builtin_backend_names, read_backend
+from .backend import (BackendModel, builtin_backend, builtin_backend_names, execute_exact,
+                      read_backend)
 from .operators import GATE_ARITY
 from .process_tomography import project_result, run_qpt
 from .qasm import parse_qasm
@@ -38,7 +39,6 @@ from .reports import (
     seed_summary_dict,
 )
 from .state_tomography import project_psd, run_qst, state_fidelity, write_dataset
-from .backend import execute_exact
 
 __all__ = ["main"]
 
@@ -74,16 +74,14 @@ def _placements(gate: str, args, backend: BackendModel) -> list[tuple[int, ...]]
     if args.all_lines:
         if arity == 1:
             return [(q,) for q in range(len(backend.qubits))]
-        return [pair for pair in sorted(backend.coupling.pairs)]
+        return sorted(backend.coupling.pairs)
     if not args.lines:
         raise SystemExit("error: give --lines (repeatable) or --all-lines")
     chosen = []
     for spec in args.lines:
         lines = _parse_lines(spec)
         if len(lines) != arity:
-            raise SystemExit(
-                f"error: gate {gate!r} needs {arity} line(s), got {spec!r}"
-            )
+            raise SystemExit(f"error: gate {gate!r} needs {arity} line(s), got {spec!r}")
         chosen.append(lines)
     return chosen
 
@@ -107,6 +105,9 @@ def cmd_qpt(args) -> int:
     if shots is None and args.seeds > 1:
         raise SystemExit("error: --seeds requires --shots")
 
+    summary = args.seeds > 1
+    base = args.seed if args.seed is not None else 0
+    seeds = list(range(base, base + args.seeds)) if summary else [args.seed]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -115,17 +116,12 @@ def cmd_qpt(args) -> int:
         for lines in _placements(gate, args, backend):
             label = f"{gate} {','.join(map(str, lines))}"
             try:
-                if args.seeds > 1:
-                    base = args.seed if args.seed is not None else 0
-                    seeds = list(range(base, base + args.seeds))
-                    results = [
-                        run_qpt(gate, lines, backend, shots=shots, seed=s)
-                        for s in seeds
-                    ]
-                    if args.project_psd:
-                        results = [project_result(r) for r in results]
+                results = [run_qpt(gate, lines, backend, shots=shots, seed=s) for s in seeds]
+                if args.project_psd:
+                    results = [project_result(r) for r in results]
+                path = out_dir / _report_name(gate, lines, summary)
+                if summary:
                     report = seed_summary_dict(results, seeds)
-                    path = out_dir / _report_name(gate, lines, True)
                     dump_report(report, path)
                     print(
                         f"{label}: fidelity mean={report['fidelity_mean']:.6f} "
@@ -133,10 +129,7 @@ def cmd_qpt(args) -> int:
                         f"max={report['fidelity_max']:.6f} -> {path}"
                     )
                 else:
-                    result = run_qpt(gate, lines, backend, shots=shots, seed=args.seed)
-                    if args.project_psd:
-                        result = project_result(result)
-                    path = out_dir / _report_name(gate, lines, False)
+                    (result,) = results
                     dump_report(chi_report_dict(result), path)
                     load_report(path)
                     print(

@@ -9,8 +9,9 @@ Conventions used throughout the package (stated once, here):
   are written most-significant qubit first.  A cx on targets ``(1, 0)``
   puts the control on ``q[1]`` (the high bit) and the target on ``q[0]``;
   the Pauli string ``"ZX"`` means Z on the first-listed (high) qubit.
-* Classical bitstrings (counts keys) are written with the highest classical
-  index leftmost, matching the ket convention above.
+* Classical bitstrings are written with the highest classical index
+  leftmost, matching the ket convention above; an outcome index is that
+  bitstring read as binary.
 * Matrices are plain ``numpy.ndarray`` with dtype complex128.  Registers stay
   at or below five qubits, so everything is dense and exact.
 

@@ -66,8 +66,8 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .backend import BackendModel, TopologyError
-from .channels import KrausChannel, apply_channel
-from .operators import GATE_ARITY, dagger, kron, standard_gate
+from .channels import KrausChannel, _check_trace_preserving, apply_channel
+from .operators import GATE_ARITY, check_density_matrix, dagger, kron, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, Gate
 from .state_tomography import (
     child_seeds,
@@ -151,8 +151,7 @@ def fixed_operator_set(qubit_count: int) -> FixedOperatorSet:
         labels, ops = zip(*_SINGLE_FIXED)
         return FixedOperatorSet(1, tuple(labels), tuple(ops))
     if qubit_count == 2:
-        labels = []
-        ops = []
+        labels, ops = [], []
         for (la, a), (lb, b) in itertools.product(_SINGLE_FIXED, repeat=2):
             ys = (la == "-iY") + (lb == "-iY")
             labels.append(_PHASE_PREFIX[ys] + la.replace("-i", "") + lb.replace("-i", ""))
@@ -167,12 +166,8 @@ def matrix_unit_basis(qubit_count: int) -> tuple[np.ndarray, ...]:
     if qubit_count not in (1, 2):
         raise ValueError(f"input bases cover 1 or 2 qubits, got {qubit_count}")
     d = 1 << qubit_count
-    units = []
-    for j in range(d * d):
-        unit = np.zeros((d, d), dtype=complex)
-        unit.flat[j] = 1.0
-        unit.setflags(write=False)
-        units.append(unit)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    units.setflags(write=False)
     return tuple(units)
 
 
@@ -186,16 +181,13 @@ PREPARATION_GATES: dict[str, tuple[str, ...]] = {
     "r": ("h", "s"),
 }
 
-_PREP_KETS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "p": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-    "r": np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0),
-}
+_GROUND = np.array([1.0, 0.0], dtype=complex)
 
 
 def _product_state(label: str) -> np.ndarray:
-    ket = reduce(np.kron, (_PREP_KETS[ch] for ch in label))
+    """Each qubit's preparation gates applied to |0>, as its circuit applies them."""
+    ket = reduce(np.kron, (reduce(lambda k, g: standard_gate(g) @ k, PREPARATION_GATES[ch], _GROUND)
+                           for ch in label))
     rho = np.outer(ket, ket.conj())
     rho.setflags(write=False)
     return rho
@@ -204,7 +196,7 @@ def _product_state(label: str) -> np.ndarray:
 # the 4 one-qubit and 16 two-qubit preparations, built once
 _PREP_STATES: dict[str, np.ndarray] = {
     label: _product_state(label)
-    for n in (1, 2) for label in map("".join, itertools.product(_PREP_KETS, repeat=n))
+    for n in (1, 2) for label in map("".join, itertools.product(PREPARATION_GATES, repeat=n))
 }
 
 
@@ -257,14 +249,11 @@ def preparation_recipes(qubit_count: int) -> tuple[PreparationRecipe, ...]:
         for j in range(4):
             recipes.append(PreparationRecipe(j, _SINGLE_RECIPES[j]))
     elif qubit_count == 2:
-        for a in range(4):
-            for b in range(4):
-                hi = _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
-                lo = _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)]
-                terms = tuple(
-                    (ch * cl, lh + ll) for ch, lh in hi for cl, ll in lo
-                )
-                recipes.append(PreparationRecipe(a * d + b, terms))
+        for a, b in itertools.product(range(4), repeat=2):
+            hi = _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
+            lo = _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)]
+            terms = tuple((ch * cl, lh + ll) for ch, lh in hi for cl, ll in lo)
+            recipes.append(PreparationRecipe(a * d + b, terms))
     else:
         raise ValueError(f"recipes cover 1 or 2 qubits, got {qubit_count}")
 
@@ -440,14 +429,18 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     pushed through the channel, and the recipe combinations of the outputs
     feed the same linear inversion as ``run_qpt``.  (On an exact state the
     Pauli reconstruction of ``run_qpt`` is the identity, so it is skipped.)
+    Trace preservation is checked once per call, and every output is checked
+    as a density matrix.
     """
     n = channel.qubit_count
     if n not in (1, 2):
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
-    out_by_label = {
-        label: apply_channel(channel, preparation_state(label))
-        for label in _distinct_labels(preparation_recipes(n))
-    }
+    _check_trace_preserving(channel)
+    out_by_label = {}
+    for label in _distinct_labels(preparation_recipes(n)):
+        out = apply_channel(channel, preparation_state(label), check=False)
+        check_density_matrix(out)
+        out_by_label[label] = out
     return _chi_from_preparations(out_by_label, n)
 
 

@@ -13,7 +13,7 @@ Semantic rules enforced on every Circuit (parsed or built in code):
 * gate names known, arity respected, cx control != target;
 * all indices within the declared registers;
 * once a qubit is measured nothing else may touch it;
-* no two measurements share a classical bit (the counts key would be
+* no two measurements share a classical bit (the outcome index would be
   ill-defined).
 
 ``emit_qasm`` writes a canonical form (one statement per line, include line
@@ -136,44 +136,27 @@ def _check_instruction(pos: int, inst: Gate | Measure, qubit_count: int,
         if arity is None:
             raise CircuitError(f"instruction {pos}: unknown gate {inst.name!r}")
         if len(inst.targets) != arity:
-            raise CircuitError(
-                f"instruction {pos}: gate {inst.name!r} takes {arity} "
-                f"qubit(s), got {len(inst.targets)}"
-            )
+            raise CircuitError(f"instruction {pos}: gate {inst.name!r} takes {arity} "
+                               f"qubit(s), got {len(inst.targets)}")
         if len(set(inst.targets)) != len(inst.targets):
-            raise CircuitError(
-                f"instruction {pos}: gate {inst.name!r} repeats a qubit"
-            )
-        for t in inst.targets:
-            if not 0 <= t < qubit_count:
-                raise CircuitError(
-                    f"instruction {pos}: qubit index {t} out of range"
-                )
-            if t in measured:
-                raise CircuitError(
-                    f"instruction {pos}: qubit {t} already measured"
-                )
+            raise CircuitError(f"instruction {pos}: gate {inst.name!r} repeats a qubit")
+        qubits = inst.targets
     elif isinstance(inst, Measure):
-        if not 0 <= inst.qubit < qubit_count:
-            raise CircuitError(
-                f"instruction {pos}: qubit index {inst.qubit} out of range"
-            )
-        if not 0 <= inst.clbit < classical_count:
-            raise CircuitError(
-                f"instruction {pos}: classical index {inst.clbit} out of range"
-            )
-        if inst.qubit in measured:
-            raise CircuitError(
-                f"instruction {pos}: qubit {inst.qubit} already measured"
-            )
-        if inst.clbit in used_clbits:
-            raise CircuitError(
-                f"instruction {pos}: classical bit {inst.clbit} written twice"
-            )
-        measured.add(inst.qubit)
-        used_clbits.add(inst.clbit)
+        qubits = (inst.qubit,)
     else:
         raise CircuitError(f"instruction {pos}: unsupported object {inst!r}")
+    for q in qubits:
+        if not 0 <= q < qubit_count:
+            raise CircuitError(f"instruction {pos}: qubit index {q} out of range")
+        if q in measured:
+            raise CircuitError(f"instruction {pos}: qubit {q} already measured")
+    if isinstance(inst, Measure):
+        if not 0 <= inst.clbit < classical_count:
+            raise CircuitError(f"instruction {pos}: classical index {inst.clbit} out of range")
+        if inst.clbit in used_clbits:
+            raise CircuitError(f"instruction {pos}: classical bit {inst.clbit} written twice")
+        measured.add(inst.qubit)
+        used_clbits.add(inst.clbit)
 
 
 @dataclass(frozen=True)
@@ -286,19 +269,15 @@ class _Parser:
             raise QasmError(f"expected an integer, got {tok.text!r}", tok.line, tok.col)
         return int(tok.text), tok
 
-    def indexed_ref(self) -> tuple[str, int, _Token]:
-        """name [ int ] -- returns (name, index, token-of-name)."""
-        name_tok = self.take()
-        if name_tok.kind != "id":
-            raise QasmError(
-                f"expected a register reference, got {name_tok.text!r}",
-                name_tok.line,
-                name_tok.col,
-            )
+    def indexed_ref(self, what: str = "a register reference") -> tuple[str, int, _Token]:
+        """name [ int ] -- returns (name, index, token-of-index)."""
+        tok = self.take()
+        if tok.kind != "id":
+            raise QasmError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
         self.expect("[")
         index, itok = self.expect_int()
         self.expect("]")
-        return name_tok.text, index, itok
+        return tok.text, index, itok
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -306,9 +285,7 @@ def parse_qasm(text: str) -> Circuit:
     lines = max(1, len(text.splitlines()))
     p = _Parser(_tokenize(text), lines)
 
-    tok = p.take()
-    if tok.text != "OPENQASM":
-        raise QasmError(f"expected 'OPENQASM', got {tok.text!r}", tok.line, tok.col)
+    p.expect("OPENQASM")
     ver = p.take()
     if ver.text != "2.0":
         raise QasmError(f"unsupported OPENQASM version {ver.text!r}", ver.line, ver.col)
@@ -328,29 +305,13 @@ def parse_qasm(text: str) -> Circuit:
 
     def register_decl(keyword: str) -> tuple[str, int]:
         p.expect(keyword)
-        name_tok = p.take()
-        if name_tok.kind != "id":
-            raise QasmError(
-                f"expected a register name, got {name_tok.text!r}",
-                name_tok.line,
-                name_tok.col,
-            )
-        p.expect("[")
-        size, stok = p.expect_int()
-        p.expect("]")
+        name, size, stok = p.indexed_ref("a register name")
         p.expect(";")
         if keyword == "qreg" and not 1 <= size <= QUBIT_COUNT:
-            raise QasmError(
-                f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
-                stok.line,
-                stok.col,
-            )
-        return name_tok.text, size
+            raise QasmError(f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
+                            stok.line, stok.col)
+        return name, size
 
-    head = p.peek()
-    if head is None or head.text != "qreg":
-        tok = p.take()
-        raise QasmError(f"expected 'qreg', got {tok.text!r}", tok.line, tok.col)
     qreg_name, qubit_count = register_decl("qreg")
 
     creg_name, classical_count = "c", 0

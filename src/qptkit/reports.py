@@ -15,19 +15,23 @@ State-tomography reports use kind "qst" with ``rho_real``/``rho_imag`` and a
 byte-identical files; there are no timestamps.
 
 Loaders re-validate what they read (format version, every field of the
-kind present, numeric fidelity, residual and executions, integer seeds and
-bounded per-seed fidelities, a one- or two-qubit chi or a 1- to 5-qubit rho,
-shapes, Hermiticity, bounded fidelity), so every emitted report doubles as a
+kind present and of its type and no other field, gate arity against lines,
+execution counts, a one- or two-qubit chi or a 1- to 5-qubit rho, shapes,
+Hermiticity, process fidelities in -1..1, a non-negative state fidelity
+(shot noise can take the unprojected one above 1), stored mean/min/max
+against the per-seed list), so every emitted report doubles as a
 self-check.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 
 import numpy as np
 
+from .operators import GATE_ARITY
 from .process_tomography import ChiMatrix, QptResult, fixed_operator_set
 from .qasm import QUBIT_COUNT
 
@@ -136,10 +140,9 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(f"invalid report: {message}")
 
 
-def _is_number(value, integral: bool = False) -> bool:
-    """A JSON number (an int if ``integral``); JSON's true and false are not."""
-    kinds = int if integral else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """A JSON number; ``json`` reads true and false as bool, not as numbers."""
+    return type(value) in (int, float)
 
 
 def _is_fidelity(value) -> bool:
@@ -147,18 +150,55 @@ def _is_fidelity(value) -> bool:
     return _is_number(value) and -1.0 <= value <= 1.0 + 1e-9
 
 
-# the fields each kind of report carries, as the *_dict builders above write them
-_FIELDS = {
-    "qpt": ("format", "kind", "gate", "lines", "backend", "noise", "shots", "seed",
-            "executions", "operator_labels", "ordering", "residual", "tp_deviation",
-            "fidelity", "psd_projected", "chi_real", "chi_imag", "chi_theory_real",
-            "chi_theory_imag"),
-    "qpt-seeds": ("format", "kind", "gate", "lines", "backend", "noise", "shots",
-                  "executions", "seeds", "fidelities", "fidelity_mean", "fidelity_min",
-                  "fidelity_max"),
-    "qst": ("format", "kind", "backend", "noise", "shots", "seed", "executions", "qubits",
-            "fidelity", "psd_projected", "rho_real", "rho_imag"),
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _is_grid(value) -> bool:
+    """A list of lists of numbers."""
+    return (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and {type(v) for row in value for v in row} <= {int, float})
+
+
+def _is_lines(value) -> bool:
+    return (_list_of(lambda q: type(q) is int and 0 <= q < QUBIT_COUNT)(value)
+            and 0 < len(set(value)) == len(value))
+
+
+# the check each report field must pass, and what an error says it is not
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_NUMBER = (_is_number, "a number")
+_GRID = (_is_grid, "a list of lists of numbers")
+_CHECKS = {
+    "gate": (lambda v: isinstance(v, str) and v in GATE_ARITY, "a gate name"),
+    "lines": (_is_lines, f"a list of distinct lines in 0..{QUBIT_COUNT - 1}"),
+    "backend": _TEXT, "ordering": _TEXT, "noise": _FLAG, "psd_projected": _FLAG,
+    "shots": (lambda v: v is None or (type(v) is int and v > 0), "null or a positive integer"),
+    "seed": (lambda v: v is None or type(v) is int, "null or an integer"),
+    "executions": (lambda v: type(v) is int, "an integer"),
+    "qubits": (lambda v: type(v) is int and 1 <= v <= QUBIT_COUNT,
+               f"an integer in 1..{QUBIT_COUNT}"),
+    "operator_labels": (_list_of(lambda v: isinstance(v, str)), "a list of strings"),
+    "seeds": (_list_of(lambda v: type(v) is int), "a list of integers"),
+    "fidelities": (_list_of(_is_fidelity), "a list of numbers in -1..1"),
+    **dict.fromkeys(("residual", "tp_deviation", "fidelity", "fidelity_mean",
+                     "fidelity_min", "fidelity_max"), _NUMBER),
+    **dict.fromkeys(("chi_real", "chi_imag", "chi_theory_real", "chi_theory_imag",
+                     "rho_real", "rho_imag"), _GRID),
 }
+
+# the fields each kind of report carries besides format and kind, as the
+# *_dict builders above write them
+_FIELDS = {kind: tuple(keys.split()) for kind, keys in {
+    "qpt": "gate lines backend noise shots seed executions operator_labels ordering "
+           "residual tp_deviation fidelity psd_projected chi_real chi_imag "
+           "chi_theory_real chi_theory_imag",
+    "qpt-seeds": "gate lines backend noise shots executions seeds fidelities "
+                 "fidelity_mean fidelity_min fidelity_max",
+    "qst": "backend noise shots seed executions qubits fidelity psd_projected "
+           "rho_real rho_imag",
+}.items()}
 
 
 def load_report(path: str | Path) -> dict:
@@ -172,58 +212,54 @@ def parse_report(text: str) -> dict:
     _require(report.get("format") == 1, f"unsupported format {report.get('format')!r}")
     kind = report.get("kind")
     _require(kind in _FIELDS, f"unknown kind {kind!r}")
-    missing = [key for key in _FIELDS[kind] if key not in report]
+    fields = _FIELDS[kind]
+    missing = [key for key in fields if key not in report]
     _require(not missing, f"missing field(s) {', '.join(missing)}")
-    for key, integral in (("fidelity", False), ("residual", False), ("executions", True),
-                          ("fidelity_mean", False), ("fidelity_min", False),
-                          ("fidelity_max", False)):
-        if key in _FIELDS[kind]:
-            _require(_is_number(report[key], integral),
-                     f"{key} {report[key]!r} is not {'an integer' if integral else 'a number'}")
-    if kind == "qpt":
-        d2 = len(report["operator_labels"])
-        # the fixed operator sets, and so result_from_report, cover n = 1, 2
-        _require(d2 in (4, 16), f"chi dimension {d2} is not 4 or 16")
-        for key in ("chi_real", "chi_imag", "chi_theory_real", "chi_theory_imag"):
-            grid = report[key]
-            _require(
-                len(grid) == d2 and all(len(row) == d2 for row in grid),
-                f"{key} is not {d2}x{d2}",
-            )
-        chi = np.array(report["chi_real"]) + 1j * np.array(report["chi_imag"])
-        _require(
-            float(np.abs(chi - chi.conj().T).max()) <= 1e-8,
-            "stored chi is not Hermitian",
-        )
-        _require(_is_fidelity(report["fidelity"]), "fidelity out of range")
-        _require(report["residual"] >= 0.0, "negative residual")
-        n = (d2.bit_length() - 1) // 2
-        # 4**n preparations, each measured in 3**n settings
-        expected = 4**n * 3**n
-        _require(report["executions"] == expected,
-                 f"executions {report['executions']} != {expected}")
-    elif kind == "qpt-seeds":
-        seeds, fidelities = report["seeds"], report["fidelities"]
-        _require(isinstance(seeds, list) and all(_is_number(s, integral=True) for s in seeds),
-                 f"seeds {seeds!r} is not a list of integers")
-        _require(isinstance(fidelities, list) and all(map(_is_fidelity, fidelities)),
-                 f"fidelities {fidelities!r} is not a list of numbers in -1..1")
-        _require(len(seeds) == len(fidelities) > 0, "seed/fidelity lists disagree")
-        _require(
-            abs(report["fidelity_mean"] - float(np.mean(fidelities))) < 1e-12,
-            "stored mean is inconsistent",
-        )
+    unknown = sorted(set(report) - set(fields) - {"format", "kind"})
+    _require(not unknown, f"unknown field(s) {', '.join(unknown)}")
+    for key in fields:
+        check, description = _CHECKS[key]
+        # the message only on failure: formatting a grid costs more than checking it
+        if not check(report[key]):
+            _require(False, f"{key} {reprlib.repr(report[key])} is not {description}")
+    if kind == "qst":
+        n = report["qubits"]
+        dim = 1 << n
+        _require(report["fidelity"] >= 0.0, "negative fidelity")
     else:
-        qubits = report["qubits"]
-        _require(_is_number(qubits, integral=True) and 1 <= qubits <= QUBIT_COUNT,
-                 f"qubits {qubits!r} is not an integer in 1..{QUBIT_COUNT}")
-        dim = 1 << qubits
-        for key in ("rho_real", "rho_imag"):
+        n = len(report["lines"])
+        arity = GATE_ARITY[report["gate"]]
+        _require(arity == n, f"gate {report['gate']!r} takes {arity} line(s), not {n}")
+    if kind == "qpt":
+        _require(_is_fidelity(report["fidelity"]), "fidelity out of range")
+        dim = len(report["operator_labels"])
+        # the fixed operator sets, and so result_from_report, cover n = 1, 2
+        _require(dim in (4, 16), f"chi dimension {dim} is not 4 or 16")
+        _require(dim == 4**n, f"chi dimension {dim} does not fit lines {report['lines']}")
+    for key in fields:
+        if key.endswith(("_real", "_imag")):
             grid = report[key]
             _require(len(grid) == dim and all(len(row) == dim for row in grid),
                      f"{key} is not {dim}x{dim}")
+    if kind == "qpt":
+        chi = np.array(report["chi_real"]) + 1j * np.array(report["chi_imag"])
+        _require(float(np.abs(chi - chi.conj().T).max()) <= 1e-8, "stored chi is not Hermitian")
+        _require(report["residual"] >= 0.0, "negative residual")
+    elif kind == "qpt-seeds":
+        fidelities = report["fidelities"]
+        _require(len(report["seeds"]) == len(fidelities) > 0, "seed/fidelity lists disagree")
+        _require(abs(report["fidelity_mean"] - float(np.mean(fidelities))) < 1e-12,
+                 "stored mean is inconsistent")
+        _require(report["fidelity_min"] == min(fidelities)
+                 and report["fidelity_max"] == max(fidelities),
+                 "stored min/max are inconsistent")
+    else:
         rho = np.array(report["rho_real"]) + 1j * np.array(report["rho_imag"])
         _require(abs(np.trace(rho).real - 1.0) <= 1e-6, "stored rho trace is off")
+    # qpt: 4**n preparations, each measured in 3**n settings; qst: 3**n settings
+    expected = (3 if kind == "qst" else 12) ** n
+    _require(report["executions"] == expected,
+             f"executions {report['executions']} != {expected}")
     return report
 
 
@@ -256,43 +292,27 @@ def render_fidelity_tables(reports: list[dict]) -> tuple[str, str]:
     places; missing combinations stay blank.
     """
     cells: dict[tuple[str, str], float] = {}
-    single_cols: set[str] = set()
-    cx_cols: set[str] = set()
     for report in reports:
-        if report.get("kind") != "qpt":
-            continue
-        lines = report["lines"]
-        if report["gate"] == "cx":
-            col = f"{lines[0]}>{lines[1]}"
-            cx_cols.add(col)
-        else:
-            col = f"q{lines[0]}"
-            single_cols.add(col)
-        cells[(report["gate"], col)] = report["fidelity"]
-
-    columns = sorted(single_cols) + sorted(cx_cols)
-    rows = [g for g in GATE_TABLE_ORDER if any((g, c) in cells for c in columns)]
-    if any((("cx", c) in cells) for c in columns):
-        rows.append("cx")
+        if report.get("kind") == "qpt":
+            lines = report["lines"]
+            col = f"{lines[0]}>{lines[1]}" if report["gate"] == "cx" else f"q{lines[0]}"
+            cells[(report["gate"], col)] = report["fidelity"]
+    # the q columns first, then the c>t ones
+    columns = sorted({col for _, col in cells}, key=lambda col: (">" in col, col))
+    rows = [g for g in GATE_TABLE_ORDER + ("cx",) if any(gate == g for gate, _ in cells)]
 
     def fmt(gate: str, col: str) -> str:
         value = cells.get((gate, col))
         return "" if value is None else f"{value:.4f}"
 
-    csv_lines = ["gate," + ",".join(columns)]
-    for gate in rows:
-        csv_lines.append(gate + "," + ",".join(fmt(gate, c) for c in columns))
-    csv_text = "\n".join(csv_lines) + "\n"
-
+    table = [["gate"] + columns] + [[gate] + [fmt(gate, c) for c in columns] for gate in rows]
+    csv_text = "".join(f"{row[0]},{','.join(row[1:])}\n" for row in table)
+    name_w = max(len(row[0]) for row in table)
     widths = [max(len(c), 6) for c in columns]
-    name_w = max([len(r) for r in rows] + [4])
-    parts = ["gate".ljust(name_w)] + [c.rjust(w) for c, w in zip(columns, widths)]
-    txt_lines = ["  ".join(parts)]
-    for gate in rows:
-        parts = [gate.ljust(name_w)]
-        parts += [fmt(gate, c).rjust(w) for c, w in zip(columns, widths)]
-        txt_lines.append("  ".join(parts))
-    return csv_text, "\n".join(txt_lines) + "\n"
+    aligned = "".join(
+        "  ".join([row[0].ljust(name_w)] + [v.rjust(w) for v, w in zip(row[1:], widths)]) + "\n"
+        for row in table)
+    return csv_text, aligned
 
 
 def chi_grids(report: dict) -> tuple[str, str]:

@@ -2,16 +2,18 @@
 
 A measurement setting is a string over {Z, X, Y}, one letter per measured
 qubit, first letter = most significant qubit (same string convention as
-Pauli strings and counts keys, see ``operators``).  The circuit rotations
-are the usual ones: X is measured after an H, Y after Sdg then H, Z
-directly.  For ``n`` qubits all ``3**n`` settings are taken, enumerated with
+Pauli strings, see ``operators``); a setting's outcomes are an array of
+2**n weights, entry i for the bitstring ``format(i, f"0{n}b")``.  The
+circuit rotations are the usual ones: X is measured after an H, Y after
+Sdg then H, Z directly.  For ``n`` qubits all ``3**n`` settings are taken, enumerated with
 the per-qubit order Z < X < Y, lexicographically:
 
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
 An expectation value for a Pauli string is estimated from the first
 compatible setting in that enumeration (``I`` positions are marginalised by
-summing outcomes); the reconstruction is the linear inversion
+summing outcomes: outcome i is signed by (-1)^popcount(mask & i), mask
+marking the non-I positions); the reconstruction is the linear inversion
 
     rho = 2^-n  sum_P  <P> P
 
@@ -28,14 +30,18 @@ Pauli string, Z at every I position is the first compatible tag, and the
 enumeration is scanned only when that setting was not recorded.
 
 Datasets serialise to line-oriented text (``format=1`` header, one record
-per setting) so runs can be stored and re-analysed.
+per setting, ``bitstring:weight`` for every nonzero weight) so runs can be
+stored and re-analysed; that text is the only place outcome bitstrings are
+written or read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +68,10 @@ __all__ = [
 ]
 
 BASIS_ORDER = "ZXY"
+
+
+# the gates that rotate each setting letter's basis onto Z, in circuit order
+_ROTATIONS = {"Z": (), "X": ("h",), "Y": ("sdg", "h")}
 
 
 def qst_settings(qubit_count: int) -> list[str]:
@@ -92,32 +102,30 @@ def append_setting(circuit: Circuit, setting: str,
     if circuit.measurements:
         raise ValueError("circuit already contains measurements")
     extra: list[Gate | Measure] = []
-    for p, q in enumerate(qubits):
-        basis = setting[p]
-        if basis == "X":
-            extra.append(Gate("h", (q,)))
-        elif basis == "Y":
-            extra.append(Gate("sdg", (q,)))
-            extra.append(Gate("h", (q,)))
-        elif basis != "Z":
+    for basis, q in zip(setting, qubits):
+        if basis not in _ROTATIONS:
             raise ValueError(f"invalid basis letter {basis!r} in {setting!r}")
+        extra.extend(Gate(g, (q,)) for g in _ROTATIONS[basis])
     k = len(qubits)
-    for p, q in enumerate(qubits):
-        extra.append(Measure(q, k - 1 - p))
+    extra.extend(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
     return circuit.extended(*extra, classical_count=k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """Counts (or exact probability weights) per measurement setting.
+    """Outcome weights per measurement setting.
 
-    ``shots`` is the per-setting shot count, or None when the records hold
-    exact probabilities from a density-matrix run.
+    ``records`` maps each setting tag to an array of 2**n counts (sampled
+    runs) or exact probabilities, indexed by outcome as in the module
+    docstring.  ``shots`` is the per-setting shot count, or None when the
+    records hold exact probabilities from a density-matrix run.  Datasets
+    are equal when their qubit counts, shots, tags and weight values are,
+    whatever the arrays' dtypes.
     """
 
     qubit_count: int
     shots: int | None
-    records: dict[str, dict[str, float]]
+    records: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         n = self.qubit_count
@@ -125,25 +133,30 @@ class TomographyDataset:
             raise ValueError(f"qubit count must be 1..{QUBIT_COUNT}, got {n}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        for tag, counts in self.records.items():
+        expected = 1.0 if self.shots is None else float(self.shots)
+        for tag, weights in self.records.items():
             if len(tag) != n or any(ch not in BASIS_ORDER for ch in tag):
                 raise ValueError(f"bad setting tag {tag!r} for {n} qubit(s)")
-            if not counts:
-                raise ValueError(f"setting {tag!r} has no outcomes")
-            total = 0.0
-            for outcome, weight in counts.items():
-                if len(outcome) != n or any(ch not in "01" for ch in outcome):
-                    raise ValueError(f"bad outcome key {outcome!r} under {tag!r}")
-                if not math.isfinite(weight):
-                    raise ValueError(f"non-finite weight for {outcome!r} under {tag!r}")
-                if weight < 0:
-                    raise ValueError(f"negative weight for {outcome!r} under {tag!r}")
-                total += weight
-            expected = 1.0 if self.shots is None else float(self.shots)
+            if np.shape(weights) != (1 << n,):
+                raise ValueError(f"setting {tag!r}: weights have shape {np.shape(weights)}, "
+                                 f"expected {(1 << n,)}")
+            values = weights.tolist()
+            for index, weight in enumerate(values):
+                if not math.isfinite(weight) or weight < 0:
+                    what = "negative" if math.isfinite(weight) else "non-finite"
+                    raise ValueError(f"{what} weight for '{index:0{n}b}' under {tag!r}")
+            total = sum(values)
             if abs(total - expected) > 1e-6 * max(1.0, expected):
                 raise ValueError(
                     f"setting {tag!r}: weights sum to {total}, expected {expected}"
                 )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TomographyDataset):
+            return NotImplemented
+        return ((self.qubit_count, self.shots, self.records.keys())
+                == (other.qubit_count, other.shots, other.records.keys())
+                and all(np.array_equal(w, other.records[t]) for t, w in self.records.items()))
 
 
 def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
@@ -152,42 +165,41 @@ def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
     if tag in dataset.records:
         return tag
     for tag in qst_settings(dataset.qubit_count):
-        if tag not in dataset.records:
-            continue
-        if all(p == "I" or p == s for p, s in zip(pauli, tag)):
+        if tag in dataset.records and all(p in ("I", s) for p, s in zip(pauli, tag)):
             return tag
     raise ValueError(f"no recorded setting is compatible with {pauli!r}")
 
 
+@lru_cache(maxsize=None)
+def _parity_signs(qubit_count: int) -> tuple[tuple[float, ...], ...]:
+    """(-1)^popcount(mask & outcome), indexed [mask][outcome]."""
+    size = 1 << qubit_count
+    return tuple(tuple(-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(size))
+                 for mask in range(size))
+
+
+_SUPPORT_BITS = str.maketrans("IXYZ", "0111")
+
+
 def estimate_pauli(dataset: TomographyDataset, pauli: str) -> float:
-    """Estimate <P> for a Pauli string (letters I X Y Z, high qubit first)."""
+    """Estimate <P> for a Pauli string (letters I X Y Z, high qubit first).
+
+    Both sums run sequentially in outcome-index order, as Python sums.
+    """
     n = dataset.qubit_count
     if len(pauli) != n or any(ch not in "IXYZ" for ch in pauli):
         raise ValueError(f"bad Pauli string {pauli!r} for {n} qubit(s)")
     if pauli == "I" * n:
         return 1.0
-    tag = _first_compatible(dataset, pauli)
-    counts = dataset.records[tag]
-    acc = 0.0
-    total = 0.0
-    support = [p for p, ch in enumerate(pauli) if ch != "I"]
-    for outcome, weight in counts.items():
-        sign = 1.0
-        for p in support:
-            if outcome[p] == "1":
-                sign = -sign
-        acc += sign * weight
-        total += weight
-    return acc / total
+    weights = dataset.records[_first_compatible(dataset, pauli)].tolist()
+    signs = _parity_signs(n)[int(pauli.translate(_SUPPORT_BITS), 2)]
+    return sum(map(operator.mul, signs, weights)) / sum(weights)
 
 
 def all_expectations(dataset: TomographyDataset) -> dict[str, float]:
     """<P> for every one of the 4**n Pauli strings."""
-    n = dataset.qubit_count
-    return {
-        "".join(p): estimate_pauli(dataset, "".join(p))
-        for p in itertools.product("IXYZ", repeat=n)
-    }
+    paulis = map("".join, itertools.product("IXYZ", repeat=dataset.qubit_count))
+    return {pauli: estimate_pauli(dataset, pauli) for pauli in paulis}
 
 
 # I, X, Y, Z in monomial form: row r has its one nonzero entry at column
@@ -242,18 +254,14 @@ def project_psd(rho: np.ndarray) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _sqrtm_psd(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-
-
 def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Uhlmann fidelity; tiny negative eigenvalues are clipped first."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    ra = _sqrtm_psd((a + a.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    ra = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T  # sqrt(a)
     inner = ra @ ((b + b.conj().T) / 2.0) @ ra
     vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
     root = np.sqrt(np.clip(vals, 0.0, None)).sum()
@@ -264,20 +272,21 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def write_dataset(dataset: TomographyDataset) -> str:
-    lines = ["format=1", f"qubits={dataset.qubit_count}",
+    n = dataset.qubit_count
+    lines = ["format=1", f"qubits={n}",
              f"shots={'exact' if dataset.shots is None else dataset.shots}"]
     for tag in sorted(dataset.records):
         parts = [tag]
-        for outcome in sorted(dataset.records[tag]):
-            weight = dataset.records[tag][outcome]
-            parts.append(f"{outcome}:{weight!r}")
+        for outcome, weight in enumerate(dataset.records[tag].tolist()):
+            if weight:
+                parts.append(f"{outcome:0{n}b}:{float(weight)!r}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
 def read_dataset(text: str) -> TomographyDataset:
     header: dict[str, str] = {}
-    records: dict[str, dict[str, float]] = {}
+    items: dict[str, tuple[int, list[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -290,28 +299,39 @@ def read_dataset(text: str) -> TomographyDataset:
             header[key] = value
             continue
         tag = parts[0]
-        if tag in records:
+        if tag in items:
             raise ValueError(f"line {lineno}: duplicate setting {tag!r}")
-        counts: dict[str, float] = {}
-        for item in parts[1:]:
-            outcome, sep, weight = item.partition(":")
-            if not sep:
-                raise ValueError(f"line {lineno}: expected outcome:weight, got {item!r}")
-            try:
-                counts[outcome] = float(weight)
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad weight {weight!r}") from None
-        if not counts:
+        if len(parts) == 1:
             raise ValueError(f"line {lineno}: setting {tag!r} has no outcomes")
-        records[tag] = counts
+        items[tag] = (lineno, parts[1:])
     if header.get("format", "1") != "1":
         raise ValueError(f"unsupported dataset format {header.get('format')!r}")
     for key in ("qubits", "shots"):
         if key not in header:
             raise ValueError(f"missing dataset header {key!r}")
-    qubit_count = int(header["qubits"])
+    n = int(header["qubits"])
     shots = None if header["shots"] == "exact" else int(header["shots"])
-    return TomographyDataset(qubit_count=qubit_count, shots=shots, records=records)
+    TomographyDataset(n, shots, {})  # checks the header before the arrays are sized
+    records: dict[str, np.ndarray] = {}
+    for tag, (lineno, pairs) in items.items():
+        weights = np.zeros(1 << n)
+        seen: set[str] = set()
+        for item in pairs:
+            outcome, sep, weight = item.partition(":")
+            if not sep:
+                raise ValueError(f"line {lineno}: expected outcome:weight, got {item!r}")
+            if outcome in seen:
+                raise ValueError(f"line {lineno}: duplicate outcome {outcome!r} under {tag!r}")
+            seen.add(outcome)
+            if len(outcome) != n or any(ch not in "01" for ch in outcome):
+                raise ValueError(f"bad outcome key {outcome!r} under {tag!r}")
+            try:
+                weights[int(outcome, 2)] = float(weight)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad weight {weight!r}") from None
+        weights.setflags(write=False)
+        records[tag] = weights
+    return TomographyDataset(qubit_count=n, shots=shots, records=records)
 
 
 # --- running tomography against a backend --------------------------------------
@@ -338,12 +358,10 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
     settings = qst_settings(len(qubits))
     circuits = [append_setting(prep, tag, qubits) for tag in settings]
     seeds = None if shots is None else child_seeds(seed, len(settings))
-    records: dict[str, dict[str, float]] = {}
-    for tag, result in zip(settings, execute_many(circuits, backend, shots, seeds)):
-        if shots is None:
-            records[tag] = dict(result.probabilities)
-        else:
-            records[tag] = {k: float(v) for k, v in result.counts.items()}
+    records = {
+        tag: result.probabilities if shots is None else result.counts
+        for tag, result in zip(settings, execute_many(circuits, backend, shots, seeds))
+    }
     return TomographyDataset(qubit_count=len(qubits), shots=shots, records=records)
 
 

@@ -21,6 +21,17 @@ SINGLE_QUBIT_GATES: tuple[str, ...] = tuple(
     name for name, arity in GATE_ARITY.items() if arity == 1
 )
 
+
+def outcome_dict(weights: np.ndarray) -> dict:
+    """An outcome array as ``{bitstring: value}``, zeros left out, in index order.
+
+    The bitstring of index i over m classical bits is ``format(i, f"0{m}b")``,
+    the form outcomes took before they were held as arrays.
+    """
+    m = len(weights).bit_length() - 1
+    return {format(i, f"0{m}b"): w for i, w in enumerate(weights.tolist()) if w}
+
+
 PAULIS: dict[str, np.ndarray] = {
     "I": GATES["id"],
     "X": GATES["x"],

@@ -1,5 +1,6 @@
 """Operator sets, the closed-form chi inversion, chi matrices, QPT pipelines."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,9 +16,11 @@ from qptkit import (
     run_qpt,
     theoretical_chi,
 )
-from qptkit.channels import amplitude_damping
+from qptkit import channels
+from qptkit.channels import amplitude_damping, apply_channel
 from qptkit.process_tomography import (
     FixedOperatorSet,
+    _chi_from_preparations,
     chi_to_channel,
     fixed_operator_set,
     matrix_unit_basis,
@@ -400,6 +403,39 @@ def test_qpt_channel_matches_theory_for_unitaries():
         u = haar_unitary(rng, dim)
         chi = qpt_channel(unitary_as_channel(u))
         assert np.abs(chi.matrix - theoretical_chi(u).matrix).max() < 1e-8
+
+
+def _random_channel(rng, n):
+    """A random trace-preserving channel: the blocks of an isometry."""
+    d = 1 << n
+    k = int(rng.integers(1, 5))
+    q, _ = np.linalg.qr(rng.normal(size=(d * k, d)) + 1j * rng.normal(size=(d * k, d)))
+    return KrausChannel(n, tuple(q[d * i:d * (i + 1)] for i in range(k)))
+
+
+def test_qpt_channel_checks_completeness_once(monkeypatch):
+    calls = []
+    original = channels.validate_completeness
+
+    def counting(channel):
+        calls.append(channel)
+        return original(channel)
+
+    monkeypatch.setattr(channels, "validate_completeness", counting)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        channel = _random_channel(rng, 2)
+        # the chi of one fully checked apply_channel call per preparation
+        want = _chi_from_preparations(
+            {label: apply_channel(channel, preparation_state(label))
+             for label in map("".join, itertools.product("01pr", repeat=2))}, 2)
+        calls.clear()
+        got = qpt_channel(channel)
+        assert len(calls) == 1
+        assert np.array_equal(got.matrix, want.matrix) and got.residual == want.residual
+    leaky = KrausChannel(1, (0.9 * np.eye(2, dtype=complex),))
+    with pytest.raises(ValueError, match="channel is not trace preserving: deviation 1.900e-01"):
+        qpt_channel(leaky)
 
 
 def test_qpt_channel_rejects_large_registers():

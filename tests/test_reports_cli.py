@@ -116,6 +116,25 @@ def _as(report, **changes):
         (_as(_SEEDS_REPORT, seeds=[3.0]), r"invalid report: seeds \[3.0\] is not a list of integers"),
         (_as(_SEEDS_REPORT, fidelity_mean="x"), "invalid report: fidelity_mean 'x' is not a number"),
         (_as(_SEEDS_REPORT, fidelity_max=None), "invalid report: fidelity_max None is not a number"),
+        (lambda r: r.update(gate=7), "invalid report: gate 7 is not a gate name"),
+        (lambda r: r.update(lines="x"), "invalid report: lines 'x' is not a list of distinct lines"),
+        (lambda r: r.update(noise="maybe"), "invalid report: noise 'maybe' is not true or false"),
+        (lambda r: r.update(shots=-3), "invalid report: shots -3 is not null or a positive integer"),
+        (lambda r: r.update(backend=None), "invalid report: backend None is not a string"),
+        (lambda r: r.update(seed="s"), "invalid report: seed 's' is not null or an integer"),
+        (lambda r: r.update(psd_projected="no"),
+         "invalid report: psd_projected 'no' is not true or false"),
+        (lambda r: r.update(tp_deviation="z"), "invalid report: tp_deviation 'z' is not a number"),
+        (lambda r: r["chi_imag"][1].__setitem__(1, False),
+         r"invalid report: chi_imag \[\[.*\]\] is not a list of lists of numbers"),
+        (_as(_SEEDS_REPORT, executions=5), "invalid report: executions 5 != 12"),
+        (_as(_SEEDS_REPORT, gate="cx"), r"invalid report: gate 'cx' takes 2 line\(s\), not 1"),
+        (_as(_SEEDS_REPORT, fidelity_min=0.9, fidelity_max=-0.2),
+         "invalid report: stored min/max are inconsistent"),
+        (_as(_QST_REPORT, gate="cx"), r"invalid report: unknown field\(s\) gate"),
+        (_as(_SEEDS_REPORT, fidelity=0.5, seed=3), r"invalid report: unknown field\(s\) fidelity, seed"),
+        (lambda r: r.update(qubits=1), r"invalid report: unknown field\(s\) qubits"),
+        (_as(_QST_REPORT, fidelity=-0.5), "invalid report: negative fidelity"),
     ],
 )
 def test_report_validation(h_report, mutate, message):
@@ -321,6 +340,18 @@ def test_cli_qst_sampled_is_deterministic(tmp_path):
     report = parse_report(payloads[0].decode("utf-8"))
     assert report["shots"] == 8192 and report["seed"] == 11
     assert report["fidelity"] >= 0.99
+
+
+def test_cli_qst_sampled_fidelity_above_one_loads(tmp_path):
+    # <psi|rho|psi> of the unprojected estimate: shot noise takes it above 1 here
+    circuit = tmp_path / "ht.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n", encoding="utf-8")
+    assert main(["qst", "--circuit", str(circuit), "--backend", "qx4", "--noise", "off",
+                 "--shots", "8192", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert load_report(tmp_path / "ht_qst.json")["fidelity"] > 1.0
+    main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4", "--noise", "off",
+          "--out", str(tmp_path)])
+    assert main(["table", "--reports", str(tmp_path)]) == 0
 
 
 def test_cli_qst_rejects_measured_circuit(tmp_path):

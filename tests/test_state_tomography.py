@@ -19,7 +19,7 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import pauli_string_matrix
+from oracles import outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import (
     append_setting,
@@ -84,7 +84,7 @@ def _zz_dataset():
     return TomographyDataset(
         qubit_count=2,
         shots=100,
-        records={"ZZ": {"00": 40.0, "01": 30.0, "10": 20.0, "11": 10.0}},
+        records={"ZZ": np.array([40.0, 30.0, 20.0, 10.0])},
     )
 
 
@@ -101,8 +101,8 @@ def test_estimate_pauli_first_compatible_wins():
         qubit_count=2,
         shots=100,
         records={
-            "ZX": {"00": 75.0, "01": 25.0},
-            "XX": {"00": 100.0},
+            "ZX": np.array([75.0, 25.0, 0.0, 0.0]),
+            "XX": np.array([100.0, 0.0, 0.0, 0.0]),
         },
     )
     # ZX precedes XX in the canonical enumeration, so it supplies <IX>.
@@ -120,7 +120,7 @@ def _scan_estimate(dataset, pauli):
     else:
         return None
     acc = total = 0.0
-    for outcome, weight in dataset.records[tag].items():
+    for outcome, weight in outcome_dict(dataset.records[tag]).items():
         sign = 1.0
         for p, ch in enumerate(pauli):
             if ch != "I" and outcome[p] == "1":
@@ -133,22 +133,23 @@ def _scan_estimate(dataset, pauli):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_estimate_pauli_matches_full_scan_with_missing_settings(n):
     rng = np.random.default_rng(n)
-    outcomes = ["".join(bits) for bits in itertools.product("01", repeat=n)]
-    for _ in range(20):
-        tags = [t for t in qst_settings(n) if rng.random() < 0.5] or ["Z" * n]
-        records = {}
-        for tag in tags:
-            counts = rng.multinomial(64, rng.dirichlet(np.ones(len(outcomes))))
-            records[tag] = {o: float(c) for o, c in zip(outcomes, counts) if c}
-        ds = TomographyDataset(n, 64, records)
-        for letters in itertools.product("IXYZ", repeat=n):
-            pauli = "".join(letters)
-            want = 1.0 if pauli == "I" * n else _scan_estimate(ds, pauli)
-            if want is None:
-                with pytest.raises(ValueError, match="no recorded setting"):
-                    estimate_pauli(ds, pauli)
-            else:
-                assert estimate_pauli(ds, pauli) == want
+    # integer counts, then exact float weights, where summation order shows
+    for shots in (64, None):
+        for _ in range(20):
+            tags = [t for t in qst_settings(n) if rng.random() < 0.5] or ["Z" * n]
+            records = {}
+            for tag in tags:
+                probs = rng.dirichlet(np.ones(1 << n))
+                records[tag] = probs if shots is None else rng.multinomial(shots, probs)
+            ds = TomographyDataset(n, shots, records)
+            for letters in itertools.product("IXYZ", repeat=n):
+                pauli = "".join(letters)
+                want = 1.0 if pauli == "I" * n else _scan_estimate(ds, pauli)
+                if want is None:
+                    with pytest.raises(ValueError, match="no recorded setting"):
+                        estimate_pauli(ds, pauli)
+                else:
+                    assert estimate_pauli(ds, pauli) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -177,17 +178,19 @@ def test_estimate_pauli_rejections():
 
 def test_dataset_validation():
     with pytest.raises(ValueError, match="bad setting tag"):
-        TomographyDataset(1, None, {"Q": {"0": 1.0}})
-    with pytest.raises(ValueError, match="bad outcome key"):
-        TomographyDataset(1, None, {"Z": {"2": 1.0}})
+        TomographyDataset(1, None, {"Q": np.array([1.0, 0.0])})
+    with pytest.raises(ValueError, match="bad outcome key '2' under 'Z'"):
+        read_dataset("format=1\nqubits=1\nshots=exact\nZ 2:1.0\n")
+    with pytest.raises(ValueError, match=r"setting 'Z': weights have shape \(1,\)"):
+        TomographyDataset(1, None, {"Z": np.array([1.0])})
     with pytest.raises(ValueError, match="weights sum"):
-        TomographyDataset(1, 100, {"Z": {"0": 30.0, "1": 20.0}})
+        TomographyDataset(1, 100, {"Z": np.array([30.0, 20.0])})
     with pytest.raises(ValueError, match="negative weight"):
-        TomographyDataset(1, None, {"Z": {"0": 1.5, "1": -0.5}})
+        TomographyDataset(1, None, {"Z": np.array([1.5, -0.5])})
     with pytest.raises(ValueError, match="non-finite weight for '0' under 'Z'"):
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:nan 1:1.0\n")
     with pytest.raises(ValueError, match="non-finite weight for '1' under 'X'"):
-        TomographyDataset(1, 100, {"X": {"0": 100.0, "1": float("inf")}})
+        TomographyDataset(1, 100, {"X": np.array([100.0, float("inf")])})
 
 
 def test_exact_qst_single_qubit(qx4_quiet):
@@ -294,9 +297,12 @@ def test_dataset_roundtrip_exact():
     ds = TomographyDataset(
         qubit_count=1,
         shots=None,
-        records={"Z": {"0": 0.25, "1": 0.75}, "X": {"0": 1.0}, "Y": {"0": 0.5, "1": 0.5}},
+        records={"Z": np.array([0.25, 0.75]), "X": np.array([1.0, 0.0]),
+                 "Y": np.array([0.5, 0.5])},
     )
-    assert read_dataset(write_dataset(ds)) == ds
+    text = write_dataset(ds)
+    assert text == "format=1\nqubits=1\nshots=exact\nX 0:1.0\nY 0:0.5 1:0.5\nZ 0:0.25 1:0.75\n"
+    assert read_dataset(text) == ds
 
 
 def test_dataset_roundtrip_counts():
@@ -306,6 +312,19 @@ def test_dataset_roundtrip_counts():
     assert read_dataset(text) == ds
 
 
+def test_dataset_equality():
+    ds = _zz_dataset()
+    # equal weight values compare equal whatever their dtype, as counts read back from text do
+    same = TomographyDataset(2, 100, {tag: w.astype(np.int64) for tag, w in ds.records.items()})
+    assert ds == same and not ds != same
+    shifted = dict(ds.records, ZZ=ds.records["ZZ"][::-1])
+    fewer = {tag: w for tag, w in ds.records.items() if tag != "ZZ"}
+    for other in (TomographyDataset(2, 100, shifted), TomographyDataset(2, 100, fewer),
+                  TomographyDataset(2, 200, {tag: 2 * w for tag, w in ds.records.items()}),
+                  write_dataset(ds), None):
+        assert ds != other and not ds == other
+
+
 def test_dataset_reader_errors():
     with pytest.raises(ValueError, match="missing dataset header"):
         read_dataset("format=1\nqubits=1\nZ 0:1.0\n")
@@ -313,6 +332,9 @@ def test_dataset_reader_errors():
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:lots\n")
     with pytest.raises(ValueError, match="duplicate setting"):
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:1.0\nZ 1:1.0\n")
+    # the last weight would win and the sum check still pass
+    with pytest.raises(ValueError, match="line 4: duplicate outcome '1' under 'Z'"):
+        read_dataset("format=1\nqubits=1\nshots=100\nZ 0:50 1:30 1:50\n")
     with pytest.raises(ValueError, match="unsupported dataset format"):
         read_dataset("format=2\nqubits=1\nshots=exact\nZ 0:1.0\n")
 
@@ -341,9 +363,9 @@ def test_golden_counts_cx_bell_preparation(qx4):
     # sampled run must keep reproducing these counts exactly.
     prep = preparation_circuit("p0", (3, 2), 5).extended(Gate("cx", (3, 2)))
     ds = collect_dataset(prep, qx4, qubits=(3, 2), shots=8192, seed=0)
-    assert ds.records["ZZ"] == {"00": 4084, "01": 68, "10": 46, "11": 3994}
-    assert ds.records["XX"] == {"00": 4091, "01": 102, "10": 83, "11": 3916}
-    assert ds.records["YY"] == {"00": 146, "01": 4052, "10": 3946, "11": 48}
+    assert outcome_dict(ds.records["ZZ"]) == {"00": 4084, "01": 68, "10": 46, "11": 3994}
+    assert outcome_dict(ds.records["XX"]) == {"00": 4091, "01": 102, "10": 83, "11": 3916}
+    assert outcome_dict(ds.records["YY"]) == {"00": 146, "01": 4052, "10": 3946, "11": 48}
 
 
 def _setting_loop(prep, backend, qubits, shots=None, seed=None):
@@ -371,15 +393,13 @@ def test_collect_dataset_matches_per_setting_loop(qx4, mode):
     ]
     for prep, qubits in cases:
         measured = qubits or tuple(range(prep.qubit_count - 1, -1, -1))
-        exact = collect_dataset(prep, backend, qubits=qubits)
-        want = _setting_loop(prep, backend, measured)
-        assert list(exact.records) == list(want)
-        for tag, probs in want.items():
-            assert list(exact.records[tag]) == list(probs)
-            assert np.array_equal(list(exact.records[tag].values()), list(probs.values()))
-        sampled = collect_dataset(prep, backend, qubits=qubits, shots=500, seed=9)
-        want = _setting_loop(prep, backend, measured, shots=500, seed=9)
-        assert sampled.records == want
+        for shots in (None, 500):
+            got = collect_dataset(prep, backend, qubits=qubits, shots=shots, seed=9)
+            want = _setting_loop(prep, backend, measured, shots=shots, seed=9)
+            assert list(got.records) == list(want)
+            for tag, weights in want.items():
+                assert got.records[tag].dtype == weights.dtype
+                assert np.array_equal(got.records[tag], weights)
 
 
 def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
