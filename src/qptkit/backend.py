@@ -26,7 +26,9 @@ axis order and its inverse are cached per target axes and register size),
 reshaped to ``4^m`` rows, multiplied by the ``4^m x 4^m`` superoperator and
 viewed back in the state's order; this is the operand layout of
 ``np.tensordot``, so the result is the same to the bit.  The trace check
-after each instruction sums the diagonal of that view without copying it.
+after each instruction that applied a map sums the diagonal of that view
+without copying it; an instruction that applied nothing (a measure with
+noise off) leaves a state whose trace was already checked.
 Only ``execute_exact`` returns ``final_state``, the density matrix of the
 whole circuit register, with the active block scattered back by index;
 every other result carries the outcome weights or counts alone.
@@ -40,15 +42,20 @@ the next circuit is pushed, and the next circuit resumes from the deepest
 checkpoint that is a prefix of its own and evolves only the rest.  So
 tomography circuits that share a preparation and differ in their
 measurement rotations evolve the preparation once, and the rotations they
-share once more.  A circuit on a different set of active qubits empties the
-stack and starts from the ground state.  Every instruction still passes its
-trace check and every result ``check_density_matrix``; results are bitwise
-those of one call per circuit.
+share once more.  The shared prefix was checked against the coupling map
+with the circuit that first ran it, so a resumed circuit checks, and scans
+for the qubits it touches, only the instructions from its checkpoint on.  A
+circuit on a different set of active qubits empties the stack and starts
+from the ground state.  Final states are copied into a buffer of at most
+64 KiB and checked by one ``check_density_matrix`` call on the stack before
+any of them is yielded.  Results are bitwise those of one call per circuit.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
 ``format(i, f"0{m}b")``.  Exact weights are one ``np.bincount`` of the
-clipped diagonal over a cached outcome index per local index.
+clipped diagonal over a cached outcome index per local index, divided by
+their total added left to right (never by the builtin ``sum``, which is
+compensated from Python 3.12 on).
 
 Sampling draws one uniform per shot for the outcome (inverse CDF over
 outcome indices in increasing order: the outcome is the number of
@@ -82,6 +89,7 @@ readout_flip 0.0, durations 60/300/300, noise on, idle_decay off, format 1.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
@@ -285,14 +293,22 @@ def builtin_backend(name: str) -> BackendModel:
 # --- execution ---------------------------------------------------------------
 
 
-def _check_topology(circuit: Circuit, backend: BackendModel) -> None:
-    bad = validate_topology(circuit, backend.coupling)
+def _check_topology(circuit: Circuit, backend: BackendModel, start: int) -> None:
+    """Raise TopologyError for the first cx from instruction ``start`` on that
+    sits outside the coupling map."""
+    bad = validate_topology(circuit, backend.coupling, start)
     if bad:
         pos, control, target = bad[0]
         raise TopologyError(
             f"instruction {pos}: cx {control}>{target} not in the "
             f"{backend.name} coupling map ({backend.coupling.to_text()})"
         )
+
+
+def _qubits(instructions: Sequence[Gate | Measure]) -> set[int]:
+    """The qubits some instruction acts on."""
+    return {q for inst in instructions
+            for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))}
 
 
 @lru_cache(maxsize=1024)
@@ -338,42 +354,79 @@ def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> n
 
 
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
-    """Number of leading instructions two instruction tuples have in common."""
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    """Number of leading instructions two instruction tuples have in common.
+
+    ``Circuit.extended`` shares its prefix's instruction objects, so an
+    identical object is equal without comparing fields.
+    """
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x is not y and x != y),
+                min(len(a), len(b)))
+
+
+# bound on the bytes of evolved states held for one stacked density check
+_CHECK_BYTES = 1 << 16
+
+
+def _checked(circuits: list[Circuit], states: np.ndarray, active: tuple[int, ...],
+             end: int) -> Iterator[tuple[Circuit, np.ndarray, tuple[int, ...]]]:
+    """Check the first len(circuits) states as one stack, then yield each with
+    its circuit; the circuits are the ones just before position ``end``."""
+    count = len(circuits)
+    try:
+        check_density_matrix(states[:count], atol=1e-9)
+    except ValueError as exc:
+        raise ValueError(f"circuits {end - count}..{end - 1}: {exc}") from None
+    for circuit, state in zip(circuits, states):
+        yield circuit, state, active
 
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel
             ) -> Iterator[tuple[Circuit, np.ndarray, tuple[int, ...]]]:
     """Yield each circuit with its final active-register density matrix and qubits.
 
-    ``saved`` is a stack of checkpoints (instructions applied, state), deepest
-    last, all on the prefix of the circuit evolved last.  While a circuit
-    evolves, the state at the depth where the next circuit branches off it
-    is pushed; the next circuit pops what lies deeper and resumes from the
-    top.  A circuit on other active qubits starts again from the ground
-    state.  The yielded matrix is a view of a checkpoint and must not be
-    written to.
+    ``saved`` is a stack of checkpoints (instructions applied, state, qubits
+    those instructions touch), deepest last, all on the prefix of the
+    circuit evolved last.  While a circuit evolves, the state at the depth
+    where the next circuit branches off it is pushed; the next circuit pops
+    what lies deeper and resumes from the top.  That prefix passed the
+    topology check as part of an earlier circuit, so only the instructions
+    from the checkpoint on are checked and scanned for the qubits they
+    touch.  A circuit on other active qubits starts again from the ground
+    state.
+
+    The trace is checked after every instruction that applied a map; one
+    that applied nothing (a measure with noise off) left a state whose
+    trace was already checked.  Final states are copied into a buffer of at
+    most ``_CHECK_BYTES`` and checked as one stack by
+    ``check_density_matrix`` before any of them is yielded.  A yielded
+    matrix must not be written to.
     """
     active: tuple[int, ...] | None = None
-    saved: list[tuple[int, np.ndarray]] = []
+    saved: list[tuple[int, np.ndarray | None, frozenset[int]]] = [(0, None, frozenset())]
     branch = 0
+    pending: list[Circuit] = []
     for i, circuit in enumerate(circuits):
-        _check_topology(circuit, backend)
-        touched = tuple(sorted({q for inst in circuit.instructions
-                                for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))},
-                               reverse=True))
+        instructions = circuit.instructions
+        while saved[-1][0] > branch:
+            saved.pop()
+        depth, rho, seen = saved[-1]
+        _check_topology(circuit, backend, depth)
+        touched = tuple(sorted(seen.union(_qubits(instructions[depth:])), reverse=True))
         if touched != active:
+            if pending:
+                yield from _checked(pending, states, active, i)
+                pending = []
             active = touched
             k = len(active)
             axis = {q: a for a, q in enumerate(active)}
             ground = np.zeros((2,) * (2 * k), dtype=complex)
             ground[(0,) * (2 * k)] = 1.0
-            saved = [(0, ground)]
+            saved = [(0, ground, frozenset())]
+            depth, rho, seen = saved[-1]
             diagonal = list(range(k)) * 2
-        instructions = circuit.instructions
-        while saved[-1][0] > branch:
-            saved.pop()
-        depth, rho = saved[-1]
+            chunk = max(1, _CHECK_BYTES // (16 << (2 * k)))
+        if not pending:
+            states = np.empty((chunk, 1 << k, 1 << k), dtype=complex)
         following = circuits[i + 1].instructions if i + 1 < len(circuits) else ()
         branch = _shared_prefix(instructions, following)
         for pos in range(depth, len(instructions)):
@@ -384,26 +437,30 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
             else:
                 gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
             decay = backend.noise_enabled and duration != 0
-            params = tuple(backend.qubits[q] for q in targets) if decay else ()
             if gate is not None or decay:
+                params = tuple(backend.qubits[q] for q in targets) if decay else ()
                 sup = _superoperator(gate, params, duration)
                 rho = _apply(sup, rho, tuple([axis[q] for q in targets]), k)
-            if decay and gate is not None and backend.idle_decay:
-                for q in active:
-                    if q not in targets:
-                        sup = _superoperator(None, (backend.qubits[q],), duration)
-                        rho = _apply(sup, rho, (axis[q],), k)
-            # the trace read off the strided view, without copying it
-            tr = np.einsum(rho, diagonal).real
-            if abs(tr - 1.0) > 1e-9:
-                raise ValueError(
-                    f"instruction {pos}: state trace drifted to {tr!r} during evolution"
-                )
+                if decay and gate is not None and backend.idle_decay:
+                    for q in active:
+                        if q not in targets:
+                            sup = _superoperator(None, (backend.qubits[q],), duration)
+                            rho = _apply(sup, rho, (axis[q],), k)
+                # the trace read off the strided view, without copying it
+                tr = np.einsum(rho, diagonal).real
+                if abs(tr - 1.0) > 1e-9:
+                    raise ValueError(
+                        f"instruction {pos}: state trace drifted to {float(tr)!r} during evolution"
+                    )
             if pos + 1 == branch:
-                saved.append((branch, rho))
-        reduced = rho.reshape(1 << k, 1 << k)
-        check_density_matrix(reduced, atol=1e-9)
-        yield circuit, reduced, active
+                saved.append((branch, rho, seen.union(_qubits(instructions[depth:branch]))))
+        states[len(pending)].reshape(rho.shape)[...] = rho
+        pending.append(circuit)
+        if len(pending) == chunk:
+            yield from _checked(pending, states, active, i + 1)
+            pending = []
+    if pending:
+        yield from _checked(pending, states, active, len(circuits))
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -442,15 +499,17 @@ def _distribution(reduced: np.ndarray, active: tuple[int, ...],
     Local indices run in the same order as the whole-register indices they
     stand for, so the weights accumulate in whole-register order.  The
     normalising total adds the outcomes in the order of their first nonzero
-    weight.  None when the circuit measures nothing.
+    weight, one sequential addition at a time.  None when the circuit
+    measures nothing.
     """
-    if not circuit.measurements:
+    measures = circuit.measurements
+    if not measures:
         return None
-    index = _outcome_index(active, circuit.measurements)
-    weights = np.clip(np.diag(reduced).real, 0.0, None)
+    index = _outcome_index(active, measures)
+    weights = np.clip(reduced.diagonal().real, 0.0, None)
     probs = np.bincount(index, weights=weights, minlength=1 << circuit.classical_count)
     order = list(dict.fromkeys(index[weights != 0.0].tolist()))
-    probs /= sum(probs[order].tolist())
+    probs /= reduce(operator.add, probs[order].tolist(), 0.0)
     probs.setflags(write=False)
     return probs
 

@@ -123,6 +123,7 @@ def cmd_qpt(args) -> int:
                 if summary:
                     report = seed_summary_dict(results, seeds)
                     dump_report(report, path)
+                    load_report(path)
                     print(
                         f"{label}: fidelity mean={report['fidelity_mean']:.6f} "
                         f"min={report['fidelity_min']:.6f} "
@@ -171,6 +172,7 @@ def cmd_qst(args) -> int:
     )
     report_path = out_dir / f"{source.stem}_qst.json"
     dump_report(report, report_path)
+    load_report(report_path)
     dataset_path = out_dir / f"{source.stem}_qst_dataset.txt"
     dataset_path.write_text(write_dataset(run.dataset), encoding="utf-8")
     print(f"{source.name}: state fidelity={fidelity:.6f} -> {report_path}")

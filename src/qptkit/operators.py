@@ -86,9 +86,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def num_qubits(matrix: np.ndarray) -> int:
     """Qubit count of a square matrix whose dimension is a power of two."""
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    dim = matrix.shape[0]
+    return _square_qubits(matrix.shape)
+
+
+def _square_qubits(shape: tuple[int, ...]) -> int:
+    """Qubit count of the trailing (d, d) of a shape, d a power of two."""
+    if len(shape) < 2 or shape[-1] != shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
+    dim = shape[-1]
     n = dim.bit_length() - 1
     if dim <= 0 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
@@ -96,17 +103,52 @@ def num_qubits(matrix: np.ndarray) -> int:
 
 
 def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-9) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within atol."""
-    rho = np.asarray(rho)
-    num_qubits(rho)
-    if not np.all(np.isfinite(rho.view(float))):
-        raise ValueError("density matrix contains non-finite entries")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > atol:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"density matrix trace {tr:.12g} differs from 1")
-    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min()
-    if lo < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD within atol.
+
+    ``rho`` is one matrix or a stack ``(..., d, d)`` of them.  Each matrix is
+    checked for finite entries, Hermiticity, trace and positive
+    semidefiniteness, in that order; a stack is checked at once, and the
+    message names the first bad matrix by its index in the flattened stack
+    (``matrix 3: ...``).
+
+    The PSD test is one Cholesky factorisation of the stack shifted by atol,
+    ``(rho + rho^dagger)/2 + atol*I``, which exists only when every
+    eigenvalue of the symmetric part exceeds -atol.  When it fails, the
+    eigenvalues (``eigvalsh``) give the verdict and the message, so a matrix
+    is rejected exactly when its smallest eigenvalue lies below -atol.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    _square_qubits(rho.shape)
+    stack = rho.reshape((-1,) + rho.shape[-2:])
+    found = _first_violation(stack, atol)
+    if found is not None:
+        index, message = found
+        raise ValueError(message if rho.ndim == 2 else f"matrix {index}: {message}")
+
+
+def _first_violation(stack: np.ndarray, atol: float) -> tuple[int, str] | None:
+    """Index and message of the first matrix of a (c, d, d) stack that is no
+    density matrix, or None."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    adjoint = stack.conj().swapaxes(1, 2)
+    herm = np.abs(stack - adjoint).max(axis=(1, 2))
+    trace = np.trace(stack, axis1=1, axis2=2)
+    bad = np.flatnonzero(~finite | (herm > atol) | (np.abs(trace - 1.0) > atol))
+    first = int(bad[0]) if bad.size else len(stack)
+    if first:
+        sym = (stack[:first] + adjoint[:first]) / 2.0
+        try:
+            np.linalg.cholesky(sym + atol * np.eye(stack.shape[-1]))
+        except np.linalg.LinAlgError:
+            lowest = np.linalg.eigvalsh(sym).min(axis=1)
+            negative = np.flatnonzero(lowest < -atol)
+            if negative.size:
+                i = int(negative[0])
+                return i, f"density matrix has negative eigenvalue {lowest[i]:.3e}"
+    if first == len(stack):
+        return None
+    if not finite[first]:
+        return first, "density matrix contains non-finite entries"
+    if herm[first] > atol:
+        return first, f"density matrix not Hermitian: deviation {herm[first]:.3e}"
+    return first, f"density matrix trace {trace[first]:.12g} differs from 1"

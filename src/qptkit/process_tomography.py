@@ -429,19 +429,18 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     pushed through the channel, and the recipe combinations of the outputs
     feed the same linear inversion as ``run_qpt``.  (On an exact state the
     Pauli reconstruction of ``run_qpt`` is the identity, so it is skipped.)
-    Trace preservation is checked once per call, and every output is checked
-    as a density matrix.
+    Trace preservation is checked once per call, and the outputs are checked
+    as density matrices in one stacked call.
     """
     n = channel.qubit_count
     if n not in (1, 2):
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
     _check_trace_preserving(channel)
-    out_by_label = {}
-    for label in _distinct_labels(preparation_recipes(n)):
-        out = apply_channel(channel, preparation_state(label), check=False)
-        check_density_matrix(out)
-        out_by_label[label] = out
-    return _chi_from_preparations(out_by_label, n)
+    labels = _distinct_labels(preparation_recipes(n))
+    outs = np.array([apply_channel(channel, preparation_state(label), check=False)
+                     for label in labels])
+    check_density_matrix(outs)
+    return _chi_from_preparations(dict(zip(labels, outs)), n)
 
 
 @dataclass(frozen=True)

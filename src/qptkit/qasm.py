@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .operators import GATE_ARITY
 
@@ -96,8 +97,9 @@ class Circuit:
             _check_instruction(pos, inst, self.qubit_count, self.classical_count,
                                measured, used_clbits)
 
-    @property
+    @cached_property
     def measurements(self) -> tuple[Measure, ...]:
+        """The measure instructions in circuit order, computed once per circuit."""
         return tuple(i for i in self.instructions if isinstance(i, Measure))
 
     def extended(self, *extra: Gate | Measure, classical_count: int | None = None) -> "Circuit":
@@ -116,10 +118,14 @@ class Circuit:
         used_clbits = {meas.clbit for meas in measures}
         for pos, inst in enumerate(extra, start=len(self.instructions)):
             _check_instruction(pos, inst, self.qubit_count, m, measured, used_clbits)
-        # a copy skips __post_init__, whose checks the prefix already passed
+        # a copy skips __post_init__, whose checks the prefix already passed;
+        # it shares the prefix's instruction objects, and its measurements
+        # replace the prefix's, which the copy would otherwise carry over
         circuit = copy.copy(self)
         object.__setattr__(circuit, "classical_count", m)
         object.__setattr__(circuit, "instructions", self.instructions + extra)
+        vars(circuit)["measurements"] = measures + tuple(
+            inst for inst in extra if isinstance(inst, Measure))
         return circuit
 
 
@@ -194,10 +200,14 @@ class CouplingMap:
         return (control, target) in self.pairs
 
 
-def validate_topology(circuit: Circuit, coupling: CouplingMap) -> list[tuple[int, int, int]]:
-    """Return (instruction index, control, target) for every cx off the map."""
+def validate_topology(circuit: Circuit, coupling: CouplingMap,
+                      start: int = 0) -> list[tuple[int, int, int]]:
+    """Return (instruction index, control, target) for every cx off the map,
+    from instruction ``start`` on."""
     bad = []
-    for pos, inst in enumerate(circuit.instructions):
+    instructions = circuit.instructions
+    for pos in range(start, len(instructions)):
+        inst = instructions[pos]
         if isinstance(inst, Gate) and inst.name == "cx":
             control, target = inst.targets
             if not coupling.allows(control, target):

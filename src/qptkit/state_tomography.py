@@ -5,8 +5,8 @@ qubit, first letter = most significant qubit (same string convention as
 Pauli strings, see ``operators``); a setting's outcomes are an array of
 2**n weights, entry i for the bitstring ``format(i, f"0{n}b")``.  The
 circuit rotations are the usual ones: X is measured after an H, Y after
-Sdg then H, Z directly.  For ``n`` qubits all ``3**n`` settings are taken, enumerated with
-the per-qubit order Z < X < Y, lexicographically:
+Sdg then H, Z directly.  For ``n`` qubits all ``3**n`` settings are taken,
+enumerated with the per-qubit order Z < X < Y, lexicographically:
 
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
@@ -27,7 +27,15 @@ runs them through one ``backend.execute_many`` stream, so the preparation
 is evolved once and the settings branch off it (sampled runs keep one seed
 per setting).  An expectation value reads its setting directly: for a
 Pauli string, Z at every I position is the first compatible tag, and the
-enumeration is scanned only when that setting was not recorded.
+enumeration is scanned only when that setting was not recorded.  All 4**n
+estimates of a dataset come from one pass over the stacked weights, one
+vector add per outcome, so the signed sum and the total of every string
+are added left to right in outcome-index order (never by the builtin
+``sum``, which is compensated from Python 3.12 on); ``estimate_pauli`` is
+the same computation for one string.  The reconstruction adds every
+string's entries through one ``np.add.at`` in lexicographic string order.
+A dataset keeps a read-only copy of any weight array its caller could
+still change, so the checks it passed keep holding.
 
 Datasets serialise to line-oriented text (``format=1`` header, one record
 per setting, ``bitstring:weight`` for every nonzero weight) so runs can be
@@ -38,8 +46,6 @@ written or read.
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,23 +139,42 @@ class TomographyDataset:
             raise ValueError(f"qubit count must be 1..{QUBIT_COUNT}, got {n}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        expected = 1.0 if self.shots is None else float(self.shots)
+        records = {}
+        problem = None
         for tag, weights in self.records.items():
             if len(tag) != n or any(ch not in BASIS_ORDER for ch in tag):
-                raise ValueError(f"bad setting tag {tag!r} for {n} qubit(s)")
+                problem = f"bad setting tag {tag!r} for {n} qubit(s)"
+                break
             if np.shape(weights) != (1 << n,):
-                raise ValueError(f"setting {tag!r}: weights have shape {np.shape(weights)}, "
-                                 f"expected {(1 << n,)}")
-            values = weights.tolist()
-            for index, weight in enumerate(values):
-                if not math.isfinite(weight) or weight < 0:
-                    what = "negative" if math.isfinite(weight) else "non-finite"
+                problem = (f"setting {tag!r}: weights have shape {np.shape(weights)}, "
+                           f"expected {(1 << n,)}")
+                break
+            if weights.flags.writeable or not weights.flags.owndata:
+                # a caller's array could change after the checks below
+                weights = np.array(weights, dtype=float)
+                weights.setflags(write=False)
+            records[tag] = weights
+        if records:
+            # the settings before any bad tag or shape, checked as one stack
+            stack = np.array(list(records.values()), dtype=float)
+            bad = ~(np.isfinite(stack) & (stack >= 0))
+            totals = np.cumsum(stack, axis=1)[:, -1]
+            expected = 1.0 if self.shots is None else float(self.shots)
+            off = np.abs(totals - expected) > 1e-6 * max(1.0, expected)
+            wrong = np.flatnonzero(bad.any(axis=1) | off)
+            if wrong.size:
+                row = int(wrong[0])
+                tag = list(records)[row]
+                if bad[row].any():
+                    index = int(np.argmax(bad[row]))
+                    what = "negative" if np.isfinite(stack[row, index]) else "non-finite"
                     raise ValueError(f"{what} weight for '{index:0{n}b}' under {tag!r}")
-            total = sum(values)
-            if abs(total - expected) > 1e-6 * max(1.0, expected):
                 raise ValueError(
-                    f"setting {tag!r}: weights sum to {total}, expected {expected}"
+                    f"setting {tag!r}: weights sum to {totals[row]}, expected {expected}"
                 )
+        if problem is not None:
+            raise ValueError(problem)
+        object.__setattr__(self, "records", records)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TomographyDataset):
@@ -160,10 +185,7 @@ class TomographyDataset:
 
 
 def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
-    # Z at every I position is the first compatible tag in Z < X < Y order
-    tag = pauli.replace("I", "Z")
-    if tag in dataset.records:
-        return tag
+    # the first tag in Z < X < Y order that matches pauli off its I positions
     for tag in qst_settings(dataset.qubit_count):
         if tag in dataset.records and all(p in ("I", s) for p, s in zip(pauli, tag)):
             return tag
@@ -171,35 +193,89 @@ def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _parity_signs(qubit_count: int) -> tuple[tuple[float, ...], ...]:
-    """(-1)^popcount(mask & outcome), indexed [mask][outcome]."""
+def _parity_signs(qubit_count: int) -> np.ndarray:
+    """(-1)^popcount(mask & outcome), indexed [mask, outcome]; read-only."""
     size = 1 << qubit_count
-    return tuple(tuple(-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(size))
-                 for mask in range(size))
+    signs = np.array([[-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(size)]
+                      for mask in range(size)])
+    signs.setflags(write=False)
+    return signs
 
 
-_SUPPORT_BITS = str.maketrans("IXYZ", "0111")
+@lru_cache(maxsize=None)
+def _pauli_table(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per Pauli string, by its index in lexicographic I < X < Y < Z order:
+    its support mask (bit n-1-p set when letter p is not I) and the index in
+    ``qst_settings`` order of its Z-filled setting, the first compatible one."""
+    n = qubit_count
+    place = np.arange(n - 1, -1, -1)
+    letters = (np.arange(4 ** n)[:, None] >> (2 * place)) & 3  # I X Y Z as 0 1 2 3
+    masks = ((letters != 0) << place).sum(axis=1)
+    # I and Z are measured in the Z setting (0), X in X (1), Y in Y (2)
+    defaults = (np.array([0, 1, 2, 0])[letters] * 3 ** place).sum(axis=1)
+    for table in (masks, defaults):
+        table.setflags(write=False)
+    return masks, defaults
+
+
+def _pauli_strings(qubit_count: int) -> list[str]:
+    """Every Pauli string in lexicographic I < X < Y < Z order."""
+    return list(map("".join, itertools.product("IXYZ", repeat=qubit_count)))
+
+
+_SETTING_DIGITS = str.maketrans(BASIS_ORDER, "012")
+_LEX_DIGITS = str.maketrans("IXYZ", "0123")
+
+
+def _estimates(dataset: TomographyDataset, strings: np.ndarray) -> np.ndarray:
+    """<P> for the Pauli strings at the given lexicographic indices (not the
+    identity), each from its first compatible setting.
+
+    The weights of the dataset's settings are stacked, and every estimate is
+    the signed sum over its setting's outcomes divided by their plain sum.
+    Both sums run sequentially in outcome-index order, one vector add per
+    outcome over all requested strings, so each value is bitwise the
+    sequential sum of that string alone; no ``4^n x 2^n`` array is formed.
+    """
+    n = dataset.qubit_count
+    masks, defaults = _pauli_table(n)
+    tags = list(dataset.records)
+    row_of = np.full(3 ** n, -1)
+    row_of[[int(tag.translate(_SETTING_DIGITS), 3) for tag in tags]] = np.arange(len(tags))
+    rows = row_of[defaults[strings]]
+    for j in np.flatnonzero(rows < 0).tolist():  # Z-filled setting not recorded
+        pauli = _pauli_strings(n)[strings[j]]
+        rows[j] = tags.index(_first_compatible(dataset, pauli))
+    weights = np.array(list(dataset.records.values()), dtype=float)
+    signs = _parity_signs(n)
+    mask = masks[strings]
+    signed = np.zeros(len(strings))
+    total = np.zeros(len(strings))
+    for outcome in range(1 << n):
+        column = weights[rows, outcome]
+        total += column
+        signed += signs[mask, outcome] * column
+    return signed / total
 
 
 def estimate_pauli(dataset: TomographyDataset, pauli: str) -> float:
     """Estimate <P> for a Pauli string (letters I X Y Z, high qubit first).
 
-    Both sums run sequentially in outcome-index order, as Python sums.
+    The same computation as ``all_expectations``, for one string.
     """
     n = dataset.qubit_count
     if len(pauli) != n or any(ch not in "IXYZ" for ch in pauli):
         raise ValueError(f"bad Pauli string {pauli!r} for {n} qubit(s)")
     if pauli == "I" * n:
         return 1.0
-    weights = dataset.records[_first_compatible(dataset, pauli)].tolist()
-    signs = _parity_signs(n)[int(pauli.translate(_SUPPORT_BITS), 2)]
-    return sum(map(operator.mul, signs, weights)) / sum(weights)
+    string = int(pauli.translate(_LEX_DIGITS), 4)
+    return float(_estimates(dataset, np.array([string]))[0])
 
 
 def all_expectations(dataset: TomographyDataset) -> dict[str, float]:
-    """<P> for every one of the 4**n Pauli strings."""
-    paulis = map("".join, itertools.product("IXYZ", repeat=dataset.qubit_count))
-    return {pauli: estimate_pauli(dataset, pauli) for pauli in paulis}
+    """<P> for every one of the 4**n Pauli strings, in lexicographic order."""
+    values = _estimates(dataset, np.arange(1, 4 ** dataset.qubit_count))
+    return dict(zip(_pauli_strings(dataset.qubit_count), [1.0] + values.tolist()))
 
 
 # I, X, Y, Z in monomial form: row r has its one nonzero entry at column
@@ -214,25 +290,30 @@ def reconstruct_density(expectations: dict[str, float], qubit_count: int) -> np.
     All 4**n strings except the identity must be present; the identity
     coefficient is pinned to 1, which fixes the trace exactly.  Each string
     is added in monomial form: row r holds its one nonzero entry at column
-    r ^ xmask, so only those 2**n entries are touched, in lexicographic
-    string order as in the dense sum.
+    r ^ xmask, so only those 2**n entries are touched.  The sum is kept in
+    xor coordinates, entry (r, r ^ x) at [x, r], where a string adds to the
+    one row x = xmask; all strings go in through one ``np.add.at``, which adds
+    in lexicographic string order, as the dense sum does.
     """
     n = qubit_count
     dim = 1 << n
-    rows = np.arange(dim)
+    try:
+        values = np.array([expectations[pauli] for pauli in _pauli_strings(n)[1:]],
+                          dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"missing expectation for {exc.args[0]!r}") from None
     # the same form for every string, in lexicographic order
     phases, xmasks = np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64)
     for _ in range(n):
         phases = np.kron(phases, _PAULI_PHASE)
         xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
-    rho = np.eye(dim, dtype=complex)
-    for idx, letters in enumerate(itertools.product("IXYZ", repeat=n)):
-        if idx == 0:  # the identity string, pinned to 1 by the eye above
-            continue
-        pauli = "".join(letters)
-        if pauli not in expectations:
-            raise ValueError(f"missing expectation for {pauli!r}")
-        rho[rows, rows ^ xmasks[idx]] += expectations[pauli] * phases[idx]
+    terms = phases[1:]
+    terms *= values[:, None]
+    by_xmask = np.zeros((dim, dim), dtype=complex)
+    by_xmask[0] = 1.0  # the identity on the diagonal
+    np.add.at(by_xmask, xmasks[1:], terms)
+    rows = np.arange(dim)[:, None]
+    rho = by_xmask[rows ^ rows.T, rows]
     rho /= dim
     return (rho + rho.conj().T) / 2.0
 
@@ -271,21 +352,26 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 # --- dataset (de)serialisation ------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _bitstrings(qubit_count: int) -> tuple[str, ...]:
+    return tuple(f"{i:0{qubit_count}b}" for i in range(1 << qubit_count))
+
+
 def write_dataset(dataset: TomographyDataset) -> str:
-    n = dataset.qubit_count
-    lines = ["format=1", f"qubits={n}",
+    keys = _bitstrings(dataset.qubit_count)
+    lines = ["format=1", f"qubits={dataset.qubit_count}",
              f"shots={'exact' if dataset.shots is None else dataset.shots}"]
     for tag in sorted(dataset.records):
-        parts = [tag]
-        for outcome, weight in enumerate(dataset.records[tag].tolist()):
-            if weight:
-                parts.append(f"{outcome:0{n}b}:{float(weight)!r}")
-        lines.append(" ".join(parts))
+        weights = dataset.records[tag]
+        outcomes = np.flatnonzero(weights)
+        pairs = map("{}:{!r}".format, [keys[i] for i in outcomes.tolist()],
+                    weights[outcomes].astype(float).tolist())
+        lines.append(" ".join([tag, *pairs]))
     return "\n".join(lines) + "\n"
 
 
 def read_dataset(text: str) -> TomographyDataset:
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     items: dict[str, tuple[int, list[str]]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -296,7 +382,7 @@ def read_dataset(text: str) -> TomographyDataset:
             key, _, value = parts[0].partition("=")
             if key in header:
                 raise ValueError(f"line {lineno}: duplicate header key {key!r}")
-            header[key] = value
+            header[key] = (lineno, value)
             continue
         tag = parts[0]
         if tag in items:
@@ -304,13 +390,25 @@ def read_dataset(text: str) -> TomographyDataset:
         if len(parts) == 1:
             raise ValueError(f"line {lineno}: setting {tag!r} has no outcomes")
         items[tag] = (lineno, parts[1:])
-    if header.get("format", "1") != "1":
-        raise ValueError(f"unsupported dataset format {header.get('format')!r}")
+    for key, (lineno, _) in header.items():
+        if key not in ("format", "qubits", "shots"):
+            raise ValueError(f"line {lineno}: unknown dataset header {key!r}")
+    if header.get("format", (0, "1"))[1] != "1":
+        raise ValueError(f"unsupported dataset format {header['format'][1]!r}")
     for key in ("qubits", "shots"):
         if key not in header:
             raise ValueError(f"missing dataset header {key!r}")
-    n = int(header["qubits"])
-    shots = None if header["shots"] == "exact" else int(header["shots"])
+
+    def integer(key: str) -> int:
+        lineno, value = header[key]
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: dataset header {key!r} is not an integer: "
+                             f"{value!r}") from None
+
+    n = integer("qubits")
+    shots = None if header["shots"][1] == "exact" else integer("shots")
     TomographyDataset(n, shots, {})  # checks the header before the arrays are sized
     records: dict[str, np.ndarray] = {}
     for tag, (lineno, pairs) in items.items():

@@ -32,6 +32,25 @@ def outcome_dict(weights: np.ndarray) -> dict:
     return {format(i, f"0{m}b"): w for i, w in enumerate(weights.tolist()) if w}
 
 
+def density_violation(rho: np.ndarray, atol: float = 1e-9) -> str | None:
+    """What is wrong with one matrix as a density matrix, or None: finite
+    entries, Hermiticity, trace, then the smallest eigenvalue by ``eigvalsh``,
+    checked in that order as ``check_density_matrix`` did for one matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        return "density matrix contains non-finite entries"
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > atol:
+        return f"density matrix not Hermitian: deviation {herm:.3e}"
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > atol:
+        return f"density matrix trace {tr:.12g} differs from 1"
+    lo = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min()
+    if lo < -atol:
+        return f"density matrix has negative eigenvalue {lo:.3e}"
+    return None
+
+
 PAULIS: dict[str, np.ndarray] = {
     "I": GATES["id"],
     "X": GATES["x"],

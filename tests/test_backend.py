@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -618,3 +620,135 @@ def test_execute_many_rejections(qx4_quiet):
     assert next(results).counts is not None
     with pytest.raises(ValueError, match="no measurements"):
         next(results)
+
+
+def test_trace_checked_only_after_an_applied_map(qx4, monkeypatch):
+    calls = []
+    original = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(backend_module.np, "einsum", counting)
+    circuit = Circuit(5, 2, (Gate("h", (0,)), Gate("cx", (1, 0)), Measure(0, 0), Measure(1, 1)))
+    for backend, want in ((qx4.with_noise(False), 2), (qx4, 4), (qx4.with_idle_decay(True), 4)):
+        calls.clear()
+        execute_exact(circuit, backend)
+        # noise off: the two gates apply a map and the measures apply nothing
+        assert len(calls) == want
+
+
+def test_trace_drift_is_reported(qx4_quiet, monkeypatch):
+    superoperator = backend_module._superoperator
+    # x loses half the trace; a measure with noise off applies nothing after it
+    monkeypatch.setattr(backend_module, "_superoperator",
+                        lambda gate, *rest: superoperator(gate, *rest) * (0.5 if gate == "x" else 1))
+    leaky = Circuit(1, 1, (Gate("h", (0,)), Gate("x", (0,)), Measure(0, 0)))
+    with pytest.raises(ValueError, match=r"^instruction 1: state trace drifted to 0\.49+ during evolution$"):
+        execute_exact(leaky, qx4_quiet)
+
+
+def _constant_state_map():
+    """rho -> diag(1.5, -0.5) for every input: trace preserving, not positive."""
+    sup = np.zeros((2, 2, 2, 2), dtype=complex)
+    sup[0, 0, 0, 0] = sup[0, 0, 1, 1] = 1.5
+    sup[1, 1, 0, 0] = sup[1, 1, 1, 1] = -0.5
+    return sup
+
+
+def test_states_checked_in_bounded_stacks_before_they_are_yielded(qx4_quiet, monkeypatch):
+    stacks = []
+    original = backend_module.check_density_matrix
+
+    def recording(states, **kwargs):
+        stacks.append(len(states))
+        return original(states, **kwargs)
+
+    monkeypatch.setattr(backend_module, "check_density_matrix", recording)
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    circuits = [append_setting(prep, tag) for tag in qst_settings(5)]
+    limit = backend_module._CHECK_BYTES // (16 * 32 * 32)
+    for count, _ in enumerate(execute_many(circuits, qx4_quiet), start=1):
+        assert sum(stacks) >= count
+    assert sum(stacks) == len(circuits) and max(stacks) == limit
+
+    # a state that fails the check stops the stream before any result of its stack
+    superoperator = backend_module._superoperator
+    monkeypatch.setattr(backend_module, "_superoperator",
+                        lambda gate, *rest: _constant_state_map() if gate == "x"
+                        else superoperator(gate, *rest))
+    ok = Circuit(1, 1, (Gate("h", (0,)), Measure(0, 0)))
+    bad = Circuit(1, 1, (Gate("x", (0,)), Measure(0, 0)))
+    results = execute_many([ok, ok, ok, bad], qx4_quiet)
+    with pytest.raises(ValueError, match=r"^circuits 0\.\.3: matrix 3: density matrix has "
+                                         r"negative eigenvalue -5\.000e-01$"):
+        next(results)
+
+
+FIVE_QUBIT_PREP = """OPENQASM 2.0;
+qreg q[5];
+h q[0];
+cx q[1],q[0];
+t q[2];
+h q[3];
+cx q[3],q[4];
+s q[1];
+x q[4];
+cx q[2],q[1];
+"""
+
+
+def test_topology_and_qubits_scanned_from_the_resumed_checkpoint(qx4_quiet, monkeypatch):
+    starts = []
+    original = backend_module.validate_topology
+
+    def recording(circuit, coupling, start=0):
+        starts.append(start)
+        return original(circuit, coupling, start)
+
+    monkeypatch.setattr(backend_module, "validate_topology", recording)
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    circuits = [append_setting(prep, tag, (4, 1)) for tag in qst_settings(2)]
+    list(execute_many(circuits, qx4_quiet))
+    assert starts[0] == 0 and min(starts[1:]) >= len(prep.instructions)
+    # what a circuit adds is still checked, and positions count from its start
+    off_map = prep.extended(Gate("cx", (0, 1)), Measure(0, 0), classical_count=1)
+    with pytest.raises(TopologyError, match=f"instruction {len(prep.instructions)}: cx 0>1"):
+        list(execute_many([circuits[0], off_map], qx4_quiet))
+    # a circuit that adds a qubit to a shared prefix runs on the larger register
+    wider = prep.extended(Gate("h", (0,)), Measure(4, 0), classical_count=1)
+    narrow = Circuit(5, 1, (*prep.instructions[:2], Measure(0, 0)))
+    for batch in ([narrow, wider], [wider, narrow]):
+        got = list(execute_many(batch, qx4_quiet))
+        for circuit, result in zip(batch, got):
+            _assert_same_result(result, execute_exact(circuit, qx4_quiet))
+
+
+def test_shared_prefix_skips_identical_instructions(monkeypatch):
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    a, b = append_setting(prep, "ZXYZX"), append_setting(prep, "ZXYZY")
+    assert all(x is y for x, y in zip(prep.instructions, a.instructions))
+    compared = []
+    original = Gate.__eq__
+
+    def counting(self, other):
+        compared.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(Gate, "__eq__", counting)
+    assert backend_module._shared_prefix(a.instructions, b.instructions) == (
+        len(prep.instructions) + 3)
+    assert len(compared) == 4  # the appended rotations only
+
+
+def test_distribution_total_is_a_sequential_sum():
+    # sum([0.1] * 10) is 0.9999999999999999 added left to right and 1.0 when
+    # compensated, as the builtin sum is from Python 3.12 on
+    circuit = Circuit(4, 4, tuple(Measure(q, q) for q in range(4)))
+    active = (3, 2, 1, 0)
+    diagonal = np.array([0.1] * 10 + [0.0] * 6)
+    probs = backend_module._distribution(np.diag(diagonal).astype(complex), active, circuit)
+    total = reduce(operator.add, [0.1] * 10, 0.0)
+    assert total == 0.9999999999999999
+    assert np.array_equal(probs, diagonal / total)

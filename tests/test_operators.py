@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary
-from oracles import embed_gate, pauli_string_matrix
+from conftest import haar_unitary, random_density
+from oracles import density_violation, embed_gate, pauli_string_matrix
 from qptkit.operators import (
     GATES,
     check_density_matrix,
@@ -175,3 +175,64 @@ def test_check_density_matrix_rejections():
         check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(ValueError, match="power of two"):
         check_density_matrix(np.eye(3, dtype=complex) / 3)
+    with pytest.raises(ValueError, match="square matrix"):
+        check_density_matrix(np.ones(4))
+    # a stack names its first bad matrix by its index in the flattened stack
+    good = np.eye(2, dtype=complex) / 2
+    stack = np.array([[good, good], [good, np.diag([1.5, -0.5])]])
+    with pytest.raises(ValueError, match="^matrix 3: density matrix has negative eigenvalue"):
+        check_density_matrix(stack)
+    check_density_matrix(stack[:, :1])
+    check_density_matrix(np.empty((0, 4, 4)))
+
+
+ATOL = 1e-9
+MATRIX_KINDS = ("mixed", "just_inside", "just_outside", "nan", "non_hermitian", "trace_off")
+
+
+def _matrix_of_kind(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
+    """A d x d test matrix; the edge kinds put the smallest eigenvalue at
+    -atol * (1 -+ 1e-2), just inside and just outside the PSD tolerance."""
+    if kind in ("just_inside", "just_outside"):
+        lowest = -ATOL * (1 - 1e-2 if kind == "just_inside" else 1 + 1e-2)
+        vals = rng.uniform(0.1, 1.0, d)
+        vals[1:] *= (1.0 - lowest) / vals[1:].sum()
+        vals[0] = lowest
+        u = haar_unitary(rng, d)
+        rho = (u * vals) @ u.conj().T
+        return (rho + rho.conj().T) / 2.0
+    rho = random_density(rng, d)
+    if kind == "nan":
+        rho[rng.integers(d), rng.integers(d)] = np.nan
+    elif kind == "non_hermitian":
+        rho[0, d - 1] += 1e-6
+    elif kind == "trace_off":
+        rho *= 1.0 + 1e-6
+    return rho
+
+
+@given(st.sampled_from([2, 4, 32]), st.lists(st.sampled_from(MATRIX_KINDS), min_size=1,
+                                             max_size=5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_stacked_check_matches_eigvalsh_oracle(d, kinds, single, seed):
+    rng = np.random.default_rng(seed)
+    mats = [_matrix_of_kind(rng, d, kind) for kind in (kinds[:1] if single else kinds)]
+    want = next(((i, msg) for i, msg in enumerate(map(density_violation, mats)) if msg), None)
+    rho = mats[0] if single else np.array(mats)
+    if want is None:
+        check_density_matrix(rho, atol=ATOL)
+        return
+    index, message = want
+    with pytest.raises(ValueError) as info:
+        check_density_matrix(rho, atol=ATOL)
+    assert str(info.value) == (message if single else f"matrix {index}: {message}")
+
+
+@pytest.mark.parametrize("d", [2, 4, 32])
+def test_psd_edge_verdicts(d):
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        check_density_matrix(_matrix_of_kind(rng, d, "just_inside"), atol=ATOL)
+        with pytest.raises(ValueError, match="negative eigenvalue -1.01"):
+            check_density_matrix(_matrix_of_kind(rng, d, "just_outside"), atol=ATOL)

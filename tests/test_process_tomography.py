@@ -438,6 +438,26 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
         qpt_channel(leaky)
 
 
+def test_qpt_channel_checks_every_output_in_one_stack(monkeypatch):
+    import qptkit.process_tomography as process_tomography
+
+    stacks = []
+    check = process_tomography.check_density_matrix
+    monkeypatch.setattr(process_tomography, "check_density_matrix",
+                        lambda outs: stacks.append(np.shape(outs)) or check(outs))
+    channel = _random_channel(np.random.default_rng(5), 2)
+    qpt_channel(channel)
+    assert stacks == [(16, 4, 4)]
+    # an unphysical output of the last preparation is named by its index
+    last = sorted(map("".join, itertools.product("01pr", repeat=2)))[-1]
+    state = preparation_state(last)
+    monkeypatch.setattr(process_tomography, "apply_channel",
+                        lambda ch, rho, check: np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+                        if rho is state else apply_channel(ch, rho, check=check))
+    with pytest.raises(ValueError, match="^matrix 15: density matrix has negative eigenvalue"):
+        qpt_channel(channel)
+
+
 def test_qpt_channel_rejects_large_registers():
     with pytest.raises(ValueError, match="1 or 2"):
         qpt_channel(KrausChannel(3, (np.eye(8, dtype=complex),)))

@@ -287,3 +287,17 @@ def test_validate_topology():
     assert validate_topology(ok, qx4_map) == []
     bad = Circuit(5, 0, (Gate("h", (0,)), Gate("cx", (0, 1))))
     assert validate_topology(bad, qx4_map) == [(1, 0, 1)]
+
+
+def test_measurements_computed_once_and_never_carried_over():
+    measured = Circuit(2, 2, (Gate("h", (0,)), Measure(0, 0)))
+    assert measured.measurements is measured.measurements == (Measure(0, 0),)
+    gates = Circuit(2, 0, (Gate("h", (0,)),))
+    assert gates.measurements == ()
+    for circuit, extra, m in ((measured, (Gate("x", (1,)), Measure(1, 1)), None),
+                              (measured, (Measure(1, 2),), 3),
+                              (gates, (Measure(1, 0),), 1),
+                              (gates, (Gate("x", (1,)),), None)):
+        got = circuit.extended(*extra, classical_count=m)
+        assert got.measurements == tuple(i for i in got.instructions if isinstance(i, Measure))
+        assert all(a is b for a, b in zip(circuit.instructions, got.instructions))

@@ -397,3 +397,21 @@ def test_cli_chi_plot(tmp_path):
             for row in (line.split("\t") for line in imag_lines[1:])}
     assert imag["I"][3] == pytest.approx(0.5, abs=1e-9)
     assert imag["Z"][0] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_cli_reads_every_report_back(tmp_path, monkeypatch):
+    import qptkit.cli
+
+    loaded = []
+    original = qptkit.cli.load_report
+    monkeypatch.setattr(qptkit.cli, "load_report",
+                        lambda path: loaded.append(path.name) or original(path))
+    circuit = tmp_path / "ht.qasm"
+    circuit.write_text('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n')
+    assert main(["qst", "--circuit", str(circuit), "--backend", "qx4",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4", "--shots", "64",
+                 "--seed", "1", "--seeds", "2", "--out", str(tmp_path)]) == 0
+    assert main(["qpt", "--gate", "x", "--lines", "0", "--backend", "qx4",
+                 "--out", str(tmp_path)]) == 0
+    assert loaded == ["ht_qst.json", "qpt_h_0_seeds.json", "qpt_x_0.json"]

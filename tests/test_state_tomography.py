@@ -1,6 +1,8 @@
 """Measurement settings, Pauli estimation, density reconstruction."""
 
 import itertools
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from qptkit import (
 from oracles import outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import (
+    all_expectations,
     append_setting,
     child_seeds,
     estimate_pauli,
@@ -337,6 +340,12 @@ def test_dataset_reader_errors():
         read_dataset("format=1\nqubits=1\nshots=100\nZ 0:50 1:30 1:50\n")
     with pytest.raises(ValueError, match="unsupported dataset format"):
         read_dataset("format=2\nqubits=1\nshots=exact\nZ 0:1.0\n")
+    with pytest.raises(ValueError, match="line 3: unknown dataset header 'bogus'"):
+        read_dataset("format=1\nqubits=1\nbogus=1\nshots=exact\nZ 0:1.0\n")
+    with pytest.raises(ValueError, match="line 2: dataset header 'qubits' is not an integer: 'x'"):
+        read_dataset("format=1\nqubits=x\nshots=exact\nZ 0:1.0\n")
+    with pytest.raises(ValueError, match="line 3: dataset header 'shots' is not an integer: 'lots'"):
+        read_dataset("format=1\nqubits=1\nshots=lots\nZ 0:100\n")
 
 
 def test_reconstruct_requires_every_string():
@@ -415,3 +424,104 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     collect_dataset(prep, qx4_quiet)
     # 4 preparation gates once, then h (X) and sdg, h (Y); noiseless measures apply nothing
     assert len(applied) == 4 + 1 + 2
+
+
+def test_dataset_freezes_caller_arrays():
+    w = np.array([100.0, 0.0])
+    ds = TomographyDataset(1, 100, {"Z": w})
+    w[1] = 100.0  # after the checks: the dataset must not see it
+    assert estimate_pauli(ds, "Z") == 1.0
+    assert not ds.records["Z"].flags.writeable
+    # a read-only view of a writable array is copied as well
+    base = np.array([50.0, 50.0])
+    view = base[:]
+    view.setflags(write=False)
+    ds = TomographyDataset(1, 100, {"Z": view})
+    base[0] = 100.0
+    assert ds.records["Z"].tolist() == [50.0, 50.0]
+    # read-only arrays that own their data, as the backend returns, are kept
+    counts = np.array([60, 40])
+    counts.setflags(write=False)
+    assert TomographyDataset(1, 100, {"Z": counts}).records["Z"] is counts
+
+
+def _reduce_estimate(dataset, pauli):
+    """<P> with both sums as explicit left-to-right additions over outcome index."""
+    n = dataset.qubit_count
+    tag = next(t for t in qst_settings(n)
+               if t in dataset.records and all(p in ("I", s) for p, s in zip(pauli, t)))
+    mask = int("".join("0" if ch == "I" else "1" for ch in pauli), 2)
+    weights = dataset.records[tag].tolist()
+    signed = [-w if bin(mask & i).count("1") & 1 else w for i, w in enumerate(weights)]
+    return reduce(operator.add, signed, 0.0) / reduce(operator.add, weights, 0.0)
+
+
+def test_estimates_are_sequential_sums():
+    # sum([0.1] * 10) is 0.9999999999999999 added left to right and 1.0 when
+    # compensated, as the builtin sum is from Python 3.12 on
+    tenths = np.array([0.1] * 10 + [0.0] * 6)
+    assert reduce(operator.add, tenths.tolist(), 0.0) == 0.9999999999999999
+    ds = TomographyDataset(4, None, {"ZZZZ": tenths, "XXXX": tenths[::-1].copy()})
+    for pauli in ("ZIII", "IIIZ", "ZZZZ", "IZIZ", "XXXX", "IXII"):
+        assert estimate_pauli(ds, pauli) == _reduce_estimate(ds, pauli)
+
+
+def _random_dataset(rng, n, shots, keep):
+    tags = [t for t in qst_settings(n) if rng.random() < keep] or ["Z" * n]
+    records = {}
+    for tag in rng.permutation(tags).tolist():
+        probs = rng.dirichlet(np.ones(1 << n))
+        probs[rng.random(1 << n) < 0.2] = 0.0  # zero weights, as exact runs have
+        probs /= probs.sum()
+        records[tag] = probs if shots is None else rng.multinomial(shots, probs)
+    return TomographyDataset(n, shots, records)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_all_expectations_match_per_string_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    for shots, keep in ((None, 1.0), (64, 1.0), (None, 0.7), (64, 0.5), (None, 0.2)):
+        ds = _random_dataset(rng, n, shots, keep)
+        try:
+            want = {p: 1.0 if p == strings[0] else _reduce_estimate(ds, p) for p in strings}
+        except StopIteration:  # some string has no compatible setting
+            missing = next(p for p in strings[1:]
+                           if not any(t in ds.records and all(a in ("I", b) for a, b in zip(p, t))
+                                      for t in qst_settings(n)))
+            with pytest.raises(ValueError, match=f"compatible with '{missing}'"):
+                all_expectations(ds)
+            continue
+        got = all_expectations(ds)
+        assert list(got) == strings
+        assert all(got[p] == want[p] for p in strings)
+        # the reconstruction is the dense sum over those same values, bitwise
+        rho = np.eye(1 << n, dtype=complex)
+        for pauli in strings[1:]:
+            rho += want[pauli] * pauli_string_matrix(pauli)
+        rho /= 1 << n
+        assert np.array_equal(reconstruct_from_dataset(ds), (rho + rho.conj().T) / 2.0)
+
+
+def _old_write_dataset(dataset):
+    """The writer as a loop over every outcome."""
+    n = dataset.qubit_count
+    lines = ["format=1", f"qubits={n}",
+             f"shots={'exact' if dataset.shots is None else dataset.shots}"]
+    for tag in sorted(dataset.records):
+        parts = [tag]
+        for outcome, weight in enumerate(dataset.records[tag].tolist()):
+            if weight:
+                parts.append(f"{outcome:0{n}b}:{float(weight)!r}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_write_dataset_matches_outcome_loop(n):
+    rng = np.random.default_rng(200 + n)
+    for shots in (None, 50, 8192):
+        ds = _random_dataset(rng, n, shots, 0.6)
+        text = write_dataset(ds)
+        assert text == _old_write_dataset(ds)
+        assert read_dataset(text) == ds
