@@ -63,9 +63,13 @@ cumulative weights at or below the draw) followed by one uniform per
 measured classical bit, in increasing classical-bit order, for the readout
 flip; the matrix of uniforms is generated shot-major.  The flip column of a
 bit whose flip probability is 0 is still drawn, only not compared, so a seed
-means the same draws whatever the flip probabilities.  Counts come from one
-``np.bincount`` over the drawn outcome indices, zeros included.  Identical
-(circuit, backend, shots, seed) therefore reproduce identical counts.
+means the same draws whatever the flip probabilities.  When no measured
+qubit's flip probability is above 0 (as in both builtin configs), no
+per-shot outcome is formed: the count of outcome j is the number of draws at
+or above cumulative weight j-1 less the number at or above weight j.
+Otherwise the outcomes are formed, flipped and counted with one
+``np.bincount``, zeros included.  Identical (circuit, backend, shots, seed)
+therefore reproduce identical counts.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -525,15 +529,19 @@ def _sample(probabilities: np.ndarray, circuit: Circuit, backend: BackendModel,
     # searchsorted(cdf, draw, side="right"), as a count of the cumulative
     # weights at or below each draw; the last is 1.0, which no draw reaches
     first = np.ascontiguousarray(uniforms[:, 0])
-    outcomes = np.zeros(shots, dtype=np.intp)
-    for bound in cdf[:-1].tolist():
-        outcomes += first >= bound
-    for col, meas in enumerate(measured, start=1):
-        flip_prob = backend.qubits[meas.qubit].readout_flip_prob
-        if flip_prob > 0.0:
-            outcomes[uniforms[:, col] < flip_prob] ^= 1 << meas.clbit
-
-    counts = np.bincount(outcomes, minlength=len(probabilities))
+    flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
+             if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
+    if not flips:
+        # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
+        at_or_above = [np.count_nonzero(first >= bound) for bound in cdf[:-1].tolist()]
+        counts = -np.diff(np.array([shots, *at_or_above, 0], dtype=np.intp))
+    else:
+        outcomes = np.zeros(shots, dtype=np.intp)
+        for bound in cdf[:-1].tolist():
+            outcomes += first >= bound
+        for col, clbit, prob in flips:
+            outcomes[uniforms[:, col] < prob] ^= 1 << clbit
+        counts = np.bincount(outcomes, minlength=len(probabilities))
     counts.setflags(write=False)
     return counts
 

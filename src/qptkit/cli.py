@@ -23,8 +23,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .backend import (BackendModel, builtin_backend, builtin_backend_names, execute_exact,
-                      read_backend)
+from .backend import (BackendModel, ConfigError, builtin_backend, builtin_backend_names,
+                      execute_exact, read_backend)
 from .operators import GATE_ARITY
 from .process_tomography import project_result, run_qpt
 from .qasm import parse_qasm
@@ -45,8 +45,11 @@ __all__ = ["main"]
 
 def _resolve_backend(spec: str, noise: str | None, idle_decay: str | None) -> BackendModel:
     path = Path(spec)
-    if path.exists():
-        model = read_backend(path)
+    if path.is_file():
+        try:
+            model = read_backend(path)
+        except ConfigError as exc:
+            raise SystemExit(f"error: backend {spec}: {exc}") from None
     else:
         try:
             model = builtin_backend(spec)

@@ -43,8 +43,11 @@ products (16 preparations overall).
 
 ``run_qpt`` drives the whole pipeline against a backend: 4 (or 16)
 preparations x 3 (or 9) tomography settings = 12 (or 144) circuit
-executions, state tomography per preparation, recipe combination, linear
-inversion, then the overlap fidelity
+executions, run as one state-tomography stream (``collect_weights``: one
+evolution, one stacked density check, preparations in label order and
+settings in canonical order) whose weights are reconstructed into every
+preparation's output state in one stacked pass (``reconstruct_states``),
+then recipe combination, linear inversion and the overlap fidelity
 
     F = Tr(chi_exp chi_th^dagger) / sqrt(Tr(chi_th^dagger chi_th))
                                   / sqrt(Tr(chi_exp^dagger chi_exp))
@@ -69,13 +72,7 @@ from .backend import BackendModel, TopologyError
 from .channels import KrausChannel, _check_trace_preserving, apply_channel
 from .operators import GATE_ARITY, check_density_matrix, dagger, kron, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, Gate
-from .state_tomography import (
-    child_seeds,
-    collect_dataset,
-    project_psd,
-    qst_settings,
-    reconstruct_from_dataset,
-)
+from .state_tomography import child_seeds, collect_weights, project_psd, reconstruct_states
 
 __all__ = [
     "FixedOperatorSet",
@@ -511,21 +508,11 @@ def run_qpt(
         )
 
     n = arity
-    recipes = preparation_recipes(n)
-    labels = _distinct_labels(recipes)
-    settings_per_label = len(qst_settings(n))
-    label_seeds = child_seeds(seed, len(labels))
-
-    out_by_label = {}
-    executions = 0
-    for label, label_seed in zip(labels, label_seeds):
-        prep = preparation_circuit(label, lines, QUBIT_COUNT)
-        prep = prep.extended(Gate(gate, lines))
-        dataset = collect_dataset(prep, backend, qubits=lines,
-                                  shots=shots, seed=label_seed)
-        executions += len(dataset.records)
-        out_by_label[label] = reconstruct_from_dataset(dataset)
-    assert executions == len(labels) * settings_per_label
+    labels = _distinct_labels(preparation_recipes(n))
+    preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
+    weights = collect_weights(preps, backend, lines, shots, child_seeds(seed, len(labels)))
+    out_by_label = dict(zip(labels, reconstruct_states(weights)))
+    executions = weights.shape[0] * weights.shape[1]
 
     chi = _chi_from_preparations(out_by_label, n)
     theory = theoretical_chi(gate)

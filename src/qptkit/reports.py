@@ -17,7 +17,8 @@ byte-identical files; there are no timestamps.
 Loaders re-validate what they read (format version, every field of the
 kind present and of its type and no other field, gate arity against lines,
 execution counts, a one- or two-qubit chi or a 1- to 5-qubit rho, shapes,
-Hermiticity, process fidelities in -1..1, a non-negative state fidelity
+Hermiticity, the operator labels of the fixed set, a non-negative residual
+and tp_deviation, process fidelities in -1..1, a non-negative state fidelity
 (shot noise can take the unprojected one above 1), stored mean/min/max
 against the per-seed list), so every emitted report doubles as a
 self-check.
@@ -59,7 +60,7 @@ ORDERING_NOTE = (
 
 
 def _grid(matrix: np.ndarray, part) -> list[list[float]]:
-    return [[float(part(v)) for v in row] for row in matrix]
+    return part(np.asarray(matrix, dtype=complex)).tolist()
 
 
 def chi_report_dict(result: QptResult) -> dict:
@@ -236,6 +237,10 @@ def parse_report(text: str) -> dict:
         # the fixed operator sets, and so result_from_report, cover n = 1, 2
         _require(dim in (4, 16), f"chi dimension {dim} is not 4 or 16")
         _require(dim == 4**n, f"chi dimension {dim} does not fit lines {report['lines']}")
+        labels = list(fixed_operator_set(n).labels)
+        _require(report["operator_labels"] == labels,
+                 f"operator_labels {reprlib.repr(report['operator_labels'])} are not {labels}")
+        _require(report["tp_deviation"] >= 0.0, "negative tp_deviation")
     for key in fields:
         if key.endswith(("_real", "_imag")):
             grid = report[key]

@@ -22,18 +22,25 @@ followed by symmetrisation (rho + rho^dagger)/2.  The result can carry small
 negative eigenvalues at finite shots; ``project_psd`` clips them for
 reporting, the raw matrix is never silently altered.
 
-``collect_dataset`` builds the 3**n setting circuits of a preparation and
-runs them through one ``backend.execute_many`` stream, so the preparation
-is evolved once and the settings branch off it (sampled runs keep one seed
-per setting).  An expectation value reads its setting directly: for a
-Pauli string, Z at every I position is the first compatible tag, and the
-enumeration is scanned only when that setting was not recorded.  All 4**n
-estimates of a dataset come from one pass over the stacked weights, one
-vector add per outcome, so the signed sum and the total of every string
-are added left to right in outcome-index order (never by the builtin
-``sum``, which is compensated from Python 3.12 on); ``estimate_pauli`` is
-the same computation for one string.  The reconstruction adds every
-string's entries through one ``np.add.at`` in lexicographic string order.
+``collect_weights`` builds the 3**n setting circuits of each of a list of
+preparations, each setting's rotations and measures built once, and runs
+them all through one ``backend.execute_many`` stream, so each preparation
+is evolved once, preparations sharing leading gates share their evolution,
+and the settings branch off it (sampled runs keep one seed per setting,
+derived from the preparation's seed).  ``collect_dataset`` is its
+one-preparation case.
+
+An expectation value reads its setting directly: for a Pauli string, Z at
+every I position is the first compatible tag, and the enumeration is
+scanned only when that setting was not recorded.  All 4**n estimates of a
+stack of datasets with the same recorded settings come from one pass over
+the stacked weights, one vector add per outcome, so the signed sum and the
+total of every string are added left to right in outcome-index order
+(never by the builtin ``sum``, which is compensated from Python 3.12 on);
+``all_expectations`` and ``estimate_pauli`` are the same computation for
+one dataset and for one string.  The reconstruction adds every string's
+entries of every dataset through one ``np.add.at`` in lexicographic string
+order; ``reconstruct_from_dataset`` is its one-dataset case.
 A dataset keeps a read-only copy of any weight array its caller could
 still change, so the checks it passed keep holding.
 
@@ -46,6 +53,7 @@ written or read.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,11 +70,13 @@ __all__ = [
     "estimate_pauli",
     "all_expectations",
     "reconstruct_density",
+    "reconstruct_states",
     "reconstruct_from_dataset",
     "project_psd",
     "state_fidelity",
     "write_dataset",
     "read_dataset",
+    "collect_weights",
     "collect_dataset",
     "QstRun",
     "run_qst",
@@ -87,6 +97,31 @@ def qst_settings(qubit_count: int) -> list[str]:
     return ["".join(p) for p in itertools.product(BASIS_ORDER, repeat=qubit_count)]
 
 
+def _setting_suffix(setting: str, qubits: tuple[int, ...]) -> tuple[Gate | Measure, ...]:
+    """The basis rotations and then the measures of one setting on ``qubits``."""
+    if len(setting) != len(qubits):
+        raise ValueError(
+            f"setting {setting!r} has {len(setting)} letters for {len(qubits)} qubit(s)"
+        )
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubits in {qubits}")
+    extra: list[Gate | Measure] = []
+    for basis, q in zip(setting, qubits):
+        if basis not in _ROTATIONS:
+            raise ValueError(f"invalid basis letter {basis!r} in {setting!r}")
+        extra.extend(Gate(g, (q,)) for g in _ROTATIONS[basis])
+    k = len(qubits)
+    extra.extend(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
+    return tuple(extra)
+
+
+def _measured(circuit: Circuit, suffix: tuple[Gate | Measure, ...], k: int) -> Circuit:
+    """``circuit`` followed by a setting's suffix, read into a k-bit register."""
+    if circuit.measurements:
+        raise ValueError("circuit already contains measurements")
+    return circuit.extended(*suffix, classical_count=k)
+
+
 def append_setting(circuit: Circuit, setting: str,
                    qubits: list[int] | tuple[int, ...] | None = None) -> Circuit:
     """Append basis rotations and measurements for one setting.
@@ -99,22 +134,38 @@ def append_setting(circuit: Circuit, setting: str,
     if qubits is None:
         qubits = tuple(range(circuit.qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
-    if len(setting) != len(qubits):
+    return _measured(circuit, _setting_suffix(setting, qubits), len(qubits))
+
+
+def _frozen(weights: np.ndarray) -> bool:
+    """Nothing can write to the array: it is read-only, and so is the array
+    owning its memory (itself, or the stack it is a row of)."""
+    owner = weights if weights.base is None else weights.base
+    return (not weights.flags.writeable and isinstance(owner, np.ndarray)
+            and owner.flags.owndata and not owner.flags.writeable)
+
+
+def _check_weights(stack: np.ndarray, tags: list[str], shots: int | None) -> None:
+    """Raise for the first row of a ``(settings, 2**n)`` weight stack, tagged
+    ``tags[row]``, with a negative or non-finite weight or a total other than
+    ``shots`` (1 for exact probabilities)."""
+    n = stack.shape[1].bit_length() - 1
+    stack = np.asarray(stack, dtype=float)
+    bad = ~(np.isfinite(stack) & (stack >= 0))
+    totals = np.cumsum(stack, axis=1)[:, -1]
+    expected = 1.0 if shots is None else float(shots)
+    off = np.abs(totals - expected) > 1e-6 * max(1.0, expected)
+    wrong = np.flatnonzero(bad.any(axis=1) | off)
+    if wrong.size:
+        row = int(wrong[0])
+        tag = tags[row]
+        if bad[row].any():
+            index = int(np.argmax(bad[row]))
+            what = "negative" if np.isfinite(stack[row, index]) else "non-finite"
+            raise ValueError(f"{what} weight for '{index:0{n}b}' under {tag!r}")
         raise ValueError(
-            f"setting {setting!r} has {len(setting)} letters for {len(qubits)} qubit(s)"
+            f"setting {tag!r}: weights sum to {totals[row]}, expected {expected}"
         )
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubits in {qubits}")
-    if circuit.measurements:
-        raise ValueError("circuit already contains measurements")
-    extra: list[Gate | Measure] = []
-    for basis, q in zip(setting, qubits):
-        if basis not in _ROTATIONS:
-            raise ValueError(f"invalid basis letter {basis!r} in {setting!r}")
-        extra.extend(Gate(g, (q,)) for g in _ROTATIONS[basis])
-    k = len(qubits)
-    extra.extend(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
-    return circuit.extended(*extra, classical_count=k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,29 +200,14 @@ class TomographyDataset:
                 problem = (f"setting {tag!r}: weights have shape {np.shape(weights)}, "
                            f"expected {(1 << n,)}")
                 break
-            if weights.flags.writeable or not weights.flags.owndata:
+            if not _frozen(weights):
                 # a caller's array could change after the checks below
                 weights = np.array(weights, dtype=float)
                 weights.setflags(write=False)
             records[tag] = weights
         if records:
             # the settings before any bad tag or shape, checked as one stack
-            stack = np.array(list(records.values()), dtype=float)
-            bad = ~(np.isfinite(stack) & (stack >= 0))
-            totals = np.cumsum(stack, axis=1)[:, -1]
-            expected = 1.0 if self.shots is None else float(self.shots)
-            off = np.abs(totals - expected) > 1e-6 * max(1.0, expected)
-            wrong = np.flatnonzero(bad.any(axis=1) | off)
-            if wrong.size:
-                row = int(wrong[0])
-                tag = list(records)[row]
-                if bad[row].any():
-                    index = int(np.argmax(bad[row]))
-                    what = "negative" if np.isfinite(stack[row, index]) else "non-finite"
-                    raise ValueError(f"{what} weight for '{index:0{n}b}' under {tag!r}")
-                raise ValueError(
-                    f"setting {tag!r}: weights sum to {totals[row]}, expected {expected}"
-                )
+            _check_weights(np.array(list(records.values())), list(records), self.shots)
         if problem is not None:
             raise ValueError(problem)
         object.__setattr__(self, "records", records)
@@ -184,10 +220,10 @@ class TomographyDataset:
                 and all(np.array_equal(w, other.records[t]) for t, w in self.records.items()))
 
 
-def _first_compatible(dataset: TomographyDataset, pauli: str) -> str:
+def _first_compatible(tags: list[str], pauli: str) -> str:
     # the first tag in Z < X < Y order that matches pauli off its I positions
-    for tag in qst_settings(dataset.qubit_count):
-        if tag in dataset.records and all(p in ("I", s) for p, s in zip(pauli, tag)):
+    for tag in qst_settings(len(pauli)):
+        if tag in tags and all(p in ("I", s) for p, s in zip(pauli, tag)):
             return tag
     raise ValueError(f"no recorded setting is compatible with {pauli!r}")
 
@@ -227,35 +263,41 @@ _SETTING_DIGITS = str.maketrans(BASIS_ORDER, "012")
 _LEX_DIGITS = str.maketrans("IXYZ", "0123")
 
 
-def _estimates(dataset: TomographyDataset, strings: np.ndarray) -> np.ndarray:
-    """<P> for the Pauli strings at the given lexicographic indices (not the
-    identity), each from its first compatible setting.
+def _estimates(weights: np.ndarray, tags: list[str], strings: np.ndarray) -> np.ndarray:
+    """<P> of each stacked dataset for the Pauli strings at the given
+    lexicographic indices (not the identity), each from its first compatible
+    setting; ``weights[l, s]`` holds dataset l's weights under ``tags[s]``.
 
-    The weights of the dataset's settings are stacked, and every estimate is
-    the signed sum over its setting's outcomes divided by their plain sum.
-    Both sums run sequentially in outcome-index order, one vector add per
-    outcome over all requested strings, so each value is bitwise the
-    sequential sum of that string alone; no ``4^n x 2^n`` array is formed.
+    Every estimate is the signed sum over its setting's outcomes divided by
+    their plain sum.  Both sums run sequentially in outcome-index order, one
+    vector add per outcome over all datasets and requested strings, so each
+    value is bitwise the sequential sum of that string of that dataset
+    alone; no ``4^n x 2^n`` array is formed.
     """
-    n = dataset.qubit_count
+    n = weights.shape[-1].bit_length() - 1
     masks, defaults = _pauli_table(n)
-    tags = list(dataset.records)
     row_of = np.full(3 ** n, -1)
     row_of[[int(tag.translate(_SETTING_DIGITS), 3) for tag in tags]] = np.arange(len(tags))
     rows = row_of[defaults[strings]]
     for j in np.flatnonzero(rows < 0).tolist():  # Z-filled setting not recorded
         pauli = _pauli_strings(n)[strings[j]]
-        rows[j] = tags.index(_first_compatible(dataset, pauli))
-    weights = np.array(list(dataset.records.values()), dtype=float)
+        rows[j] = tags.index(_first_compatible(tags, pauli))
+    weights = np.asarray(weights, dtype=float)
     signs = _parity_signs(n)
     mask = masks[strings]
-    signed = np.zeros(len(strings))
-    total = np.zeros(len(strings))
+    signed = np.zeros((len(weights), len(strings)))
+    total = np.zeros((len(weights), len(strings)))
     for outcome in range(1 << n):
-        column = weights[rows, outcome]
+        column = weights[:, rows, outcome]
         total += column
         signed += signs[mask, outcome] * column
     return signed / total
+
+
+def _stacked(dataset: TomographyDataset) -> tuple[np.ndarray, list[str]]:
+    """A dataset's weights as a stack of one, ``(1, settings, 2**n)``, and its tags."""
+    weights = np.array(list(dataset.records.values()), dtype=float)
+    return weights.reshape(1, len(dataset.records), 1 << dataset.qubit_count), list(dataset.records)
 
 
 def estimate_pauli(dataset: TomographyDataset, pauli: str) -> float:
@@ -269,19 +311,51 @@ def estimate_pauli(dataset: TomographyDataset, pauli: str) -> float:
     if pauli == "I" * n:
         return 1.0
     string = int(pauli.translate(_LEX_DIGITS), 4)
-    return float(_estimates(dataset, np.array([string]))[0])
+    return float(_estimates(*_stacked(dataset), np.array([string]))[0, 0])
 
 
 def all_expectations(dataset: TomographyDataset) -> dict[str, float]:
     """<P> for every one of the 4**n Pauli strings, in lexicographic order."""
-    values = _estimates(dataset, np.arange(1, 4 ** dataset.qubit_count))
+    values = _estimates(*_stacked(dataset), np.arange(1, 4 ** dataset.qubit_count))[0]
     return dict(zip(_pauli_strings(dataset.qubit_count), [1.0] + values.tolist()))
 
 
 # I, X, Y, Z in monomial form: row r has its one nonzero entry at column
-# r ^ _PAULI_XBIT[letter], and that entry is _PAULI_PHASE[letter, r].
+# r ^ _PAULI_XBIT[letter], and that entry is i ** _PAULI_POWER[letter, r].
 _PAULI_XBIT = np.array([0, 1, 1, 0])
-_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
+_PAULI_POWER = np.array([[0, 0], [0, 0], [3, 1], [0, 2]])
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
+
+@lru_cache(maxsize=None)
+def _monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Pauli string in lexicographic order in monomial form: the power
+    of i (mod 4) of its entry in each row, and its xmask; read-only.  The
+    powers take a byte per entry, so the table is 32 KiB at 5 qubits."""
+    powers, xmasks = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(qubit_count):
+        # the Kronecker product, as a sum of exponents
+        powers = (powers[:, None, :, None] + _PAULI_POWER[:, None, :]).reshape(4 * len(powers), -1)
+        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
+    powers = (powers % 4).astype(np.uint8)
+    for table in (powers, xmasks):
+        table.setflags(write=False)
+    return powers, xmasks
+
+
+def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
+    """rho = 2^-n sum <P> P, symmetrised, for each row of ``values``, the
+    <P> of every string but the identity in lexicographic order."""
+    dim = 1 << qubit_count
+    powers, xmasks = _monomials(qubit_count)
+    terms = _POWERS_OF_I[powers[1:]] * values[:, :, None]
+    by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
+    by_xmask[:, 0] = 1.0  # the identity on the diagonal
+    np.add.at(by_xmask, (slice(None), xmasks[1:]), terms)
+    rows = np.arange(dim)[:, None]
+    rho = by_xmask[:, rows ^ rows.T, rows]
+    rho /= dim
+    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
 def reconstruct_density(expectations: dict[str, float], qubit_count: int) -> np.ndarray:
@@ -295,31 +369,31 @@ def reconstruct_density(expectations: dict[str, float], qubit_count: int) -> np.
     one row x = xmask; all strings go in through one ``np.add.at``, which adds
     in lexicographic string order, as the dense sum does.
     """
-    n = qubit_count
-    dim = 1 << n
     try:
-        values = np.array([expectations[pauli] for pauli in _pauli_strings(n)[1:]],
-                          dtype=float)
+        values = np.array([[expectations[pauli]
+                            for pauli in _pauli_strings(qubit_count)[1:]]], dtype=float)
     except KeyError as exc:
         raise ValueError(f"missing expectation for {exc.args[0]!r}") from None
-    # the same form for every string, in lexicographic order
-    phases, xmasks = np.ones((1, 1), dtype=complex), np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        phases = np.kron(phases, _PAULI_PHASE)
-        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
-    terms = phases[1:]
-    terms *= values[:, None]
-    by_xmask = np.zeros((dim, dim), dtype=complex)
-    by_xmask[0] = 1.0  # the identity on the diagonal
-    np.add.at(by_xmask, xmasks[1:], terms)
-    rows = np.arange(dim)[:, None]
-    rho = by_xmask[rows ^ rows.T, rows]
-    rho /= dim
-    return (rho + rho.conj().T) / 2.0
+    return _densities(values, qubit_count)[0]
+
+
+def reconstruct_states(weights: np.ndarray, tags: list[str] | None = None) -> np.ndarray:
+    """The reconstructed state of every dataset in a ``(L, settings, 2**n)``
+    weight stack, as an ``(L, 2**n, 2**n)`` array.
+
+    ``tags`` names the settings along the second axis and defaults to all of
+    ``qst_settings(n)`` in canonical order.  All L x (4**n - 1) estimates
+    come from one ``_estimates`` pass and all L states from one
+    ``np.add.at``; each state is bitwise ``reconstruct_from_dataset`` of its
+    own dataset.
+    """
+    n = weights.shape[-1].bit_length() - 1
+    tags = qst_settings(n) if tags is None else tags
+    return _densities(_estimates(weights, tags, np.arange(1, 4 ** n)), n)
 
 
 def reconstruct_from_dataset(dataset: TomographyDataset) -> np.ndarray:
-    return reconstruct_density(all_expectations(dataset), dataset.qubit_count)
+    return reconstruct_states(*_stacked(dataset))[0]
 
 
 def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -441,26 +515,54 @@ def child_seeds(seed: int | None, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
+                    qubits: tuple[int, ...] | None = None,
+                    shots: int | None = None,
+                    seeds: Sequence[int | None] | None = None) -> np.ndarray:
+    """Run every setting circuit of every preparation as one stream.
+
+    Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
+    weights, settings in canonical order: exact probabilities (float) when
+    ``shots`` is None, else counts (int).  Each setting's rotations and
+    measures are built once and appended to every preparation, and all
+    circuits go through one ``execute_many`` stream, preparation after
+    preparation, so each preparation is evolved once, preparations that
+    share leading gates evolve them once, and each setting evolves only what
+    it does not share with the setting before it.  A sampled preparation
+    takes its entry of ``seeds`` (fresh entropy when it or ``seeds`` is
+    None) and its settings the seeds ``child_seeds(seed, 3**n)``.  The
+    weights are checked as a dataset's are, all settings as one stack.
+    """
+    if qubits is None:
+        qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
+    qubits = tuple(qubits)
+    settings = qst_settings(len(qubits))
+    suffixes = [_setting_suffix(tag, qubits) for tag in settings]
+    circuits = [_measured(prep, suffix, len(qubits)) for prep in preps for suffix in suffixes]
+    circuit_seeds = None
+    if shots is not None:
+        seeds = [None] * len(preps) if seeds is None else seeds
+        if len(seeds) != len(preps):
+            raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, len(settings))]
+    stack = np.empty((len(circuits), 1 << len(qubits)),
+                     dtype=float if shots is None else np.intp)
+    for row, result in enumerate(execute_many(circuits, backend, shots, circuit_seeds)):
+        stack[row] = result.probabilities if shots is None else result.counts
+    _check_weights(stack, settings * len(preps), shots)
+    stack.setflags(write=False)
+    return stack.reshape(len(preps), len(settings), 1 << len(qubits))
+
+
 def collect_dataset(prep: Circuit, backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
-    """Run every setting circuit for ``prep`` and bundle the outcomes.
-
-    The 3**n circuits go through one ``execute_many`` stream in canonical
-    order, so ``prep`` is evolved once and each setting evolves only the
-    rotations and measures it does not share with the setting before it.
-    """
-    if qubits is None:
-        qubits = tuple(range(prep.qubit_count - 1, -1, -1))
-    settings = qst_settings(len(qubits))
-    circuits = [append_setting(prep, tag, qubits) for tag in settings]
-    seeds = None if shots is None else child_seeds(seed, len(settings))
-    records = {
-        tag: result.probabilities if shots is None else result.counts
-        for tag, result in zip(settings, execute_many(circuits, backend, shots, seeds))
-    }
-    return TomographyDataset(qubit_count=len(qubits), shots=shots, records=records)
+    """Run every setting circuit for ``prep`` and bundle the outcomes: the
+    one-preparation case of ``collect_weights``, whose rows the dataset keeps."""
+    (weights,) = collect_weights([prep], backend, qubits, shots, [seed])
+    n = weights.shape[1].bit_length() - 1
+    return TomographyDataset(n, shots, dict(zip(qst_settings(n), weights)))
 
 
 @dataclass(frozen=True)

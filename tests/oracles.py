@@ -4,7 +4,9 @@ None of these is on the tomography pipeline: the backend evolves only the
 active qubits with cached superoperators, state tomography adds Paulis in
 monomial form, and chi is inverted in closed form.  Each function here
 builds the same object the slow, obvious way, on the conventions stated in
-``qptkit.operators``.
+``qptkit.operators``; ``per_label_qpt`` is process tomography run one
+preparation at a time, as ``run_qpt`` did before it ran a placement as one
+stream.
 """
 
 from __future__ import annotations
@@ -15,7 +17,18 @@ import numpy as np
 
 from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
 from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
-from qptkit.process_tomography import fixed_operator_set, matrix_unit_basis
+from qptkit.process_tomography import (
+    chi_from_outputs,
+    fixed_operator_set,
+    matrix_unit_basis,
+    preparation_circuit,
+    preparation_recipes,
+    process_fidelity,
+    theoretical_chi,
+    tp_deviation,
+)
+from qptkit.qasm import Gate
+from qptkit.state_tomography import child_seeds, collect_dataset, reconstruct_from_dataset
 
 SINGLE_QUBIT_GATES: tuple[str, ...] = tuple(
     name for name, arity in GATE_ARITY.items() if arity == 1
@@ -158,3 +171,27 @@ def beta_tensor(qubit_count: int) -> np.ndarray:
             for j, rho_j in enumerate(basis):
                 beta[j * d2:(j + 1) * d2, col] = (em @ rho_j @ en_dag).reshape(-1)
     return beta
+
+
+def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=None):
+    """(chi, fidelity, tp_deviation) of ``run_qpt`` as one state tomography
+    per preparation label: a ``collect_dataset`` stream and a
+    ``reconstruct_from_dataset`` for each label in sorted order, with the
+    label seeds ``child_seeds(seed, len(labels))``."""
+    n = len(lines)
+    recipes = preparation_recipes(n)
+    labels = sorted({label for recipe in recipes for _, label in recipe.terms})
+    out_by_label = {}
+    for label, label_seed in zip(labels, child_seeds(seed, len(labels))):
+        prep = preparation_circuit(label, lines).extended(Gate(gate, lines))
+        dataset = collect_dataset(prep, backend, qubits=lines, shots=shots, seed=label_seed)
+        out_by_label[label] = reconstruct_from_dataset(dataset)
+    d = 1 << n
+    outputs = []
+    for recipe in recipes:
+        acc = np.zeros((d, d), dtype=complex)
+        for coeff, label in recipe.terms:
+            acc += coeff * out_by_label[label]
+        outputs.append(acc)
+    chi = chi_from_outputs(outputs, n)
+    return chi, process_fidelity(theoretical_chi(gate), chi), tp_deviation(chi)

@@ -425,12 +425,20 @@ def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
     return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
 
 
+def _check_sample(probabilities, circuit, backend, shots, seed):
+    want = _searchsorted_sample(probabilities, circuit, backend, shots, seed)
+    got = backend_module._sample(probabilities, circuit, backend, shots, seed)
+    assert got.dtype.kind == "i" and len(got) == len(probabilities)
+    assert not got.flags.writeable
+    assert list(outcome_dict(got).items()) == list(want.items())
+
+
 def test_sample_matches_searchsorted_reference():
     rng = np.random.default_rng(8)
-    for trial in range(40):
+    # random flips, then every flip zero (counted without per-shot outcomes)
+    for trial, flip_choices in enumerate([["0.0", "0.05", "0.3"]] * 40 + [["0.0"]] * 30):
         m = int(rng.integers(1, 6))
-        flips = {f"q{q}__readout_flip": str(rng.choice(["0.0", "0.05", "0.3"]))
-                 for q in range(5)}
+        flips = {f"q{q}__readout_flip": str(rng.choice(flip_choices)) for q in range(5)}
         backend = load_backend(_config(**flips))
         qubits = rng.permutation(5)[:m]
         clbits = rng.permutation(m)
@@ -438,11 +446,25 @@ def test_sample_matches_searchsorted_reference():
         weights = rng.random(1 << m) * (rng.random(1 << m) < 0.6)
         weights[int(rng.integers(1 << m))] += 0.01
         probabilities = weights / weights.sum()
-        shots = int(rng.integers(1, 3000))
-        want = _searchsorted_sample(probabilities, circuit, backend, shots, trial)
-        got = backend_module._sample(probabilities, circuit, backend, shots, trial)
-        assert got.dtype.kind == "i" and len(got) == 1 << m and not got.flags.writeable
-        assert list(outcome_dict(got).items()) == list(want.items())
+        for shots in (int(rng.integers(1, 3000)), 1):
+            _check_sample(probabilities, circuit, backend, shots, trial)
+
+
+@pytest.mark.parametrize("flip", ["0.0", "0.1"])
+def test_sample_draw_on_a_cdf_bound(flip):
+    backend = load_backend(_config(q0__readout_flip=flip, q1__readout_flip=flip))
+    circuit = Circuit(5, 2, (Measure(0, 0), Measure(1, 1)))
+    for seed in range(20):
+        draws = np.random.default_rng(seed).random((5, 3))[:, 0]
+        u = float(draws.max())  # above 0.5 for these seeds, so 1 - u is exact
+        # cumulative weights u/4, u/2, u, 1: the largest draw sits on the third
+        probabilities = np.array([u / 4, u / 4, u / 2, 1.0 - u])
+        cdf = np.cumsum(probabilities)
+        assert cdf[-1] == 1.0 and cdf[2] == u
+        _check_sample(probabilities, circuit, backend, 5, seed)
+        if flip == "0.0":
+            # searchsorted(side="right") puts the draw above the bound
+            assert backend_module._sample(probabilities, circuit, backend, 5, seed)[3] >= 1
 
 
 def _tensordot_apply(sup, rho, axes, k):

@@ -1,5 +1,6 @@
 """Operator sets, the closed-form chi inversion, chi matrices, QPT pipelines."""
 
+import dataclasses
 import itertools
 import math
 
@@ -16,7 +17,9 @@ from qptkit import (
     run_qpt,
     theoretical_chi,
 )
+from qptkit import backend as backend_module
 from qptkit import channels
+from qptkit import state_tomography
 from qptkit.channels import amplitude_damping, apply_channel
 from qptkit.process_tomography import (
     FixedOperatorSet,
@@ -33,7 +36,7 @@ from qptkit.process_tomography import (
 from qptkit.qasm import Gate
 
 from conftest import haar_unitary, random_density
-from oracles import beta_tensor, unitary_as_channel
+from oracles import beta_tensor, per_label_qpt, unitary_as_channel
 
 MINUS_IY = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -497,6 +500,46 @@ def test_run_qpt_sampled_deterministic(qx4_quiet):
     assert a.fidelity == b.fidelity
     assert a.fidelity > 0.95
     assert a.shots == 2048 and a.seed == 0
+
+
+@pytest.mark.parametrize("mode", ["qx4", "quiet", "idle", "qx2", "flips"])
+@pytest.mark.parametrize("gate, lines", [("h", (2,)), ("cx", (3, 4))])
+def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
+    flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.03) for q in qx4.qubits)
+    backend = {"qx4": qx4, "quiet": qx4.with_noise(False),
+               "idle": qx4.with_idle_decay(True), "qx2": qx2,
+               "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
+    for shots, seed in ((None, None), (3000, 7)):
+        res = run_qpt(gate, lines, backend, shots=shots, seed=seed)
+        chi, fidelity, tp_dev = per_label_qpt(gate, lines, backend, shots=shots, seed=seed)
+        assert np.array_equal(res.chi.matrix, chi.matrix)
+        assert res.residual == chi.residual
+        assert res.fidelity == fidelity
+        assert res.tp_deviation == tp_dev
+
+
+def test_run_qpt_is_one_stream(qx4, monkeypatch):
+    streams, checks = [], []
+    execute_many = state_tomography.execute_many
+    check = backend_module.check_density_matrix
+
+    def counting_stream(circuits, *args):
+        streams.append(len(circuits))
+        return execute_many(circuits, *args)
+
+    def counting_check(matrices, *args, **kwargs):
+        checks.append(len(matrices))
+        return check(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(state_tomography, "execute_many", counting_stream)
+    monkeypatch.setattr(backend_module, "check_density_matrix", counting_check)
+    run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
+    # 16 preparations x 9 settings, in one stream and one stacked check
+    assert streams == [144] and checks == [144]
+    streams.clear()
+    checks.clear()
+    run_qpt("h", (0,), qx4)
+    assert streams == [12] and checks == [12]
 
 
 def test_run_qpt_argument_errors(qx4):

@@ -8,6 +8,7 @@ import pytest
 
 from qptkit import parse_report, run_qpt
 from qptkit.reports import (
+    _grid,
     chi_grids,
     chi_report_dict,
     dump_report,
@@ -135,6 +136,9 @@ def _as(report, **changes):
         (_as(_SEEDS_REPORT, fidelity=0.5, seed=3), r"invalid report: unknown field\(s\) fidelity, seed"),
         (lambda r: r.update(qubits=1), r"invalid report: unknown field\(s\) qubits"),
         (_as(_QST_REPORT, fidelity=-0.5), "invalid report: negative fidelity"),
+        (lambda r: r.update(tp_deviation=-1e-12), "invalid report: negative tp_deviation"),
+        (lambda r: r.update(operator_labels=["I", "X", "Y", "Z"]),
+         r"invalid report: operator_labels \['I', 'X', 'Y', 'Z'\] are not \['I', 'X', '-iY', 'Z'\]"),
     ],
 )
 def test_report_validation(h_report, mutate, message):
@@ -293,6 +297,38 @@ def test_cli_argument_validation(tmp_path):
               "--out", str(tmp_path)])
     with pytest.raises(SystemExit, match="unknown gate"):
         main(base[:2] + ["rx"] + base[3:])
+
+
+def test_cli_backend_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "qx4").mkdir()
+    assert main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4",
+                 "--out", "reports"]) == 0
+    assert load_report(tmp_path / "reports" / "qpt_h_0.json")["backend"] == "ibmqx4-sim"
+
+
+def test_cli_malformed_backend_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text("name=x\nbroken\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["qpt", "--gate", "h", "--lines", "0", "--backend", "bad.cfg"])
+    assert exc.value.code == ("error: backend bad.cfg: line 2: expected key=value, "
+                              "got 'broken'")
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_grid_matches_per_element_oracle():
+    rng = np.random.default_rng(12)
+    matrix = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    matrix[3, 4] = complex(-0.0, 0.5)
+    matrix[5, 6] = complex(0.25, -0.0)
+    matrix[7, 7] = complex(-0.0, -0.0)
+    for part in (np.real, np.imag):
+        want = [[float(part(v)) for v in row] for row in matrix]
+        got = _grid(matrix, part)
+        assert json.dumps(got) == json.dumps(want)
+        assert all(type(v) is float for row in got for v in row)
+    assert [repr(v) for row in _grid(matrix, np.real) for v in row].count("-0.0") == 2
 
 
 def test_cli_qpt_gate_and_all_gates_exclusive(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qptkit.backend
+import qptkit.state_tomography
 from qptkit import (
     Circuit,
     Gate,
@@ -23,16 +24,20 @@ from qptkit import (
 )
 from oracles import outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
+from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
+    _estimates,
     all_expectations,
     append_setting,
     child_seeds,
+    collect_weights,
     estimate_pauli,
     project_psd,
     qst_settings,
     read_dataset,
     reconstruct_density,
     reconstruct_from_dataset,
+    reconstruct_states,
     state_fidelity,
     write_dataset,
 )
@@ -426,6 +431,27 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     assert len(applied) == 4 + 1 + 2
 
 
+def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
+    preps = [preparation_circuit(label, (1,), 5) for label in "01p"]
+    weights = collect_weights(preps, qx4_quiet, (1,))
+    assert weights.shape == (3, 3, 2) and not weights.flags.writeable
+    for prep, row in zip(preps, weights):
+        assert np.array_equal(row, np.array(list(collect_dataset(prep, qx4_quiet, (1,))
+                                                 .records.values())))
+    with pytest.raises(ValueError, match="2 seed"):
+        collect_weights(preps, qx4_quiet, (1,), shots=10, seeds=[1, 2])
+    execute_many = qptkit.state_tomography.execute_many
+
+    def corrupt_last(circuits, *args):
+        results = list(execute_many(circuits, *args))
+        results[-1] = ExecutionResult(probabilities=np.array([1.5, -0.5]))
+        return iter(results)
+
+    monkeypatch.setattr(qptkit.state_tomography, "execute_many", corrupt_last)
+    with pytest.raises(ValueError, match="negative weight for '1' under 'Y'"):
+        collect_weights(preps, qx4_quiet, (1,))
+
+
 def test_dataset_freezes_caller_arrays():
     w = np.array([100.0, 0.0])
     ds = TomographyDataset(1, 100, {"Z": w})
@@ -501,6 +527,48 @@ def test_all_expectations_match_per_string_oracle(n):
             rho += want[pauli] * pauli_string_matrix(pauli)
         rho /= 1 << n
         assert np.array_equal(reconstruct_from_dataset(ds), (rho + rho.conj().T) / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_reconstruction_matches_each_dataset(n):
+    rng = np.random.default_rng(300 + n)
+    strings = np.arange(1, 4 ** n)
+    for shots, keep in ((None, 1.0), (64, 1.0), (None, 0.6), (64, 0.4)):
+        tags = rng.permutation([t for t in qst_settings(n) if rng.random() < keep]
+                               or ["Z" * n]).tolist()
+        datasets = []
+        for _ in range(5):
+            probs = rng.dirichlet(np.ones(1 << n), size=len(tags))
+            zero = rng.random(probs.shape) < 0.2
+            zero[:, int(rng.integers(1 << n))] = False
+            probs[zero] = 0.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            weights = probs if shots is None else [rng.multinomial(shots, p) for p in probs]
+            datasets.append(TomographyDataset(n, shots, dict(zip(tags, weights))))
+        stack = np.array([list(ds.records.values()) for ds in datasets])
+        if len(tags) == 3 ** n:
+            got = reconstruct_states(stack, tags)
+            assert got.shape == (5, 1 << n, 1 << n)
+            for state, ds in zip(got, datasets):
+                assert np.array_equal(state, reconstruct_from_dataset(ds))
+            # canonical order is the default
+            order = [tags.index(t) for t in qst_settings(n)]
+            assert np.array_equal(reconstruct_states(stack[:, order]), got)
+            continue
+        # a missing setting: every string with a compatible setting reads the
+        # first one in canonical order, whatever the stack's tag order, as
+        # each dataset alone does; the first string without one raises
+        names = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        covered = [j for j in strings.tolist()
+                   if any(all(a in ("I", b) for a, b in zip(names[j], t)) for t in tags)]
+        values = _estimates(stack, tags, np.array(covered))
+        for row, ds in zip(values, datasets):
+            assert row.tolist() == [_reduce_estimate(ds, names[j]) for j in covered]
+        with pytest.raises(ValueError) as stacked:
+            reconstruct_states(stack, tags)
+        with pytest.raises(ValueError) as alone:
+            reconstruct_from_dataset(datasets[0])
+        assert str(stacked.value) == str(alone.value)
 
 
 def _old_write_dataset(dataset):
