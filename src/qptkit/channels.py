@@ -26,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_density_matrix
-
 __all__ = [
     "KrausChannel",
     "NoiseParams",
@@ -153,14 +151,12 @@ def _check_trace_preserving(channel: KrausChannel) -> None:
         raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
 
 
-def apply_channel(channel: KrausChannel, rho: np.ndarray, *, check: bool = True) -> np.ndarray:
-    """sum_k E_k rho E_k^dagger.
+def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k E_k rho E_k^dagger, for any matrix of the channel's size.
 
-    With ``check=True`` (the default) the channel must be trace preserving
-    within ``COMPLETENESS_ATOL`` and the output is re-validated as a density
-    matrix; this assumes the input was one.  Pass ``check=False`` to apply
-    the same linear map to arbitrary matrices, e.g. the non-Hermitian
-    elements of an operator basis.
+    Only the shape is checked: the map is linear and also takes
+    non-Hermitian matrices.  ``qpt_channel`` checks trace preservation once
+    per channel and its outputs as one stack.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << channel.qubit_count
@@ -168,11 +164,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray, *, check: bool = True)
         raise ValueError(
             f"state shape {rho.shape} does not match a {channel.qubit_count}-qubit channel"
         )
-    if check:
-        _check_trace_preserving(channel)
     out = np.zeros_like(rho)
     for op in channel.operators:
         out += op @ rho @ op.conj().T
-    if check:
-        check_density_matrix(out)
     return out

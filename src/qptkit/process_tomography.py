@@ -434,7 +434,7 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
     _check_trace_preserving(channel)
     labels = _distinct_labels(preparation_recipes(n))
-    outs = np.array([apply_channel(channel, preparation_state(label), check=False)
+    outs = np.array([apply_channel(channel, preparation_state(label))
                      for label in labels])
     check_density_matrix(outs)
     return _chi_from_preparations(dict(zip(labels, outs)), n)

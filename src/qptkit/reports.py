@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import GATE_ARITY
-from .process_tomography import ChiMatrix, QptResult, fixed_operator_set
+from .process_tomography import QptResult, fixed_operator_set
 from .qasm import QUBIT_COUNT
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "dump_report",
     "load_report",
     "parse_report",
-    "result_from_report",
     "seed_summary_dict",
     "qst_report_dict",
     "render_fidelity_tables",
@@ -234,7 +233,7 @@ def parse_report(text: str) -> dict:
     if kind == "qpt":
         _require(_is_fidelity(report["fidelity"]), "fidelity out of range")
         dim = len(report["operator_labels"])
-        # the fixed operator sets, and so result_from_report, cover n = 1, 2
+        # the fixed operator sets cover n = 1, 2
         _require(dim in (4, 16), f"chi dimension {dim} is not 4 or 16")
         _require(dim == 4**n, f"chi dimension {dim} does not fit lines {report['lines']}")
         labels = list(fixed_operator_set(n).labels)
@@ -266,24 +265,6 @@ def parse_report(text: str) -> dict:
     _require(report["executions"] == expected,
              f"executions {report['executions']} != {expected}")
     return report
-
-
-def result_from_report(report: dict) -> tuple[ChiMatrix, ChiMatrix, float]:
-    """Rebuild (chi, chi_theory, fidelity) from a loaded qpt report."""
-    if report.get("kind") != "qpt":
-        raise ValueError("not a qpt report")
-    d2 = len(report["operator_labels"])
-    n = {4: 1, 16: 2}[d2]
-    chi = ChiMatrix(
-        n,
-        np.array(report["chi_real"]) + 1j * np.array(report["chi_imag"]),
-        float(report["residual"]),
-    )
-    theory = ChiMatrix(
-        n,
-        np.array(report["chi_theory_real"]) + 1j * np.array(report["chi_theory_imag"]),
-    )
-    return chi, theory, float(report["fidelity"])
 
 
 # --- renderings ------------------------------------------------------------------

@@ -6,48 +6,44 @@ Pauli strings, see ``operators``); a setting's outcomes are an array of
 2**n weights, entry i for the bitstring ``format(i, f"0{n}b")``.  The
 circuit rotations are the usual ones: X is measured after an H, Y after
 Sdg then H, Z directly.  For ``n`` qubits all ``3**n`` settings are taken,
-enumerated with the per-qubit order Z < X < Y, lexicographically:
+enumerated with the per-qubit order Z < X < Y, lexicographically
+(``qst_settings``):
 
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
-An expectation value for a Pauli string is estimated from the first
-compatible setting in that enumeration (``I`` positions are marginalised by
-summing outcomes: outcome i is signed by (-1)^popcount(mask & i), mask
-marking the non-I positions); the reconstruction is the linear inversion
+``collect_weights`` runs the 3**n setting circuits of each of a list of
+preparations through one ``backend.execute_many`` stream and returns the
+complete canonical stack ``(L, 3**n, 2**n)``: preparation, setting in
+``qst_settings`` order, outcome.  Each preparation is evolved once,
+preparations sharing leading gates share their evolution, and the settings
+branch off it (sampled runs keep one seed per setting, derived from the
+preparation's seed).  That stack is the only input ``reconstruct_states``
+takes.
+
+The expectation value of a Pauli string reads the string's Z-filled
+setting (Z at every I position, the first compatible one in the
+enumeration): outcome i is signed by (-1)^popcount(mask & i), mask marking
+the non-I positions, and the signed sum is divided by the plain sum.  Both
+sums run left to right in outcome-index order (never by the builtin
+``sum``, which is compensated from Python 3.12 on), so a state's bits do
+not depend on the interpreter or on the other datasets of its stack.  The
+reconstruction is the linear inversion
 
     rho = 2^-n  sum_P  <P> P
 
 over all 4**n strings with the identity-string coefficient pinned to one,
-followed by symmetrisation (rho + rho^dagger)/2.  The result can carry small
-negative eigenvalues at finite shots; ``project_psd`` clips them for
-reporting, the raw matrix is never silently altered.
+followed by symmetrisation (rho + rho^dagger)/2, so every state has trace 1
+by construction.  The result can carry small negative eigenvalues at finite
+shots; ``project_psd`` clips them for reporting, the raw matrix is never
+silently altered.
 
-``collect_weights`` builds the 3**n setting circuits of each of a list of
-preparations, each setting's rotations and measures built once, and runs
-them all through one ``backend.execute_many`` stream, so each preparation
-is evolved once, preparations sharing leading gates share their evolution,
-and the settings branch off it (sampled runs keep one seed per setting,
-derived from the preparation's seed).  ``collect_dataset`` is its
-one-preparation case.
-
-An expectation value reads its setting directly: for a Pauli string, Z at
-every I position is the first compatible tag, and the enumeration is
-scanned only when that setting was not recorded.  All 4**n estimates of a
-stack of datasets with the same recorded settings come from one pass over
-the stacked weights, one vector add per outcome, so the signed sum and the
-total of every string are added left to right in outcome-index order
-(never by the builtin ``sum``, which is compensated from Python 3.12 on);
-``all_expectations`` and ``estimate_pauli`` are the same computation for
-one dataset and for one string.  The reconstruction adds every string's
-entries of every dataset through one ``np.add.at`` in lexicographic string
-order; ``reconstruct_from_dataset`` is its one-dataset case.
-A dataset keeps a read-only copy of any weight array its caller could
-still change, so the checks it passed keep holding.
-
-Datasets serialise to line-oriented text (``format=1`` header, one record
-per setting, ``bitstring:weight`` for every nonzero weight) so runs can be
-stored and re-analysed; that text is the only place outcome bitstrings are
-written or read.
+A ``TomographyDataset`` holds one preparation's weights by setting tag and
+keeps a read-only copy of any array its caller could still change, so the
+checks it passed keep holding.  Datasets serialise to line-oriented text
+(``format=1`` header, one record per setting, ``bitstring:weight`` for
+every nonzero weight) so runs can be stored and re-analysed: a complete
+dataset's records, stacked in ``qst_settings`` order, are a stack of one.
+That text is the only place outcome bitstrings are written or read.
 """
 
 from __future__ import annotations
@@ -66,12 +62,7 @@ __all__ = [
     "BASIS_ORDER",
     "TomographyDataset",
     "qst_settings",
-    "append_setting",
-    "estimate_pauli",
-    "all_expectations",
-    "reconstruct_density",
     "reconstruct_states",
-    "reconstruct_from_dataset",
     "project_psd",
     "state_fidelity",
     "write_dataset",
@@ -113,28 +104,6 @@ def _setting_suffix(setting: str, qubits: tuple[int, ...]) -> tuple[Gate | Measu
     k = len(qubits)
     extra.extend(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
     return tuple(extra)
-
-
-def _measured(circuit: Circuit, suffix: tuple[Gate | Measure, ...], k: int) -> Circuit:
-    """``circuit`` followed by a setting's suffix, read into a k-bit register."""
-    if circuit.measurements:
-        raise ValueError("circuit already contains measurements")
-    return circuit.extended(*suffix, classical_count=k)
-
-
-def append_setting(circuit: Circuit, setting: str,
-                   qubits: list[int] | tuple[int, ...] | None = None) -> Circuit:
-    """Append basis rotations and measurements for one setting.
-
-    ``qubits`` lists the measured qubits most significant first and defaults
-    to the whole register; ``setting[p]`` applies to ``qubits[p]``, which is
-    measured into classical bit ``len(qubits)-1-p``.  The input circuit must
-    not measure anything itself; its classical register is replaced.
-    """
-    if qubits is None:
-        qubits = tuple(range(circuit.qubit_count - 1, -1, -1))
-    qubits = tuple(qubits)
-    return _measured(circuit, _setting_suffix(setting, qubits), len(qubits))
 
 
 def _frozen(weights: np.ndarray) -> bool:
@@ -220,14 +189,6 @@ class TomographyDataset:
                 and all(np.array_equal(w, other.records[t]) for t, w in self.records.items()))
 
 
-def _first_compatible(tags: list[str], pauli: str) -> str:
-    # the first tag in Z < X < Y order that matches pauli off its I positions
-    for tag in qst_settings(len(pauli)):
-        if tag in tags and all(p in ("I", s) for p, s in zip(pauli, tag)):
-            return tag
-    raise ValueError(f"no recorded setting is compatible with {pauli!r}")
-
-
 @lru_cache(maxsize=None)
 def _parity_signs(qubit_count: int) -> np.ndarray:
     """(-1)^popcount(mask & outcome), indexed [mask, outcome]; read-only."""
@@ -254,34 +215,18 @@ def _pauli_table(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, defaults
 
 
-def _pauli_strings(qubit_count: int) -> list[str]:
-    """Every Pauli string in lexicographic I < X < Y < Z order."""
-    return list(map("".join, itertools.product("IXYZ", repeat=qubit_count)))
+def _estimates(weights: np.ndarray, strings: np.ndarray) -> np.ndarray:
+    """<P> of each dataset of a canonical ``(L, 3**n, 2**n)`` stack for the
+    Pauli strings at the given lexicographic indices (not the identity),
+    each from its Z-filled setting.
 
-
-_SETTING_DIGITS = str.maketrans(BASIS_ORDER, "012")
-_LEX_DIGITS = str.maketrans("IXYZ", "0123")
-
-
-def _estimates(weights: np.ndarray, tags: list[str], strings: np.ndarray) -> np.ndarray:
-    """<P> of each stacked dataset for the Pauli strings at the given
-    lexicographic indices (not the identity), each from its first compatible
-    setting; ``weights[l, s]`` holds dataset l's weights under ``tags[s]``.
-
-    Every estimate is the signed sum over its setting's outcomes divided by
-    their plain sum.  Both sums run sequentially in outcome-index order, one
-    vector add per outcome over all datasets and requested strings, so each
-    value is bitwise the sequential sum of that string of that dataset
-    alone; no ``4^n x 2^n`` array is formed.
+    Both sums run in outcome-index order, one vector add per outcome over
+    all datasets and requested strings, so each value is bitwise the
+    sequential sum of that string of that dataset alone.
     """
     n = weights.shape[-1].bit_length() - 1
     masks, defaults = _pauli_table(n)
-    row_of = np.full(3 ** n, -1)
-    row_of[[int(tag.translate(_SETTING_DIGITS), 3) for tag in tags]] = np.arange(len(tags))
-    rows = row_of[defaults[strings]]
-    for j in np.flatnonzero(rows < 0).tolist():  # Z-filled setting not recorded
-        pauli = _pauli_strings(n)[strings[j]]
-        rows[j] = tags.index(_first_compatible(tags, pauli))
+    rows = defaults[strings]
     weights = np.asarray(weights, dtype=float)
     signs = _parity_signs(n)
     mask = masks[strings]
@@ -292,32 +237,6 @@ def _estimates(weights: np.ndarray, tags: list[str], strings: np.ndarray) -> np.
         total += column
         signed += signs[mask, outcome] * column
     return signed / total
-
-
-def _stacked(dataset: TomographyDataset) -> tuple[np.ndarray, list[str]]:
-    """A dataset's weights as a stack of one, ``(1, settings, 2**n)``, and its tags."""
-    weights = np.array(list(dataset.records.values()), dtype=float)
-    return weights.reshape(1, len(dataset.records), 1 << dataset.qubit_count), list(dataset.records)
-
-
-def estimate_pauli(dataset: TomographyDataset, pauli: str) -> float:
-    """Estimate <P> for a Pauli string (letters I X Y Z, high qubit first).
-
-    The same computation as ``all_expectations``, for one string.
-    """
-    n = dataset.qubit_count
-    if len(pauli) != n or any(ch not in "IXYZ" for ch in pauli):
-        raise ValueError(f"bad Pauli string {pauli!r} for {n} qubit(s)")
-    if pauli == "I" * n:
-        return 1.0
-    string = int(pauli.translate(_LEX_DIGITS), 4)
-    return float(_estimates(*_stacked(dataset), np.array([string]))[0, 0])
-
-
-def all_expectations(dataset: TomographyDataset) -> dict[str, float]:
-    """<P> for every one of the 4**n Pauli strings, in lexicographic order."""
-    values = _estimates(*_stacked(dataset), np.arange(1, 4 ** dataset.qubit_count))[0]
-    return dict(zip(_pauli_strings(dataset.qubit_count), [1.0] + values.tolist()))
 
 
 # I, X, Y, Z in monomial form: row r has its one nonzero entry at column
@@ -358,42 +277,21 @@ def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
     return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
-def reconstruct_density(expectations: dict[str, float], qubit_count: int) -> np.ndarray:
-    """Linear inversion rho = 2^-n sum <P> P, symmetrised.
+def reconstruct_states(weights: np.ndarray) -> np.ndarray:
+    """The reconstructed state of every dataset in an ``(L, 3**n, 2**n)``
+    weight stack, settings in ``qst_settings`` order, as an
+    ``(L, 2**n, 2**n)`` array.  Any other shape raises ``ValueError``.
 
-    All 4**n strings except the identity must be present; the identity
-    coefficient is pinned to 1, which fixes the trace exactly.  Each string
-    is added in monomial form: row r holds its one nonzero entry at column
-    r ^ xmask, so only those 2**n entries are touched.  The sum is kept in
-    xor coordinates, entry (r, r ^ x) at [x, r], where a string adds to the
-    one row x = xmask; all strings go in through one ``np.add.at``, which adds
-    in lexicographic string order, as the dense sum does.
+    All L x (4**n - 1) estimates come from one ``_estimates`` pass and all L
+    states from one ``np.add.at``; each state is bitwise the reconstruction
+    of its own dataset alone.
     """
-    try:
-        values = np.array([[expectations[pauli]
-                            for pauli in _pauli_strings(qubit_count)[1:]]], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"missing expectation for {exc.args[0]!r}") from None
-    return _densities(values, qubit_count)[0]
-
-
-def reconstruct_states(weights: np.ndarray, tags: list[str] | None = None) -> np.ndarray:
-    """The reconstructed state of every dataset in a ``(L, settings, 2**n)``
-    weight stack, as an ``(L, 2**n, 2**n)`` array.
-
-    ``tags`` names the settings along the second axis and defaults to all of
-    ``qst_settings(n)`` in canonical order.  All L x (4**n - 1) estimates
-    come from one ``_estimates`` pass and all L states from one
-    ``np.add.at``; each state is bitwise ``reconstruct_from_dataset`` of its
-    own dataset.
-    """
-    n = weights.shape[-1].bit_length() - 1
-    tags = qst_settings(n) if tags is None else tags
-    return _densities(_estimates(weights, tags, np.arange(1, 4 ** n)), n)
-
-
-def reconstruct_from_dataset(dataset: TomographyDataset) -> np.ndarray:
-    return reconstruct_states(*_stacked(dataset))[0]
+    shape = np.shape(weights)
+    n = shape[-1].bit_length() - 1 if shape else 0
+    if len(shape) != 3 or not 1 <= n <= QUBIT_COUNT or shape[1:] != (3 ** n, 1 << n):
+        raise ValueError(f"expected an (L, 3**n, 2**n) weight stack with settings in "
+                         f"qst_settings order, got shape {shape}")
+    return _densities(_estimates(weights, np.arange(1, 4 ** n)), n)
 
 
 def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -523,22 +421,22 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
 
     Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
     weights, settings in canonical order: exact probabilities (float) when
-    ``shots`` is None, else counts (int).  Each setting's rotations and
-    measures are built once and appended to every preparation, and all
-    circuits go through one ``execute_many`` stream, preparation after
-    preparation, so each preparation is evolved once, preparations that
-    share leading gates evolve them once, and each setting evolves only what
-    it does not share with the setting before it.  A sampled preparation
-    takes its entry of ``seeds`` (fresh entropy when it or ``seeds`` is
-    None) and its settings the seeds ``child_seeds(seed, 3**n)``.  The
-    weights are checked as a dataset's are, all settings as one stack.
+    ``shots`` is None, else counts (int).  ``qubits`` lists the measured
+    qubits most significant first and defaults to the whole register; no
+    preparation may measure anything itself.  A sampled preparation takes
+    its entry of ``seeds`` (fresh entropy when it or ``seeds`` is None) and
+    its settings the seeds ``child_seeds(seed, 3**n)``.  The weights are
+    checked as a dataset's are, all settings as one stack.
     """
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
     settings = qst_settings(len(qubits))
     suffixes = [_setting_suffix(tag, qubits) for tag in settings]
-    circuits = [_measured(prep, suffix, len(qubits)) for prep in preps for suffix in suffixes]
+    if any(prep.measurements for prep in preps):
+        raise ValueError("circuit already contains measurements")
+    circuits = [prep.extended(*suffix, classical_count=len(qubits))
+                for prep in preps for suffix in suffixes]
     circuit_seeds = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
@@ -579,6 +477,8 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     ``shots=None`` uses exact outcome probabilities; otherwise each of the
     3**n settings is sampled with its own seed derived from ``seed``.
     """
-    dataset = collect_dataset(circuit, backend, shots=shots, seed=seed)
-    state = reconstruct_from_dataset(dataset)
-    return QstRun(state=state, dataset=dataset, executions=len(dataset.records))
+    n = circuit.qubit_count
+    weights = collect_weights([circuit], backend, shots=shots, seeds=[seed])
+    dataset = TomographyDataset(n, shots, dict(zip(qst_settings(n), weights[0])))
+    return QstRun(state=reconstruct_states(weights)[0], dataset=dataset,
+                  executions=weights.shape[1])

@@ -6,7 +6,9 @@ monomial form, and chi is inverted in closed form.  Each function here
 builds the same object the slow, obvious way, on the conventions stated in
 ``qptkit.operators``; ``per_label_qpt`` is process tomography run one
 preparation at a time, as ``run_qpt`` did before it ran a placement as one
-stream.
+stream.  ``append_setting`` builds one setting circuit on its own, and
+``dataset_stack`` turns datasets into the canonical weight stack that
+``reconstruct_states`` takes.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ from qptkit.process_tomography import (
     theoretical_chi,
     tp_deviation,
 )
-from qptkit.qasm import Gate
-from qptkit.state_tomography import child_seeds, collect_dataset, reconstruct_from_dataset
+from qptkit.qasm import Circuit, Gate
+from qptkit.state_tomography import (
+    _setting_suffix,
+    child_seeds,
+    collect_dataset,
+    qst_settings,
+    reconstruct_states,
+)
 
 SINGLE_QUBIT_GATES: tuple[str, ...] = tuple(
     name for name, arity in GATE_ARITY.items() if arity == 1
@@ -43,6 +51,23 @@ def outcome_dict(weights: np.ndarray) -> dict:
     """
     m = len(weights).bit_length() - 1
     return {format(i, f"0{m}b"): w for i, w in enumerate(weights.tolist()) if w}
+
+
+def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
+    """One setting circuit: ``circuit``, then the setting's basis rotations and
+    measures, as ``collect_weights`` builds it.  ``qubits`` lists the measured
+    qubits most significant first and defaults to the whole register."""
+    if qubits is None:
+        qubits = range(circuit.qubit_count - 1, -1, -1)
+    qubits = tuple(qubits)
+    return circuit.extended(*_setting_suffix(setting, qubits), classical_count=len(qubits))
+
+
+def dataset_stack(*datasets) -> np.ndarray:
+    """The ``(L, 3**n, 2**n)`` float weight stack of datasets, settings in
+    ``qst_settings`` order; a dataset that lacks a setting raises KeyError."""
+    tags = qst_settings(datasets[0].qubit_count)
+    return np.array([[ds.records[tag] for tag in tags] for ds in datasets], dtype=float)
 
 
 def density_violation(rho: np.ndarray, atol: float = 1e-9) -> str | None:
@@ -175,9 +200,9 @@ def beta_tensor(qubit_count: int) -> np.ndarray:
 
 def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=None):
     """(chi, fidelity, tp_deviation) of ``run_qpt`` as one state tomography
-    per preparation label: a ``collect_dataset`` stream and a
-    ``reconstruct_from_dataset`` for each label in sorted order, with the
-    label seeds ``child_seeds(seed, len(labels))``."""
+    per preparation label: a ``collect_dataset`` stream and its own
+    reconstruction for each label in sorted order, with the label seeds
+    ``child_seeds(seed, len(labels))``."""
     n = len(lines)
     recipes = preparation_recipes(n)
     labels = sorted({label for recipe in recipes for _, label in recipe.terms})
@@ -185,7 +210,7 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
     for label, label_seed in zip(labels, child_seeds(seed, len(labels))):
         prep = preparation_circuit(label, lines).extended(Gate(gate, lines))
         dataset = collect_dataset(prep, backend, qubits=lines, shots=shots, seed=label_seed)
-        out_by_label[label] = reconstruct_from_dataset(dataset)
+        out_by_label[label] = reconstruct_states(dataset_stack(dataset))[0]
     d = 1 << n
     outputs = []
     for recipe in recipes:

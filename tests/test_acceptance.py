@@ -87,6 +87,17 @@ def test_noiseless_cx(cx_sweep):
     )
 
 
+def test_noiseless_sweep_worst_fidelity_nine_decimals(single_sweep, cx_sweep, qx4_quiet):
+    # the full sweep of scripts/noiseless_sweep.py, at the bound it prints
+    cx = {lines: cx_sweep[0].get(lines) or run_qpt("cx", lines, qx4_quiet)
+          for lines in sorted(qx4_quiet.coupling.pairs)}
+    fidelities = [r.fidelity for r in single_sweep[0].values()]
+    fidelities += [r.fidelity for r in cx.values()]
+    assert len(fidelities) == 51
+    assert f"{min(fidelities):.9f}" == "1.000000000"
+    _pass(f"all 51 noiseless qx4 placements: worst fidelity {min(fidelities):.9f}")
+
+
 def _random_decoherence(rng):
     t1 = rng.uniform(10.0, 100.0)
     t2 = rng.uniform(0.5 * t1, 2.0 * t1)
@@ -106,7 +117,7 @@ def test_channel_oracle_equivalence():
         tomographed = chi_to_channel(qpt_channel(channel))
         for unit in matrix_unit_basis(1):
             dev = np.abs(
-                tomographed(unit) - apply_channel(channel, unit, check=False)
+                tomographed(unit) - apply_channel(channel, unit)
             ).max()
             worst[1] = max(worst[1], dev)
     assert worst[1] <= 1e-8
@@ -120,7 +131,7 @@ def test_channel_oracle_equivalence():
         tomographed = chi_to_channel(qpt_channel(channel))
         for unit in matrix_unit_basis(2):
             dev = np.abs(
-                tomographed(unit) - apply_channel(channel, unit, check=False)
+                tomographed(unit) - apply_channel(channel, unit)
             ).max()
             worst[2] = max(worst[2], dev)
     assert worst[2] <= 1e-7

@@ -24,11 +24,11 @@ from qptkit import (
 )
 from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names
-from oracles import SINGLE_QUBIT_GATES, embed_channel, embed_gate, outcome_dict
+from oracles import SINGLE_QUBIT_GATES, append_setting, embed_channel, embed_gate, outcome_dict
 from qptkit.channels import decoherence_channel
 from qptkit.operators import standard_gate
 from qptkit.process_tomography import preparation_circuit
-from qptkit.state_tomography import append_setting, qst_settings
+from qptkit.state_tomography import qst_settings
 
 
 def _config(**overrides):

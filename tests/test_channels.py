@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
 from oracles import embed_channel, identity_channel, unitary_as_channel
-from qptkit import KrausChannel, NoiseParams
+from qptkit import KrausChannel, NoiseParams, qpt_channel
 from qptkit.channels import (
     amplitude_damping,
     apply_channel,
@@ -162,14 +162,16 @@ def test_amp_deph_commute():
         assert np.abs(ab - ba).max() < 1e-12
 
 
-def test_apply_channel_rejects_incomplete():
+def test_incomplete_channel_rejected_by_qpt_channel():
     broken = KrausChannel(1, (np.eye(2), np.eye(2)))
     assert abs(validate_completeness(broken) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="not trace preserving"):
-        apply_channel(broken, PLUS)
-    # the same map may still be applied as a plain linear map
-    out = apply_channel(broken, PLUS, check=False)
+        qpt_channel(broken)
+    # apply_channel is the plain linear map, checked for shape only
+    out = apply_channel(broken, PLUS)
     assert np.abs(out - 2 * PLUS).max() < 1e-12
+    with pytest.raises(ValueError, match="does not match a 1-qubit channel"):
+        apply_channel(broken, np.eye(4))
 
 
 def test_apply_channel_full_damping_absorbs():

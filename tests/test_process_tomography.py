@@ -428,7 +428,7 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(20):
         channel = _random_channel(rng, 2)
-        # the chi of one fully checked apply_channel call per preparation
+        # the chi of one apply_channel call per preparation
         want = _chi_from_preparations(
             {label: apply_channel(channel, preparation_state(label))
              for label in map("".join, itertools.product("01pr", repeat=2))}, 2)
@@ -455,8 +455,8 @@ def test_qpt_channel_checks_every_output_in_one_stack(monkeypatch):
     last = sorted(map("".join, itertools.product("01pr", repeat=2)))[-1]
     state = preparation_state(last)
     monkeypatch.setattr(process_tomography, "apply_channel",
-                        lambda ch, rho, check: np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-                        if rho is state else apply_channel(ch, rho, check=check))
+                        lambda ch, rho: np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+                        if rho is state else apply_channel(ch, rho))
     with pytest.raises(ValueError, match="^matrix 15: density matrix has negative eigenvalue"):
         qpt_channel(channel)
 

@@ -15,7 +15,6 @@ from qptkit.reports import (
     load_report,
     qst_report_dict,
     render_fidelity_tables,
-    result_from_report,
     seed_summary_dict,
 )
 from qptkit.state_tomography import read_dataset
@@ -38,11 +37,12 @@ def h_report(h_result):
 def test_report_roundtrip(h_result, h_report):
     text = dump_report(h_report)
     assert parse_report(text) == h_report
-    chi, theory, fidelity = result_from_report(json.loads(text))
-    assert np.abs(chi.matrix - h_result.chi.matrix).max() < 1e-12
-    assert np.abs(theory.matrix - h_result.chi_theory.matrix).max() < 1e-12
-    assert fidelity == h_result.fidelity
-    assert chi.residual == h_result.residual
+    loaded = json.loads(text)
+    for key, want in (("chi", h_result.chi.matrix), ("chi_theory", h_result.chi_theory.matrix)):
+        got = np.array(loaded[f"{key}_real"]) + 1j * np.array(loaded[f"{key}_imag"])
+        assert np.abs(got - want).max() < 1e-12
+    assert loaded["fidelity"] == h_result.fidelity
+    assert loaded["residual"] == h_result.residual
     assert parse_report(dump_report(_QST_REPORT)) == _QST_REPORT
     assert parse_report(dump_report(_SEEDS_REPORT)) == _SEEDS_REPORT
 
@@ -292,11 +292,61 @@ def test_cli_argument_validation(tmp_path):
         main(base + ["--seed", "1"])
     with pytest.raises(SystemExit, match="--seeds requires --shots"):
         main(base + ["--seeds", "2"])
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--shots", "8", "--seeds", "0"])
+    assert exc.value.code == 2  # an argparse error: "must be at least 1, got 0"
     with pytest.raises(SystemExit, match="neither a file nor a builtin"):
         main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx9",
               "--out", str(tmp_path)])
     with pytest.raises(SystemExit, match="unknown gate"):
         main(base[:2] + ["rx"] + base[3:])
+
+
+def test_cli_qst_seed_requires_shots(tmp_path):
+    circuit = tmp_path / "h.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
+    with pytest.raises(SystemExit, match="^error: --seed requires --shots$"):
+        main(["qst", "--circuit", str(circuit), "--backend", "qx4", "--seed", "5",
+              "--out", str(tmp_path)])
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["qpt", "qst"])
+@pytest.mark.parametrize("shots", ["0", "-5", "many"])
+def test_cli_rejects_bad_shots_at_parsing(tmp_path, capsys, command, shots):
+    circuit = tmp_path / "h.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
+    what = (["--all-gates", "--all-lines"] if command == "qpt"
+            else ["--circuit", str(circuit)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *what, "--backend", "qx4", "--shots", shots, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    reason = f"invalid int value: '{shots}'" if shots == "many" else f"must be at least 1, got {shots}"
+    # one error line, before any placement runs
+    assert err.count("error:") == 1 and f"error: argument --shots: {reason}" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_cli_qst_unreadable_circuit(tmp_path):
+    base = ["qst", "--backend", "qx4", "--out", str(tmp_path), "--circuit"]
+    missing = tmp_path / "missing.qasm"
+    with pytest.raises(SystemExit) as exc:
+        main(base + [str(missing)])
+    assert exc.value.code == f"error: {missing}: No such file or directory"
+    with pytest.raises(SystemExit) as exc:
+        main(base + [str(tmp_path)])
+    assert str(exc.value.code).startswith(f"error: {tmp_path}: ")
+    binary = tmp_path / "binary.qasm"
+    binary.write_bytes(b"\xff\xfe")
+    with pytest.raises(SystemExit, match=r"^error: .*binary\.qasm: 'utf-8' codec can't decode"):
+        main(base + [str(binary)])
+    bad = tmp_path / "bad.qasm"
+    bad.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0]\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(base + [str(bad)])
+    assert exc.value.code == f"error: {bad}: line 3, column 1: unexpected end of input"
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_cli_backend_name_beside_a_directory_of_that_name(tmp_path, monkeypatch):

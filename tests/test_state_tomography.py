@@ -22,21 +22,17 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import outcome_dict, pauli_string_matrix
+from oracles import append_setting, dataset_stack, outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
+    _densities,
     _estimates,
-    all_expectations,
-    append_setting,
     child_seeds,
     collect_weights,
-    estimate_pauli,
     project_psd,
     qst_settings,
     read_dataset,
-    reconstruct_density,
-    reconstruct_from_dataset,
     reconstruct_states,
     state_fidelity,
     write_dataset,
@@ -76,16 +72,16 @@ def test_append_setting_subset_of_register():
     assert got.classical_count == 2
 
 
-def test_append_setting_rejections():
+def test_append_setting_rejections(qx4_quiet):
     measured = Circuit(1, 1, (Measure(0, 0),))
     with pytest.raises(ValueError, match="already contains measurements"):
-        append_setting(measured, "Z")
+        collect_weights([measured], qx4_quiet)
     with pytest.raises(ValueError, match="letters for"):
         append_setting(Circuit(2, 0), "Z")
     with pytest.raises(ValueError, match="invalid basis letter"):
         append_setting(Circuit(1, 0), "Q")
     with pytest.raises(ValueError, match="duplicate qubits"):
-        append_setting(Circuit(2, 0), "ZZ", qubits=(1, 1))
+        collect_weights([Circuit(2, 0)], qx4_quiet, qubits=(1, 1))
 
 
 def _zz_dataset():
@@ -96,37 +92,49 @@ def _zz_dataset():
     )
 
 
+_LEX_DIGITS = str.maketrans("IXYZ", "0123")
+
+
+def _estimate(stack, pauli):
+    """<P> of every dataset of a canonical stack, P a string like "IZ"."""
+    return _estimates(stack, np.array([int(pauli.translate(_LEX_DIGITS), 4)]))[:, 0]
+
+
+def _canonical_stack(n, shots, rows):
+    """A one-dataset stack: the given setting rows, every other setting uniform."""
+    fill = 1.0 / (1 << n) if shots is None else shots / (1 << n)
+    weights = {tag: np.full(1 << n, fill) for tag in qst_settings(n)}
+    weights.update(rows)
+    return dataset_stack(TomographyDataset(n, shots, weights))
+
+
 def test_estimate_pauli_signs():
-    ds = _zz_dataset()
-    assert estimate_pauli(ds, "ZZ") == pytest.approx((40 - 30 - 20 + 10) / 100)
-    assert estimate_pauli(ds, "ZI") == pytest.approx((40 + 30 - 20 - 10) / 100)
-    assert estimate_pauli(ds, "IZ") == pytest.approx((40 - 30 + 20 - 10) / 100)
-    assert estimate_pauli(ds, "II") == 1.0
+    stack = _canonical_stack(2, 100, {"ZZ": np.array([40.0, 30.0, 20.0, 10.0])})
+    assert _estimate(stack, "ZZ") == pytest.approx((40 - 30 - 20 + 10) / 100)
+    assert _estimate(stack, "ZI") == pytest.approx((40 + 30 - 20 - 10) / 100)
+    assert _estimate(stack, "IZ") == pytest.approx((40 - 30 + 20 - 10) / 100)
+    # the identity coefficient is pinned: every state has trace 1
+    assert np.trace(reconstruct_states(stack)[0]) == 1.0
 
 
 def test_estimate_pauli_first_compatible_wins():
-    ds = TomographyDataset(
-        qubit_count=2,
-        shots=100,
-        records={
-            "ZX": np.array([75.0, 25.0, 0.0, 0.0]),
-            "XX": np.array([100.0, 0.0, 0.0, 0.0]),
-        },
-    )
-    # ZX precedes XX in the canonical enumeration, so it supplies <IX>.
-    assert estimate_pauli(ds, "IX") == pytest.approx(0.5)
-    assert estimate_pauli(ds, "XX") == pytest.approx(1.0)
-    # XZ, the first candidate for <XI>, is missing: the scan falls through to XX
-    assert estimate_pauli(ds, "XI") == pytest.approx(1.0)
+    stack = _canonical_stack(2, 100, {
+        "ZX": np.array([75.0, 25.0, 0.0, 0.0]),
+        "XZ": np.array([0.0, 0.0, 100.0, 0.0]),
+        "XX": np.array([100.0, 0.0, 0.0, 0.0]),
+    })
+    # ZX precedes XX in the canonical enumeration, so it supplies <IX>
+    assert _estimate(stack, "IX") == pytest.approx(0.5)
+    assert _estimate(stack, "XX") == pytest.approx(1.0)
+    # <XI> reads its Z-filled setting XZ, not XX
+    assert _estimate(stack, "XI") == pytest.approx(-1.0)
 
 
 def _scan_estimate(dataset, pauli):
     """The estimator as first written: scan every setting in canonical order."""
     for tag in qst_settings(dataset.qubit_count):
-        if tag in dataset.records and all(p in ("I", s) for p, s in zip(pauli, tag)):
+        if all(p in ("I", s) for p, s in zip(pauli, tag)):
             break
-    else:
-        return None
     acc = total = 0.0
     for outcome, weight in outcome_dict(dataset.records[tag]).items():
         sign = 1.0
@@ -143,45 +151,39 @@ def test_estimate_pauli_matches_full_scan_with_missing_settings(n):
     rng = np.random.default_rng(n)
     # integer counts, then exact float weights, where summation order shows
     for shots in (64, None):
-        for _ in range(20):
-            tags = [t for t in qst_settings(n) if rng.random() < 0.5] or ["Z" * n]
-            records = {}
-            for tag in tags:
-                probs = rng.dirichlet(np.ones(1 << n))
-                records[tag] = probs if shots is None else rng.multinomial(shots, probs)
-            ds = TomographyDataset(n, shots, records)
+        for _ in range(10):
+            ds = _random_dataset(rng, n, shots, 1.0)
+            stack = dataset_stack(ds)
             for letters in itertools.product("IXYZ", repeat=n):
                 pauli = "".join(letters)
-                want = 1.0 if pauli == "I" * n else _scan_estimate(ds, pauli)
-                if want is None:
-                    with pytest.raises(ValueError, match="no recorded setting"):
-                        estimate_pauli(ds, pauli)
-                else:
-                    assert estimate_pauli(ds, pauli) == want
+                if pauli != "I" * n:
+                    assert _estimate(stack, pauli) == _scan_estimate(ds, pauli)
+            # without every setting there is no stack to reconstruct from
+            missing = np.delete(stack, int(rng.integers(3 ** n)), axis=1)
+            with pytest.raises(ValueError, match="weight stack"):
+                reconstruct_states(missing)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_reconstruct_density_matches_dense_sum(n):
     rng = np.random.default_rng(10 + n)
     strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    expectations = {p: float(v) for p, v in zip(strings, rng.uniform(-1, 1, len(strings)))}
-    rho = np.eye(1 << n, dtype=complex)
-    for pauli in strings[1:]:
-        rho += expectations[pauli] * pauli_string_matrix(pauli)
-    rho /= 1 << n
-    want = (rho + rho.conj().T) / 2.0
-    assert np.array_equal(reconstruct_density(expectations, n), want)
-    del expectations[strings[-1]]
-    with pytest.raises(ValueError, match="missing expectation"):
-        reconstruct_density(expectations, n)
+    values = rng.uniform(-1, 1, (2, len(strings) - 1))
+    got = _densities(values, n)
+    for row, state in zip(values, got):
+        rho = np.eye(1 << n, dtype=complex)
+        for value, pauli in zip(row.tolist(), strings[1:]):
+            rho += value * pauli_string_matrix(pauli)
+        rho /= 1 << n
+        assert np.array_equal(state, (rho + rho.conj().T) / 2.0)
 
 
 def test_estimate_pauli_rejections():
-    ds = _zz_dataset()
-    with pytest.raises(ValueError, match="bad Pauli string"):
-        estimate_pauli(ds, "ZQ")
-    with pytest.raises(ValueError, match="no recorded setting"):
-        estimate_pauli(ds, "XX")
+    good = _canonical_stack(2, 100, {})
+    for bad in (good[0], good[:, :-1], good[:, :, :3], good[None], np.ones((1, 1, 1)),
+                np.ones((1, 3 ** 6, 64)), np.ones(0)):
+        with pytest.raises(ValueError, match=r"expected an \(L, 3\*\*n, 2\*\*n\) weight stack"):
+            reconstruct_states(bad)
 
 
 def test_dataset_validation():
@@ -355,8 +357,11 @@ def test_dataset_reader_errors():
 
 def test_reconstruct_requires_every_string():
     ds = _zz_dataset()
-    with pytest.raises(ValueError, match="no recorded setting"):
-        reconstruct_from_dataset(ds)
+    with pytest.raises(KeyError):
+        dataset_stack(ds)
+    stack = np.array([list(ds.records.values())], dtype=float)
+    with pytest.raises(ValueError, match=r"got shape \(1, 1, 4\)"):
+        reconstruct_states(stack)
 
 
 def test_child_seeds():
@@ -456,7 +461,7 @@ def test_dataset_freezes_caller_arrays():
     w = np.array([100.0, 0.0])
     ds = TomographyDataset(1, 100, {"Z": w})
     w[1] = 100.0  # after the checks: the dataset must not see it
-    assert estimate_pauli(ds, "Z") == 1.0
+    assert ds.records["Z"].tolist() == [100.0, 0.0]
     assert not ds.records["Z"].flags.writeable
     # a read-only view of a writable array is copied as well
     base = np.array([50.0, 50.0])
@@ -472,12 +477,10 @@ def test_dataset_freezes_caller_arrays():
 
 
 def _reduce_estimate(dataset, pauli):
-    """<P> with both sums as explicit left-to-right additions over outcome index."""
-    n = dataset.qubit_count
-    tag = next(t for t in qst_settings(n)
-               if t in dataset.records and all(p in ("I", s) for p, s in zip(pauli, t)))
+    """<P> from the Z-filled setting, both sums as explicit left-to-right
+    additions over outcome index."""
     mask = int("".join("0" if ch == "I" else "1" for ch in pauli), 2)
-    weights = dataset.records[tag].tolist()
+    weights = dataset.records[pauli.replace("I", "Z")].tolist()
     signed = [-w if bin(mask & i).count("1") & 1 else w for i, w in enumerate(weights)]
     return reduce(operator.add, signed, 0.0) / reduce(operator.add, weights, 0.0)
 
@@ -487,9 +490,11 @@ def test_estimates_are_sequential_sums():
     # compensated, as the builtin sum is from Python 3.12 on
     tenths = np.array([0.1] * 10 + [0.0] * 6)
     assert reduce(operator.add, tenths.tolist(), 0.0) == 0.9999999999999999
-    ds = TomographyDataset(4, None, {"ZZZZ": tenths, "XXXX": tenths[::-1].copy()})
-    for pauli in ("ZIII", "IIIZ", "ZZZZ", "IZIZ", "XXXX", "IXII"):
-        assert estimate_pauli(ds, pauli) == _reduce_estimate(ds, pauli)
+    rng = np.random.default_rng(4)
+    ds = TomographyDataset(4, None, {tag: rng.permutation(tenths) for tag in qst_settings(4)})
+    stack = dataset_stack(ds)
+    for pauli in ("ZIII", "IIIZ", "ZZZZ", "IZIZ", "XXXX", "IXII", "YIXZ"):
+        assert _estimate(stack, pauli) == _reduce_estimate(ds, pauli)
 
 
 def _random_dataset(rng, n, shots, keep):
@@ -497,7 +502,9 @@ def _random_dataset(rng, n, shots, keep):
     records = {}
     for tag in rng.permutation(tags).tolist():
         probs = rng.dirichlet(np.ones(1 << n))
-        probs[rng.random(1 << n) < 0.2] = 0.0  # zero weights, as exact runs have
+        zero = rng.random(1 << n) < 0.2  # zero weights, as exact runs have
+        zero[int(rng.integers(1 << n))] = False
+        probs[zero] = 0.0
         probs /= probs.sum()
         records[tag] = probs if shots is None else rng.multinomial(shots, probs)
     return TomographyDataset(n, shots, records)
@@ -507,68 +514,42 @@ def _random_dataset(rng, n, shots, keep):
 def test_all_expectations_match_per_string_oracle(n):
     rng = np.random.default_rng(100 + n)
     strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    for shots, keep in ((None, 1.0), (64, 1.0), (None, 0.7), (64, 0.5), (None, 0.2)):
-        ds = _random_dataset(rng, n, shots, keep)
-        try:
-            want = {p: 1.0 if p == strings[0] else _reduce_estimate(ds, p) for p in strings}
-        except StopIteration:  # some string has no compatible setting
-            missing = next(p for p in strings[1:]
-                           if not any(t in ds.records and all(a in ("I", b) for a, b in zip(p, t))
-                                      for t in qst_settings(n)))
-            with pytest.raises(ValueError, match=f"compatible with '{missing}'"):
-                all_expectations(ds)
-            continue
-        got = all_expectations(ds)
-        assert list(got) == strings
-        assert all(got[p] == want[p] for p in strings)
+    for shots in (None, 64):
+        ds = _random_dataset(rng, n, shots, 1.0)
+        want = [_reduce_estimate(ds, p) for p in strings[1:]]
+        stack = dataset_stack(ds)
+        assert _estimates(stack, np.arange(1, 4 ** n))[0].tolist() == want
         # the reconstruction is the dense sum over those same values, bitwise
         rho = np.eye(1 << n, dtype=complex)
-        for pauli in strings[1:]:
-            rho += want[pauli] * pauli_string_matrix(pauli)
+        for value, pauli in zip(want, strings[1:]):
+            rho += value * pauli_string_matrix(pauli)
         rho /= 1 << n
-        assert np.array_equal(reconstruct_from_dataset(ds), (rho + rho.conj().T) / 2.0)
+        assert np.array_equal(reconstruct_states(stack)[0], (rho + rho.conj().T) / 2.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_reconstruction_matches_each_dataset(n):
     rng = np.random.default_rng(300 + n)
-    strings = np.arange(1, 4 ** n)
-    for shots, keep in ((None, 1.0), (64, 1.0), (None, 0.6), (64, 0.4)):
-        tags = rng.permutation([t for t in qst_settings(n) if rng.random() < keep]
-                               or ["Z" * n]).tolist()
-        datasets = []
-        for _ in range(5):
-            probs = rng.dirichlet(np.ones(1 << n), size=len(tags))
-            zero = rng.random(probs.shape) < 0.2
-            zero[:, int(rng.integers(1 << n))] = False
-            probs[zero] = 0.0
-            probs /= probs.sum(axis=1, keepdims=True)
-            weights = probs if shots is None else [rng.multinomial(shots, p) for p in probs]
-            datasets.append(TomographyDataset(n, shots, dict(zip(tags, weights))))
-        stack = np.array([list(ds.records.values()) for ds in datasets])
-        if len(tags) == 3 ** n:
-            got = reconstruct_states(stack, tags)
-            assert got.shape == (5, 1 << n, 1 << n)
-            for state, ds in zip(got, datasets):
-                assert np.array_equal(state, reconstruct_from_dataset(ds))
-            # canonical order is the default
-            order = [tags.index(t) for t in qst_settings(n)]
-            assert np.array_equal(reconstruct_states(stack[:, order]), got)
-            continue
-        # a missing setting: every string with a compatible setting reads the
-        # first one in canonical order, whatever the stack's tag order, as
-        # each dataset alone does; the first string without one raises
-        names = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-        covered = [j for j in strings.tolist()
-                   if any(all(a in ("I", b) for a, b in zip(names[j], t)) for t in tags)]
-        values = _estimates(stack, tags, np.array(covered))
-        for row, ds in zip(values, datasets):
-            assert row.tolist() == [_reduce_estimate(ds, names[j]) for j in covered]
-        with pytest.raises(ValueError) as stacked:
-            reconstruct_states(stack, tags)
-        with pytest.raises(ValueError) as alone:
-            reconstruct_from_dataset(datasets[0])
-        assert str(stacked.value) == str(alone.value)
+    for shots in (None, 64):
+        datasets = [_random_dataset(rng, n, shots, 1.0) for _ in range(5)]
+        stack = dataset_stack(*datasets)
+        got = reconstruct_states(stack)
+        assert got.shape == (5, 1 << n, 1 << n)
+        for l, state in enumerate(got):
+            assert np.array_equal(state, reconstruct_states(stack[l:l + 1])[0])
+        # counts reconstruct as the floats they equal
+        if shots is not None:
+            assert np.array_equal(reconstruct_states(stack.astype(np.intp)), got)
+        with pytest.raises(ValueError, match="weight stack"):
+            reconstruct_states(stack[:, 1:])
+
+
+def test_run_qst_reconstructs_its_own_dataset(qx4):
+    prep = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[1];\ncx q[1],q[0];\nt q[0];\n")
+    for shots in (None, 256):
+        run = run_qst(prep, qx4, shots=shots, seed=3)
+        assert run.executions == 9 and list(run.dataset.records) == qst_settings(2)
+        assert np.array_equal(run.state, reconstruct_states(dataset_stack(run.dataset))[0])
 
 
 def _old_write_dataset(dataset):
