@@ -222,20 +222,22 @@ def _add_backend_options(p: argparse.ArgumentParser) -> None:
                    help="override the config's idle_decay switch")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_sampling_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots", type=_positive_int,
+    p.add_argument("--shots", type=_int_at_least(1),
                    help="sample counts instead of using exact probabilities")
-    p.add_argument("--seed", type=int, help="base RNG seed for sampled runs")
+    p.add_argument("--seed", type=_int_at_least(0), help="base RNG seed for sampled runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="every line (single-qubit) or coupling pair (cx)")
     _add_backend_options(p)
     _add_sampling_options(p)
-    p.add_argument("--seeds", type=_positive_int, default=1,
+    p.add_argument("--seeds", type=_int_at_least(1), default=1,
                    help="run N seeds (seed..seed+N-1) and write a summary")
     p.add_argument("--project-psd", action="store_true", dest="project_psd",
                    help="clip negative chi eigenvalues before reporting")

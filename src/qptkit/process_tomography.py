@@ -37,9 +37,10 @@ physically preparable pure states
 
     |0>, |1>, |+> = H|0>, |r> = SH|0>   (per qubit),
 
-e.g.  |0><1| = |+><+| + i |r><r| - (1+i)/2 (|0><0| + |1><1|).  The identity
-is checked symbolically at import time; two-qubit recipes are the per-qubit
-products (16 preparations overall).
+e.g.  |0><1| = |+><+| + i |r><r| - (1+i)/2 (|0><0| + |1><1|).  Two-qubit
+recipes are the per-qubit products (16 preparations overall).  Every
+identity is checked numerically, to 1e-12, when ``preparation_recipes``
+first builds the recipes of a qubit count (its cache is empty after import).
 
 ``run_qpt`` drives the whole pipeline against a backend: 4 (or 16)
 preparations x 3 (or 9) tomography settings = 12 (or 144) circuit

@@ -37,13 +37,15 @@ by construction.  The result can carry small negative eigenvalues at finite
 shots; ``project_psd`` clips them for reporting, the raw matrix is never
 silently altered.
 
-A ``TomographyDataset`` holds one preparation's weights by setting tag and
-keeps a read-only copy of any array its caller could still change, so the
-checks it passed keep holding.  Datasets serialise to line-oriented text
-(``format=1`` header, one record per setting, ``bitstring:weight`` for
-every nonzero weight) so runs can be stored and re-analysed: a complete
-dataset's records, stacked in ``qst_settings`` order, are a stack of one.
-That text is the only place outcome bitstrings are written or read.
+A ``TomographyDataset`` is one row of the ``collect_weights`` stack: a
+preparation's read-only float ``(3**n, 2**n)`` weights, settings in
+``qst_settings`` order, so ``reconstruct_states(ds.weights[None])[0]`` is
+its state.  It serialises to line-oriented text (``format=1`` header, one
+record per setting in sorted tag order, ``bitstring:weight`` for every
+nonzero weight) so runs can be stored and re-analysed; the reader fills
+each setting's row and rejects text that lacks a setting or names an
+unknown one.  That text is the only place outcome bitstrings are written
+or read.
 """
 
 from __future__ import annotations
@@ -106,18 +108,24 @@ def _setting_suffix(setting: str, qubits: tuple[int, ...]) -> tuple[Gate | Measu
     return tuple(extra)
 
 
-def _frozen(weights: np.ndarray) -> bool:
-    """Nothing can write to the array: it is read-only, and so is the array
-    owning its memory (itself, or the stack it is a row of)."""
-    owner = weights if weights.base is None else weights.base
-    return (not weights.flags.writeable and isinstance(owner, np.ndarray)
-            and owner.flags.owndata and not owner.flags.writeable)
+_SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
 
 
-def _check_weights(stack: np.ndarray, tags: list[str], shots: int | None) -> None:
-    """Raise for the first row of a ``(settings, 2**n)`` weight stack, tagged
-    ``tags[row]``, with a negative or non-finite weight or a total other than
-    ``shots`` (1 for exact probabilities)."""
+def _shape_qubit_count(shape: tuple[int, ...], ndim: int) -> int:
+    """n of an ``ndim``-axis weight array whose last two axes are (3**n, 2**n);
+    ``ValueError`` for any other shape."""
+    n = shape[-1].bit_length() - 1 if shape else 0
+    if len(shape) != ndim or not 1 <= n <= QUBIT_COUNT or shape[-2:] != (3 ** n, 1 << n):
+        raise ValueError(f"expected {_SHAPES[ndim]} with settings in qst_settings order, "
+                         f"got shape {shape}")
+    return n
+
+
+def _check_weights(stack: np.ndarray, shots: int | None) -> None:
+    """Raise for the first row of a ``(settings, 2**n)`` weight stack, its
+    settings in ``qst_settings`` order (repeated per preparation), with a
+    negative or non-finite weight or a total other than ``shots`` (1 for
+    exact probabilities)."""
     n = stack.shape[1].bit_length() - 1
     stack = np.asarray(stack, dtype=float)
     bad = ~(np.isfinite(stack) & (stack >= 0))
@@ -127,7 +135,7 @@ def _check_weights(stack: np.ndarray, tags: list[str], shots: int | None) -> Non
     wrong = np.flatnonzero(bad.any(axis=1) | off)
     if wrong.size:
         row = int(wrong[0])
-        tag = tags[row]
+        tag = qst_settings(n)[row % 3 ** n]
         if bad[row].any():
             index = int(np.argmax(bad[row]))
             what = "negative" if np.isfinite(stack[row, index]) else "non-finite"
@@ -139,54 +147,34 @@ def _check_weights(stack: np.ndarray, tags: list[str], shots: int | None) -> Non
 
 @dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """Outcome weights per measurement setting.
+    """One preparation's outcome weights, a row of the canonical stack.
 
-    ``records`` maps each setting tag to an array of 2**n counts (sampled
-    runs) or exact probabilities, indexed by outcome as in the module
-    docstring.  ``shots`` is the per-setting shot count, or None when the
-    records hold exact probabilities from a density-matrix run.  Datasets
-    are equal when their qubit counts, shots, tags and weight values are,
-    whatever the arrays' dtypes.
+    Row s of ``weights`` holds the 2**n counts (sampled runs) or exact
+    probabilities of setting ``qst_settings(n)[s]``, indexed by outcome as in
+    the module docstring; the dataset keeps a checked, read-only float copy.
+    ``shots`` is the per-setting shot count, or None for exact probabilities.
     """
 
-    qubit_count: int
     shots: int | None
-    records: dict[str, np.ndarray]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.qubit_count
-        if not 1 <= n <= QUBIT_COUNT:
-            raise ValueError(f"qubit count must be 1..{QUBIT_COUNT}, got {n}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        records = {}
-        problem = None
-        for tag, weights in self.records.items():
-            if len(tag) != n or any(ch not in BASIS_ORDER for ch in tag):
-                problem = f"bad setting tag {tag!r} for {n} qubit(s)"
-                break
-            if np.shape(weights) != (1 << n,):
-                problem = (f"setting {tag!r}: weights have shape {np.shape(weights)}, "
-                           f"expected {(1 << n,)}")
-                break
-            if not _frozen(weights):
-                # a caller's array could change after the checks below
-                weights = np.array(weights, dtype=float)
-                weights.setflags(write=False)
-            records[tag] = weights
-        if records:
-            # the settings before any bad tag or shape, checked as one stack
-            _check_weights(np.array(list(records.values())), list(records), self.shots)
-        if problem is not None:
-            raise ValueError(problem)
-        object.__setattr__(self, "records", records)
+        weights = np.array(self.weights, dtype=float)
+        _shape_qubit_count(weights.shape, 2)
+        _check_weights(weights, self.shots)
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def qubit_count(self) -> int:
+        return self.weights.shape[1].bit_length() - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TomographyDataset):
             return NotImplemented
-        return ((self.qubit_count, self.shots, self.records.keys())
-                == (other.qubit_count, other.shots, other.records.keys())
-                and all(np.array_equal(w, other.records[t]) for t, w in self.records.items()))
+        return self.shots == other.shots and np.array_equal(self.weights, other.weights)
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +274,7 @@ def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     states from one ``np.add.at``; each state is bitwise the reconstruction
     of its own dataset alone.
     """
-    shape = np.shape(weights)
-    n = shape[-1].bit_length() - 1 if shape else 0
-    if len(shape) != 3 or not 1 <= n <= QUBIT_COUNT or shape[1:] != (3 ** n, 1 << n):
-        raise ValueError(f"expected an (L, 3**n, 2**n) weight stack with settings in "
-                         f"qst_settings order, got shape {shape}")
+    n = _shape_qubit_count(np.shape(weights), 3)
     return _densities(_estimates(weights, np.arange(1, 4 ** n)), n)
 
 
@@ -330,14 +314,15 @@ def _bitstrings(qubit_count: int) -> tuple[str, ...]:
 
 
 def write_dataset(dataset: TomographyDataset) -> str:
-    keys = _bitstrings(dataset.qubit_count)
-    lines = ["format=1", f"qubits={dataset.qubit_count}",
+    n = dataset.qubit_count
+    keys = _bitstrings(n)
+    lines = ["format=1", f"qubits={n}",
              f"shots={'exact' if dataset.shots is None else dataset.shots}"]
-    for tag in sorted(dataset.records):
-        weights = dataset.records[tag]
-        outcomes = np.flatnonzero(weights)
+    rows = dict(zip(qst_settings(n), dataset.weights))
+    for tag in sorted(rows):
+        outcomes = np.flatnonzero(rows[tag])
         pairs = map("{}:{!r}".format, [keys[i] for i in outcomes.tolist()],
-                    weights[outcomes].astype(float).tolist())
+                    rows[tag][outcomes].tolist())
         lines.append(" ".join([tag, *pairs]))
     return "\n".join(lines) + "\n"
 
@@ -381,10 +366,13 @@ def read_dataset(text: str) -> TomographyDataset:
 
     n = integer("qubits")
     shots = None if header["shots"][1] == "exact" else integer("shots")
-    TomographyDataset(n, shots, {})  # checks the header before the arrays are sized
-    records: dict[str, np.ndarray] = {}
+    settings = qst_settings(n)  # checks n before the array is sized
+    row_of = {tag: row for row, tag in enumerate(settings)}
+    weights = np.zeros((len(settings), 1 << n))
     for tag, (lineno, pairs) in items.items():
-        weights = np.zeros(1 << n)
+        if tag not in row_of:
+            raise ValueError(f"line {lineno}: unknown setting {tag!r} for {n} qubit(s)")
+        row = weights[row_of[tag]]
         seen: set[str] = set()
         for item in pairs:
             outcome, sep, weight = item.partition(":")
@@ -396,12 +384,14 @@ def read_dataset(text: str) -> TomographyDataset:
             if len(outcome) != n or any(ch not in "01" for ch in outcome):
                 raise ValueError(f"bad outcome key {outcome!r} under {tag!r}")
             try:
-                weights[int(outcome, 2)] = float(weight)
+                row[int(outcome, 2)] = float(weight)
             except ValueError:
                 raise ValueError(f"line {lineno}: bad weight {weight!r}") from None
-        weights.setflags(write=False)
-        records[tag] = weights
-    return TomographyDataset(qubit_count=n, shots=shots, records=records)
+    missing = [tag for tag in settings if tag not in items]
+    if missing:
+        raise ValueError(f"missing setting {missing[0]!r} "
+                         f"({len(missing)} of {len(settings)} missing)")
+    return TomographyDataset(shots, weights)
 
 
 # --- running tomography against a backend --------------------------------------
@@ -409,6 +399,8 @@ def read_dataset(text: str) -> TomographyDataset:
 
 def child_seeds(seed: int | None, count: int) -> list[int]:
     """Per-circuit seeds derived from one master seed (fresh OS entropy when None)."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
 
@@ -447,7 +439,7 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
                      dtype=float if shots is None else np.intp)
     for row, result in enumerate(execute_many(circuits, backend, shots, circuit_seeds)):
         stack[row] = result.probabilities if shots is None else result.counts
-    _check_weights(stack, settings * len(preps), shots)
+    _check_weights(stack, shots)
     stack.setflags(write=False)
     return stack.reshape(len(preps), len(settings), 1 << len(qubits))
 
@@ -456,18 +448,19 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
-    """Run every setting circuit for ``prep`` and bundle the outcomes: the
-    one-preparation case of ``collect_weights``, whose rows the dataset keeps."""
-    (weights,) = collect_weights([prep], backend, qubits, shots, [seed])
-    n = weights.shape[1].bit_length() - 1
-    return TomographyDataset(n, shots, dict(zip(qst_settings(n), weights)))
+    """Run every setting circuit for ``prep``: the one-preparation case of
+    ``collect_weights``, whose row the dataset holds."""
+    return TomographyDataset(shots, collect_weights([prep], backend, qubits, shots, [seed])[0])
 
 
 @dataclass(frozen=True)
 class QstRun:
     state: np.ndarray
     dataset: TomographyDataset
-    executions: int
+
+    @property
+    def executions(self) -> int:
+        return len(self.dataset.weights)
 
 
 def run_qst(circuit: Circuit, backend: BackendModel,
@@ -477,8 +470,5 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     ``shots=None`` uses exact outcome probabilities; otherwise each of the
     3**n settings is sampled with its own seed derived from ``seed``.
     """
-    n = circuit.qubit_count
-    weights = collect_weights([circuit], backend, shots=shots, seeds=[seed])
-    dataset = TomographyDataset(n, shots, dict(zip(qst_settings(n), weights[0])))
-    return QstRun(state=reconstruct_states(weights)[0], dataset=dataset,
-                  executions=weights.shape[1])
+    dataset = collect_dataset(circuit, backend, shots=shots, seed=seed)
+    return QstRun(state=reconstruct_states(dataset.weights[None])[0], dataset=dataset)

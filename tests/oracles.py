@@ -6,9 +6,7 @@ monomial form, and chi is inverted in closed form.  Each function here
 builds the same object the slow, obvious way, on the conventions stated in
 ``qptkit.operators``; ``per_label_qpt`` is process tomography run one
 preparation at a time, as ``run_qpt`` did before it ran a placement as one
-stream.  ``append_setting`` builds one setting circuit on its own, and
-``dataset_stack`` turns datasets into the canonical weight stack that
-``reconstruct_states`` takes.
+stream.  ``append_setting`` builds one setting circuit on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from qptkit.state_tomography import (
     _setting_suffix,
     child_seeds,
     collect_dataset,
-    qst_settings,
     reconstruct_states,
 )
 
@@ -61,13 +58,6 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
         qubits = range(circuit.qubit_count - 1, -1, -1)
     qubits = tuple(qubits)
     return circuit.extended(*_setting_suffix(setting, qubits), classical_count=len(qubits))
-
-
-def dataset_stack(*datasets) -> np.ndarray:
-    """The ``(L, 3**n, 2**n)`` float weight stack of datasets, settings in
-    ``qst_settings`` order; a dataset that lacks a setting raises KeyError."""
-    tags = qst_settings(datasets[0].qubit_count)
-    return np.array([[ds.records[tag] for tag in tags] for ds in datasets], dtype=float)
 
 
 def density_violation(rho: np.ndarray, atol: float = 1e-9) -> str | None:
@@ -210,7 +200,7 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
     for label, label_seed in zip(labels, child_seeds(seed, len(labels))):
         prep = preparation_circuit(label, lines).extended(Gate(gate, lines))
         dataset = collect_dataset(prep, backend, qubits=lines, shots=shots, seed=label_seed)
-        out_by_label[label] = reconstruct_states(dataset_stack(dataset))[0]
+        out_by_label[label] = reconstruct_states(dataset.weights[None])[0]
     d = 1 << n
     outputs = []
     for recipe in recipes:

@@ -328,6 +328,23 @@ def test_cli_rejects_bad_shots_at_parsing(tmp_path, capsys, command, shots):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("command, extra", [("qpt", []), ("qpt", ["--seeds", "3"]),
+                                            ("qst", [])])
+def test_cli_rejects_negative_seed_at_parsing(tmp_path, capsys, command, extra):
+    circuit = tmp_path / "h.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
+    what = (["--all-gates", "--all-lines", *extra] if command == "qpt"
+            else ["--circuit", str(circuit)])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *what, "--backend", "qx4", "--shots", "8", "--seed", "-1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    # one error line, before any placement runs
+    assert err.count("error:") == 1 and "error: argument --seed: must be at least 0, got -1" in err
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_cli_qst_unreadable_circuit(tmp_path):
     base = ["qst", "--backend", "qx4", "--out", str(tmp_path), "--circuit"]
     missing = tmp_path / "missing.qasm"
@@ -408,7 +425,7 @@ def test_cli_qst(tmp_path, capsys):
     assert report["kind"] == "qst" and report["qubits"] == 2
     assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
     dataset = read_dataset((tmp_path / "bell_qst_dataset.txt").read_text())
-    assert dataset.qubit_count == 2 and len(dataset.records) == 9
+    assert dataset.qubit_count == 2 and dataset.weights.shape == (9, 4)
     assert "state fidelity=1.000000" in capsys.readouterr().out
 
 

@@ -22,7 +22,7 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import append_setting, dataset_stack, outcome_dict, pauli_string_matrix
+from oracles import append_setting, outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
@@ -84,12 +84,22 @@ def test_append_setting_rejections(qx4_quiet):
         collect_weights([Circuit(2, 0)], qx4_quiet, qubits=(1, 1))
 
 
+def _row(dataset, tag):
+    """The weights of one setting of a dataset."""
+    return dataset.weights[qst_settings(dataset.qubit_count).index(tag)]
+
+
+def _canonical_dataset(n, shots, rows):
+    """A dataset of the given setting rows, every other setting uniform."""
+    fill = 1.0 / (1 << n) if shots is None else shots / (1 << n)
+    weights = np.full((3 ** n, 1 << n), fill)
+    for tag, row in rows.items():
+        weights[qst_settings(n).index(tag)] = row
+    return TomographyDataset(shots, weights)
+
+
 def _zz_dataset():
-    return TomographyDataset(
-        qubit_count=2,
-        shots=100,
-        records={"ZZ": np.array([40.0, 30.0, 20.0, 10.0])},
-    )
+    return _canonical_dataset(2, 100, {"ZZ": np.array([40.0, 30.0, 20.0, 10.0])})
 
 
 _LEX_DIGITS = str.maketrans("IXYZ", "0123")
@@ -102,10 +112,7 @@ def _estimate(stack, pauli):
 
 def _canonical_stack(n, shots, rows):
     """A one-dataset stack: the given setting rows, every other setting uniform."""
-    fill = 1.0 / (1 << n) if shots is None else shots / (1 << n)
-    weights = {tag: np.full(1 << n, fill) for tag in qst_settings(n)}
-    weights.update(rows)
-    return dataset_stack(TomographyDataset(n, shots, weights))
+    return _canonical_dataset(n, shots, rows).weights[None]
 
 
 def test_estimate_pauli_signs():
@@ -136,7 +143,7 @@ def _scan_estimate(dataset, pauli):
         if all(p in ("I", s) for p, s in zip(pauli, tag)):
             break
     acc = total = 0.0
-    for outcome, weight in outcome_dict(dataset.records[tag]).items():
+    for outcome, weight in outcome_dict(_row(dataset, tag)).items():
         sign = 1.0
         for p, ch in enumerate(pauli):
             if ch != "I" and outcome[p] == "1":
@@ -152,8 +159,8 @@ def test_estimate_pauli_matches_full_scan_with_missing_settings(n):
     # integer counts, then exact float weights, where summation order shows
     for shots in (64, None):
         for _ in range(10):
-            ds = _random_dataset(rng, n, shots, 1.0)
-            stack = dataset_stack(ds)
+            ds = _random_dataset(rng, n, shots)
+            stack = ds.weights[None]
             for letters in itertools.product("IXYZ", repeat=n):
                 pauli = "".join(letters)
                 if pauli != "I" * n:
@@ -187,20 +194,22 @@ def test_estimate_pauli_rejections():
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError, match="bad setting tag"):
-        TomographyDataset(1, None, {"Q": np.array([1.0, 0.0])})
     with pytest.raises(ValueError, match="bad outcome key '2' under 'Z'"):
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 2:1.0\n")
-    with pytest.raises(ValueError, match=r"setting 'Z': weights have shape \(1,\)"):
-        TomographyDataset(1, None, {"Z": np.array([1.0])})
-    with pytest.raises(ValueError, match="weights sum"):
-        TomographyDataset(1, 100, {"Z": np.array([30.0, 20.0])})
-    with pytest.raises(ValueError, match="negative weight"):
-        TomographyDataset(1, None, {"Z": np.array([1.5, -0.5])})
+    # every shape but (3**n, 2**n), a setting row missing included
+    for shape in [(2,), (1, 1), (3, 1), (2, 2), (3, 2, 1), (9, 2), (3 ** 6, 64)]:
+        with pytest.raises(ValueError, match=r"expected a \(3\*\*n, 2\*\*n\) weight array"):
+            TomographyDataset(None, np.full(shape, 0.5))
+    with pytest.raises(ValueError, match="shots must be positive"):
+        TomographyDataset(0, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"setting 'X': weights sum to 50.0, expected 100.0"):
+        TomographyDataset(100, np.array([[50.0, 50.0], [30.0, 20.0], [50.0, 50.0]]))
+    with pytest.raises(ValueError, match="negative weight for '1' under 'Z'"):
+        TomographyDataset(None, np.array([[1.5, -0.5], [0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="non-finite weight for '0' under 'Z'"):
-        read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:nan 1:1.0\n")
-    with pytest.raises(ValueError, match="non-finite weight for '1' under 'X'"):
-        TomographyDataset(1, 100, {"X": np.array([100.0, float("inf")])})
+        read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:nan 1:1.0\nX 0:1.0\nY 0:1.0\n")
+    with pytest.raises(ValueError, match="non-finite weight for '1' under 'Y'"):
+        TomographyDataset(100, np.array([[100.0, 0.0], [100.0, 0.0], [100.0, float("inf")]]))
 
 
 def test_exact_qst_single_qubit(qx4_quiet):
@@ -304,12 +313,8 @@ def test_state_fidelity_values():
 
 
 def test_dataset_roundtrip_exact():
-    ds = TomographyDataset(
-        qubit_count=1,
-        shots=None,
-        records={"Z": np.array([0.25, 0.75]), "X": np.array([1.0, 0.0]),
-                 "Y": np.array([0.5, 0.5])},
-    )
+    # rows Z, X, Y in qst_settings order; the text lists them sorted
+    ds = TomographyDataset(None, np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]))
     text = write_dataset(ds)
     assert text == "format=1\nqubits=1\nshots=exact\nX 0:1.0\nY 0:0.5 1:0.5\nZ 0:0.25 1:0.75\n"
     assert read_dataset(text) == ds
@@ -324,15 +329,18 @@ def test_dataset_roundtrip_counts():
 
 def test_dataset_equality():
     ds = _zz_dataset()
-    # equal weight values compare equal whatever their dtype, as counts read back from text do
-    same = TomographyDataset(2, 100, {tag: w.astype(np.int64) for tag, w in ds.records.items()})
+    # integer counts are held as the floats they equal
+    same = TomographyDataset(100, ds.weights.astype(np.int64))
+    assert same.weights.dtype == float
     assert ds == same and not ds != same
-    shifted = dict(ds.records, ZZ=ds.records["ZZ"][::-1])
-    fewer = {tag: w for tag, w in ds.records.items() if tag != "ZZ"}
-    for other in (TomographyDataset(2, 100, shifted), TomographyDataset(2, 100, fewer),
-                  TomographyDataset(2, 200, {tag: 2 * w for tag, w in ds.records.items()}),
+    shifted = ds.weights.copy()
+    shifted[0] = shifted[0, ::-1]
+    for other in (TomographyDataset(100, shifted), TomographyDataset(200, 2 * ds.weights),
                   write_dataset(ds), None):
         assert ds != other and not ds == other
+    # a dataset without every setting is no dataset
+    with pytest.raises(ValueError, match=r"got shape \(8, 4\)"):
+        TomographyDataset(100, ds.weights[1:])
 
 
 def test_dataset_reader_errors():
@@ -353,15 +361,22 @@ def test_dataset_reader_errors():
         read_dataset("format=1\nqubits=x\nshots=exact\nZ 0:1.0\n")
     with pytest.raises(ValueError, match="line 3: dataset header 'shots' is not an integer: 'lots'"):
         read_dataset("format=1\nqubits=1\nshots=lots\nZ 0:100\n")
+    with pytest.raises(ValueError, match=r"missing setting 'Y' \(1 of 3 missing\)"):
+        read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:1.0\nX 0:1.0\n")
+    with pytest.raises(ValueError, match=r"missing setting 'ZZ' \(8 of 9 missing\)"):
+        read_dataset("format=1\nqubits=2\nshots=exact\nXY 00:1.0\n")
+    for tag in ("Q", "ZZ", "z"):
+        with pytest.raises(ValueError, match=f"line 5: unknown setting '{tag}' for 1 qubit"):
+            read_dataset(f"format=1\nqubits=1\nshots=exact\nZ 0:1.0\n{tag} 0:1.0\n"
+                         "X 0:1.0\nY 0:1.0\n")
 
 
 def test_reconstruct_requires_every_string():
     ds = _zz_dataset()
-    with pytest.raises(KeyError):
-        dataset_stack(ds)
-    stack = np.array([list(ds.records.values())], dtype=float)
     with pytest.raises(ValueError, match=r"got shape \(1, 1, 4\)"):
-        reconstruct_states(stack)
+        reconstruct_states(ds.weights[None, :1])
+    with pytest.raises(ValueError, match=r"got shape \(1, 4\)"):
+        TomographyDataset(100, ds.weights[:1])
 
 
 def test_child_seeds():
@@ -369,6 +384,8 @@ def test_child_seeds():
     assert a == child_seeds(123, 5)
     assert len(set(a)) == 5
     assert a != child_seeds(124, 5)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        child_seeds(-3, 4)
 
 
 def test_child_seeds_unseeded_draw_fresh_entropy():
@@ -382,22 +399,23 @@ def test_golden_counts_cx_bell_preparation(qx4):
     # sampled run must keep reproducing these counts exactly.
     prep = preparation_circuit("p0", (3, 2), 5).extended(Gate("cx", (3, 2)))
     ds = collect_dataset(prep, qx4, qubits=(3, 2), shots=8192, seed=0)
-    assert outcome_dict(ds.records["ZZ"]) == {"00": 4084, "01": 68, "10": 46, "11": 3994}
-    assert outcome_dict(ds.records["XX"]) == {"00": 4091, "01": 102, "10": 83, "11": 3916}
-    assert outcome_dict(ds.records["YY"]) == {"00": 146, "01": 4052, "10": 3946, "11": 48}
+    assert outcome_dict(_row(ds, "ZZ")) == {"00": 4084, "01": 68, "10": 46, "11": 3994}
+    assert outcome_dict(_row(ds, "XX")) == {"00": 4091, "01": 102, "10": 83, "11": 3916}
+    assert outcome_dict(_row(ds, "YY")) == {"00": 146, "01": 4052, "10": 3946, "11": 48}
 
 
 def _setting_loop(prep, backend, qubits, shots=None, seed=None):
-    """collect_dataset as one execute_exact / execute call per setting circuit."""
+    """collect_dataset's weights as one execute_exact / execute call per
+    setting circuit, in qst_settings order."""
     settings = qst_settings(len(qubits))
-    records = {}
+    rows = []
     for tag, s in zip(settings, child_seeds(seed, len(settings))):
         circuit = append_setting(prep, tag, qubits)
         if shots is None:
-            records[tag] = execute_exact(circuit, backend).probabilities
+            rows.append(execute_exact(circuit, backend).probabilities)
         else:
-            records[tag] = execute(circuit, backend, shots, s).counts
-    return records
+            rows.append(execute(circuit, backend, shots, s).counts)
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
@@ -415,10 +433,10 @@ def test_collect_dataset_matches_per_setting_loop(qx4, mode):
         for shots in (None, 500):
             got = collect_dataset(prep, backend, qubits=qubits, shots=shots, seed=9)
             want = _setting_loop(prep, backend, measured, shots=shots, seed=9)
-            assert list(got.records) == list(want)
-            for tag, weights in want.items():
-                assert got.records[tag].dtype == weights.dtype
-                assert np.array_equal(got.records[tag], weights)
+            assert np.array_equal(got.weights, want)
+            # the stream keeps the backend's dtype: float probabilities, int counts
+            stream = collect_weights([prep], backend, qubits, shots, [9])
+            assert stream.dtype == want.dtype and np.array_equal(stream[0], want)
 
 
 def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
@@ -441,8 +459,7 @@ def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
     weights = collect_weights(preps, qx4_quiet, (1,))
     assert weights.shape == (3, 3, 2) and not weights.flags.writeable
     for prep, row in zip(preps, weights):
-        assert np.array_equal(row, np.array(list(collect_dataset(prep, qx4_quiet, (1,))
-                                                 .records.values())))
+        assert np.array_equal(row, collect_dataset(prep, qx4_quiet, (1,)).weights)
     with pytest.raises(ValueError, match="2 seed"):
         collect_weights(preps, qx4_quiet, (1,), shots=10, seeds=[1, 2])
     execute_many = qptkit.state_tomography.execute_many
@@ -458,29 +475,25 @@ def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
 
 
 def test_dataset_freezes_caller_arrays():
-    w = np.array([100.0, 0.0])
-    ds = TomographyDataset(1, 100, {"Z": w})
-    w[1] = 100.0  # after the checks: the dataset must not see it
-    assert ds.records["Z"].tolist() == [100.0, 0.0]
-    assert not ds.records["Z"].flags.writeable
+    w = np.full((3, 2), 50.0)
+    ds = TomographyDataset(100, w)
+    w[0, 1] = 100.0  # after the checks: the dataset must not see it
+    assert ds.weights.tolist() == [[50.0, 50.0]] * 3
+    assert not ds.weights.flags.writeable
     # a read-only view of a writable array is copied as well
-    base = np.array([50.0, 50.0])
+    base = np.full((3, 2), 50.0)
     view = base[:]
     view.setflags(write=False)
-    ds = TomographyDataset(1, 100, {"Z": view})
-    base[0] = 100.0
-    assert ds.records["Z"].tolist() == [50.0, 50.0]
-    # read-only arrays that own their data, as the backend returns, are kept
-    counts = np.array([60, 40])
-    counts.setflags(write=False)
-    assert TomographyDataset(1, 100, {"Z": counts}).records["Z"] is counts
+    ds = TomographyDataset(100, view)
+    base[0, 0] = 100.0
+    assert ds.weights.tolist() == [[50.0, 50.0]] * 3
 
 
 def _reduce_estimate(dataset, pauli):
     """<P> from the Z-filled setting, both sums as explicit left-to-right
     additions over outcome index."""
     mask = int("".join("0" if ch == "I" else "1" for ch in pauli), 2)
-    weights = dataset.records[pauli.replace("I", "Z")].tolist()
+    weights = _row(dataset, pauli.replace("I", "Z")).tolist()
     signed = [-w if bin(mask & i).count("1") & 1 else w for i, w in enumerate(weights)]
     return reduce(operator.add, signed, 0.0) / reduce(operator.add, weights, 0.0)
 
@@ -491,23 +504,22 @@ def test_estimates_are_sequential_sums():
     tenths = np.array([0.1] * 10 + [0.0] * 6)
     assert reduce(operator.add, tenths.tolist(), 0.0) == 0.9999999999999999
     rng = np.random.default_rng(4)
-    ds = TomographyDataset(4, None, {tag: rng.permutation(tenths) for tag in qst_settings(4)})
-    stack = dataset_stack(ds)
+    ds = TomographyDataset(None, np.array([rng.permutation(tenths) for _ in range(3 ** 4)]))
+    stack = ds.weights[None]
     for pauli in ("ZIII", "IIIZ", "ZZZZ", "IZIZ", "XXXX", "IXII", "YIXZ"):
         assert _estimate(stack, pauli) == _reduce_estimate(ds, pauli)
 
 
-def _random_dataset(rng, n, shots, keep):
-    tags = [t for t in qst_settings(n) if rng.random() < keep] or ["Z" * n]
-    records = {}
-    for tag in rng.permutation(tags).tolist():
+def _random_dataset(rng, n, shots):
+    rows = []
+    for _ in range(3 ** n):
         probs = rng.dirichlet(np.ones(1 << n))
         zero = rng.random(1 << n) < 0.2  # zero weights, as exact runs have
         zero[int(rng.integers(1 << n))] = False
         probs[zero] = 0.0
         probs /= probs.sum()
-        records[tag] = probs if shots is None else rng.multinomial(shots, probs)
-    return TomographyDataset(n, shots, records)
+        rows.append(probs if shots is None else rng.multinomial(shots, probs))
+    return TomographyDataset(shots, np.array(rows))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -515,9 +527,9 @@ def test_all_expectations_match_per_string_oracle(n):
     rng = np.random.default_rng(100 + n)
     strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
     for shots in (None, 64):
-        ds = _random_dataset(rng, n, shots, 1.0)
+        ds = _random_dataset(rng, n, shots)
         want = [_reduce_estimate(ds, p) for p in strings[1:]]
-        stack = dataset_stack(ds)
+        stack = ds.weights[None]
         assert _estimates(stack, np.arange(1, 4 ** n))[0].tolist() == want
         # the reconstruction is the dense sum over those same values, bitwise
         rho = np.eye(1 << n, dtype=complex)
@@ -531,8 +543,8 @@ def test_all_expectations_match_per_string_oracle(n):
 def test_stacked_reconstruction_matches_each_dataset(n):
     rng = np.random.default_rng(300 + n)
     for shots in (None, 64):
-        datasets = [_random_dataset(rng, n, shots, 1.0) for _ in range(5)]
-        stack = dataset_stack(*datasets)
+        datasets = [_random_dataset(rng, n, shots) for _ in range(5)]
+        stack = np.array([ds.weights for ds in datasets])
         got = reconstruct_states(stack)
         assert got.shape == (5, 1 << n, 1 << n)
         for l, state in enumerate(got):
@@ -548,8 +560,27 @@ def test_run_qst_reconstructs_its_own_dataset(qx4):
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[1];\ncx q[1],q[0];\nt q[0];\n")
     for shots in (None, 256):
         run = run_qst(prep, qx4, shots=shots, seed=3)
-        assert run.executions == 9 and list(run.dataset.records) == qst_settings(2)
-        assert np.array_equal(run.state, reconstruct_states(dataset_stack(run.dataset))[0])
+        assert run.executions == 9 and run.dataset.weights.shape == (9, 4)
+        assert run.dataset.qubit_count == 2 and run.dataset.shots == shots
+        assert np.array_equal(run.state, reconstruct_states(run.dataset.weights[None])[0])
+
+
+_ROUNDTRIP_CIRCUITS = {
+    1: "qreg q[1];\nh q[0];\nt q[0];\n",
+    2: "qreg q[2];\nh q[1];\ncx q[1],q[0];\ns q[0];\n",
+    5: "qreg q[5];\nh q[0];\ncx q[1],q[0];\nt q[2];\nh q[3];\ncx q[3],q[4];\n"
+       "s q[1];\nx q[4];\ncx q[2],q[1];\n",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("shots", [None, 512])
+def test_stored_dataset_reconstructs_the_run_state(qx4, n, shots):
+    run = run_qst(parse_qasm("OPENQASM 2.0;\n" + _ROUNDTRIP_CIRCUITS[n]), qx4,
+                  shots=shots, seed=None if shots is None else 5)
+    stored = read_dataset(write_dataset(run.dataset))
+    assert stored == run.dataset and stored.qubit_count == n
+    assert np.array_equal(reconstruct_states(stored.weights[None])[0], run.state)
 
 
 def _old_write_dataset(dataset):
@@ -557,9 +588,9 @@ def _old_write_dataset(dataset):
     n = dataset.qubit_count
     lines = ["format=1", f"qubits={n}",
              f"shots={'exact' if dataset.shots is None else dataset.shots}"]
-    for tag in sorted(dataset.records):
+    for tag in sorted(qst_settings(n)):
         parts = [tag]
-        for outcome, weight in enumerate(dataset.records[tag].tolist()):
+        for outcome, weight in enumerate(_row(dataset, tag).tolist()):
             if weight:
                 parts.append(f"{outcome:0{n}b}:{float(weight)!r}")
         lines.append(" ".join(parts))
@@ -570,7 +601,7 @@ def _old_write_dataset(dataset):
 def test_write_dataset_matches_outcome_loop(n):
     rng = np.random.default_rng(200 + n)
     for shots in (None, 50, 8192):
-        ds = _random_dataset(rng, n, shots, 0.6)
+        ds = _random_dataset(rng, n, shots)
         text = write_dataset(ds)
         assert text == _old_write_dataset(ds)
         assert read_dataset(text) == ds
