@@ -152,15 +152,17 @@ def _check_trace_preserving(channel: KrausChannel) -> None:
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """sum_k E_k rho E_k^dagger, for any matrix of the channel's size.
+    """sum_k E_k rho E_k^dagger, for a matrix of the channel's size or a
+    ``(..., d, d)`` stack of them.
 
-    Only the shape is checked: the map is linear and also takes
-    non-Hermitian matrices.  ``qpt_channel`` checks trace preservation once
-    per channel and its outputs as one stack.
+    The terms are added in Kraus order, so a stack gives each matrix the
+    bits it gets on its own.  Only the trailing shape is checked: the map is
+    linear and also takes non-Hermitian matrices.  ``qpt_channel`` checks
+    trace preservation once per channel and its outputs as one stack.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << channel.qubit_count
-    if rho.shape != (dim, dim):
+    if rho.shape[-2:] != (dim, dim):
         raise ValueError(
             f"state shape {rho.shape} does not match a {channel.qubit_count}-qubit channel"
         )

@@ -365,8 +365,13 @@ def read_dataset(text: str) -> TomographyDataset:
                              f"{value!r}") from None
 
     n = integer("qubits")
+    if not 1 <= n <= QUBIT_COUNT:
+        raise ValueError(f"line {header['qubits'][0]}: qubit count must be 1..{QUBIT_COUNT}, "
+                         f"got {n}")
     shots = None if header["shots"][1] == "exact" else integer("shots")
-    settings = qst_settings(n)  # checks n before the array is sized
+    if shots is not None and shots < 1:
+        raise ValueError(f"line {header['shots'][0]}: shots must be positive, got {shots}")
+    settings = qst_settings(n)
     row_of = {tag: row for row, tag in enumerate(settings)}
     weights = np.zeros((len(settings), 1 << n))
     for tag, (lineno, pairs) in items.items():

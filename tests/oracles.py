@@ -6,7 +6,10 @@ monomial form, and chi is inverted in closed form.  Each function here
 builds the same object the slow, obvious way, on the conventions stated in
 ``qptkit.operators``; ``per_label_qpt`` is process tomography run one
 preparation at a time, as ``run_qpt`` did before it ran a placement as one
-stream.  ``append_setting`` builds one setting circuit on its own.
+stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
+time; both combine and invert as the package did before it worked on stacks
+(``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
+``append_setting`` builds one setting circuit on its own.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import numpy as np
 from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
 from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
 from qptkit.process_tomography import (
-    chi_from_outputs,
+    ChiMatrix,
+    _choi_map,
     fixed_operator_set,
     matrix_unit_basis,
     preparation_circuit,
     preparation_recipes,
+    preparation_state,
     process_fidelity,
     theoretical_chi,
     tp_deviation,
@@ -194,19 +199,67 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
     reconstruction for each label in sorted order, with the label seeds
     ``child_seeds(seed, len(labels))``."""
     n = len(lines)
-    recipes = preparation_recipes(n)
-    labels = sorted({label for recipe in recipes for _, label in recipe.terms})
+    labels = _labels(n)
     out_by_label = {}
     for label, label_seed in zip(labels, child_seeds(seed, len(labels))):
         prep = preparation_circuit(label, lines).extended(Gate(gate, lines))
         dataset = collect_dataset(prep, backend, qubits=lines, shots=shots, seed=label_seed)
         out_by_label[label] = reconstruct_states(dataset.weights[None])[0]
-    d = 1 << n
+    chi = per_output_chi(combine_by_label(out_by_label, n), n)
+    return chi, process_fidelity(theoretical_chi(gate), chi), tp_deviation(chi)
+
+
+def _labels(n: int) -> list[str]:
+    return sorted({label for recipe in preparation_recipes(n) for _, label in recipe.terms})
+
+
+def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """sum_k E_k rho E_k^dagger of one matrix, the terms added in Kraus order."""
+    out = np.zeros_like(rho)
+    for op in channel.operators:
+        out += op @ rho @ op.conj().T
+    return out
+
+
+def combine_by_label(out_by_label: dict, n: int) -> list[np.ndarray]:
+    """The matrix units' outputs, each recipe summed on its own from zeros."""
     outputs = []
-    for recipe in recipes:
-        acc = np.zeros((d, d), dtype=complex)
+    for recipe in preparation_recipes(n):
+        acc = np.zeros((1 << n, 1 << n), dtype=complex)
         for coeff, label in recipe.terms:
             acc += coeff * out_by_label[label]
         outputs.append(acc)
-    chi = chi_from_outputs(outputs, n)
-    return chi, process_fidelity(theoretical_chi(gate), chi), tp_deviation(chi)
+    return outputs
+
+
+def per_output_chi(outputs, n: int) -> ChiMatrix:
+    """``chi_from_outputs`` checking one output at a time: for each output in
+    order its shape, then finite entries, then its trace."""
+    w = _choi_map(n)
+    d = 1 << n
+    d2 = d * d
+    outputs = [np.asarray(o, dtype=complex) for o in outputs]
+    if len(outputs) != d2:
+        raise ValueError(f"expected {d2} channel outputs, got {len(outputs)}")
+    for j, out in enumerate(outputs):
+        if out.shape != (d, d):
+            raise ValueError(f"output {j} has shape {out.shape}, expected {(d, d)}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"output {j} has non-finite entries")
+        expected = complex(j // d == j % d)
+        got = complex(np.trace(out))
+        if abs(got - expected) > 1e-8:
+            raise ValueError(
+                f"output {j}: trace {got:.6g} differs from Tr(rho_j) = {expected:.6g}"
+            )
+    choi = np.array(outputs).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    chi = w.conj().T @ choi @ w / d2
+    residual = float(np.abs(w @ chi @ w.conj().T - choi).max())
+    return ChiMatrix(n, (chi + chi.conj().T) / 2.0, residual)
+
+
+def per_label_channel_chi(channel: KrausChannel) -> ChiMatrix:
+    """chi of ``qpt_channel`` with one Kraus sum per preparation label."""
+    n = channel.qubit_count
+    out_by_label = {label: kraus_apply(channel, preparation_state(label)) for label in _labels(n)}
+    return per_output_chi(combine_by_label(out_by_label, n), n)

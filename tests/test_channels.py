@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
-from oracles import embed_channel, identity_channel, unitary_as_channel
+from oracles import embed_channel, identity_channel, kraus_apply, unitary_as_channel
 from qptkit import KrausChannel, NoiseParams, qpt_channel
 from qptkit.channels import (
     amplitude_damping,
@@ -206,6 +206,30 @@ def test_apply_channel_preserves_density_invariants(seed):
     assert abs(np.trace(out) - 1.0) < 1e-9
     assert np.abs(out - out.conj().T).max() < 1e-9
     assert np.linalg.eigvalsh(out).min() > -1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_apply_channel_on_a_stack_matches_each_matrix(n):
+    # every matrix of a stack gets the bits it gets on its own, and those are
+    # the Kraus sum in Kraus order
+    rng = np.random.default_rng(90 + n)
+    d = 1 << n
+    for rank in (1, 2, 3, 4):
+        q, _ = np.linalg.qr(rng.normal(size=(d * rank, d)) + 1j * rng.normal(size=(d * rank, d)))
+        channel = KrausChannel(n, tuple(q[d * k:d * (k + 1)] for k in range(rank)))
+        for shape in ((4**n,), (3, 5), (1,), (0,)):
+            stack = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+            stack[rng.random(stack.shape) < 0.2] = -0.0
+            out = apply_channel(channel, stack)
+            assert out.shape == stack.shape
+            for index in np.ndindex(shape):
+                single = apply_channel(channel, stack[index])
+                assert out[index].tobytes() == single.tobytes()
+                assert single.tobytes() == kraus_apply(channel, stack[index]).tobytes()
+    with pytest.raises(ValueError, match=r"state shape \(3, 4, 4\) does not match a 1-qubit"):
+        apply_channel(amplitude_damping(1.0, 1.0), np.zeros((3, 4, 4)))
+    with pytest.raises(ValueError, match=r"state shape \(2,\) does not match"):
+        apply_channel(amplitude_damping(1.0, 1.0), np.zeros(2))
 
 
 def test_embed_channel_spectator_untouched():

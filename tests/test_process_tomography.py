@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from qptkit import channels
 from qptkit import state_tomography
 from qptkit.channels import amplitude_damping, apply_channel
 from qptkit.process_tomography import (
+    _PREP_LABELS,
+    _PREP_STACKS,
     FixedOperatorSet,
     _chi_from_preparations,
+    _recipe_table,
     chi_to_channel,
     fixed_operator_set,
     matrix_unit_basis,
@@ -36,7 +40,14 @@ from qptkit.process_tomography import (
 from qptkit.qasm import Gate
 
 from conftest import haar_unitary, random_density
-from oracles import beta_tensor, per_label_qpt, unitary_as_channel
+from oracles import (
+    beta_tensor,
+    combine_by_label,
+    per_label_channel_chi,
+    per_label_qpt,
+    per_output_chi,
+    unitary_as_channel,
+)
 
 MINUS_IY = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -243,6 +254,53 @@ def test_chi_from_outputs_input_checks():
         chi_from_outputs(outputs, 1)
 
 
+def _oracle_message(outputs, n):
+    try:
+        per_output_chi(outputs, n)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chi_from_outputs_matches_per_output_oracle(n):
+    # the stacked check names the output and the fault the per-output loop
+    # named, for stacks, lists and tuples with any mix of bad outputs
+    rng = np.random.default_rng(80 + n)
+    d = 1 << n
+    units = np.array(matrix_unit_basis(n))
+    faults = (np.nan, np.inf, -np.inf, complex(0, np.inf), 1e-7, -2e-8, 0.5j)
+    for _ in range(200):
+        outputs = units + 1e-3 * (rng.normal(size=units.shape) + 1j * rng.normal(size=units.shape))
+        outputs[:, 0, 0] += np.eye(d).reshape(-1) - np.trace(outputs, axis1=1, axis2=2)
+        for j in rng.choice(d * d, size=int(rng.integers(0, 4)), replace=False):
+            a, b = rng.integers(d, size=2)
+            fault = faults[rng.integers(len(faults))]
+            if isinstance(fault, complex) or not np.isfinite(fault):
+                outputs[j, a, b] = fault
+            else:
+                outputs[j, a, a] += fault
+        want = _oracle_message(outputs, n)
+        for form in (outputs, list(outputs), tuple(outputs)):
+            if want is None:
+                got = chi_from_outputs(form, n)
+                assert got.matrix.tobytes() == per_output_chi(outputs, n).matrix.tobytes()
+            else:
+                with pytest.raises(ValueError) as info:
+                    chi_from_outputs(form, n)
+                assert str(info.value) == want
+    # a ragged list names the first output of the wrong shape
+    ragged = list(units)
+    ragged[2] = np.eye(d + 1)
+    ragged[3] = np.eye(d + 2)
+    want = f"output 2 has shape {(d + 1, d + 1)}, expected {(d, d)}"
+    assert _oracle_message(ragged, n) == want
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        chi_from_outputs(ragged, n)
+    with pytest.raises(ValueError, match=r"^output 0 has shape \(\), expected"):
+        chi_from_outputs([1.0] * d * d, n)
+
+
 # --- theoretical chi --------------------------------------------------------------
 
 
@@ -428,10 +486,8 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(20):
         channel = _random_channel(rng, 2)
-        # the chi of one apply_channel call per preparation
-        want = _chi_from_preparations(
-            {label: apply_channel(channel, preparation_state(label))
-             for label in map("".join, itertools.product("01pr", repeat=2))}, 2)
+        # the chi of one apply_channel call on the stack of preparations
+        want = _chi_from_preparations(apply_channel(channel, _PREP_STACKS[2]), 2)
         calls.clear()
         got = qpt_channel(channel)
         assert len(calls) == 1
@@ -444,21 +500,91 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
 def test_qpt_channel_checks_every_output_in_one_stack(monkeypatch):
     import qptkit.process_tomography as process_tomography
 
-    stacks = []
+    stacks, applied = [], []
     check = process_tomography.check_density_matrix
     monkeypatch.setattr(process_tomography, "check_density_matrix",
                         lambda outs: stacks.append(np.shape(outs)) or check(outs))
+
+    def last_unphysical(ch, rho):
+        # the one stacked call, with an unphysical output for the last preparation
+        applied.append(np.shape(rho))
+        outs = apply_channel(ch, rho)
+        outs[-1] = np.diag([1.5, -0.5, 0.0, 0.0])
+        return outs
+
     channel = _random_channel(np.random.default_rng(5), 2)
     qpt_channel(channel)
     assert stacks == [(16, 4, 4)]
     # an unphysical output of the last preparation is named by its index
-    last = sorted(map("".join, itertools.product("01pr", repeat=2)))[-1]
-    state = preparation_state(last)
-    monkeypatch.setattr(process_tomography, "apply_channel",
-                        lambda ch, rho: np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-                        if rho is state else apply_channel(ch, rho))
+    monkeypatch.setattr(process_tomography, "apply_channel", last_unphysical)
     with pytest.raises(ValueError, match="^matrix 15: density matrix has negative eigenvalue"):
         qpt_channel(channel)
+    assert applied == [(16, 4, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qpt_channel_matches_per_label_oracle(n):
+    # bitwise the chi of one Kraus sum per label, a dict combination and a
+    # per-output check, for channels of Kraus rank 1..4
+    rng = np.random.default_rng(40 + n)
+    for _ in range(40):
+        channel = _random_channel(rng, n)
+        got = qpt_channel(channel)
+        want = per_label_channel_chi(channel)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.residual == want.residual
+
+
+def test_preparation_stack_rows_are_the_states():
+    for n in (1, 2):
+        labels = _PREP_LABELS[n]
+        # every recipe label, in sorted order: run_qpt's preparations and seeds
+        assert list(labels) == sorted({label for r in preparation_recipes(n) for _, label in r.terms})
+        stack = _PREP_STACKS[n]
+        assert stack.shape == (4**n, 1 << n, 1 << n) and not stack.flags.writeable
+        for label, row in zip(labels, stack):
+            assert row.tobytes() == preparation_state(label).tobytes()
+
+
+def test_recipe_table_groups_terms_by_count():
+    for n, sizes, adds in ((1, [1, 4], 5), (2, [1, 4, 16], 21)):
+        table = _recipe_table(n)
+        assert sorted(len(coeffs) for _, coeffs, _ in table) == sizes
+        assert sum(len(coeffs) for _, coeffs, _ in table) == adds
+        recipes = preparation_recipes(n)
+        assert sorted(i for targets, _, _ in table for i in targets) == list(range(4**n))
+        for targets, coeffs, positions in table:
+            assert not (targets.flags.writeable or coeffs.flags.writeable
+                        or positions.flags.writeable)
+            for column, target in enumerate(targets):
+                terms = recipes[target].terms
+                assert [c for c, _ in terms] == list(coeffs[:, column, 0, 0])
+                assert [label for _, label in terms] == [
+                    _PREP_LABELS[n][p] for p in positions[:, column]]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_combination_matches_dict_oracle(n, monkeypatch):
+    # arbitrary unit-trace outputs with signed zeros: each unit is its recipe
+    # summed on its own from zeros, bit for bit
+    import qptkit.process_tomography as process_tomography
+
+    inverted = []
+    monkeypatch.setattr(process_tomography, "chi_from_outputs",
+                        lambda units, k: inverted.append(units) or chi_from_outputs(units, k))
+    rng = np.random.default_rng(60 + n)
+    d = 1 << n
+    for _ in range(20):
+        outputs = rng.normal(size=(4**n, d, d)) + 1j * rng.normal(size=(4**n, d, d))
+        outputs[rng.random(outputs.shape) < 0.3] = -0.0
+        outputs[:, 0, 0] += 1.0 - np.trace(outputs, axis1=1, axis2=2)
+        inverted.clear()
+        got = _chi_from_preparations(outputs, n)
+        units = combine_by_label(dict(zip(_PREP_LABELS[n], outputs)), n)
+        assert inverted[0].tobytes() == np.array(units).tobytes()
+        want = per_output_chi(units, n)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.residual == want.residual
 
 
 def test_qpt_channel_rejects_large_registers():
@@ -512,7 +638,7 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
     for shots, seed in ((None, None), (3000, 7)):
         res = run_qpt(gate, lines, backend, shots=shots, seed=seed)
         chi, fidelity, tp_dev = per_label_qpt(gate, lines, backend, shots=shots, seed=seed)
-        assert np.array_equal(res.chi.matrix, chi.matrix)
+        assert res.chi.matrix.tobytes() == chi.matrix.tobytes()
         assert res.residual == chi.residual
         assert res.fidelity == fidelity
         assert res.tp_deviation == tp_dev

@@ -361,6 +361,14 @@ def test_dataset_reader_errors():
         read_dataset("format=1\nqubits=x\nshots=exact\nZ 0:1.0\n")
     with pytest.raises(ValueError, match="line 3: dataset header 'shots' is not an integer: 'lots'"):
         read_dataset("format=1\nqubits=1\nshots=lots\nZ 0:100\n")
+    # range checks name the header's line and come before any setting check
+    with pytest.raises(ValueError, match="^line 2: qubit count must be 1..5, got 7$"):
+        read_dataset("format=1\nqubits=7\nshots=exact\nZ 0:1.0\n")
+    with pytest.raises(ValueError, match="^line 2: qubit count must be 1..5, got 0$"):
+        read_dataset("format=1\nqubits=0\nshots=exact\nZ 0:1.0\n")
+    for shots in (0, -2):
+        with pytest.raises(ValueError, match=f"^line 3: shots must be positive, got {shots}$"):
+            read_dataset(f"format=1\nqubits=1\nshots={shots}\nZ 0:1.0\n")
     with pytest.raises(ValueError, match=r"missing setting 'Y' \(1 of 3 missing\)"):
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:1.0\nX 0:1.0\n")
     with pytest.raises(ValueError, match=r"missing setting 'ZZ' \(8 of 9 missing\)"):
