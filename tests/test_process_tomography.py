@@ -1,7 +1,6 @@
 """Operator sets, the closed-form chi inversion, chi matrices, QPT pipelines."""
 
 import dataclasses
-import itertools
 import math
 import re
 
