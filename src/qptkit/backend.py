@@ -34,8 +34,9 @@ whole circuit register, with the active block scattered back by index;
 every other result carries the outcome weights or counts alone.
 
 ``execute_many`` runs a sequence of circuits through that one evolution and
-yields each result as its circuit finishes; ``execute`` is its one-circuit
-case, and ``execute_exact`` evolves its one circuit the same way.  The
+yields each result as its chunk is read out; ``execute`` is its one-circuit
+case, and ``execute_exact`` evolves and reads out its one circuit as a
+one-circuit chunk.  The
 evolution keeps a stack of checkpoints.
 While a circuit evolves, the state after the instructions it shares with
 the next circuit is pushed, and the next circuit resumes from the deepest
@@ -48,14 +49,21 @@ for the qubits it touches, only the instructions from its checkpoint on.  A
 circuit on a different set of active qubits empties the stack and starts
 from the ground state.  Final states are copied into a buffer of at most
 64 KiB and checked by one ``check_density_matrix`` call on the stack before
-any of them is yielded.  Results are bitwise those of one call per circuit.
+the chunk is read out.
+
+Readout works per checked chunk.  The chunk splits into runs of
+consecutive circuits with the same measures and creg size (a tomography
+stream has one run per chunk), and each run is read out as one stack: one
+call forms the weights of all its circuits, one more their counts.  Results
+are bitwise those of one call per circuit.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
 ``format(i, f"0{m}b")``.  Exact weights are one ``np.bincount`` of the
-clipped diagonal over a cached outcome index per local index, divided by
-their total added left to right (never by the builtin ``sum``, which is
-compensated from Python 3.12 on).
+clipped diagonals over a cached outcome index per local index, offset per
+circuit, each circuit's divided by its total added left to right in the
+order of its outcomes' first nonzero weight (a ``cumsum``, never the
+builtin ``sum``, which is compensated from Python 3.12 on).
 
 Sampling draws one uniform per shot for the outcome (inverse CDF over
 outcome indices in increasing order: the outcome is the number of
@@ -63,13 +71,17 @@ cumulative weights at or below the draw) followed by one uniform per
 measured classical bit, in increasing classical-bit order, for the readout
 flip; the matrix of uniforms is generated shot-major.  The flip column of a
 bit whose flip probability is 0 is still drawn, only not compared, so a seed
-means the same draws whatever the flip probabilities.  When no measured
-qubit's flip probability is above 0 (as in both builtin configs), no
-per-shot outcome is formed: the count of outcome j is the number of draws at
-or above cumulative weight j-1 less the number at or above weight j.
-Otherwise the outcomes are formed, flipped and counted with one
-``np.bincount``, zeros included.  Identical (circuit, backend, shots, seed)
-therefore reproduce identical counts.
+means the same draws whatever the flip probabilities.  Draws stay per
+circuit, from its own seeded generator, into a reused buffer of at most
+256 KiB (one circuit's draws when they are larger); the circuits whose
+draws fill it are counted as one block.  When no measured qubit's flip
+probability is above 0 (as in both builtin configs), no per-shot outcome is
+formed: the count of outcome j is the number of draws at or above
+cumulative weight j-1 less the number at or above weight j, one comparison
+and one per-row count per cumulative weight for the block.  Otherwise the
+block's outcomes are formed, flipped and counted with one ``np.bincount``,
+each circuit's offset past the last one's, zeros included.  Identical
+(circuit, backend, shots, seed) therefore reproduce identical counts.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -372,21 +384,21 @@ _CHECK_BYTES = 1 << 16
 
 
 def _checked(circuits: list[Circuit], states: np.ndarray, active: tuple[int, ...],
-             end: int) -> Iterator[tuple[Circuit, np.ndarray, tuple[int, ...]]]:
-    """Check the first len(circuits) states as one stack, then yield each with
-    its circuit; the circuits are the ones just before position ``end``."""
+             end: int) -> tuple[list[Circuit], np.ndarray, tuple[int, ...]]:
+    """Check the first len(circuits) states as one stack and return the chunk;
+    the circuits are the ones just before position ``end``."""
     count = len(circuits)
     try:
         check_density_matrix(states[:count], atol=1e-9)
     except ValueError as exc:
         raise ValueError(f"circuits {end - count}..{end - 1}: {exc}") from None
-    for circuit, state in zip(circuits, states):
-        yield circuit, state, active
+    return circuits, states[:count], active
 
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel
-            ) -> Iterator[tuple[Circuit, np.ndarray, tuple[int, ...]]]:
-    """Yield each circuit with its final active-register density matrix and qubits.
+            ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
+    """Yield the circuits chunk by chunk, each chunk with the stack of its
+    circuits' final active-register density matrices and the active qubits.
 
     ``saved`` is a stack of checkpoints (instructions applied, state, qubits
     those instructions touch), deepest last, all on the prefix of the
@@ -402,8 +414,8 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
     that applied nothing (a measure with noise off) left a state whose
     trace was already checked.  Final states are copied into a buffer of at
     most ``_CHECK_BYTES`` and checked as one stack by
-    ``check_density_matrix`` before any of them is yielded.  A yielded
-    matrix must not be written to.
+    ``check_density_matrix`` before the chunk is yielded.  A yielded stack
+    must not be written to.
     """
     active: tuple[int, ...] | None = None
     saved: list[tuple[int, np.ndarray | None, frozenset[int]]] = [(0, None, frozenset())]
@@ -418,7 +430,7 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
         touched = tuple(sorted(seen.union(_qubits(instructions[depth:])), reverse=True))
         if touched != active:
             if pending:
-                yield from _checked(pending, states, active, i)
+                yield _checked(pending, states, active, i)
                 pending = []
             active = touched
             k = len(active)
@@ -461,10 +473,10 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
         states[len(pending)].reshape(rho.shape)[...] = rho
         pending.append(circuit)
         if len(pending) == chunk:
-            yield from _checked(pending, states, active, i + 1)
+            yield _checked(pending, states, active, i + 1)
             pending = []
     if pending:
-        yield from _checked(pending, states, active, len(circuits))
+        yield _checked(pending, states, active, len(circuits))
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -496,82 +508,126 @@ def _outcome_index(active: tuple[int, ...], measures: tuple[Measure, ...]) -> np
     return index
 
 
-def _distribution(reduced: np.ndarray, active: tuple[int, ...],
-                  circuit: Circuit) -> np.ndarray | None:
-    """Read-only outcome weights by outcome index, from the active-register diagonal.
+def _distributions(states: np.ndarray, active: tuple[int, ...],
+                   measures: tuple[Measure, ...], count: int) -> np.ndarray | None:
+    """Read-only ``(rows, 2**count)`` outcome weights of a stack of
+    active-register states read out by the same measures; None when they
+    measure nothing.
 
-    Local indices run in the same order as the whole-register indices they
-    stand for, so the weights accumulate in whole-register order.  The
-    normalising total adds the outcomes in the order of their first nonzero
-    weight, one sequential addition at a time.  None when the circuit
-    measures nothing.
+    Each row has the bits of its state read out alone.  Local indices run in
+    the same order as the whole-register indices they stand for, and one
+    ``np.bincount`` over row-offset outcome indices adds each row's weights
+    in that order.  The normalising total adds the outcomes in the order of
+    their first nonzero weight, one sequential addition at a time: a stable
+    argsort of each outcome's first nonzero local index (``np.minimum.at``),
+    then a ``cumsum``; an outcome with no nonzero weight adds an exact zero,
+    wherever it falls.
     """
-    measures = circuit.measurements
     if not measures:
         return None
-    index = _outcome_index(active, measures)
-    weights = np.clip(reduced.diagonal().real, 0.0, None)
-    probs = np.bincount(index, weights=weights, minlength=1 << circuit.classical_count)
-    order = list(dict.fromkeys(index[weights != 0.0].tolist()))
-    probs /= reduce(operator.add, probs[order].tolist(), 0.0)
+    rows, dim = states.shape[:2]
+    size = 1 << count
+    weights = np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
+    # each row's outcome indices, offset past the last row's
+    index = (_outcome_index(active, measures) + np.arange(0, rows * size, size)[:, None]).ravel()
+    probs = np.bincount(index, weights=weights.ravel(), minlength=rows * size).reshape(rows, size)
+    first = np.full(rows * size, dim)
+    np.minimum.at(first, index, np.where(weights != 0.0, np.arange(dim), dim).ravel())
+    order = np.argsort(first.reshape(rows, size), axis=1, kind="stable")
+    probs /= np.cumsum(np.take_along_axis(probs, order, axis=1), axis=1)[:, -1:]
     probs.setflags(write=False)
     return probs
 
 
-def _sample(probabilities: np.ndarray, circuit: Circuit, backend: BackendModel,
-            shots: int, seed: int | None) -> np.ndarray:
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
+# bound on the bytes of seeded draws held at once: on a sampled sweep a
+# 1 MiB bound was no faster and raised the peak memory by 1 MB
+_DRAW_BYTES = 1 << 18
 
-    measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random((shots, 1 + len(measured)))
+
+def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: BackendModel,
+            shots: int, seeds: Sequence[int | None]) -> np.ndarray:
+    """Read-only ``(rows, 2**count)`` counts, row r drawn from weight row r
+    with ``seeds[r]``, as the module docstring describes."""
+    rows, size = weights.shape
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= cdf[:, -1:]
     # searchsorted(cdf, draw, side="right"), as a count of the cumulative
     # weights at or below each draw; the last is 1.0, which no draw reaches
-    first = np.ascontiguousarray(uniforms[:, 0])
+    bounds = cdf[:, :-1]
+    measured = sorted(measures, key=lambda mm: mm.clbit)
     flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
              if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
-    if not flips:
-        # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
-        at_or_above = [np.count_nonzero(first >= bound) for bound in cdf[:-1].tolist()]
-        counts = -np.diff(np.array([shots, *at_or_above, 0], dtype=np.intp))
-    else:
-        outcomes = np.zeros(shots, dtype=np.intp)
-        for bound in cdf[:-1].tolist():
-            outcomes += first >= bound
-        for col, clbit, prob in flips:
-            outcomes[uniforms[:, col] < prob] ^= 1 << clbit
-        counts = np.bincount(outcomes, minlength=len(probabilities))
+    block = max(1, _DRAW_BYTES // (8 * shots * (1 + len(measured))))
+    draws = np.empty((min(rows, block), shots, 1 + len(measured)))
+    first = np.empty(draws.shape[:2])  # each row's outcome draws, contiguous
+    at_or_above = np.empty(first.shape, dtype=bool)
+    # a row's count of set bytes fits the narrowest type that holds shots
+    tally = np.min_scalar_type(shots)
+    counts = np.empty((rows, size), dtype=np.intp)
+    for start in range(0, rows, block):
+        n = min(block, rows - start)
+        for row, seed in zip(draws, seeds[start:start + n]):
+            np.random.default_rng(seed).random(out=row)
+        np.copyto(first[:n], draws[:n, :, 0])
+        lows = bounds[start:start + n]
+        if not flips:
+            # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
+            above = np.zeros((n, size + 1), dtype=np.intp)
+            above[:, 0] = shots
+            for j in range(size - 1):
+                np.greater_equal(first[:n], lows[:, j, None], out=at_or_above[:n])
+                above[:, j + 1] = at_or_above[:n].view(np.uint8).sum(axis=1, dtype=tally)
+            counts[start:start + n] = above[:, :-1] - above[:, 1:]
+        else:
+            outcomes = np.zeros((n, shots), dtype=np.intp)
+            for j in range(size - 1):
+                outcomes += first[:n] >= lows[:, j, None]
+            for col, clbit, prob in flips:
+                outcomes[draws[:n, :, col] < prob] ^= 1 << clbit
+            # one bincount over the block, each row's outcomes offset past the last row's
+            outcomes += np.arange(0, n * size, size)[:, None]
+            counts[start:start + n] = np.bincount(outcomes.ravel(), minlength=n * size
+                                                  ).reshape(n, size)
     counts.setflags(write=False)
     return counts
+
+
+_readout = operator.attrgetter("measurements", "classical_count")
 
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
                  shots: int | None = None,
                  seeds: Sequence[int | None] | None = None) -> Iterator[ExecutionResult]:
-    """Run circuits in order, yielding one result per circuit as it finishes.
+    """Run circuits in order, yielding one result per circuit.
 
     With ``shots=None`` each result carries only ``probabilities``, the same
     weights ``execute_exact`` returns (None for a circuit that measures
     nothing), and no ``final_state``; otherwise it is what ``execute``
     returns with the matching entry of ``seeds``.  Consecutive circuits that
     share an instruction prefix on the same active qubits evolve that prefix
-    once.
+    once, and each run of consecutive circuits of a checked chunk that share
+    their measures and creg size is read out as one stack.
     """
     if shots is not None:
         if shots < 1:
             raise ValueError(f"shots must be positive, got {shots}")
         if seeds is None or len(seeds) != len(circuits):
             raise ValueError("sampling needs one seed per circuit")
-    for pos, (circuit, reduced, active) in enumerate(_evolve(circuits, backend)):
-        probabilities = _distribution(reduced, active, circuit)
-        if shots is None:
-            yield ExecutionResult(probabilities=probabilities)
-        elif probabilities is None:
-            raise ValueError("circuit has no measurements to sample")
-        else:
-            counts = _sample(probabilities, circuit, backend, shots, seeds[pos])
-            yield ExecutionResult(counts=counts, shots=shots)
+    done = 0
+    for chunk, states, active in _evolve(circuits, backend):
+        for (measures, count), run in itertools.groupby(chunk, _readout):
+            rows = len(list(run))
+            weights = _distributions(states[:rows], active, measures, count)
+            if shots is None:
+                yield from (ExecutionResult(probabilities=row)
+                            for row in ([None] * rows if weights is None else weights))
+            elif weights is None:
+                raise ValueError("circuit has no measurements to sample")
+            else:
+                counts = _sample(weights, measures, backend, shots, seeds[done:done + rows])
+                yield from (ExecutionResult(counts=row, shots=shots) for row in counts)
+            states = states[rows:]
+            done += rows
 
 
 def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
@@ -581,10 +637,11 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     measure-duration decay when noise is on); ``probabilities`` holds the
     exact outcome weights by outcome index, or None when nothing is measured.
     """
-    ((_, reduced, active),) = _evolve([circuit], backend)
+    ((_, states, active),) = _evolve([circuit], backend)
+    weights = _distributions(states, active, *_readout(circuit))
     return ExecutionResult(
-        final_state=_full_register(reduced, active, circuit.qubit_count),
-        probabilities=_distribution(reduced, active, circuit),
+        final_state=_full_register(states[0], active, circuit.qubit_count),
+        probabilities=None if weights is None else weights[0],
     )
 
 

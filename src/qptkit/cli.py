@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .backend import (BackendModel, ConfigError, builtin_backend, builtin_backend_names,
@@ -240,7 +241,9 @@ def _add_sampling_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_int_at_least(0), help="base RNG seed for sampled runs")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qptkit`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qptkit",
         description="Process/state tomography against a noisy 5-qubit simulator.",

@@ -108,6 +108,23 @@ def _setting_suffix(setting: str, qubits: tuple[int, ...]) -> tuple[Gate | Measu
     return tuple(extra)
 
 
+@lru_cache(maxsize=64)
+def _setting_suffixes(qubits: tuple[int, ...]) -> tuple[tuple[Gate | Measure, ...], ...]:
+    """Every setting's suffix on ``qubits``, in ``qst_settings`` order, sharing
+    one rotation object per (letter, qubit) and one measure per qubit: each is
+    assembled from the suffixes of the settings with one letter throughout."""
+    settings = qst_settings(len(qubits))
+    pieces = {}
+    for basis in BASIS_ORDER:
+        suffix = _setting_suffix(basis * len(qubits), qubits)
+        width = len(_ROTATIONS[basis])
+        for p in range(len(qubits)):
+            pieces[p, basis] = suffix[p * width:(p + 1) * width]
+    measures = suffix[width * len(qubits):]
+    return tuple((*itertools.chain.from_iterable(pieces[p, basis] for p, basis in enumerate(tag)),
+                  *measures) for tag in settings)
+
+
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
 
 
@@ -424,12 +441,16 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     its entry of ``seeds`` (fresh entropy when it or ``seeds`` is None) and
     its settings the seeds ``child_seeds(seed, 3**n)``.  The weights are
     checked as a dataset's are, all settings as one stack.
+
+    The setting suffixes are built once per ``qubits`` tuple and kept.  They
+    share one rotation object per (letter, qubit) and one measure per qubit,
+    so the backend matches the rotations two settings share, and the
+    measures that make the settings one readout run, by identity.
     """
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
-    settings = qst_settings(len(qubits))
-    suffixes = [_setting_suffix(tag, qubits) for tag in settings]
+    suffixes = _setting_suffixes(qubits)
     if any(prep.measurements for prep in preps):
         raise ValueError("circuit already contains measurements")
     circuits = [prep.extended(*suffix, classical_count=len(qubits))
@@ -439,14 +460,14 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, len(settings))]
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, len(suffixes))]
     stack = np.empty((len(circuits), 1 << len(qubits)),
                      dtype=float if shots is None else np.intp)
     for row, result in enumerate(execute_many(circuits, backend, shots, circuit_seeds)):
         stack[row] = result.probabilities if shots is None else result.counts
     _check_weights(stack, shots)
     stack.setflags(write=False)
-    return stack.reshape(len(preps), len(settings), 1 << len(qubits))
+    return stack.reshape(len(preps), len(suffixes), 1 << len(qubits))
 
 
 def collect_dataset(prep: Circuit, backend: BackendModel,

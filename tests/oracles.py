@@ -9,15 +9,19 @@ preparation at a time, as ``run_qpt`` did before it ran a placement as one
 stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
 time; both combine and invert as the package did before it worked on stacks
 (``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
-``append_setting`` builds one setting circuit on its own.
+``append_setting`` builds one setting circuit on its own.  ``distribution``
+and ``sample`` read out one circuit at a time, as the backend did before it
+read out each checked chunk as one stack.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import reduce
 
 import numpy as np
 
+from qptkit.backend import _outcome_index
 from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
 from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
 from qptkit.process_tomography import (
@@ -63,6 +67,58 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
         qubits = range(circuit.qubit_count - 1, -1, -1)
     qubits = tuple(qubits)
     return circuit.extended(*_setting_suffix(setting, qubits), classical_count=len(qubits))
+
+
+def distribution(reduced: np.ndarray, active: tuple[int, ...],
+                 circuit: Circuit) -> np.ndarray | None:
+    """Read-only outcome weights by outcome index, from the active-register diagonal.
+
+    Local indices run in the same order as the whole-register indices they
+    stand for, so the weights accumulate in whole-register order.  The
+    normalising total adds the outcomes in the order of their first nonzero
+    weight, one sequential addition at a time.  None when the circuit
+    measures nothing.
+    """
+    measures = circuit.measurements
+    if not measures:
+        return None
+    index = _outcome_index(active, measures)
+    weights = np.clip(reduced.diagonal().real, 0.0, None)
+    probs = np.bincount(index, weights=weights, minlength=1 << circuit.classical_count)
+    order = list(dict.fromkeys(index[weights != 0.0].tolist()))
+    probs /= reduce(operator.add, probs[order].tolist(), 0.0)
+    probs.setflags(write=False)
+    return probs
+
+
+def sample(probabilities: np.ndarray, circuit: Circuit, backend,
+           shots: int, seed: int | None) -> np.ndarray:
+    """Read-only counts of one circuit: its seeded draws, threshold counting
+    without readout flips, per-shot outcomes and one bincount with them."""
+    cdf = np.cumsum(probabilities)
+    cdf /= cdf[-1]
+
+    measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
+    rng = np.random.default_rng(seed)
+    uniforms = rng.random((shots, 1 + len(measured)))
+    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
+    # weights at or below each draw; the last is 1.0, which no draw reaches
+    first = np.ascontiguousarray(uniforms[:, 0])
+    flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
+             if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
+    if not flips:
+        # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
+        at_or_above = [np.count_nonzero(first >= bound) for bound in cdf[:-1].tolist()]
+        counts = -np.diff(np.array([shots, *at_or_above, 0], dtype=np.intp))
+    else:
+        outcomes = np.zeros(shots, dtype=np.intp)
+        for bound in cdf[:-1].tolist():
+            outcomes += first >= bound
+        for col, clbit, prob in flips:
+            outcomes[uniforms[:, col] < prob] ^= 1 << clbit
+        counts = np.bincount(outcomes, minlength=len(probabilities))
+    counts.setflags(write=False)
+    return counts
 
 
 def density_violation(rho: np.ndarray, atol: float = 1e-9) -> str | None:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -24,7 +25,15 @@ from qptkit import (
 )
 from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names
-from oracles import SINGLE_QUBIT_GATES, append_setting, embed_channel, embed_gate, outcome_dict
+from oracles import (
+    SINGLE_QUBIT_GATES,
+    append_setting,
+    distribution,
+    embed_channel,
+    embed_gate,
+    outcome_dict,
+    sample,
+)
 from qptkit.channels import decoherence_channel
 from qptkit.operators import standard_gate
 from qptkit.process_tomography import preparation_circuit
@@ -394,20 +403,113 @@ def _tomography_batches(backend):
         yield [append_setting(parity, tag, lines) for tag in qst_settings(2)]
 
 
+def _per_circuit(chunks):
+    """(circuit, final state, active qubits) of each circuit of ``_evolve``'s chunks."""
+    return [(circuit, state, active) for chunk, states, active in chunks
+            for circuit, state in zip(chunk, states, strict=True)]
+
+
 @pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
 def test_distribution_matches_dict_reference(qx4, mode):
     backend = {"quiet": qx4.with_noise(False), "noisy": qx4,
                "idle": qx4.with_idle_decay(True)}[mode]
     compared = 0
     for batch in _tomography_batches(qx4):
-        for circuit, reduced, active in backend_module._evolve(batch, backend):
-            got = backend_module._distribution(reduced, active, circuit)
+        evolved = _per_circuit(backend_module._evolve(batch, backend))
+        for (circuit, reduced, active), result in zip(evolved, execute_many(batch, backend),
+                                                      strict=True):
+            got = result.probabilities
             assert got.dtype == np.float64 and got.shape == (1 << circuit.classical_count,)
             assert not got.flags.writeable
+            assert got.tobytes() == distribution(reduced, active, circuit).tobytes()
             assert list(outcome_dict(got).items()) == list(
                 _dict_distribution(reduced, active, circuit).items())
             compared += 1
     assert compared == 45 * 12 + 6 * 144 + 3 * 243 + 3 * 9 + 2 * 9
+
+
+def _with_flips(backend, flips):
+    """The backend with qubit q's readout flip probability set to flips[q]."""
+    return replace(backend, qubits=tuple(replace(p, readout_flip_prob=f)
+                                         for p, f in zip(backend.qubits, flips)))
+
+
+@pytest.mark.parametrize("shots", [1, 5, 8192])
+@pytest.mark.parametrize("flips", ["zero", "random"])
+def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots):
+    rng = np.random.default_rng(shots)
+    if flips == "random":
+        backend = _with_flips(qx4, rng.uniform(0.0, 0.1, size=5).tolist())
+        assert all(q.readout_flip_prob > 0.0 for q in backend.qubits)
+    else:
+        backend = qx4
+    # a single-qubit placement's 12 circuits are one run, read out with its
+    # draws in blocks: at 8192 shots a block is smaller than the run
+    assert backend_module._DRAW_BYTES // (8 * 8192 * 2) < 12
+    batches = list(_tomography_batches(qx4))
+    # a share of the placements' batches, one 5-qubit preparation measured on
+    # all qubits and on two, and both parity batches
+    chosen = batches[:-8:4 if shots < 8192 else 9] + batches[-8:-6] + batches[-2:]
+    compared = 0
+    for batch in chosen:
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(batch))]
+        evolved = _per_circuit(backend_module._evolve(batch, backend))
+        got = execute_many(batch, backend, shots=shots, seeds=seeds)
+        for (circuit, reduced, active), seed, result in zip(evolved, seeds, got, strict=True):
+            want = sample(distribution(reduced, active, circuit), circuit, backend, shots, seed)
+            assert result.counts.dtype == want.dtype and not result.counts.flags.writeable
+            assert np.array_equal(result.counts, want)
+            compared += 1
+    assert compared > 300
+
+
+@pytest.mark.parametrize("flip", ["0.0", "0.05"])
+def test_sample_blocks_cross_the_draw_buffer_bound(monkeypatch, flip):
+    backend = load_backend(_config(**{f"q{q}__readout_flip": flip for q in range(5)}))
+    circuits = [append_setting(preparation_circuit(label, (1, 0)), tag, (1, 0))
+                for label in ("0p", "r1") for tag in qst_settings(2)]
+    seeds = list(range(100, 100 + len(circuits)))
+    want = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
+    per_circuit = 8 * 300 * 3
+    for circuits_per_block in (1, 2, 5, 7):
+        monkeypatch.setattr(backend_module, "_DRAW_BYTES", circuits_per_block * per_circuit + 1)
+        got = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    # a block never holds more than one circuit's draws past the bound
+    monkeypatch.setattr(backend_module, "_DRAW_BYTES", 1)
+    got = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4):
+    backend = _with_flips(qx4, [0.0, 0.03, 0.0, 0.08, 0.0])
+    prep = (Gate("h", (1,)), Gate("cx", (1, 0)), Gate("t", (3,)), Gate("h", (3,)))
+    readouts = [
+        (Measure(0, 0), Measure(1, 1)),
+        (Measure(0, 0), Measure(1, 1)),
+        (),
+        (Measure(1, 0), Measure(0, 1)),
+        (Measure(3, 2), Measure(0, 0)),
+        (),
+        (),
+        (Measure(0, 0), Measure(1, 1)),
+    ]
+    batch = [Circuit(5, 3, (*prep, Gate("x", (3,)) if i % 2 else Gate("h", (0,)), *measures))
+             for i, measures in enumerate(readouts)]
+    (chunk, states, active), = backend_module._evolve(batch, backend)
+    assert chunk == batch and active == (3, 1, 0)
+    for circuit, state, result in zip(batch, states, execute_many(batch, backend), strict=True):
+        want = distribution(state, active, circuit)
+        if want is None:
+            assert result.probabilities is None
+        else:
+            assert result.probabilities.tobytes() == want.tobytes()
+    measured = [(c, s) for c, s in zip(batch, states) if c.measurements]
+    seeds = list(range(len(measured)))
+    got = execute_many([c for c, _ in measured], backend, shots=500, seeds=seeds)
+    for (circuit, state), seed, result in zip(measured, seeds, got, strict=True):
+        want = sample(distribution(state, active, circuit), circuit, backend, 500, seed)
+        assert np.array_equal(result.counts, want)
 
 
 def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
@@ -425,12 +527,19 @@ def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
     return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
 
 
+def _stacked_sample(probabilities, circuit, backend, shots, seed):
+    """The counts of one circuit as the one row of a stacked ``_sample`` call."""
+    return backend_module._sample(probabilities[None], circuit.measurements, backend,
+                                  shots, [seed])[0]
+
+
 def _check_sample(probabilities, circuit, backend, shots, seed):
     want = _searchsorted_sample(probabilities, circuit, backend, shots, seed)
-    got = backend_module._sample(probabilities, circuit, backend, shots, seed)
+    got = _stacked_sample(probabilities, circuit, backend, shots, seed)
     assert got.dtype.kind == "i" and len(got) == len(probabilities)
     assert not got.flags.writeable
     assert list(outcome_dict(got).items()) == list(want.items())
+    assert np.array_equal(got, sample(probabilities, circuit, backend, shots, seed))
 
 
 def test_sample_matches_searchsorted_reference():
@@ -464,7 +573,7 @@ def test_sample_draw_on_a_cdf_bound(flip):
         _check_sample(probabilities, circuit, backend, 5, seed)
         if flip == "0.0":
             # searchsorted(side="right") puts the draw above the bound
-            assert backend_module._sample(probabilities, circuit, backend, 5, seed)[3] >= 1
+            assert _stacked_sample(probabilities, circuit, backend, 5, seed)[3] >= 1
 
 
 def _tensordot_apply(sup, rho, axes, k):
@@ -612,10 +721,10 @@ def test_execute_many_mixed_batch_matches_one_call_per_circuit(qx4, mode):
     assert any(a.instructions[:2] == b.instructions[:2] and len(b.instructions) > 2
                for a, b in neighbours)
     assert any(_qubits(a) != _qubits(b) for a, b in neighbours)
-    evolved = list(backend_module._evolve(batch, backend))
+    evolved = _per_circuit(backend_module._evolve(batch, backend))
     assert len(evolved) == len(batch)
     for circuit, (yielded, reduced, active) in zip(batch, evolved):
-        ((_, alone, alone_active),) = backend_module._evolve([circuit], backend)
+        ((_, alone, alone_active),) = _per_circuit(backend_module._evolve([circuit], backend))
         assert yielded is circuit and active == alone_active
         assert np.array_equal(reduced, alone)
     got = list(execute_many(batch, backend))
@@ -770,7 +879,8 @@ def test_distribution_total_is_a_sequential_sum():
     circuit = Circuit(4, 4, tuple(Measure(q, q) for q in range(4)))
     active = (3, 2, 1, 0)
     diagonal = np.array([0.1] * 10 + [0.0] * 6)
-    probs = backend_module._distribution(np.diag(diagonal).astype(complex), active, circuit)
+    probs = backend_module._distributions(np.diag(diagonal).astype(complex)[None], active,
+                                          circuit.measurements, 4)[0]
     total = reduce(operator.add, [0.1] * 10, 0.0)
     assert total == 0.9999999999999999
     assert np.array_equal(probs, diagonal / total)

@@ -18,7 +18,7 @@ from qptkit.reports import (
     seed_summary_dict,
 )
 from qptkit.state_tomography import read_dataset
-from qptkit.cli import main
+from qptkit.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +217,15 @@ def test_cli_qpt_exact(tmp_path, capsys):
     assert report["fidelity"] == pytest.approx(1.0, abs=1e-9)
     out = capsys.readouterr().out
     assert "h 2: fidelity=1.000000" in out
+
+
+def test_cli_reuses_one_parser_without_carrying_state():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["qpt", "--gate", "h", "--gate", "x", "--lines", "1",
+                                       "--backend", "qx4"])
+    second = build_parser().parse_args(["qpt", "--gate", "t", "--backend", "qx4"])
+    assert first.gate == ["h", "x"] and first.lines == ["1"]
+    assert second.gate == ["t"] and second.lines is None
 
 
 def test_cli_qpt_all_lines(tmp_path):

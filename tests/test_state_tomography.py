@@ -462,6 +462,28 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     assert len(applied) == 4 + 1 + 2
 
 
+def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
+    suffixes = qptkit.state_tomography._setting_suffixes((4, 1))
+    assert suffixes is qptkit.state_tomography._setting_suffixes((4, 1))
+    prep = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n")
+    # the instructions of one setting at a time: one object per (letter, qubit)
+    # for the rotations (h of X, sdg and h of Y) and one measure per qubit
+    alone = [append_setting(prep, tag, (4, 1)).instructions[3:] for tag in qst_settings(2)]
+    assert [list(s) for s in suffixes] == [list(s) for s in alone]
+    assert len({id(inst) for suffix in suffixes for inst in suffix}) == 2 + 4 + 2
+    compared = []
+    for cls in (Gate, Measure):
+        def recording(self, other, original=cls.__eq__):
+            compared.append((self, other))
+            return original(self, other)
+        monkeypatch.setattr(cls, "__eq__", recording)
+    weights = collect_weights([prep], qx4_quiet, (4, 1))
+    monkeypatch.undo()
+    # neighbouring settings are compared by value only where they branch apart
+    assert compared and all(a != b for a, b in compared)
+    assert np.array_equal(weights[0], collect_dataset(prep, qx4_quiet, (4, 1)).weights)
+
+
 def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
     preps = [preparation_circuit(label, (1,), 5) for label in "01p"]
     weights = collect_weights(preps, qx4_quiet, (1,))
