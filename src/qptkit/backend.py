@@ -34,10 +34,9 @@ whole circuit register, with the active block scattered back by index;
 every other result carries the outcome weights or counts alone.
 
 ``execute_many`` runs a sequence of circuits through that one evolution and
-yields each result as its chunk is read out; ``execute`` is its one-circuit
-case, and ``execute_exact`` evolves and reads out its one circuit as a
-one-circuit chunk.  The
-evolution keeps a stack of checkpoints.
+yields each result as its readout run (below) is read out; ``execute`` is
+its one-circuit case, and ``execute_exact`` evolves and reads out its one
+circuit as a one-circuit chunk.  The evolution keeps a stack of checkpoints.
 While a circuit evolves, the state after the instructions it shares with
 the next circuit is pushed, and the next circuit resumes from the deepest
 checkpoint that is a prefix of its own and evolves only the rest.  So
@@ -51,11 +50,13 @@ from the ground state.  Final states are copied into a buffer of at most
 64 KiB and checked by one ``check_density_matrix`` call on the stack before
 the chunk is read out.
 
-Readout works per checked chunk.  The chunk splits into runs of
-consecutive circuits with the same measures and creg size (a tomography
-stream has one run per chunk), and each run is read out as one stack: one
-call forms the weights of all its circuits, one more their counts.  Results
-are bitwise those of one call per circuit.
+Readout works per run: consecutive circuits on the same active qubits
+with the same measures and creg size, across checked chunks (a
+state-tomography stream is one run).  Copies of the checked states'
+diagonals are held until the run ends or holds 256 KiB of them, so memory
+stays bounded and a long stream yields results before it ends; each run is
+read out as one stack: one call forms the weights of all its circuits, one
+more their counts.  Results are bitwise those of one call per circuit.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -106,11 +107,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -148,7 +150,7 @@ class TopologyError(ValueError):
 class BackendModel:
     name: str
     qubits: tuple[NoiseParams, ...]
-    gate_durations_ns: dict[str, float]
+    gate_durations_ns: Mapping[str, float]
     measure_duration_ns: float
     coupling: CouplingMap
     noise_enabled: bool = True
@@ -180,7 +182,8 @@ class BackendModel:
             raise ValueError("duration scale factor must be non-negative")
         return replace(
             self,
-            gate_durations_ns={g: d * factor for g, d in self.gate_durations_ns.items()},
+            gate_durations_ns=MappingProxyType(
+                {g: d * factor for g, d in self.gate_durations_ns.items()}),
             measure_duration_ns=self.measure_duration_ns * factor,
         )
 
@@ -279,7 +282,7 @@ def load_backend(text: str) -> BackendModel:
     return BackendModel(
         name=name,
         qubits=tuple(qubits),
-        gate_durations_ns=durations,
+        gate_durations_ns=MappingProxyType(durations),
         measure_duration_ns=measure,
         coupling=coupling,
         noise_enabled=take_bool("noise", "on"),
@@ -296,8 +299,10 @@ def builtin_backend_names() -> list[str]:
     return sorted(p.name[: -len(".cfg")] for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
+@lru_cache(maxsize=None)
 def builtin_backend(name: str) -> BackendModel:
-    """Load one of the packaged device transcriptions (e.g. ``qx4``, ``qx2``)."""
+    """Load one of the packaged device transcriptions (e.g. ``qx4``, ``qx2``);
+    each is parsed once per process and the model is shared."""
     res = resources.files("qptkit").joinpath(f"configs/{name}.cfg")
     if not res.is_file():
         raise ConfigError(
@@ -508,11 +513,11 @@ def _outcome_index(active: tuple[int, ...], measures: tuple[Measure, ...]) -> np
     return index
 
 
-def _distributions(states: np.ndarray, active: tuple[int, ...],
+def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
                    measures: tuple[Measure, ...], count: int) -> np.ndarray | None:
-    """Read-only ``(rows, 2**count)`` outcome weights of a stack of
-    active-register states read out by the same measures; None when they
-    measure nothing.
+    """Read-only ``(rows, 2**count)`` outcome weights of the ``(rows, 2**k)``
+    real diagonals of active-register states read out by the same measures;
+    None when they measure nothing.
 
     Each row has the bits of its state read out alone.  Local indices run in
     the same order as the whole-register indices they stand for, and one
@@ -525,9 +530,9 @@ def _distributions(states: np.ndarray, active: tuple[int, ...],
     """
     if not measures:
         return None
-    rows, dim = states.shape[:2]
+    rows, dim = diagonals.shape
     size = 1 << count
-    weights = np.clip(np.diagonal(states, axis1=1, axis2=2).real, 0.0, None)
+    weights = np.clip(diagonals, 0.0, None)
     # each row's outcome indices, offset past the last row's
     index = (_outcome_index(active, measures) + np.arange(0, rows * size, size)[:, None]).ravel()
     probs = np.bincount(index, weights=weights.ravel(), minlength=rows * size).reshape(rows, size)
@@ -594,6 +599,33 @@ def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: Backend
 
 _readout = operator.attrgetter("measurements", "classical_count")
 
+# bound on the bytes of diagonals held for one readout: 1,024 five-qubit states
+_READOUT_BYTES = 1 << 18
+
+
+def _runs(circuits: Sequence[Circuit], backend: BackendModel
+          ) -> Iterator[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]]:
+    """Yield the circuits' final states as runs of consecutive circuits on the
+    same active qubits with the same measures and creg size: the ``(rows,
+    2**k)`` stack of their real diagonals, the active qubits, the measures
+    and the creg size.  A run spans checked chunks; it is cut when its
+    diagonals would pass ``_READOUT_BYTES``."""
+    key, blocks, held = None, [], 0
+    for chunk, states, active in _evolve(circuits, backend):
+        diagonals = np.diagonal(states, axis1=1, axis2=2).real
+        for readout, run in itertools.groupby(chunk, _readout):
+            rows = len(list(run))
+            size = rows * diagonals.itemsize << len(active)
+            if blocks and (key != (active, *readout) or held + size > _READOUT_BYTES):
+                yield np.concatenate(blocks), *key
+                blocks, held = [], 0
+            key = (active, *readout)
+            blocks.append(diagonals[:rows].copy())
+            held += size
+            diagonals = diagonals[rows:]
+    if blocks:
+        yield np.concatenate(blocks), *key
+
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
                  shots: int | None = None,
@@ -605,8 +637,10 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
     nothing), and no ``final_state``; otherwise it is what ``execute``
     returns with the matching entry of ``seeds``.  Consecutive circuits that
     share an instruction prefix on the same active qubits evolve that prefix
-    once, and each run of consecutive circuits of a checked chunk that share
-    their measures and creg size is read out as one stack.
+    once.  Each run of consecutive circuits on the same active qubits with
+    the same measures and creg size is read out as one stack, across checked
+    chunks; a run's results are yielded once its last circuit is evolved, or
+    once it holds 256 KiB of diagonals.
     """
     if shots is not None:
         if shots < 1:
@@ -614,20 +648,18 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
         if seeds is None or len(seeds) != len(circuits):
             raise ValueError("sampling needs one seed per circuit")
     done = 0
-    for chunk, states, active in _evolve(circuits, backend):
-        for (measures, count), run in itertools.groupby(chunk, _readout):
-            rows = len(list(run))
-            weights = _distributions(states[:rows], active, measures, count)
-            if shots is None:
-                yield from (ExecutionResult(probabilities=row)
-                            for row in ([None] * rows if weights is None else weights))
-            elif weights is None:
-                raise ValueError("circuit has no measurements to sample")
-            else:
-                counts = _sample(weights, measures, backend, shots, seeds[done:done + rows])
-                yield from (ExecutionResult(counts=row, shots=shots) for row in counts)
-            states = states[rows:]
-            done += rows
+    for diagonals, active, measures, count in _runs(circuits, backend):
+        rows = len(diagonals)
+        weights = _distributions(diagonals, active, measures, count)
+        if shots is None:
+            yield from (ExecutionResult(probabilities=row)
+                        for row in ([None] * rows if weights is None else weights))
+        elif weights is None:
+            raise ValueError("circuit has no measurements to sample")
+        else:
+            counts = _sample(weights, measures, backend, shots, seeds[done:done + rows])
+            yield from (ExecutionResult(counts=row, shots=shots) for row in counts)
+        done += rows
 
 
 def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
@@ -638,7 +670,8 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     exact outcome weights by outcome index, or None when nothing is measured.
     """
     ((_, states, active),) = _evolve([circuit], backend)
-    weights = _distributions(states, active, *_readout(circuit))
+    weights = _distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
+                             *_readout(circuit))
     return ExecutionResult(
         final_state=_full_register(states[0], active, circuit.qubit_count),
         probabilities=None if weights is None else weights[0],

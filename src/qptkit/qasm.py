@@ -23,7 +23,6 @@ always present, creg omitted when there are no classical bits) and
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -118,14 +117,21 @@ class Circuit:
         used_clbits = {meas.clbit for meas in measures}
         for pos, inst in enumerate(extra, start=len(self.instructions)):
             _check_instruction(pos, inst, self.qubit_count, m, measured, used_clbits)
-        # a copy skips __post_init__, whose checks the prefix already passed;
-        # it shares the prefix's instruction objects, and its measurements
-        # replace the prefix's, which the copy would otherwise carry over
-        circuit = copy.copy(self)
-        object.__setattr__(circuit, "classical_count", m)
-        object.__setattr__(circuit, "instructions", self.instructions + extra)
-        vars(circuit)["measurements"] = measures + tuple(
-            inst for inst in extra if isinstance(inst, Measure))
+        return self._appended(extra, m)
+
+    def _appended(self, extra: tuple[Gate | Measure, ...], classical_count: int) -> "Circuit":
+        """Copy with ``extra`` appended and creg size ``classical_count``,
+        unchecked: the caller has checked ``extra`` as ``extended`` does.
+
+        The copy skips ``__post_init__``, whose checks the prefix already
+        passed, and shares the prefix's instruction objects.
+        """
+        circuit = object.__new__(Circuit)
+        vars(circuit).update(
+            qubit_count=self.qubit_count, classical_count=classical_count,
+            instructions=self.instructions + extra, qreg=self.qreg, creg=self.creg,
+            measurements=self.measurements + tuple(
+                inst for inst in extra if isinstance(inst, Measure)))
         return circuit
 
 

@@ -17,8 +17,13 @@ complete canonical stack ``(L, 3**n, 2**n)``: preparation, setting in
 ``qst_settings`` order, outcome.  Each preparation is evolved once,
 preparations sharing leading gates share their evolution, and the settings
 branch off it (sampled runs keep one seed per setting, derived from the
-preparation's seed).  That stack is the only input ``reconstruct_states``
-takes.
+preparation's seed).  The setting suffixes (basis rotations, then
+measures) are built once per measured-qubit tuple and checked once per
+tuple and register size: appended to a measurement-free preparation, a
+suffix passes or fails ``Circuit.extended``'s checks whatever the
+preparation holds, so each setting circuit is the preparation with its
+suffix appended unchecked.  That stack is the only input
+``reconstruct_states`` takes.
 
 The expectation value of a Pauli string reads the string's Z-filled
 setting (Z at every I position, the first compatible one in the
@@ -42,10 +47,10 @@ preparation's read-only float ``(3**n, 2**n)`` weights, settings in
 ``qst_settings`` order, so ``reconstruct_states(ds.weights[None])[0]`` is
 its state.  It serialises to line-oriented text (``format=1`` header, one
 record per setting in sorted tag order, ``bitstring:weight`` for every
-nonzero weight) so runs can be stored and re-analysed; the reader fills
-each setting's row and rejects text that lacks a setting or names an
-unknown one.  That text is the only place outcome bitstrings are written
-or read.
+nonzero weight, each distinct weight formatted once by ``repr``) so runs
+can be stored and re-analysed; the reader fills each setting's row and
+rejects text that lacks a setting or names an unknown one.  That text is
+the only place outcome bitstrings are written or read.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from .backend import BackendModel, execute_many
-from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
+from .qasm import QUBIT_COUNT, Circuit, CircuitError, Gate, Measure
 
 __all__ = [
     "BASIS_ORDER",
@@ -123,6 +128,21 @@ def _setting_suffixes(qubits: tuple[int, ...]) -> tuple[tuple[Gate | Measure, ..
     measures = suffix[width * len(qubits):]
     return tuple((*itertools.chain.from_iterable(pieces[p, basis] for p, basis in enumerate(tag)),
                   *measures) for tag in settings)
+
+
+@lru_cache(maxsize=64)
+def _suffixes_fit(qubits: tuple[int, ...], qubit_count: int) -> bool:
+    """Whether every setting suffix on ``qubits`` passes the checks that
+    ``Circuit.extended`` makes when it appends the suffix, with creg size
+    ``len(qubits)``, to a measurement-free circuit of ``qubit_count`` qubits.
+    Nothing before the suffix measures, so the answer depends on these two
+    alone."""
+    try:
+        for suffix in _setting_suffixes(qubits):
+            Circuit(qubit_count, len(qubits), suffix)
+    except CircuitError:
+        return False
+    return True
 
 
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
@@ -267,15 +287,34 @@ def _monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
     return powers, xmasks
 
 
-def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
-    """rho = 2^-n sum <P> P, symmetrised, for each row of ``values``, the
-    <P> of every string but the identity in lexicographic order."""
+@lru_cache(maxsize=None)
+def _term_index(qubit_count: int) -> np.ndarray:
+    """Read-only ``[t, x, r]`` index into the flattened ``(4**n, 4)`` table
+    of each string's value times each power of i: the row-r term of the
+    t-th string with xmask x, the 2^n strings of an xmask in lexicographic
+    order.  Two bytes per index: the table is 64 KiB at 5 qubits."""
     dim = 1 << qubit_count
     powers, xmasks = _monomials(qubit_count)
-    terms = _POWERS_OF_I[powers[1:]] * values[:, :, None]
+    order = np.argsort(xmasks, kind="stable")
+    index = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
+    index = np.ascontiguousarray(index, dtype=np.int16)
+    index.setflags(write=False)
+    return index
+
+
+def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
+    """rho = 2^-n sum <P> P, symmetrised, for each row of ``values``, the
+    <P> of every string but the identity in lexicographic order.
+
+    Each xmask's row of entries is the sum of its strings' terms from zeros
+    in lexicographic order, the identity first: one gather of every
+    xmask's t-th terms and one vector add per term position t."""
+    dim = 1 << qubit_count
+    values = np.concatenate([np.ones((len(values), 1)), values], axis=1)
+    products = (_POWERS_OF_I * values[:, :, None]).reshape(len(values), -1)
     by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
-    by_xmask[:, 0] = 1.0  # the identity on the diagonal
-    np.add.at(by_xmask, (slice(None), xmasks[1:]), terms)
+    for index in _term_index(qubit_count):
+        by_xmask += np.take(products, index, axis=1)
     rows = np.arange(dim)[:, None]
     rho = by_xmask[:, rows ^ rows.T, rows]
     rho /= dim
@@ -288,8 +327,8 @@ def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     ``(L, 2**n, 2**n)`` array.  Any other shape raises ``ValueError``.
 
     All L x (4**n - 1) estimates come from one ``_estimates`` pass and all L
-    states from one ``np.add.at``; each state is bitwise the reconstruction
-    of its own dataset alone.
+    states from 2**n gathers and vector adds; each state is bitwise the
+    reconstruction of its own dataset alone.
     """
     n = _shape_qubit_count(np.shape(weights), 3)
     return _densities(_estimates(weights, np.arange(1, 4 ** n)), n)
@@ -330,17 +369,32 @@ def _bitstrings(qubit_count: int) -> tuple[str, ...]:
     return tuple(f"{i:0{qubit_count}b}" for i in range(1 << qubit_count))
 
 
+@lru_cache(maxsize=None)
+def _sorted_settings(qubit_count: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The setting tags in sorted order and their rows in ``qst_settings``
+    order; the rows are read-only."""
+    settings = qst_settings(qubit_count)
+    rows = np.array(sorted(range(len(settings)), key=settings.__getitem__))
+    rows.setflags(write=False)
+    return tuple(settings[r] for r in rows.tolist()), rows
+
+
 def write_dataset(dataset: TomographyDataset) -> str:
+    """The dataset's text; each distinct nonzero weight is formatted once."""
     n = dataset.qubit_count
     keys = _bitstrings(n)
     lines = ["format=1", f"qubits={n}",
              f"shots={'exact' if dataset.shots is None else dataset.shots}"]
-    rows = dict(zip(qst_settings(n), dataset.weights))
-    for tag in sorted(rows):
-        outcomes = np.flatnonzero(rows[tag])
-        pairs = map("{}:{!r}".format, [keys[i] for i in outcomes.tolist()],
-                    rows[tag][outcomes].tolist())
-        lines.append(" ".join([tag, *pairs]))
+    tags, rows = _sorted_settings(n)
+    weights = dataset.weights[rows]
+    nonzero = weights != 0.0
+    values, which = np.unique(weights[nonzero], return_inverse=True)
+    text = [f":{v!r}" for v in values.tolist()]
+    pairs = [keys[i] + text[j] for i, j in
+             zip(np.nonzero(nonzero)[1].tolist(), which.tolist())]
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    for tag, start, end in zip(tags, [0, *ends], ends):
+        lines.append(" ".join([tag, *pairs[start:end]]))
     return "\n".join(lines) + "\n"
 
 
@@ -404,7 +458,7 @@ def read_dataset(text: str) -> TomographyDataset:
                 raise ValueError(f"line {lineno}: duplicate outcome {outcome!r} under {tag!r}")
             seen.add(outcome)
             if len(outcome) != n or any(ch not in "01" for ch in outcome):
-                raise ValueError(f"bad outcome key {outcome!r} under {tag!r}")
+                raise ValueError(f"line {lineno}: bad outcome key {outcome!r} under {tag!r}")
             try:
                 row[int(outcome, 2)] = float(weight)
             except ValueError:
@@ -445,7 +499,10 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     The setting suffixes are built once per ``qubits`` tuple and kept.  They
     share one rotation object per (letter, qubit) and one measure per qubit,
     so the backend matches the rotations two settings share, and the
-    measures that make the settings one readout run, by identity.
+    measures that make the settings one readout run, by identity.  They are
+    checked once per ``qubits`` tuple and register size, and appended
+    without checking them again; suffixes that fail are appended by
+    ``Circuit.extended``, which raises its own error.
     """
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
@@ -453,7 +510,9 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     suffixes = _setting_suffixes(qubits)
     if any(prep.measurements for prep in preps):
         raise ValueError("circuit already contains measurements")
-    circuits = [prep.extended(*suffix, classical_count=len(qubits))
+    k = len(qubits)
+    circuits = [prep._appended(suffix, k) if _suffixes_fit(qubits, prep.qubit_count)
+                else prep.extended(*suffix, classical_count=k)
                 for prep in preps for suffix in suffixes]
     circuit_seeds = None
     if shots is not None:

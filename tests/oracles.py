@@ -11,7 +11,9 @@ time; both combine and invert as the package did before it worked on stacks
 (``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own.  ``distribution``
 and ``sample`` read out one circuit at a time, as the backend did before it
-read out each checked chunk as one stack.
+read out each checked chunk as one stack.  ``add_at_densities`` adds the
+Pauli terms with one ``np.add.at``, as state tomography did before it
+gathered them per term position.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from qptkit.process_tomography import (
 )
 from qptkit.qasm import Circuit, Gate
 from qptkit.state_tomography import (
+    _POWERS_OF_I,
+    _monomials,
     _setting_suffix,
     child_seeds,
     collect_dataset,
@@ -67,6 +71,21 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
         qubits = range(circuit.qubit_count - 1, -1, -1)
     qubits = tuple(qubits)
     return circuit.extended(*_setting_suffix(setting, qubits), classical_count=len(qubits))
+
+
+def add_at_densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
+    """``_densities`` with every term added into its xmask row by one
+    ``np.add.at`` in lexicographic string order, the identity set first."""
+    dim = 1 << qubit_count
+    powers, xmasks = _monomials(qubit_count)
+    terms = _POWERS_OF_I[powers[1:]] * values[:, :, None]
+    by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
+    by_xmask[:, 0] = 1.0  # the identity on the diagonal
+    np.add.at(by_xmask, (slice(None), xmasks[1:]), terms)
+    rows = np.arange(dim)[:, None]
+    rho = by_xmask[:, rows ^ rows.T, rows]
+    rho /= dim
+    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
 def distribution(reduced: np.ndarray, active: tuple[int, ...],

@@ -24,7 +24,7 @@ from qptkit import (
     parse_qasm,
 )
 from qptkit import backend as backend_module
-from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names
+from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names, read_backend
 from oracles import (
     SINGLE_QUBIT_GATES,
     append_setting,
@@ -58,6 +58,22 @@ def test_builtin_names():
     assert builtin_backend_names() == ["qx2", "qx4"]
     with pytest.raises(ConfigError, match="available"):
         builtin_backend("qx9")
+
+
+def test_builtin_backend_parsed_once_with_read_only_durations(qx4, tmp_path):
+    assert builtin_backend("qx4") is qx4 and builtin_backend("qx2") is builtin_backend("qx2")
+    for model in (qx4, qx4.scaled_durations(2.0), load_backend(_config())):
+        with pytest.raises(TypeError):
+            model.gate_durations_ns["h"] = 1.0
+    assert qx4.gate_durations_ns["h"] == 60.0
+    # a config file is read afresh on every call
+    path = tmp_path / "device.cfg"
+    path.write_text(_config(), encoding="utf-8")
+    first = read_backend(path)
+    path.write_text(_config().replace("name=test", "name=edited"), encoding="utf-8")
+    second = read_backend(path)
+    assert first.name == "test" and second.name == "edited"
+    assert read_backend(path) is not second
 
 
 def test_qx4_transcription(qx4):
@@ -512,6 +528,66 @@ def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4):
         assert np.array_equal(result.counts, want)
 
 
+def _counting(monkeypatch, calls, *names):
+    """Record (name, rows) of each call of the named backend readout steps."""
+    for name in names:
+        def counting(stack, *args, original=getattr(backend_module, name), name=name):
+            calls.append((name, len(stack)))
+            return original(stack, *args)
+        monkeypatch.setattr(backend_module, name, counting)
+
+
+@pytest.mark.parametrize("flips", ["zero", "random"])
+def test_setting_stream_is_one_readout_run_matching_per_circuit_oracle(qx4, flips, monkeypatch):
+    rng = np.random.default_rng(243)
+    if flips == "random":
+        backend = _with_flips(qx4, rng.uniform(0.0, 0.1, size=5).tolist())
+    else:
+        backend = qx4
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    circuits = [append_setting(prep, tag) for tag in qst_settings(5)]
+    evolved = _per_circuit(backend_module._evolve(circuits, backend))
+    # the 243 settings span 61 checked chunks and are read out as one run
+    assert len(circuits) > backend_module._CHECK_BYTES // (16 * 32 * 32)
+    calls = []
+    _counting(monkeypatch, calls, "_distributions", "_sample")
+    exact = list(execute_many(circuits, backend))
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(circuits))]
+    sampled = list(execute_many(circuits, backend, shots=100, seeds=seeds))
+    assert calls == [("_distributions", 243), ("_distributions", 243), ("_sample", 243)]
+    for (circuit, state, active), seed, got, drawn in zip(evolved, seeds, exact, sampled,
+                                                          strict=True):
+        want = distribution(state, active, circuit)
+        assert got.probabilities.tobytes() == want.tobytes()
+        assert np.array_equal(drawn.counts, sample(want, circuit, backend, 100, seed))
+
+
+def test_long_stream_yields_before_its_last_chunk_is_evolved(qx4_quiet, monkeypatch):
+    checked = []
+    check = backend_module.check_density_matrix
+
+    def recording(states, **kwargs):
+        checked.append(len(states))
+        return check(states, **kwargs)
+
+    monkeypatch.setattr(backend_module, "check_density_matrix", recording)
+    read = []
+    _counting(monkeypatch, read, "_distributions")
+    limit = backend_module._READOUT_BYTES // (8 * 32)
+    preps = [parse_qasm(FIVE_QUBIT_PREP).extended(Gate("h", (q,))) for q in range(5)]
+    circuits = [append_setting(prep, tag) for prep in preps for tag in qst_settings(5)]
+    assert len(circuits) > limit
+    results = execute_many(circuits, qx4_quiet)
+    first = next(results)
+    # one run: its first rows are read out once the next chunk would pass the bound
+    assert read == [("_distributions", limit)] and limit <= sum(checked) < len(circuits)
+    rest = list(results)
+    assert read == [("_distributions", limit), ("_distributions", len(circuits) - limit)]
+    evolved = _per_circuit(backend_module._evolve(circuits, qx4_quiet))
+    for (circuit, state, active), got in zip(evolved, [first, *rest], strict=True):
+        assert got.probabilities.tobytes() == distribution(state, active, circuit).tobytes()
+
+
 def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
     """The sampler before it counted thresholds and shots with bincount."""
     m = circuit.classical_count
@@ -879,8 +955,7 @@ def test_distribution_total_is_a_sequential_sum():
     circuit = Circuit(4, 4, tuple(Measure(q, q) for q in range(4)))
     active = (3, 2, 1, 0)
     diagonal = np.array([0.1] * 10 + [0.0] * 6)
-    probs = backend_module._distributions(np.diag(diagonal).astype(complex)[None], active,
-                                          circuit.measurements, 4)[0]
+    probs = backend_module._distributions(diagonal[None], active, circuit.measurements, 4)[0]
     total = reduce(operator.add, [0.1] * 10, 0.0)
     assert total == 0.9999999999999999
     assert np.array_equal(probs, diagonal / total)

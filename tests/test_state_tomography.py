@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qptkit.backend
+import qptkit.qasm
 import qptkit.state_tomography
 from qptkit import (
     Circuit,
@@ -22,12 +23,13 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import append_setting, outcome_dict, pauli_string_matrix
+from oracles import add_at_densities, append_setting, outcome_dict, pauli_string_matrix
 from qptkit.process_tomography import preparation_circuit
 from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
     _densities,
     _estimates,
+    _setting_suffixes,
     child_seeds,
     collect_weights,
     project_psd,
@@ -346,6 +348,9 @@ def test_dataset_equality():
 def test_dataset_reader_errors():
     with pytest.raises(ValueError, match="missing dataset header"):
         read_dataset("format=1\nqubits=1\nZ 0:1.0\n")
+    for key in ("2", "00", "x"):
+        with pytest.raises(ValueError, match=f"^line 4: bad outcome key '{key}' under 'Z'$"):
+            read_dataset(f"format=1\nqubits=1\nshots=exact\nZ 0:0.5 {key}:0.5\nX 0:1.0\n")
     with pytest.raises(ValueError, match="bad weight"):
         read_dataset("format=1\nqubits=1\nshots=exact\nZ 0:lots\n")
     with pytest.raises(ValueError, match="duplicate setting"):
@@ -482,6 +487,57 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
     # neighbouring settings are compared by value only where they branch apart
     assert compared and all(a != b for a, b in compared)
     assert np.array_equal(weights[0], collect_dataset(prep, qx4_quiet, (4, 1)).weights)
+
+
+def _built_circuits(monkeypatch, preps, backend, qubits):
+    """The setting circuits ``collect_weights`` hands to the backend."""
+    built = []
+    execute_many = qptkit.state_tomography.execute_many
+
+    def recording(circuits, *args):
+        built.extend(circuits)
+        return execute_many(circuits, *args)
+
+    monkeypatch.setattr(qptkit.state_tomography, "execute_many", recording)
+    collect_weights(preps, backend, qubits)
+    monkeypatch.undo()
+    return built
+
+
+def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, monkeypatch):
+    prep = parse_qasm("OPENQASM 2.0;\nqreg r[5];\ncreg m[3];\nh r[2];\ncx r[2],r[4];\n"
+                      "t r[1];\n")
+    assert (prep.qreg, prep.creg, prep.classical_count) == ("r", "m", 3)
+    fit = qptkit.state_tomography._suffixes_fit
+    fit.cache_clear()
+    checks = []
+    check = qptkit.qasm._check_instruction
+    for qubits in ((4, 1), (0, 2, 4, 1, 3)):
+        suffixes = _setting_suffixes(qubits)
+        for preps in ([prep], [prep, parse_qasm("OPENQASM 2.0;\n" + _ROUNDTRIP_CIRCUITS[5])]):
+            checks.clear()
+            monkeypatch.setattr(qptkit.qasm, "_check_instruction",
+                                lambda *args: checks.append(args[0]) or check(*args))
+            built = _built_circuits(monkeypatch, preps, qx4_quiet, qubits)
+            # each suffix is checked once per (qubits, qubit count), on its first call
+            first = preps == [prep]
+            assert len(checks) == (sum(map(len, suffixes)) if first else 0)
+            want = [p.extended(*suffix, classical_count=len(qubits))
+                    for p in preps for suffix in suffixes]
+            assert len(built) == len(want)
+            for got, expected in zip(built, want):
+                assert got == expected
+                assert vars(got) == vars(expected)  # fields and cached measurements
+                assert all(a is b for a, b in zip(got.instructions, expected.instructions))
+    assert fit.cache_info().misses == 2
+    # a suffix that does not fit raises what extended raises, at the same position
+    small = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[1],q[2];\n")
+    with pytest.raises(Exception) as direct:
+        small.extended(*_setting_suffixes((4, 0))[0], classical_count=2)
+    assert str(direct.value) == "instruction 2: qubit index 4 out of range"
+    with pytest.raises(type(direct.value), match=f"^{direct.value}$"):
+        collect_weights([small], qx4_quiet, (4, 0))
+    assert not fit((4, 0), 3) and fit((2, 0), 3)
 
 
 def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
@@ -627,6 +683,19 @@ def _old_write_dataset(dataset):
     return "\n".join(lines) + "\n"
 
 
+def test_write_dataset_of_repeated_weights_matches_outcome_loop(qx4_quiet):
+    # exact noise-off weights of a 5-qubit circuit repeat most: few distinct values
+    prep = parse_qasm("OPENQASM 2.0;\n" + _ROUNDTRIP_CIRCUITS[5])
+    exact = collect_dataset(prep, qx4_quiet)
+    nonzero = exact.weights[exact.weights != 0.0]
+    assert len(np.unique(nonzero)) < len(nonzero) // 50
+    counts = collect_dataset(prep, qx4_quiet, shots=64, seed=3)
+    for ds in (exact, counts):
+        text = write_dataset(ds)
+        assert text == _old_write_dataset(ds)
+        assert read_dataset(text) == ds
+
+
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_write_dataset_matches_outcome_loop(n):
     rng = np.random.default_rng(200 + n)
@@ -635,3 +704,15 @@ def test_write_dataset_matches_outcome_loop(n):
         text = write_dataset(ds)
         assert text == _old_write_dataset(ds)
         assert read_dataset(text) == ds
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_densities_match_add_at_oracle(n):
+    rng = np.random.default_rng(40 + n)
+    for count in (1, 3):
+        values = rng.uniform(-1.0, 1.0, size=(count, 4 ** n - 1))
+        values[:, 0::4] = 0.0
+        values[:, 1::4] = -0.0
+        values[0] = -0.0  # every term a signed zero: the sums must start from zeros
+        got = _densities(values, n)
+        assert got.tobytes() == add_at_densities(values, n).tobytes()
