@@ -17,72 +17,32 @@ Evolution semantics, in order, per instruction:
 
 Only the qubits some instruction touches are simulated.  Every other qubit
 stays in |0><0|, which is a fixed point of both amplitude damping and pure
-dephasing, so leaving it out is exact whether idle_decay is on or off.  The
-active register is held as a ``(2,)*2k`` tensor, and each instruction is one
-fused superoperator (gate then decay, or the measure decay alone), cached
-per (gate, per-target NoiseParams, duration).  It is applied as one matrix
-product: the state is viewed with its target row and column axes first (the
-axis order and its inverse are cached per target axes and register size),
-reshaped to ``4^m`` rows, multiplied by the ``4^m x 4^m`` superoperator and
-viewed back in the state's order; this is the operand layout of
-``np.tensordot``, so the result is the same to the bit.  The trace check
-after each instruction that applied a map sums the diagonal of that view
-without copying it; an instruction that applied nothing (a measure with
-noise off) leaves a state whose trace was already checked.
-Only ``execute_exact`` returns ``final_state``, the density matrix of the
-whole circuit register, with the active block scattered back by index;
-every other result carries the outcome weights or counts alone.
-
-``execute_many`` runs a sequence of circuits through that one evolution and
-yields each result as its readout run (below) is read out; ``execute`` is
-its one-circuit case, and ``execute_exact`` evolves and reads out its one
-circuit as a one-circuit chunk.  The evolution keeps a stack of checkpoints.
-While a circuit evolves, the state after the instructions it shares with
-the next circuit is pushed, and the next circuit resumes from the deepest
-checkpoint that is a prefix of its own and evolves only the rest.  So
-tomography circuits that share a preparation and differ in their
-measurement rotations evolve the preparation once, and the rotations they
-share once more.  The shared prefix was checked against the coupling map
-with the circuit that first ran it, so a resumed circuit checks, and scans
-for the qubits it touches, only the instructions from its checkpoint on.  A
-circuit on a different set of active qubits empties the stack and starts
-from the ground state.  Final states are copied into a buffer of at most
-64 KiB and checked by one ``check_density_matrix`` call on the stack before
-the chunk is read out.
-
-Readout works per run: consecutive circuits on the same active qubits
-with the same measures and creg size, across checked chunks (a
-state-tomography stream is one run).  Copies of the checked states'
-diagonals are held until the run ends or holds 256 KiB of them, so memory
-stays bounded and a long stream yields results before it ends; each run is
-read out as one stack: one call forms the weights of all its circuits, one
-more their counts.  Results are bitwise those of one call per circuit.
+dephasing, so leaving it out is exact whether idle_decay is on or off.  Each
+instruction is applied as one fused superoperator (gate then decay), and
+the state's trace is checked after every instruction that applied a map.
+``execute_many`` runs a sequence of circuits through one evolution: a
+circuit resumes from the state after the instruction prefix it shares with
+the circuit before it, so tomography circuits that share a preparation
+evolve it once.  Final states are checked as density matrices in stacks
+(``check_density_matrix``) before they are read out, and circuits on the
+same active qubits with the same measures are read out as one stack.  Every
+result is bitwise the one the circuit would give run on its own.  Only
+``execute_exact`` returns ``final_state``, the density matrix of the whole
+circuit register; every other result carries outcome weights or counts.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
-``format(i, f"0{m}b")``.  Exact weights are one ``np.bincount`` of the
-clipped diagonals over a cached outcome index per local index, offset per
-circuit, each circuit's divided by its total added left to right in the
-order of its outcomes' first nonzero weight (a ``cumsum``, never the
-builtin ``sum``, which is compensated from Python 3.12 on).
+``format(i, f"0{m}b")``.  Exact weights are the clipped diagonal summed per
+outcome and normalised to total 1.
 
-Sampling draws one uniform per shot for the outcome (inverse CDF over
-outcome indices in increasing order: the outcome is the number of
-cumulative weights at or below the draw) followed by one uniform per
-measured classical bit, in increasing classical-bit order, for the readout
-flip; the matrix of uniforms is generated shot-major.  The flip column of a
-bit whose flip probability is 0 is still drawn, only not compared, so a seed
-means the same draws whatever the flip probabilities.  Draws stay per
-circuit, from its own seeded generator, into a reused buffer of at most
-256 KiB (one circuit's draws when they are larger); the circuits whose
-draws fill it are counted as one block.  When no measured qubit's flip
-probability is above 0 (as in both builtin configs), no per-shot outcome is
-formed: the count of outcome j is the number of draws at or above
-cumulative weight j-1 less the number at or above weight j, one comparison
-and one per-row count per cumulative weight for the block.  Otherwise the
-block's outcomes are formed, flipped and counted with one ``np.bincount``,
-each circuit's offset past the last one's, zeros included.  Identical
-(circuit, backend, shots, seed) therefore reproduce identical counts.
+Sampling draws, per shot, one uniform for the outcome (inverse CDF over
+outcome indices in increasing order) and then one uniform per measured
+classical bit, in increasing classical-bit order, for its readout flip.
+The flip uniforms are drawn whatever the flip probabilities, so a seed
+means the same draws whatever they are.  Each circuit draws from its own
+generator, ``np.random.default_rng(seed)``: identical (circuit, backend,
+shots, seed) reproduce identical counts, and ``seed=None`` draws fresh
+entropy.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -106,6 +66,7 @@ readout_flip 0.0, durations 60/300/300, noise on, idle_decay off, format 1.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -165,10 +126,11 @@ class BackendModel:
         if missing:
             raise ConfigError(f"missing gate durations for {missing}")
         for g, d in self.gate_durations_ns.items():
-            if d < 0:
-                raise ConfigError(f"negative duration for gate {g!r}")
-        if self.measure_duration_ns < 0:
-            raise ConfigError("negative measure duration")
+            if not 0 <= d < math.inf:
+                raise ConfigError(f"duration of gate {g!r} must be finite and non-negative, got {d!r}")
+        if not 0 <= self.measure_duration_ns < math.inf:
+            raise ConfigError("measure duration must be finite and non-negative, "
+                              f"got {self.measure_duration_ns!r}")
 
     def with_noise(self, enabled: bool) -> "BackendModel":
         return replace(self, noise_enabled=enabled)
@@ -402,25 +364,15 @@ def _checked(circuits: list[Circuit], states: np.ndarray, active: tuple[int, ...
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel
             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Yield the circuits chunk by chunk, each chunk with the stack of its
-    circuits' final active-register density matrices and the active qubits.
+    """Yield the circuits chunk by chunk, each chunk with the checked stack
+    of its circuits' final active-register density matrices and the active
+    qubits.  A chunk holds at most ``_CHECK_BYTES`` of states, all on the
+    same active qubits; a yielded stack must not be written to.
 
-    ``saved`` is a stack of checkpoints (instructions applied, state, qubits
-    those instructions touch), deepest last, all on the prefix of the
-    circuit evolved last.  While a circuit evolves, the state at the depth
-    where the next circuit branches off it is pushed; the next circuit pops
-    what lies deeper and resumes from the top.  That prefix passed the
-    topology check as part of an earlier circuit, so only the instructions
-    from the checkpoint on are checked and scanned for the qubits they
-    touch.  A circuit on other active qubits starts again from the ground
-    state.
-
-    The trace is checked after every instruction that applied a map; one
-    that applied nothing (a measure with noise off) left a state whose
-    trace was already checked.  Final states are copied into a buffer of at
-    most ``_CHECK_BYTES`` and checked as one stack by
-    ``check_density_matrix`` before the chunk is yielded.  A yielded stack
-    must not be written to.
+    ``saved`` holds checkpoints (instructions applied, state, qubits those
+    instructions touch), deepest last, on the prefix of the circuit evolved
+    last: each circuit resumes from the deepest one that is a prefix of its
+    own, and only its instructions from there on are checked and evolved.
     """
     active: tuple[int, ...] | None = None
     saved: list[tuple[int, np.ndarray | None, frozenset[int]]] = [(0, None, frozenset())]
@@ -517,16 +469,9 @@ def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
                    measures: tuple[Measure, ...], count: int) -> np.ndarray | None:
     """Read-only ``(rows, 2**count)`` outcome weights of the ``(rows, 2**k)``
     real diagonals of active-register states read out by the same measures;
-    None when they measure nothing.
-
-    Each row has the bits of its state read out alone.  Local indices run in
-    the same order as the whole-register indices they stand for, and one
-    ``np.bincount`` over row-offset outcome indices adds each row's weights
-    in that order.  The normalising total adds the outcomes in the order of
-    their first nonzero weight, one sequential addition at a time: a stable
-    argsort of each outcome's first nonzero local index (``np.minimum.at``),
-    then a ``cumsum``; an outcome with no nonzero weight adds an exact zero,
-    wherever it falls.
+    None when they measure nothing.  Each row has the bits of its state read
+    out alone: its weights are added in local-index order, and its total in
+    the order of each outcome's first nonzero weight, one addition at a time.
     """
     if not measures:
         return None
@@ -605,11 +550,10 @@ _READOUT_BYTES = 1 << 18
 
 def _runs(circuits: Sequence[Circuit], backend: BackendModel
           ) -> Iterator[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]]:
-    """Yield the circuits' final states as runs of consecutive circuits on the
-    same active qubits with the same measures and creg size: the ``(rows,
-    2**k)`` stack of their real diagonals, the active qubits, the measures
-    and the creg size.  A run spans checked chunks; it is cut when its
-    diagonals would pass ``_READOUT_BYTES``."""
+    """Yield runs of consecutive circuits on the same active qubits with the
+    same measures and creg size: the ``(rows, 2**k)`` stack of their final
+    states' real diagonals, the active qubits, the measures and the creg
+    size.  A run holds at most ``_READOUT_BYTES`` of diagonals."""
     key, blocks, held = None, [], 0
     for chunk, states, active in _evolve(circuits, backend):
         diagonals = np.diagonal(states, axis1=1, axis2=2).real

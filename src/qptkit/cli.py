@@ -44,6 +44,12 @@ from .state_tomography import project_psd, run_qst, state_fidelity, write_datase
 __all__ = ["main"]
 
 
+def _unusable(path, exc: Exception) -> SystemExit:
+    """The exit that names a file a command cannot read or use, and why."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return SystemExit(f"error: {path}: {reason}")
+
+
 def _resolve_backend(spec: str, noise: str | None, idle_decay: str | None) -> BackendModel:
     path = Path(spec)
     if path.is_file():
@@ -151,8 +157,7 @@ def cmd_qst(args) -> int:
     try:
         circuit = parse_qasm(source.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, QasmError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-        raise SystemExit(f"error: {source}: {reason}") from None
+        raise _unusable(source, exc) from None
     if circuit.measurements:
         raise SystemExit(
             "error: the circuit must not measure; tomography appends its own "
@@ -191,7 +196,10 @@ def cmd_qst(args) -> int:
 def cmd_table(args) -> int:
     reports = []
     for path in sorted(Path(args.reports).glob("*.json")):
-        report = load_report(path)
+        try:
+            report = load_report(path)
+        except (OSError, ValueError) as exc:  # unreadable, not JSON, or an invalid report
+            raise _unusable(path, exc) from None
         if report.get("kind") == "qpt":
             reports.append(report)
     if not reports:
@@ -207,8 +215,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_chi_plot(args) -> int:
-    report = load_report(args.report)
-    real_text, imag_text = chi_grids(report)
+    try:
+        real_text, imag_text = chi_grids(load_report(args.report))
+    except (OSError, ValueError) as exc:  # as for table, or not a qpt report
+        raise _unusable(args.report, exc) from None
     Path(f"{args.out}_real.tsv").write_text(real_text, encoding="utf-8")
     Path(f"{args.out}_imag.tsv").write_text(imag_text, encoding="utf-8")
     print(f"wrote {args.out}_real.tsv and {args.out}_imag.tsv")

@@ -27,10 +27,10 @@ whose entries are those of W^dagger C W / d^2.  B itself is built only by
 the test oracles (``beta_tensor`` in ``tests/oracles.py``), which tie the two
 together.
 
-W is built once per qubit count.  ``chi_to_channel`` and ``tp_deviation``
-read the Choi matrix W chi W^dagger back: the channel maps rho to
-sum_ab C[(a,k),(b,l)] rho[a,b], and sum_mn chi_mn E_n^dagger E_m is the
-transpose of C traced over the output, sum_k C[(a,k),(b,k)].
+The operator sets, their labels (``OPERATOR_LABELS``) and W are read-only
+module constants.  ``tp_deviation`` reads the Choi matrix W chi W^dagger
+back: sum_mn chi_mn E_n^dagger E_m is the transpose of C traced over the
+output, sum_k C[(a,k),(b,k)].
 
 Matrix units are not states, so each one is assembled from at most four
 physically preparable pure states
@@ -38,18 +38,16 @@ physically preparable pure states
     |0>, |1>, |+> = H|0>, |r> = SH|0>   (per qubit),
 
 e.g.  |0><1| = |+><+| + i |r><r| - (1+i)/2 (|0><0| + |1><1|).  Two-qubit
-recipes are the per-qubit products (16 preparations overall).  Every
-identity is checked numerically, to 1e-12, when ``preparation_recipes``
-first builds the recipes of a qubit count (its cache is empty after import).
+recipes are the per-qubit products (16 preparations overall).  Nothing is
+verified at run time: the tests assert, to 1e-12, that every recipe rebuilds
+its unit (``test_recipes_rebuild_matrix_units`` and the acceptance test
+``test_preparation_recipe_identities``) and that both operator sets are
+orthogonal with W^dagger W = d I (``tests/test_process_tomography.py``).
 
 The combination runs on stacks: the preparations' outputs arrive as one
-``(4**n, d, d)`` stack in sorted label order, and the recipes are compiled
-once per qubit count into a table of groups by term count (1 and 4 terms
-for one qubit; 1, 4 and 16 for two).  A group gathers and scales all its
-terms at once and then adds term t of every one of its units in one vector
-add, starting from zeros, so each unit is 0 + c0 o0 + c1 o1 + ... in term
-order: the same bits as the unit summed on its own, in 5 vector adds for
-one qubit and 21 for two.
+``(4**n, d, d)`` stack in sorted label order, and each unit is summed as
+0 + c0 o0 + c1 o1 + ... in term order, the same bits as the unit summed on
+its own.
 
 ``run_qpt`` drives the whole pipeline against a backend: 4 (or 16)
 preparations x 3 (or 9) tomography settings = 12 (or 144) circuit
@@ -86,19 +84,13 @@ from .qasm import QUBIT_COUNT, Circuit, Gate
 from .state_tomography import child_seeds, collect_weights, project_psd, reconstruct_states
 
 __all__ = [
-    "FixedOperatorSet",
-    "PreparationRecipe",
     "ChiMatrix",
     "QptResult",
-    "fixed_operator_set",
-    "matrix_unit_basis",
-    "preparation_recipes",
-    "preparation_state",
+    "OPERATOR_LABELS",
     "preparation_circuit",
     "PREPARATION_GATES",
     "chi_from_outputs",
     "theoretical_chi",
-    "chi_to_channel",
     "tp_deviation",
     "process_fidelity",
     "qpt_channel",
@@ -107,39 +99,12 @@ __all__ = [
 ]
 
 
-# --- fixed operator set and input basis ---------------------------------------
+# --- fixed operator set -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FixedOperatorSet:
-    """The expansion operators {E_m}, with printable labels.
-
-    The set must be complete and orthogonal, Tr(E_m^dagger E_n) = d delta_mn
-    over d^2 operators of size d x d: the closed-form inversion relies on it.
-    """
-
-    qubit_count: int
-    labels: tuple[str, ...]
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        for op in ops:
-            op.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-        d = 1 << self.qubit_count
-        if len(ops) != d * d or any(op.shape != (d, d) for op in ops):
-            raise ValueError(
-                f"a {self.qubit_count}-qubit operator set needs {d * d} matrices "
-                f"of shape {(d, d)}"
-            )
-        gram = np.array([[np.trace(dagger(a) @ b) for b in ops] for a in ops])
-        dev = np.abs(gram - d * np.eye(d * d)).max()
-        if dev > 1e-12:
-            raise ValueError(
-                f"fixed operator set is not orthogonal: Tr(E_m^dagger E_n) "
-                f"misses d delta_mn by {dev:.3e}"
-            )
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 _SINGLE_FIXED = (
@@ -151,32 +116,24 @@ _SINGLE_FIXED = (
 
 _PHASE_PREFIX = {0: "", 1: "-i", 2: "-"}
 
+_FIXED_PAIRS = tuple(itertools.product(_SINGLE_FIXED, repeat=2))
 
-@lru_cache(maxsize=None)
-def fixed_operator_set(qubit_count: int) -> FixedOperatorSet:
-    """I, X, -iY, Z for one qubit; their 16 ordered products for two."""
-    if qubit_count == 1:
-        labels, ops = zip(*_SINGLE_FIXED)
-        return FixedOperatorSet(1, tuple(labels), tuple(ops))
-    if qubit_count == 2:
-        labels, ops = [], []
-        for (la, a), (lb, b) in itertools.product(_SINGLE_FIXED, repeat=2):
-            ys = (la == "-iY") + (lb == "-iY")
-            labels.append(_PHASE_PREFIX[ys] + la.replace("-i", "") + lb.replace("-i", ""))
-            ops.append(kron(a, b))
-        return FixedOperatorSet(2, tuple(labels), tuple(ops))
-    raise ValueError(f"fixed operator sets cover 1 or 2 qubits, got {qubit_count}")
-
-
-@lru_cache(maxsize=None)
-def matrix_unit_basis(qubit_count: int) -> tuple[np.ndarray, ...]:
-    """Read-only matrix units |a><b| in row-major (a, b) order."""
-    if qubit_count not in (1, 2):
-        raise ValueError(f"input bases cover 1 or 2 qubits, got {qubit_count}")
-    d = 1 << qubit_count
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    units.setflags(write=False)
-    return tuple(units)
+# per qubit count: the labels of {E_m}, a read-only (d^2, d, d) stack of the
+# E_m in that order, and the read-only W[(a,k),m] = E_m[k,a], so that the
+# Choi matrix is W chi W^dagger (W^dagger W = d I)
+OPERATOR_LABELS: dict[int, tuple[str, ...]] = {
+    1: tuple(label for label, _ in _SINGLE_FIXED),
+    2: tuple(_PHASE_PREFIX[(la == "-iY") + (lb == "-iY")] + la.replace("-i", "") + lb.replace("-i", "")
+             for (la, _), (lb, _) in _FIXED_PAIRS),
+}
+_OPERATORS: dict[int, np.ndarray] = {
+    1: _read_only(np.array([op for _, op in _SINGLE_FIXED])),
+    2: _read_only(np.array([kron(a, b) for (_, a), (_, b) in _FIXED_PAIRS])),
+}
+_CHOI_MAPS: dict[int, np.ndarray] = {
+    n: _read_only(ops.transpose(2, 1, 0).reshape(len(ops), len(ops)))
+    for n, ops in _OPERATORS.items()
+}
 
 
 # --- physical preparations ------------------------------------------------------
@@ -199,30 +156,16 @@ def _product_state(label: str) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def _preparation_stack(labels: tuple[str, ...]) -> np.ndarray:
-    stack = np.array([_product_state(label) for label in labels])
-    stack.setflags(write=False)
-    return stack
-
-
 # the 4 one-qubit and 16 two-qubit preparations, built once: per qubit count
 # the sorted labels (the order of run_qpt's preparations) and a read-only
-# stack of their states in that order, whose rows are the single states
+# stack of their states in that order
 _PREP_LABELS: dict[int, tuple[str, ...]] = {
     n: tuple(map("".join, itertools.product(PREPARATION_GATES, repeat=n))) for n in (1, 2)
 }
-_PREP_STACKS: dict[int, np.ndarray] = {n: _preparation_stack(_PREP_LABELS[n]) for n in (1, 2)}
-_PREP_STATES: dict[str, np.ndarray] = {
-    label: state for n in (1, 2) for label, state in zip(_PREP_LABELS[n], _PREP_STACKS[n])
+_PREP_STACKS: dict[int, np.ndarray] = {
+    n: _read_only(np.array([_product_state(label) for label in labels]))
+    for n, labels in _PREP_LABELS.items()
 }
-
-
-def preparation_state(label: str) -> np.ndarray:
-    """Read-only state of a one- or two-qubit preparation, e.g. ``"p0"`` (high qubit first)."""
-    try:
-        return _PREP_STATES[label]
-    except KeyError:
-        raise ValueError(f"bad preparation label {label!r}") from None
 
 
 def preparation_circuit(label: str, lines: tuple[int, ...], qubit_count: int = QUBIT_COUNT) -> Circuit:
@@ -237,53 +180,17 @@ def preparation_circuit(label: str, lines: tuple[int, ...], qubit_count: int = Q
     return Circuit(qubit_count, 0, tuple(gates))
 
 
-@dataclass(frozen=True)
-class PreparationRecipe:
-    """One matrix unit as a complex combination of physical preparations."""
-
-    target_index: int
-    terms: tuple[tuple[complex, str], ...]
-
-
 _HALF_PLUS = (1.0 + 1.0j) / 2.0
 _HALF_MINUS = (1.0 - 1.0j) / 2.0
 
+# the recipe of each one-qubit matrix unit |a><b|, at index 2a + b: its
+# (coefficient, preparation) terms
 _SINGLE_RECIPES: tuple[tuple[tuple[complex, str], ...], ...] = (
     ((1.0 + 0.0j, "0"),),
     ((1.0 + 0.0j, "p"), (1.0j, "r"), (-_HALF_PLUS, "0"), (-_HALF_PLUS, "1")),
     ((1.0 + 0.0j, "p"), (-1.0j, "r"), (-_HALF_MINUS, "0"), (-_HALF_MINUS, "1")),
     ((1.0 + 0.0j, "1"),),
 )
-
-
-@lru_cache(maxsize=None)
-def preparation_recipes(qubit_count: int) -> tuple[PreparationRecipe, ...]:
-    """Recipes for every matrix unit, in basis order; identities are verified."""
-    basis = matrix_unit_basis(qubit_count)
-    d = 1 << qubit_count
-    recipes = []
-    if qubit_count == 1:
-        for j in range(4):
-            recipes.append(PreparationRecipe(j, _SINGLE_RECIPES[j]))
-    elif qubit_count == 2:
-        for a, b in itertools.product(range(4), repeat=2):
-            hi = _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
-            lo = _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)]
-            terms = tuple((ch * cl, lh + ll) for ch, lh in hi for cl, ll in lo)
-            recipes.append(PreparationRecipe(a * d + b, terms))
-    else:
-        raise ValueError(f"recipes cover 1 or 2 qubits, got {qubit_count}")
-
-    for recipe in recipes:
-        acc = np.zeros((d, d), dtype=complex)
-        for coeff, label in recipe.terms:
-            acc += coeff * preparation_state(label)
-        dev = np.abs(acc - basis[recipe.target_index]).max()
-        if dev > 1e-12:
-            raise AssertionError(
-                f"recipe for basis element {recipe.target_index} is off by {dev:.3e}"
-            )
-    return tuple(recipes)
 
 
 # --- the inversion ---------------------------------------------------------------
@@ -298,32 +205,14 @@ class ChiMatrix:
     residual: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.qubit_count not in OPERATOR_LABELS:
+            raise ValueError(f"fixed operator sets cover 1 or 2 qubits, got {self.qubit_count}")
         m = np.array(self.matrix, dtype=complex)
         d2 = (1 << self.qubit_count) ** 2
         if m.shape != (d2, d2):
             raise ValueError(f"chi shape {m.shape} does not match {d2}x{d2}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-
-@lru_cache(maxsize=None)
-def _choi_map(qubit_count: int) -> np.ndarray:
-    """Read-only W[(a,k),m] = E_m[k,a], so that the Choi matrix is W chi W^dagger.
-
-    The one place that knows the chi <-> Choi ordering; W^dagger W = d I.
-    """
-    ops = np.array(fixed_operator_set(qubit_count).operators)
-    d2 = len(ops)
-    w = ops.transpose(2, 1, 0).reshape(d2, d2)
-    w.setflags(write=False)
-    return w
-
-
-def _choi(chi: ChiMatrix) -> np.ndarray:
-    """Choi matrix W chi W^dagger as a tensor C[a,k,b,l] = eps(|a><b|)[k,l]."""
-    w = _choi_map(chi.qubit_count)
-    d = 1 << chi.qubit_count
-    return (w @ chi.matrix @ w.conj().T).reshape(d, d, d, d)
 
 
 def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
@@ -340,7 +229,9 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
     max|W chi W^dagger - C| before Hermitisation, the entries of
     B chi - lambda in another order.
     """
-    w = _choi_map(qubit_count)
+    w = _CHOI_MAPS.get(qubit_count)
+    if w is None:
+        raise ValueError(f"fixed operator sets cover 1 or 2 qubits, got {qubit_count}")
     d = 1 << qubit_count
     d2 = d * d
     if len(outputs) != d2:
@@ -376,27 +267,12 @@ def theoretical_chi(gate) -> ChiMatrix:
     """
     u = standard_gate(gate) if isinstance(gate, str) else np.asarray(gate, dtype=complex)
     n = u.shape[0].bit_length() - 1
-    ops = fixed_operator_set(n)
-    if u.shape != ops.operators[0].shape:
-        raise ValueError(f"unitary shape {u.shape} does not match the {n}-qubit set")
-    coeffs = np.array([np.trace(dagger(em) @ u) for em in ops.operators]) / u.shape[0]
+    ops = _OPERATORS.get(n)
+    if ops is None or u.shape != ops.shape[1:]:
+        raise ValueError(f"unitary shape {u.shape} does not match the 1- or 2-qubit operator set")
+    coeffs = np.array([np.trace(dagger(em) @ u) for em in ops]) / u.shape[0]
     chi = np.outer(coeffs, coeffs.conj())
     return ChiMatrix(n, (chi + chi.conj().T) / 2.0, 0.0)
-
-
-def chi_to_channel(chi: ChiMatrix):
-    """Return the linear map rho -> sum_mn chi_mn E_m rho E_n^dagger.
-
-    It is applied through the Choi matrix, rho -> sum_ab C[a,k,b,l] rho[a,b],
-    so it accepts any matrix of the right dimension (basis elements
-    included), not just density matrices.
-    """
-    choi = _choi(chi)
-
-    def apply(rho: np.ndarray) -> np.ndarray:
-        return np.einsum("akbl,ab->kl", choi, np.asarray(rho, dtype=complex))
-
-    return apply
 
 
 def tp_deviation(chi: ChiMatrix) -> float:
@@ -406,8 +282,11 @@ def tp_deviation(chi: ChiMatrix) -> float:
     sum is the transpose of the Choi matrix traced over the output,
     sum_k C[a,k,b,k], which is what is compared with the identity.
     """
-    traced = np.trace(_choi(chi), axis1=1, axis2=3)
-    return float(np.abs(traced - np.eye(len(traced))).max())
+    w = _CHOI_MAPS[chi.qubit_count]
+    d = 1 << chi.qubit_count
+    choi = (w @ chi.matrix @ w.conj().T).reshape(d, d, d, d)  # C[a,k,b,l] = eps(|a><b|)[k,l]
+    traced = np.trace(choi, axis1=1, axis2=3)
+    return float(np.abs(traced - np.eye(d)).max())
 
 
 def _chi_array(chi) -> np.ndarray:
@@ -435,22 +314,32 @@ def process_fidelity(chi_theory, chi_experiment) -> float:
 
 @lru_cache(maxsize=None)
 def _recipe_table(qubit_count: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The recipes grouped by term count, as read-only (targets, coefficients,
-    positions): row t of a group's coefficients and positions is term t of
-    each of its recipes, positions index the preparation stack."""
+    """The matrix units' recipes grouped by term count, in order of first
+    appearance, as read-only (targets, coefficients, positions): row t of a
+    group's coefficients and positions is term t of each of its units, and
+    positions index the preparation stack.
+
+    The recipe of a two-qubit unit |a><b| is the product of the one-qubit
+    recipes of its high and low halves, high terms outer.
+    """
+    if qubit_count == 1:
+        recipes = enumerate(_SINGLE_RECIPES)
+    else:
+        recipes = [(a * 4 + b, [(ch * cl, lh + ll)
+                                for ch, lh in _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
+                                for cl, ll in _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)]])
+                   for a, b in itertools.product(range(4), repeat=2)]
     position = {label: i for i, label in enumerate(_PREP_LABELS[qubit_count])}
-    groups: dict[int, list[PreparationRecipe]] = {}
-    for recipe in preparation_recipes(qubit_count):
-        groups.setdefault(len(recipe.terms), []).append(recipe)
+    groups: dict[int, list] = {}
+    for target, terms in recipes:
+        groups.setdefault(len(terms), []).append((target, terms))
     table = []
     for members in groups.values():
-        targets = np.array([r.target_index for r in members])
-        coeffs = np.array([[c for c, _ in r.terms] for r in members], dtype=complex)
-        positions = np.array([[position[label] for _, label in r.terms] for r in members])
-        entry = (targets, coeffs.T[..., None, None], positions.T)  # term-major
-        for a in entry:
-            a.setflags(write=False)
-        table.append(entry)
+        targets = np.array([target for target, _ in members])
+        coeffs = np.array([[c for c, _ in terms] for _, terms in members], dtype=complex)
+        positions = np.array([[position[label] for _, label in terms] for _, terms in members])
+        # term-major
+        table.append(tuple(map(_read_only, (targets, coeffs.T[..., None, None], positions.T))))
     return tuple(table)
 
 

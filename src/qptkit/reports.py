@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .operators import GATE_ARITY
-from .process_tomography import QptResult, fixed_operator_set
+from .process_tomography import OPERATOR_LABELS, QptResult
 from .qasm import QUBIT_COUNT
 
 __all__ = [
@@ -73,7 +73,7 @@ def chi_report_dict(result: QptResult) -> dict:
         "shots": result.shots,
         "seed": result.seed,
         "executions": result.executions,
-        "operator_labels": list(fixed_operator_set(result.chi.qubit_count).labels),
+        "operator_labels": list(OPERATOR_LABELS[result.chi.qubit_count]),
         "ordering": ORDERING_NOTE,
         "residual": result.residual,
         "tp_deviation": result.tp_deviation,
@@ -236,7 +236,7 @@ def parse_report(text: str) -> dict:
         # the fixed operator sets cover n = 1, 2
         _require(dim in (4, 16), f"chi dimension {dim} is not 4 or 16")
         _require(dim == 4**n, f"chi dimension {dim} does not fit lines {report['lines']}")
-        labels = list(fixed_operator_set(n).labels)
+        labels = list(OPERATOR_LABELS[n])
         _require(report["operator_labels"] == labels,
                  f"operator_labels {reprlib.repr(report['operator_labels'])} are not {labels}")
         _require(report["tp_deviation"] >= 0.0, "negative tp_deviation")

@@ -494,15 +494,8 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     preparation may measure anything itself.  A sampled preparation takes
     its entry of ``seeds`` (fresh entropy when it or ``seeds`` is None) and
     its settings the seeds ``child_seeds(seed, 3**n)``.  The weights are
-    checked as a dataset's are, all settings as one stack.
-
-    The setting suffixes are built once per ``qubits`` tuple and kept.  They
-    share one rotation object per (letter, qubit) and one measure per qubit,
-    so the backend matches the rotations two settings share, and the
-    measures that make the settings one readout run, by identity.  They are
-    checked once per ``qubits`` tuple and register size, and appended
-    without checking them again; suffixes that fail are appended by
-    ``Circuit.extended``, which raises its own error.
+    checked as a dataset's are, all settings as one stack.  A setting that
+    does not fit the preparation raises ``Circuit.extended``'s error.
     """
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))

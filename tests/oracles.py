@@ -18,6 +18,7 @@ gathered them per term position.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from functools import reduce
 
@@ -27,13 +28,13 @@ from qptkit.backend import _outcome_index
 from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
 from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
 from qptkit.process_tomography import (
+    _CHOI_MAPS,
+    _OPERATORS,
+    _PREP_LABELS,
+    _PREP_STACKS,
+    _SINGLE_RECIPES,
     ChiMatrix,
-    _choi_map,
-    fixed_operator_set,
-    matrix_unit_basis,
     preparation_circuit,
-    preparation_recipes,
-    preparation_state,
     process_fidelity,
     theoretical_chi,
     tp_deviation,
@@ -248,6 +249,58 @@ def embed_channel(channel: KrausChannel, targets: list[int] | tuple[int, ...], q
     return KrausChannel(qubit_count, ops)
 
 
+def matrix_unit_basis(qubit_count: int) -> tuple[np.ndarray, ...]:
+    """Read-only matrix units |a><b| in row-major (a, b) order."""
+    d = 1 << qubit_count
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    units.setflags(write=False)
+    return tuple(units)
+
+
+_PREP_STATES: dict[str, np.ndarray] = {
+    label: state for n in (1, 2) for label, state in zip(_PREP_LABELS[n], _PREP_STACKS[n])
+}
+
+
+def preparation_state(label: str) -> np.ndarray:
+    """Read-only state of a one- or two-qubit preparation, e.g. ``"p0"`` (high qubit first)."""
+    try:
+        return _PREP_STATES[label]
+    except KeyError:
+        raise ValueError(f"bad preparation label {label!r}") from None
+
+
+def preparation_recipes(qubit_count: int) -> tuple[tuple[tuple[complex, str], ...], ...]:
+    """The (coefficient, preparation) terms of every matrix unit, in basis
+    order: the one-qubit recipes, and for two qubits the products of the
+    recipes of each unit's high and low halves, high terms outer."""
+    if qubit_count == 1:
+        return _SINGLE_RECIPES
+    return tuple(
+        tuple((ch * cl, lh + ll)
+              for ch, lh in _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
+              for cl, ll in _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)])
+        for a, b in itertools.product(range(4), repeat=2)
+    )
+
+
+def chi_to_channel(chi: ChiMatrix):
+    """Return the linear map rho -> sum_mn chi_mn E_m rho E_n^dagger.
+
+    It is applied through the Choi matrix, rho -> sum_ab C[a,k,b,l] rho[a,b],
+    so it accepts any matrix of the right dimension (basis elements
+    included), not just density matrices.
+    """
+    w = _CHOI_MAPS[chi.qubit_count]
+    d = 1 << chi.qubit_count
+    choi = (w @ chi.matrix @ w.conj().T).reshape(d, d, d, d)
+
+    def apply(rho: np.ndarray) -> np.ndarray:
+        return np.einsum("akbl,ab->kl", choi, np.asarray(rho, dtype=complex))
+
+    return apply
+
+
 def beta_tensor(qubit_count: int) -> np.ndarray:
     """The paper's B: entry k of E_m rho_j E_n^dagger at row (j, k), column (m, n).
 
@@ -255,7 +308,7 @@ def beta_tensor(qubit_count: int) -> np.ndarray:
     the row-major flattening of the matrix.  ``chi_from_outputs`` does not use
     it; it is the oracle that ties the closed form to chi = B^-1 lambda.
     """
-    ops = fixed_operator_set(qubit_count).operators
+    ops = _OPERATORS[qubit_count]
     basis = matrix_unit_basis(qubit_count)
     d2 = len(basis)
     beta = np.zeros((d2 * d2, d2 * d2), dtype=complex)
@@ -285,7 +338,7 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
 
 
 def _labels(n: int) -> list[str]:
-    return sorted({label for recipe in preparation_recipes(n) for _, label in recipe.terms})
+    return sorted({label for terms in preparation_recipes(n) for _, label in terms})
 
 
 def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
@@ -299,9 +352,9 @@ def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
 def combine_by_label(out_by_label: dict, n: int) -> list[np.ndarray]:
     """The matrix units' outputs, each recipe summed on its own from zeros."""
     outputs = []
-    for recipe in preparation_recipes(n):
+    for terms in preparation_recipes(n):
         acc = np.zeros((1 << n, 1 << n), dtype=complex)
-        for coeff, label in recipe.terms:
+        for coeff, label in terms:
             acc += coeff * out_by_label[label]
         outputs.append(acc)
     return outputs
@@ -310,7 +363,7 @@ def combine_by_label(out_by_label: dict, n: int) -> list[np.ndarray]:
 def per_output_chi(outputs, n: int) -> ChiMatrix:
     """``chi_from_outputs`` checking one output at a time: for each output in
     order its shape, then finite entries, then its trace."""
-    w = _choi_map(n)
+    w = _CHOI_MAPS[n]
     d = 1 << n
     d2 = d * d
     outputs = [np.asarray(o, dtype=complex) for o in outputs]

@@ -22,17 +22,19 @@ from qptkit import (
     theoretical_chi,
 )
 from qptkit.channels import amplitude_damping, apply_channel, compose, pure_dephasing
-from qptkit.process_tomography import (
-    chi_to_channel,
-    matrix_unit_basis,
-    preparation_recipes,
-    preparation_state,
-    tp_deviation,
-)
+from qptkit.process_tomography import tp_deviation
 from qptkit.qasm import Circuit, Gate, Measure
 
 from conftest import haar_unitary
-from oracles import beta_tensor, embed_channel, unitary_as_channel
+from oracles import (
+    beta_tensor,
+    chi_to_channel,
+    embed_channel,
+    matrix_unit_basis,
+    preparation_recipes,
+    preparation_state,
+    unitary_as_channel,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -147,9 +149,9 @@ def test_preparation_recipe_identities():
     worst = 0.0
     for n in (1, 2):
         basis = matrix_unit_basis(n)
-        for recipe in preparation_recipes(n):
-            acc = sum(c * preparation_state(label) for c, label in recipe.terms)
-            dev = np.abs(acc - basis[recipe.target_index]).max()
+        for unit, terms in zip(basis, preparation_recipes(n)):
+            acc = sum(c * preparation_state(label) for c, label in terms)
+            dev = np.abs(acc - unit).max()
             worst = max(worst, dev)
     assert worst <= 1e-12
     _pass(f"all 20 preparation recipes rebuild their matrix units to {worst:.2e}")

@@ -145,6 +145,20 @@ def test_backend_model_validation(qx4):
         BackendModel("x", qx4.qubits, {"h": 60.0}, 300.0, qx4.coupling)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_durations_must_be_finite_and_non_negative(qx4, value):
+    # a non-finite duration used to load and fail later, inside the evolution
+    for key, gate in (("dur.single_ns", "id"), ("dur.cx_ns", "cx")):
+        with pytest.raises(ConfigError, match=f"^duration of gate '{gate}' must be finite "
+                                              f"and non-negative, got {float(value)!r}$"):
+            load_backend(_config() + f"{key}={value}\n")
+    with pytest.raises(ConfigError, match="^measure duration must be finite and non-negative"):
+        load_backend(_config() + f"dur.measure_ns={value}\n")
+    if value in ("nan", "inf"):
+        with pytest.raises(ConfigError, match=f"^duration of gate 'id' .* got {value}$"):
+            qx4.scaled_durations(float(value))
+
+
 def test_switch_copies(qx4):
     quiet = qx4.with_noise(False)
     assert not quiet.noise_enabled and qx4.noise_enabled
@@ -160,6 +174,9 @@ def test_scaled_durations(qx4):
     assert qx4.gate_durations_ns["h"] == 60.0
     with pytest.raises(ValueError, match="non-negative"):
         qx4.scaled_durations(-1.0)
+    # a finite factor whose products overflow
+    with pytest.raises(ConfigError, match="^duration of gate 'id' .* got inf$"):
+        qx4.scaled_durations(1e308)
 
 
 # --- exact evolution ---------------------------------------------------------

@@ -22,17 +22,14 @@ from qptkit import channels
 from qptkit import state_tomography
 from qptkit.channels import amplitude_damping, apply_channel
 from qptkit.process_tomography import (
+    _CHOI_MAPS,
+    _OPERATORS,
     _PREP_LABELS,
     _PREP_STACKS,
-    FixedOperatorSet,
+    OPERATOR_LABELS,
     _chi_from_preparations,
     _recipe_table,
-    chi_to_channel,
-    fixed_operator_set,
-    matrix_unit_basis,
     preparation_circuit,
-    preparation_recipes,
-    preparation_state,
     project_result,
     tp_deviation,
 )
@@ -41,10 +38,14 @@ from qptkit.qasm import Gate
 from conftest import haar_unitary, random_density
 from oracles import (
     beta_tensor,
+    chi_to_channel,
     combine_by_label,
+    matrix_unit_basis,
     per_label_channel_chi,
     per_label_qpt,
     per_output_chi,
+    preparation_recipes,
+    preparation_state,
     unitary_as_channel,
 )
 
@@ -52,46 +53,49 @@ MINUS_IY = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _gram(ops):
-    return np.array([[np.trace(a.conj().T @ b) for b in ops.operators] for a in ops.operators])
+    return np.array([[np.trace(a.conj().T @ b) for b in ops] for a in ops])
 
 
 # --- fixed operator set & input basis ------------------------------------------
 
 
 def test_single_qubit_operator_set():
-    ops = fixed_operator_set(1)
-    assert ops.labels == ("I", "X", "-iY", "Z")
-    assert np.array_equal(ops.operators[2], MINUS_IY)
-    for op in ops.operators:
-        assert np.abs(op.imag).max() == 0.0
-    assert np.abs(_gram(ops) - 2.0 * np.eye(4)).max() < 1e-12
+    ops = _OPERATORS[1]
+    assert OPERATOR_LABELS[1] == ("I", "X", "-iY", "Z")
+    assert np.array_equal(ops[0], np.eye(2))
+    assert np.array_equal(ops[1], [[0, 1], [1, 0]])
+    assert np.array_equal(ops[2], MINUS_IY)
+    assert np.array_equal(ops[3], np.diag([1, -1]))
 
 
 def test_two_qubit_operator_set():
-    ops = fixed_operator_set(2)
-    assert len(ops.operators) == 16
-    assert ops.labels[2] == "-iIY"
-    assert ops.labels[7] == "XZ"
-    assert ops.labels[10] == "-YY"
-    assert np.array_equal(ops.operators[10], np.kron(MINUS_IY, MINUS_IY))
-    for op in ops.operators:
-        assert np.abs(op.imag).max() == 0.0  # the -i prefactors keep everything real
-    assert np.abs(_gram(ops) - 4.0 * np.eye(16)).max() < 1e-12
-    with pytest.raises(ValueError):
-        fixed_operator_set(3)
+    ops = _OPERATORS[2]
+    assert OPERATOR_LABELS[2] == (
+        "II", "IX", "-iIY", "IZ", "XI", "XX", "-iXY", "XZ",
+        "-iYI", "-iYX", "-YY", "-iYZ", "ZI", "ZX", "-iZY", "ZZ")
+    one = _OPERATORS[1]
+    for m, op in enumerate(ops):
+        assert np.array_equal(op, np.kron(one[m // 4], one[m % 4]))  # first factor slowest
+    assert np.array_equal(ops[10], np.kron(MINUS_IY, MINUS_IY))
+    assert np.abs(ops.imag).max() == 0.0  # the -i prefactors keep everything real
 
 
 def test_operator_set_must_be_complete_and_orthogonal():
-    i, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
-    labels = ("a", "b", "c", "d")
-    with pytest.raises(ValueError, match="not orthogonal"):
-        FixedOperatorSet(1, labels, (i, x, x + z, z))
-    with pytest.raises(ValueError, match="not orthogonal"):
-        FixedOperatorSet(1, labels, (i / 2**0.5, x / 2**0.5, MINUS_IY / 2**0.5, z / 2**0.5))
-    with pytest.raises(ValueError, match="needs 4 matrices"):
-        FixedOperatorSet(1, labels[:2], (i, x))
-    with pytest.raises(ValueError, match="shape"):
-        FixedOperatorSet(1, labels, (np.eye(4),) * 4)
+    # the closed-form inversion relies on Tr(E_m^dagger E_n) = d delta_mn and
+    # W^dagger W = d I, which nothing checks at run time
+    for n in (1, 2):
+        d = 1 << n
+        ops, w = _OPERATORS[n], _CHOI_MAPS[n]
+        assert ops.shape == (d * d, d, d) and ops.dtype == complex
+        assert len(OPERATOR_LABELS[n]) == d * d == len(set(OPERATOR_LABELS[n]))
+        assert np.abs(_gram(ops) - d * np.eye(d * d)).max() < 1e-12
+        assert np.abs(w.conj().T @ w - d * np.eye(d * d)).max() < 1e-12
+        # W[(a,k),m] = E_m[k,a]
+        assert np.array_equal(w.reshape(d, d, d * d), ops.transpose(2, 1, 0))
+        for table in (ops, w):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
 
 
 def test_matrix_unit_basis():
@@ -140,21 +144,21 @@ def test_preparation_circuits():
 @pytest.mark.parametrize("n", [1, 2])
 def test_recipes_rebuild_matrix_units(n):
     basis = matrix_unit_basis(n)
-    for recipe in preparation_recipes(n):
-        acc = sum(c * preparation_state(label) for c, label in recipe.terms)
-        assert np.abs(acc - basis[recipe.target_index]).max() < 1e-12
+    recipes = preparation_recipes(n)
+    assert len(recipes) == len(basis)
+    for unit, terms in zip(basis, recipes):
+        acc = sum(c * preparation_state(label) for c, label in terms)
+        assert np.abs(acc - unit).max() < 1e-12
 
 
 def test_single_qubit_recipe_terms():
     recipes = preparation_recipes(1)
-    assert recipes[0].terms == ((1.0 + 0.0j, "0"),)
-    assert recipes[3].terms == ((1.0 + 0.0j, "1"),)
+    assert recipes[0] == ((1.0 + 0.0j, "0"),)
+    assert recipes[3] == ((1.0 + 0.0j, "1"),)
     half = (1.0 + 1.0j) / 2.0
-    assert recipes[1].terms == ((1.0 + 0.0j, "p"), (1.0j, "r"), (-half, "0"), (-half, "1"))
+    assert recipes[1] == ((1.0 + 0.0j, "p"), (1.0j, "r"), (-half, "0"), (-half, "1"))
     # the conjugate unit uses the conjugate coefficients
-    assert recipes[2].terms == tuple(
-        (np.conj(c), label) for c, label in recipes[1].terms
-    )
+    assert recipes[2] == tuple((np.conj(c), label) for c, label in recipes[1])
 
 
 # --- beta and the closed-form inversion ------------------------------------------
@@ -174,14 +178,14 @@ def test_beta_shape_and_conditioning(n, d2):
 def test_beta_is_definitional():
     # beta[(j,:),(m,n)] must literally be the flattening of E_m rho_j E_n^dag.
     basis = matrix_unit_basis(1)
-    ops = fixed_operator_set(1)
+    ops = _OPERATORS[1]
     beta = beta_tensor(1)
     rng = np.random.default_rng(0)
     for _ in range(20):
         j = rng.integers(4)
         m = rng.integers(4)
         n = rng.integers(4)
-        block = ops.operators[m] @ basis[j] @ ops.operators[n].conj().T
+        block = ops[m] @ basis[j] @ ops[n].conj().T
         assert np.array_equal(beta[j * 4:(j + 1) * 4, m * 4 + n], block.reshape(-1))
 
 
@@ -340,10 +344,10 @@ def test_chi_theory_accepts_matrices_and_checks_span():
     direct = theoretical_chi(np.array([[1, 0], [0, 1j]], dtype=complex))
     assert np.abs(direct.matrix - theoretical_chi("s").matrix).max() < 1e-12
     # the complete operator set spans every d x d matrix, so only the shape can fail
-    with pytest.raises(ValueError, match="does not match"):
-        theoretical_chi(np.eye(3, dtype=complex))
-    with pytest.raises(ValueError, match="does not match"):
-        theoretical_chi(np.ones((4, 2), dtype=complex))
+    # only the 2x2 and 4x4 unitaries of the 1- and 2-qubit operator sets
+    for shape in ((3, 3), (8, 8), (1, 1), (4, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"unitary shape {shape} does not match")):
+            theoretical_chi(np.eye(*shape, dtype=complex))
 
 
 def test_theory_is_trace_preserving_for_all_gates():
@@ -379,7 +383,7 @@ def test_chi_to_channel_matches_kraus():
     # random Hermitian chi, not trace preserving, on arbitrary complex matrices,
     # against the definition sum_mn chi_mn E_m rho E_n^dagger written out
     for n in (1, 2):
-        ops = fixed_operator_set(n).operators
+        ops = _OPERATORS[n]
         d = 1 << n
         for _ in range(5):
             chi = _random_hermitian_chi(rng, n)
@@ -397,10 +401,14 @@ def test_tp_deviation_flags_lossy_chi():
     half = np.zeros((4, 4), dtype=complex)
     half[0, 0] = 0.5
     assert tp_deviation(ChiMatrix(1, half)) == pytest.approx(0.5)
+    # a chi has an operator set, and so a Choi matrix, only for 1 or 2 qubits
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=f"^fixed operator sets cover 1 or 2 qubits, got {n}$"):
+            ChiMatrix(n, np.eye(4**n))
     # random Hermitian chi against the definition sum_mn chi_mn E_n^dagger E_m
     rng = np.random.default_rng(22)
     for n in (1, 2):
-        ops = fixed_operator_set(n).operators
+        ops = _OPERATORS[n]
         for _ in range(5):
             chi = _random_hermitian_chi(rng, n)
             total = sum(
@@ -538,7 +546,7 @@ def test_preparation_stack_rows_are_the_states():
     for n in (1, 2):
         labels = _PREP_LABELS[n]
         # every recipe label, in sorted order: run_qpt's preparations and seeds
-        assert list(labels) == sorted({label for r in preparation_recipes(n) for _, label in r.terms})
+        assert list(labels) == sorted({label for terms in preparation_recipes(n) for _, label in terms})
         stack = _PREP_STACKS[n]
         assert stack.shape == (4**n, 1 << n, 1 << n) and not stack.flags.writeable
         for label, row in zip(labels, stack):
@@ -556,7 +564,7 @@ def test_recipe_table_groups_terms_by_count():
             assert not (targets.flags.writeable or coeffs.flags.writeable
                         or positions.flags.writeable)
             for column, target in enumerate(targets):
-                terms = recipes[target].terms
+                terms = recipes[target]
                 assert [c for c, _ in terms] == list(coeffs[:, column, 0, 0])
                 assert [label for _, label in terms] == [
                     _PREP_LABELS[n][p] for p in positions[:, column]]

@@ -511,6 +511,53 @@ def test_cli_chi_plot(tmp_path):
     assert imag["Z"][0] == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["table", "chi-plot"])
+def test_cli_table_and_chi_plot_name_an_unusable_report(tmp_path, h_report, command):
+    # a file either command cannot use ends it with one error line naming the
+    # file and why, before anything is written
+    bad_labels = dict(h_report, operator_labels=["I", "X", "Y", "Z"])
+    faults = {
+        "missing.json": (None, "No such file or directory"),
+        "text.json": ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+        "labels.json": (dump_report(bad_labels),
+                        "invalid report: operator_labels ['I', 'X', 'Y', 'Z'] are not "
+                        "['I', 'X', '-iY', 'Z']"),
+        "binary.json": (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
+        "folder.json": ("dir", "Is a directory"),
+    }
+    for name, (content, reason) in faults.items():
+        folder = tmp_path / name.split(".")[0]
+        folder.mkdir()
+        dump_report(h_report, folder / "good.json")
+        path = folder / name
+        if content is None:
+            path.symlink_to(folder / "nowhere.json")  # a dangling link the table globs
+        elif content == "dir":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        argv = (["table", "--reports", str(folder), "--out", str(folder / "grid")]
+                if command == "table" else
+                ["chi-plot", "--report", str(path), "--out", str(folder / "chi")])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code).startswith(f"error: {path}: {reason}"), exc.value.code
+        assert sorted(p.name for p in folder.iterdir()) == sorted(["good.json", name])
+
+
+def test_cli_chi_plot_rejects_a_qst_report(tmp_path):
+    circuit = tmp_path / "h.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
+    main(["qst", "--circuit", str(circuit), "--backend", "qx4", "--out", str(tmp_path)])
+    report = tmp_path / "h_qst.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["chi-plot", "--report", str(report), "--out", str(tmp_path / "chi")])
+    assert exc.value.code == f"error: {report}: not a qpt report"
+    assert not list(tmp_path.glob("*.tsv"))
+
+
 def test_cli_reads_every_report_back(tmp_path, monkeypatch):
     import qptkit.cli
 
