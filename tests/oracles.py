@@ -13,7 +13,10 @@ time; both combine and invert as the package did before it worked on stacks
 and ``sample`` read out one circuit at a time, as the backend did before it
 read out each checked chunk as one stack.  ``add_at_densities`` adds the
 Pauli terms with one ``np.add.at``, as state tomography did before it
-gathered them per term position.
+gathered them per term position.  ``matrix_unit_basis``,
+``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
+input basis, single preparations, each unit's recipe terms and chi as a map,
+which the package holds only as stacks, a compiled table and a Choi map.
 """
 
 from __future__ import annotations
