@@ -489,55 +489,32 @@ def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
     return probs
 
 
-# bound on the bytes of seeded draws held at once: on a sampled sweep a
-# 1 MiB bound was no faster and raised the peak memory by 1 MB
-_DRAW_BYTES = 1 << 18
-
-
 def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: BackendModel,
             shots: int, seeds: Sequence[int | None]) -> np.ndarray:
     """Read-only ``(rows, 2**count)`` counts, row r drawn from weight row r
     with ``seeds[r]``, as the module docstring describes."""
-    rows, size = weights.shape
     cdf = np.cumsum(weights, axis=1)
     cdf /= cdf[:, -1:]
-    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
-    # weights at or below each draw; the last is 1.0, which no draw reaches
-    bounds = cdf[:, :-1]
     measured = sorted(measures, key=lambda mm: mm.clbit)
     flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
              if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
-    block = max(1, _DRAW_BYTES // (8 * shots * (1 + len(measured))))
-    draws = np.empty((min(rows, block), shots, 1 + len(measured)))
-    first = np.empty(draws.shape[:2])  # each row's outcome draws, contiguous
-    at_or_above = np.empty(first.shape, dtype=bool)
-    # a row's count of set bytes fits the narrowest type that holds shots
-    tally = np.min_scalar_type(shots)
-    counts = np.empty((rows, size), dtype=np.intp)
-    for start in range(0, rows, block):
-        n = min(block, rows - start)
-        for row, seed in zip(draws, seeds[start:start + n]):
-            np.random.default_rng(seed).random(out=row)
-        np.copyto(first[:n], draws[:n, :, 0])
-        lows = bounds[start:start + n]
+    counts = np.empty(weights.shape, dtype=np.intp)
+    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
+    # weights at or below each draw; the last is 1.0, which no draw reaches
+    for row, bounds, seed in zip(counts, cdf[:, :-1], seeds):
+        draws = np.random.default_rng(seed).random((shots, 1 + len(measured)))
+        first = draws[:, 0].copy()
         if not flips:
             # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
-            above = np.zeros((n, size + 1), dtype=np.intp)
-            above[:, 0] = shots
-            for j in range(size - 1):
-                np.greater_equal(first[:n], lows[:, j, None], out=at_or_above[:n])
-                above[:, j + 1] = at_or_above[:n].view(np.uint8).sum(axis=1, dtype=tally)
-            counts[start:start + n] = above[:, :-1] - above[:, 1:]
+            above = np.array([shots, *(np.count_nonzero(first >= b) for b in bounds), 0])
+            row[:] = above[:-1] - above[1:]
         else:
-            outcomes = np.zeros((n, shots), dtype=np.intp)
-            for j in range(size - 1):
-                outcomes += first[:n] >= lows[:, j, None]
+            outcomes = np.zeros(shots, dtype=np.intp)
+            for b in bounds:
+                outcomes += first >= b
             for col, clbit, prob in flips:
-                outcomes[draws[:n, :, col] < prob] ^= 1 << clbit
-            # one bincount over the block, each row's outcomes offset past the last row's
-            outcomes += np.arange(0, n * size, size)[:, None]
-            counts[start:start + n] = np.bincount(outcomes.ravel(), minlength=n * size
-                                                  ).reshape(n, size)
+                outcomes[draws[:, col] < prob] ^= 1 << clbit
+            row[:] = np.bincount(outcomes, minlength=len(row))
     counts.setflags(write=False)
     return counts
 

@@ -206,6 +206,7 @@ def cmd_table(args) -> int:
         raise SystemExit(f"error: no qpt reports under {args.reports!r}")
     csv_text, aligned = render_fidelity_tables(reports)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(f"{args.out}.csv").write_text(csv_text, encoding="utf-8")
         Path(f"{args.out}.txt").write_text(aligned, encoding="utf-8")
         print(f"wrote {args.out}.csv and {args.out}.txt")
@@ -219,6 +220,7 @@ def cmd_chi_plot(args) -> int:
         real_text, imag_text = chi_grids(load_report(args.report))
     except (OSError, ValueError) as exc:  # as for table, or not a qpt report
         raise _unusable(args.report, exc) from None
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     Path(f"{args.out}_real.tsv").write_text(real_text, encoding="utf-8")
     Path(f"{args.out}_imag.tsv").write_text(imag_text, encoding="utf-8")
     print(f"wrote {args.out}_real.tsv and {args.out}_imag.tsv")

@@ -12,27 +12,17 @@ enumerated with the per-qubit order Z < X < Y, lexicographically
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
 ``collect_weights`` runs the 3**n setting circuits of each of a list of
-preparations through one ``backend.execute_many`` stream and returns the
-complete canonical stack ``(L, 3**n, 2**n)``: preparation, setting in
-``qst_settings`` order, outcome.  Each preparation is evolved once,
-preparations sharing leading gates share their evolution, and the settings
-branch off it (sampled runs keep one seed per setting, derived from the
-preparation's seed).  The setting suffixes (basis rotations, then
-measures) are built once per measured-qubit tuple and checked once per
-tuple and register size: appended to a measurement-free preparation, a
-suffix passes or fails ``Circuit.extended``'s checks whatever the
-preparation holds, so each setting circuit is the preparation with its
-suffix appended unchecked.  That stack is the only input
-``reconstruct_states`` takes.
+preparations and returns the complete canonical stack ``(L, 3**n, 2**n)``:
+preparation, setting in ``qst_settings`` order, outcome.  A sampled setting
+draws with its own seed, derived from its preparation's seed.  That stack is
+the only input ``reconstruct_states`` takes.
 
 The expectation value of a Pauli string reads the string's Z-filled
 setting (Z at every I position, the first compatible one in the
 enumeration): outcome i is signed by (-1)^popcount(mask & i), mask marking
-the non-I positions, and the signed sum is divided by the plain sum.  Both
-sums run left to right in outcome-index order (never by the builtin
-``sum``, which is compensated from Python 3.12 on), so a state's bits do
-not depend on the interpreter or on the other datasets of its stack.  The
-reconstruction is the linear inversion
+the non-I positions, and the signed sum is divided by the plain sum.  A
+state's bits depend neither on the interpreter nor on the other datasets of
+its stack.  The reconstruction is the linear inversion
 
     rho = 2^-n  sum_P  <P> P
 
@@ -46,9 +36,8 @@ A ``TomographyDataset`` is one row of the ``collect_weights`` stack: a
 preparation's read-only float ``(3**n, 2**n)`` weights, settings in
 ``qst_settings`` order, so ``reconstruct_states(ds.weights[None])[0]`` is
 its state.  It serialises to line-oriented text (``format=1`` header, one
-record per setting in sorted tag order, ``bitstring:weight`` for every
-nonzero weight, each distinct weight formatted once by ``repr``) so runs
-can be stored and re-analysed; the reader fills each setting's row and
+record per setting in sorted tag order, ``bitstring:weight`` by ``repr`` for
+every nonzero weight) so runs can be stored and re-analysed; the reader
 rejects text that lacks a setting or names an unknown one.  That text is
 the only place outcome bitstrings are written or read.
 """
@@ -95,38 +84,19 @@ def qst_settings(qubit_count: int) -> list[str]:
     return ["".join(p) for p in itertools.product(BASIS_ORDER, repeat=qubit_count)]
 
 
-def _setting_suffix(setting: str, qubits: tuple[int, ...]) -> tuple[Gate | Measure, ...]:
-    """The basis rotations and then the measures of one setting on ``qubits``."""
-    if len(setting) != len(qubits):
-        raise ValueError(
-            f"setting {setting!r} has {len(setting)} letters for {len(qubits)} qubit(s)"
-        )
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubits in {qubits}")
-    extra: list[Gate | Measure] = []
-    for basis, q in zip(setting, qubits):
-        if basis not in _ROTATIONS:
-            raise ValueError(f"invalid basis letter {basis!r} in {setting!r}")
-        extra.extend(Gate(g, (q,)) for g in _ROTATIONS[basis])
-    k = len(qubits)
-    extra.extend(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
-    return tuple(extra)
-
-
 @lru_cache(maxsize=64)
 def _setting_suffixes(qubits: tuple[int, ...]) -> tuple[tuple[Gate | Measure, ...], ...]:
-    """Every setting's suffix on ``qubits``, in ``qst_settings`` order, sharing
-    one rotation object per (letter, qubit) and one measure per qubit: each is
-    assembled from the suffixes of the settings with one letter throughout."""
+    """Every setting's suffix on ``qubits``, the basis rotations and then the
+    measures, in ``qst_settings`` order, sharing one rotation tuple per
+    (qubit, letter) and one measure per qubit."""
     settings = qst_settings(len(qubits))
-    pieces = {}
-    for basis in BASIS_ORDER:
-        suffix = _setting_suffix(basis * len(qubits), qubits)
-        width = len(_ROTATIONS[basis])
-        for p in range(len(qubits)):
-            pieces[p, basis] = suffix[p * width:(p + 1) * width]
-    measures = suffix[width * len(qubits):]
-    return tuple((*itertools.chain.from_iterable(pieces[p, basis] for p, basis in enumerate(tag)),
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"duplicate qubits in {qubits}")
+    k = len(qubits)
+    rotations = [{basis: tuple(Gate(g, (q,)) for g in gates) for basis, gates in _ROTATIONS.items()}
+                 for q in qubits]
+    measures = tuple(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
+    return tuple((*itertools.chain.from_iterable(r[basis] for r, basis in zip(rotations, tag)),
                   *measures) for tag in settings)
 
 

@@ -1,0 +1,114 @@
+"""Write ``counts.json``: the sha256 of every seeded count stack of a fixed
+list of runs, each stack hashed as little-endian int64 bytes.
+
+The runs are the sampled ones the paper's figures and CI's determinism step
+rest on:
+
+* the stacks ``run_qpt`` draws for all 51 qx4 placements at 8192 shots;
+* ``h`` and ``cx`` on all lines of qx4 with a 0.02 readout flip on every
+  qubit, at 8192 and at 5 shots;
+* ``run_qst`` of CI's 5-qubit circuit on qx4, with and without those
+  flips, at 5 and at 8192 shots;
+
+all with seed 0.  ``tests/test_golden_counts.py`` recomputes them and names
+every entry that differs.  Regenerating the manifest changes what a seed
+means; a change that does so lists every changed entry.  Run it from the
+repository root::
+
+    PYTHONPATH=src python3 tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from collections.abc import Iterator
+from importlib import resources
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from qptkit import process_tomography
+from qptkit.backend import builtin_backend, load_backend
+from qptkit.operators import GATE_ARITY
+from qptkit.process_tomography import run_qpt
+from qptkit.qasm import parse_qasm
+from qptkit.state_tomography import collect_weights, run_qst
+
+MANIFEST = Path(__file__).with_name("counts.json")
+
+FIVE_QUBIT_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[5];
+h q[0];
+cx q[1],q[0];
+t q[2];
+h q[3];
+cx q[3],q[4];
+s q[1];
+x q[4];
+cx q[2],q[1];
+"""
+
+
+def flips_backend():
+    """qx4 with a 0.02 readout flip on every qubit, as CI builds it."""
+    text = resources.files("qptkit").joinpath("configs/qx4.cfg").read_text(encoding="utf-8")
+    assert text.count("readout_flip=0.0") == 5
+    return load_backend(text.replace("readout_flip=0.0", "readout_flip=0.02"))
+
+
+def qpt_counts(gate: str, lines: tuple[int, ...], backend, shots: int) -> np.ndarray:
+    """The count stack ``run_qpt`` draws for one placement with seed 0."""
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(collect_weights(*args, **kwargs))
+        return drawn[-1]
+
+    with mock.patch.object(process_tomography, "collect_weights", recording):
+        run_qpt(gate, lines, backend, shots=shots, seed=0)
+    (stack,) = drawn
+    return stack
+
+
+def count_stacks() -> Iterator[tuple[str, np.ndarray]]:
+    """(entry name, count stack) of every run, in manifest order."""
+    qx4, flips = builtin_backend("qx4"), flips_backend()
+    single = [g for g, arity in GATE_ARITY.items() if arity == 1]
+    pairs = sorted(qx4.coupling.pairs)
+    placements = [(g, (q,)) for g in single for q in range(5)] + [("cx", p) for p in pairs]
+    for gate, lines in placements:
+        yield f"qpt qx4 {gate} {lines} shots=8192", qpt_counts(gate, lines, qx4, 8192)
+    for shots in (8192, 5):
+        for gate, lines in [("h", (q,)) for q in range(5)] + [("cx", p) for p in pairs]:
+            yield (f"qpt qx4-flips {gate} {lines} shots={shots}",
+                   qpt_counts(gate, lines, flips, shots))
+    circuit = parse_qasm(FIVE_QUBIT_QASM)
+    for name, backend in (("qx4", qx4), ("qx4-flips", flips)):
+        for shots in (5, 8192):
+            weights = run_qst(circuit, backend, shots=shots, seed=0).dataset.weights
+            yield f"qst five {name} shots={shots}", weights
+
+
+def digest(stack: np.ndarray) -> str:
+    """sha256 of the stack as little-endian int64; it must hold integers."""
+    counts = np.asarray(stack).astype("<i8")
+    assert np.array_equal(counts, stack), "count stack holds non-integers"
+    return hashlib.sha256(counts.tobytes()).hexdigest()
+
+
+def digests() -> dict[str, str]:
+    return {name: digest(stack) for name, stack in count_stacks()}
+
+
+def main() -> None:
+    manifest = {"hash": "sha256 of each count stack as little-endian int64",
+                "numpy": np.__version__, "entries": digests()}
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(manifest['entries'])} entries to {MANIFEST}")
+
+
+if __name__ == "__main__":
+    main()

@@ -42,11 +42,10 @@ from qptkit.process_tomography import (
     theoretical_chi,
     tp_deviation,
 )
-from qptkit.qasm import Circuit, Gate
+from qptkit.qasm import Circuit, Gate, Measure
 from qptkit.state_tomography import (
     _POWERS_OF_I,
     _monomials,
-    _setting_suffix,
     child_seeds,
     collect_dataset,
     reconstruct_states,
@@ -68,13 +67,18 @@ def outcome_dict(weights: np.ndarray) -> dict:
 
 
 def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
-    """One setting circuit: ``circuit``, then the setting's basis rotations and
-    measures, as ``collect_weights`` builds it.  ``qubits`` lists the measured
-    qubits most significant first and defaults to the whole register."""
+    """One setting circuit: ``circuit``, then the setting's basis rotations
+    (X after an H, Y after Sdg then H) and measures, as ``collect_weights``
+    builds it.  ``qubits`` lists the measured qubits most significant first
+    and defaults to the whole register."""
     if qubits is None:
         qubits = range(circuit.qubit_count - 1, -1, -1)
     qubits = tuple(qubits)
-    return circuit.extended(*_setting_suffix(setting, qubits), classical_count=len(qubits))
+    rotations = {"Z": (), "X": ("h",), "Y": ("sdg", "h")}
+    extra = [Gate(g, (q,)) for basis, q in zip(setting, qubits, strict=True)
+             for g in rotations[basis]]
+    extra += [Measure(q, len(qubits) - 1 - p) for p, q in enumerate(qubits)]
+    return circuit.extended(*extra, classical_count=len(qubits))
 
 
 def add_at_densities(values: np.ndarray, qubit_count: int) -> np.ndarray:

@@ -476,42 +476,26 @@ def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots):
         assert all(q.readout_flip_prob > 0.0 for q in backend.qubits)
     else:
         backend = qx4
-    # a single-qubit placement's 12 circuits are one run, read out with its
-    # draws in blocks: at 8192 shots a block is smaller than the run
-    assert backend_module._DRAW_BYTES // (8 * 8192 * 2) < 12
     batches = list(_tomography_batches(qx4))
     # a share of the placements' batches, one 5-qubit preparation measured on
-    # all qubits and on two, and both parity batches
+    # all qubits and on two, and both parity batches, at the test's shots
     chosen = batches[:-8:4 if shots < 8192 else 9] + batches[-8:-6] + batches[-2:]
+    runs = [(batch, shots, [int(s) for s in rng.integers(0, 2**63, size=len(batch))])
+            for batch in chosen]
+    # and the 18 setting circuits of two 2-qubit preparations at 300 shots
+    two = [append_setting(preparation_circuit(label, (1, 0)), tag, (1, 0))
+           for label in ("0p", "r1") for tag in qst_settings(2)]
+    runs.append((two, 300, list(range(100, 100 + len(two)))))
     compared = 0
-    for batch in chosen:
-        seeds = [int(s) for s in rng.integers(0, 2**63, size=len(batch))]
+    for batch, n, seeds in runs:
         evolved = _per_circuit(backend_module._evolve(batch, backend))
-        got = execute_many(batch, backend, shots=shots, seeds=seeds)
+        got = execute_many(batch, backend, shots=n, seeds=seeds)
         for (circuit, reduced, active), seed, result in zip(evolved, seeds, got, strict=True):
-            want = sample(distribution(reduced, active, circuit), circuit, backend, shots, seed)
+            want = sample(distribution(reduced, active, circuit), circuit, backend, n, seed)
             assert result.counts.dtype == want.dtype and not result.counts.flags.writeable
             assert np.array_equal(result.counts, want)
             compared += 1
     assert compared > 300
-
-
-@pytest.mark.parametrize("flip", ["0.0", "0.05"])
-def test_sample_blocks_cross_the_draw_buffer_bound(monkeypatch, flip):
-    backend = load_backend(_config(**{f"q{q}__readout_flip": flip for q in range(5)}))
-    circuits = [append_setting(preparation_circuit(label, (1, 0)), tag, (1, 0))
-                for label in ("0p", "r1") for tag in qst_settings(2)]
-    seeds = list(range(100, 100 + len(circuits)))
-    want = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
-    per_circuit = 8 * 300 * 3
-    for circuits_per_block in (1, 2, 5, 7):
-        monkeypatch.setattr(backend_module, "_DRAW_BYTES", circuits_per_block * per_circuit + 1)
-        got = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
-    # a block never holds more than one circuit's draws past the bound
-    monkeypatch.setattr(backend_module, "_DRAW_BYTES", 1)
-    got = [r.counts for r in execute_many(circuits, backend, shots=300, seeds=seeds)]
-    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4):

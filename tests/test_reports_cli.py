@@ -547,6 +547,25 @@ def test_cli_table_and_chi_plot_name_an_unusable_report(tmp_path, h_report, comm
         assert sorted(p.name for p in folder.iterdir()) == sorted(["good.json", name])
 
 
+def test_cli_table_and_chi_plot_create_the_out_directory(tmp_path, h_report, capsys):
+    # as qpt and qst do, both create the missing directories of their --out
+    # prefix and write there what they write beside existing ones
+    reports = tmp_path / "r"
+    reports.mkdir()
+    dump_report(h_report, reports / "qpt_h_0.json")
+    runs = {"table": (["table", "--reports", str(reports)], ["grid.csv", "grid.txt"]),
+            "chi-plot": (["chi-plot", "--report", str(reports / "qpt_h_0.json")],
+                         ["grid_imag.tsv", "grid_real.tsv"])}
+    for command, (argv, names) in runs.items():
+        fresh, existing = tmp_path / command / "nodir" / "deeper", tmp_path
+        for folder in (fresh, existing):
+            assert main([*argv, "--out", str(folder / "grid")]) == 0
+        assert sorted(p.name for p in fresh.iterdir()) == names
+        for name in names:
+            assert (fresh / name).read_bytes() == (existing / name).read_bytes()
+    capsys.readouterr()
+
+
 def test_cli_chi_plot_rejects_a_qst_report(tmp_path):
     circuit = tmp_path / "h.qasm"
     circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")

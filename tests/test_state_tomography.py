@@ -78,12 +78,10 @@ def test_append_setting_rejections(qx4_quiet):
     measured = Circuit(1, 1, (Measure(0, 0),))
     with pytest.raises(ValueError, match="already contains measurements"):
         collect_weights([measured], qx4_quiet)
-    with pytest.raises(ValueError, match="letters for"):
-        append_setting(Circuit(2, 0), "Z")
-    with pytest.raises(ValueError, match="invalid basis letter"):
-        append_setting(Circuit(1, 0), "Q")
     with pytest.raises(ValueError, match="duplicate qubits"):
         collect_weights([Circuit(2, 0)], qx4_quiet, qubits=(1, 1))
+    with pytest.raises(ValueError, match="duplicate qubits"):
+        collect_weights([Circuit(5, 0)], qx4_quiet, qubits=(2, 0, 2))
 
 
 def _row(dataset, tag):
