@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from golden import regen
 from qptkit import builtin_backend
 
 
@@ -17,6 +18,12 @@ def qx4_quiet(qx4):
 @pytest.fixture(scope="session")
 def qx2():
     return builtin_backend("qx2")
+
+
+@pytest.fixture(scope="session")
+def golden_count_stacks():
+    """``regen.count_stacks()`` drawn once for both golden manifests."""
+    return list(regen.count_stacks())
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Write ``counts.json``: the sha256 of every seeded count stack of a fixed
-list of runs, each stack hashed as little-endian int64 bytes.
+list of runs, each stack hashed as little-endian int64 bytes; and
+``states.json``: the sha256 of ``reconstruct_states`` of each of those stacks
+and of seeded float stacks for 1-5 qubits, as little-endian complex128 bytes.
 
 The runs are the sampled ones the paper's figures and CI's determinism step
 rest on:
@@ -10,10 +12,13 @@ rest on:
 * ``run_qst`` of CI's 5-qubit circuit on qx4, with and without those
   flips, at 5 and at 8192 shots;
 
-all with seed 0.  ``tests/test_golden_counts.py`` recomputes them and names
-every entry that differs.  Regenerating the manifest changes what a seed
-means; a change that does so lists every changed entry.  Run it from the
-repository root::
+all with seed 0.  The float stacks hold ``Generator`` uniforms with about a
+quarter of each row's weights zero.  Every input is an integer or a seeded
+float and the reconstruction is elementwise, so neither manifest depends on
+the BLAS.  ``tests/test_golden_counts.py`` and ``tests/test_golden_states.py``
+recompute them and name every entry that differs.  Regenerating a manifest
+changes what a seed or a stored dataset means; a change that does so lists
+every changed entry.  Run it from the repository root::
 
     PYTHONPATH=src python3 tests/golden/regen.py
 """
@@ -34,9 +39,10 @@ from qptkit.backend import builtin_backend, load_backend
 from qptkit.operators import GATE_ARITY
 from qptkit.process_tomography import run_qpt
 from qptkit.qasm import parse_qasm
-from qptkit.state_tomography import collect_weights, run_qst
+from qptkit.state_tomography import collect_weights, reconstruct_states, run_qst
 
 MANIFEST = Path(__file__).with_name("counts.json")
+STATES = Path(__file__).with_name("states.json")
 
 FIVE_QUBIT_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -89,7 +95,16 @@ def count_stacks() -> Iterator[tuple[str, np.ndarray]]:
     for name, backend in (("qx4", qx4), ("qx4-flips", flips)):
         for shots in (5, 8192):
             weights = run_qst(circuit, backend, shots=shots, seed=0).dataset.weights
-            yield f"qst five {name} shots={shots}", weights
+            yield f"qst five {name} shots={shots}", weights[None]
+
+
+def float_stacks() -> Iterator[tuple[str, np.ndarray]]:
+    """(entry name, weight stack) of three seeded float datasets per qubit
+    count, every weight below a quarter of its row's largest set to zero."""
+    for n in range(1, 6):
+        weights = np.random.default_rng(n).random((3, 3 ** n, 1 << n))
+        weights[weights < 0.25 * weights.max(axis=-1, keepdims=True)] = 0.0
+        yield f"floats n={n}", weights
 
 
 def digest(stack: np.ndarray) -> str:
@@ -99,15 +114,27 @@ def digest(stack: np.ndarray) -> str:
     return hashlib.sha256(counts.tobytes()).hexdigest()
 
 
-def digests() -> dict[str, str]:
-    return {name: digest(stack) for name, stack in count_stacks()}
+def digests(stacks: list[tuple[str, np.ndarray]]) -> dict[str, str]:
+    """The counts manifest's entries, from ``list(count_stacks())``."""
+    return {name: digest(stack) for name, stack in stacks}
+
+
+def state_digests(stacks: list[tuple[str, np.ndarray]]) -> dict[str, str]:
+    """The states manifest's entries: each count stack of ``stacks``, then
+    each float stack, reconstructed and hashed as little-endian complex128."""
+    return {name: hashlib.sha256(reconstruct_states(weights).astype("<c16").tobytes()).hexdigest()
+            for name, weights in [*stacks, *float_stacks()]}
 
 
 def main() -> None:
-    manifest = {"hash": "sha256 of each count stack as little-endian int64",
-                "numpy": np.__version__, "entries": digests()}
-    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(manifest['entries'])} entries to {MANIFEST}")
+    stacks = list(count_stacks())
+    for path, hashed, entries in (
+            (MANIFEST, "each count stack as little-endian int64", digests(stacks)),
+            (STATES, "each reconstructed state stack as little-endian complex128",
+             state_digests(stacks))):
+        manifest = {"hash": f"sha256 of {hashed}", "numpy": np.__version__, "entries": entries}
+        path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(entries)} entries to {path}")
 
 
 if __name__ == "__main__":

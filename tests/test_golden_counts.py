@@ -6,9 +6,9 @@ import json
 from golden import regen
 
 
-def test_seeded_counts_match_the_manifest():
+def test_seeded_counts_match_the_manifest(golden_count_stacks):
     want = json.loads(regen.MANIFEST.read_text(encoding="utf-8"))["entries"]
-    got = regen.digests()
+    got = regen.digests(golden_count_stacks)
     assert list(got) == list(want), "the manifest lists other runs"
     differing = [name for name in want if got[name] != want[name]]
     assert not differing, f"{len(differing)} of {len(want)} count stacks differ: " + \
