@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
-from .backend import (BackendModel, ConfigError, builtin_backend, builtin_backend_names,
-                      execute_exact, read_backend)
+from .backend import (BackendModel, builtin_backend, builtin_backend_names, execute_exact,
+                      read_backend)
 from .operators import GATE_ARITY
 from .process_tomography import project_result, run_qpt
-from .qasm import QasmError, parse_qasm
+from .qasm import parse_qasm
 from .reports import (
     GATE_TABLE_ORDER,
     chi_grids,
@@ -44,19 +45,23 @@ from .state_tomography import project_psd, run_qst, state_fidelity, write_datase
 __all__ = ["main"]
 
 
-def _unusable(path, exc: Exception) -> SystemExit:
-    """The exit that names a file a command cannot read or use, and why."""
-    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return SystemExit(f"error: {path}: {reason}")
+@contextmanager
+def _usable(subject):
+    """Exit with ``error: <subject>: <reason>`` on an ``OSError`` or a
+    ``ValueError`` (a ``UnicodeDecodeError`` among them) raised in the block:
+    a file or directory a command cannot read, write or run."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise SystemExit(f"error: {subject}: {reason}") from None
 
 
 def _resolve_backend(spec: str, noise: str | None, idle_decay: str | None) -> BackendModel:
     path = Path(spec)
     if path.is_file():
-        try:
+        with _usable(f"backend {spec}"):
             model = read_backend(path)
-        except ConfigError as exc:
-            raise SystemExit(f"error: backend {spec}: {exc}") from None
     else:
         try:
             model = builtin_backend(spec)
@@ -117,7 +122,8 @@ def cmd_qpt(args) -> int:
     base = args.seed if args.seed is not None else 0
     seeds = list(range(base, base + args.seeds)) if summary else [args.seed]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _usable(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
     for gate in gates:
@@ -154,25 +160,25 @@ def cmd_qpt(args) -> int:
 def cmd_qst(args) -> int:
     backend = _resolve_backend(args.backend, args.noise, args.idle_decay)
     source = Path(args.circuit)
-    try:
+    with _usable(source):
         circuit = parse_qasm(source.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, QasmError) as exc:
-        raise _unusable(source, exc) from None
     if circuit.measurements:
         raise SystemExit(
             "error: the circuit must not measure; tomography appends its own "
             "measurements"
         )
-    run = run_qst(circuit, backend, shots=args.shots, seed=args.seed)
-    # evolved again: the stream yields only the settings' weights; for a
-    # 24-gate 5-qubit circuit this costs about 0.7 ms of a 28 ms run_qst, and
-    # it keeps the fidelity bytes
-    reference = execute_exact(circuit, backend).final_state
+    with _usable(source):  # a gate off the coupling map, say
+        run = run_qst(circuit, backend, shots=args.shots, seed=args.seed)
+        # evolved again: the stream yields only the settings' weights; for a
+        # 24-gate 5-qubit circuit this costs about 0.7 ms of a 28 ms run_qst,
+        # and it keeps the fidelity bytes
+        reference = execute_exact(circuit, backend).final_state
     fidelity = state_fidelity(reference, run.state)
     rho = project_psd(run.state) if args.project_psd else run.state
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _usable(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     report = qst_report_dict(
         backend_name=backend.name,
         noise=backend.noise_enabled,
@@ -185,30 +191,39 @@ def cmd_qst(args) -> int:
         psd_projected=args.project_psd,
     )
     report_path = out_dir / f"{source.stem}_qst.json"
-    dump_report(report, report_path)
-    load_report(report_path)
+    with _usable(report_path):
+        dump_report(report, report_path)
+        load_report(report_path)
     dataset_path = out_dir / f"{source.stem}_qst_dataset.txt"
-    dataset_path.write_text(write_dataset(run.dataset), encoding="utf-8")
+    with _usable(dataset_path):
+        dataset_path.write_text(write_dataset(run.dataset), encoding="utf-8")
     print(f"{source.name}: state fidelity={fidelity:.6f} -> {report_path}")
     return 0
+
+
+def _write_all(prefix: str, texts: dict[str, str]) -> None:
+    """Write each text to ``prefix + suffix``, creating the missing
+    directories of the prefix first."""
+    parent = Path(prefix).parent
+    with _usable(parent):
+        parent.mkdir(parents=True, exist_ok=True)
+    for suffix, text in texts.items():
+        with _usable(prefix + suffix):
+            Path(prefix + suffix).write_text(text, encoding="utf-8")
 
 
 def cmd_table(args) -> int:
     reports = []
     for path in sorted(Path(args.reports).glob("*.json")):
-        try:
+        with _usable(path):  # unreadable, not JSON, or an invalid report
             report = load_report(path)
-        except (OSError, ValueError) as exc:  # unreadable, not JSON, or an invalid report
-            raise _unusable(path, exc) from None
         if report.get("kind") == "qpt":
             reports.append(report)
     if not reports:
         raise SystemExit(f"error: no qpt reports under {args.reports!r}")
     csv_text, aligned = render_fidelity_tables(reports)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(f"{args.out}.csv").write_text(csv_text, encoding="utf-8")
-        Path(f"{args.out}.txt").write_text(aligned, encoding="utf-8")
+        _write_all(args.out, {".csv": csv_text, ".txt": aligned})
         print(f"wrote {args.out}.csv and {args.out}.txt")
     else:
         print(aligned, end="")
@@ -216,13 +231,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_chi_plot(args) -> int:
-    try:
+    with _usable(args.report):  # as for table, or not a qpt report
         real_text, imag_text = chi_grids(load_report(args.report))
-    except (OSError, ValueError) as exc:  # as for table, or not a qpt report
-        raise _unusable(args.report, exc) from None
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{args.out}_real.tsv").write_text(real_text, encoding="utf-8")
-    Path(f"{args.out}_imag.tsv").write_text(imag_text, encoding="utf-8")
+    _write_all(args.out, {"_real.tsv": real_text, "_imag.tsv": imag_text})
     print(f"wrote {args.out}_real.tsv and {args.out}_imag.tsv")
     return 0
 

@@ -49,23 +49,18 @@ The combination runs on stacks: the preparations' outputs arrive as one
 0 + c0 o0 + c1 o1 + ... in term order, the same bits as the unit summed on
 its own.
 
-``run_qpt`` drives the whole pipeline against a backend: 4 (or 16)
-preparations x 3 (or 9) tomography settings = 12 (or 144) circuit
-executions, run as one state-tomography stream (``collect_weights``: one
-evolution, one stacked density check, preparations in label order and
-settings in canonical order) whose weights are reconstructed into every
-preparation's output state in one stacked pass (``reconstruct_states``),
-then recipe combination, linear inversion and the overlap fidelity
+``run_qpt`` tomographs one gate placement on a backend: 4 (or 16)
+preparations x 3 (or 9) settings = 12 (or 144) circuit executions.  Each
+preparation's output state is reconstructed by state tomography, and the
+states are combined by the recipes, inverted, and scored by the overlap
+fidelity
 
     F = Tr(chi_exp chi_th^dagger) / sqrt(Tr(chi_th^dagger chi_th))
                                   / sqrt(Tr(chi_exp^dagger chi_exp))
 
-against the ideal gate's chi.  ``qpt_channel`` runs the same mathematics
-directly on a Kraus channel: one ``apply_channel`` call on the read-only
-stack of preparation states -> recipes -> inversion, with no Pauli step
-(on an exact output state the state tomography is the identity).  That is
-how the preparations, recipes and inversion are cross-checked against
-channels whose chi is known.
+against the ideal gate's chi.  ``qpt_channel`` combines and inverts a
+Kraus channel's exact output states, so the preparations, recipes and
+inversion can be checked against channels whose chi is known.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,92 +185,66 @@ class TomographyDataset:
         return self.shots == other.shots and np.array_equal(self.weights, other.weights)
 
 
-@lru_cache(maxsize=None)
-def _parity_signs(qubit_count: int) -> np.ndarray:
-    """(-1)^popcount(mask & outcome), indexed [mask, outcome]; read-only."""
-    size = 1 << qubit_count
-    signs = np.array([[-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(size)]
-                      for mask in range(size)])
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=None)
-def _pauli_table(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per Pauli string, by its index in lexicographic I < X < Y < Z order:
-    its support mask (bit n-1-p set when letter p is not I) and the index in
-    ``qst_settings`` order of its Z-filled setting, the first compatible one."""
-    n = qubit_count
-    place = np.arange(n - 1, -1, -1)
-    letters = (np.arange(4 ** n)[:, None] >> (2 * place)) & 3  # I X Y Z as 0 1 2 3
-    masks = ((letters != 0) << place).sum(axis=1)
-    # I and Z are measured in the Z setting (0), X in X (1), Y in Y (2)
-    defaults = (np.array([0, 1, 2, 0])[letters] * 3 ** place).sum(axis=1)
-    for table in (masks, defaults):
-        table.setflags(write=False)
-    return masks, defaults
-
-
-def _estimates(weights: np.ndarray, strings: np.ndarray) -> np.ndarray:
-    """<P> of each dataset of a canonical ``(L, 3**n, 2**n)`` stack for the
-    Pauli strings at the given lexicographic indices (not the identity),
-    each from its Z-filled setting.
-
-    Both sums run in outcome-index order, one vector add per outcome over
-    all datasets and requested strings, so each value is bitwise the
-    sequential sum of that string of that dataset alone.
-    """
-    n = weights.shape[-1].bit_length() - 1
-    masks, defaults = _pauli_table(n)
-    rows = defaults[strings]
-    weights = np.asarray(weights, dtype=float)
-    signs = _parity_signs(n)
-    mask = masks[strings]
-    signed = np.zeros((len(weights), len(strings)))
-    total = np.zeros((len(weights), len(strings)))
-    for outcome in range(1 << n):
-        column = weights[:, rows, outcome]
-        total += column
-        signed += signs[mask, outcome] * column
-    return signed / total
-
-
 # I, X, Y, Z in monomial form: row r has its one nonzero entry at column
 # r ^ _PAULI_XBIT[letter], and that entry is i ** _PAULI_POWER[letter, r].
-_PAULI_XBIT = np.array([0, 1, 1, 0])
-_PAULI_POWER = np.array([[0, 0], [0, 0], [3, 1], [0, 2]])
+_PAULI_XBIT = np.array([0, 1, 1, 0], dtype=np.uint8)
+_PAULI_POWER = np.array([[0, 0], [0, 0], [3, 1], [0, 2]], dtype=np.uint8)
 _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
+class _PauliStrings(NamedTuple):
+    """Read-only tables over the 4**n Pauli strings, by index in
+    lexicographic I < X < Y < Z order, and over the 2**n outcomes."""
+
+    masks: np.ndarray  # support mask: bit n-1-p set when letter p is not I
+    settings: np.ndarray  # index in qst_settings order of the Z-filled setting
+    signs: np.ndarray  # (-1)^popcount(mask & outcome), indexed [mask, outcome]
+    # int16 [t, x, r] index of the row-r term of the t-th string with xmask x (in
+    # lexicographic order) into the flattened (4**n, 4) table of values times powers of i
+    terms: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every Pauli string in lexicographic order in monomial form: the power
-    of i (mod 4) of its entry in each row, and its xmask; read-only.  The
-    powers take a byte per entry, so the table is 32 KiB at 5 qubits."""
-    powers, xmasks = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for _ in range(qubit_count):
-        # the Kronecker product, as a sum of exponents
-        powers = (powers[:, None, :, None] + _PAULI_POWER[:, None, :]).reshape(4 * len(powers), -1)
-        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
-    powers = (powers % 4).astype(np.uint8)
-    for table in (powers, xmasks):
+def _pauli_strings(qubit_count: int) -> _PauliStrings:
+    """Every table of ``_PauliStrings``, from one ``(4**n, n)`` letter table."""
+    n, dim = qubit_count, 1 << qubit_count
+    place = np.arange(n - 1, -1, -1)
+    letters = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1).T  # I X Y Z as 0 1 2 3
+    bits = (np.arange(dim)[:, None] >> place & 1).astype(np.uint8)  # [outcome or row, p]
+    masks = ((letters != 0) << place).sum(axis=1)
+    digits = np.array([BASIS_ORDER.index(b) for b in "ZXYZ"])  # the settings I X Y Z read in
+    settings = (digits[letters] * 3 ** place).sum(axis=1)
+    signs = 1.0 - 2.0 * ((bits[:, None] & bits).sum(axis=2) & 1)
+    xmasks = (_PAULI_XBIT[letters] << place).sum(axis=1)
+    powers = _PAULI_POWER[letters[:, None], bits].sum(axis=2, dtype=np.uint8) % 4
+    order = np.argsort(xmasks, kind="stable").astype(np.int16)
+    terms = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
+    tables = _PauliStrings(masks, settings, signs, np.ascontiguousarray(terms))
+    for table in tables:
         table.setflags(write=False)
-    return powers, xmasks
+    return tables
 
 
-@lru_cache(maxsize=None)
-def _term_index(qubit_count: int) -> np.ndarray:
-    """Read-only ``[t, x, r]`` index into the flattened ``(4**n, 4)`` table
-    of each string's value times each power of i: the row-r term of the
-    t-th string with xmask x, the 2^n strings of an xmask in lexicographic
-    order.  Two bytes per index: the table is 64 KiB at 5 qubits."""
-    dim = 1 << qubit_count
-    powers, xmasks = _monomials(qubit_count)
-    order = np.argsort(xmasks, kind="stable")
-    index = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
-    index = np.ascontiguousarray(index, dtype=np.int16)
-    index.setflags(write=False)
-    return index
+def _estimates(weights: np.ndarray) -> np.ndarray:
+    """<P> of every Pauli string but the identity, in lexicographic order,
+    for each dataset of a canonical ``(L, 3**n, 2**n)`` stack, each from its
+    Z-filled setting.
+
+    Both sums run in outcome-index order, one vector add per outcome over
+    all datasets and strings, so each value is bitwise the sequential sum
+    of that string of that dataset alone.
+    """
+    n = weights.shape[-1].bit_length() - 1
+    strings = _pauli_strings(n)
+    rows, masks = strings.settings[1:], strings.masks[1:]
+    weights = np.asarray(weights, dtype=float)
+    signed = np.zeros((len(weights), len(rows)))
+    total = np.zeros_like(signed)
+    for outcome in range(1 << n):
+        column = weights[:, rows, outcome]
+        total += column
+        signed += strings.signs[masks, outcome] * column
+    return signed / total
 
 
 def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
@@ -283,7 +258,7 @@ def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
     values = np.concatenate([np.ones((len(values), 1)), values], axis=1)
     products = (_POWERS_OF_I * values[:, :, None]).reshape(len(values), -1)
     by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
-    for index in _term_index(qubit_count):
+    for index in _pauli_strings(qubit_count).terms:
         by_xmask += np.take(products, index, axis=1)
     rows = np.arange(dim)[:, None]
     rho = by_xmask[:, rows ^ rows.T, rows]
@@ -301,7 +276,7 @@ def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     reconstruction of its own dataset alone.
     """
     n = _shape_qubit_count(np.shape(weights), 3)
-    return _densities(_estimates(weights, np.arange(1, 4 ** n)), n)
+    return _densities(_estimates(weights), n)
 
 
 def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -464,9 +439,12 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     preparation may measure anything itself.  A sampled preparation takes
     its entry of ``seeds`` (fresh entropy when it or ``seeds`` is None) and
     its settings the seeds ``child_seeds(seed, 3**n)``.  The weights are
-    checked as a dataset's are, all settings as one stack.  A setting that
-    does not fit the preparation raises ``Circuit.extended``'s error.
+    checked as a dataset's are, all settings as one stack.  An empty ``preps``
+    raises ``ValueError``, and a setting that does not fit the preparation
+    ``Circuit.extended``'s error.
     """
+    if not preps:
+        raise ValueError("no preparations to run")
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)

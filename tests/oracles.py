@@ -13,7 +13,10 @@ time; both combine and invert as the package did before it worked on stacks
 and ``sample`` read out one circuit at a time, as the backend did before it
 read out each checked chunk as one stack.  ``add_at_densities`` adds the
 Pauli terms with one ``np.add.at``, as state tomography did before it
-gathered them per term position.  ``matrix_unit_basis``,
+gathered them per term position; it reads ``monomials``, the Pauli strings
+as a Kronecker recursion, which ``pauli_strings`` also reads to rebuild
+every table of ``state_tomography._pauli_strings`` one string at a time.
+``matrix_unit_basis``,
 ``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
 input basis, single preparations, each unit's recipe terms and chi as a map,
 which the package holds only as stacks, a compiled table and a Choi map.
@@ -44,10 +47,12 @@ from qptkit.process_tomography import (
 )
 from qptkit.qasm import Circuit, Gate, Measure
 from qptkit.state_tomography import (
+    _PAULI_POWER,
+    _PAULI_XBIT,
     _POWERS_OF_I,
-    _monomials,
     child_seeds,
     collect_dataset,
+    qst_settings,
     reconstruct_states,
 )
 
@@ -81,11 +86,40 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
     return circuit.extended(*extra, classical_count=len(qubits))
 
 
+def monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every Pauli string in lexicographic I < X < Y < Z order in monomial
+    form: the power of i (mod 4) of its entry in each row, and its xmask."""
+    powers, xmasks = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(qubit_count):
+        # the Kronecker product, as a sum of exponents
+        powers = (powers[:, None, :, None] + _PAULI_POWER[:, None, :]).reshape(4 * len(powers), -1)
+        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
+    return powers % 4, xmasks
+
+
+def pauli_strings(qubit_count: int) -> dict[str, np.ndarray]:
+    """The tables of ``state_tomography._pauli_strings``, by field name, one
+    string or one (mask, outcome) pair at a time; the term index reads
+    ``monomials``."""
+    n, dim = qubit_count, 1 << qubit_count
+    tags = qst_settings(n)
+    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    masks = [int("".join("0" if ch == "I" else "1" for ch in p), 2) for p in strings]
+    settings = [tags.index(p.replace("I", "Z")) for p in strings]
+    signs = [[-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(dim)]
+             for mask in range(dim)]
+    powers, xmasks = monomials(n)
+    order = np.argsort(xmasks, kind="stable")
+    terms = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
+    return {"masks": np.array(masks), "settings": np.array(settings),
+            "signs": np.array(signs), "terms": terms.astype(np.int16)}
+
+
 def add_at_densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
     """``_densities`` with every term added into its xmask row by one
     ``np.add.at`` in lexicographic string order, the identity set first."""
     dim = 1 << qubit_count
-    powers, xmasks = _monomials(qubit_count)
+    powers, xmasks = monomials(qubit_count)
     terms = _POWERS_OF_I[powers[1:]] * values[:, :, None]
     by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
     by_xmask[:, 0] = 1.0  # the identity on the diagonal

@@ -566,6 +566,50 @@ def test_cli_table_and_chi_plot_create_the_out_directory(tmp_path, h_report, cap
     capsys.readouterr()
 
 
+_COUPLING = "(1>0,2>0,2>1,2>4,3>2,3>4)"
+_CLI_FAULTS = {
+    "qpt-out-is-a-file": (["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4",
+                           "--noise", "off", "--out", "afile"], "afile: File exists"),
+    "qst-out-is-a-file": (["qst", "--circuit", "ok.qasm", "--backend", "qx4", "--out", "afile"],
+                          "afile: File exists"),
+    "table-out-under-a-file": (["table", "--reports", "r", "--out", "afile/grid"],
+                               "afile: File exists"),
+    "chi-plot-out-under-a-file": (["chi-plot", "--report", "r/qpt_h_0.json",
+                                   "--out", "afile/chi"], "afile: File exists"),
+    "backend-not-utf-8": (["qpt", "--gate", "h", "--lines", "0", "--backend", "bin.cfg"],
+                          "backend bin.cfg: 'utf-8' codec can't decode byte 0xff in "
+                          "position 2: invalid start byte"),
+    "qst-off-the-coupling-map": (["qst", "--circuit", "cx01.qasm", "--backend", "qx4"],
+                                 "cx01.qasm: instruction 0: cx 0>1 not in the ibmqx4-sim "
+                                 f"coupling map {_COUPLING}"),
+    "qst-report-path-is-a-directory": (["qst", "--circuit", "ok.qasm", "--backend", "qx4",
+                                        "--out", "out"], "out/ok_qst.json: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _CLI_FAULTS.values(), ids=_CLI_FAULTS.keys())
+def test_cli_ends_in_one_error_line_and_writes_nothing(tmp_path, monkeypatch, h_report,
+                                                        argv, message):
+    # a directory or report that cannot be written, a backend file that is
+    # not UTF-8 and a circuit the backend cannot run each end the command
+    # with one error line instead of a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").touch()
+    (tmp_path / "r").mkdir()
+    dump_report(h_report, tmp_path / "r" / "qpt_h_0.json")
+    (tmp_path / "out" / "ok_qst.json").mkdir(parents=True)
+    (tmp_path / "ok.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n", encoding="utf-8")
+    (tmp_path / "cx01.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n",
+                                        encoding="utf-8")
+    (tmp_path / "bin.cfg").write_bytes(b"x=\xff\xfe\n")
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == f"error: {message}"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_bytes() == b""
+
+
 def test_cli_chi_plot_rejects_a_qst_report(tmp_path):
     circuit = tmp_path / "h.qasm"
     circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")

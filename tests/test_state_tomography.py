@@ -23,12 +23,14 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import add_at_densities, append_setting, outcome_dict, pauli_string_matrix
+from oracles import (add_at_densities, append_setting, outcome_dict, pauli_string_matrix,
+                     pauli_strings)
 from qptkit.process_tomography import preparation_circuit
 from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
     _densities,
     _estimates,
+    _pauli_strings,
     _setting_suffixes,
     child_seeds,
     collect_weights,
@@ -84,6 +86,17 @@ def test_append_setting_rejections(qx4_quiet):
         collect_weights([Circuit(5, 0)], qx4_quiet, qubits=(2, 0, 2))
 
 
+def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
+    def build(*args):
+        raise AssertionError("built setting circuits for no preparation")
+
+    monkeypatch.setattr(qptkit.state_tomography, "_setting_suffixes", build)
+    monkeypatch.setattr(qptkit.state_tomography, "execute_many", build)
+    for qubits in (None, (0,)):
+        with pytest.raises(ValueError, match="^no preparations to run$"):
+            collect_weights([], qx4_quiet, qubits=qubits)
+
+
 def _row(dataset, tag):
     """The weights of one setting of a dataset."""
     return dataset.weights[qst_settings(dataset.qubit_count).index(tag)]
@@ -107,7 +120,7 @@ _LEX_DIGITS = str.maketrans("IXYZ", "0123")
 
 def _estimate(stack, pauli):
     """<P> of every dataset of a canonical stack, P a string like "IZ"."""
-    return _estimates(stack, np.array([int(pauli.translate(_LEX_DIGITS), 4)]))[:, 0]
+    return _estimates(stack)[:, int(pauli.translate(_LEX_DIGITS), 4) - 1]
 
 
 def _canonical_stack(n, shots, rows):
@@ -614,7 +627,7 @@ def test_all_expectations_match_per_string_oracle(n):
         ds = _random_dataset(rng, n, shots)
         want = [_reduce_estimate(ds, p) for p in strings[1:]]
         stack = ds.weights[None]
-        assert _estimates(stack, np.arange(1, 4 ** n))[0].tolist() == want
+        assert _estimates(stack)[0].tolist() == want
         # the reconstruction is the dense sum over those same values, bitwise
         rho = np.eye(1 << n, dtype=complex)
         for value, pauli in zip(want, strings[1:]):
@@ -714,3 +727,12 @@ def test_densities_match_add_at_oracle(n):
         values[0] = -0.0  # every term a signed zero: the sums must start from zeros
         got = _densities(values, n)
         assert got.tobytes() == add_at_densities(values, n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_string_tables_match_per_string_oracle(n):
+    got = _pauli_strings(n)
+    for name, want in pauli_strings(n).items():
+        table = getattr(got, name)
+        assert table.shape == want.shape and np.array_equal(table, want), name
+        assert not table.flags.writeable, name
