@@ -1,7 +1,10 @@
 """Write ``counts.json``: the sha256 of every seeded count stack of a fixed
-list of runs, each stack hashed as little-endian int64 bytes; and
+list of runs, each stack hashed as little-endian int64 bytes;
 ``states.json``: the sha256 of ``reconstruct_states`` of each of those stacks
-and of seeded float stacks for 1-5 qubits, as little-endian complex128 bytes.
+and of seeded float stacks for 1-5 qubits, as little-endian complex128 bytes;
+and ``reports.json``: the sha256 of the bytes of every exact ``qpt`` report
+the CLI writes for the 51 qx4 placements and for the nine single-qubit gates
+on line 2 of qx2, the paper's QX2 run.
 
 The runs are the sampled ones the paper's figures and CI's determinism step
 rest on:
@@ -16,7 +19,10 @@ all with seed 0.  The float stacks hold ``Generator`` uniforms with about a
 quarter of each row's weights zero.  Every input is an integer or a seeded
 float and the reconstruction is elementwise, so neither manifest depends on
 the BLAS.  ``tests/test_golden_counts.py`` and ``tests/test_golden_states.py``
-recompute them and name every entry that differs.  Regenerating a manifest
+recompute them and name every entry that differs.  An exact report's chi
+comes from linear algebra, so ``reports.json`` also records the Python and
+numpy versions it was written with, and ``tests/test_golden_reports.py`` is
+strict only under those.  Regenerating a manifest
 changes what a seed or a stored dataset means; a change that does so lists
 every changed entry.  Run it from the repository root::
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -39,10 +46,12 @@ from qptkit.backend import builtin_backend, load_backend
 from qptkit.operators import GATE_ARITY
 from qptkit.process_tomography import run_qpt
 from qptkit.qasm import parse_qasm
+from qptkit.reports import chi_report_dict, dump_report
 from qptkit.state_tomography import collect_weights, reconstruct_states, run_qst
 
 MANIFEST = Path(__file__).with_name("counts.json")
 STATES = Path(__file__).with_name("states.json")
+REPORTS = Path(__file__).with_name("reports.json")
 
 FIVE_QUBIT_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -126,13 +135,29 @@ def state_digests(stacks: list[tuple[str, np.ndarray]]) -> dict[str, str]:
             for name, weights in [*stacks, *float_stacks()]}
 
 
+def report_digests() -> dict[str, str]:
+    """The reports manifest's entries: each exact ``qpt`` report's bytes as
+    ``qptkit qpt`` writes them."""
+    qx4, qx2 = builtin_backend("qx4"), builtin_backend("qx2")
+    single = [g for g, arity in GATE_ARITY.items() if arity == 1]
+    runs = [("qx4", qx4, g, (q,)) for g in single for q in range(5)]
+    runs += [("qx4", qx4, "cx", p) for p in sorted(qx4.coupling.pairs)]
+    runs += [("qx2", qx2, g, (2,)) for g in single]
+    return {f"qpt {name} {gate} {lines} exact": hashlib.sha256(
+                dump_report(chi_report_dict(run_qpt(gate, lines, backend))).encode("utf-8")
+            ).hexdigest() for name, backend, gate, lines in runs}
+
+
 def main() -> None:
     stacks = list(count_stacks())
-    for path, hashed, entries in (
-            (MANIFEST, "each count stack as little-endian int64", digests(stacks)),
+    for path, hashed, entries, versions in (
+            (MANIFEST, "each count stack as little-endian int64", digests(stacks), {}),
             (STATES, "each reconstructed state stack as little-endian complex128",
-             state_digests(stacks))):
-        manifest = {"hash": f"sha256 of {hashed}", "numpy": np.__version__, "entries": entries}
+             state_digests(stacks), {}),
+            (REPORTS, "the UTF-8 bytes of each exact qpt report", report_digests(),
+             {"python": platform.python_version()})):
+        manifest = {"hash": f"sha256 of {hashed}", **versions, "numpy": np.__version__,
+                    "entries": entries}
         path.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(entries)} entries to {path}")
 
