@@ -339,7 +339,7 @@ def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> n
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
     """Number of leading instructions two instruction tuples have in common.
 
-    ``Circuit.extended`` shares its prefix's instruction objects, so an
+    ``Circuit.then`` shares both circuits' instruction objects, so an
     identical object is equal without comparing fields.
     """
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x is not y and x != y),

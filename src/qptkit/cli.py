@@ -36,6 +36,7 @@ from .reports import (
     chi_report_dict,
     dump_report,
     load_report,
+    parse_report,
     qst_report_dict,
     render_fidelity_tables,
     seed_summary_dict,
@@ -136,21 +137,17 @@ def cmd_qpt(args) -> int:
                 path = out_dir / _report_name(gate, lines, summary)
                 if summary:
                     report = seed_summary_dict(results, seeds)
-                    dump_report(report, path)
-                    load_report(path)
-                    print(
-                        f"{label}: fidelity mean={report['fidelity_mean']:.6f} "
-                        f"min={report['fidelity_min']:.6f} "
-                        f"max={report['fidelity_max']:.6f} -> {path}"
-                    )
+                    done = (f"fidelity mean={report['fidelity_mean']:.6f} "
+                            f"min={report['fidelity_min']:.6f} "
+                            f"max={report['fidelity_max']:.6f}")
                 else:
                     (result,) = results
-                    dump_report(chi_report_dict(result), path)
-                    load_report(path)
-                    print(
-                        f"{label}: fidelity={result.fidelity:.6f} "
-                        f"residual={result.residual:.2e} -> {path}"
-                    )
+                    report = chi_report_dict(result)
+                    done = f"fidelity={result.fidelity:.6f} residual={result.residual:.2e}"
+                text = dump_report(report)
+                parse_report(text)
+                path.write_text(text, encoding="utf-8")
+                print(f"{label}: {done} -> {path}")
             except Exception as exc:
                 failures += 1
                 print(f"error: {label}: {exc}", file=sys.stderr)
@@ -176,9 +173,6 @@ def cmd_qst(args) -> int:
     fidelity = state_fidelity(reference, run.state)
     rho = project_psd(run.state) if args.project_psd else run.state
 
-    out_dir = Path(args.out)
-    with _usable(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
     report = qst_report_dict(
         backend_name=backend.name,
         noise=backend.noise_enabled,
@@ -190,26 +184,34 @@ def cmd_qst(args) -> int:
         fidelity=fidelity,
         psd_projected=args.project_psd,
     )
-    report_path = out_dir / f"{source.stem}_qst.json"
+    prefix = str(Path(args.out) / source.stem)
+    report_path = prefix + "_qst.json"
+    text = dump_report(report)
     with _usable(report_path):
-        dump_report(report, report_path)
-        load_report(report_path)
-    dataset_path = out_dir / f"{source.stem}_qst_dataset.txt"
-    with _usable(dataset_path):
-        dataset_path.write_text(write_dataset(run.dataset), encoding="utf-8")
+        parse_report(text)
+    _write_all(prefix, {"_qst.json": text, "_qst_dataset.txt": write_dataset(run.dataset)})
     print(f"{source.name}: state fidelity={fidelity:.6f} -> {report_path}")
     return 0
 
 
 def _write_all(prefix: str, texts: dict[str, str]) -> None:
     """Write each text to ``prefix + suffix``, creating the missing
-    directories of the prefix first."""
+    directories of the prefix first; a file that cannot be written removes
+    the ones written before it and ends the command in one error line."""
     parent = Path(prefix).parent
     with _usable(parent):
         parent.mkdir(parents=True, exist_ok=True)
-    for suffix, text in texts.items():
-        with _usable(prefix + suffix):
-            Path(prefix + suffix).write_text(text, encoding="utf-8")
+    written: list[str] = []
+    try:
+        for suffix, text in texts.items():
+            name = prefix + suffix
+            with _usable(name):
+                Path(name).write_text(text, encoding="utf-8")
+            written.append(name)
+    except SystemExit:
+        for name in written:
+            Path(name).unlink()
+        raise
 
 
 def cmd_table(args) -> int:

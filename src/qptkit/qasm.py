@@ -16,6 +16,10 @@ Semantic rules enforced on every Circuit (parsed or built in code):
 * no two measurements share a classical bit (the outcome index would be
   ill-defined).
 
+A circuit comes from construction, which checks every instruction (as
+``extended`` does), or from ``a.then(b)``, which joins two built circuits
+unchecked and requires a measurement-free ``a`` and a ``b`` on as many qubits.
+
 ``emit_qasm`` writes a canonical form (one statement per line, include line
 always present, creg omitted when there are no classical bits) and
 ``parse_qasm(emit_qasm(c))`` returns a structurally equal circuit.
@@ -102,36 +106,28 @@ class Circuit:
         return tuple(i for i in self.instructions if isinstance(i, Measure))
 
     def extended(self, *extra: Gate | Measure, classical_count: int | None = None) -> "Circuit":
-        """Copy with instructions appended (and optionally a new creg size).
-
-        Only the appended instructions are checked, against what the valid
-        prefix measured, unless a new creg size could invalidate a prefix
-        measure; then the whole circuit is checked as on construction.
-        """
+        """Copy with instructions appended and optionally a new creg size."""
         m = self.classical_count if classical_count is None else classical_count
-        measures = self.measurements
-        if m != self.classical_count and (measures or m < 0):
-            return Circuit(self.qubit_count, m, self.instructions + extra,
-                           self.qreg, self.creg)
-        measured = {meas.qubit for meas in measures}
-        used_clbits = {meas.clbit for meas in measures}
-        for pos, inst in enumerate(extra, start=len(self.instructions)):
-            _check_instruction(pos, inst, self.qubit_count, m, measured, used_clbits)
-        return self._appended(extra, m)
+        return Circuit(self.qubit_count, m, self.instructions + extra, self.qreg, self.creg)
 
-    def _appended(self, extra: tuple[Gate | Measure, ...], classical_count: int) -> "Circuit":
-        """Copy with ``extra`` appended and creg size ``classical_count``,
-        unchecked: the caller has checked ``extra`` as ``extended`` does.
+    def then(self, other: "Circuit") -> "Circuit":
+        """``self``, then ``other``, sharing both circuits' instruction objects,
+        with ``self``'s register names and ``other``'s creg size.
 
-        The copy skips ``__post_init__``, whose checks the prefix already
-        passed, and shares the prefix's instruction objects.
+        ``self`` must measure nothing and ``other`` act on as many qubits, or
+        ``CircuitError`` is raised.  Nothing is checked again: both passed
+        construction, ``self``'s gates read no creg, and after them ``other``
+        finds no qubit measured and no bit written, as it did alone.
         """
+        if self.measurements:
+            raise CircuitError("circuit already contains measurements")
+        if other.qubit_count != self.qubit_count:
+            raise CircuitError(f"qubit counts differ: {self.qubit_count} then {other.qubit_count}")
         circuit = object.__new__(Circuit)
         vars(circuit).update(
-            qubit_count=self.qubit_count, classical_count=classical_count,
-            instructions=self.instructions + extra, qreg=self.qreg, creg=self.creg,
-            measurements=self.measurements + tuple(
-                inst for inst in extra if isinstance(inst, Measure)))
+            qubit_count=self.qubit_count, classical_count=other.classical_count,
+            instructions=self.instructions + other.instructions, qreg=self.qreg,
+            creg=self.creg, measurements=other.measurements)
         return circuit
 
 
@@ -319,32 +315,33 @@ def parse_qasm(text: str) -> Circuit:
             )
         p.expect(";")
 
-    def register_decl(keyword: str) -> tuple[str, int]:
+    def register_decl(keyword: str, header) -> tuple[str, int]:
+        """Read a declaration; ``header(name, size)`` builds the header
+        Circuit, and what it rejects (a register name) is raised at the name."""
         p.expect(keyword)
+        ntok = p.peek()
         name, size, stok = p.indexed_ref("a register name")
         p.expect(";")
         if keyword == "qreg" and not 1 <= size <= QUBIT_COUNT:
             raise QasmError(f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
                             stok.line, stok.col)
+        try:
+            header(name, size)
+        except CircuitError as exc:
+            raise QasmError(str(exc), ntok.line, ntok.col) from None
         return name, size
 
-    qreg_name, qubit_count = register_decl("qreg")
+    qreg_name, qubit_count = register_decl("qreg", lambda name, size: Circuit(size, 0, (), name))
 
     creg_name, classical_count = "c", 0
     head = p.peek()
     if head is not None and head.text == "creg":
-        creg_name, classical_count = register_decl("creg")
+        creg_name, classical_count = register_decl(
+            "creg", lambda name, size: Circuit(qubit_count, size, (), qreg_name, name))
 
     instructions: list[Gate | Measure] = []
     measured: set[int] = set()
     used_clbits: set[int] = set()
-    # a header Circuit rejects (a register name) is reported at the first
-    # statement, or by the final Circuit when there is none
-    try:
-        Circuit(qubit_count, classical_count, (), qreg_name, creg_name)
-        header_error = None
-    except CircuitError as exc:
-        header_error = str(exc)
 
     def qubit_ref(stmt_tok: _Token) -> int:
         name, index, itok = p.indexed_ref()
@@ -390,8 +387,6 @@ def parse_qasm(text: str) -> Circuit:
             raise QasmError(f"unknown gate {stmt.text!r}", stmt.line, stmt.col)
 
         # the checks Circuit makes, one statement at a time
-        if header_error is not None:
-            raise QasmError(header_error, stmt.line, stmt.col)
         try:
             _check_instruction(len(instructions) - 1, instructions[-1], qubit_count,
                                classical_count, measured, used_clbits)

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .backend import BackendModel, execute_many
-from .qasm import QUBIT_COUNT, Circuit, CircuitError, Gate, Measure
+from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
 
 __all__ = [
     "BASIS_ORDER",
@@ -86,10 +86,11 @@ def qst_settings(qubit_count: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _setting_suffixes(qubits: tuple[int, ...]) -> tuple[tuple[Gate | Measure, ...], ...]:
-    """Every setting's suffix on ``qubits``, the basis rotations and then the
-    measures, in ``qst_settings`` order, sharing one rotation tuple per
-    (qubit, letter) and one measure per qubit."""
+def _setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
+    """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
+    register in ``qst_settings`` order, the basis rotations and then the
+    measures, sharing one rotation tuple per (qubit, letter) and one measure
+    per qubit; building them checks them, once per key."""
     settings = qst_settings(len(qubits))
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
@@ -97,23 +98,8 @@ def _setting_suffixes(qubits: tuple[int, ...]) -> tuple[tuple[Gate | Measure, ..
     rotations = [{basis: tuple(Gate(g, (q,)) for g in gates) for basis, gates in _ROTATIONS.items()}
                  for q in qubits]
     measures = tuple(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
-    return tuple((*itertools.chain.from_iterable(r[basis] for r, basis in zip(rotations, tag)),
-                  *measures) for tag in settings)
-
-
-@lru_cache(maxsize=64)
-def _suffixes_fit(qubits: tuple[int, ...], qubit_count: int) -> bool:
-    """Whether every setting suffix on ``qubits`` passes the checks that
-    ``Circuit.extended`` makes when it appends the suffix, with creg size
-    ``len(qubits)``, to a measurement-free circuit of ``qubit_count`` qubits.
-    Nothing before the suffix measures, so the answer depends on these two
-    alone."""
-    try:
-        for suffix in _setting_suffixes(qubits):
-            Circuit(qubit_count, len(qubits), suffix)
-    except CircuitError:
-        return False
-    return True
+    return tuple(Circuit(qubit_count, k, (*itertools.chain.from_iterable(
+        r[basis] for r, basis in zip(rotations, tag)), *measures)) for tag in settings)
 
 
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
@@ -435,39 +421,37 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
     weights, settings in canonical order: exact probabilities (float) when
     ``shots`` is None, else counts (int).  ``qubits`` lists the measured
-    qubits most significant first and defaults to the whole register; no
-    preparation may measure anything itself.  A sampled preparation takes
-    its entry of ``seeds`` (fresh entropy when it or ``seeds`` is None) and
-    its settings the seeds ``child_seeds(seed, 3**n)``.  The weights are
-    checked as a dataset's are, all settings as one stack.  An empty ``preps``
-    raises ``ValueError``, and a setting that does not fit the preparation
-    ``Circuit.extended``'s error.
+    qubits most significant first and defaults to the whole register.  A
+    sampled preparation takes its entry of ``seeds`` (fresh entropy when it
+    or ``seeds`` is None) and its settings the seeds
+    ``child_seeds(seed, 3**n)``.  The weights are checked as a dataset's
+    are, all settings as one stack.  The setting circuits are built and
+    checked once per (qubits, register size) and joined onto each
+    preparation by ``Circuit.then``.  An empty ``preps`` raises
+    ``ValueError``; a setting that does not fit the register, or a
+    preparation that measures, ``CircuitError``.
     """
     if not preps:
         raise ValueError("no preparations to run")
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
-    suffixes = _setting_suffixes(qubits)
-    if any(prep.measurements for prep in preps):
-        raise ValueError("circuit already contains measurements")
-    k = len(qubits)
-    circuits = [prep._appended(suffix, k) if _suffixes_fit(qubits, prep.qubit_count)
-                else prep.extended(*suffix, classical_count=k)
-                for prep in preps for suffix in suffixes]
+    settings = 3 ** len(qubits)
+    circuits = [prep.then(setting) for prep in preps
+                for setting in _setting_circuits(qubits, prep.qubit_count)]
     circuit_seeds = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, len(suffixes))]
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, settings)]
     stack = np.empty((len(circuits), 1 << len(qubits)),
                      dtype=float if shots is None else np.intp)
     for row, result in enumerate(execute_many(circuits, backend, shots, circuit_seeds)):
         stack[row] = result.probabilities if shots is None else result.counts
     _check_weights(stack, shots)
     stack.setflags(write=False)
-    return stack.reshape(len(preps), len(suffixes), 1 << len(qubits))
+    return stack.reshape(len(preps), settings, 1 << len(qubits))
 
 
 def collect_dataset(prep: Circuit, backend: BackendModel,

@@ -124,6 +124,19 @@ def test_error_oversized_register():
         parse_qasm("OPENQASM 2.0;\nqreg q[6];\n")
 
 
+@pytest.mark.parametrize("source, line, name", [
+    ("qreg Q[2];\n", 2, "Q"),
+    ("qreg Q[2];\nh Q[0];\n", 2, "Q"),
+    ("qreg q[2];\ncreg C[2];\n", 3, "C"),
+    ("qreg q[2];\ncreg C[2];\nh q[0];\nmeasure q[0] -> C[0];\n", 3, "C"),
+], ids=["qreg", "qreg-then-a-gate", "creg", "creg-then-statements"])
+def test_error_register_name_at_its_declaration(source, line, name):
+    with pytest.raises(QasmError, match=f"^line {line}, column 6: invalid register name "
+                                        f"'{name}'$") as exc:
+        parse_qasm("OPENQASM 2.0;\n" + source)
+    assert (exc.value.line, exc.value.col) == (line, 6)
+
+
 def test_error_missing_semicolon():
     with pytest.raises(QasmError, match="expected ';'"):
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nx q[0]\nh q[0];\n")
@@ -173,28 +186,9 @@ def test_circuit_invariants_direct():
         Circuit(1, 1, (Measure(0, 0), Gate("x", (0,))))
 
 
-def test_extended_checks_only_what_it_appends(monkeypatch):
+def test_extended_raises_what_construction_raises():
     gates = Circuit(3, 0, tuple(Gate("h", (q % 3,)) for q in range(7)))
     measured = Circuit(3, 2, (Gate("x", (0,)), Measure(0, 1)))
-    checked = []
-    original = qasm._check_instruction
-
-    def counting(pos, *rest):
-        checked.append(pos)
-        return original(pos, *rest)
-
-    monkeypatch.setattr(qasm, "_check_instruction", counting)
-    assert gates.extended() == gates and checked == []
-    wider = gates.extended(Gate("h", (1,)), Gate("s", (2,)), Measure(1, 0), classical_count=1)
-    assert checked == [7, 8, 9]
-    assert wider == Circuit(3, 1, gates.instructions + wider.instructions[7:])
-    checked.clear()
-    measured.extended(Gate("h", (1,)), Measure(1, 0))
-    assert checked == [2, 3]
-    checked.clear()
-    # a new creg size may not fit a prefix measure, so the prefix is checked again
-    measured.extended(Measure(2, 0), classical_count=3)
-    assert checked == [0, 1, 2]
     with pytest.raises(CircuitError, match="^instruction 1: classical index 1 out of range"):
         measured.extended(classical_count=1)
     with pytest.raises(CircuitError, match="^instruction 2: qubit 0 already measured"):
@@ -207,8 +201,8 @@ GATE_POOL = ["id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "cx"]
 
 
 @st.composite
-def circuits(draw):
-    n = draw(st.integers(1, 5))
+def circuits(draw, qubit_count=None):
+    n = qubit_count or draw(st.integers(1, 5))
     qreg = draw(st.sampled_from(["q", "qr", "reg0"]))
     count = draw(st.integers(0, 10))
     instructions = []
@@ -269,6 +263,27 @@ def test_extended_matches_construction(circuit, extra, classical_count):
                                            circuit.qreg, circuit.creg))
     got = _built_or_error(lambda: circuit.extended(*extra, classical_count=classical_count))
     assert got == want
+
+
+@given(circuits(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_then_matches_construction(a, data):
+    b = data.draw(circuits(a.qubit_count))
+    n = data.draw(st.integers(1, 5).filter(lambda n: n != a.qubit_count))
+    other = data.draw(circuits(n))
+    if a.measurements:
+        for c in (b, other):
+            with pytest.raises(CircuitError, match="^circuit already contains measurements$"):
+                a.then(c)
+        return
+    with pytest.raises(CircuitError, match=f"^qubit counts differ: {a.qubit_count} then {n}$"):
+        a.then(other)
+    got = a.then(b)
+    want = Circuit(a.qubit_count, b.classical_count, a.instructions + b.instructions,
+                   a.qreg, a.creg)
+    assert got.measurements is b.measurements == want.measurements
+    assert vars(got) == vars(want)  # fields and cached measurements
+    assert all(x is y for x, y in zip(got.instructions, a.instructions + b.instructions))
 
 
 def test_coupling_map_parsing():

@@ -584,6 +584,9 @@ _CLI_FAULTS = {
                                  f"coupling map {_COUPLING}"),
     "qst-report-path-is-a-directory": (["qst", "--circuit", "ok.qasm", "--backend", "qx4",
                                         "--out", "out"], "out/ok_qst.json: Is a directory"),
+    "qst-dataset-path-is-a-directory": (["qst", "--circuit", "ok.qasm", "--backend", "qx4",
+                                         "--out", "data"],
+                                        "data/ok_qst_dataset.txt: Is a directory"),
 }
 
 
@@ -598,6 +601,7 @@ def test_cli_ends_in_one_error_line_and_writes_nothing(tmp_path, monkeypatch, h_
     (tmp_path / "r").mkdir()
     dump_report(h_report, tmp_path / "r" / "qpt_h_0.json")
     (tmp_path / "out" / "ok_qst.json").mkdir(parents=True)
+    (tmp_path / "data" / "ok_qst_dataset.txt").mkdir(parents=True)
     (tmp_path / "ok.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n", encoding="utf-8")
     (tmp_path / "cx01.qasm").write_text("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n",
                                         encoding="utf-8")
@@ -621,13 +625,19 @@ def test_cli_chi_plot_rejects_a_qst_report(tmp_path):
     assert not list(tmp_path.glob("*.tsv"))
 
 
-def test_cli_reads_every_report_back(tmp_path, monkeypatch):
+def test_cli_checks_every_report_before_writing_it(tmp_path, monkeypatch):
     import qptkit.cli
 
-    loaded = []
-    original = qptkit.cli.load_report
-    monkeypatch.setattr(qptkit.cli, "load_report",
-                        lambda path: loaded.append(path.name) or original(path))
+    checked = []
+    original = qptkit.cli.parse_report
+
+    def recording(text):
+        report = original(text)
+        checked.append((report["kind"], sorted(p.name for p in tmp_path.glob("*.json"))))
+        return report
+
+    monkeypatch.setattr(qptkit.cli, "parse_report", recording)
+    monkeypatch.setattr(qptkit.cli, "load_report", None)  # nothing is read back
     circuit = tmp_path / "ht.qasm"
     circuit.write_text('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n')
     assert main(["qst", "--circuit", str(circuit), "--backend", "qx4",
@@ -636,4 +646,19 @@ def test_cli_reads_every_report_back(tmp_path, monkeypatch):
                  "--seed", "1", "--seeds", "2", "--out", str(tmp_path)]) == 0
     assert main(["qpt", "--gate", "x", "--lines", "0", "--backend", "qx4",
                  "--out", str(tmp_path)]) == 0
-    assert loaded == ["ht_qst.json", "qpt_h_0_seeds.json", "qpt_x_0.json"]
+    assert checked == [("qst", []), ("qpt-seeds", ["ht_qst.json"]),
+                       ("qpt", ["ht_qst.json", "qpt_h_0_seeds.json"])]
+
+
+def test_cli_qpt_writes_no_report_that_fails_its_check(tmp_path, monkeypatch, capsys):
+    import qptkit.cli
+
+    def out_of_range(result):
+        return {**chi_report_dict(result), "fidelity": 2.0}
+
+    monkeypatch.setattr(qptkit.cli, "chi_report_dict", out_of_range)
+    assert main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4", "--noise", "off",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: h 0: invalid report: fidelity out of range\n"
+    assert list(tmp_path.iterdir()) == []

@@ -31,7 +31,7 @@ from qptkit.state_tomography import (
     _densities,
     _estimates,
     _pauli_strings,
-    _setting_suffixes,
+    _setting_circuits,
     child_seeds,
     collect_weights,
     project_psd,
@@ -90,7 +90,7 @@ def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
     def build(*args):
         raise AssertionError("built setting circuits for no preparation")
 
-    monkeypatch.setattr(qptkit.state_tomography, "_setting_suffixes", build)
+    monkeypatch.setattr(qptkit.state_tomography, "_setting_circuits", build)
     monkeypatch.setattr(qptkit.state_tomography, "execute_many", build)
     for qubits in (None, (0,)):
         with pytest.raises(ValueError, match="^no preparations to run$"):
@@ -479,14 +479,14 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
 
 
 def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
-    suffixes = qptkit.state_tomography._setting_suffixes((4, 1))
-    assert suffixes is qptkit.state_tomography._setting_suffixes((4, 1))
+    circuits = _setting_circuits((4, 1), 5)
+    assert circuits is _setting_circuits((4, 1), 5)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n")
     # the instructions of one setting at a time: one object per (letter, qubit)
     # for the rotations (h of X, sdg and h of Y) and one measure per qubit
     alone = [append_setting(prep, tag, (4, 1)).instructions[3:] for tag in qst_settings(2)]
-    assert [list(s) for s in suffixes] == [list(s) for s in alone]
-    assert len({id(inst) for suffix in suffixes for inst in suffix}) == 2 + 4 + 2
+    assert [list(c.instructions) for c in circuits] == [list(s) for s in alone]
+    assert len({id(inst) for c in circuits for inst in c.instructions}) == 2 + 4 + 2
     compared = []
     for cls in (Gate, Measure):
         def recording(self, other, original=cls.__eq__):
@@ -519,36 +519,33 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
     prep = parse_qasm("OPENQASM 2.0;\nqreg r[5];\ncreg m[3];\nh r[2];\ncx r[2],r[4];\n"
                       "t r[1];\n")
     assert (prep.qreg, prep.creg, prep.classical_count) == ("r", "m", 3)
-    fit = qptkit.state_tomography._suffixes_fit
-    fit.cache_clear()
+    _setting_circuits.cache_clear()
     checks = []
     check = qptkit.qasm._check_instruction
     for qubits in ((4, 1), (0, 2, 4, 1, 3)):
-        suffixes = _setting_suffixes(qubits)
         for preps in ([prep], [prep, parse_qasm("OPENQASM 2.0;\n" + _ROUNDTRIP_CIRCUITS[5])]):
             checks.clear()
             monkeypatch.setattr(qptkit.qasm, "_check_instruction",
                                 lambda *args: checks.append(args[0]) or check(*args))
             built = _built_circuits(monkeypatch, preps, qx4_quiet, qubits)
-            # each suffix is checked once per (qubits, qubit count), on its first call
+            settings = _setting_circuits(qubits, 5)
+            # each setting instruction is checked once per (qubits, register
+            # size), on the first call, and never when joined to a preparation
             first = preps == [prep]
-            assert len(checks) == (sum(map(len, suffixes)) if first else 0)
-            want = [p.extended(*suffix, classical_count=len(qubits))
-                    for p in preps for suffix in suffixes]
+            assert len(checks) == (sum(len(c.instructions) for c in settings) if first else 0)
+            want = [p.extended(*c.instructions, classical_count=len(qubits))
+                    for p in preps for c in settings]
             assert len(built) == len(want)
             for got, expected in zip(built, want):
-                assert got == expected
+                assert got == expected and got.measurements == expected.measurements
                 assert vars(got) == vars(expected)  # fields and cached measurements
                 assert all(a is b for a, b in zip(got.instructions, expected.instructions))
-    assert fit.cache_info().misses == 2
-    # a suffix that does not fit raises what extended raises, at the same position
+    assert _setting_circuits.cache_info().misses == 2
+    # a setting that does not fit the register raises its own construction error
     small = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[1],q[2];\n")
-    with pytest.raises(qptkit.qasm.CircuitError) as direct:
-        small.extended(*_setting_suffixes((4, 0))[0], classical_count=2)
-    assert str(direct.value) == "instruction 2: qubit index 4 out of range"
-    with pytest.raises(qptkit.qasm.CircuitError, match=f"^{direct.value}$"):
+    with pytest.raises(qptkit.qasm.CircuitError,
+                       match="^instruction 0: qubit index 4 out of range$"):
         collect_weights([small], qx4_quiet, (4, 0))
-    assert not fit((4, 0), 3) and fit((2, 0), 3)
 
 
 def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
