@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qptkit import Circuit, CircuitError, Gate, Measure, QasmError, emit_qasm, parse_qasm
-from qptkit import qasm
 from qptkit.qasm import CouplingMap, validate_topology
 
 MINIMAL = """OPENQASM 2.0;
