@@ -14,17 +14,22 @@ rest on:
   qubit, at 8192 and at 5 shots;
 * ``run_qst`` of CI's 5-qubit circuit on qx4, with and without those
   flips, at 5 and at 8192 shots;
+* the nine single-qubit gates on line 2 of qx2 at 8192 shots, the paper's
+  QX2 run;
+* ``h`` and ``cx`` on all lines of qx4 with idle decay on, at 8192 shots;
 
 all with seed 0.  The float stacks hold ``Generator`` uniforms with about a
 quarter of each row's weights zero.  Every input is an integer or a seeded
 float and the reconstruction is elementwise, so neither manifest depends on
-the BLAS.  ``tests/test_golden_counts.py`` and ``tests/test_golden_states.py``
-recompute them and name every entry that differs.  An exact report's chi
-comes from linear algebra, so ``reports.json`` also records the Python and
-numpy versions it was written with, and ``tests/test_golden_reports.py`` is
-strict only under those.  Regenerating a manifest
-changes what a seed or a stored dataset means; a change that does so lists
-every changed entry.  Run it from the repository root::
+the BLAS.  An exact report's chi comes from linear algebra.  Every manifest
+records the numpy version it was written with, since numpy does not promise
+to keep its seeded draws across versions, and ``reports.json`` also records
+the Python version.  ``tests/test_golden_counts.py``,
+``tests/test_golden_states.py`` and ``tests/test_golden_reports.py``
+recompute them through ``mismatch`` and name every entry that differs; each
+is strict only under the versions its manifest records.  Regenerating a
+manifest changes what a seed or a stored dataset means; a change that does
+so lists every changed entry.  Run it from the repository root::
 
     PYTHONPATH=src python3 tests/golden/regen.py
 """
@@ -105,6 +110,12 @@ def count_stacks() -> Iterator[tuple[str, np.ndarray]]:
         for shots in (5, 8192):
             weights = run_qst(circuit, backend, shots=shots, seed=0).dataset.weights
             yield f"qst five {name} shots={shots}", weights[None]
+    qx2 = builtin_backend("qx2")
+    for gate in single:
+        yield f"qpt qx2 {gate} (2,) shots=8192", qpt_counts(gate, (2,), qx2, 8192)
+    idle = qx4.with_idle_decay(True)
+    for gate, lines in [("h", (q,)) for q in range(5)] + [("cx", p) for p in pairs]:
+        yield f"qpt qx4-idle {gate} {lines} shots=8192", qpt_counts(gate, lines, idle, 8192)
 
 
 def float_stacks() -> Iterator[tuple[str, np.ndarray]]:
@@ -146,6 +157,21 @@ def report_digests() -> dict[str, str]:
     return {f"qpt {name} {gate} {lines} exact": hashlib.sha256(
                 dump_report(chi_report_dict(run_qpt(gate, lines, backend))).encode("utf-8")
             ).hexdigest() for name, backend, gate, lines in runs}
+
+
+def mismatch(path: Path, got: dict[str, str]) -> tuple[str, list[str]]:
+    """The entries of ``got`` that differ from the manifest at ``path``, as
+    one line naming each ("" when none differ), and each version the
+    manifest records that differs from this interpreter's."""
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    want = manifest["entries"]
+    assert list(got) == list(want), f"{path.name} lists other entries"
+    differing = [name for name in want if got[name] != want[name]]
+    here = {"python": platform.python_version(), "numpy": np.__version__}
+    other = [f"{key} {version} (manifest {manifest[key]})"
+             for key, version in here.items() if key in manifest and manifest[key] != version]
+    summary = f"{len(differing)} of {len(want)} differ: " + "; ".join(differing)
+    return summary if differing else "", other
 
 
 def main() -> None:
