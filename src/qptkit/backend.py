@@ -35,14 +35,14 @@ entry i is the outcome whose bitstring, classical bit m-1 first, is
 ``format(i, f"0{m}b")``.  Exact weights are the clipped diagonal summed per
 outcome and normalised to total 1.
 
-Sampling draws, per shot, one uniform for the outcome (inverse CDF over
-outcome indices in increasing order) and then one uniform per measured
-classical bit, in increasing classical-bit order, for its readout flip.
-The flip uniforms are drawn whatever the flip probabilities, so a seed
-means the same draws whatever they are.  Each circuit draws from its own
-generator, ``np.random.default_rng(seed)``: identical (circuit, backend,
-shots, seed) reproduce identical counts, and ``seed=None`` draws fresh
-entropy.
+Sampled counts are ``Multinomial(shots, p')``, one ``Generator.multinomial``
+per circuit from its own ``np.random.default_rng(seed)``.  p' is the outcome
+weights with each measured classical bit's readout flip f folded in, in
+increasing classical-bit order: p' = (1-f) p' + f p'[i ^ (1 << bit)].  Flips
+are independent per shot and per bit, so this is exact in distribution.
+Identical (circuit, backend, shots, seed) reproduce identical counts under
+one numpy version; numpy does not promise its binomial draws stay the same
+across versions.  ``seed=None`` draws fresh entropy.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -493,28 +493,12 @@ def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: Backend
             shots: int, seeds: Sequence[int | None]) -> np.ndarray:
     """Read-only ``(rows, 2**count)`` counts, row r drawn from weight row r
     with ``seeds[r]``, as the module docstring describes."""
-    cdf = np.cumsum(weights, axis=1)
-    cdf /= cdf[:, -1:]
-    measured = sorted(measures, key=lambda mm: mm.clbit)
-    flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
-             if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
-    counts = np.empty(weights.shape, dtype=np.intp)
-    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
-    # weights at or below each draw; the last is 1.0, which no draw reaches
-    for row, bounds, seed in zip(counts, cdf[:, :-1], seeds):
-        draws = np.random.default_rng(seed).random((shots, 1 + len(measured)))
-        first = draws[:, 0].copy()
-        if not flips:
-            # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
-            above = np.array([shots, *(np.count_nonzero(first >= b) for b in bounds), 0])
-            row[:] = above[:-1] - above[1:]
-        else:
-            outcomes = np.zeros(shots, dtype=np.intp)
-            for b in bounds:
-                outcomes += first >= b
-            for col, clbit, prob in flips:
-                outcomes[draws[:, col] < prob] ^= 1 << clbit
-            row[:] = np.bincount(outcomes, minlength=len(row))
+    index = np.arange(weights.shape[1])
+    for meas in sorted(measures, key=lambda mm: mm.clbit):
+        if (flip := backend.qubits[meas.qubit].readout_flip_prob) > 0.0:
+            weights = (1.0 - flip) * weights + flip * weights[:, index ^ (1 << meas.clbit)]
+    counts = np.array([np.random.default_rng(seed).multinomial(shots, row)
+                       for row, seed in zip(weights, seeds)], dtype=np.intp)
     counts.setflags(write=False)
     return counts
 

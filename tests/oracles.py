@@ -11,7 +11,8 @@ time; both combine and invert as the package did before it worked on stacks
 (``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own.  ``distribution``
 and ``sample`` read out one circuit at a time, as the backend did before it
-read out each checked chunk as one stack.  ``add_at_densities`` adds the
+read out each checked chunk as one stack; ``sample`` folds the readout flips
+in with ``flipped``, which ``flip_matrix`` writes as a Kronecker product.  ``add_at_densities`` adds the
 Pauli terms with one ``np.add.at``, as state tomography did before it
 gathered them per term position; it reads ``monomials``, the Pauli strings
 as a Kronecker recursion, which ``pauli_strings`` also reads to rebuild
@@ -152,32 +153,35 @@ def distribution(reduced: np.ndarray, active: tuple[int, ...],
     return probs
 
 
+def flip_matrix(circuit: Circuit, backend) -> np.ndarray:
+    """The readout flip map over outcome indices: the Kronecker product of
+    F_b = [[1-f, f], [f, 1-f]] over the classical bits, bit m-1 first, with
+    f the flip probability of the qubit measured into bit b (0 if none)."""
+    flip = {meas.clbit: backend.qubits[meas.qubit].readout_flip_prob
+            for meas in circuit.measurements}
+    factors = [np.array([[1.0 - f, f], [f, 1.0 - f]])
+               for f in (flip.get(b, 0.0) for b in reversed(range(circuit.classical_count)))]
+    return reduce(np.kron, factors, np.eye(1))
+
+
+def flipped(probabilities: np.ndarray, circuit: Circuit, backend) -> np.ndarray:
+    """The outcome weights with each measured bit's readout flip folded in,
+    one outcome at a time and one bit at a time in increasing classical-bit
+    order; ``flip_matrix(circuit, backend) @ probabilities`` up to rounding."""
+    p = probabilities.tolist()
+    for meas in sorted(circuit.measurements, key=lambda mm: mm.clbit):
+        f = backend.qubits[meas.qubit].readout_flip_prob
+        if f > 0.0:
+            p = [(1.0 - f) * p[i] + f * p[i ^ (1 << meas.clbit)] for i in range(len(p))]
+    return np.array(p)
+
+
 def sample(probabilities: np.ndarray, circuit: Circuit, backend,
            shots: int, seed: int | None) -> np.ndarray:
-    """Read-only counts of one circuit: its seeded draws, threshold counting
-    without readout flips, per-shot outcomes and one bincount with them."""
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
-
-    measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
+    """Read-only counts of one circuit: one multinomial draw over its flipped
+    outcome weights from its own generator."""
     rng = np.random.default_rng(seed)
-    uniforms = rng.random((shots, 1 + len(measured)))
-    # searchsorted(cdf, draw, side="right"), as a count of the cumulative
-    # weights at or below each draw; the last is 1.0, which no draw reaches
-    first = np.ascontiguousarray(uniforms[:, 0])
-    flips = [(col, meas.clbit, prob) for col, meas in enumerate(measured, start=1)
-             if (prob := backend.qubits[meas.qubit].readout_flip_prob) > 0.0]
-    if not flips:
-        # outcome j is drawn by the shots at or above cdf[j-1] and below cdf[j]
-        at_or_above = [np.count_nonzero(first >= bound) for bound in cdf[:-1].tolist()]
-        counts = -np.diff(np.array([shots, *at_or_above, 0], dtype=np.intp))
-    else:
-        outcomes = np.zeros(shots, dtype=np.intp)
-        for bound in cdf[:-1].tolist():
-            outcomes += first >= bound
-        for col, clbit, prob in flips:
-            outcomes[uniforms[:, col] < prob] ^= 1 << clbit
-        counts = np.bincount(outcomes, minlength=len(probabilities))
+    counts = rng.multinomial(shots, flipped(probabilities, circuit, backend)).astype(np.intp)
     counts.setflags(write=False)
     return counts
 

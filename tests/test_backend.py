@@ -31,6 +31,8 @@ from oracles import (
     distribution,
     embed_channel,
     embed_gate,
+    flip_matrix,
+    flipped,
     outcome_dict,
     sample,
 )
@@ -344,8 +346,8 @@ def test_sampling_rejects_unmeasured(qx4_quiet):
         execute(parse_qasm(H_MEASURED), qx4_quiet, shots=0, seed=0)
 
 
-# Counts recorded before the sampler counted with bincount; a seeded sampled
-# run must keep reproducing them exactly.
+# Counts recorded when the sampler became one multinomial per circuit; a
+# seeded sampled run must keep reproducing them exactly under one numpy.
 
 
 def test_golden_counts_readout_flips():
@@ -354,7 +356,7 @@ def test_golden_counts_readout_flips():
     c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\ncreg c[3];\nh q[1];\ncx q[1], q[0];\n"
                    "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\n")
     res = execute(c, b, shots=2000, seed=5)
-    assert outcome_dict(res.counts) == {"000": 686, "001": 350, "100": 358, "101": 606}
+    assert outcome_dict(res.counts) == {"000": 683, "001": 331, "100": 357, "101": 629}
 
 
 def test_golden_counts_five_qubits(qx4):
@@ -366,17 +368,17 @@ def test_golden_counts_five_qubits(qx4):
     res = execute(c, qx4, shots=4096, seed=11)
     # 12 of the 32 outcomes drawn, keys in increasing order
     assert list(outcome_dict(res.counts).items()) == [
-        ("00000", 12), ("00010", 5), ("00101", 6), ("00111", 12), ("10000", 1061),
-        ("10001", 21), ("10010", 982), ("10011", 13), ("10100", 6), ("10101", 1013),
-        ("10110", 10), ("10111", 955),
+        ("00000", 5), ("00010", 8), ("00101", 11), ("00111", 4), ("10000", 961),
+        ("10001", 16), ("10010", 1036), ("10011", 14), ("10100", 9), ("10101", 1021),
+        ("10110", 12), ("10111", 999),
     ]
 
 
 def test_golden_counts_undrawn_outcome_absent(qx4):
     c = parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nx q[0];\nmeasure q[0] -> c[0];\n")
     assert 0.0 < outcome_dict(execute_exact(c, qx4).probabilities)["0"] < 0.01
-    assert outcome_dict(execute(c, qx4, shots=64, seed=0).counts) == {"1": 64}
-    assert outcome_dict(execute(c, qx4, shots=64, seed=5).counts) == {"0": 2, "1": 62}
+    assert outcome_dict(execute(c, qx4, shots=64, seed=1).counts) == {"1": 64}
+    assert outcome_dict(execute(c, qx4, shots=64, seed=5).counts) == {"0": 1, "1": 63}
 
 
 def _dict_distribution(reduced, active, circuit):
@@ -589,68 +591,59 @@ def test_long_stream_yields_before_its_last_chunk_is_evolved(qx4_quiet, monkeypa
         assert got.probabilities.tobytes() == distribution(state, active, circuit).tobytes()
 
 
-def _searchsorted_sample(probabilities, circuit, backend, shots, seed):
-    """The sampler before it counted thresholds and shots with bincount."""
-    m = circuit.classical_count
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
-    measured = sorted(circuit.measurements, key=lambda mm: mm.clbit)
-    uniforms = np.random.default_rng(seed).random((shots, 1 + len(measured)))
-    outcomes = np.searchsorted(cdf, uniforms[:, 0], side="right")
-    for col, meas in enumerate(measured, start=1):
-        flipped = uniforms[:, col] < backend.qubits[meas.qubit].readout_flip_prob
-        outcomes = outcomes ^ (flipped.astype(np.int64) << meas.clbit)
-    values, freq = np.unique(outcomes, return_counts=True)
-    return {format(int(v), f"0{m}b"): int(c) for v, c in zip(values, freq)}
-
-
-def _stacked_sample(probabilities, circuit, backend, shots, seed):
-    """The counts of one circuit as the one row of a stacked ``_sample`` call."""
-    return backend_module._sample(probabilities[None], circuit.measurements, backend,
-                                  shots, [seed])[0]
-
-
-def _check_sample(probabilities, circuit, backend, shots, seed):
-    want = _searchsorted_sample(probabilities, circuit, backend, shots, seed)
-    got = _stacked_sample(probabilities, circuit, backend, shots, seed)
-    assert got.dtype.kind == "i" and len(got) == len(probabilities)
-    assert not got.flags.writeable
-    assert list(outcome_dict(got).items()) == list(want.items())
-    assert np.array_equal(got, sample(probabilities, circuit, backend, shots, seed))
-
-
-def test_sample_matches_searchsorted_reference():
+def test_sample_matches_per_circuit_oracle():
     rng = np.random.default_rng(8)
-    # random flips, then every flip zero (counted without per-shot outcomes)
+    # random flips, then every flip zero; some classical bits never written
     for trial, flip_choices in enumerate([["0.0", "0.05", "0.3"]] * 40 + [["0.0"]] * 30):
         m = int(rng.integers(1, 6))
         flips = {f"q{q}__readout_flip": str(rng.choice(flip_choices)) for q in range(5)}
         backend = load_backend(_config(**flips))
+        count = int(rng.integers(m, 6))
         qubits = rng.permutation(5)[:m]
-        clbits = rng.permutation(m)
-        circuit = Circuit(5, m, tuple(Measure(int(q), int(c)) for q, c in zip(qubits, clbits)))
-        weights = rng.random(1 << m) * (rng.random(1 << m) < 0.6)
-        weights[int(rng.integers(1 << m))] += 0.01
+        clbits = rng.permutation(count)[:m]
+        circuit = Circuit(5, count, tuple(Measure(int(q), int(c))
+                                          for q, c in zip(qubits, clbits)))
+        written = np.bitwise_or.reduce(1 << clbits)
+        weights = rng.random(1 << count) * (rng.random(1 << count) < 0.6)
+        weights[np.arange(1 << count) & ~written != 0] = 0.0
+        weights[int(rng.integers(1 << m)) & written] += 0.01
         probabilities = weights / weights.sum()
+        # the oracle's fold is the Kronecker product of the flip matrices
+        assert np.allclose(flipped(probabilities, circuit, backend),
+                           flip_matrix(circuit, backend) @ probabilities, rtol=0.0, atol=1e-15)
         for shots in (int(rng.integers(1, 3000)), 1):
-            _check_sample(probabilities, circuit, backend, shots, trial)
+            got = backend_module._sample(probabilities[None], circuit.measurements, backend,
+                                         shots, [trial])[0]
+            want = sample(probabilities, circuit, backend, shots, trial)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("flip", ["0.0", "0.1"])
-def test_sample_draw_on_a_cdf_bound(flip):
-    backend = load_backend(_config(q0__readout_flip=flip, q1__readout_flip=flip))
-    circuit = Circuit(5, 2, (Measure(0, 0), Measure(1, 1)))
-    for seed in range(20):
-        draws = np.random.default_rng(seed).random((5, 3))[:, 0]
-        u = float(draws.max())  # above 0.5 for these seeds, so 1 - u is exact
-        # cumulative weights u/4, u/2, u, 1: the largest draw sits on the third
-        probabilities = np.array([u / 4, u / 4, u / 2, 1.0 - u])
-        cdf = np.cumsum(probabilities)
-        assert cdf[-1] == 1.0 and cdf[2] == u
-        _check_sample(probabilities, circuit, backend, 5, seed)
-        if flip == "0.0":
-            # searchsorted(side="right") puts the draw above the bound
-            assert _stacked_sample(probabilities, circuit, backend, 5, seed)[3] >= 1
+@pytest.mark.parametrize("flips", ["zero", "some"])
+def test_sample_moments_match_the_multinomial(flips):
+    # over 2,000 fixed seeds the counts' mean and covariance are N p' and
+    # N (diag p' - p' p'^T) within 4 standard errors, p' the flipped weights
+    config = {"q0__readout_flip": "0.05", "q2__readout_flip": "0.2"} if flips == "some" else {}
+    backend = load_backend(_config(**config))
+    # c[1] is never written, so its outcomes keep weight zero with flips too
+    circuit = Circuit(5, 4, (Measure(2, 0), Measure(0, 2), Measure(3, 3)))
+    weights = np.random.default_rng(4).random(16)
+    weights[(np.arange(16) & 2 != 0) | np.isin(np.arange(16), [0, 9])] = 0.0
+    p = flip_matrix(circuit, backend) @ (weights / weights.sum())
+    seeds, shots = 2000, 500
+    counts = backend_module._sample(np.broadcast_to(weights / weights.sum(), (seeds, 16)),
+                                    circuit.measurements, backend, shots, range(seeds))
+    assert counts.shape == (seeds, 16) and (counts.sum(axis=1) == shots).all()
+    mean = counts.mean(axis=0)
+    assert (abs(mean - shots * p) <= 4.0 * np.sqrt(shots * p * (1.0 - p) / seeds)).all()
+    deviations = counts - mean
+    products = deviations[:, :, None] * deviations[:, None, :]
+    covariance = shots * (np.diag(p) - np.outer(p, p))
+    error = products.std(axis=0) / np.sqrt(seeds)
+    assert (abs(products.mean(axis=0) - covariance) <= 4.0 * error + 1e-12).all()
+    # an outcome of weight zero is never drawn
+    assert not counts[:, p == 0.0].any()
+    assert (p == 0.0).sum() == (8 if flips == "some" else 10)
 
 
 def _tensordot_apply(sup, rho, axes, k):

@@ -419,13 +419,13 @@ def test_child_seeds_unseeded_draw_fresh_entropy():
 
 
 def test_golden_counts_cx_bell_preparation(qx4):
-    # Recorded before the simulator kept only the active qubits; a seeded
-    # sampled run must keep reproducing these counts exactly.
+    # Recorded when the sampler became one multinomial per circuit; a seeded
+    # sampled run must keep reproducing these counts exactly under one numpy.
     prep = preparation_circuit("p0", (3, 2), 5).extended(Gate("cx", (3, 2)))
     ds = collect_dataset(prep, qx4, qubits=(3, 2), shots=8192, seed=0)
-    assert outcome_dict(_row(ds, "ZZ")) == {"00": 4084, "01": 68, "10": 46, "11": 3994}
-    assert outcome_dict(_row(ds, "XX")) == {"00": 4091, "01": 102, "10": 83, "11": 3916}
-    assert outcome_dict(_row(ds, "YY")) == {"00": 146, "01": 4052, "10": 3946, "11": 48}
+    assert outcome_dict(_row(ds, "ZZ")) == {"00": 4152, "01": 70, "10": 65, "11": 3905}
+    assert outcome_dict(_row(ds, "XX")) == {"00": 4086, "01": 81, "10": 72, "11": 3953}
+    assert outcome_dict(_row(ds, "YY")) == {"00": 137, "01": 4003, "10": 4007, "11": 45}
 
 
 def _setting_loop(prep, backend, qubits, shots=None, seed=None):
