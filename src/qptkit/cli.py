@@ -123,8 +123,6 @@ def cmd_qpt(args) -> int:
     base = args.seed if args.seed is not None else 0
     seeds = list(range(base, base + args.seeds)) if summary else [args.seed]
     out_dir = Path(args.out)
-    with _usable(out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
     for gate in gates:
@@ -146,6 +144,8 @@ def cmd_qpt(args) -> int:
                     done = f"fidelity={result.fidelity:.6f} residual={result.residual:.2e}"
                 text = dump_report(report)
                 parse_report(text)
+                with _usable(out_dir):
+                    out_dir.mkdir(parents=True, exist_ok=True)
                 path.write_text(text, encoding="utf-8")
                 print(f"{label}: {done} -> {path}")
             except Exception as exc:

@@ -614,6 +614,21 @@ def test_cli_ends_in_one_error_line_and_writes_nothing(tmp_path, monkeypatch, h_
     assert (tmp_path / "afile").read_bytes() == b""
 
 
+def test_cli_qpt_creates_its_out_directory_with_the_first_report(tmp_path, monkeypatch,
+                                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    # every placement fails: no directory is left behind
+    assert main(["qpt", "--gate", "cx", "--lines", "0,1", "--backend", "qx4",
+                 "--out", "fresh/reports"]) == 1
+    assert capsys.readouterr().err == ("error: cx 0,1: cx 0>1 not in the "
+                                       f"ibmqx4-sim coupling map {_COUPLING}\n")
+    assert list(tmp_path.iterdir()) == []
+    # a failing placement before a good one: the good one creates it
+    assert main(["qpt", "--gate", "cx", "--lines", "0,1", "--lines", "1,0", "--backend", "qx4",
+                 "--noise", "off", "--out", "fresh/reports"]) == 1
+    assert [p.name for p in (tmp_path / "fresh" / "reports").iterdir()] == ["qpt_cx_1-0.json"]
+
+
 def test_cli_chi_plot_rejects_a_qst_report(tmp_path):
     circuit = tmp_path / "h.qasm"
     circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
