@@ -606,7 +606,7 @@ def test_sample_matches_per_circuit_oracle():
         written = np.bitwise_or.reduce(1 << clbits)
         weights = rng.random(1 << count) * (rng.random(1 << count) < 0.6)
         weights[np.arange(1 << count) & ~written != 0] = 0.0
-        weights[int(rng.integers(1 << m)) & written] += 0.01
+        weights[int(rng.integers(1 << count)) & written] += 0.01
         probabilities = weights / weights.sum()
         # the oracle's fold is the Kronecker product of the flip matrices
         assert np.allclose(flipped(probabilities, circuit, backend),
@@ -629,9 +629,10 @@ def test_sample_moments_match_the_multinomial(flips):
     circuit = Circuit(5, 4, (Measure(2, 0), Measure(0, 2), Measure(3, 3)))
     weights = np.random.default_rng(4).random(16)
     weights[(np.arange(16) & 2 != 0) | np.isin(np.arange(16), [0, 9])] = 0.0
-    p = flip_matrix(circuit, backend) @ (weights / weights.sum())
+    probabilities = weights / weights.sum()
+    p = flip_matrix(circuit, backend) @ probabilities
     seeds, shots = 2000, 500
-    counts = backend_module._sample(np.broadcast_to(weights / weights.sum(), (seeds, 16)),
+    counts = backend_module._sample(np.broadcast_to(probabilities, (seeds, 16)),
                                     circuit.measurements, backend, shots, range(seeds))
     assert counts.shape == (seeds, 16) and (counts.sum(axis=1) == shots).all()
     mean = counts.mean(axis=0)
