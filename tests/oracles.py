@@ -12,11 +12,12 @@ time; both combine and invert as the package did before it worked on stacks
 ``append_setting`` builds one setting circuit on its own.  ``distribution``
 and ``sample`` read out one circuit at a time, as the backend did before it
 read out each checked chunk as one stack; ``sample`` folds the readout flips
-in with ``flipped``, which ``flip_matrix`` writes as a Kronecker product.  ``add_at_densities`` adds the
-Pauli terms with one ``np.add.at``, as state tomography did before it
-gathered them per term position; it reads ``monomials``, the Pauli strings
-as a Kronecker recursion, which ``pauli_strings`` also reads to rebuild
-every table of ``state_tomography._pauli_strings`` one string at a time.
+in with ``flipped``, which ``flip_matrix`` writes as a Kronecker product.
+``add_at_densities`` adds the Pauli terms with one ``np.add.at``, as state
+tomography did before it gathered them per term position; it reads
+``monomials``, the Pauli strings as a Kronecker recursion, which
+``pauli_strings`` also reads to rebuild every table of
+``state_tomography._pauli_strings`` one string at a time.
 ``matrix_unit_basis``,
 ``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
 input basis, single preparations, each unit's recipe terms and chi as a map,
