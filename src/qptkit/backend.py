@@ -17,18 +17,20 @@ Evolution semantics, in order, per instruction:
 
 Only the qubits some instruction touches are simulated.  Every other qubit
 stays in |0><0|, which is a fixed point of both amplitude damping and pure
-dephasing, so leaving it out is exact whether idle_decay is on or off.  Each
-instruction is applied as one fused superoperator (gate then decay), and
-the state's trace is checked after every instruction that applied a map.
-``execute_many`` runs a sequence of circuits through one evolution: a
-circuit resumes from the state after the instruction prefix it shares with
-the circuit before it, so tomography circuits that share a preparation
-evolve it once.  Final states are checked as density matrices in stacks
-(``check_density_matrix``) before they are read out, and circuits on the
-same active qubits with the same measures are read out as one stack.  Every
-result is bitwise the one the circuit would give run on its own.  Only
-``execute_exact`` returns ``final_state``, the density matrix of the whole
-circuit register; every other result carries outcome weights or counts.
+dephasing, so leaving it out is exact whether idle_decay is on or off.  One
+evolution loop runs circuits over a stack of B states: each instruction is
+one fused superoperator (gate then decay) applied to the stack by one
+``np.matmul``, then every state's trace is checked.  A circuit resumes from
+the states after the prefix it shares with the circuit before it.
+``execute_many`` starts each circuit from |0...0> (B = 1); tomography
+(``_execute_preparations``) evolves each preparation alone, then runs the
+shared settings once over the stack of their states, and a stack's results
+come once its last setting is evolved.  Final states are checked as density
+matrices in stacks (``check_density_matrix``) before they are read out, and
+runs of them on the same active qubits with the same measures are read out
+as one stack.  Every result is bitwise the one the circuit would give run on
+its own.  Only ``execute_exact`` returns ``final_state``, the density matrix
+of the whole register; every other result carries outcome weights or counts.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -87,6 +89,7 @@ __all__ = [
     "ConfigError",
     "TopologyError",
     "DEFAULT_DURATIONS_NS",
+    "MAX_SHOTS",
     "load_backend",
     "read_backend",
     "builtin_backend",
@@ -97,6 +100,8 @@ __all__ = [
 ]
 
 DEFAULT_DURATIONS_NS = {"single": 60.0, "cx": 300.0, "measure": 300.0}
+# the most shots one circuit takes: its counts are int64
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 class ConfigError(ValueError):
@@ -318,22 +323,25 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
 
 @lru_cache(maxsize=256)
 def _layout(axes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order putting the target row then column axes first, and its inverse."""
-    targets = axes + tuple(k + a for a in axes)
-    order = targets + tuple(a for a in range(2 * k) if a not in targets)
+    """Axis order of a ``(B, 2, ..., 2)`` stack of 2k-axis states putting the
+    stack axis, then the target row and column axes first, and its inverse."""
+    targets = tuple(1 + a for a in axes) + tuple(1 + k + a for a in axes)
+    order = (0, *targets, *(a for a in range(1, 2 * k + 1) if a not in targets))
     return order, tuple(np.argsort(order).tolist())
 
 
 def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """Apply a superoperator tensor to the (2,)*2k state on the given row axes.
+    """Apply a superoperator tensor to each state of a ``(B, 2, ..., 2)``
+    stack of (2,)*2k states on the given row axes.
 
-    One matrix product on the layout ``np.tensordot`` would build, so the
-    result is bitwise the same; it is returned as a view in the state's order.
+    One ``np.matmul`` over the stack, on the layout ``np.tensordot`` would
+    build for each state, so each result is bitwise that state's alone; the
+    stack is returned as a view in the states' order.
     """
     order, inverse = _layout(axes, k)
     n = 1 << (2 * len(axes))
-    out = np.dot(sup.reshape(n, n), rho.transpose(order).reshape(n, -1))
-    return out.reshape((2,) * (2 * k)).transpose(inverse)
+    out = np.matmul(sup.reshape(n, n), rho.transpose(order).reshape(len(rho), n, -1))
+    return out.reshape(rho.shape).transpose(inverse)
 
 
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
@@ -346,36 +354,48 @@ def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...])
                 min(len(a), len(b)))
 
 
+def _ground(k: int) -> np.ndarray:
+    """|0...0><0...0| on k qubits as a stack of one, shaped (1, 2, ..., 2)."""
+    return np.eye(1, 1 << (2 * k), dtype=complex).reshape(1, *(2,) * (2 * k))
+
+
 # bound on the bytes of evolved states held for one stacked density check
 _CHECK_BYTES = 1 << 16
 
 
-def _checked(circuits: list[Circuit], states: np.ndarray, active: tuple[int, ...],
-             end: int) -> tuple[list[Circuit], np.ndarray, tuple[int, ...]]:
-    """Check the first len(circuits) states as one stack and return the chunk;
-    the circuits are the ones just before position ``end``."""
-    count = len(circuits)
-    try:
-        check_density_matrix(states[:count], atol=1e-9)
-    except ValueError as exc:
-        raise ValueError(f"circuits {end - count}..{end - 1}: {exc}") from None
-    return circuits, states[:count], active
+def _checked(chunks: Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
+             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
+    """Pass ``_evolve``'s chunks on, each once its states pass
+    ``check_density_matrix`` as one stack; a failure names the chunk's
+    circuits by position."""
+    end = 0
+    for circuits, states, active in chunks:
+        end += len(circuits)
+        try:
+            check_density_matrix(states, atol=1e-9)
+        except ValueError as exc:
+            raise ValueError(f"circuits {end - len(circuits)}..{end - 1}: {exc}") from None
+        yield circuits, states, active
 
 
-def _evolve(circuits: Sequence[Circuit], backend: BackendModel
+def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
+            start: tuple[tuple[int, ...], np.ndarray] | None = None
             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Yield the circuits chunk by chunk, each chunk with the checked stack
-    of its circuits' final active-register density matrices and the active
-    qubits.  A chunk holds at most ``_CHECK_BYTES`` of states, all on the
-    same active qubits; a yielded stack must not be written to.
+    """Yield the circuits chunk by chunk, each chunk with the stack of its
+    circuits' final active-register states, circuit-major, and the active
+    qubits.  Each circuit starts from ``start``, active qubits that hold every
+    qubit the circuits touch and a ``(B, 2, ..., 2)`` stack of B states on
+    them, or else from |0...0> (B = 1) on the qubits it touches.  A chunk
+    holds at most ``_CHECK_BYTES`` of states, or one circuit's; a yielded
+    stack must not be written to.
 
-    ``saved`` holds checkpoints (instructions applied, state, qubits those
+    ``saved`` holds checkpoints (instructions applied, states, qubits those
     instructions touch), deepest last, on the prefix of the circuit evolved
     last: each circuit resumes from the deepest one that is a prefix of its
     own, and only its instructions from there on are checked and evolved.
     """
-    active: tuple[int, ...] | None = None
-    saved: list[tuple[int, np.ndarray | None, frozenset[int]]] = [(0, None, frozenset())]
+    active, rho = start or (None, None)
+    saved = [(0, rho, frozenset(active or ()))]
     branch = 0
     pending: list[Circuit] = []
     for i, circuit in enumerate(circuits):
@@ -387,19 +407,19 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
         touched = tuple(sorted(seen.union(_qubits(instructions[depth:])), reverse=True))
         if touched != active:
             if pending:
-                yield _checked(pending, states, active, i)
+                yield pending, states[:size * len(pending)], active
                 pending = []
             active = touched
+            rho = _ground(len(active))
+            saved = [(0, rho, frozenset())]
+            depth, seen = 0, frozenset()
+        if not pending:
             k = len(active)
             axis = {q: a for a, q in enumerate(active)}
-            ground = np.zeros((2,) * (2 * k), dtype=complex)
-            ground[(0,) * (2 * k)] = 1.0
-            saved = [(0, ground, frozenset())]
-            depth, rho, seen = saved[-1]
-            diagonal = list(range(k)) * 2
-            chunk = max(1, _CHECK_BYTES // (16 << (2 * k)))
-        if not pending:
-            states = np.empty((chunk, 1 << k, 1 << k), dtype=complex)
+            traced = [0, *range(1, k + 1), *range(1, k + 1)]
+            size = len(rho)
+            chunk = max(1, _CHECK_BYTES // (size * 16 << (2 * k)))
+            states = np.empty((chunk * size, 1 << k, 1 << k), dtype=complex)
         following = circuits[i + 1].instructions if i + 1 < len(circuits) else ()
         branch = _shared_prefix(instructions, following)
         for pos in range(depth, len(instructions)):
@@ -419,21 +439,21 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel
                         if q not in targets:
                             sup = _superoperator(None, (backend.qubits[q],), duration)
                             rho = _apply(sup, rho, (axis[q],), k)
-                # the trace read off the strided view, without copying it
-                tr = np.einsum(rho, diagonal).real
-                if abs(tr - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"instruction {pos}: state trace drifted to {float(tr)!r} during evolution"
-                    )
+                # each state's trace read off the strided view, without copying it
+                traces = np.einsum(rho, traced, [0]).real.tolist()
+                if max(traces) - 1.0 > 1e-9 or 1.0 - min(traces) > 1e-9:
+                    drifted = max(traces, key=lambda tr: abs(tr - 1.0))
+                    raise ValueError(f"instruction {pos}: state trace drifted to "
+                                     f"{drifted!r} during evolution")
             if pos + 1 == branch:
                 saved.append((branch, rho, seen.union(_qubits(instructions[depth:branch]))))
-        states[len(pending)].reshape(rho.shape)[...] = rho
+        states[size * len(pending):size * (len(pending) + 1)].reshape(rho.shape)[...] = rho
         pending.append(circuit)
         if len(pending) == chunk:
-            yield _checked(pending, states, active, i + 1)
+            yield pending, states, active
             pending = []
     if pending:
-        yield _checked(pending, states, active, len(circuits))
+        yield pending, states[:size * len(pending)], active
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -509,17 +529,20 @@ _readout = operator.attrgetter("measurements", "classical_count")
 _READOUT_BYTES = 1 << 18
 
 
-def _runs(circuits: Sequence[Circuit], backend: BackendModel
+def _runs(circuits: Sequence[Circuit], backend: BackendModel,
+          start: tuple[tuple[int, ...], np.ndarray] | None = None
           ) -> Iterator[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]]:
     """Yield runs of consecutive circuits on the same active qubits with the
-    same measures and creg size: the ``(rows, 2**k)`` stack of their final
-    states' real diagonals, the active qubits, the measures and the creg
-    size.  A run holds at most ``_READOUT_BYTES`` of diagonals."""
+    same measures and creg size, as evolved from ``start``: the ``(rows,
+    2**k)`` stack of their final states' real diagonals, the active qubits,
+    the measures and the creg size.  A run holds at most ``_READOUT_BYTES``
+    of diagonals, or one chunk's."""
     key, blocks, held = None, [], 0
-    for chunk, states, active in _evolve(circuits, backend):
+    for chunk, states, active in _checked(_evolve(circuits, backend, start)):
         diagonals = np.diagonal(states, axis1=1, axis2=2).real
+        batch = len(states) // len(chunk)
         for readout, run in itertools.groupby(chunk, _readout):
-            rows = len(list(run))
+            rows = len(list(run)) * batch
             size = rows * diagonals.itemsize << len(active)
             if blocks and (key != (active, *readout) or held + size > _READOUT_BYTES):
                 yield np.concatenate(blocks), *key
@@ -532,28 +555,21 @@ def _runs(circuits: Sequence[Circuit], backend: BackendModel
         yield np.concatenate(blocks), *key
 
 
-def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
-                 shots: int | None = None,
-                 seeds: Sequence[int | None] | None = None) -> Iterator[ExecutionResult]:
-    """Run circuits in order, yielding one result per circuit.
+def _check_shots(shots: int | None) -> None:
+    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+        bound = "positive" if shots < 1 else f"at most {MAX_SHOTS}"
+        raise ValueError(f"shots must be {bound}, got {shots}")
 
-    With ``shots=None`` each result carries only ``probabilities``, the same
-    weights ``execute_exact`` returns (None for a circuit that measures
-    nothing), and no ``final_state``; otherwise it is what ``execute``
-    returns with the matching entry of ``seeds``.  Consecutive circuits that
-    share an instruction prefix on the same active qubits evolve that prefix
-    once.  Each run of consecutive circuits on the same active qubits with
-    the same measures and creg size is read out as one stack, across checked
-    chunks; a run's results are yielded once its last circuit is evolved, or
-    once it holds 256 KiB of diagonals.
-    """
-    if shots is not None:
-        if shots < 1:
-            raise ValueError(f"shots must be positive, got {shots}")
-        if seeds is None or len(seeds) != len(circuits):
-            raise ValueError("sampling needs one seed per circuit")
+
+def _results(circuits: Sequence[Circuit], backend: BackendModel, shots: int | None,
+             seeds: Sequence[int | None] | None,
+             start: tuple[tuple[int, ...], np.ndarray] | None = None
+             ) -> Iterator[ExecutionResult]:
+    """One result per final state of ``_evolve(circuits, backend, start)``,
+    in its order, as ``execute_many`` describes; state r samples with
+    ``seeds[r]``."""
     done = 0
-    for diagonals, active, measures, count in _runs(circuits, backend):
+    for diagonals, active, measures, count in _runs(circuits, backend, start):
         rows = len(diagonals)
         weights = _distributions(diagonals, active, measures, count)
         if shots is None:
@@ -567,6 +583,57 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
         done += rows
 
 
+def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
+                 shots: int | None = None,
+                 seeds: Sequence[int | None] | None = None) -> Iterator[ExecutionResult]:
+    """Run circuits in order, yielding one result per circuit.
+
+    With ``shots=None`` each result carries only ``probabilities``, the same
+    weights ``execute_exact`` returns (None for a circuit that measures
+    nothing); otherwise it is what ``execute`` returns with the matching
+    entry of ``seeds``.  Shots outside 1..``MAX_SHOTS``, or not one seed per
+    circuit, raise ``ValueError`` before anything is evolved.  The circuits
+    run through the evolution loop with B = 1, and each run of consecutive
+    circuits on the same active qubits with the same measures and creg size
+    is read out as one stack: its results are yielded once its last circuit
+    is evolved, or once it holds 256 KiB of diagonals.
+    """
+    _check_shots(shots)
+    if shots is not None and (seeds is None or len(seeds) != len(circuits)):
+        raise ValueError("sampling needs one seed per circuit")
+    yield from _results(circuits, backend, shots, seeds)
+
+
+def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
+                          backend: BackendModel, shots: int | None = None,
+                          seeds: Sequence[int | None] | None = None
+                          ) -> Iterator[ExecutionResult]:
+    """Yield what ``execute_many`` yields for ``prep.then(setting)``, for each
+    setting of ``settings[p]`` of each preparation p in turn, with the same
+    seeds, bit for bit; the settings of one preparation act on the same qubits.
+
+    Each preparation is evolved once, alone, on the qubits it and its
+    settings touch.  Consecutive preparations on the same qubits with the
+    same settings form a stack that the settings run over once; its results
+    are yielded, in preparation order, once its last setting is evolved.
+    """
+    _check_shots(shots)
+    keys = [(suffixes, tuple(sorted(_qubits(prep.then(suffixes[0]).instructions), reverse=True)))
+            for prep, suffixes in zip(preps, settings)]
+    done = 0
+    for (suffixes, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
+        stack = [prep for _, prep in jobs]
+        evolved = _evolve(stack, backend, (active, _ground(len(active))))
+        states = np.concatenate([chunk for _, chunk, _ in evolved])
+        count, width = len(stack), len(suffixes)
+        stacked = None if shots is None else [seeds[done + p * width + s]
+                                              for s in range(width) for p in range(count)]
+        start = (active, states.reshape((count,) + (2,) * (2 * len(active))))
+        results = list(_results(suffixes, backend, shots, stacked, start))
+        yield from (results[s * count + p] for p in range(count) for s in range(width))
+        done += count * width
+
+
 def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     """Evolve the density matrix; no sampling.
 
@@ -574,7 +641,7 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     measure-duration decay when noise is on); ``probabilities`` holds the
     exact outcome weights by outcome index, or None when nothing is measured.
     """
-    ((_, states, active),) = _evolve([circuit], backend)
+    ((_, states, active),) = _checked(_evolve([circuit], backend))
     weights = _distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
                              *_readout(circuit))
     return ExecutionResult(

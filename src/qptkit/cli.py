@@ -26,8 +26,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
-from .backend import (BackendModel, builtin_backend, builtin_backend_names, execute_exact,
-                      read_backend)
+from .backend import (MAX_SHOTS, BackendModel, builtin_backend, builtin_backend_names,
+                      execute_exact, read_backend)
 from .operators import GATE_ARITY
 from .process_tomography import project_result, run_qpt
 from .qasm import parse_qasm
@@ -250,7 +250,7 @@ def _add_backend_options(p: argparse.ArgumentParser) -> None:
                    help="override the config's idle_decay switch")
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -258,12 +258,14 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
 
 
 def _add_sampling_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots", type=_int_at_least(1),
+    p.add_argument("--shots", type=_int_at_least(1, MAX_SHOTS),
                    help="sample counts instead of using exact probabilities")
     p.add_argument("--seed", type=_int_at_least(0), help="base RNG seed for sampled runs")
 

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import BackendModel, execute_many
+from .backend import BackendModel, _execute_preparations
 from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
 
 __all__ = [
@@ -416,7 +416,7 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seeds: Sequence[int | None] | None = None) -> np.ndarray:
-    """Run every setting circuit of every preparation as one stream.
+    """Run every setting circuit of every preparation.
 
     Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
     weights, settings in canonical order: exact probabilities (float) when
@@ -424,10 +424,12 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     qubits most significant first and defaults to the whole register.  A
     sampled preparation takes its entry of ``seeds`` (fresh entropy when it
     or ``seeds`` is None) and its settings the seeds
-    ``child_seeds(seed, 3**n)``.  The weights are checked as a dataset's
-    are, all settings as one stack.  The setting circuits are built and
-    checked once per (qubits, register size) and joined onto each
-    preparation by ``Circuit.then``.  An empty ``preps`` raises
+    ``child_seeds(seed, 3**n)``.  The setting circuits are built and checked
+    once per (qubits, register size).  Each preparation is evolved once,
+    alone, and the settings run once over the stack of the preparations'
+    states (see ``backend``); every row is bitwise what ``execute_many``
+    gives for ``prep.then(setting)``.  The weights are checked as a
+    dataset's are, all as one stack.  An empty ``preps`` raises
     ``ValueError``; a setting that does not fit the register, or a
     preparation that measures, ``CircuitError``.
     """
@@ -437,17 +439,17 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
     settings = 3 ** len(qubits)
-    circuits = [prep.then(setting) for prep in preps
-                for setting in _setting_circuits(qubits, prep.qubit_count)]
+    suffixes = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
     circuit_seeds = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, settings)]
-    stack = np.empty((len(circuits), 1 << len(qubits)),
+    stack = np.empty((len(preps) * settings, 1 << len(qubits)),
                      dtype=float if shots is None else np.intp)
-    for row, result in enumerate(execute_many(circuits, backend, shots, circuit_seeds)):
+    results = _execute_preparations(preps, suffixes, backend, shots, circuit_seeds)
+    for row, result in enumerate(results):
         stack[row] = result.probabilities if shots is None else result.counts
     _check_weights(stack, shots)
     stack.setflags(write=False)

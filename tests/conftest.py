@@ -5,6 +5,18 @@ from golden import regen
 from qptkit import builtin_backend
 
 
+def pytest_addoption(parser):
+    parser.addoption("--golden-strict", action="store_true",
+                     help="fail a golden test that differs from its manifest under "
+                          "versions other than the manifest's, instead of skipping it")
+
+
+@pytest.fixture(scope="session")
+def golden_strict(request):
+    """Whether a golden difference fails under any versions (``--golden-strict``)."""
+    return request.config.getoption("--golden-strict")
+
+
 @pytest.fixture(scope="session")
 def qx4():
     return builtin_backend("qx4")

@@ -27,7 +27,8 @@ to keep its seeded draws across versions, and ``reports.json`` also records
 the Python version.  ``tests/test_golden_counts.py``,
 ``tests/test_golden_states.py`` and ``tests/test_golden_reports.py``
 recompute them through ``mismatch`` and name every entry that differs; each
-is strict only under the versions its manifest records.  Regenerating a
+is strict only under the versions its manifest records, unless pytest runs
+with ``--golden-strict`` (``tests/conftest.py``).  Regenerating a
 manifest changes what a seed or a stored dataset means; a change that does
 so lists every changed entry.  Run it from the repository root::
 

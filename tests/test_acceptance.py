@@ -97,6 +97,7 @@ def test_noiseless_sweep_worst_fidelity_nine_decimals(single_sweep, cx_sweep, qx
     fidelities += [r.fidelity for r in cx.values()]
     assert len(fidelities) == 51
     assert f"{min(fidelities):.9f}" == "1.000000000"
+    assert max(abs(f - 1.0) for f in fidelities) <= 1e-9
     _pass(f"all 51 noiseless qx4 placements: worst fidelity {min(fidelities):.9f}")
 
 

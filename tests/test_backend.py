@@ -24,7 +24,7 @@ from qptkit import (
     parse_qasm,
 )
 from qptkit import backend as backend_module
-from qptkit.backend import DEFAULT_DURATIONS_NS, builtin_backend_names, read_backend
+from qptkit.backend import DEFAULT_DURATIONS_NS, MAX_SHOTS, builtin_backend_names, read_backend
 from oracles import (
     SINGLE_QUBIT_GATES,
     append_setting,
@@ -39,7 +39,7 @@ from oracles import (
 from qptkit.channels import decoherence_channel
 from qptkit.operators import standard_gate
 from qptkit.process_tomography import preparation_circuit
-from qptkit.state_tomography import qst_settings
+from qptkit.state_tomography import collect_weights, qst_settings
 
 
 def _config(**overrides):
@@ -668,9 +668,38 @@ def test_apply_matches_tensordot():
             for axes in itertools.permutations(range(k), m):
                 for state in (rho, strided):
                     want = _tensordot_apply(sup, state, axes, k)
-                    got = backend_module._apply(sup, state, axes, k)
-                    assert got.shape == want.shape
-                    assert np.array_equal(got, want)
+                    got = backend_module._apply(sup, state[None], axes, k)
+                    assert got.shape == (1, *want.shape)
+                    assert np.array_equal(got[0], want)
+
+
+def _dot_apply(sup, rho, axes, k):
+    """One state's product as one ``np.dot``, the form the stacked product replaced."""
+    targets = axes + tuple(k + a for a in axes)
+    order = targets + tuple(a for a in range(2 * k) if a not in targets)
+    n = 1 << (2 * len(axes))
+    out = np.dot(sup.reshape(n, n), rho.transpose(order).reshape(n, -1))
+    return out.reshape((2,) * (2 * k)).transpose(np.argsort(order))
+
+
+def test_stacked_apply_matches_each_state_alone():
+    rng = np.random.default_rng(47)
+    for k in range(1, 6):
+        for size in (1, 4, 16):
+            shape = (size,) + (2,) * (2 * k)
+            stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            # a strided view, as the evolution hands _apply after the first instruction
+            strided = stack.transpose(0, *range(2 * k, 0, -1))
+            for m in range(1, min(k, 2) + 1):
+                sup = rng.normal(size=(2,) * (4 * m)) + 1j * rng.normal(size=(2,) * (4 * m))
+                for axes in itertools.permutations(range(k), m):
+                    for states in (stack, strided):
+                        got = backend_module._apply(sup, states, axes, k)
+                        assert got.shape == states.shape
+                        for b in range(size):
+                            alone = backend_module._apply(sup, states[b:b + 1], axes, k)[0]
+                            assert got[b].tobytes() == alone.tobytes()
+                            assert alone.tobytes() == _dot_apply(sup, states[b], axes, k).tobytes()
 
 
 # --- dense oracle ------------------------------------------------------------
@@ -810,6 +839,23 @@ def test_execute_many_mixed_batch_matches_one_call_per_circuit(qx4, mode):
         _assert_same_result(result, execute(circuit, backend, shots=200, seed=seed))
 
 
+def test_shots_above_int64_raise_before_anything_evolves(qx4_quiet, monkeypatch):
+    def evolve(*args):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(backend_module, "_evolve", evolve)
+    c = parse_qasm(H_MEASURED)
+    too_many = rf"^shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"
+    with pytest.raises(ValueError, match=too_many):
+        next(execute_many([c], qx4_quiet, shots=MAX_SHOTS + 1, seeds=[1]))
+    with pytest.raises(ValueError, match=too_many):
+        collect_weights([Circuit(1, 0)], qx4_quiet, shots=MAX_SHOTS + 1, seeds=[1])
+    monkeypatch.undo()
+    # the largest count still draws
+    assert MAX_SHOTS == 2**63 - 1
+    assert int(execute(c, qx4_quiet, MAX_SHOTS, 1).counts.sum()) == MAX_SHOTS
+
+
 def test_execute_many_rejections(qx4_quiet):
     c = parse_qasm(H_MEASURED)
     with pytest.raises(ValueError, match="one seed per circuit"):
@@ -849,6 +895,24 @@ def test_trace_drift_is_reported(qx4_quiet, monkeypatch):
     leaky = Circuit(1, 1, (Gate("h", (0,)), Gate("x", (0,)), Measure(0, 0)))
     with pytest.raises(ValueError, match=r"^instruction 1: state trace drifted to 0\.49+ during evolution$"):
         execute_exact(leaky, qx4_quiet)
+
+
+def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, monkeypatch):
+    apply = backend_module._apply
+
+    def leaky(sup, rho, axes, k):
+        out = apply(sup, rho, axes, k)
+        if len(rho) > 1:  # only on the stack: its third state loses half its trace
+            out = out.copy()
+            out[2] *= 0.5
+        return out
+
+    monkeypatch.setattr(backend_module, "_apply", leaky)
+    preps = [preparation_circuit(label, (1,), 5) for label in "01pr"]
+    # Z applies nothing with noise off; the h of X is the first stacked map
+    with pytest.raises(ValueError, match=r"^instruction 0: state trace drifted to "
+                                         r"0\.(5|49+\d*) during evolution$"):
+        collect_weights(preps, qx4_quiet, (1,))
 
 
 def _constant_state_map():

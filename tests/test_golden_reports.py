@@ -6,8 +6,8 @@ import pytest
 from golden import regen
 
 
-def test_exact_reports_match_the_manifest():
+def test_exact_reports_match_the_manifest(golden_strict):
     differing, other = regen.mismatch(regen.REPORTS, regen.report_digests())
-    if differing and other:
+    if differing and other and not golden_strict:
         pytest.skip(f"{', '.join(other)}; reports: {differing}")
-    assert not differing, f"reports: {differing}"
+    assert not differing, "; ".join([*other, f"reports: {differing}"])

@@ -19,7 +19,6 @@ from qptkit import (
 )
 from qptkit import backend as backend_module
 from qptkit import channels
-from qptkit import state_tomography
 from qptkit.channels import amplitude_damping, apply_channel
 from qptkit.process_tomography import (
     _CHOI_MAPS,
@@ -653,26 +652,28 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
 
 def test_run_qpt_is_one_stream(qx4, monkeypatch):
     streams, checks = [], []
-    execute_many = state_tomography.execute_many
+    evolve = backend_module._evolve
     check = backend_module.check_density_matrix
 
-    def counting_stream(circuits, *args):
-        streams.append(len(circuits))
-        return execute_many(circuits, *args)
+    def counting_evolve(circuits, backend, start=None):
+        streams.append((len(circuits), 1 if start is None else len(start[1])))
+        return evolve(circuits, backend, start)
 
     def counting_check(matrices, *args, **kwargs):
         checks.append(len(matrices))
         return check(matrices, *args, **kwargs)
 
-    monkeypatch.setattr(state_tomography, "execute_many", counting_stream)
+    monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
     monkeypatch.setattr(backend_module, "check_density_matrix", counting_check)
     run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
-    # 16 preparations x 9 settings, in one stream and one stacked check
-    assert streams == [144] and checks == [144]
+    # the 16 preparations in one stream, then the 9 settings in one stream
+    # over the stack of their 16 states, whose 144 final states are checked
+    # as one stack
+    assert streams == [(16, 1), (9, 16)] and checks == [144]
     streams.clear()
     checks.clear()
     run_qpt("h", (0,), qx4)
-    assert streams == [12] and checks == [12]
+    assert streams == [(4, 1), (3, 4)] and checks == [12]
 
 
 def test_run_qpt_argument_errors(qx4):

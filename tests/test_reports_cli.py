@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import qptkit.backend
+
 from qptkit import parse_report, run_qpt
 from qptkit.reports import (
     _grid,
@@ -335,6 +337,32 @@ def test_cli_rejects_bad_shots_at_parsing(tmp_path, capsys, command, shots):
     # one error line, before any placement runs
     assert err.count("error:") == 1 and f"error: argument --shots: {reason}" in err
     assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["qpt", "qst"])
+@pytest.mark.parametrize("shots", [str(2**63), "99999999999999999999"])
+def test_cli_rejects_shots_above_int64_at_parsing(tmp_path, capsys, monkeypatch, command, shots):
+    def evolve(*args):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(qptkit.backend, "_evolve", evolve)
+    circuit = tmp_path / "h.qasm"
+    circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
+    what = (["--all-gates", "--all-lines"] if command == "qpt"
+            else ["--circuit", str(circuit)])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *what, "--backend", "qx4", "--shots", shots, "--seed", "0",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    reason = f"must be at most {2**63 - 1}, got {shots}"
+    assert err.count("error:") == 1 and f"error: argument --shots: {reason}" in err
+    assert not out.exists()
+    # the largest count the sampler takes parses
+    args = build_parser().parse_args([command, *what, "--backend", "qx4",
+                                      "--shots", str(2**63 - 1)])
+    assert args.shots == 2**63 - 1
 
 
 @pytest.mark.parametrize("command, extra", [("qpt", []), ("qpt", ["--seeds", "3"]),

@@ -1,5 +1,6 @@
 """Measurement settings, Pauli estimation, density reconstruction."""
 
+import dataclasses
 import itertools
 import operator
 from functools import reduce
@@ -13,6 +14,7 @@ import qptkit.backend
 import qptkit.qasm
 import qptkit.state_tomography
 from qptkit import (
+    GATE_TABLE_ORDER,
     Circuit,
     Gate,
     Measure,
@@ -20,6 +22,7 @@ from qptkit import (
     collect_dataset,
     execute,
     execute_exact,
+    execute_many,
     parse_qasm,
     run_qst,
 )
@@ -91,7 +94,7 @@ def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
         raise AssertionError("built setting circuits for no preparation")
 
     monkeypatch.setattr(qptkit.state_tomography, "_setting_circuits", build)
-    monkeypatch.setattr(qptkit.state_tomography, "execute_many", build)
+    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", build)
     for qubits in (None, (0,)):
         with pytest.raises(ValueError, match="^no preparations to run$"):
             collect_weights([], qx4_quiet, qubits=qubits)
@@ -500,16 +503,70 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
     assert np.array_equal(weights[0], collect_dataset(prep, qx4_quiet, (4, 1)).weights)
 
 
+@pytest.mark.parametrize("mode", ["exact", "sampled", "idle", "flips"])
+def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
+    flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
+    backend = {"exact": qx4, "sampled": qx4, "idle": qx4.with_idle_decay(True),
+               "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
+    shots = None if mode in ("exact", "idle") else 8192
+    placements = [(g, (q,)) for g in GATE_TABLE_ORDER for q in range(5)]
+    placements += [("cx", pair) for pair in sorted(qx4.coupling.pairs)]
+    assert len(placements) == 51
+    for gate, lines in placements:
+        labels = map("".join, itertools.product("01pr", repeat=len(lines)))
+        preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
+        seeds = child_seeds(0, len(preps))
+        stacked = collect_weights(preps, backend, lines, shots, seeds)
+        # each preparation alone, a stack of one state
+        alone = [collect_dataset(p, backend, lines, shots, s).weights for p, s in zip(preps, seeds)]
+        assert np.array_equal(stacked, alone)
+        # the stream of every joined circuit, each setting with its own seed
+        circuits = [p.then(c) for p in preps for c in _setting_circuits(lines, 5)]
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
+        stream = [r.probabilities if shots is None else r.counts
+                  for r in execute_many(circuits, backend, shots, circuit_seeds)]
+        assert np.array_equal(stacked.reshape(len(circuits), -1), stream)
+
+
+def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
+    wide = "OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n"
+    preps = [parse_qasm(wide), parse_qasm(wide).extended(Gate("s", (4,))),
+             parse_qasm("OPENQASM 2.0;\nqreg q[5];\nx q[0];\n"),
+             parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[1];\n")]
+    stacks = []
+    evolve = qptkit.backend._evolve
+
+    def recording(circuits, backend, start=None):
+        if start is not None and circuits[0].measurements:  # settings over a stack
+            stacks.append((len(start[1]), start[0]))
+        return evolve(circuits, backend, start)
+
+    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
+    seeds = [11, 12, 13, 14]
+    for shots in (None, 300):
+        stacks.clear()
+        got = collect_weights(preps, qx4, (1, 0), shots, seeds)
+        # the two preparations on q4 q2 q1 q0 share a stack; q1 q0 of a
+        # 5-qubit and of a 3-qubit register are two more
+        assert stacks == [(2, (4, 2, 1, 0)), (1, (1, 0)), (1, (1, 0))]
+        circuits = [p.then(c) for p in preps for c in _setting_circuits((1, 0), p.qubit_count)]
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
+        want = [r.probabilities if shots is None else r.counts
+                for r in execute_many(circuits, qx4, shots, circuit_seeds)]
+        assert np.array_equal(got.reshape(len(circuits), -1), want)
+
+
 def _built_circuits(monkeypatch, preps, backend, qubits):
-    """The setting circuits ``collect_weights`` hands to the backend."""
+    """The circuits ``collect_weights`` hands to the backend: each preparation
+    joined to each of the settings it is handed with."""
     built = []
-    execute_many = qptkit.state_tomography.execute_many
+    execute = qptkit.state_tomography._execute_preparations
 
-    def recording(circuits, *args):
-        built.extend(circuits)
-        return execute_many(circuits, *args)
+    def recording(preps, settings, *args):
+        built.extend(p.then(s) for p, suffixes in zip(preps, settings) for s in suffixes)
+        return execute(preps, settings, *args)
 
-    monkeypatch.setattr(qptkit.state_tomography, "execute_many", recording)
+    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", recording)
     collect_weights(preps, backend, qubits)
     monkeypatch.undo()
     return built
@@ -556,14 +613,14 @@ def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
         assert np.array_equal(row, collect_dataset(prep, qx4_quiet, (1,)).weights)
     with pytest.raises(ValueError, match="2 seed"):
         collect_weights(preps, qx4_quiet, (1,), shots=10, seeds=[1, 2])
-    execute_many = qptkit.state_tomography.execute_many
+    execute = qptkit.state_tomography._execute_preparations
 
-    def corrupt_last(circuits, *args):
-        results = list(execute_many(circuits, *args))
+    def corrupt_last(*args):
+        results = list(execute(*args))
         results[-1] = ExecutionResult(probabilities=np.array([1.5, -0.5]))
         return iter(results)
 
-    monkeypatch.setattr(qptkit.state_tomography, "execute_many", corrupt_last)
+    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", corrupt_last)
     with pytest.raises(ValueError, match="negative weight for '1' under 'Y'"):
         collect_weights(preps, qx4_quiet, (1,))
 
