@@ -38,13 +38,17 @@ entry i is the outcome whose bitstring, classical bit m-1 first, is
 outcome and normalised to total 1.
 
 Sampled counts are ``Multinomial(shots, p')``, one ``Generator.multinomial``
-per circuit from its own ``np.random.default_rng(seed)``.  p' is the outcome
-weights with each measured classical bit's readout flip f folded in, in
-increasing classical-bit order: p' = (1-f) p' + f p'[i ^ (1 << bit)].  Flips
-are independent per shot and per bit, so this is exact in distribution.
-Identical (circuit, backend, shots, seed) reproduce identical counts under
-one numpy version; numpy does not promise its binomial draws stay the same
-across versions.  ``seed=None`` draws fresh entropy.
+per circuit from its own generator: PCG64 on the words of
+``np.random.SeedSequence(seed)``, bitwise the generator
+``np.random.default_rng(seed)`` builds.  numpy mixes each seed into its
+pool; ``_seed_words`` runs the output hash of ``generate_state`` once over
+all the pools of a readout.  p' is the outcome weights with each measured
+classical bit's readout flip f folded in, in increasing classical-bit
+order: p' = (1-f) p' + f p'[i ^ (1 << bit)].  Flips are independent per
+shot and per bit, so this is exact in distribution.  Identical (circuit,
+backend, shots, seed) reproduce identical counts under one numpy version;
+numpy does not promise its binomial draws stay the same across versions.
+``seed=None`` draws fresh entropy.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -78,6 +82,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import NoiseParams, decoherence_channel
 from .operators import GATE_ARITY, check_density_matrix, num_qubits, standard_gate
@@ -509,6 +514,49 @@ def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
     return probs
 
 
+# the output hash of numpy's SeedSequence.generate_state (numpy/random/bit_generator.pyx)
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _seed_words(seeds: Sequence[int | None], count: int) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(count, np.uint64)`` for
+    each seed s (fresh entropy when None), as the rows of one
+    ``(len(seeds), count)`` uint64 array.
+
+    numpy mixes each seed into its pool; the output hash then runs once over
+    every pool, 2 * count 32-bit words per row, read as numpy reads them:
+    little-endian pairs, low word first.
+    """
+    for seed in seeds:
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+    pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds],
+                     dtype=np.uint32).reshape(len(seeds), -1)
+    words = 2 * count
+    # the hash constant before and after word i: INIT_B * MULT_B^i, mod 2^32
+    consts = np.full(words + 1, _MULT_B, dtype=np.uint32)
+    consts[0] = _INIT_B
+    consts = np.cumprod(consts, dtype=np.uint32)
+    state = pools[:, np.arange(words) % pools.shape[1]] ^ consts[:-1]
+    state *= consts[1:]
+    state ^= state >> 16
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Seeds a bit generator with words ``_seed_words`` computed: PCG64 asks
+    for 4 uint64 words, and that is the only request it answers."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words, "
+                             f"asked for {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
 def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: BackendModel,
             shots: int, seeds: Sequence[int | None]) -> np.ndarray:
     """Read-only ``(rows, 2**count)`` counts, row r drawn from weight row r
@@ -517,8 +565,8 @@ def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: Backend
     for meas in sorted(measures, key=lambda mm: mm.clbit):
         if (flip := backend.qubits[meas.qubit].readout_flip_prob) > 0.0:
             weights = (1.0 - flip) * weights + flip * weights[:, index ^ (1 << meas.clbit)]
-    counts = np.array([np.random.default_rng(seed).multinomial(shots, row)
-                       for row, seed in zip(weights, seeds)], dtype=np.intp)
+    counts = np.array([np.random.Generator(np.random.PCG64(_Words(words))).multinomial(shots, row)
+                       for row, words in zip(weights, _seed_words(seeds, 4))], dtype=np.intp)
     counts.setflags(write=False)
     return counts
 

@@ -258,9 +258,13 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
 def theoretical_chi(gate) -> ChiMatrix:
     """Rank-one chi of an ideal unitary (gate name or explicit matrix).
 
-    U = sum_m c_m E_m with c_m = Tr(E_m^dagger U) / d by orthogonality.
+    U = sum_m c_m E_m with c_m = Tr(E_m^dagger U) / d by orthogonality.  A
+    gate name's chi is computed once per process and shared; ``ChiMatrix``
+    is frozen and its matrix read-only.
     """
-    u = standard_gate(gate) if isinstance(gate, str) else np.asarray(gate, dtype=complex)
+    if isinstance(gate, str):
+        return _named_chi(gate)
+    u = np.asarray(gate, dtype=complex)
     n = u.shape[0].bit_length() - 1
     ops = _OPERATORS.get(n)
     if ops is None or u.shape != ops.shape[1:]:
@@ -268,6 +272,11 @@ def theoretical_chi(gate) -> ChiMatrix:
     coeffs = np.array([np.trace(dagger(em) @ u) for em in ops]) / u.shape[0]
     chi = np.outer(coeffs, coeffs.conj())
     return ChiMatrix(n, (chi + chi.conj().T) / 2.0, 0.0)
+
+
+@lru_cache(maxsize=None)
+def _named_chi(name: str) -> ChiMatrix:
+    return theoretical_chi(standard_gate(name))
 
 
 def tp_deviation(chi: ChiMatrix) -> float:
@@ -420,9 +429,9 @@ def run_qpt(
 
     ``lines`` lists the tomographed qubits most significant first; for cx
     that is (control, target) and the pair must sit on the backend's
-    coupling map.  ``shots=None`` runs on exact outcome probabilities,
-    otherwise every tomography circuit is sampled with ``shots`` shots using
-    per-circuit seeds derived from ``seed``.
+    coupling map.  ``shots=None`` runs on exact outcome probabilities and
+    derives no seeds; otherwise every tomography circuit is sampled with
+    ``shots`` shots using per-circuit seeds derived from ``seed``.
     """
     lines = tuple(int(x) for x in lines)
     arity = GATE_ARITY.get(gate)
@@ -443,7 +452,8 @@ def run_qpt(
 
     labels = _PREP_LABELS[arity]
     preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
-    weights = collect_weights(preps, backend, lines, shots, child_seeds(seed, len(labels)))
+    seeds = None if shots is None else child_seeds(seed, len(labels))
+    weights = collect_weights(preps, backend, lines, shots, seeds)
     executions = weights.shape[0] * weights.shape[1]
 
     chi = _chi_from_preparations(reconstruct_states(weights), arity)

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import BackendModel, _execute_preparations
+from .backend import BackendModel, _execute_preparations, _seed_words
 from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
 
 __all__ = [
@@ -405,11 +405,10 @@ def read_dataset(text: str) -> TomographyDataset:
 
 
 def child_seeds(seed: int | None, count: int) -> list[int]:
-    """Per-circuit seeds derived from one master seed (fresh OS entropy when None)."""
-    if seed is not None and seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
-    return [int(s) for s in state]
+    """Per-circuit seeds derived from one master seed (fresh OS entropy when
+    None): ``np.random.SeedSequence(seed).generate_state(count, np.uint64)``
+    as ints, computed by ``backend._seed_words``."""
+    return _seed_words([seed], count)[0].tolist()
 
 
 def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
@@ -424,7 +423,8 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     qubits most significant first and defaults to the whole register.  A
     sampled preparation takes its entry of ``seeds`` (fresh entropy when it
     or ``seeds`` is None) and its settings the seeds
-    ``child_seeds(seed, 3**n)``.  The setting circuits are built and checked
+    ``child_seeds(seed, 3**n)``, derived for every preparation in one
+    ``backend._seed_words`` call.  The setting circuits are built and checked
     once per (qubits, register size).  Each preparation is evolved once,
     alone, and the settings run once over the stack of the preparations'
     states (see ``backend``); every row is bitwise what ``execute_many``
@@ -445,7 +445,7 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, settings)]
+        circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
     stack = np.empty((len(preps) * settings, 1 << len(qubits)),
                      dtype=float if shots is None else np.intp)
     results = _execute_preparations(preps, suffixes, backend, shots, circuit_seeds)

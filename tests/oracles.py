@@ -52,7 +52,6 @@ from qptkit.state_tomography import (
     _PAULI_POWER,
     _PAULI_XBIT,
     _POWERS_OF_I,
-    child_seeds,
     collect_dataset,
     qst_settings,
     reconstruct_states,
@@ -371,11 +370,12 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
     """(chi, fidelity, tp_deviation) of ``run_qpt`` as one state tomography
     per preparation label: a ``collect_dataset`` stream and its own
     reconstruction for each label in sorted order, with the label seeds
-    ``child_seeds(seed, len(labels))``."""
+    numpy's ``SeedSequence(seed).generate_state(len(labels), np.uint64)``."""
     n = len(lines)
     labels = _labels(n)
+    label_seeds = np.random.SeedSequence(seed).generate_state(len(labels), np.uint64).tolist()
     out_by_label = {}
-    for label, label_seed in zip(labels, child_seeds(seed, len(labels))):
+    for label, label_seed in zip(labels, label_seeds):
         prep = preparation_circuit(label, lines).extended(Gate(gate, lines))
         dataset = collect_dataset(prep, backend, qubits=lines, shots=shots, seed=label_seed)
         out_by_label[label] = reconstruct_states(dataset.weights[None])[0]

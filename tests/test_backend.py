@@ -611,12 +611,41 @@ def test_sample_matches_per_circuit_oracle():
         # the oracle's fold is the Kronecker product of the flip matrices
         assert np.allclose(flipped(probabilities, circuit, backend),
                            flip_matrix(circuit, backend) @ probabilities, rtol=0.0, atol=1e-15)
+        # seeds of 2^64 and above take more than two words of numpy's pool
+        seed = trial if trial % 2 else (trial + 1) << 64
         for shots in (int(rng.integers(1, 3000)), 1):
             got = backend_module._sample(probabilities[None], circuit.measurements, backend,
-                                         shots, [trial])[0]
-            want = sample(probabilities, circuit, backend, shots, trial)
+                                         shots, [seed])[0]
+            want = sample(probabilities, circuit, backend, shots, seed)
             assert got.dtype == want.dtype and not got.flags.writeable
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [1, 3, 4, 9, 16, 243])
+def test_seed_words_match_numpy(count):
+    rng = np.random.default_rng(count)
+    seeds = [*rng.integers(0, 1 << 64, 2000, dtype=np.uint64).tolist(),
+             0, 1, (1 << 32) - 1, 1 << 32, (1 << 64) - 1, 1 << 64, 1 << 100]
+    got = backend_module._seed_words(seeds, count)
+    want = np.array([np.random.SeedSequence(s).generate_state(count, np.uint64) for s in seeds])
+    assert got.dtype == np.uint64 and got.shape == (len(seeds), count)
+    assert np.array_equal(got, want)
+
+
+def test_seed_words_fresh_entropy_and_errors():
+    rows = backend_module._seed_words([None, None, 7, None], 4)
+    assert len({row.tobytes() for row in rows}) == 4
+    assert np.array_equal(rows[2], np.random.SeedSequence(7).generate_state(4, np.uint64))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        backend_module._seed_words([1, -3], 4)
+    # PCG64 asks for exactly the four uint64 words it is handed, nothing else
+    words = backend_module._Words(rows[2])
+    assert np.array_equal(words.generate_state(4, np.uint64), rows[2])
+    for n_words, dtype in [(3, np.uint64), (5, np.uint64), (4, np.uint32), (8, np.uint32)]:
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            words.generate_state(n_words, dtype)
+    rng = np.random.Generator(np.random.PCG64(words))
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
 
 @pytest.mark.parametrize("flips", ["zero", "some"])

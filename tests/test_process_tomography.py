@@ -20,6 +20,7 @@ from qptkit import (
 from qptkit import backend as backend_module
 from qptkit import channels
 from qptkit.channels import amplitude_damping, apply_channel
+from qptkit.operators import standard_gate
 from qptkit.process_tomography import (
     _CHOI_MAPS,
     _OPERATORS,
@@ -617,6 +618,24 @@ def test_run_qpt_exact_cx(qx4_quiet):
     assert res.executions == 144
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
     assert res.tp_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("gate, lines", [("h", (2,)), ("cx", (3, 2))])
+def test_run_qpt_exact_derives_no_seeds(qx4, gate, lines, monkeypatch):
+    # an exact run reads no counts, so it must not read OS entropy for seeds
+    def no_seeds(*args, **kwargs):
+        raise AssertionError("SeedSequence built in an exact run")
+
+    want = run_qpt(gate, lines, qx4)
+    monkeypatch.setattr(np.random, "SeedSequence", no_seeds)
+    got = run_qpt(gate, lines, qx4)
+    assert np.array_equal(got.chi.matrix, want.chi.matrix)
+
+
+def test_theoretical_chi_is_shared_per_gate_name():
+    assert theoretical_chi("cx") is theoretical_chi("cx")
+    assert not theoretical_chi("cx").matrix.flags.writeable
+    assert np.array_equal(theoretical_chi(standard_gate("h")).matrix, theoretical_chi("h").matrix)
 
 
 def test_run_qpt_noisy_hadamard(qx4):
