@@ -21,7 +21,12 @@ dephasing, so leaving it out is exact whether idle_decay is on or off.  One
 evolution loop runs circuits over a stack of B states: each instruction is
 one fused superoperator (gate then decay) applied to the stack by one
 ``np.matmul``, then every state's trace is checked.  A circuit resumes from
-the states after the prefix it shares with the circuit before it.
+the states after the prefix it shares with the circuit before it.  Before
+anything evolves, what each circuit adds to that prefix is checked once: a
+cx off the coupling map raises ``TopologyError``, and a qubit outside the
+start stack's a ``ValueError``.  An instruction's superoperators are looked
+up once per active register and reused by every circuit that shares the
+instruction object; a measure that applies nothing costs that lookup.
 ``execute_many`` starts each circuit from |0...0> (B = 1); tomography
 (``_execute_preparations``) evolves each preparation alone, then runs the
 shared settings once over the stack of their states, and a stack's results
@@ -355,13 +360,39 @@ def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...])
     ``Circuit.then`` shares both circuits' instruction objects, so an
     identical object is equal without comparing fields.
     """
-    return next((i for i, (x, y) in enumerate(zip(a, b)) if x is not y and x != y),
-                min(len(a), len(b)))
+    n = min(len(a), len(b))
+    for i in range(n):
+        if a[i] is not b[i] and a[i] != b[i]:
+            return i
+    return n
 
 
 def _ground(k: int) -> np.ndarray:
     """|0...0><0...0| on k qubits as a stack of one, shaped (1, 2, ..., 2)."""
     return np.eye(1, 1 << (2 * k), dtype=complex).reshape(1, *(2,) * (2 * k))
+
+
+def _maps(inst: Gate | Measure, backend: BackendModel,
+          axis: Mapping[int, int]) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """The (superoperator, target axes) pairs one instruction applies, in
+    order, on the active qubits ``axis`` maps to their axes: the gate and its
+    decay, or a measure's decay; then, with idle decay, each other active
+    qubit's decay for the gate's duration.  A measure that does not decay
+    applies none."""
+    if isinstance(inst, Gate):
+        gate, targets = inst.name, inst.targets
+        duration = backend.gate_durations_ns[gate]
+    else:
+        gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
+    decay = backend.noise_enabled and duration != 0
+    if gate is None and not decay:
+        return ()
+    params = tuple(backend.qubits[q] for q in targets) if decay else ()
+    maps = [(_superoperator(gate, params, duration), tuple([axis[q] for q in targets]))]
+    if decay and gate is not None and backend.idle_decay:
+        maps += [(_superoperator(None, (backend.qubits[q],), duration), (a,))
+                 for q, a in axis.items() if q not in targets]
+    return tuple(maps)
 
 
 # bound on the bytes of evolved states held for one stacked density check
@@ -388,36 +419,45 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
     """Yield the circuits chunk by chunk, each chunk with the stack of its
     circuits' final active-register states, circuit-major, and the active
-    qubits.  Each circuit starts from ``start``, active qubits that hold every
-    qubit the circuits touch and a ``(B, 2, ..., 2)`` stack of B states on
-    them, or else from |0...0> (B = 1) on the qubits it touches.  A chunk
-    holds at most ``_CHECK_BYTES`` of states, or one circuit's; a yielded
-    stack must not be written to.
+    qubits.  Each circuit starts from ``start``, active qubits and a ``(B, 2,
+    ..., 2)`` stack of B states on them, or else from |0...0> (B = 1) on the
+    qubits it touches.  A chunk holds at most ``_CHECK_BYTES`` of states, or
+    one circuit's; a yielded stack must not be written to.
 
-    ``saved`` holds checkpoints (instructions applied, states, qubits those
-    instructions touch), deepest last, on the prefix of the circuit evolved
-    last: each circuit resumes from the deepest one that is a prefix of its
-    own, and only its instructions from there on are checked and evolved.
+    Before anything evolves, what each circuit adds to the prefix it shares
+    with the circuit before it is checked: a cx off the coupling map raises
+    ``TopologyError``, and a qubit outside ``start``'s a ``ValueError``
+    naming the circuit.  ``saved`` holds checkpoints (instructions applied,
+    states), deepest last, on the prefix of the circuit evolved last: each
+    circuit resumes from the deepest one that is a prefix of its own.
+    ``steps`` holds each instruction's ``_maps`` on the active register.
     """
-    active, rho = start or (None, None)
-    saved = [(0, rho, frozenset(active or ()))]
-    branch = 0
-    pending: list[Circuit] = []
+    instructions = [circuit.instructions for circuit in circuits]
+    # shared[i]: the leading instructions circuits i and i + 1 have in common
+    shared = [*map(_shared_prefix, instructions, instructions[1:]), 0]
+    fresh = 0
     for i, circuit in enumerate(circuits):
-        instructions = circuit.instructions
-        while saved[-1][0] > branch:
+        _check_topology(circuit, backend, fresh)
+        if start is not None:
+            outside = _qubits(instructions[i][fresh:]).difference(start[0])
+            if outside:
+                raise ValueError(f"circuit {i} acts on qubit {max(outside)}, outside the "
+                                 f"start's qubits {start[0]}")
+        fresh = shared[i]
+    active, rho = start or (None, None)
+    saved, steps, pending = [(0, rho)], {}, []
+    for i, circuit in enumerate(circuits):
+        while saved[-1][0] > (shared[i - 1] if i else 0):
             saved.pop()
-        depth, rho, seen = saved[-1]
-        _check_topology(circuit, backend, depth)
-        touched = tuple(sorted(seen.union(_qubits(instructions[depth:])), reverse=True))
-        if touched != active:
-            if pending:
-                yield pending, states[:size * len(pending)], active
-                pending = []
-            active = touched
-            rho = _ground(len(active))
-            saved = [(0, rho, frozenset())]
-            depth, seen = 0, frozenset()
+        depth, rho = saved[-1]
+        if start is None:
+            touched = tuple(sorted(_qubits(instructions[i]), reverse=True))
+            if touched != active:
+                if pending:
+                    yield pending, states[:size * len(pending)], active
+                    pending = []
+                active, depth, rho = touched, 0, _ground(len(touched))
+                saved, steps = [(0, rho)], {}
         if not pending:
             k = len(active)
             axis = {q: a for a, q in enumerate(active)}
@@ -425,25 +465,16 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
             size = len(rho)
             chunk = max(1, _CHECK_BYTES // (size * 16 << (2 * k)))
             states = np.empty((chunk * size, 1 << k, 1 << k), dtype=complex)
-        following = circuits[i + 1].instructions if i + 1 < len(circuits) else ()
-        branch = _shared_prefix(instructions, following)
-        for pos in range(depth, len(instructions)):
-            inst = instructions[pos]
-            if isinstance(inst, Gate):
-                gate, targets = inst.name, inst.targets
-                duration = backend.gate_durations_ns[gate]
-            else:
-                gate, targets, duration = None, (inst.qubit,), backend.measure_duration_ns
-            decay = backend.noise_enabled and duration != 0
-            if gate is not None or decay:
-                params = tuple(backend.qubits[q] for q in targets) if decay else ()
-                sup = _superoperator(gate, params, duration)
-                rho = _apply(sup, rho, tuple([axis[q] for q in targets]), k)
-                if decay and gate is not None and backend.idle_decay:
-                    for q in active:
-                        if q not in targets:
-                            sup = _superoperator(None, (backend.qubits[q],), duration)
-                            rho = _apply(sup, rho, (axis[q],), k)
+        branch = shared[i]
+        for pos in range(depth, len(instructions[i])):
+            # keyed by identity: the circuits hold every instruction while this runs
+            inst = instructions[i][pos]
+            maps = steps.get(id(inst))
+            if maps is None:
+                maps = steps[id(inst)] = _maps(inst, backend, axis)
+            if maps:
+                for sup, axes in maps:
+                    rho = _apply(sup, rho, axes, k)
                 # each state's trace read off the strided view, without copying it
                 traces = np.einsum(rho, traced, [0]).real.tolist()
                 if max(traces) - 1.0 > 1e-9 or 1.0 - min(traces) > 1e-9:
@@ -451,7 +482,7 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
                     raise ValueError(f"instruction {pos}: state trace drifted to "
                                      f"{drifted!r} during evolution")
             if pos + 1 == branch:
-                saved.append((branch, rho, seen.union(_qubits(instructions[depth:branch]))))
+                saved.append((branch, rho))
         states[size * len(pending):size * (len(pending) + 1)].reshape(rho.shape)[...] = rho
         pending.append(circuit)
         if len(pending) == chunk:
@@ -640,7 +671,8 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
     weights ``execute_exact`` returns (None for a circuit that measures
     nothing); otherwise it is what ``execute`` returns with the matching
     entry of ``seeds``.  Shots outside 1..``MAX_SHOTS``, or not one seed per
-    circuit, raise ``ValueError`` before anything is evolved.  The circuits
+    circuit, raise ``ValueError``, and a cx off the coupling map in any
+    circuit ``TopologyError``, before anything is evolved.  The circuits
     run through the evolution loop with B = 1, and each run of consecutive
     circuits on the same active qubits with the same measures and creg size
     is read out as one stack: its results are yielded once its last circuit
@@ -658,7 +690,8 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
                           ) -> Iterator[ExecutionResult]:
     """Yield what ``execute_many`` yields for ``prep.then(setting)``, for each
     setting of ``settings[p]`` of each preparation p in turn, with the same
-    seeds, bit for bit; the settings of one preparation act on the same qubits.
+    seeds, bit for bit; the settings of one preparation act on the same qubits
+    (one that acts on a qubit its first setting leaves alone raises).
 
     Each preparation is evolved once, alone, on the qubits it and its
     settings touch.  Consecutive preparations on the same qubits with the

@@ -1020,6 +1020,49 @@ def test_topology_and_qubits_scanned_from_the_resumed_checkpoint(qx4_quiet, monk
             _assert_same_result(result, execute_exact(circuit, qx4_quiet))
 
 
+def _no_evolution(monkeypatch):
+    def apply(*args):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(backend_module, "_apply", apply)
+
+
+def test_off_map_cx_of_a_later_circuit_raises_before_anything_evolves(qx4_quiet, monkeypatch):
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    circuits = [append_setting(prep, tag, (4, 1)) for tag in qst_settings(2)]
+    off_map = prep.extended(Gate("cx", (0, 1)), Measure(0, 0), classical_count=1)
+    _no_evolution(monkeypatch)
+    with pytest.raises(TopologyError, match=r"^instruction 8: cx 0>1 not in the ibmqx4-sim "
+                                            r"coupling map \(1>0,2>0,2>1,2>4,3>2,3>4\)$"):
+        next(execute_many([*circuits, off_map], qx4_quiet))
+
+
+def test_start_must_hold_every_qubit_a_circuit_touches(qx4_quiet, monkeypatch):
+    # |1><1| on q1; the circuit also flips q0, so outcome 11 is certain
+    one = np.array([[[0, 0], [0, 1]]], dtype=complex)
+    circuit = Circuit(2, 2, (Gate("x", (0,)), Measure(0, 0), Measure(1, 1)))
+    ((_, states, active),) = backend_module._evolve([circuit], qx4_quiet,
+                                                    ((1, 0), np.kron(one[0], np.diag([1, 0]))
+                                                     .reshape(1, 2, 2, 2, 2)))
+    assert active == (1, 0) and outcome_dict(
+        backend_module._distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
+                                      circuit.measurements, 2)[0]) == {"11": 1.0}
+    # a start on q1 alone does not hold q0: the circuit is named before anything evolves
+    _no_evolution(monkeypatch)
+    with pytest.raises(ValueError, match=r"^circuit 0 acts on qubit 0, outside the start's "
+                                         r"qubits \(1,\)$"):
+        next(backend_module._evolve([circuit], qx4_quiet, ((1,), one)))
+    # a stack's qubits come from its first setting: a later one that reads
+    # another qubit is named the same way
+    monkeypatch.undo()
+    prep = Circuit(2, 0, (Gate("x", (1,)),))
+    settings = [Circuit(2, 1, (Measure(1, 0),)),
+                Circuit(2, 2, (Gate("h", (0,)), Measure(0, 0), Measure(1, 1)))]
+    with pytest.raises(ValueError, match=r"^circuit 1 acts on qubit 0, outside the start's "
+                                         r"qubits \(1,\)$"):
+        list(backend_module._execute_preparations([prep], [settings], qx4_quiet))
+
+
 def test_shared_prefix_skips_identical_instructions(monkeypatch):
     prep = parse_qasm(FIVE_QUBIT_PREP)
     a, b = append_setting(prep, "ZXYZX"), append_setting(prep, "ZXYZY")

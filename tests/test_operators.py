@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
 from oracles import density_violation, embed_gate, pauli_string_matrix
+from qptkit.backend import _CHECK_BYTES
 from qptkit.operators import (
     GATES,
+    _certified,
     check_density_matrix,
     dagger,
     kron,
@@ -187,12 +189,16 @@ def test_check_density_matrix_rejections():
 
 
 ATOL = 1e-9
-MATRIX_KINDS = ("mixed", "just_inside", "just_outside", "nan", "non_hermitian", "trace_off")
+MATRIX_KINDS = ("mixed", "just_inside", "just_outside", "nan", "non_hermitian", "trace_off",
+                "herm_inside", "herm_outside", "inf_one_sided", "inf_paired", "nan_diagonal")
 
 
 def _matrix_of_kind(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
     """A d x d test matrix; the edge kinds put the smallest eigenvalue at
-    -atol * (1 -+ 1e-2), just inside and just outside the PSD tolerance."""
+    -atol * (1 -+ 1e-2), just inside and just outside the PSD tolerance, or
+    add to one entry a Hermiticity deviation with equal real and imaginary
+    parts and modulus atol * (1 -+ 1e-2), inside the tolerance but outside the
+    certificate's atol/2 per part, and just outside the tolerance."""
     if kind in ("just_inside", "just_outside"):
         lowest = -ATOL * (1 - 1e-2 if kind == "just_inside" else 1 + 1e-2)
         vals = rng.uniform(0.1, 1.0, d)
@@ -204,6 +210,16 @@ def _matrix_of_kind(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
     rho = random_density(rng, d)
     if kind == "nan":
         rho[rng.integers(d), rng.integers(d)] = np.nan
+    elif kind == "nan_diagonal":
+        i = rng.integers(d)
+        rho[i, i] = np.nan
+    elif kind == "inf_one_sided":
+        rho[0, d - 1] = np.inf
+    elif kind == "inf_paired":
+        rho[0, d - 1] = rho[d - 1, 0] = np.inf
+    elif kind in ("herm_inside", "herm_outside"):
+        modulus = ATOL * (1 - 1e-2 if kind == "herm_inside" else 1 + 1e-2)
+        rho[0, d - 1] += modulus / np.sqrt(2.0) * (1 + 1j)
     elif kind == "non_hermitian":
         rho[0, d - 1] += 1e-6
     elif kind == "trace_off":
@@ -211,22 +227,39 @@ def _matrix_of_kind(rng: np.random.Generator, d: int, kind: str) -> np.ndarray:
     return rho
 
 
-@given(st.sampled_from([2, 4, 32]), st.lists(st.sampled_from(MATRIX_KINDS), min_size=1,
-                                             max_size=5),
-       st.booleans(), st.integers(0, 2**32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_stacked_check_matches_eigvalsh_oracle(d, kinds, single, seed):
+@given(st.sampled_from([2, 4, 32]), st.lists(st.sampled_from(MATRIX_KINDS), max_size=5),
+       st.sampled_from(["single", "stack", "long"]), st.integers(0, 2**32 - 1))
+@example(32, [], "stack", 0)
+@example(32, [], "long", 0)
+@example(4, ["herm_inside", "herm_outside"], "stack", 1)
+@example(32, ["herm_inside"], "single", 2)
+@example(2, ["mixed", "inf_one_sided"], "stack", 3)
+@example(32, ["inf_paired", "nan"], "long", 4)
+@example(4, ["just_inside", "nan_diagonal"], "long", 5)
+@example(2, ["herm_outside", "just_outside"], "long", 6)
+@settings(max_examples=120, deadline=None)
+def test_stacked_check_matches_eigvalsh_oracle(d, kinds, layout, seed):
     rng = np.random.default_rng(seed)
-    mats = [_matrix_of_kind(rng, d, kind) for kind in (kinds[:1] if single else kinds)]
+    mats = [_matrix_of_kind(rng, d, kind) for kind in (kinds[:1] or ["mixed"]
+                                                       if layout == "single" else kinds)]
+    if layout == "long":
+        # the drawn kinds among valid states, more than one chunk of a stacked check
+        filler = random_density(rng, d)
+        drawn, mats = mats, [filler] * (_CHECK_BYTES // (16 * d * d) + 1)
+        for m in drawn:
+            mats.insert(int(rng.integers(len(mats) + 1)), m)
     want = next(((i, msg) for i, msg in enumerate(map(density_violation, mats)) if msg), None)
-    rho = mats[0] if single else np.array(mats)
+    rho = mats[0] if layout == "single" else np.array(mats, dtype=complex).reshape(-1, d, d)
+    # the certificate passes only stacks the oracle accepts
+    if _certified(rho.reshape(-1, d, d), ATOL):
+        assert want is None
     if want is None:
         check_density_matrix(rho, atol=ATOL)
         return
     index, message = want
     with pytest.raises(ValueError) as info:
         check_density_matrix(rho, atol=ATOL)
-    assert str(info.value) == (message if single else f"matrix {index}: {message}")
+    assert str(info.value) == (message if layout == "single" else f"matrix {index}: {message}")
 
 
 @pytest.mark.parametrize("d", [2, 4, 32])

@@ -466,6 +466,43 @@ def test_collect_dataset_matches_per_setting_loop(qx4, mode):
             assert stream.dtype == want.dtype and np.array_equal(stream[0], want)
 
 
+# the 5-qubit circuit of CI's determinism step
+CI_FIVE_QUBITS = ("OPENQASM 2.0;\nqreg q[5];\nh q[0];\ncx q[1],q[0];\nt q[2];\nh q[3];\n"
+                  "cx q[3],q[4];\ns q[1];\nx q[4];\ncx q[2],q[1];\n")
+
+
+@pytest.mark.parametrize("mode", ["noise_off", "noise_on", "idle", "sampled"])
+def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
+    backend = {"noise_off": qx4.with_noise(False), "idle": qx4.with_idle_decay(True)}.get(mode, qx4)
+    shots = 8192 if mode == "sampled" else None
+    prep = parse_qasm(CI_FIVE_QUBITS)
+    got = collect_weights([prep], backend, shots=shots, seeds=[3])[0]
+    settings = _setting_circuits((4, 3, 2, 1, 0), 5)
+    seeds = child_seeds(3, len(settings))
+    for row, setting, seed in zip(got, settings, seeds, strict=True):
+        # each setting alone through execute_many: no stack, no shared prefix
+        (alone,) = execute_many([prep.then(setting)], backend, shots,
+                                None if shots is None else [seed])
+        assert np.array_equal(row, alone.probabilities if shots is None else alone.counts)
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_valid_setting_stacks_pay_one_cholesky_and_no_eigvalsh(qx4, noise, monkeypatch):
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        def counting(a, *args, original=getattr(np.linalg, name), name=name, **kwargs):
+            calls.append((name, len(a)))
+            return original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    weights = collect_weights([parse_qasm(CI_FIVE_QUBITS)], qx4.with_noise(noise))
+    monkeypatch.undo()
+    # the certificate's factorisation, once per checked stack of the 243
+    # final states, and never the full scan's eigenvalues
+    assert weights.shape == (1, 243, 32)
+    assert {name for name, _ in calls} == {"cholesky"}
+    assert sum(rows for _, rows in calls) == 243 and len(calls) == 61
+
+
 def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     applied = []
     original = qptkit.backend._apply
