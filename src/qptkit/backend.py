@@ -27,15 +27,19 @@ cx off the coupling map raises ``TopologyError``, and a qubit outside the
 start stack's a ``ValueError``.  An instruction's superoperators are looked
 up once per active register and reused by every circuit that shares the
 instruction object; a measure that applies nothing costs that lookup.
-``execute_many`` starts each circuit from |0...0> (B = 1); tomography
-(``_execute_preparations``) evolves each preparation alone, then runs the
-shared settings once over the stack of their states, and a stack's results
-come once its last setting is evolved.  Final states are checked as density
-matrices in stacks (``check_density_matrix``) before they are read out, and
-runs of them on the same active qubits with the same measures are read out
-as one stack.  Every result is bitwise the one the circuit would give run on
-its own.  Only ``execute_exact`` returns ``final_state``, the density matrix
-of the whole register; every other result carries outcome weights or counts.
+``execute_many`` starts each circuit from |0...0> (B = 1).  Final states
+are checked as density matrices in stacks (``check_density_matrix``) before
+they are read out, and each run of them on the same active qubits with the
+same measures is read out as one block, a ``(rows, 2^m)`` array of outcome
+weights or counts (``_blocks``).  ``execute_many`` yields a block's rows as
+results.  Tomography (``_execute_preparations``) evolves each preparation
+alone, runs the shared settings once over the stack of their states, writes
+each block into one ``(preparations, settings, 2^m)`` array, and hands that
+back with the stacks of evolved preparation states.  Every row is bitwise
+what the circuit would give run on its own.  Only ``execute_exact`` returns
+``final_state``, the density matrix of the whole register; a preparation
+evolved on exactly the qubits it touches gives the same state bit for bit
+(``_exact_state``), and on more qubits it may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -79,7 +83,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
@@ -399,7 +403,7 @@ def _maps(inst: Gate | Measure, backend: BackendModel,
 _CHECK_BYTES = 1 << 16
 
 
-def _checked(chunks: Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
+def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
              ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
     """Pass ``_evolve``'s chunks on, each once its states pass
     ``check_density_matrix`` as one stack; a failure names the chunk's
@@ -640,25 +644,23 @@ def _check_shots(shots: int | None) -> None:
         raise ValueError(f"shots must be {bound}, got {shots}")
 
 
-def _results(circuits: Sequence[Circuit], backend: BackendModel, shots: int | None,
-             seeds: Sequence[int | None] | None,
-             start: tuple[tuple[int, ...], np.ndarray] | None = None
-             ) -> Iterator[ExecutionResult]:
-    """One result per final state of ``_evolve(circuits, backend, start)``,
-    in its order, as ``execute_many`` describes; state r samples with
-    ``seeds[r]``."""
+def _blocks(circuits: Sequence[Circuit], backend: BackendModel, shots: int | None,
+            seeds: Sequence[int | None] | None,
+            start: tuple[tuple[int, ...], np.ndarray] | None = None
+            ) -> Iterator[tuple[int, np.ndarray | None]]:
+    """Each run of ``_runs(circuits, backend, start)`` read out, in order: its
+    row count and its read-only ``(rows, 2**m)`` exact weights, or counts with
+    row r drawn with ``seeds[r]``; the weights are None for a run that
+    measures nothing, which sampling rejects."""
     done = 0
     for diagonals, active, measures, count in _runs(circuits, backend, start):
         rows = len(diagonals)
-        weights = _distributions(diagonals, active, measures, count)
-        if shots is None:
-            yield from (ExecutionResult(probabilities=row)
-                        for row in ([None] * rows if weights is None else weights))
-        elif weights is None:
-            raise ValueError("circuit has no measurements to sample")
-        else:
-            counts = _sample(weights, measures, backend, shots, seeds[done:done + rows])
-            yield from (ExecutionResult(counts=row, shots=shots) for row in counts)
+        block = _distributions(diagonals, active, measures, count)
+        if shots is not None:
+            if block is None:
+                raise ValueError("circuit has no measurements to sample")
+            block = _sample(block, measures, backend, shots, seeds[done:done + rows])
+        yield rows, block
         done += rows
 
 
@@ -681,38 +683,74 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
     _check_shots(shots)
     if shots is not None and (seeds is None or len(seeds) != len(circuits)):
         raise ValueError("sampling needs one seed per circuit")
-    yield from _results(circuits, backend, shots, seeds)
+    for rows, block in _blocks(circuits, backend, shots, seeds):
+        if block is None:
+            yield from (ExecutionResult() for _ in range(rows))
+        elif shots is None:
+            yield from (ExecutionResult(probabilities=row) for row in block)
+        else:
+            yield from (ExecutionResult(counts=row, shots=shots) for row in block)
 
 
 def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
                           backend: BackendModel, shots: int | None = None,
                           seeds: Sequence[int | None] | None = None
-                          ) -> Iterator[ExecutionResult]:
-    """Yield what ``execute_many`` yields for ``prep.then(setting)``, for each
+                          ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
+    """What ``execute_many`` gives for ``prep.then(setting)``, for each
     setting of ``settings[p]`` of each preparation p in turn, with the same
-    seeds, bit for bit; the settings of one preparation act on the same qubits
-    (one that acts on a qubit its first setting leaves alone raises).
+    seeds, bit for bit, as one ``(len(preps), S, 2**m)`` array: exact weights
+    (float) when ``shots`` is None, else counts (int).  Every preparation
+    takes S settings, each measuring into m classical bits, and the settings
+    of one preparation act on the same qubits (one that acts on a qubit its
+    first setting leaves alone raises).
 
     Each preparation is evolved once, alone, on the qubits it and its
     settings touch.  Consecutive preparations on the same qubits with the
-    same settings form a stack that the settings run over once; its results
-    are yielded, in preparation order, once its last setting is evolved.
+    same settings form a group whose stack the settings run over once; each
+    block of its readout is written into the array where it belongs.  Also
+    returned, per group in order: its active qubits and the unchecked
+    ``(count, 2**k, 2**k)`` stack of its preparations' evolved states.
     """
     _check_shots(shots)
     keys = [(suffixes, tuple(sorted(_qubits(prep.then(suffixes[0]).instructions), reverse=True)))
             for prep, suffixes in zip(preps, settings)]
-    done = 0
+    width = len(settings[0])
+    out = np.empty((len(preps), width, 1 << settings[0][0].classical_count),
+                   dtype=float if shots is None else np.intp)
+    groups, done = [], 0
     for (suffixes, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
         stack = [prep for _, prep in jobs]
         evolved = _evolve(stack, backend, (active, _ground(len(active))))
         states = np.concatenate([chunk for _, chunk, _ in evolved])
-        count, width = len(stack), len(suffixes)
-        stacked = None if shots is None else [seeds[done + p * width + s]
+        groups.append((active, states))
+        count = len(stack)
+        stacked = None if shots is None else [seeds[(done + p) * width + s]
                                               for s in range(width) for p in range(count)]
         start = (active, states.reshape((count,) + (2,) * (2 * len(active))))
-        results = list(_results(suffixes, backend, shots, stacked, start))
-        yield from (results[s * count + p] for p in range(count) for s in range(width))
-        done += count * width
+        # the settings run over the stack setting by setting: row r of the
+        # readout is setting r // count of preparation r % count
+        rows = out[done:done + count].swapaxes(0, 1)
+        at = 0
+        for size, block in _blocks(suffixes, backend, shots, stacked, start):
+            row = np.arange(at, at + size)
+            rows[row // count, row % count] = block
+            at += size
+        done += count
+    return out, groups
+
+
+def _exact_state(circuit: Circuit, active: tuple[int, ...],
+                 state: np.ndarray) -> np.ndarray | None:
+    """``execute_exact``'s ``final_state``: the whole-register density matrix
+    of a circuit's final state on ``active`` as the evolution loop left it,
+    once ``check_density_matrix`` passes it.  None when ``active`` are not
+    exactly the qubits the circuit touches, the register ``execute_exact``
+    evolves it on: evolved on more qubits, a state can differ in its last
+    bits."""
+    if active != tuple(sorted(_qubits(circuit.instructions), reverse=True)):
+        return None
+    ((_, states, _),) = _checked([([circuit], state[None], active)])
+    return _full_register(states[0], active, circuit.qubit_count)
 
 
 def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
@@ -722,13 +760,12 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     measure-duration decay when noise is on); ``probabilities`` holds the
     exact outcome weights by outcome index, or None when nothing is measured.
     """
-    ((_, states, active),) = _checked(_evolve([circuit], backend))
+    ((_, states, active),) = _evolve([circuit], backend)
+    final_state = _exact_state(circuit, active, states[0])
     weights = _distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
                              *_readout(circuit))
-    return ExecutionResult(
-        final_state=_full_register(states[0], active, circuit.qubit_count),
-        probabilities=None if weights is None else weights[0],
-    )
+    return ExecutionResult(final_state=final_state,
+                           probabilities=None if weights is None else weights[0])
 
 
 def execute(circuit: Circuit, backend: BackendModel, shots: int, seed: int) -> ExecutionResult:

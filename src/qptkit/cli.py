@@ -167,11 +167,12 @@ def cmd_qst(args) -> int:
         )
     with _usable(source):  # a gate off the coupling map, say
         run = run_qst(circuit, backend, shots=args.shots, seed=args.seed)
-        # evolved again: the stream yields only the settings' weights; for a
-        # random 24-gate 5-qubit circuit with noise off this costs about
-        # 0.8 ms of an 18 ms run_qst (2 vCPU VM), and it keeps the fidelity
-        # bytes
-        reference = execute_exact(circuit, backend).final_state
+        # the run evolved the circuit as its preparation; on a register with
+        # an idle qubit it did so on more qubits than execute_exact does, and
+        # those bits can differ, so the reference is evolved again
+        reference = run.reference
+        if reference is None:
+            reference = execute_exact(circuit, backend).final_state
     fidelity = state_fidelity(reference, run.state)
     rho = project_psd(run.state) if args.project_psd else run.state
 

@@ -10,9 +10,13 @@ here, sorted on output):
 ``kind`` is "qpt"; multi-seed summaries use kind "qpt-seeds" with
 ``seeds``, ``fidelities`` and ``fidelity_mean/min/max`` instead of a chi.
 State-tomography reports use kind "qst" with ``rho_real``/``rho_imag`` and a
-``fidelity`` against the exact simulation.  Serialisation is
-``json.dumps(..., indent=2, sort_keys=True)``, so identical inputs yield
-byte-identical files; there are no timestamps.
+``fidelity`` against the exact simulation.  ``dump_report`` writes exactly
+the bytes of ``json.dumps(..., indent=2, sort_keys=True)`` and a newline,
+so identical inputs yield byte-identical files; there are no timestamps.
+It lays out dicts and lists itself and writes each list of finite floats,
+a row of a grid, with ``float.__repr__`` alone, which is what json's
+indenting encoder writes for them one call at a time; every other scalar
+goes through ``json.dumps``.
 
 Loaders re-validate what they read (format version, every field of the
 kind present and of its type and no other field, gate arity against lines,
@@ -128,8 +132,37 @@ def qst_report_dict(*, backend_name: str, noise: bool, shots: int | None,
     }
 
 
+def _laid_out(items: list[str], pad: str, brackets: str) -> str:
+    """Items one per line, indented one level past ``pad``, in brackets."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a value nested at
+    indentation ``pad``, dict keys being strings: the containers laid out
+    here, a list of finite floats by ``float.__repr__`` alone and every
+    other scalar by ``json.dumps``."""
+    if isinstance(value, dict):
+        return _laid_out([f"{json.dumps(key)}: {_json(value[key], pad + '  ')}"
+                          for key in sorted(value)], pad, "{}")
+    if isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        if value and set(map(type, value)) == {float}:
+            text = f",\n{inner}".join(map(float.__repr__, value))
+            # a finite float's repr has digits, '.', 'e' and signs; nan and inf have an n
+            if "n" not in text:
+                return f"[\n{inner}{text}\n{pad}]"
+        return _laid_out([_json(item, inner) for item in value], pad, "[]")
+    return json.dumps(value)
+
+
 def dump_report(report: dict, path: str | Path | None = None) -> str:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report's text, ``json.dumps(report, indent=2, sort_keys=True)``
+    and a newline, byte for byte; written to ``path`` when given."""
+    text = _json(report, "") + "\n"
     if path is not None:
         Path(path).write_text(text, encoding="utf-8")
     return text

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import BackendModel, _execute_preparations, _seed_words
+from .backend import BackendModel, _exact_state, _execute_preparations, _seed_words
 from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
 
 __all__ = [
@@ -411,6 +411,31 @@ def child_seeds(seed: int | None, count: int) -> list[int]:
     return _seed_words([seed], count)[0].tolist()
 
 
+def _collect(preps: Sequence[Circuit], backend: BackendModel,
+             qubits: tuple[int, ...] | None, shots: int | None,
+             seeds: Sequence[int | None] | None
+             ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
+    """``collect_weights``'s stack, and the groups of evolved preparation
+    states ``backend._execute_preparations`` returns with it."""
+    if not preps:
+        raise ValueError("no preparations to run")
+    if qubits is None:
+        qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
+    qubits = tuple(qubits)
+    settings = 3 ** len(qubits)
+    suffixes = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
+    circuit_seeds = None
+    if shots is not None:
+        seeds = [None] * len(preps) if seeds is None else seeds
+        if len(seeds) != len(preps):
+            raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
+        circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
+    stack, groups = _execute_preparations(preps, suffixes, backend, shots, circuit_seeds)
+    _check_weights(stack.reshape(len(preps) * settings, -1), shots)
+    stack.setflags(write=False)
+    return stack, groups
+
+
 def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
@@ -427,33 +452,14 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     ``backend._seed_words`` call.  The setting circuits are built and checked
     once per (qubits, register size).  Each preparation is evolved once,
     alone, and the settings run once over the stack of the preparations'
-    states (see ``backend``); every row is bitwise what ``execute_many``
-    gives for ``prep.then(setting)``.  The weights are checked as a
-    dataset's are, all as one stack.  An empty ``preps`` raises
-    ``ValueError``; a setting that does not fit the register, or a
-    preparation that measures, ``CircuitError``.
+    states; the backend writes the weights into the stack block by block
+    (see ``backend``), and every row is bitwise what ``execute_many`` gives
+    for ``prep.then(setting)``.  The weights are checked as a dataset's
+    are, all as one stack.  An empty ``preps`` raises ``ValueError``; a
+    setting that does not fit the register, or a preparation that
+    measures, ``CircuitError``.
     """
-    if not preps:
-        raise ValueError("no preparations to run")
-    if qubits is None:
-        qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
-    qubits = tuple(qubits)
-    settings = 3 ** len(qubits)
-    suffixes = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
-    circuit_seeds = None
-    if shots is not None:
-        seeds = [None] * len(preps) if seeds is None else seeds
-        if len(seeds) != len(preps):
-            raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
-    stack = np.empty((len(preps) * settings, 1 << len(qubits)),
-                     dtype=float if shots is None else np.intp)
-    results = _execute_preparations(preps, suffixes, backend, shots, circuit_seeds)
-    for row, result in enumerate(results):
-        stack[row] = result.probabilities if shots is None else result.counts
-    _check_weights(stack, shots)
-    stack.setflags(write=False)
-    return stack.reshape(len(preps), settings, 1 << len(qubits))
+    return _collect(preps, backend, qubits, shots, seeds)[0]
 
 
 def collect_dataset(prep: Circuit, backend: BackendModel,
@@ -467,8 +473,15 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
 
 @dataclass(frozen=True)
 class QstRun:
+    """A tomographed state, the dataset it was reconstructed from, and the
+    circuit's exact final state when the run evolved it on the qubits the
+    circuit touches: ``execute_exact(circuit, backend).final_state`` bit for
+    bit, density-checked as there; None for a circuit that leaves a register
+    qubit alone."""
+
     state: np.ndarray
     dataset: TomographyDataset
+    reference: np.ndarray | None = None
 
     @property
     def executions(self) -> int:
@@ -480,7 +493,11 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     """Tomograph the state a measurement-free circuit prepares.
 
     ``shots=None`` uses exact outcome probabilities; otherwise each of the
-    3**n settings is sampled with its own seed derived from ``seed``.
+    3**n settings is sampled with its own seed derived from ``seed``.  The
+    circuit is evolved once, as the settings' preparation, and that state is
+    the run's ``reference`` when it covers the whole register.
     """
-    dataset = collect_dataset(circuit, backend, shots=shots, seed=seed)
-    return QstRun(state=reconstruct_states(dataset.weights[None])[0], dataset=dataset)
+    weights, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
+    dataset = TomographyDataset(shots, weights[0])
+    return QstRun(state=reconstruct_states(dataset.weights[None])[0], dataset=dataset,
+                  reference=_exact_state(circuit, active, states[0]))

@@ -4,7 +4,12 @@ list of runs, each stack hashed as little-endian int64 bytes;
 and of seeded float stacks for 1-5 qubits, as little-endian complex128 bytes;
 and ``reports.json``: the sha256 of the bytes of every exact ``qpt`` report
 the CLI writes for the 51 qx4 placements and for the nine single-qubit gates
-on line 2 of qx2, the paper's QX2 run.
+on line 2 of qx2, the paper's QX2 run, and of the report and dataset
+``qptkit qst`` writes for CI's 5-qubit circuit and for a Bell pair on q0, q1
+of a 5-qubit register, each on qx4 with noise on and off, exact and at 8192
+shots with seed 0.  CI's circuit touches every qubit of its register, so its
+run reads its reference state off the tomography stream; the Bell pair
+leaves three qubits idle, so its run evolves the reference again.
 
 The runs are the sampled ones the paper's figures and CI's determinism step
 rest on:
@@ -37,9 +42,12 @@ so lists every changed entry.  Run it from the repository root::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
+import tempfile
 from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
@@ -47,7 +55,7 @@ from unittest import mock
 
 import numpy as np
 
-from qptkit import process_tomography
+from qptkit import cli, process_tomography
 from qptkit.backend import builtin_backend, load_backend
 from qptkit.operators import GATE_ARITY
 from qptkit.process_tomography import run_qpt
@@ -70,6 +78,14 @@ cx q[3],q[4];
 s q[1];
 x q[4];
 cx q[2],q[1];
+"""
+
+# a Bell pair on q0, q1 of a register whose other three qubits stay idle
+BELL_ON_FIVE_QASM = """OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[5];
+h q[1];
+cx q[1],q[0];
 """
 
 
@@ -147,17 +163,40 @@ def state_digests(stacks: list[tuple[str, np.ndarray]]) -> dict[str, str]:
             for name, weights in [*stacks, *float_stacks()]}
 
 
+def qst_files(qasm: str, argv: list[str]) -> dict[str, bytes]:
+    """The bytes of the files ``qptkit qst`` writes for a circuit, by suffix."""
+    with tempfile.TemporaryDirectory() as work:
+        circuit = Path(work) / "circuit.qasm"
+        circuit.write_text(qasm, encoding="utf-8")
+        out = Path(work) / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["qst", "--circuit", str(circuit), "--backend", "qx4",
+                               "--out", str(out), *argv])
+        assert status == 0, status
+        return {suffix: (out / f"circuit{suffix}").read_bytes()
+                for suffix in ("_qst.json", "_qst_dataset.txt")}
+
+
 def report_digests() -> dict[str, str]:
     """The reports manifest's entries: each exact ``qpt`` report's bytes as
-    ``qptkit qpt`` writes them."""
+    ``qptkit qpt`` writes them, then each ``qst`` report and dataset as
+    ``qptkit qst`` writes them."""
     qx4, qx2 = builtin_backend("qx4"), builtin_backend("qx2")
     single = [g for g, arity in GATE_ARITY.items() if arity == 1]
     runs = [("qx4", qx4, g, (q,)) for g in single for q in range(5)]
     runs += [("qx4", qx4, "cx", p) for p in sorted(qx4.coupling.pairs)]
     runs += [("qx2", qx2, g, (2,)) for g in single]
-    return {f"qpt {name} {gate} {lines} exact": hashlib.sha256(
-                dump_report(chi_report_dict(run_qpt(gate, lines, backend))).encode("utf-8")
-            ).hexdigest() for name, backend, gate, lines in runs}
+    entries = {f"qpt {name} {gate} {lines} exact": hashlib.sha256(
+                   dump_report(chi_report_dict(run_qpt(gate, lines, backend))).encode("utf-8")
+               ).hexdigest() for name, backend, gate, lines in runs}
+    for name, qasm in (("five", FIVE_QUBIT_QASM), ("bell-on-five", BELL_ON_FIVE_QASM)):
+        for noise in ("on", "off"):
+            for shots, argv in (("exact", []), ("shots=8192", ["--shots", "8192", "--seed", "0"])):
+                files = qst_files(qasm, ["--noise", noise, *argv])
+                for suffix, text in files.items():
+                    entries[f"qst {name} qx4 noise={noise} {shots} {suffix[1:]}"] = (
+                        hashlib.sha256(text).hexdigest())
+    return entries
 
 
 def mismatch(path: Path, got: dict[str, str]) -> tuple[str, list[str]]:
@@ -181,7 +220,8 @@ def main() -> None:
             (MANIFEST, "each count stack as little-endian int64", digests(stacks), {}),
             (STATES, "each reconstructed state stack as little-endian complex128",
              state_digests(stacks), {}),
-            (REPORTS, "the UTF-8 bytes of each exact qpt report", report_digests(),
+            (REPORTS, "the UTF-8 bytes of each exact qpt report and of each qst report "
+                      "and dataset", report_digests(),
              {"python": platform.python_version()})):
         manifest = {"hash": f"sha256 of {hashed}", **versions, "numpy": np.__version__,
                     "entries": entries}

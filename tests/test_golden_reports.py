@@ -1,5 +1,6 @@
-"""Every exact ``qpt`` report in ``tests/golden/reports.json`` is written again
-byte for byte; see ``tests/golden/regen.py`` for the runs it covers."""
+"""Every exact ``qpt`` report and every ``qst`` report and dataset in
+``tests/golden/reports.json`` is written again byte for byte; see
+``tests/golden/regen.py`` for the runs it covers."""
 
 import pytest
 

@@ -2,11 +2,16 @@
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qptkit.backend
+import qptkit.cli
+import qptkit.state_tomography
 
 from qptkit import parse_report, run_qpt
 from qptkit.reports import (
@@ -19,8 +24,9 @@ from qptkit.reports import (
     render_fidelity_tables,
     seed_summary_dict,
 )
-from qptkit.state_tomography import read_dataset
+from qptkit.state_tomography import collect_weights, read_dataset
 from qptkit.cli import build_parser, main
+from golden import regen
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,37 @@ def test_report_bytes_deterministic(qx4_quiet):
     a = run_qpt("h", (0,), qx4_quiet, shots=256, seed=4)
     b = run_qpt("h", (0,), qx4_quiet, shots=256, seed=4)
     assert dump_report(chi_report_dict(a)) == dump_report(chi_report_dict(b))
+
+
+class _Float(float):
+    """A float subclass with its own repr, which JSON does not use."""
+
+    def __repr__(self):
+        return "not JSON"
+
+
+_SCALARS = st.one_of(
+    st.floats(), st.builds(_Float, st.floats()), st.integers(), st.booleans(), st.none(),
+    st.text(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16]))
+_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5)
+_VALUES = st.recursive(
+    _SCALARS | _ROWS | st.lists(_ROWS, max_size=4),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+
+@given(st.dictionaries(st.text(), _VALUES, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_dump_report_writes_the_bytes_of_json_dumps(report):
+    assert dump_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_report_writes_the_bytes_of_json_dumps_for_every_kind(h_report):
+    grid = [[1.0, -0.0, 5e-324], [math.nan, 1e16, -math.inf], [0.5, _Float(0.25), 1]]
+    edge = {"grid": grid, "é ☃": [True, None, [], {}, ()], "nested": {"": [[[]]], "z": {}}}
+    for report in (h_report, _QST_REPORT, _SEEDS_REPORT, edge, {}):
+        assert dump_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # a valid one-qubit qst report, for the cases that need one
@@ -503,6 +540,82 @@ def test_cli_qst_rejects_measured_circuit(tmp_path):
     with pytest.raises(SystemExit, match="must not measure"):
         main(["qst", "--circuit", str(circuit), "--backend", "qx4",
               "--out", str(tmp_path)])
+
+
+_QST_MODES = {"noise-on": [], "noise-off": ["--noise", "off"],
+              "idle-decay": ["--idle-decay", "on"], "shots": ["--shots", "8192", "--seed", "0"]}
+
+
+@pytest.mark.parametrize("argv", _QST_MODES.values(), ids=_QST_MODES.keys())
+def test_cli_qst_reference_off_the_stream_keeps_the_bytes(monkeypatch, argv):
+    # CI's circuit touches every qubit of its register: the reference is the
+    # state the tomography stream evolved, and execute_exact never runs
+    def refuse(*args):
+        raise AssertionError("execute_exact ran")
+
+    monkeypatch.setattr(qptkit.cli, "execute_exact", refuse)
+    streamed = regen.qst_files(regen.FIVE_QUBIT_QASM, argv)
+    monkeypatch.undo()
+    # the same files when the run hands back no reference and execute_exact evolves it
+    calls = []
+    execute_exact = qptkit.cli.execute_exact
+    monkeypatch.setattr(qptkit.state_tomography, "_exact_state", lambda *args: None)
+    monkeypatch.setattr(qptkit.cli, "execute_exact",
+                        lambda *args: calls.append(args) or execute_exact(*args))
+    assert regen.qst_files(regen.FIVE_QUBIT_QASM, argv) == streamed
+    assert len(calls) == 1
+
+
+def test_cli_qst_of_a_circuit_with_idle_qubits_evolves_the_reference_again(monkeypatch):
+    calls = []
+    execute_exact = qptkit.cli.execute_exact
+    monkeypatch.setattr(qptkit.cli, "execute_exact",
+                        lambda *args: calls.append(args[0]) or execute_exact(*args))
+    regen.qst_files(regen.BELL_ON_FIVE_QASM, [])
+    assert calls == [qptkit.parse_qasm(regen.BELL_ON_FIVE_QASM)]
+
+
+def test_cli_qst_applies_the_circuits_instructions_once(qx4, monkeypatch):
+    applied = []
+    apply = qptkit.backend._apply
+
+    def counting(sup, rho, axes, k):
+        applied.append(len(axes))
+        return apply(sup, rho, axes, k)
+
+    monkeypatch.setattr(qptkit.backend, "_apply", counting)
+    collect_weights([qptkit.parse_qasm(regen.FIVE_QUBIT_QASM)], qx4)
+    stream = list(applied)
+    applied.clear()
+    regen.qst_files(regen.FIVE_QUBIT_QASM, [])
+    # the circuit's three cx are the only two-qubit maps, each applied once:
+    # the command applies what its tomography stream does and nothing more
+    assert stream.count(2) == 3 and applied == stream
+
+
+def test_cli_qst_reference_failing_its_density_check_reads_as_before(tmp_path, monkeypatch):
+    check = qptkit.backend.check_density_matrix
+
+    def failing_alone(states, **kwargs):
+        # the reference is checked alone, the settings' states four at a time
+        if len(states) == 1:
+            raise ValueError("matrix 0: density matrix is not Hermitian")
+        return check(states, **kwargs)
+
+    monkeypatch.setattr(qptkit.backend, "check_density_matrix", failing_alone)
+    circuit = tmp_path / "five.qasm"
+    circuit.write_text(regen.FIVE_QUBIT_QASM, encoding="utf-8")
+    errors = []
+    # off the stream, then through execute_exact as when the run has no reference
+    for exact_state in (qptkit.state_tomography._exact_state, lambda *args: None):
+        monkeypatch.setattr(qptkit.state_tomography, "_exact_state", exact_state)
+        with pytest.raises(SystemExit) as exc:
+            main(["qst", "--circuit", str(circuit), "--backend", "qx4",
+                  "--out", str(tmp_path / "out")])
+        errors.append(exc.value.code)
+    assert errors == [f"error: {circuit}: circuits 0..0: matrix 0: density matrix is not "
+                      "Hermitian"] * 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_table(tmp_path, capsys):

@@ -29,7 +29,6 @@ from qptkit import (
 from oracles import (add_at_densities, append_setting, outcome_dict, pauli_string_matrix,
                      pauli_strings)
 from qptkit.process_tomography import preparation_circuit
-from qptkit.backend import ExecutionResult
 from qptkit.state_tomography import (
     _densities,
     _estimates,
@@ -486,6 +485,20 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
         assert np.array_equal(row, alone.probabilities if shots is None else alone.counts)
 
 
+@pytest.mark.parametrize("mode", ["noise_off", "noise_on", "idle", "sampled"])
+def test_run_qst_reference_is_execute_exacts_final_state(qx4, mode):
+    backend = {"noise_off": qx4.with_noise(False), "idle": qx4.with_idle_decay(True)}.get(mode, qx4)
+    shots = 8192 if mode == "sampled" else None
+    circuit = parse_qasm(CI_FIVE_QUBITS)
+    run = run_qst(circuit, backend, shots=shots, seed=0)
+    want = execute_exact(circuit, backend).final_state
+    assert run.reference.dtype == want.dtype and np.array_equal(run.reference, want)
+    # a Bell pair on q1, q0 leaves three qubits of its register idle: the
+    # stream evolved it on all five, and the run hands back no reference
+    bell = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[1];\ncx q[1],q[0];\n")
+    assert run_qst(bell, backend, shots=shots, seed=0).reference is None
+
+
 @pytest.mark.parametrize("noise", [False, True])
 def test_valid_setting_stacks_pay_one_cholesky_and_no_eigvalsh(qx4, noise, monkeypatch):
     calls = []
@@ -653,9 +666,9 @@ def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
     execute = qptkit.state_tomography._execute_preparations
 
     def corrupt_last(*args):
-        results = list(execute(*args))
-        results[-1] = ExecutionResult(probabilities=np.array([1.5, -0.5]))
-        return iter(results)
+        weights, groups = execute(*args)
+        weights[-1, -1] = [1.5, -0.5]
+        return weights, groups
 
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", corrupt_last)
     with pytest.raises(ValueError, match="negative weight for '1' under 'Y'"):
