@@ -33,13 +33,17 @@ they are read out, and each run of them on the same active qubits with the
 same measures is read out as one block, a ``(rows, 2^m)`` array of outcome
 weights or counts (``_blocks``).  ``execute_many`` yields a block's rows as
 results.  Tomography (``_execute_preparations``) evolves each preparation
-alone, runs the shared settings once over the stack of their states, writes
-each block into one ``(preparations, settings, 2^m)`` array, and hands that
-back with the stacks of evolved preparation states.  Every row is bitwise
-what the circuit would give run on its own.  Only ``execute_exact`` returns
-``final_state``, the density matrix of the whole register; a preparation
-evolved on exactly the qubits it touches gives the same state bit for bit
-(``_exact_state``), and on more qubits it may not.
+alone and takes its settings as a product of stages: the first stage's
+circuits run once over the stack of the preparations' states, each later
+stage's once over the stack the stage before left, and only the last
+stage's states are checked and read out.  It writes each block into one
+``(preparations, settings, 2^m)`` array and hands that back with the stacks
+of evolved preparation states.  Every row is bitwise what the circuit would
+give run on its own: one batched ``np.matmul`` gives each state of a stack
+the bits it gets alone.  Only ``execute_exact`` returns ``final_state``, the
+density matrix of the whole register; a preparation evolved on exactly the
+qubits it touches gives the same state bit for bit (``_exact_state``), and
+on more qubits it may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -416,6 +420,7 @@ def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
         except ValueError as exc:
             raise ValueError(f"circuits {end - len(circuits)}..{end - 1}: {exc}") from None
         yield circuits, states, active
+        del states  # not held while the next chunk evolves
 
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
@@ -488,6 +493,7 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
             if pos + 1 == branch:
                 saved.append((branch, rho))
         states[size * len(pending):size * (len(pending) + 1)].reshape(rho.shape)[...] = rho
+        del rho  # the final state lives on in ``states``, and as a checkpoint if one
         pending.append(circuit)
         if len(pending) == chunk:
             yield pending, states, active
@@ -634,6 +640,7 @@ def _runs(circuits: Sequence[Circuit], backend: BackendModel,
             blocks.append(diagonals[:rows].copy())
             held += size
             diagonals = diagonals[rows:]
+        del states, diagonals  # not held while the next chunk evolves
     if blocks:
         yield np.concatenate(blocks), *key
 
@@ -692,50 +699,77 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
             yield from (ExecutionResult(counts=row, shots=shots) for row in block)
 
 
-def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
+def _stacked(circuits: Sequence[Circuit], backend: BackendModel,
+             start: tuple[tuple[int, ...], np.ndarray]) -> np.ndarray:
+    """The unchecked ``(len(circuits) * B, 2**k, 2**k)`` stack of the
+    circuits' final states from ``start``, circuit-major, as ``_evolve``
+    leaves them."""
+    return np.concatenate([states for _, states, _ in _evolve(circuits, backend, start)])
+
+
+def _execute_preparations(preps: Sequence[Circuit],
+                          stages: Sequence[Sequence[Sequence[Circuit]]],
                           backend: BackendModel, shots: int | None = None,
                           seeds: Sequence[int | None] | None = None
                           ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """What ``execute_many`` gives for ``prep.then(setting)``, for each
-    setting of ``settings[p]`` of each preparation p in turn, with the same
-    seeds, bit for bit, as one ``(len(preps), S, 2**m)`` array: exact weights
-    (float) when ``shots`` is None, else counts (int).  Every preparation
-    takes S settings, each measuring into m classical bits, and the settings
-    of one preparation act on the same qubits (one that acts on a qubit its
-    first setting leaves alone raises).
+    setting of each preparation p in turn, with the same seeds, bit for bit,
+    as one ``(len(preps), S, 2**m)`` array: exact weights (float) when
+    ``shots`` is None, else counts (int).  Preparation p's settings are the
+    product of its stages ``stages[p]``: setting ``(i_0, ..., i_last)``, in
+    mixed radix with the first stage most significant, is
+    ``stages[p][0][i_0].then(...).then(stages[p][-1][i_last])``.  Every
+    preparation has stages of the same sizes, S settings in all; only the
+    last stage measures, each of its circuits into m classical bits.  The
+    first setting, made of the first circuit of each stage, fixes the qubits
+    a preparation's settings act on (a circuit that acts on another qubit
+    raises).
 
-    Each preparation is evolved once, alone, on the qubits it and its
-    settings touch.  Consecutive preparations on the same qubits with the
-    same settings form a group whose stack the settings run over once; each
-    block of its readout is written into the array where it belongs.  Also
+    Each preparation is evolved once, alone, on the qubits it and its first
+    setting touch.  Consecutive preparations on the same qubits with the
+    same stages form a group.  Its preparations run in batches whose states
+    before the last stage hold at most ``_READOUT_BYTES``, or one
+    preparation's: each stage's circuits run once over the stack the stage
+    before left, and only the last stage's final states are checked and
+    read out, each block written into the array where it belongs.  Also
     returned, per group in order: its active qubits and the unchecked
     ``(count, 2**k, 2**k)`` stack of its preparations' evolved states.
     """
     _check_shots(shots)
-    keys = [(suffixes, tuple(sorted(_qubits(prep.then(suffixes[0]).instructions), reverse=True)))
-            for prep, suffixes in zip(preps, settings)]
-    width = len(settings[0])
-    out = np.empty((len(preps), width, 1 << settings[0][0].classical_count),
+    keys = [(chain, tuple(sorted(_qubits(reduce(Circuit.then, (stage[0] for stage in chain),
+                                                prep).instructions), reverse=True)))
+            for prep, chain in zip(preps, stages)]
+    sizes = [len(stage) for stage in stages[0]]
+    # the states one preparation leaves in the stack before the last stage
+    held = math.prod(sizes[:-1])
+    out = np.empty((len(preps), held * sizes[-1], 1 << stages[0][-1][0].classical_count),
                    dtype=float if shots is None else np.intp)
+    if shots is not None:
+        seeds = np.array(seeds, dtype=object).reshape(len(preps), *sizes)
+    # each stage runs circuit by circuit over the stack the stage before
+    # left, so row r of the last stage's readout is (i_last, ..., i_0,
+    # preparation) in mixed radix: the axes of a batch's (preparation, i_0,
+    # ..., i_last, outcome) view of the array in that order
+    order = (*range(len(sizes), -1, -1), len(sizes) + 1)
     groups, done = [], 0
-    for (suffixes, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
+    for (chain, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
         stack = [prep for _, prep in jobs]
-        evolved = _evolve(stack, backend, (active, _ground(len(active))))
-        states = np.concatenate([chunk for _, chunk, _ in evolved])
+        states = _stacked(stack, backend, (active, _ground(len(active))))
         groups.append((active, states))
-        count = len(stack)
-        stacked = None if shots is None else [seeds[(done + p) * width + s]
-                                              for s in range(width) for p in range(count)]
-        start = (active, states.reshape((count,) + (2,) * (2 * len(active))))
-        # the settings run over the stack setting by setting: row r of the
-        # readout is setting r // count of preparation r % count
-        rows = out[done:done + count].swapaxes(0, 1)
-        at = 0
-        for size, block in _blocks(suffixes, backend, shots, stacked, start):
-            row = np.arange(at, at + size)
-            rows[row // count, row % count] = block
-            at += size
-        done += count
+        shape = (-1,) + (2,) * (2 * len(active))
+        batch = max(1, _READOUT_BYTES // (states[0].nbytes * held))
+        for lo in range(0, len(stack), batch):
+            start = (active, states[lo:lo + batch].reshape(shape))
+            for stage in chain[:-1]:
+                start = (active, _stacked(stage, backend, start).reshape(shape))
+            part = slice(done + lo, done + min(lo + batch, len(stack)))
+            rows = out[part].reshape(-1, *sizes, out.shape[2]).transpose(order)
+            stacked = None if shots is None else seeds[part].T.ravel().tolist()
+            at = 0
+            for size, block in _blocks(chain[-1], backend, shots, stacked, start):
+                rows[np.unravel_index(np.arange(at, at + size), rows.shape[:-1])] = block
+                at += size
+        done += len(stack)
     return out, groups
 
 

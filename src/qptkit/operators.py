@@ -136,8 +136,11 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-9) -> None:
 def _certified(stack: np.ndarray, atol: float) -> bool:
     """True only for a (c, d, d) stack ``_first_violation`` finds no fault in:
     the certificate of ``check_density_matrix``."""
-    adjoint = stack.conj().swapaxes(1, 2)
-    work = np.subtract(stack, adjoint, out=np.empty(stack.shape, dtype=complex))
+    # each matrix's adjoint is conjugated into the one work buffer, which then
+    # takes the difference and later the sum in place
+    adjoint = stack.swapaxes(1, 2)
+    work = np.conjugate(adjoint, out=np.empty(stack.shape, dtype=complex))
+    np.subtract(stack, work, out=work)
     parts = work.view(float)
     # a non-finite entry leaves a NaN or inf in the deviation, which fails here
     if not np.abs(parts, out=parts).max(initial=0.0) <= atol / 2:
@@ -147,7 +150,7 @@ def _certified(stack: np.ndarray, atol: float) -> bool:
     # the shifted symmetric part the full scan factorises, but for the sign of
     # a zero entry (its division by 2+0j and its added atol*I may turn -0.0
     # into 0.0), which no test of a Cholesky factorisation can tell apart
-    np.add(stack, adjoint, out=work)
+    np.add(stack, np.conjugate(adjoint, out=work), out=work)
     parts *= 0.5
     d = stack.shape[-1]
     work.reshape(-1, d * d)[:, ::d + 1] += atol

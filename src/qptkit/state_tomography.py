@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -86,20 +86,40 @@ def qst_settings(qubit_count: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
-    """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
-    register in ``qst_settings`` order, the basis rotations and then the
-    measures, sharing one rotation tuple per (qubit, letter) and one measure
-    per qubit; building them checks them, once per key."""
-    settings = qst_settings(len(qubits))
+def _setting_stages(qubits: tuple[int, ...], qubit_count: int) -> tuple[tuple[Circuit, ...], ...]:
+    """The setting circuits on ``qubits`` of a ``qubit_count``-qubit register
+    as a product of stages: the heads, the basis rotations of the first
+    ``len(qubits) // 2`` qubits (no head stage for one qubit), then the
+    tails, the rotations of the other qubits and the measures, each stage in
+    ``qst_settings`` order.  Setting ``h * T + t`` of T tails is
+    ``heads[h].then(tails[t])``.  The stages share one rotation tuple per
+    (qubit, letter) and one measure per qubit; building them checks them,
+    the tails first, once per key."""
+    k = len(qubits)
+    qst_settings(k)  # raises for a qubit count outside 1..QUBIT_COUNT
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    k = len(qubits)
     rotations = [{basis: tuple(Gate(g, (q,)) for g in gates) for basis, gates in _ROTATIONS.items()}
                  for q in qubits]
     measures = tuple(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
-    return tuple(Circuit(qubit_count, k, (*itertools.chain.from_iterable(
-        r[basis] for r, basis in zip(rotations, tag)), *measures)) for tag in settings)
+
+    def stage(lines: list[dict[str, tuple[Gate, ...]]], classical_count: int,
+              tail: tuple[Measure, ...]) -> tuple[Circuit, ...]:
+        return tuple(Circuit(qubit_count, classical_count, (*itertools.chain.from_iterable(
+            r[basis] for r, basis in zip(lines, tag)), *tail))
+            for tag in itertools.product(BASIS_ORDER, repeat=len(lines)))
+
+    split = k // 2
+    tails = stage(rotations[split:], k, measures)
+    return ((stage(rotations[:split], 0, ()),) if split else ()) + (tails,)
+
+
+def _setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
+    """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
+    register in ``qst_settings`` order, the basis rotations and then the
+    measures: the product of ``_setting_stages``, sharing its instructions."""
+    return tuple(reduce(Circuit.then, chain)
+                 for chain in itertools.product(*_setting_stages(qubits, qubit_count)))
 
 
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
@@ -160,6 +180,16 @@ class TomographyDataset:
         _check_weights(weights, self.shots)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+
+    @classmethod
+    def _of_checked(cls, shots: int | None, weights: np.ndarray) -> "TomographyDataset":
+        """The dataset of a read-only row ``_collect`` has checked, without
+        a second check: a float view of it, or a read-only copy of counts."""
+        dataset = object.__new__(cls)
+        weights = weights.astype(float, copy=False)
+        weights.setflags(write=False)
+        vars(dataset).update(shots=shots, weights=weights)
+        return dataset
 
     @property
     def qubit_count(self) -> int:
@@ -416,21 +446,24 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
              seeds: Sequence[int | None] | None
              ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """``collect_weights``'s stack, and the groups of evolved preparation
-    states ``backend._execute_preparations`` returns with it."""
+    states ``backend._execute_preparations`` returns with it.  Each
+    preparation's settings go to the backend as the stages of
+    ``_setting_stages``, so its 3**n settings apply the maps of their
+    3**(n // 2) heads and 3**(n - n // 2) tails, each map once per stack."""
     if not preps:
         raise ValueError("no preparations to run")
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
     settings = 3 ** len(qubits)
-    suffixes = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
+    stages = [_setting_stages(qubits, prep.qubit_count) for prep in preps]
     circuit_seeds = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
         circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
-    stack, groups = _execute_preparations(preps, suffixes, backend, shots, circuit_seeds)
+    stack, groups = _execute_preparations(preps, stages, backend, shots, circuit_seeds)
     _check_weights(stack.reshape(len(preps) * settings, -1), shots)
     stack.setflags(write=False)
     return stack, groups
@@ -450,14 +483,19 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     or ``seeds`` is None) and its settings the seeds
     ``child_seeds(seed, 3**n)``, derived for every preparation in one
     ``backend._seed_words`` call.  The setting circuits are built and checked
-    once per (qubits, register size).  Each preparation is evolved once,
-    alone, and the settings run once over the stack of the preparations'
-    states; the backend writes the weights into the stack block by block
-    (see ``backend``), and every row is bitwise what ``execute_many`` gives
-    for ``prep.then(setting)``.  The weights are checked as a dataset's
-    are, all as one stack.  An empty ``preps`` raises ``ValueError``; a
-    setting that does not fit the register, or a preparation that
-    measures, ``CircuitError``.
+    once per (qubits, register size), as two stages (one for one qubit):
+    the heads rotate the first n // 2 measured qubits, the tails the others
+    and then measure.  Each preparation is evolved once, alone; the heads
+    run once over the stack of the preparations' states, the tails once over
+    the stack of head states that leaves, in batches of at most 256 KiB of
+    head states (one 5-qubit preparation's 9).  The backend writes the
+    weights into the stack block by block (see ``backend``), and every row
+    is bitwise what ``execute_many`` gives for ``prep.then(setting)``.  The
+    weights are checked as a dataset's are, all as one stack, and only
+    there: the datasets ``collect_dataset`` and ``run_qst`` build keep a
+    stack's rows.  An empty ``preps`` raises ``ValueError``; a setting that
+    does not fit the register, or a preparation that measures,
+    ``CircuitError``.
     """
     return _collect(preps, backend, qubits, shots, seeds)[0]
 
@@ -467,8 +505,10 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
     """Run every setting circuit for ``prep``: the one-preparation case of
-    ``collect_weights``, whose row the dataset holds."""
-    return TomographyDataset(shots, collect_weights([prep], backend, qubits, shots, [seed])[0])
+    ``collect_weights``, whose checked row the dataset holds, not checked
+    again."""
+    weights, _ = _collect([prep], backend, qubits, shots, [seed])
+    return TomographyDataset._of_checked(shots, weights[0])
 
 
 @dataclass(frozen=True)
@@ -498,6 +538,6 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     the run's ``reference`` when it covers the whole register.
     """
     weights, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
-    dataset = TomographyDataset(shots, weights[0])
+    dataset = TomographyDataset._of_checked(shots, weights[0])
     return QstRun(state=reconstruct_states(dataset.weights[None])[0], dataset=dataset,
                   reference=_exact_state(circuit, active, states[0]))

@@ -1052,15 +1052,18 @@ def test_start_must_hold_every_qubit_a_circuit_touches(qx4_quiet, monkeypatch):
     with pytest.raises(ValueError, match=r"^circuit 0 acts on qubit 0, outside the start's "
                                          r"qubits \(1,\)$"):
         next(backend_module._evolve([circuit], qx4_quiet, ((1,), one)))
-    # a stack's qubits come from its first setting: a later one that reads
-    # another qubit is named the same way
+    # a stack's qubits come from its first setting, the first circuit of
+    # each stage: a later circuit of the last stage, or of a head stage,
+    # that acts on another qubit is named the same way
     monkeypatch.undo()
     prep = Circuit(2, 0, (Gate("x", (1,)),))
-    settings = [Circuit(2, 1, (Measure(1, 0),)),
-                Circuit(2, 2, (Gate("h", (0,)), Measure(0, 0), Measure(1, 1)))]
-    with pytest.raises(ValueError, match=r"^circuit 1 acts on qubit 0, outside the start's "
-                                         r"qubits \(1,\)$"):
-        list(backend_module._execute_preparations([prep], [settings], qx4_quiet))
+    settings = (Circuit(2, 1, (Measure(1, 0),)),
+                Circuit(2, 2, (Gate("h", (0,)), Measure(0, 0), Measure(1, 1))))
+    heads = (Circuit(2, 0, ()), Circuit(2, 0, (Gate("h", (0,)),)))
+    for stages in ((settings,), (heads, settings[:1])):
+        with pytest.raises(ValueError, match=r"^circuit 1 acts on qubit 0, outside the "
+                                             r"start's qubits \(1,\)$"):
+            backend_module._execute_preparations([prep], [stages], qx4_quiet)
 
 
 def test_shared_prefix_skips_identical_instructions(monkeypatch):

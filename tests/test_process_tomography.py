@@ -685,12 +685,14 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
     monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
     monkeypatch.setattr(backend_module, "check_density_matrix", counting_check)
     run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
-    # the 16 preparations in one stream, then the 9 settings in one stream
-    # over the stack of their 16 states, whose 144 final states are checked
-    # as one stack
-    assert streams == [(16, 1), (9, 16)] and checks == [144]
+    # the 16 preparations in one stream, then the 3 basis rotations of the
+    # first line over the stack of their 16 states, then the 3 rotations and
+    # measures of the second over the 48 states that leaves, whose 144 final
+    # states are checked as one stack
+    assert streams == [(16, 1), (3, 16), (3, 48)] and checks == [144]
     streams.clear()
     checks.clear()
+    # one line has no head stage: its 3 settings run over the 4 states
     run_qpt("h", (0,), qx4)
     assert streams == [(4, 1), (3, 4)] and checks == [12]
 

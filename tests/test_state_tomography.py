@@ -34,6 +34,7 @@ from qptkit.state_tomography import (
     _estimates,
     _pauli_strings,
     _setting_circuits,
+    _setting_stages,
     child_seeds,
     collect_weights,
     project_psd,
@@ -510,10 +511,10 @@ def test_valid_setting_stacks_pay_one_cholesky_and_no_eigvalsh(qx4, noise, monke
     weights = collect_weights([parse_qasm(CI_FIVE_QUBITS)], qx4.with_noise(noise))
     monkeypatch.undo()
     # the certificate's factorisation, once per checked stack of the 243
-    # final states, and never the full scan's eigenvalues
+    # final states, each tail's 9 (one per head state), and never the full
+    # scan's eigenvalues
     assert weights.shape == (1, 243, 32)
-    assert {name for name, _ in calls} == {"cholesky"}
-    assert sum(rows for _, rows in calls) == 243 and len(calls) == 61
+    assert calls == [("cholesky", 9)] * 27
 
 
 def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
@@ -532,8 +533,9 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
 
 
 def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
+    # the stages are built once per key; their product shares their objects
+    assert _setting_stages((4, 1), 5) is _setting_stages((4, 1), 5)
     circuits = _setting_circuits((4, 1), 5)
-    assert circuits is _setting_circuits((4, 1), 5)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n")
     # the instructions of one setting at a time: one object per (letter, qubit)
     # for the rotations (h of X, sdg and h of Y) and one measure per qubit
@@ -587,8 +589,8 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
     evolve = qptkit.backend._evolve
 
     def recording(circuits, backend, start=None):
-        if start is not None and circuits[0].measurements:  # settings over a stack
-            stacks.append((len(start[1]), start[0]))
+        if start is not None:  # a stage over a stack, not execute_many's stream
+            stacks.append((len(circuits), len(start[1]), start[0]))
         return evolve(circuits, backend, start)
 
     monkeypatch.setattr(qptkit.backend, "_evolve", recording)
@@ -596,9 +598,13 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
     for shots in (None, 300):
         stacks.clear()
         got = collect_weights(preps, qx4, (1, 0), shots, seeds)
-        # the two preparations on q4 q2 q1 q0 share a stack; q1 q0 of a
-        # 5-qubit and of a 3-qubit register are two more
-        assert stacks == [(2, (4, 2, 1, 0)), (1, (1, 0)), (1, (1, 0))]
+        # the two preparations on q4 q2 q1 q0 share a stack, which the 3
+        # rotations of q1 and then the 3 rotations and measures of q0 run
+        # over; q1 q0 of a 5-qubit and of a 3-qubit register are two more
+        wide, narrow = (4, 2, 1, 0), (1, 0)
+        assert stacks == [(2, 1, wide), (3, 2, wide), (3, 6, wide),
+                          (1, 1, narrow), (3, 1, narrow), (3, 3, narrow),
+                          (1, 1, narrow), (3, 1, narrow), (3, 3, narrow)]
         circuits = [p.then(c) for p in preps for c in _setting_circuits((1, 0), p.qubit_count)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
         want = [r.probabilities if shots is None else r.counts
@@ -608,13 +614,14 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
 
 def _built_circuits(monkeypatch, preps, backend, qubits):
     """The circuits ``collect_weights`` hands to the backend: each preparation
-    joined to each of the settings it is handed with."""
+    joined to each setting of the product of the stages it is handed with."""
     built = []
     execute = qptkit.state_tomography._execute_preparations
 
-    def recording(preps, settings, *args):
-        built.extend(p.then(s) for p, suffixes in zip(preps, settings) for s in suffixes)
-        return execute(preps, settings, *args)
+    def recording(preps, stages, *args):
+        built.extend(reduce(Circuit.then, setting, p)
+                     for p, chain in zip(preps, stages) for setting in itertools.product(*chain))
+        return execute(preps, stages, *args)
 
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", recording)
     collect_weights(preps, backend, qubits)
@@ -626,7 +633,7 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
     prep = parse_qasm("OPENQASM 2.0;\nqreg r[5];\ncreg m[3];\nh r[2];\ncx r[2],r[4];\n"
                       "t r[1];\n")
     assert (prep.qreg, prep.creg, prep.classical_count) == ("r", "m", 3)
-    _setting_circuits.cache_clear()
+    _setting_stages.cache_clear()
     checks = []
     check = qptkit.qasm._check_instruction
     for qubits in ((4, 1), (0, 2, 4, 1, 3)):
@@ -636,10 +643,13 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
                                 lambda *args: checks.append(args[0]) or check(*args))
             built = _built_circuits(monkeypatch, preps, qx4_quiet, qubits)
             settings = _setting_circuits(qubits, 5)
-            # each setting instruction is checked once per (qubits, register
-            # size), on the first call, and never when joined to a preparation
+            # each instruction of each stage is checked once per (qubits,
+            # register size), on the first call, and never when joined to a
+            # preparation or to another stage
             first = preps == [prep]
-            assert len(checks) == (sum(len(c.instructions) for c in settings) if first else 0)
+            stages = _setting_stages(qubits, 5)
+            assert len(checks) == (sum(len(c.instructions) for stage in stages for c in stage)
+                                   if first else 0)
             want = [p.extended(*c.instructions, classical_count=len(qubits))
                     for p in preps for c in settings]
             assert len(built) == len(want)
@@ -647,7 +657,7 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
                 assert got == expected and got.measurements == expected.measurements
                 assert vars(got) == vars(expected)  # fields and cached measurements
                 assert all(a is b for a, b in zip(got.instructions, expected.instructions))
-    assert _setting_circuits.cache_info().misses == 2
+    assert _setting_stages.cache_info().misses == 2
     # a setting that does not fit the register raises its own construction error
     small = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[1],q[2];\n")
     with pytest.raises(qptkit.qasm.CircuitError,
@@ -673,6 +683,128 @@ def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", corrupt_last)
     with pytest.raises(ValueError, match="negative weight for '1' under 'Y'"):
         collect_weights(preps, qx4_quiet, (1,))
+
+
+def test_datasets_of_a_run_are_checked_once(qx4, monkeypatch):
+    calls = []
+    check = qptkit.state_tomography._check_weights
+    monkeypatch.setattr(qptkit.state_tomography, "_check_weights",
+                        lambda stack, shots: calls.append(len(stack)) or check(stack, shots))
+    prep = parse_qasm(CI_FIVE_QUBITS)
+    for shots in (None, 100):
+        calls.clear()
+        run = run_qst(prep, qx4, shots=shots, seed=4)
+        dataset = collect_dataset(prep, qx4, shots=shots, seed=4)
+        # the stack _collect checks, once per run; the datasets keep its rows
+        assert calls == [243, 243]
+        for got in (run.dataset, dataset):
+            assert got == TomographyDataset(shots, dataset.weights)
+            assert got.weights.dtype == float and not got.weights.flags.writeable
+            assert got.shots == shots
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_setting_stages_multiply_to_the_setting_circuits(n):
+    qubits = (0, 2, 4, 1, 3)[:n]
+    stages = _setting_stages(qubits, 5)
+    settings = _setting_circuits(qubits, 5)
+    tags = qst_settings(n)
+    # the heads rotate the first n // 2 qubits and measure nothing; one
+    # qubit has no head stage
+    *heads, tails = stages
+    heads = heads[0] if heads else (Circuit(5, 0),)
+    assert len(stages) == (1 if n == 1 else 2)
+    assert (len(heads), len(tails)) == (3 ** (n // 2), 3 ** (n - n // 2))
+    assert all(not h.measurements and h.classical_count == 0 for h in heads)
+    for h, head in enumerate(heads):
+        for t, tail in enumerate(tails):
+            s = h * len(tails) + t
+            joined = head.then(tail).instructions
+            assert all(a is b for a, b in zip(joined, settings[s].instructions, strict=True))
+            assert joined == append_setting(Circuit(5, 0), tags[s], qubits).instructions
+
+
+# preparations on all five qubits of CI's register, on some, and on one
+_STAGED_PREPS = (CI_FIVE_QUBITS,
+                 "OPENQASM 2.0;\nqreg q[5];\nh q[3];\ncx q[3],q[2];\nt q[2];\nsdg q[0];\n",
+                 "OPENQASM 2.0;\nqreg q[5];\ny q[4];\n")
+
+
+@pytest.mark.parametrize("mode", ["exact", "idle", "flips"])
+@pytest.mark.parametrize("lines", [(4, 2, 0), (3, 2, 1, 0), (1, 4, 0, 3, 2)])
+def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
+    flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
+    backend = {"exact": qx4, "idle": qx4.with_idle_decay(True),
+               "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
+    shots = 8192 if mode == "flips" else None
+    for count in (2, 3):
+        preps = [parse_qasm(text) for text in _STAGED_PREPS[:count]]
+        seeds = child_seeds(0, count)
+        got = collect_weights(preps, backend, lines, shots, seeds)
+        circuits = [p.then(s) for p in preps for s in _setting_circuits(lines, 5)]
+        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
+        want = [r.probabilities if shots is None else r.counts
+                for r in execute_many(circuits, backend, shots, circuit_seeds)]
+        assert got.dtype == want[0].dtype and np.array_equal(got.reshape(len(circuits), -1), want)
+
+
+# a 24-gate 5-qubit circuit, 7 of them cx on qx4's coupling map: the size of
+# the benchmark's qst circuits
+_TWENTY_FOUR_GATES = (
+    "OPENQASM 2.0;\nqreg q[5];\nh q[0];\ncx q[1],q[0];\nt q[2];\nsdg q[4];\ncx q[2],q[4];\n"
+    "x q[3];\ns q[1];\ncx q[3],q[2];\ny q[0];\ntdg q[3];\nh q[4];\ncx q[2],q[1];\nz q[2];\n"
+    "h q[1];\ncx q[3],q[4];\nt q[0];\ns q[4];\nsdg q[2];\ncx q[2],q[0];\nh q[3];\nx q[1];\n"
+    "cx q[1],q[0];\nt q[4];\ny q[3];\n")
+
+
+def test_five_qubit_qst_applies_75_maps_and_checks_28_stacks(qx4_quiet, monkeypatch):
+    circuit = parse_qasm(_TWENTY_FOUR_GATES)
+    assert len(circuit.instructions) == 24
+    applied, checked = [], []
+    apply, check = qptkit.backend._apply, qptkit.backend.check_density_matrix
+    monkeypatch.setattr(qptkit.backend, "_apply",
+                        lambda sup, rho, *args: applied.append(len(rho)) or apply(sup, rho, *args))
+    monkeypatch.setattr(qptkit.backend, "check_density_matrix",
+                        lambda m, *args, **kwargs: checked.append(len(m)) or check(m, *args, **kwargs))
+    run = run_qst(circuit, qx4_quiet)
+    assert run.reference is not None
+    # the 24 gates on one state; the heads' 12 rotations of q4 q3 on it
+    # (h for X, sdg and h for Y, each shared prefix once); the tails' 39
+    # rotations of q2 q1 q0 over the 9 head states; noiseless measures apply
+    # nothing
+    assert applied == [1] * (24 + 12) + [9] * 39
+    # each tail's 9 final states, then the reference alone
+    assert checked == [9] * 27 + [1]
+
+
+def test_head_stacks_stay_under_the_readout_cap(qx4_quiet, monkeypatch):
+    lines = (4, 3, 2, 1, 0)
+    preps = [preparation_circuit("".join(label), lines)
+             for label in itertools.islice(itertools.product("01pr", repeat=5), 40)]
+    starts = []
+    evolve = qptkit.backend._evolve
+
+    def recording(circuits, backend, start=None):
+        if start is not None and circuits[0].measurements:  # the tails over a stack
+            starts.append(start[1].nbytes)
+        return evolve(circuits, backend, start)
+
+    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
+    got = collect_weights(preps, qx4_quiet, lines)
+    monkeypatch.undo()
+    # 9 head states of 16 KiB each: one preparation a batch, two would pass the cap
+    assert starts == [9 << 14] * 40
+    assert 9 << 14 <= qptkit.backend._READOUT_BYTES < 18 << 14
+    want = [r.probabilities for r in execute_many(
+        [p.then(s) for p in preps for s in _setting_circuits(lines, 5)], qx4_quiet)]
+    assert np.array_equal(got.reshape(-1, 32), want)
+    # four measured qubits of a four-qubit stack: 7 preparations a batch
+    narrow = [preparation_circuit("".join(label), lines[1:])
+              for label in itertools.islice(itertools.product("01pr", repeat=4), 40)]
+    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
+    starts.clear()
+    collect_weights(narrow, qx4_quiet, lines[1:])
+    assert starts == [7 * 9 << 12] * 5 + [5 * 9 << 12]
 
 
 def test_dataset_freezes_caller_arrays():
