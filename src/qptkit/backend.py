@@ -27,23 +27,29 @@ cx off the coupling map raises ``TopologyError``, and a qubit outside the
 start stack's a ``ValueError``.  An instruction's superoperators are looked
 up once per active register and reused by every circuit that shares the
 instruction object; a measure that applies nothing costs that lookup.
-``execute_many`` starts each circuit from |0...0> (B = 1).  Final states
-are checked as density matrices in stacks (``check_density_matrix``) before
-they are read out, and each run of them on the same active qubits with the
-same measures is read out as one block, a ``(rows, 2^m)`` array of outcome
-weights or counts (``_blocks``).  ``execute_many`` yields a block's rows as
-results.  Tomography (``_execute_preparations``) evolves each preparation
-alone and takes its settings as a product of stages: the first stage's
-circuits run once over the stack of the preparations' states, each later
-stage's once over the stack the stage before left, and only the last
-stage's states are checked and read out.  It writes each block into one
-``(preparations, settings, 2^m)`` array and hands that back with the stacks
-of evolved preparation states.  Every row is bitwise what the circuit would
-give run on its own: one batched ``np.matmul`` gives each state of a stack
-the bits it gets alone.  Only ``execute_exact`` returns ``final_state``, the
-density matrix of the whole register; a preparation evolved on exactly the
-qubits it touches gives the same state bit for bit (``_exact_state``), and
-on more qubits it may not.
+``execute_many`` starts each circuit from |0...0> (B = 1).
+
+Physicality holds by construction: every evolution starts from
+|0...0><0...0|, and each fused map is checked once, where it is built, as a
+channel (completely positive and trace preserving).  Before final states
+are read out, each stack of them is tested for what a fault in laying out
+or copying states can still break, Hermiticity and trace
+(``_check_readout``); only a state handed out as a ``final_state`` meets
+the full ``check_density_matrix``.  Each run of final states on the same
+active qubits with the same measures is read out as one block, a ``(rows,
+2^m)`` array of outcome weights or counts (``_blocks``).  ``execute_many``
+yields a block's rows as results.  Tomography (``_execute_preparations``)
+evolves each preparation alone and takes its settings as a product of
+stages: the first stage's circuits run once over the stack of the
+preparations' states, each later stage's once over the stack the stage
+before left, and only the last stage's states are tested and read out.
+It writes each block into one ``(preparations, settings, 2^m)`` array and
+hands that back with the stacks of evolved preparation states.  Every row
+is bitwise what the circuit would give run on its own: one batched
+``np.matmul`` gives each state of a stack the bits it gets alone.  Only
+``execute_exact`` returns ``final_state``, the density matrix of the whole
+register; a preparation evolved on exactly the qubits it touches gives the
+same state bit for bit (``_exact_state``), and on more qubits it may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -87,7 +93,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
@@ -98,7 +104,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channels import NoiseParams, decoherence_channel
-from .operators import GATE_ARITY, check_density_matrix, num_qubits, standard_gate
+from .operators import GATE_ARITY, _certified, check_density_matrix, num_qubits, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, CouplingMap, Gate, Measure, validate_topology
 
 __all__ = [
@@ -317,6 +323,38 @@ def _qubits(instructions: Sequence[Gate | Measure]) -> set[int]:
             for q in (inst.targets if isinstance(inst, Gate) else (inst.qubit,))}
 
 
+# how far a fused map may be from a channel
+_CHANNEL_ATOL = 1e-12
+
+
+def _check_channel(sup: np.ndarray) -> None:
+    """Raise ValueError unless a superoperator tensor, axes as
+    ``_superoperator`` gives them, is a channel within ``_CHANNEL_ATOL``.
+
+    Its Choi matrix, the tensor read as (out row, in row) by (out col, in
+    col), must be Hermitian and have no eigenvalue below -atol (completely
+    positive), and its partial trace over the output must be the identity
+    (trace preserving).  A NaN or inf fails the Hermiticity test.  As in
+    ``check_density_matrix``, a Cholesky factorisation of the Choi matrix
+    shifted by atol passes a valid map, and only when it fails do the
+    eigenvalues give the verdict and the message."""
+    d = 1 << (sup.ndim // 4)
+    square = sup.reshape(d, d, d, d)
+    choi = square.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    deviation = np.abs(choi - choi.conj().T).max()
+    if not deviation <= _CHANNEL_ATOL:
+        raise ValueError(f"Choi matrix not Hermitian: deviation {deviation:.3e}")
+    try:
+        np.linalg.cholesky(choi + _CHANNEL_ATOL * np.eye(d * d))
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(choi).min()
+        if lowest < -_CHANNEL_ATOL:
+            raise ValueError(f"not completely positive: Choi eigenvalue {lowest:.3e}") from None
+    deviation = np.abs(np.einsum("iikl->kl", square) - np.eye(d)).max()
+    if deviation > _CHANNEL_ATOL:
+        raise ValueError(f"not trace preserving: deviation {deviation:.3e}")
+
+
 @lru_cache(maxsize=1024)
 def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
                    duration_ns: float) -> np.ndarray:
@@ -326,7 +364,9 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
     ``decoherence_channel`` on each target for ``duration_ns``, one NoiseParams
     per target (no decay when ``decay`` is empty).  Axes are (out row, out col,
     in row, in col), each split into one axis of size 2 per target, most
-    significant target first.
+    significant target first.  Each map is checked once, as it is built, by
+    ``_check_channel``; one that is no channel raises ValueError naming the
+    gate, the decay and the duration.
     """
     ops = [standard_gate(gate)] if gate is not None else [np.eye(1 << len(decay))]
     if decay:
@@ -335,6 +375,13 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
                for combo in itertools.product(*per_target) for u in ops]
     m = num_qubits(ops[0])
     sup = sum(np.kron(a, a.conj()) for a in ops).reshape((2,) * (4 * m))
+    try:
+        _check_channel(sup)
+    except ValueError as exc:
+        decayed = (f"decay T1/T2 {', '.join(f'{p.t1_us}/{p.t2_us}' for p in decay)} us"
+                   if decay else "no decay")
+        raise ValueError(f"gate {gate!r} with {decayed} for {duration_ns} ns is no channel: "
+                         f"{exc}") from None
     sup.setflags(write=False)
     return sup
 
@@ -403,20 +450,37 @@ def _maps(inst: Gate | Measure, backend: BackendModel,
     return tuple(maps)
 
 
-# bound on the bytes of evolved states held for one stacked density check
+# bound on the bytes of evolved states held for one stacked check
 _CHECK_BYTES = 1 << 16
 
 
-def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
+def _check_readout(states: np.ndarray) -> None:
+    """The readout's test of a ``(B, d, d)`` stack of final states: each
+    must be Hermitian and unit-trace within 1e-9 as the first half of
+    ``check_density_matrix``'s certificate tests them, and a stack that is
+    not goes to ``check_density_matrix``, which decides and words the
+    ``ValueError``.
+
+    Positivity is not tested per state: every evolution starts from
+    |0...0><0...0|, and every map it applies passed ``_check_channel``.
+    Hermiticity and trace can still break where states are laid out or
+    copied after the last map's trace test."""
+    if not _certified(states, 1e-9, positive=False):
+        check_density_matrix(states)
+
+
+def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]],
+             check: Callable[[np.ndarray], None]
              ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Pass ``_evolve``'s chunks on, each once its states pass
-    ``check_density_matrix`` as one stack; a failure names the chunk's
-    circuits by position."""
+    """Pass ``_evolve``'s chunks on, each once ``check`` passes its states as
+    one stack: ``_check_readout`` for states that are only read out,
+    ``check_density_matrix`` for a state handed out.  A failure names the
+    chunk's circuits by position."""
     end = 0
     for circuits, states, active in chunks:
         end += len(circuits)
         try:
-            check_density_matrix(states, atol=1e-9)
+            check(states)
         except ValueError as exc:
             raise ValueError(f"circuits {end - len(circuits)}..{end - 1}: {exc}") from None
         yield circuits, states, active
@@ -627,7 +691,7 @@ def _runs(circuits: Sequence[Circuit], backend: BackendModel,
     the measures and the creg size.  A run holds at most ``_READOUT_BYTES``
     of diagonals, or one chunk's."""
     key, blocks, held = None, [], 0
-    for chunk, states, active in _checked(_evolve(circuits, backend, start)):
+    for chunk, states, active in _checked(_evolve(circuits, backend, start), _check_readout):
         diagonals = np.diagonal(states, axis1=1, axis2=2).real
         batch = len(states) // len(chunk)
         for readout, run in itertools.groupby(chunk, _readout):
@@ -777,13 +841,15 @@ def _exact_state(circuit: Circuit, active: tuple[int, ...],
                  state: np.ndarray) -> np.ndarray | None:
     """``execute_exact``'s ``final_state``: the whole-register density matrix
     of a circuit's final state on ``active`` as the evolution loop left it,
-    once ``check_density_matrix`` passes it.  None when ``active`` are not
+    once the full ``check_density_matrix`` passes it: a state handed out is
+    checked as any input would be, positivity too, where the readout tests
+    only what the maps' certificates leave open.  None when ``active`` are not
     exactly the qubits the circuit touches, the register ``execute_exact``
     evolves it on: evolved on more qubits, a state can differ in its last
     bits."""
     if active != tuple(sorted(_qubits(circuit.instructions), reverse=True)):
         return None
-    ((_, states, _),) = _checked([([circuit], state[None], active)])
+    ((_, states, _),) = _checked([([circuit], state[None], active)], check_density_matrix)
     return _full_register(states[0], active, circuit.qubit_count)
 
 

@@ -133,9 +133,12 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-9) -> None:
         raise ValueError(message if rho.ndim == 2 else f"matrix {index}: {message}")
 
 
-def _certified(stack: np.ndarray, atol: float) -> bool:
+def _certified(stack: np.ndarray, atol: float, positive: bool = True) -> bool:
     """True only for a (c, d, d) stack ``_first_violation`` finds no fault in:
-    the certificate of ``check_density_matrix``."""
+    the certificate of ``check_density_matrix``.  With ``positive`` False,
+    only its first half, which passes only matrices the full scan finds
+    Hermitian and unit-trace: every real and imaginary part of ``rho -
+    rho^dagger`` within atol/2 and every trace within atol of 1."""
     # each matrix's adjoint is conjugated into the one work buffer, which then
     # takes the difference and later the sum in place
     adjoint = stack.swapaxes(1, 2)
@@ -147,6 +150,8 @@ def _certified(stack: np.ndarray, atol: float) -> bool:
         return False
     if not (np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= atol).all():
         return False
+    if not positive:
+        return True
     # the shifted symmetric part the full scan factorises, but for the sign of
     # a zero entry (its division by 2+0j and its added atol*I may turn -0.0
     # into 0.0), which no test of a Cholesky factorisation can tell apart

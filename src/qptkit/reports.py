@@ -240,7 +240,10 @@ def load_report(path: str | Path) -> dict:
 
 
 def parse_report(text: str) -> dict:
-    report = json.loads(text)
+    try:
+        report = json.loads(text)
+    except RecursionError:  # json's decoder recurses once per nesting level
+        raise ValueError("report nested too deeply") from None
     _require(isinstance(report, dict), "not a JSON object")
     _require(report.get("format") == 1, f"unsupported format {report.get('format')!r}")
     kind = report.get("kind")

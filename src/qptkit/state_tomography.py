@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -112,14 +112,6 @@ def _setting_stages(qubits: tuple[int, ...], qubit_count: int) -> tuple[tuple[Ci
     split = k // 2
     tails = stage(rotations[split:], k, measures)
     return ((stage(rotations[:split], 0, ()),) if split else ()) + (tails,)
-
-
-def _setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
-    """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
-    register in ``qst_settings`` order, the basis rotations and then the
-    measures: the product of ``_setting_stages``, sharing its instructions."""
-    return tuple(reduce(Circuit.then, chain)
-                 for chain in itertools.product(*_setting_stages(qubits, qubit_count)))
 
 
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from golden import regen
-from qptkit import builtin_backend
+from qptkit import backend, builtin_backend
 
 
 def pytest_addoption(parser):
@@ -30,6 +30,15 @@ def qx4_quiet(qx4):
 @pytest.fixture(scope="session")
 def qx2():
     return builtin_backend("qx2")
+
+
+@pytest.fixture
+def fresh_maps():
+    """An empty cache of fused maps, emptied again after the test, so a map
+    built from patched inputs neither comes from nor stays in it."""
+    backend._superoperator.cache_clear()
+    yield
+    backend._superoperator.cache_clear()
 
 
 @pytest.fixture(scope="session")

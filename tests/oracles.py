@@ -9,10 +9,12 @@ preparation at a time, as ``run_qpt`` did before it ran a placement as one
 stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
 time; both combine and invert as the package did before it worked on stacks
 (``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
-``append_setting`` builds one setting circuit on its own.  ``distribution``
-and ``sample`` read out one circuit at a time, as the backend did before it
-read out each checked chunk as one stack; ``sample`` folds the readout flips
-in with ``flipped``, which ``flip_matrix`` writes as a Kronecker product.
+``append_setting`` builds one setting circuit on its own, and
+``setting_circuits`` every setting's circuit as the product of the
+tomography's stages.  ``distribution`` and ``sample`` read out one circuit
+at a time, as the backend did before it read out each checked chunk as one
+stack; ``sample`` folds the readout flips in with ``flipped``, which
+``flip_matrix`` writes as a Kronecker product.
 ``add_at_densities`` adds the Pauli terms with one ``np.add.at``, as state
 tomography did before it gathered them per term position; it reads
 ``monomials``, the Pauli strings as a Kronecker recursion, which
@@ -52,6 +54,7 @@ from qptkit.state_tomography import (
     _PAULI_POWER,
     _PAULI_XBIT,
     _POWERS_OF_I,
+    _setting_stages,
     collect_dataset,
     qst_settings,
     reconstruct_states,
@@ -85,6 +88,15 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
              for g in rotations[basis]]
     extra += [Measure(q, len(qubits) - 1 - p) for p, q in enumerate(qubits)]
     return circuit.extended(*extra, classical_count=len(qubits))
+
+
+def setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
+    """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
+    register in ``qst_settings`` order, the basis rotations and then the
+    measures: the product of ``state_tomography._setting_stages``, sharing
+    its instructions."""
+    return tuple(reduce(Circuit.then, chain)
+                 for chain in itertools.product(*_setting_stages(qubits, qubit_count)))
 
 
 def monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:

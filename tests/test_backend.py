@@ -23,6 +23,7 @@ from qptkit import (
     load_backend,
     parse_qasm,
 )
+from golden import regen
 from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, MAX_SHOTS, builtin_backend_names, read_backend
 from oracles import (
@@ -36,8 +37,8 @@ from oracles import (
     outcome_dict,
     sample,
 )
-from qptkit.channels import decoherence_channel
-from qptkit.operators import standard_gate
+from qptkit.channels import KrausChannel, decoherence_channel
+from qptkit.operators import GATES, check_density_matrix, standard_gate
 from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import collect_weights, qst_settings
 
@@ -566,15 +567,8 @@ def test_setting_stream_is_one_readout_run_matching_per_circuit_oracle(qx4, flip
 
 
 def test_long_stream_yields_before_its_last_chunk_is_evolved(qx4_quiet, monkeypatch):
-    checked = []
-    check = backend_module.check_density_matrix
-
-    def recording(states, **kwargs):
-        checked.append(len(states))
-        return check(states, **kwargs)
-
-    monkeypatch.setattr(backend_module, "check_density_matrix", recording)
-    read = []
+    checked, read = [], []
+    _counting(monkeypatch, checked, "_check_readout", "check_density_matrix")
     _counting(monkeypatch, read, "_distributions")
     limit = backend_module._READOUT_BYTES // (8 * 32)
     preps = [parse_qasm(FIVE_QUBIT_PREP).extended(Gate("h", (q,))) for q in range(5)]
@@ -582,8 +576,11 @@ def test_long_stream_yields_before_its_last_chunk_is_evolved(qx4_quiet, monkeypa
     assert len(circuits) > limit
     results = execute_many(circuits, qx4_quiet)
     first = next(results)
-    # one run: its first rows are read out once the next chunk would pass the bound
-    assert read == [("_distributions", limit)] and limit <= sum(checked) < len(circuits)
+    # one run: its first rows are read out once the next chunk would pass the
+    # bound; valid states pass the readout test and never meet the full check
+    readout = [rows for name, rows in checked if name == "_check_readout"]
+    assert read == [("_distributions", limit)] and limit <= sum(readout) < len(circuits)
+    assert len(readout) == len(checked)
     rest = list(results)
     assert read == [("_distributions", limit), ("_distributions", len(circuits) - limit)]
     evolved = _per_circuit(backend_module._evolve(circuits, qx4_quiet))
@@ -952,33 +949,95 @@ def _constant_state_map():
     return sup
 
 
-def test_states_checked_in_bounded_stacks_before_they_are_yielded(qx4_quiet, monkeypatch):
+def _coherence_map(factor):
+    """rho -> rho with its off-diagonal entries times ``factor``: trace
+    preserving, and a channel exactly when |factor| <= 1."""
+    sup = np.zeros((2, 2, 2, 2), dtype=complex)
+    for i, j in itertools.product(range(2), repeat=2):
+        sup[i, j, i, j] = 1.0 if i == j else factor
+    return sup
+
+
+@pytest.mark.parametrize("sup, lowest", [(_constant_state_map(), "-5.000e-01"),
+                                         (_coherence_map(1.2), "-2.000e-01")])
+def test_a_map_that_is_not_completely_positive_is_no_channel(sup, lowest):
+    with pytest.raises(ValueError, match=rf"^not completely positive: Choi eigenvalue {lowest}$"):
+        backend_module._check_channel(sup)
+    for factor in (1.0, 0.9, -1.0):
+        backend_module._check_channel(_coherence_map(factor))
+
+
+def test_a_kraus_set_that_is_not_trace_preserving_fails_where_its_map_is_built(
+        qx4, monkeypatch, fresh_maps):
+    def leaky(params, duration_ns):
+        return KrausChannel(1, tuple(1.1 * op for op in
+                                     decoherence_channel(params, duration_ns).operators))
+
+    monkeypatch.setattr(backend_module, "decoherence_channel", leaky)
+    applied = []
+    _counting(monkeypatch, applied, "_apply")
+    circuit = Circuit(1, 1, (Gate("h", (0,)), Measure(0, 0)))
+    with pytest.raises(ValueError, match=r"^gate 'h' with decay T1/T2 48\.7/14\.0 us for 60\.0 ns "
+                                         r"is no channel: not trace preserving: deviation "
+                                         r"2\.100e-01$"):
+        execute_exact(circuit, qx4)
+    assert applied == []
+
+
+@pytest.mark.parametrize("gate", ["y", "s", "sdg", "t", "tdg"])
+def test_a_superoperator_without_its_conjugate_is_no_channel(qx4, gate):
+    # the complex gates: a real Kraus operator is its own conjugate
+    ops = [op @ standard_gate(gate) for op in decoherence_channel(qx4.qubits[0], 60.0).operators]
+    backend_module._check_channel(sum(np.kron(a, a.conj()) for a in ops).reshape((2,) * 4))
+    with pytest.raises(ValueError, match="^(Choi matrix not Hermitian|not completely positive|"
+                                         "not trace preserving)"):
+        backend_module._check_channel(sum(np.kron(a, a) for a in ops).reshape((2,) * 4))
+
+
+def test_golden_exact_runs_leave_only_density_matrices(monkeypatch):
+    # the full check, which the readout no longer runs, as an oracle on
+    # every final state the golden reports' runs read out: exact qpt, and qst
+    # exact and at 8192 shots
+    checked = []
+    readout = backend_module._check_readout
+
+    def full(states):
+        check_density_matrix(states)
+        checked.append(len(states))
+        readout(states)
+
+    monkeypatch.setattr(backend_module, "_check_readout", full)
+    regen.report_digests()
+    # 54 single-qubit placements of 12 settings (45 on qx4, 9 on qx2), 6 cx
+    # of 144, 8 qst of 243
+    assert sum(checked) == 54 * 12 + 6 * 144 + 8 * 243
+
+
+def test_states_checked_in_bounded_stacks_before_they_are_yielded(qx4_quiet, monkeypatch,
+                                                                  fresh_maps):
     stacks = []
-    original = backend_module.check_density_matrix
-
-    def recording(states, **kwargs):
-        stacks.append(len(states))
-        return original(states, **kwargs)
-
-    monkeypatch.setattr(backend_module, "check_density_matrix", recording)
+    _counting(monkeypatch, stacks, "_check_readout", "check_density_matrix")
     prep = parse_qasm(FIVE_QUBIT_PREP)
     circuits = [append_setting(prep, tag) for tag in qst_settings(5)]
     limit = backend_module._CHECK_BYTES // (16 * 32 * 32)
     for count, _ in enumerate(execute_many(circuits, qx4_quiet), start=1):
-        assert sum(stacks) >= count
-    assert sum(stacks) == len(circuits) and max(stacks) == limit
+        assert sum(rows for _, rows in stacks) >= count
+    assert {name for name, _ in stacks} == {"_check_readout"}
+    assert sum(rows for _, rows in stacks) == len(circuits)
+    assert max(rows for _, rows in stacks) == limit
 
-    # a state that fails the check stops the stream before any result of its stack
-    superoperator = backend_module._superoperator
-    monkeypatch.setattr(backend_module, "_superoperator",
-                        lambda gate, *rest: _constant_state_map() if gate == "x"
-                        else superoperator(gate, *rest))
+    # a gate table entry that is no unitary: its map is no channel, and it
+    # stops the stream before any result of the circuits evolved before it
+    monkeypatch.setitem(GATES, "x", 1.1 * standard_gate("x"))
+    backend_module._superoperator.cache_clear()
     ok = Circuit(1, 1, (Gate("h", (0,)), Measure(0, 0)))
     bad = Circuit(1, 1, (Gate("x", (0,)), Measure(0, 0)))
+    stacks.clear()
     results = execute_many([ok, ok, ok, bad], qx4_quiet)
-    with pytest.raises(ValueError, match=r"^circuits 0\.\.3: matrix 3: density matrix has "
-                                         r"negative eigenvalue -5\.000e-01$"):
+    with pytest.raises(ValueError, match=r"^gate 'x' with no decay for 60\.0 ns is no channel: "
+                                         r"not trace preserving: deviation 2\.100e-01$"):
         next(results)
+    assert stacks == []
 
 
 FIVE_QUBIT_PREP = """OPENQASM 2.0;

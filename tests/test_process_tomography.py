@@ -672,29 +672,29 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
 def test_run_qpt_is_one_stream(qx4, monkeypatch):
     streams, checks = [], []
     evolve = backend_module._evolve
-    check = backend_module.check_density_matrix
 
     def counting_evolve(circuits, backend, start=None):
         streams.append((len(circuits), 1 if start is None else len(start[1])))
         return evolve(circuits, backend, start)
 
-    def counting_check(matrices, *args, **kwargs):
-        checks.append(len(matrices))
-        return check(matrices, *args, **kwargs)
-
     monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
-    monkeypatch.setattr(backend_module, "check_density_matrix", counting_check)
+    for name in ("_check_readout", "check_density_matrix"):
+        def counting_check(matrices, *args, original=getattr(backend_module, name), name=name,
+                           **kwargs):
+            checks.append((name, len(matrices)))
+            return original(matrices, *args, **kwargs)
+        monkeypatch.setattr(backend_module, name, counting_check)
     run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
     # the 16 preparations in one stream, then the 3 basis rotations of the
     # first line over the stack of their 16 states, then the 3 rotations and
     # measures of the second over the 48 states that leaves, whose 144 final
-    # states are checked as one stack
-    assert streams == [(16, 1), (3, 16), (3, 48)] and checks == [144]
+    # states pass the readout test as one stack, and no full check
+    assert streams == [(16, 1), (3, 16), (3, 48)] and checks == [("_check_readout", 144)]
     streams.clear()
     checks.clear()
     # one line has no head stage: its 3 settings run over the 4 states
     run_qpt("h", (0,), qx4)
-    assert streams == [(4, 1), (3, 4)] and checks == [12]
+    assert streams == [(4, 1), (3, 4)] and checks == [("_check_readout", 12)]
 
 
 def test_run_qpt_argument_errors(qx4):

@@ -187,6 +187,13 @@ def test_report_validation(h_report, mutate, message):
         parse_report(dump_report(bad))
 
 
+def test_report_nested_too_deeply_is_invalid():
+    # json's decoder recurses once per level and runs out of stack first
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(ValueError, match="^report nested too deeply$"):
+            parse_report(text)
+
+
 def test_seed_summary(qx4_quiet):
     seeds = [0, 1, 2]
     results = [run_qpt("h", (0,), qx4_quiet, shots=256, seed=s) for s in seeds]
@@ -665,6 +672,7 @@ def test_cli_table_and_chi_plot_name_an_unusable_report(tmp_path, h_report, comm
                         "['I', 'X', '-iY', 'Z']"),
         "binary.json": (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0"),
         "folder.json": ("dir", "Is a directory"),
+        "nested.json": ("[" * 100_000, "report nested too deeply"),
     }
     for name, (content, reason) in faults.items():
         folder = tmp_path / name.split(".")[0]

@@ -27,13 +27,12 @@ from qptkit import (
     run_qst,
 )
 from oracles import (add_at_densities, append_setting, outcome_dict, pauli_string_matrix,
-                     pauli_strings)
+                     pauli_strings, setting_circuits)
 from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import (
     _densities,
     _estimates,
     _pauli_strings,
-    _setting_circuits,
     _setting_stages,
     child_seeds,
     collect_weights,
@@ -93,7 +92,7 @@ def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
     def build(*args):
         raise AssertionError("built setting circuits for no preparation")
 
-    monkeypatch.setattr(qptkit.state_tomography, "_setting_circuits", build)
+    monkeypatch.setattr(qptkit.state_tomography, "_setting_stages", build)
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", build)
     for qubits in (None, (0,)):
         with pytest.raises(ValueError, match="^no preparations to run$"):
@@ -477,7 +476,7 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
     shots = 8192 if mode == "sampled" else None
     prep = parse_qasm(CI_FIVE_QUBITS)
     got = collect_weights([prep], backend, shots=shots, seeds=[3])[0]
-    settings = _setting_circuits((4, 3, 2, 1, 0), 5)
+    settings = setting_circuits((4, 3, 2, 1, 0), 5)
     seeds = child_seeds(3, len(settings))
     for row, setting, seed in zip(got, settings, seeds, strict=True):
         # each setting alone through execute_many: no stack, no shared prefix
@@ -501,20 +500,21 @@ def test_run_qst_reference_is_execute_exacts_final_state(qx4, mode):
 
 
 @pytest.mark.parametrize("noise", [False, True])
-def test_valid_setting_stacks_pay_one_cholesky_and_no_eigvalsh(qx4, noise, monkeypatch):
+def test_valid_setting_stacks_pay_no_cholesky_and_no_eigvalsh(qx4, noise, monkeypatch, fresh_maps):
     calls = []
     for name in ("cholesky", "eigvalsh"):
         def counting(a, *args, original=getattr(np.linalg, name), name=name, **kwargs):
-            calls.append((name, len(a)))
+            calls.append((name, a.shape))
             return original(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     weights = collect_weights([parse_qasm(CI_FIVE_QUBITS)], qx4.with_noise(noise))
     monkeypatch.undo()
-    # the certificate's factorisation, once per checked stack of the 243
-    # final states, each tail's 9 (one per head state), and never the full
-    # scan's eigenvalues
+    # the 243 final states pass the readout test, which factorises none of
+    # them; each map, built once, has its Choi matrix (at most 16 x 16)
+    # factorised, and no eigenvalues are taken
     assert weights.shape == (1, 243, 32)
-    assert calls == [("cholesky", 9)] * 27
+    assert len(calls) == qptkit.backend._superoperator.cache_info().misses > 0
+    assert all(name == "cholesky" and shape[-1] <= 16 for name, shape in calls)
 
 
 def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
@@ -535,7 +535,7 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
 def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
     # the stages are built once per key; their product shares their objects
     assert _setting_stages((4, 1), 5) is _setting_stages((4, 1), 5)
-    circuits = _setting_circuits((4, 1), 5)
+    circuits = setting_circuits((4, 1), 5)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n")
     # the instructions of one setting at a time: one object per (letter, qubit)
     # for the rotations (h of X, sdg and h of Y) and one measure per qubit
@@ -573,7 +573,7 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         alone = [collect_dataset(p, backend, lines, shots, s).weights for p, s in zip(preps, seeds)]
         assert np.array_equal(stacked, alone)
         # the stream of every joined circuit, each setting with its own seed
-        circuits = [p.then(c) for p in preps for c in _setting_circuits(lines, 5)]
+        circuits = [p.then(c) for p in preps for c in setting_circuits(lines, 5)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         stream = [r.probabilities if shots is None else r.counts
                   for r in execute_many(circuits, backend, shots, circuit_seeds)]
@@ -605,7 +605,7 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
         assert stacks == [(2, 1, wide), (3, 2, wide), (3, 6, wide),
                           (1, 1, narrow), (3, 1, narrow), (3, 3, narrow),
                           (1, 1, narrow), (3, 1, narrow), (3, 3, narrow)]
-        circuits = [p.then(c) for p in preps for c in _setting_circuits((1, 0), p.qubit_count)]
+        circuits = [p.then(c) for p in preps for c in setting_circuits((1, 0), p.qubit_count)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
         want = [r.probabilities if shots is None else r.counts
                 for r in execute_many(circuits, qx4, shots, circuit_seeds)]
@@ -642,7 +642,7 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
             monkeypatch.setattr(qptkit.qasm, "_check_instruction",
                                 lambda *args: checks.append(args[0]) or check(*args))
             built = _built_circuits(monkeypatch, preps, qx4_quiet, qubits)
-            settings = _setting_circuits(qubits, 5)
+            settings = setting_circuits(qubits, 5)
             # each instruction of each stage is checked once per (qubits,
             # register size), on the first call, and never when joined to a
             # preparation or to another stage
@@ -707,7 +707,7 @@ def test_datasets_of_a_run_are_checked_once(qx4, monkeypatch):
 def test_setting_stages_multiply_to_the_setting_circuits(n):
     qubits = (0, 2, 4, 1, 3)[:n]
     stages = _setting_stages(qubits, 5)
-    settings = _setting_circuits(qubits, 5)
+    settings = setting_circuits(qubits, 5)
     tags = qst_settings(n)
     # the heads rotate the first n // 2 qubits and measure nothing; one
     # qubit has no head stage
@@ -741,7 +741,7 @@ def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
         preps = [parse_qasm(text) for text in _STAGED_PREPS[:count]]
         seeds = child_seeds(0, count)
         got = collect_weights(preps, backend, lines, shots, seeds)
-        circuits = [p.then(s) for p in preps for s in _setting_circuits(lines, 5)]
+        circuits = [p.then(s) for p in preps for s in setting_circuits(lines, 5)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         want = [r.probabilities if shots is None else r.counts
                 for r in execute_many(circuits, backend, shots, circuit_seeds)]
@@ -760,12 +760,15 @@ _TWENTY_FOUR_GATES = (
 def test_five_qubit_qst_applies_75_maps_and_checks_28_stacks(qx4_quiet, monkeypatch):
     circuit = parse_qasm(_TWENTY_FOUR_GATES)
     assert len(circuit.instructions) == 24
-    applied, checked = [], []
+    applied, full, readout = [], [], []
     apply, check = qptkit.backend._apply, qptkit.backend.check_density_matrix
+    check_readout = qptkit.backend._check_readout
     monkeypatch.setattr(qptkit.backend, "_apply",
                         lambda sup, rho, *args: applied.append(len(rho)) or apply(sup, rho, *args))
     monkeypatch.setattr(qptkit.backend, "check_density_matrix",
-                        lambda m, *args, **kwargs: checked.append(len(m)) or check(m, *args, **kwargs))
+                        lambda m, *args, **kwargs: full.append(len(m)) or check(m, *args, **kwargs))
+    monkeypatch.setattr(qptkit.backend, "_check_readout",
+                        lambda m: readout.append(len(m)) or check_readout(m))
     run = run_qst(circuit, qx4_quiet)
     assert run.reference is not None
     # the 24 gates on one state; the heads' 12 rotations of q4 q3 on it
@@ -773,8 +776,9 @@ def test_five_qubit_qst_applies_75_maps_and_checks_28_stacks(qx4_quiet, monkeypa
     # rotations of q2 q1 q0 over the 9 head states; noiseless measures apply
     # nothing
     assert applied == [1] * (24 + 12) + [9] * 39
-    # each tail's 9 final states, then the reference alone
-    assert checked == [9] * 27 + [1]
+    # each tail's 9 final states pass the readout test, and only the
+    # reference meets the full check
+    assert readout == [9] * 27 and full == [1]
 
 
 def test_head_stacks_stay_under_the_readout_cap(qx4_quiet, monkeypatch):
@@ -796,7 +800,7 @@ def test_head_stacks_stay_under_the_readout_cap(qx4_quiet, monkeypatch):
     assert starts == [9 << 14] * 40
     assert 9 << 14 <= qptkit.backend._READOUT_BYTES < 18 << 14
     want = [r.probabilities for r in execute_many(
-        [p.then(s) for p in preps for s in _setting_circuits(lines, 5)], qx4_quiet)]
+        [p.then(s) for p in preps for s in setting_circuits(lines, 5)], qx4_quiet)]
     assert np.array_equal(got.reshape(-1, 32), want)
     # four measured qubits of a four-qubit stack: 7 preparations a batch
     narrow = [preparation_circuit("".join(label), lines[1:])
