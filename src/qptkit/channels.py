@@ -42,7 +42,8 @@ COMPLETENESS_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A channel given by one or more Kraus operators on ``qubit_count`` qubits."""
+    """A channel given by one or more Kraus operators on ``qubit_count``
+    qubits, each a finite matrix of the register's size."""
 
     qubit_count: int
     operators: tuple[np.ndarray, ...]
@@ -60,6 +61,8 @@ class KrausChannel:
                     f"Kraus operator shape {op.shape} does not match "
                     f"{self.qubit_count} qubit(s)"
                 )
+            if not np.isfinite(op).all():
+                raise ValueError("Kraus operator has non-finite entries")
             op.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
@@ -91,9 +94,9 @@ class NoiseParams:
 
 def amplitude_damping(duration_ns: float, t1_us: float) -> KrausChannel:
     """Single-qubit T1 decay over the given duration."""
-    if t1_us <= 0:
+    if not t1_us > 0:
         raise ValueError(f"t1 must be positive, got {t1_us}")
-    if duration_ns < 0:
+    if not duration_ns >= 0:
         raise ValueError(f"duration must be non-negative, got {duration_ns}")
     gamma = -math.expm1(-duration_ns / (t1_us * 1e3))
     e0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
@@ -108,7 +111,7 @@ def pure_dephasing(duration_ns: float, t1_us: float, t2_us: float) -> KrausChann
     identity for any duration.
     """
     NoiseParams(t1_us, t2_us)  # checks t1 and t2
-    if duration_ns < 0:
+    if not duration_ns >= 0:
         raise ValueError(f"duration must be non-negative, got {duration_ns}")
     rate_per_us = 1.0 / t2_us - 1.0 / (2.0 * t1_us)
     p = -math.expm1(-(duration_ns / 1e3) * rate_per_us) / 2.0
@@ -147,7 +150,7 @@ def validate_completeness(channel: KrausChannel) -> float:
 
 def _check_trace_preserving(channel: KrausChannel) -> None:
     dev = validate_completeness(channel)
-    if dev > COMPLETENESS_ATOL:
+    if not dev <= COMPLETENESS_ATOL:
         raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
 
 
@@ -158,7 +161,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     The terms are added in Kraus order, so a stack gives each matrix the
     bits it gets on its own.  Only the trailing shape is checked: the map is
     linear and also takes non-Hermitian matrices.  ``qpt_channel`` checks
-    trace preservation once per channel and its outputs as one stack.
+    trace preservation once per channel.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << channel.qubit_count

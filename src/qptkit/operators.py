@@ -116,13 +116,6 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-9) -> None:
     eigenvalue of the symmetric part exceeds -atol.  When it fails, the
     eigenvalues (``eigvalsh``) give the verdict and the message, so a matrix
     is rejected exactly when its smallest eigenvalue lies below -atol.
-
-    A stack first meets a certificate that passes only what the full scan
-    passes: every real and imaginary part of ``rho - rho^dagger`` within
-    atol/2 (so every deviation is within atol/sqrt(2), and none is NaN or
-    inf), every trace within atol of 1, and that Cholesky factorisation.
-    The full scan runs only when the certificate fails, and it alone words
-    the message.
     """
     rho = np.asarray(rho, dtype=complex)
     _square_qubits(rho.shape)
@@ -133,44 +126,25 @@ def check_density_matrix(rho: np.ndarray, *, atol: float = 1e-9) -> None:
         raise ValueError(message if rho.ndim == 2 else f"matrix {index}: {message}")
 
 
-def _certified(stack: np.ndarray, atol: float, positive: bool = True) -> bool:
-    """True only for a (c, d, d) stack ``_first_violation`` finds no fault in:
-    the certificate of ``check_density_matrix``.  With ``positive`` False,
-    only its first half, which passes only matrices the full scan finds
-    Hermitian and unit-trace: every real and imaginary part of ``rho -
-    rho^dagger`` within atol/2 and every trace within atol of 1."""
+def _certified(stack: np.ndarray, atol: float) -> bool:
+    """True only for a (c, d, d) stack whose every matrix the full check
+    finds Hermitian and unit-trace: every real and imaginary part of ``rho
+    - rho^dagger`` within atol/2 and every trace within atol of 1.  Positivity
+    is not tested."""
     # each matrix's adjoint is conjugated into the one work buffer, which then
-    # takes the difference and later the sum in place
-    adjoint = stack.swapaxes(1, 2)
-    work = np.conjugate(adjoint, out=np.empty(stack.shape, dtype=complex))
+    # takes the difference in place
+    work = np.conjugate(stack.swapaxes(1, 2), out=np.empty(stack.shape, dtype=complex))
     np.subtract(stack, work, out=work)
     parts = work.view(float)
     # a non-finite entry leaves a NaN or inf in the deviation, which fails here
     if not np.abs(parts, out=parts).max(initial=0.0) <= atol / 2:
         return False
-    if not (np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= atol).all():
-        return False
-    if not positive:
-        return True
-    # the shifted symmetric part the full scan factorises, but for the sign of
-    # a zero entry (its division by 2+0j and its added atol*I may turn -0.0
-    # into 0.0), which no test of a Cholesky factorisation can tell apart
-    np.add(stack, np.conjugate(adjoint, out=work), out=work)
-    parts *= 0.5
-    d = stack.shape[-1]
-    work.reshape(-1, d * d)[:, ::d + 1] += atol
-    try:
-        np.linalg.cholesky(work)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool((np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0) <= atol).all())
 
 
 def _first_violation(stack: np.ndarray, atol: float) -> tuple[int, str] | None:
     """Index and message of the first matrix of a (c, d, d) stack that is no
     density matrix, or None."""
-    if _certified(stack, atol):
-        return None
     finite = np.isfinite(stack).all(axis=(1, 2))
     adjoint = stack.conj().swapaxes(1, 2)
     herm = np.abs(stack - adjoint).max(axis=(1, 2))

@@ -239,6 +239,15 @@ def load_report(path: str | Path) -> dict:
     return parse_report(Path(path).read_text(encoding="utf-8"))
 
 
+def _hermitian(report: dict, name: str) -> np.ndarray:
+    """The report's matrix ``name`` from its real and imaginary grids, once
+    it is Hermitian within 1e-8 (a NaN entry is not)."""
+    matrix = np.array(report[f"{name}_real"]) + 1j * np.array(report[f"{name}_imag"])
+    _require(float(np.abs(matrix - matrix.conj().T).max()) <= 1e-8,
+             f"stored {name} is not Hermitian")
+    return matrix
+
+
 def parse_report(text: str) -> dict:
     try:
         report = json.loads(text)
@@ -282,8 +291,7 @@ def parse_report(text: str) -> dict:
             _require(len(grid) == dim and all(len(row) == dim for row in grid),
                      f"{key} is not {dim}x{dim}")
     if kind == "qpt":
-        chi = np.array(report["chi_real"]) + 1j * np.array(report["chi_imag"])
-        _require(float(np.abs(chi - chi.conj().T).max()) <= 1e-8, "stored chi is not Hermitian")
+        _hermitian(report, "chi")
         _require(report["residual"] >= 0.0, "negative residual")
     elif kind == "qpt-seeds":
         fidelities = report["fidelities"]
@@ -294,7 +302,7 @@ def parse_report(text: str) -> dict:
                  and report["fidelity_max"] == max(fidelities),
                  "stored min/max are inconsistent")
     else:
-        rho = np.array(report["rho_real"]) + 1j * np.array(report["rho_imag"])
+        rho = _hermitian(report, "rho")
         _require(abs(np.trace(rho).real - 1.0) <= 1e-6, "stored rho trace is off")
     # qpt: 4**n preparations, each measured in 3**n settings; qst: 3**n settings
     expected = (3 if kind == "qst" else 12) ** n

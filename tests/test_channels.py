@@ -1,6 +1,7 @@
 """Kraus channels and the T1/T2 noise constructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
 from oracles import embed_channel, identity_channel, kraus_apply, unitary_as_channel
-from qptkit import KrausChannel, NoiseParams, qpt_channel
+from qptkit import KrausChannel, NoiseParams, channels, qpt_channel
 from qptkit.channels import (
     amplitude_damping,
     apply_channel,
@@ -57,6 +58,11 @@ def test_amplitude_damping_rejects():
         amplitude_damping(10.0, 0.0)
     with pytest.raises(ValueError, match="duration"):
         amplitude_damping(-1.0, 10.0)
+    # a NaN fails every comparison, so each bound is tested as "not within"
+    with pytest.raises(ValueError, match="^duration must be non-negative, got nan$"):
+        amplitude_damping(math.nan, 10.0)
+    with pytest.raises(ValueError, match="^t1 must be positive, got nan$"):
+        amplitude_damping(10.0, math.nan)
 
 
 def test_pure_dephasing_t2_limit_is_identity():
@@ -77,6 +83,8 @@ def test_pure_dephasing_coherence_factor():
 def test_pure_dephasing_rejects_unphysical():
     with pytest.raises(ValueError, match="2\\*t1"):
         pure_dephasing(10.0, 10.0, 30.0)
+    with pytest.raises(ValueError, match="^duration must be non-negative, got nan$"):
+        pure_dephasing(math.nan, 10.0, 10.0)
 
 
 def test_noise_params_validation():
@@ -117,6 +125,14 @@ def test_kraus_channel_validation():
         KrausChannel(1, ())
     with pytest.raises(ValueError, match="shape"):
         KrausChannel(2, (np.eye(2),))
+    for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+        op = np.eye(2, dtype=complex)
+        op[0, 1] = bad
+        # it fails where it enters, before any arithmetic on it warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^Kraus operator has non-finite entries$"):
+                KrausChannel(1, (np.eye(2) / 2, op))
 
 
 def test_compose_amplitude_damping_twice():
@@ -162,11 +178,16 @@ def test_amp_deph_commute():
         assert np.abs(ab - ba).max() < 1e-12
 
 
-def test_incomplete_channel_rejected_by_qpt_channel():
+def test_incomplete_channel_rejected_by_qpt_channel(monkeypatch):
     broken = KrausChannel(1, (np.eye(2), np.eye(2)))
     assert abs(validate_completeness(broken) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="not trace preserving"):
         qpt_channel(broken)
+    with monkeypatch.context() as patched:
+        # a NaN deviation fails the test too
+        patched.setattr(channels, "validate_completeness", lambda channel: math.nan)
+        with pytest.raises(ValueError, match="^channel is not trace preserving: deviation nan$"):
+            qpt_channel(identity_channel(1))
     # apply_channel is the plain linear map, checked for shape only
     out = apply_channel(broken, PLUS)
     assert np.abs(out - 2 * PLUS).max() < 1e-12

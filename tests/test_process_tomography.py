@@ -439,6 +439,13 @@ def test_process_fidelity_raw_arrays_and_errors():
         process_fidelity(a, np.zeros((4, 4)))
     with pytest.raises(ValueError, match="mismatch"):
         process_fidelity(a, theoretical_chi("cx"))
+    for bad in (math.nan, math.inf):
+        b = a.matrix.copy()
+        b[1, 2] = bad
+        for theory, experiment in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="^cannot compute fidelity of a chi matrix with "
+                                                 "non-finite entries$"):
+                process_fidelity(theory, experiment)
 
 
 # --- channel-level tomography -------------------------------------------------------
@@ -504,29 +511,23 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
         qpt_channel(leaky)
 
 
-def test_qpt_channel_checks_every_output_in_one_stack(monkeypatch):
-    import qptkit.process_tomography as process_tomography
+def _leaky_channel(deviation):
+    """A two-qubit channel of one Kraus operator A = sqrt(I + deviation * J),
+    J the all-ones matrix: A^dagger A - I is ``deviation`` in every entry, so
+    the preparation |++><++| gains 4 * deviation in trace."""
+    plus = np.full((4, 4), 0.25, dtype=complex)  # J / 4, the projector on |++>
+    return KrausChannel(2, (np.eye(4) + (math.sqrt(1.0 + 4.0 * deviation) - 1.0) * plus,))
 
-    stacks, applied = [], []
-    check = process_tomography.check_density_matrix
-    monkeypatch.setattr(process_tomography, "check_density_matrix",
-                        lambda outs: stacks.append(np.shape(outs)) or check(outs))
 
-    def last_unphysical(ch, rho):
-        # the one stacked call, with an unphysical output for the last preparation
-        applied.append(np.shape(rho))
-        outs = apply_channel(ch, rho)
-        outs[-1] = np.diag([1.5, -0.5, 0.0, 0.0])
-        return outs
-
-    channel = _random_channel(np.random.default_rng(5), 2)
-    qpt_channel(channel)
-    assert stacks == [(16, 4, 4)]
-    # an unphysical output of the last preparation is named by its index
-    monkeypatch.setattr(process_tomography, "apply_channel", last_unphysical)
-    with pytest.raises(ValueError, match="^matrix 15: density matrix has negative eigenvalue"):
-        qpt_channel(channel)
-    assert applied == [(16, 4, 4)]
+def test_qpt_channel_checks_the_channel_where_it_enters():
+    # a deviation the trace-preservation test accepts gives a chi that
+    # carries it, though the output of |++> is off in trace by 3.6e-9
+    chi = qpt_channel(_leaky_channel(0.9e-9))
+    assert abs(tp_deviation(chi) - 0.9e-9) < 1e-15
+    with pytest.raises(ValueError, match="^channel is not trace preserving: deviation 1.100e-09$"):
+        qpt_channel(_leaky_channel(1.1e-9))
+    with pytest.raises(ValueError, match="^Kraus operator has non-finite entries$"):
+        qpt_channel(KrausChannel(2, (np.full((4, 4), np.nan),)))
 
 
 @pytest.mark.parametrize("n", [1, 2])

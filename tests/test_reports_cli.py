@@ -146,6 +146,11 @@ def _as(report, **changes):
         # rejected before 1 << qubits, which would allocate without bound
         (_as(_QST_REPORT, qubits=10**12), "invalid report: qubits 1000000000000 is not an integer"),
         (_as(_QST_REPORT, qubits=2), "rho_real is not 4x4"),
+        # a NaN off the diagonal, or a one-sided imaginary part, leaves the trace alone
+        (_as(_QST_REPORT, rho_real=[[1.0, math.nan], [0.0, 0.0]]),
+         "^invalid report: stored rho is not Hermitian$"),
+        (_as(_QST_REPORT, rho_imag=[[0.0, 0.4], [0.0, 0.0]]),
+         "^invalid report: stored rho is not Hermitian$"),
         (_as(_QST_REPORT, fidelity="high"), "invalid report: fidelity 'high' is not a number"),
         (_as(_QST_REPORT, executions="3"), "invalid report: executions '3' is not an integer"),
         (_as(_SEEDS_REPORT, fidelities=["a"]),

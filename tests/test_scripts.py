@@ -1,6 +1,6 @@
-"""The example scripts run end to end and print what CI's "Scripts smoke"
-step reads: a noiseless worst fidelity of 1 to nine decimals, and no gate
-whose fidelity fails to fall as durations grow."""
+"""The example scripts run end to end and print what they promise: a
+noiseless worst fidelity of 1 to nine decimals, and no gate whose fidelity
+fails to fall as durations grow."""
 
 import runpy
 import sys
