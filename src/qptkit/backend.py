@@ -27,6 +27,11 @@ raises ``TopologyError``, and a qubit outside the start stack's a
 ``ValueError``.  An instruction's superoperators are looked up once per
 active register and reused by every circuit that shares the instruction
 object; a measure that applies nothing costs that lookup.
+Each stack is held as one C-contiguous ``(B, 4^k)`` array with its layout,
+the order of the 2k row and column axes its last map stored it in: the
+next map gathers it into its own order with one flat ``take``, unless it is
+stored so already, and a final state is gathered into its chunk in the
+canonical order, that of its ``(2^k, 2^k)`` density matrix.
 ``execute_many`` starts each circuit from |0...0> (B = 1).
 
 Physicality holds by construction: every evolution starts from
@@ -169,8 +174,9 @@ class BackendModel:
 
     def scaled_durations(self, factor: float) -> "BackendModel":
         """Copy with every gate and measure duration multiplied by factor."""
-        if factor < 0:
-            raise ValueError("duration scale factor must be non-negative")
+        if not 0 <= factor < math.inf:
+            raise ValueError("duration scale factor must be finite and non-negative, "
+                             f"got {factor!r}")
         return replace(
             self,
             gate_durations_ns=MappingProxyType(
@@ -387,26 +393,52 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
 
 
 @lru_cache(maxsize=256)
-def _layout(axes: tuple[int, ...], k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis order of a ``(B, 2, ..., 2)`` stack of 2k-axis states putting the
-    stack axis, then the target row and column axes first, and its inverse."""
-    targets = tuple(1 + a for a in axes) + tuple(1 + k + a for a in axes)
-    order = (0, *targets, *(a for a in range(1, 2 * k + 1) if a not in targets))
-    return order, tuple(np.argsort(order).tolist())
+def _order(axes: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The layout a map on the given row axes of 2k-axis states reads a
+    stack in: the target row and column axes first, then the others."""
+    targets = (*axes, *(k + a for a in axes))
+    return (*targets, *(a for a in range(2 * k) if a not in targets))
 
 
-def _apply(sup: np.ndarray, rho: np.ndarray, axes: tuple[int, ...], k: int) -> np.ndarray:
-    """Apply a superoperator tensor to each state of a ``(B, 2, ..., 2)``
-    stack of (2,)*2k states on the given row axes.
+@lru_cache(maxsize=64)
+def _positions(layout: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """For a stack of states stored in ``layout`` (its state axes in that
+    order): the canonical flat index held at each stored position, and the
+    stored position of each canonical flat index."""
+    size = 1 << len(layout)
+    held = np.arange(size).reshape((2,) * len(layout)).transpose(layout).ravel()
+    where = np.empty(size, dtype=np.intp)
+    where[held] = np.arange(size)
+    return held, where
 
-    One ``np.matmul`` over the stack, on the layout ``np.tensordot`` would
-    build for each state, so each result is bitwise that state's alone; the
-    stack is returned as a view in the states' order.
+
+def _gather(rho: np.ndarray, layout: tuple[int, ...], order: tuple[int, ...],
+            out: np.ndarray | None = None) -> np.ndarray:
+    """The ``(B, 4**k)`` stack ``rho`` stored in ``layout``, moved by one
+    flat ``take`` (into ``out`` when given) into ``order``: each value lands
+    where ``transpose`` and ``reshape`` of its states to that order put it.
+    The index is always in range; ``mode="clip"`` only skips the bounds check
+    and the buffer ``"raise"`` copies ``out`` through."""
+    return rho.take(_positions(layout)[1][_positions(order)[0]], axis=1, out=out, mode="clip")
+
+
+def _apply(sup: np.ndarray, rho: np.ndarray, layout: tuple[int, ...],
+           axes: tuple[int, ...], k: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Apply a superoperator tensor to each state of a C-contiguous ``(B,
+    4**k)`` stack of 2k-axis states stored in ``layout``, on the given row
+    axes; return the C-contiguous product and the layout it is stored in,
+    the map's order (``_order``).
+
+    The stack is gathered into the map's order with one flat ``take``
+    (``_gather``), unless it is stored so already, and one ``np.matmul``
+    runs over it.  Its operand holds each value where ``np.tensordot`` would
+    lay it out for each state, so each result is bitwise that state's alone.
     """
-    order, inverse = _layout(axes, k)
+    order = _order(axes, k)
+    if layout != order:
+        rho = _gather(rho, layout, order)
     n = 1 << (2 * len(axes))
-    out = np.matmul(sup.reshape(n, n), rho.transpose(order).reshape(len(rho), n, -1))
-    return out.reshape(rho.shape).transpose(inverse)
+    return np.matmul(sup.reshape(n, n), rho.reshape(len(rho), n, -1)).reshape(len(rho), -1), order
 
 
 def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
@@ -423,8 +455,8 @@ def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...])
 
 
 def _ground(k: int) -> np.ndarray:
-    """|0...0><0...0| on k qubits as a stack of one, shaped (1, 2, ..., 2)."""
-    return np.eye(1, 1 << (2 * k), dtype=complex).reshape(1, *(2,) * (2 * k))
+    """|0...0><0...0| on k qubits as a stack of one, shaped (1, 4**k)."""
+    return np.eye(1, 1 << (2 * k), dtype=complex)
 
 
 def _maps(inst: Gate | Measure, backend: BackendModel,
@@ -490,19 +522,24 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
             start: tuple[tuple[int, ...], np.ndarray] | None = None
             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
     """Yield the circuits chunk by chunk, each chunk with the stack of its
-    circuits' final active-register states, circuit-major, and the active
-    qubits.  Each circuit starts from ``start``, active qubits and a ``(B, 2,
-    ..., 2)`` stack of B states on them, or else from |0...0> (B = 1) on the
-    qubits it touches.  A chunk holds at most ``_CHECK_BYTES`` of states, or
-    one circuit's; a yielded stack must not be written to.
+    circuits' final active-register states, ``(B, 2**k, 2**k)`` per circuit,
+    circuit-major, and the active qubits.  Each circuit starts from
+    ``start``, active qubits and a stack of B states on them, B first and
+    each state in the canonical order (``(B, 2**k, 2**k)`` or ``(B,
+    4**k)``), or else from |0...0> (B = 1) on the qubits it touches.  A chunk
+    holds at most ``_CHECK_BYTES`` of states, or one circuit's; a yielded
+    stack must not be written to.
 
     Before anything evolves, what each circuit adds to the prefix it shares
     with the circuit before it is checked: a cx off the coupling map raises
     ``TopologyError``, and a qubit outside ``start``'s a ``ValueError``
-    naming the circuit.  ``saved`` holds checkpoints (instructions applied,
-    states), deepest last, on the prefix of the circuit evolved last: each
-    circuit resumes from the deepest one that is a prefix of its own.
-    ``steps`` holds each instruction's ``_maps`` on the active register.
+    naming the circuit.  A stack evolves as a ``(B, 4**k)`` array stored in
+    the layout ``_apply`` left it in, and each circuit's final states are
+    gathered into the chunk in the canonical order.  ``saved`` holds
+    checkpoints (instructions applied, states, their layout), deepest last,
+    on the prefix of the circuit evolved last: each circuit resumes from the
+    deepest one that is a prefix of its own.  ``steps`` holds each
+    instruction's ``_maps`` on the active register.
     """
     instructions = [circuit.instructions for circuit in circuits]
     # shared[i]: the leading instructions circuits i and i + 1 have in common
@@ -516,12 +553,16 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
                 raise ValueError(f"circuit {i} acts on qubit {max(outside)}, outside the "
                                  f"start's qubits {start[0]}")
         fresh = shared[i]
-    active, rho = start or (None, None)
-    saved, steps, pending = [(0, rho)], {}, []
+    if start is None:
+        active = rho = layout = None
+    else:
+        active, rho = start[0], start[1].reshape(len(start[1]), -1)
+        layout = canonical = tuple(range(2 * len(active)))
+    saved, steps, pending = [(0, rho, layout)], {}, []
     for i, circuit in enumerate(circuits):
         while saved[-1][0] > (shared[i - 1] if i else 0):
             saved.pop()
-        depth, rho = saved[-1]
+        depth, rho, layout = saved[-1]
         if start is None:
             touched = tuple(sorted(_qubits(instructions[i]), reverse=True))
             if touched != active:
@@ -529,7 +570,8 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
                     yield pending, states[:size * len(pending)], active
                     pending = []
                 active, depth, rho = touched, 0, _ground(len(touched))
-                saved, steps = [(0, rho)], {}
+                layout = canonical = tuple(range(2 * len(touched)))
+                saved, steps = [(0, rho, layout)], {}
         if not pending:
             k = len(active)
             axis = {q: a for a, q in enumerate(active)}
@@ -544,10 +586,11 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
             if maps is None:
                 maps = steps[id(inst)] = _maps(inst, backend, axis)
             for sup, axes in maps:
-                rho = _apply(sup, rho, axes, k)
+                rho, layout = _apply(sup, rho, layout, axes, k)
             if pos + 1 == branch:
-                saved.append((branch, rho))
-        states[size * len(pending):size * (len(pending) + 1)].reshape(rho.shape)[...] = rho
+                saved.append((branch, rho, layout))
+        _gather(rho, layout, canonical,
+                out=states[size * len(pending):size * (len(pending) + 1)].reshape(size, -1))
         del rho  # the final state lives on in ``states``, and as a checkpoint if one
         pending.append(circuit)
         if len(pending) == chunk:
@@ -811,12 +854,11 @@ def _execute_preparations(preps: Sequence[Circuit],
         stack = [prep for _, prep in jobs]
         states = _stacked(stack, backend, (active, _ground(len(active))))
         groups.append((active, states))
-        shape = (-1,) + (2,) * (2 * len(active))
         batch = max(1, _READOUT_BYTES // (states[0].nbytes * held))
         for lo in range(0, len(stack), batch):
-            start = (active, states[lo:lo + batch].reshape(shape))
+            start = (active, states[lo:lo + batch])
             for stage in chain[:-1]:
-                start = (active, _stacked(stage, backend, start).reshape(shape))
+                start = (active, _stacked(stage, backend, start))
             part = slice(done + lo, done + min(lo + batch, len(stack)))
             rows = out[part].reshape(-1, *sizes, out.shape[2]).transpose(order)
             stacked = None if shots is None else seeds[part].T.ravel().tolist()

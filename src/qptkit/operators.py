@@ -132,9 +132,11 @@ def _certified(stack: np.ndarray, atol: float) -> bool:
     - rho^dagger`` within atol/2 and every trace within atol of 1.  Positivity
     is not tested."""
     # each matrix's adjoint is conjugated into the one work buffer, which then
-    # takes the difference in place
+    # takes the difference in place; a mirrored pair of infinite entries makes
+    # a NaN there (inf - inf) without a warning
     work = np.conjugate(stack.swapaxes(1, 2), out=np.empty(stack.shape, dtype=complex))
-    np.subtract(stack, work, out=work)
+    with np.errstate(invalid="ignore"):
+        np.subtract(stack, work, out=work)
     parts = work.view(float)
     # a non-finite entry leaves a NaN or inf in the deviation, which fails here
     if not np.abs(parts, out=parts).max(initial=0.0) <= atol / 2:
@@ -147,7 +149,8 @@ def _first_violation(stack: np.ndarray, atol: float) -> tuple[int, str] | None:
     density matrix, or None."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     adjoint = stack.conj().swapaxes(1, 2)
-    herm = np.abs(stack - adjoint).max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf: the matrix is rejected as non-finite
+        herm = np.abs(stack - adjoint).max(axis=(1, 2))
     trace = np.trace(stack, axis1=1, axis2=2)
     bad = np.flatnonzero(~finite | (herm > atol) | (np.abs(trace - 1.0) > atol))
     first = int(bad[0]) if bad.size else len(stack)

@@ -157,9 +157,11 @@ def test_durations_must_be_finite_and_non_negative(qx4, value):
             load_backend(_config() + f"{key}={value}\n")
     with pytest.raises(ConfigError, match="^measure duration must be finite and non-negative"):
         load_backend(_config() + f"dur.measure_ns={value}\n")
-    if value in ("nan", "inf"):
-        with pytest.raises(ConfigError, match=f"^duration of gate 'id' .* got {value}$"):
-            qx4.scaled_durations(float(value))
+    # a scale factor is rejected where it enters, named as the factor
+    with pytest.raises(ValueError, match=f"^duration scale factor must be finite and "
+                                         f"non-negative, got {float(value)!r}$") as raised:
+        qx4.scaled_durations(float(value))
+    assert type(raised.value) is ValueError
 
 
 def test_switch_copies(qx4):
@@ -681,22 +683,44 @@ def _tensordot_apply(sup, rho, axes, k):
     return np.moveaxis(out, list(range(2 * m)), state_axes)
 
 
+def _stored(stack, layout):
+    """A ``(B, 2, ..., 2)`` stack of states stored in ``layout``, as the
+    evolution holds it, C-contiguous ``(B, 4**k)``."""
+    return stack.transpose(0, *(1 + a for a in layout)).reshape(len(stack), -1)
+
+
+def _unstored(stored, layout):
+    """The ``(B, 2, ..., 2)`` states of a stack stored in ``layout``."""
+    return stored.reshape(len(stored), *(2,) * len(layout)).transpose(0, *(1 + np.argsort(layout)))
+
+
+def _layouts(k):
+    """Every layout _apply leaves a stack of 2k-axis states in (one per
+    single target and per ordered pair of targets), and the canonical one."""
+    targets = [axes for m in (1, 2) for axes in itertools.permutations(range(k), m)]
+    return list(dict.fromkeys([tuple(range(2 * k)),
+                               *(backend_module._order(axes, k) for axes in targets)]))
+
+
 def test_apply_matches_tensordot():
     rng = np.random.default_rng(31)
     for k in range(1, 6):
         shape = (2,) * (2 * k)
         rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        # a strided view, as the evolution hands _apply after the first instruction
-        strided = rho.transpose(list(range(2 * k))[::-1])
+        # canonical, reversed, and each layout a map leaves: the evolution
+        # hands _apply its stack as the map before stored it
+        layouts = [tuple(range(2 * k)), tuple(range(2 * k))[::-1], *_layouts(k)]
         for m in (1, 2):
             sup = (rng.normal(size=(2,) * (4 * m))
                    + 1j * rng.normal(size=(2,) * (4 * m)))
             for axes in itertools.permutations(range(k), m):
-                for state in (rho, strided):
-                    want = _tensordot_apply(sup, state, axes, k)
-                    got = backend_module._apply(sup, state[None], axes, k)
-                    assert got.shape == (1, *want.shape)
-                    assert np.array_equal(got[0], want)
+                want = _tensordot_apply(sup, rho, axes, k)
+                for layout in layouts:
+                    got, order = backend_module._apply(sup, _stored(rho[None], layout), layout,
+                                                       axes, k)
+                    assert got.shape == (1, 1 << (2 * k)) and got.flags.c_contiguous
+                    assert order == backend_module._order(axes, k)
+                    assert np.array_equal(_unstored(got, order)[0], want)
 
 
 def _dot_apply(sup, rho, axes, k):
@@ -714,18 +738,40 @@ def test_stacked_apply_matches_each_state_alone():
         for size in (1, 4, 16):
             shape = (size,) + (2,) * (2 * k)
             stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            # a strided view, as the evolution hands _apply after the first instruction
-            strided = stack.transpose(0, *range(2 * k, 0, -1))
             for m in range(1, min(k, 2) + 1):
                 sup = rng.normal(size=(2,) * (4 * m)) + 1j * rng.normal(size=(2,) * (4 * m))
                 for axes in itertools.permutations(range(k), m):
-                    for states in (stack, strided):
-                        got = backend_module._apply(sup, states, axes, k)
+                    # stored canonically and reversed, as the evolution may hand them
+                    for layout in (tuple(range(2 * k)), tuple(range(2 * k))[::-1]):
+                        states = _stored(stack, layout)
+                        got, order = backend_module._apply(sup, states, layout, axes, k)
                         assert got.shape == states.shape
                         for b in range(size):
-                            alone = backend_module._apply(sup, states[b:b + 1], axes, k)[0]
-                            assert got[b].tobytes() == alone.tobytes()
-                            assert alone.tobytes() == _dot_apply(sup, states[b], axes, k).tobytes()
+                            alone, _ = backend_module._apply(sup, states[b:b + 1], layout, axes, k)
+                            assert got[b].tobytes() == alone[0].tobytes()
+                            assert (_unstored(alone, order)[0].tobytes()
+                                    == _dot_apply(sup, stack[b], axes, k).tobytes())
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_gather_is_bitwise_the_transpose_it_replaces(k):
+    # -0.0 and NaN entries, whose bits an arithmetic move could change
+    rng = np.random.default_rng(k)
+    shape = (3,) + (2,) * (2 * k)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = stack.reshape(-1)
+    flat[rng.choice(flat.size, flat.size // 4, replace=False)] = complex(-0.0, -0.0)
+    flat[rng.choice(flat.size, flat.size // 8, replace=False)] = complex(np.nan, -0.0)
+    layouts = _layouts(k)
+    for layout in layouts:
+        stored = _stored(stack, layout)
+        for order in layouts:
+            got = backend_module._gather(stored, layout, order)
+            assert got.flags.c_contiguous and got.tobytes() == _stored(stack, order).tobytes()
+        # and into a buffer, as the evolution copies a final state into its chunk
+        out = np.empty((len(stack), 1 << k, 1 << k), dtype=complex)
+        backend_module._gather(stored, layout, tuple(range(2 * k)), out=out.reshape(len(stack), -1))
+        assert out.tobytes() == stack.tobytes()
 
 
 # --- dense oracle ------------------------------------------------------------
@@ -918,12 +964,12 @@ def test_trace_drift_is_reported(qx4_quiet, monkeypatch):
 def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, monkeypatch):
     apply = backend_module._apply
 
-    def leaky(sup, rho, axes, k):
-        out = apply(sup, rho, axes, k)
+    def leaky(sup, rho, layout, axes, k):
+        out, order = apply(sup, rho, layout, axes, k)
         if len(rho) > 1:  # only on the stack: its third state loses half its trace
             out = out.copy()
             out[2] *= 0.5
-        return out
+        return out, order
 
     monkeypatch.setattr(backend_module, "_apply", leaky)
     preps = [preparation_circuit(label, (1,), 5) for label in "01pr"]

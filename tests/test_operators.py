@@ -1,5 +1,7 @@
 """Gate matrices, Kronecker embedding, Pauli expectations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
 from oracles import density_violation, embed_gate, pauli_string_matrix
-from qptkit.backend import _CHECK_BYTES
+from qptkit.backend import _CHECK_BYTES, _check_readout
 from qptkit.operators import (
     GATES,
     _certified,
@@ -262,6 +264,21 @@ def test_stacked_check_matches_eigvalsh_oracle(d, kinds, layout, seed):
     with pytest.raises(ValueError) as info:
         check_density_matrix(rho, atol=ATOL)
     assert str(info.value) == (message if layout == "single" else f"matrix {index}: {message}")
+
+
+@pytest.mark.parametrize("d", [2, 4, 32])
+def test_mirrored_infinite_entries_are_rejected_without_a_warning(d):
+    # inf - inf is the Hermiticity deviation of such a pair: a NaN, and
+    # numpy's invalid-value warning unless the checks silence it
+    rho = _matrix_of_kind(np.random.default_rng(d), d, "inf_paired")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _certified(rho[None], ATOL)
+        with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+            check_density_matrix(rho, atol=ATOL)
+        with pytest.raises(ValueError, match="^matrix 0: density matrix contains non-finite "
+                                             "entries$"):
+            _check_readout(rho[None])
 
 
 @pytest.mark.parametrize("d", [2, 4, 32])

@@ -591,9 +591,9 @@ def test_cli_qst_applies_the_circuits_instructions_once(qx4, monkeypatch):
     applied = []
     apply = qptkit.backend._apply
 
-    def counting(sup, rho, axes, k):
+    def counting(sup, rho, layout, axes, k):
         applied.append(len(axes))
-        return apply(sup, rho, axes, k)
+        return apply(sup, rho, layout, axes, k)
 
     monkeypatch.setattr(qptkit.backend, "_apply", counting)
     collect_weights([qptkit.parse_qasm(regen.FIVE_QUBIT_QASM)], qx4)

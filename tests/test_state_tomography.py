@@ -521,9 +521,9 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     applied = []
     original = qptkit.backend._apply
 
-    def counting_apply(sup, rho, axes, k):
+    def counting_apply(sup, rho, layout, axes, k):
         applied.append(axes)
-        return original(sup, rho, axes, k)
+        return original(sup, rho, layout, axes, k)
 
     monkeypatch.setattr(qptkit.backend, "_apply", counting_apply)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\nh q[0];\ns q[0];\n")
