@@ -38,6 +38,21 @@ manifest changes what a seed or a stored dataset means; a change that does
 so lists every changed entry.  Run it from the repository root::
 
     PYTHONPATH=src python3 tests/golden/regen.py
+
+The float tier, ``floats.json``, holds values, not digests: the chi of
+each exact ``qpt`` report that ``reports.json`` covers (the 51 qx4
+placements and the nine QX2 q[2] ones, 2,400 complex entries) and the
+exact noise-on ``run_qst`` states of CI's 5-qubit circuit and of the Bell
+pair, each entry as ``repr`` floats, real and imaginary parts.
+``tests/test_golden_floats.py`` recomputes them through ``float_mismatch``
+and fails when any entry differs by more than ``FLOAT_ATOL`` (1e-12), under
+every numpy and Python version, with no skip.  A change that moves output
+bits but not values, such as a new order of floating-point operations,
+leaves the tier as it is, so the tier checks that change instead of being
+rewritten by it: ``regen.py`` writes it only when asked, for a change meant
+to move values by more than ``FLOAT_ATOL``::
+
+    PYTHONPATH=src python3 tests/golden/regen.py --floats
 """
 
 from __future__ import annotations
@@ -46,7 +61,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import platform
+import sys
 import tempfile
 from collections.abc import Iterator
 from importlib import resources
@@ -58,7 +75,7 @@ import numpy as np
 from qptkit import cli, process_tomography
 from qptkit.backend import builtin_backend, load_backend
 from qptkit.operators import GATE_ARITY
-from qptkit.process_tomography import run_qpt
+from qptkit.process_tomography import QptResult, run_qpt
 from qptkit.qasm import parse_qasm
 from qptkit.reports import chi_report_dict, dump_report
 from qptkit.state_tomography import collect_weights, reconstruct_states, run_qst
@@ -66,6 +83,8 @@ from qptkit.state_tomography import collect_weights, reconstruct_states, run_qst
 MANIFEST = Path(__file__).with_name("counts.json")
 STATES = Path(__file__).with_name("states.json")
 REPORTS = Path(__file__).with_name("reports.json")
+FLOATS = Path(__file__).with_name("floats.json")
+FLOAT_ATOL = 1e-12
 
 FIVE_QUBIT_QASM = """OPENQASM 2.0;
 include "qelib1.inc";
@@ -177,18 +196,24 @@ def qst_files(qasm: str, argv: list[str]) -> dict[str, bytes]:
                 for suffix in ("_qst.json", "_qst_dataset.txt")}
 
 
-def report_digests() -> dict[str, str]:
-    """The reports manifest's entries: each exact ``qpt`` report's bytes as
-    ``qptkit qpt`` writes them, then each ``qst`` report and dataset as
-    ``qptkit qst`` writes them."""
+def exact_qpt_runs() -> Iterator[tuple[str, QptResult]]:
+    """(entry name, ``run_qpt`` result) of each exact run: the 51 qx4
+    placements, then the nine single-qubit gates on line 2 of qx2."""
     qx4, qx2 = builtin_backend("qx4"), builtin_backend("qx2")
     single = [g for g, arity in GATE_ARITY.items() if arity == 1]
     runs = [("qx4", qx4, g, (q,)) for g in single for q in range(5)]
     runs += [("qx4", qx4, "cx", p) for p in sorted(qx4.coupling.pairs)]
     runs += [("qx2", qx2, g, (2,)) for g in single]
-    entries = {f"qpt {name} {gate} {lines} exact": hashlib.sha256(
-                   dump_report(chi_report_dict(run_qpt(gate, lines, backend))).encode("utf-8")
-               ).hexdigest() for name, backend, gate, lines in runs}
+    for name, backend, gate, lines in runs:
+        yield f"qpt {name} {gate} {lines} exact", run_qpt(gate, lines, backend)
+
+
+def report_digests() -> dict[str, str]:
+    """The reports manifest's entries: each exact ``qpt`` report's bytes as
+    ``qptkit qpt`` writes them, then each ``qst`` report and dataset as
+    ``qptkit qst`` writes them."""
+    entries = {name: hashlib.sha256(dump_report(chi_report_dict(run)).encode("utf-8")).hexdigest()
+               for name, run in exact_qpt_runs()}
     for name, qasm in (("five", FIVE_QUBIT_QASM), ("bell-on-five", BELL_ON_FIVE_QASM)):
         for noise in ("on", "off"):
             for shots, argv in (("exact", []), ("shots=8192", ["--shots", "8192", "--seed", "0"])):
@@ -197,6 +222,45 @@ def report_digests() -> dict[str, str]:
                     entries[f"qst {name} qx4 noise={noise} {shots} {suffix[1:]}"] = (
                         hashlib.sha256(text).hexdigest())
     return entries
+
+
+def float_values() -> dict[str, np.ndarray]:
+    """The float tier's entries: each exact ``qpt`` run's chi, then the
+    exact noise-on ``run_qst`` state of CI's circuit and of the Bell pair."""
+    entries = {name: run.chi.matrix for name, run in exact_qpt_runs()}
+    qx4 = builtin_backend("qx4").with_noise(True)
+    for name, qasm in (("five", FIVE_QUBIT_QASM), ("bell-on-five", BELL_ON_FIVE_QASM)):
+        entries[f"qst {name} qx4 noise=on exact"] = run_qst(parse_qasm(qasm), qx4).state
+    return entries
+
+
+def float_mismatch(got: dict[str, np.ndarray]) -> str:
+    """Each entry of ``got`` farther than ``FLOAT_ATOL`` from the float
+    tier, with its largest deviation, as one line ("" when none is)."""
+    want = json.loads(FLOATS.read_text(encoding="utf-8"))["entries"]
+    assert list(got) == list(want), f"{FLOATS.name} lists other entries"
+    differing = []
+    for name, value in got.items():
+        stored = np.array(want[name]["real"]) + 1j * np.array(want[name]["imag"])
+        deviation = (float(np.abs(value - stored).max()) if value.shape == stored.shape
+                     else math.inf)
+        if not deviation <= FLOAT_ATOL:
+            differing.append(f"{name} (by {deviation:.3g})")
+    summary = f"{len(differing)} of {len(want)} differ by more than {FLOAT_ATOL}: "
+    return summary + "; ".join(differing) if differing else ""
+
+
+def write_floats() -> None:
+    """Write ``floats.json``, one line per entry."""
+    entries = [f" {json.dumps(name)}: " + json.dumps(
+                   {"real": value.real.tolist(), "imag": value.imag.tolist()},
+                   separators=(",", ":"))
+               for name, value in float_values().items()]
+    header = {"values": "real and imaginary parts of each exact qpt chi and qst state",
+              "python": platform.python_version(), "numpy": np.__version__}
+    text = json.dumps(header, indent=1)[:-2] + ',\n "entries": {\n' + ",\n".join(entries)
+    FLOATS.write_text(text + "\n }\n}\n", encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {FLOATS}")
 
 
 def mismatch(path: Path, got: dict[str, str]) -> tuple[str, list[str]]:
@@ -215,6 +279,9 @@ def mismatch(path: Path, got: dict[str, str]) -> tuple[str, list[str]]:
 
 
 def main() -> None:
+    if sys.argv[1:] == ["--floats"]:
+        write_floats()
+        return
     stacks = list(count_stacks())
     for path, hashed, entries, versions in (
             (MANIFEST, "each count stack as little-endian int64", digests(stacks), {}),
