@@ -216,8 +216,8 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
     ``outputs`` is a ``(d^2, d, d)`` stack or a list of d x d matrices.
     Every entry must be finite, and trace preservation fixes
     Tr(eps(|a><b|)) = delta_ab; both are checked here on the whole stack
-    (the trace holds exactly for tomographic reconstructions because the
-    identity coefficient is pinned).  A wrong count is reported first, then
+    (a tomographic reconstruction's trace is 1 up to rounding, its Z...Z
+    setting's normalised total).  A wrong count is reported first, then
     the first output of a wrong shape, then the first output that is
     non-finite or off in trace (non-finite if it is both).
     chi = W^dagger C W / d^2 as in the module docstring; ``residual`` is

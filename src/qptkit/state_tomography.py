@@ -20,17 +20,18 @@ the only input ``reconstruct_states`` takes.
 The expectation value of a Pauli string reads the string's Z-filled
 setting (Z at every I position, the first compatible one in the
 enumeration): outcome i is signed by (-1)^popcount(mask & i), mask marking
-the non-I positions, and the signed sum is divided by the plain sum.  A
-state's bits depend neither on the interpreter nor on the other datasets of
-its stack.  The reconstruction is the linear inversion
+the non-I positions, and the signed sum is divided by the plain sum.  The
+reconstruction is the linear inversion
 
     rho = 2^-n  sum_P  <P> P
 
-over all 4**n strings with the identity-string coefficient pinned to one,
-followed by symmetrisation (rho + rho^dagger)/2, so every state has trace 1
-by construction.  The result can carry small negative eigenvalues at finite
-shots; ``project_psd`` clips them for reporting, the raw matrix is never
-silently altered.
+over all 4**n strings.  It factors over the qubits: each weight, divided
+by its setting's total, adds the Kronecker product of one ``_QUBIT_TABLE``
+entry per qubit, for that qubit's letter and outcome bit.  A state's bits
+depend neither on the interpreter nor on the other datasets of its stack;
+it is exactly Hermitian, with trace 1 up to rounding.  The result can
+carry small negative eigenvalues at finite shots; ``project_psd`` clips
+them for reporting, the raw matrix is never silently altered.
 
 A ``TomographyDataset`` is one row of the ``collect_weights`` stack: a
 preparation's read-only float ``(3**n, 2**n)`` weights, settings in
@@ -48,7 +49,6 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,28 +127,28 @@ def _shape_qubit_count(shape: tuple[int, ...], ndim: int) -> int:
     return n
 
 
-def _check_weights(stack: np.ndarray, shots: int | None) -> None:
-    """Raise for the first row of a ``(settings, 2**n)`` weight stack, its
-    settings in ``qst_settings`` order (repeated per preparation), with a
-    negative or non-finite weight or a total other than ``shots`` (1 for
-    exact probabilities)."""
-    n = stack.shape[1].bit_length() - 1
-    stack = np.asarray(stack, dtype=float)
+def _check_weights(stack: np.ndarray, expected: float | None) -> np.ndarray:
+    """Each setting's total, its weights summed in outcome order, of an
+    ``(L, 3**n, 2**n)`` stack or a ``(3**n, 2**n)`` dataset, as an
+    ``(L, 3**n, 1)`` float array.  Raise ``ValueError`` for the first setting
+    with a negative or non-finite weight or a total other than ``expected``
+    (any positive total when None), naming the dataset of a stack."""
+    n = stack.shape[-1].bit_length() - 1
+    named = stack.ndim == 3
+    stack = np.asarray(stack, dtype=float).reshape(-1, 3 ** n, 1 << n)
+    totals = np.cumsum(stack, axis=2)[:, :, -1:]
     bad = ~(np.isfinite(stack) & (stack >= 0))
-    totals = np.cumsum(stack, axis=1)[:, -1]
-    expected = 1.0 if shots is None else float(shots)
-    off = np.abs(totals - expected) > 1e-6 * max(1.0, expected)
-    wrong = np.flatnonzero(bad.any(axis=1) | off)
-    if wrong.size:
-        row = int(wrong[0])
-        tag = qst_settings(n)[row % 3 ** n]
-        if bad[row].any():
-            index = int(np.argmax(bad[row]))
-            what = "negative" if np.isfinite(stack[row, index]) else "non-finite"
-            raise ValueError(f"{what} weight for '{index:0{n}b}' under {tag!r}")
-        raise ValueError(
-            f"setting {tag!r}: weights sum to {totals[row]}, expected {expected}"
-        )
+    off = ~(totals > 0) if expected is None else abs(totals - expected) > 1e-6 * max(1.0, expected)
+    if bad.any() or off.any():
+        dataset, row = np.argwhere(bad.any(axis=2) | off[:, :, 0])[0].tolist()
+        where, tag = f"dataset {dataset}: " if named else "", qst_settings(n)[row]
+        if bad[dataset, row].any():
+            index = int(np.argmax(bad[dataset, row]))
+            what = "negative" if np.isfinite(stack[dataset, row, index]) else "non-finite"
+            raise ValueError(f"{where}{what} weight for '{index:0{n}b}' under {tag!r}")
+        raise ValueError(f"{where}setting {tag!r}: weights sum to {totals[dataset, row, 0]}, "
+                         f"expected {'a positive total' if expected is None else expected}")
+    return totals
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,7 +169,7 @@ class TomographyDataset:
             raise ValueError(f"shots must be positive, got {self.shots}")
         weights = np.array(self.weights, dtype=float)
         _shape_qubit_count(weights.shape, 2)
-        _check_weights(weights, self.shots)
+        _check_weights(weights, 1.0 if self.shots is None else float(self.shots))
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
@@ -193,98 +193,38 @@ class TomographyDataset:
         return self.shots == other.shots and np.array_equal(self.weights, other.weights)
 
 
-# I, X, Y, Z in monomial form: row r has its one nonzero entry at column
-# r ^ _PAULI_XBIT[letter], and that entry is i ** _PAULI_POWER[letter, r].
-_PAULI_XBIT = np.array([0, 1, 1, 0], dtype=np.uint8)
-_PAULI_POWER = np.array([[0, 0], [0, 0], [3, 1], [0, 2]], dtype=np.uint8)
-_POWERS_OF_I = np.array([1, 1j, -1, -1j])
-
-
-class _PauliStrings(NamedTuple):
-    """Read-only tables over the 4**n Pauli strings, by index in
-    lexicographic I < X < Y < Z order, and over the 2**n outcomes."""
-
-    masks: np.ndarray  # support mask: bit n-1-p set when letter p is not I
-    settings: np.ndarray  # index in qst_settings order of the Z-filled setting
-    signs: np.ndarray  # (-1)^popcount(mask & outcome), indexed [mask, outcome]
-    # int16 [t, x, r] index of the row-r term of the t-th string with xmask x (in
-    # lexicographic order) into the flattened (4**n, 4) table of values times powers of i
-    terms: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def _pauli_strings(qubit_count: int) -> _PauliStrings:
-    """Every table of ``_PauliStrings``, from one ``(4**n, n)`` letter table."""
-    n, dim = qubit_count, 1 << qubit_count
-    place = np.arange(n - 1, -1, -1)
-    letters = np.indices((4,) * n, dtype=np.uint8).reshape(n, -1).T  # I X Y Z as 0 1 2 3
-    bits = (np.arange(dim)[:, None] >> place & 1).astype(np.uint8)  # [outcome or row, p]
-    masks = ((letters != 0) << place).sum(axis=1)
-    digits = np.array([BASIS_ORDER.index(b) for b in "ZXYZ"])  # the settings I X Y Z read in
-    settings = (digits[letters] * 3 ** place).sum(axis=1)
-    signs = 1.0 - 2.0 * ((bits[:, None] & bits).sum(axis=2) & 1)
-    xmasks = (_PAULI_XBIT[letters] << place).sum(axis=1)
-    powers = _PAULI_POWER[letters[:, None], bits].sum(axis=2, dtype=np.uint8) % 4
-    order = np.argsort(xmasks, kind="stable").astype(np.int16)
-    terms = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
-    tables = _PauliStrings(masks, settings, signs, np.ascontiguousarray(terms))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _estimates(weights: np.ndarray) -> np.ndarray:
-    """<P> of every Pauli string but the identity, in lexicographic order,
-    for each dataset of a canonical ``(L, 3**n, 2**n)`` stack, each from its
-    Z-filled setting.
-
-    Both sums run in outcome-index order, one vector add per outcome over
-    all datasets and strings, so each value is bitwise the sequential sum
-    of that string of that dataset alone.
-    """
-    n = weights.shape[-1].bit_length() - 1
-    strings = _pauli_strings(n)
-    rows, masks = strings.settings[1:], strings.masks[1:]
-    weights = np.asarray(weights, dtype=float)
-    signed = np.zeros((len(weights), len(rows)))
-    total = np.zeros_like(signed)
-    for outcome in range(1 << n):
-        column = weights[:, rows, outcome]
-        total += column
-        signed += strings.signs[masks, outcome] * column
-    return signed / total
-
-
-def _densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
-    """rho = 2^-n sum <P> P, symmetrised, for each row of ``values``, the
-    <P> of every string but the identity in lexicographic order.
-
-    Each xmask's row of entries is the sum of its strings' terms from zeros
-    in lexicographic order, the identity first: one gather of every
-    xmask's t-th terms and one vector add per term position t."""
-    dim = 1 << qubit_count
-    values = np.concatenate([np.ones((len(values), 1)), values], axis=1)
-    products = (_POWERS_OF_I * values[:, :, None]).reshape(len(values), -1)
-    by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
-    for index in _pauli_strings(qubit_count).terms:
-        by_xmask += np.take(products, index, axis=1)
-    rows = np.arange(dim)[:, None]
-    rho = by_xmask[:, rows ^ rows.T, rows]
-    rho /= dim
-    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
+# D[b, o] = (c_b I + (-1)^o sigma_b) / 2, letter b in BASIS_ORDER, outcome bit o, c = (1, 0, 0):
+# only Z carries an identity part, so each Pauli string is read off its Z-filled setting alone.
+_QUBIT_TABLE = (np.array([1.0, 0.0, 0.0])[:, None, None, None] * np.eye(2)
+                + np.array([1.0, -1.0])[:, None, None]
+                * np.array([[[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])[:, None]
+                ) / 2
+_QUBIT_TABLE.setflags(write=False)
 
 
 def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     """The reconstructed state of every dataset in an ``(L, 3**n, 2**n)``
     weight stack, settings in ``qst_settings`` order, as an
-    ``(L, 2**n, 2**n)`` array.  Any other shape raises ``ValueError``.
-
-    All L x (4**n - 1) estimates come from one ``_estimates`` pass and all L
-    states from 2**n gathers and vector adds; each state is bitwise the
-    reconstruction of its own dataset alone.
-    """
-    n = _shape_qubit_count(np.shape(weights), 3)
-    return _densities(_estimates(weights), n)
+    ``(L, 2**n, 2**n)`` array: the stack is contracted one qubit at a time,
+    most significant first, with one elementwise product and one vector add
+    from zeros per (letter, outcome), so each state is bitwise the
+    reconstruction of its own dataset alone.  Any other shape raises
+    ``ValueError``, as does a negative or non-finite weight or a setting
+    whose total is not positive, naming the dataset, setting and outcome."""
+    _shape_qubit_count(np.shape(weights), 3)
+    weights = np.asarray(weights, dtype=float)
+    # (L, rows, cols, settings, outcomes): the settings and outcomes left
+    # to contract stay last, so the early, large products run on long rows
+    rho = (weights / _check_weights(weights, None))[:, None, None]
+    table = _QUBIT_TABLE[:, :, :, None, :, None, None]
+    while rho.shape[3] > 1:
+        count, rows, cols, settings, outcomes = rho.shape
+        split = rho.reshape(count, rows, 1, cols, 1, 3, settings // 3, 2, outcomes // 2)
+        rho = np.zeros((count, rows, 2, cols, 2, settings // 3, outcomes // 2), dtype=complex)
+        for letter, outcome in itertools.product(range(3), range(2)):
+            rho += split[..., letter, :, outcome, :] * table[letter, outcome]
+        rho = rho.reshape(count, 2 * rows, 2 * cols, settings // 3, outcomes // 2)
+    return rho.reshape(rho.shape[:3])
 
 
 def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -456,7 +396,7 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
         circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
     stack, groups = _execute_preparations(preps, stages, backend, shots, circuit_seeds)
-    _check_weights(stack.reshape(len(preps) * settings, -1), shots)
+    _check_weights(stack, 1.0 if shots is None else float(shots))
     stack.setflags(write=False)
     return stack, groups
 

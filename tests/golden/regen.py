@@ -279,7 +279,9 @@ def mismatch(path: Path, got: dict[str, str]) -> tuple[str, list[str]]:
 
 
 def main() -> None:
-    if sys.argv[1:] == ["--floats"]:
+    if sys.argv[1:] not in ([], ["--floats"]):
+        sys.exit("usage: regen.py [--floats]")
+    if sys.argv[1:]:
         write_floats()
         return
     stacks = list(count_stacks())

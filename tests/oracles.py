@@ -1,10 +1,10 @@
 """Dense reference constructions that the tests check the package against.
 
 None of these is on the tomography pipeline: the backend evolves only the
-active qubits with cached superoperators, state tomography adds Paulis in
-monomial form, and chi is inverted in closed form.  Each function here
-builds the same object the slow, obvious way, on the conventions stated in
-``qptkit.operators``; ``per_label_qpt`` is process tomography run one
+active qubits with cached superoperators, state tomography contracts its
+weights one qubit at a time, and chi is inverted in closed form.  Each
+function here builds the same object the slow, obvious way, on the
+conventions stated in ``qptkit.operators``; ``per_label_qpt`` is process tomography run one
 preparation at a time, as ``run_qpt`` did before it ran a placement as one
 stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
 time; both combine and invert as the package did before it worked on stacks
@@ -15,11 +15,9 @@ tomography's stages.  ``distribution`` and ``sample`` read out one circuit
 at a time, as the backend did before it read out each checked chunk as one
 stack; ``sample`` folds the readout flips in with ``flipped``, which
 ``flip_matrix`` writes as a Kronecker product.
-``add_at_densities`` adds the Pauli terms with one ``np.add.at``, as state
-tomography did before it gathered them per term position; it reads
-``monomials``, the Pauli strings as a Kronecker recursion, which
-``pauli_strings`` also reads to rebuild every table of
-``state_tomography._pauli_strings`` one string at a time.
+``pauli_string_matrix`` is a Pauli string as a dense Kronecker product, the
+reference for state tomography: a state is the dense sum
+2^-n sum_P <P> P over the Z-filled estimates.
 ``matrix_unit_basis``,
 ``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
 input basis, single preparations, each unit's recipe terms and chi as a map,
@@ -51,12 +49,8 @@ from qptkit.process_tomography import (
 )
 from qptkit.qasm import Circuit, Gate, Measure
 from qptkit.state_tomography import (
-    _PAULI_POWER,
-    _PAULI_XBIT,
-    _POWERS_OF_I,
     _setting_stages,
     collect_dataset,
-    qst_settings,
     reconstruct_states,
 )
 
@@ -97,50 +91,6 @@ def setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit
     its instructions."""
     return tuple(reduce(Circuit.then, chain)
                  for chain in itertools.product(*_setting_stages(qubits, qubit_count)))
-
-
-def monomials(qubit_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every Pauli string in lexicographic I < X < Y < Z order in monomial
-    form: the power of i (mod 4) of its entry in each row, and its xmask."""
-    powers, xmasks = np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for _ in range(qubit_count):
-        # the Kronecker product, as a sum of exponents
-        powers = (powers[:, None, :, None] + _PAULI_POWER[:, None, :]).reshape(4 * len(powers), -1)
-        xmasks = (2 * xmasks[:, None] + _PAULI_XBIT).ravel()
-    return powers % 4, xmasks
-
-
-def pauli_strings(qubit_count: int) -> dict[str, np.ndarray]:
-    """The tables of ``state_tomography._pauli_strings``, by field name, one
-    string or one (mask, outcome) pair at a time; the term index reads
-    ``monomials``."""
-    n, dim = qubit_count, 1 << qubit_count
-    tags = qst_settings(n)
-    strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-    masks = [int("".join("0" if ch == "I" else "1" for ch in p), 2) for p in strings]
-    settings = [tags.index(p.replace("I", "Z")) for p in strings]
-    signs = [[-1.0 if bin(mask & i).count("1") & 1 else 1.0 for i in range(dim)]
-             for mask in range(dim)]
-    powers, xmasks = monomials(n)
-    order = np.argsort(xmasks, kind="stable")
-    terms = (4 * order[:, None] + powers[order]).reshape(dim, dim, dim).transpose(1, 0, 2)
-    return {"masks": np.array(masks), "settings": np.array(settings),
-            "signs": np.array(signs), "terms": terms.astype(np.int16)}
-
-
-def add_at_densities(values: np.ndarray, qubit_count: int) -> np.ndarray:
-    """``_densities`` with every term added into its xmask row by one
-    ``np.add.at`` in lexicographic string order, the identity set first."""
-    dim = 1 << qubit_count
-    powers, xmasks = monomials(qubit_count)
-    terms = _POWERS_OF_I[powers[1:]] * values[:, :, None]
-    by_xmask = np.zeros((len(values), dim, dim), dtype=complex)
-    by_xmask[:, 0] = 1.0  # the identity on the diagonal
-    np.add.at(by_xmask, (slice(None), xmasks[1:]), terms)
-    rows = np.arange(dim)[:, None]
-    rho = by_xmask[:, rows ^ rows.T, rows]
-    rho /= dim
-    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
 def distribution(reduced: np.ndarray, active: tuple[int, ...],
