@@ -22,6 +22,11 @@ rest on:
 * the nine single-qubit gates on line 2 of qx2 at 8192 shots, the paper's
   QX2 run;
 * ``h`` and ``cx`` on all lines of qx4 with idle decay on, at 8192 shots;
+* ``h`` and ``cx`` on all lines of qx4 with noise off, at 8192 and at 5
+  shots, where many outcome weights are exactly 0 and numpy's binomial
+  draws nothing for them;
+* ``run_qst`` of CI's 5-qubit circuit on qx4 with idle decay on, at 8192
+  shots;
 
 all with seed 0.  The float stacks hold ``Generator`` uniforms with about a
 quarter of each row's weights zero.  Every input is an integer or a seeded
@@ -152,6 +157,13 @@ def count_stacks() -> Iterator[tuple[str, np.ndarray]]:
     idle = qx4.with_idle_decay(True)
     for gate, lines in [("h", (q,)) for q in range(5)] + [("cx", p) for p in pairs]:
         yield f"qpt qx4-idle {gate} {lines} shots=8192", qpt_counts(gate, lines, idle, 8192)
+    quiet = qx4.with_noise(False)
+    for shots in (8192, 5):
+        for gate, lines in [("h", (q,)) for q in range(5)] + [("cx", p) for p in pairs]:
+            yield (f"qpt qx4-noise-off {gate} {lines} shots={shots}",
+                   qpt_counts(gate, lines, quiet, shots))
+    weights = run_qst(circuit, idle, shots=8192, seed=0).dataset.weights
+    yield "qst five qx4-idle shots=8192", weights[None]
 
 
 def float_stacks() -> Iterator[tuple[str, np.ndarray]]:
