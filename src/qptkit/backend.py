@@ -18,21 +18,20 @@ Evolution semantics, in order, per instruction:
 Only the qubits some instruction touches are simulated.  Every other qubit
 stays in |0><0|, which is a fixed point of both amplitude damping and pure
 dephasing, so leaving it out is exact whether idle_decay is on or off.  One
-evolution loop runs circuits over a stack of B states: each instruction is
-one fused superoperator (gate then decay) applied to the stack by one
-``np.matmul``.  A circuit resumes from the states after the prefix it
-shares with the circuit before it.  Before anything evolves, what each
-circuit adds to that prefix is checked once: a cx off the coupling map
-raises ``TopologyError``, and a qubit outside the start stack's a
+evolution loop runs circuits from |0...0>: each instruction is one fused
+superoperator (gate then decay) applied to the state by one ``np.matmul``.
+A circuit resumes from the state after the prefix it shares with the
+circuit before it.  Before anything evolves, what each circuit adds to
+that prefix is checked once: a cx off the coupling map raises
+``TopologyError``, and a qubit outside the register it is to evolve on a
 ``ValueError``.  An instruction's superoperators are looked up once per
 active register and reused by every circuit that shares the instruction
 object; a measure that applies nothing costs that lookup.
-Each stack is held as one C-contiguous ``(B, 4^k)`` array with its layout,
+A state is held as one C-contiguous ``(1, 4^k)`` array with its layout,
 the order of the 2k row and column axes its last map stored it in: the
 next map gathers it into its own order with one flat ``take``, unless it is
 stored so already, and a final state is gathered into its chunk in the
 canonical order, that of its ``(2^k, 2^k)`` density matrix.
-``execute_many`` starts each circuit from |0...0> (B = 1).
 
 Physicality holds by construction: every evolution starts from
 |0...0><0...0|, and each fused map is checked once, where it is built, as a
@@ -43,23 +42,32 @@ or copying states can still break, Hermiticity and trace
 the full ``check_density_matrix``.  Each run of final states on the same
 active qubits with the same measures is read out as one block, a ``(rows,
 2^m)`` array of outcome weights or counts (``_blocks``).  ``execute_many``
-yields a block's rows as results.  Tomography (``_execute_preparations``)
-evolves each preparation alone and takes its settings as a product of
-stages: the first stage's circuits run once over the stack of the
-preparations' states, each later stage's once over the stack the stage
-before left, and only the last stage's states are tested and read out.
-It writes each block into one ``(preparations, settings, 2^m)`` array and
-hands that back with the stacks of evolved preparation states.  Every row
-is bitwise what the circuit would give run on its own: one batched
-``np.matmul`` gives each state of a stack the bits it gets alone.  Only
-``execute_exact`` returns ``final_state``, the density matrix of the whole
-register; a preparation evolved on exactly the qubits it touches gives the
-same state bit for bit (``_exact_state``), and on more qubits it may not.
+yields a block's rows as results, each bitwise what the circuit would give
+run on its own.
+
+Tomography (``_execute_preparations``) evolves each preparation alone, and
+the stack of preparation states passes one readout test.  Its 3^n
+settings are not evolved: each measured qubit's basis rotations and
+measure act on that qubit alone, so a setting's final diagonal is the
+preparation state read out one qubit at a time, each qubit's (row, column)
+pair through the maps of its letter (``_setting_diagonals``).  Without
+noise that gives each weight the bits the setting circuit gives it, and
+with noise within rounding (1e-15), since each qubit's measure then decays
+before the next qubit's rotations where the circuit decays all measured
+qubits last.  With idle decay on, a rotation decays the other qubits too;
+the settings then run as ``prep.then(setting)`` circuits, as
+``execute_many`` runs them.  The weights go into one ``(preparations,
+settings, 2^m)`` array, handed back with the stacks of evolved
+preparation states.  Only ``execute_exact`` returns ``final_state``, the
+density matrix of the whole register; a preparation evolved on exactly
+the qubits it touches gives the same state bit for bit (``_exact_state``),
+and on more qubits it may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
 ``format(i, f"0{m}b")``.  Exact weights are the clipped diagonal summed per
-outcome and normalised to total 1.
+outcome and normalised to total 1; a diagonal whose negative entries sum
+below -1e-12 raises ``ValueError`` instead of being clipped.
 
 Sampled counts are ``Multinomial(shots, p')``, one ``Generator.multinomial``
 per circuit from its own generator: PCG64 on the words of
@@ -519,25 +527,23 @@ def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]
 
 
 def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
-            start: tuple[tuple[int, ...], np.ndarray] | None = None
+            active: tuple[int, ...] | None = None
             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Yield the circuits chunk by chunk, each chunk with the stack of its
-    circuits' final active-register states, ``(B, 2**k, 2**k)`` per circuit,
-    circuit-major, and the active qubits.  Each circuit starts from
-    ``start``, active qubits and a stack of B states on them, B first and
-    each state in the canonical order (``(B, 2**k, 2**k)`` or ``(B,
-    4**k)``), or else from |0...0> (B = 1) on the qubits it touches.  A chunk
-    holds at most ``_CHECK_BYTES`` of states, or one circuit's; a yielded
-    stack must not be written to.
+    """Yield the circuits chunk by chunk, each chunk with the ``(count,
+    2**k, 2**k)`` stack of its circuits' final active-register states and
+    the active qubits.  Each circuit starts from |0...0> on ``active``, or on
+    the qubits it touches when ``active`` is None.  A chunk holds at most
+    ``_CHECK_BYTES`` of states, or one circuit's; a yielded stack must not be
+    written to.
 
     Before anything evolves, what each circuit adds to the prefix it shares
     with the circuit before it is checked: a cx off the coupling map raises
-    ``TopologyError``, and a qubit outside ``start``'s a ``ValueError``
-    naming the circuit.  A stack evolves as a ``(B, 4**k)`` array stored in
-    the layout ``_apply`` left it in, and each circuit's final states are
+    ``TopologyError``, and a qubit outside ``active`` a ``ValueError``
+    naming the circuit.  A state evolves as a ``(1, 4**k)`` stack stored in
+    the layout ``_apply`` left it in, and each circuit's final state is
     gathered into the chunk in the canonical order.  ``saved`` holds
-    checkpoints (instructions applied, states, their layout), deepest last,
-    on the prefix of the circuit evolved last: each circuit resumes from the
+    checkpoints (instructions applied, state, its layout), deepest last, on
+    the prefix of the circuit evolved last: each circuit resumes from the
     deepest one that is a prefix of its own.  ``steps`` holds each
     instruction's ``_maps`` on the active register.
     """
@@ -547,37 +553,29 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
     fresh = 0
     for i, circuit in enumerate(circuits):
         _check_topology(circuit, backend, fresh)
-        if start is not None:
-            outside = _qubits(instructions[i][fresh:]).difference(start[0])
+        if active is not None:
+            outside = _qubits(instructions[i][fresh:]).difference(active)
             if outside:
                 raise ValueError(f"circuit {i} acts on qubit {max(outside)}, outside the "
-                                 f"start's qubits {start[0]}")
+                                 f"start's qubits {active}")
         fresh = shared[i]
-    if start is None:
-        active = rho = layout = None
-    else:
-        active, rho = start[0], start[1].reshape(len(start[1]), -1)
-        layout = canonical = tuple(range(2 * len(active)))
-    saved, steps, pending = [(0, rho, layout)], {}, []
+    fixed, saved, pending = active is not None, [], []
     for i, circuit in enumerate(circuits):
-        while saved[-1][0] > (shared[i - 1] if i else 0):
+        while saved and saved[-1][0] > (shared[i - 1] if i else 0):
             saved.pop()
+        touched = active if fixed else tuple(sorted(_qubits(instructions[i]), reverse=True))
+        if not saved or touched != active:
+            if pending:
+                yield pending, states[:len(pending)], active
+                pending = []
+            active, canonical = touched, tuple(range(2 * len(touched)))
+            saved, steps = [(0, _ground(len(touched)), canonical)], {}
         depth, rho, layout = saved[-1]
-        if start is None:
-            touched = tuple(sorted(_qubits(instructions[i]), reverse=True))
-            if touched != active:
-                if pending:
-                    yield pending, states[:size * len(pending)], active
-                    pending = []
-                active, depth, rho = touched, 0, _ground(len(touched))
-                layout = canonical = tuple(range(2 * len(touched)))
-                saved, steps = [(0, rho, layout)], {}
         if not pending:
             k = len(active)
             axis = {q: a for a, q in enumerate(active)}
-            size = len(rho)
-            chunk = max(1, _CHECK_BYTES // (size * 16 << (2 * k)))
-            states = np.empty((chunk * size, 1 << k, 1 << k), dtype=complex)
+            chunk = max(1, _CHECK_BYTES // (16 << (2 * k)))
+            states = np.empty((chunk, 1 << k, 1 << k), dtype=complex)
         branch = shared[i]
         for pos in range(depth, len(instructions[i])):
             # keyed by identity: the circuits hold every instruction while this runs
@@ -589,15 +587,14 @@ def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
                 rho, layout = _apply(sup, rho, layout, axes, k)
             if pos + 1 == branch:
                 saved.append((branch, rho, layout))
-        _gather(rho, layout, canonical,
-                out=states[size * len(pending):size * (len(pending) + 1)].reshape(size, -1))
+        _gather(rho, layout, canonical, out=states[len(pending)].reshape(1, -1))
         del rho  # the final state lives on in ``states``, and as a checkpoint if one
         pending.append(circuit)
         if len(pending) == chunk:
             yield pending, states, active
             pending = []
     if pending:
-        yield pending, states[:size * len(pending)], active
+        yield pending, states[:len(pending)], active
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -629,19 +626,30 @@ def _outcome_index(active: tuple[int, ...], measures: tuple[Measure, ...]) -> np
     return index
 
 
+# the most negative weight one diagonal may lose to clipping, summed
+_CLIP_ATOL = 1e-12
+
+
 def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
                    measures: tuple[Measure, ...], count: int) -> np.ndarray | None:
     """Read-only ``(rows, 2**count)`` outcome weights of the ``(rows, 2**k)``
     real diagonals of active-register states read out by the same measures;
-    None when they measure nothing.  Each row has the bits of its state read
-    out alone: its weights are added in local-index order, and its total in
-    the order of each outcome's first nonzero weight, one addition at a time.
+    None when they measure nothing.  Negative weights are clipped to 0, and a
+    row whose clipped weights sum below -``_CLIP_ATOL`` raises ``ValueError``
+    naming it.  Each row has the bits of its state read out alone: its
+    weights are added in local-index order, and its total in the order of
+    each outcome's first nonzero weight, one addition at a time.
     """
     if not measures:
         return None
     rows, dim = diagonals.shape
     size = 1 << count
     weights = np.clip(diagonals, 0.0, None)
+    clipped = (weights - diagonals).sum(axis=1)
+    if (clipped > _CLIP_ATOL).any():
+        row = int(np.argmax(clipped > _CLIP_ATOL))
+        raise ValueError(f"row {row}: clipped negative weights sum to {-clipped[row]:.3e}, "
+                         f"past -{_CLIP_ATOL}")
     # each row's outcome indices, offset past the last row's
     index = (_outcome_index(active, measures) + np.arange(0, rows * size, size)[:, None]).ravel()
     probs = np.bincount(index, weights=weights.ravel(), minlength=rows * size).reshape(rows, size)
@@ -716,20 +724,18 @@ _readout = operator.attrgetter("measurements", "classical_count")
 _READOUT_BYTES = 1 << 18
 
 
-def _runs(circuits: Sequence[Circuit], backend: BackendModel,
-          start: tuple[tuple[int, ...], np.ndarray] | None = None
+def _runs(circuits: Sequence[Circuit], backend: BackendModel
           ) -> Iterator[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]]:
     """Yield runs of consecutive circuits on the same active qubits with the
-    same measures and creg size, as evolved from ``start``: the ``(rows,
-    2**k)`` stack of their final states' real diagonals, the active qubits,
-    the measures and the creg size.  A run holds at most ``_READOUT_BYTES``
-    of diagonals, or one chunk's."""
+    same measures and creg size: the ``(rows, 2**k)`` stack of their final
+    states' real diagonals, the active qubits, the measures and the creg
+    size.  A run holds at most ``_READOUT_BYTES`` of diagonals, or one
+    chunk's."""
     key, blocks, held = None, [], 0
-    for chunk, states, active in _checked(_evolve(circuits, backend, start), _check_readout):
+    for chunk, states, active in _checked(_evolve(circuits, backend), _check_readout):
         diagonals = np.diagonal(states, axis1=1, axis2=2).real
-        batch = len(states) // len(chunk)
         for readout, run in itertools.groupby(chunk, _readout):
-            rows = len(list(run)) * batch
+            rows = len(list(run))
             size = rows * diagonals.itemsize << len(active)
             if blocks and (key != (active, *readout) or held + size > _READOUT_BYTES):
                 yield np.concatenate(blocks), *key
@@ -749,16 +755,15 @@ def _check_shots(shots: int | None) -> None:
         raise ValueError(f"shots must be {bound}, got {shots}")
 
 
-def _blocks(circuits: Sequence[Circuit], backend: BackendModel, shots: int | None,
-            seeds: Sequence[int | None] | None,
-            start: tuple[tuple[int, ...], np.ndarray] | None = None
+def _blocks(runs: Iterable[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]],
+            backend: BackendModel, shots: int | None, seeds: Sequence[int | None] | None
             ) -> Iterator[tuple[int, np.ndarray | None]]:
-    """Each run of ``_runs(circuits, backend, start)`` read out, in order: its
+    """Each run of diagonals, as ``_runs`` yields them, read out in order: its
     row count and its read-only ``(rows, 2**m)`` exact weights, or counts with
     row r drawn with ``seeds[r]``; the weights are None for a run that
     measures nothing, which sampling rejects."""
     done = 0
-    for diagonals, active, measures, count in _runs(circuits, backend, start):
+    for diagonals, active, measures, count in runs:
         rows = len(diagonals)
         block = _distributions(diagonals, active, measures, count)
         if shots is not None:
@@ -780,15 +785,15 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
     entry of ``seeds``.  Shots outside 1..``MAX_SHOTS``, or not one seed per
     circuit, raise ``ValueError``, and a cx off the coupling map in any
     circuit ``TopologyError``, before anything is evolved.  The circuits
-    run through the evolution loop with B = 1, and each run of consecutive
-    circuits on the same active qubits with the same measures and creg size
-    is read out as one stack: its results are yielded once its last circuit
-    is evolved, or once it holds 256 KiB of diagonals.
+    run through the evolution loop, each on the qubits it touches, and each
+    run of consecutive circuits on the same active qubits with the same
+    measures and creg size is read out as one stack: its results are yielded
+    once its last circuit is evolved, or once it holds 256 KiB of diagonals.
     """
     _check_shots(shots)
     if shots is not None and (seeds is None or len(seeds) != len(circuits)):
         raise ValueError("sampling needs one seed per circuit")
-    for rows, block in _blocks(circuits, backend, shots, seeds):
+    for rows, block in _blocks(_runs(circuits, backend), backend, shots, seeds):
         if block is None:
             yield from (ExecutionResult() for _ in range(rows))
         elif shots is None:
@@ -798,75 +803,124 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
 
 
 def _stacked(circuits: Sequence[Circuit], backend: BackendModel,
-             start: tuple[tuple[int, ...], np.ndarray]) -> np.ndarray:
-    """The unchecked ``(len(circuits) * B, 2**k, 2**k)`` stack of the
-    circuits' final states from ``start``, circuit-major, as ``_evolve``
-    leaves them."""
-    return np.concatenate([states for _, states, _ in _evolve(circuits, backend, start)])
+             active: tuple[int, ...]) -> np.ndarray:
+    """The unchecked ``(len(circuits), 2**k, 2**k)`` stack of the circuits'
+    final states on ``active``, as ``_evolve`` leaves them."""
+    return np.concatenate([states for _, states, _ in _evolve(circuits, backend, active)])
 
 
-def _execute_preparations(preps: Sequence[Circuit],
-                          stages: Sequence[Sequence[Sequence[Circuit]]],
+def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
+                  backend: BackendModel) -> list[tuple[int, list[list[np.ndarray]]]] | None:
+    """Per measured qubit of ``_execute_preparations``' settings, in measure
+    order: its axis on ``active`` and, per letter, the (4, 4) matrices of the
+    maps its setting applies to it, in order.  None when one of those maps
+    acts on another qubit too, as idle decay makes them."""
+    n = len(settings[0].measurements)
+    axis = {q: a for a, q in enumerate(active)}
+    lines = []
+    for j, meas in enumerate(settings[0].measurements):
+        letters = []
+        for letter in range(3):
+            instructions = settings[letter * 3 ** (n - 1 - j)].instructions
+            maps = [m for inst in instructions
+                    if (inst.targets if isinstance(inst, Gate) else (inst.qubit,)) == (meas.qubit,)
+                    for m in _maps(inst, backend, axis)]
+            if any(axes != (axis[meas.qubit],) for _, axes in maps):
+                return None
+            letters.append([sup.reshape(4, 4) for sup, _ in maps])
+        lines.append((axis[meas.qubit], letters))
+    return lines
+
+
+def _setting_diagonals(states: np.ndarray, active: tuple[int, ...],
+                       lines: list[tuple[int, list[list[np.ndarray]]]]) -> np.ndarray:
+    """The ``(B * 3**n, 2**k)`` real diagonals, preparation by preparation,
+    that the final states of n measured qubits' settings would have, from
+    the ``(B, 2**k, 2**k)`` stack of preparation states; ``lines`` is what
+    ``_setting_maps`` gives for those settings.
+
+    The stack is read out one qubit at a time, the unmeasured qubits first,
+    then the measured ones in measure order: the qubit's (row, column) axis
+    pair is moved in front as 4 rows, the other axes flattened behind it,
+    and each of its letters multiplies them by its maps in turn and keeps the
+    two diagonal rows (an unmeasured qubit has one letter and no maps).  Each
+    value is the same sum of the same products, in the same order, as in the
+    setting circuit's evolution once every qubit's maps run before the next
+    qubit's.  So without noise, where a measure applies nothing, each
+    diagonal has the circuit's bits; with noise it may differ in its last
+    bits, since the circuit decays the measured qubits after all rotations.
+    """
+    count, k = len(states), len(active)
+    rho = states.reshape(count, *(2,) * (2 * k))
+    # each axis by name: ("row", a), ("col", a), then ("out", a) once read out
+    names = [("batch",), *(("row", a) for a in range(k)), *(("col", a) for a in range(k))]
+    measured = dict(lines)
+    steps = [(a, [[]]) for a in range(k) if a not in measured]
+    for step, (a, letters) in enumerate([*steps, *lines]):
+        front = [names.index(("row", a)), names.index(("col", a))]
+        rest = [i for i in range(1, len(names)) if i not in front]
+        flat = rho.transpose(0, *front, *rest).reshape(count, 4, -1)
+        read = []
+        for mats in letters:
+            x = flat
+            for mat in mats:
+                x = mat @ x
+            read.append(x[:, ::3])  # the diagonal rows, (0, 0) and (1, 1)
+        rho = np.stack(read, axis=1).reshape(count, len(letters), 2, *(rho.shape[i] for i in rest))
+        names = [("batch",), ("letter", step), ("out", a), *(names[i] for i in rest)]
+    order = [*(names.index(("letter", step)) for step in range(k)),
+             *(names.index(("out", a)) for a in range(k))]
+    return rho.transpose(0, *order).reshape(-1, 1 << k).real
+
+
+def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
                           backend: BackendModel, shots: int | None = None,
                           seeds: Sequence[int | None] | None = None
                           ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """What ``execute_many`` gives for ``prep.then(setting)``, for each
-    setting of each preparation p in turn, with the same seeds, bit for bit,
-    as one ``(len(preps), S, 2**m)`` array: exact weights (float) when
-    ``shots`` is None, else counts (int).  Preparation p's settings are the
-    product of its stages ``stages[p]``: setting ``(i_0, ..., i_last)``, in
-    mixed radix with the first stage most significant, is
-    ``stages[p][0][i_0].then(...).then(stages[p][-1][i_last])``.  Every
-    preparation has stages of the same sizes, S settings in all; only the
-    last stage measures, each of its circuits into m classical bits.  The
-    first setting, made of the first circuit of each stage, fixes the qubits
-    a preparation's settings act on (a circuit that acts on another qubit
-    raises).
+    setting of each preparation p in turn, with the same seeds, as one
+    ``(len(preps), 3**n, 2**m)`` array: exact weights (float) when ``shots``
+    is None, else counts (int).
+
+    ``settings[p]`` holds preparation p's 3**n tomography settings over n
+    measured qubits, each measuring them into the same m classical bits.
+    They form a product over the measured qubits: what setting s applies to
+    its j-th measured qubit, in measure order, is what setting d * 3**(n-1-j)
+    applies to it, d being digit j of s in base 3 (the first digit most
+    significant), and no setting acts on another qubit.
 
     Each preparation is evolved once, alone, on the qubits it and its first
     setting touch.  Consecutive preparations on the same qubits with the
-    same stages form a group.  Its preparations run in batches whose states
-    before the last stage hold at most ``_READOUT_BYTES``, or one
-    preparation's: each stage's circuits run once over the stack the stage
-    before left, and only the last stage's final states are checked and
-    read out, each block written into the array where it belongs.  Also
-    returned, per group in order: its active qubits and the unchecked
-    ``(count, 2**k, 2**k)`` stack of its preparations' evolved states.
+    same settings form a group: the stack of its preparation states passes
+    one readout test, and its settings' diagonals are read out of it
+    (``_setting_diagonals``), or, when some setting map acts on more than one
+    qubit, its ``prep.then(setting)`` circuits run as ``execute_many`` runs
+    them, bit for bit.  Without noise the diagonals are bitwise those the
+    setting circuits leave, and with it within rounding.  Also returned, per
+    group in order: its active qubits and the ``(count, 2**k, 2**k)`` stack
+    of its preparations' evolved states.
     """
     _check_shots(shots)
-    keys = [(chain, tuple(sorted(_qubits(reduce(Circuit.then, (stage[0] for stage in chain),
-                                                prep).instructions), reverse=True)))
-            for prep, chain in zip(preps, stages)]
-    sizes = [len(stage) for stage in stages[0]]
-    # the states one preparation leaves in the stack before the last stage
-    held = math.prod(sizes[:-1])
-    out = np.empty((len(preps), held * sizes[-1], 1 << stages[0][-1][0].classical_count),
+    keys = [(chain, tuple(sorted(_qubits(prep.then(chain[0]).instructions), reverse=True)))
+            for prep, chain in zip(preps, settings)]
+    out = np.empty((len(preps), len(settings[0]), 1 << settings[0][0].classical_count),
                    dtype=float if shots is None else np.intp)
-    if shots is not None:
-        seeds = np.array(seeds, dtype=object).reshape(len(preps), *sizes)
-    # each stage runs circuit by circuit over the stack the stage before
-    # left, so row r of the last stage's readout is (i_last, ..., i_0,
-    # preparation) in mixed radix: the axes of a batch's (preparation, i_0,
-    # ..., i_last, outcome) view of the array in that order
-    order = (*range(len(sizes), -1, -1), len(sizes) + 1)
-    groups, done = [], 0
+    rows = out.reshape(-1, out.shape[2])
+    groups, at = [], 0
     for (chain, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
         stack = [prep for _, prep in jobs]
-        states = _stacked(stack, backend, (active, _ground(len(active))))
+        ((_, states, _),) = _checked(
+            [(stack, _stacked(stack, backend, active), active)],
+            _check_readout)
         groups.append((active, states))
-        batch = max(1, _READOUT_BYTES // (states[0].nbytes * held))
-        for lo in range(0, len(stack), batch):
-            start = (active, states[lo:lo + batch])
-            for stage in chain[:-1]:
-                start = (active, _stacked(stage, backend, start))
-            part = slice(done + lo, done + min(lo + batch, len(stack)))
-            rows = out[part].reshape(-1, *sizes, out.shape[2]).transpose(order)
-            stacked = None if shots is None else seeds[part].T.ravel().tolist()
-            at = 0
-            for size, block in _blocks(chain[-1], backend, shots, stacked, start):
-                rows[np.unravel_index(np.arange(at, at + size), rows.shape[:-1])] = block
-                at += size
-        done += len(stack)
+        lines = _setting_maps(chain, active, backend)
+        if lines is None:
+            runs = _runs([prep.then(setting) for prep in stack for setting in chain], backend)
+        else:
+            runs = [(_setting_diagonals(states, active, lines), active, *_readout(chain[0]))]
+        for size, block in _blocks(runs, backend, shots, None if seeds is None else seeds[at:]):
+            rows[at:at + size] = block
+            at += size
     return out, groups
 
 

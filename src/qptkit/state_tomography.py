@@ -11,9 +11,13 @@ enumerated with the per-qubit order Z < X < Y, lexicographically
 
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
-``collect_weights`` runs the 3**n setting circuits of each of a list of
+``collect_weights`` takes the 3**n settings of each of a list of
 preparations and returns the complete canonical stack ``(L, 3**n, 2**n)``:
-preparation, setting in ``qst_settings`` order, outcome.  A sampled setting
+preparation, setting in ``qst_settings`` order, outcome.  Each setting
+rotates and measures every qubit on its own, so the backend reads the
+settings out of each once-evolved preparation state one qubit at a time,
+through that qubit's rotations and measure, and evolves no setting circuit
+unless idle decay makes a rotation act on other qubits.  A sampled setting
 draws with its own seed, derived from its preparation's seed.  That stack is
 the only input ``reconstruct_states`` takes.
 
@@ -48,7 +52,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -86,32 +90,22 @@ def qst_settings(qubit_count: int) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _setting_stages(qubits: tuple[int, ...], qubit_count: int) -> tuple[tuple[Circuit, ...], ...]:
-    """The setting circuits on ``qubits`` of a ``qubit_count``-qubit register
-    as a product of stages: the heads, the basis rotations of the first
-    ``len(qubits) // 2`` qubits (no head stage for one qubit), then the
-    tails, the rotations of the other qubits and the measures, each stage in
-    ``qst_settings`` order.  Setting ``h * T + t`` of T tails is
-    ``heads[h].then(tails[t])``.  The stages share one rotation tuple per
-    (qubit, letter) and one measure per qubit; building them checks them,
-    the tails first, once per key."""
+def _setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
+    """The setting circuits on ``qubits`` of a ``qubit_count``-qubit register,
+    in ``qst_settings`` order: each rotates every measured qubit to its
+    letter's basis, first qubit first, then measures qubit ``qubits[p]`` into
+    classical bit n - 1 - p.  They share one rotation tuple per (qubit,
+    letter) and one measure per qubit; building them checks them, the
+    measures first, once per key."""
     k = len(qubits)
     qst_settings(k)  # raises for a qubit count outside 1..QUBIT_COUNT
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    rotations = [{basis: tuple(Gate(g, (q,)) for g in gates) for basis, gates in _ROTATIONS.items()}
-                 for q in qubits]
-    measures = tuple(Measure(q, k - 1 - p) for p, q in enumerate(qubits))
-
-    def stage(lines: list[dict[str, tuple[Gate, ...]]], classical_count: int,
-              tail: tuple[Measure, ...]) -> tuple[Circuit, ...]:
-        return tuple(Circuit(qubit_count, classical_count, (*itertools.chain.from_iterable(
-            r[basis] for r, basis in zip(lines, tag)), *tail))
-            for tag in itertools.product(BASIS_ORDER, repeat=len(lines)))
-
-    split = k // 2
-    tails = stage(rotations[split:], k, measures)
-    return ((stage(rotations[:split], 0, ()),) if split else ()) + (tails,)
+    measures = Circuit(qubit_count, k, tuple(Measure(q, k - 1 - p) for p, q in enumerate(qubits)))
+    rotations = [[Circuit(qubit_count, 0, tuple(Gate(g, (q,)) for g in _ROTATIONS[basis]))
+                  for basis in BASIS_ORDER] for q in qubits]
+    return tuple(reduce(Circuit.then, (*chain, measures))
+                 for chain in itertools.product(*rotations))
 
 
 _SHAPES = {2: "a (3**n, 2**n) weight array", 3: "an (L, 3**n, 2**n) weight stack"}
@@ -379,23 +373,22 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
              ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """``collect_weights``'s stack, and the groups of evolved preparation
     states ``backend._execute_preparations`` returns with it.  Each
-    preparation's settings go to the backend as the stages of
-    ``_setting_stages``, so its 3**n settings apply the maps of their
-    3**(n // 2) heads and 3**(n - n // 2) tails, each map once per stack."""
+    preparation's settings go to the backend as the circuits of
+    ``_setting_circuits``, whose rotations and measures it reads each
+    preparation state out through, qubit by qubit."""
     if not preps:
         raise ValueError("no preparations to run")
     if qubits is None:
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
-    settings = 3 ** len(qubits)
-    stages = [_setting_stages(qubits, prep.qubit_count) for prep in preps]
+    settings = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
     circuit_seeds = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = _seed_words(seeds, settings).ravel().tolist()
-    stack, groups = _execute_preparations(preps, stages, backend, shots, circuit_seeds)
+        circuit_seeds = _seed_words(seeds, len(settings[0])).ravel().tolist()
+    stack, groups = _execute_preparations(preps, settings, backend, shots, circuit_seeds)
     _check_weights(stack, 1.0 if shots is None else float(shots))
     stack.setflags(write=False)
     return stack, groups
@@ -405,7 +398,7 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seeds: Sequence[int | None] | None = None) -> np.ndarray:
-    """Run every setting circuit of every preparation.
+    """Take every setting of every preparation.
 
     Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
     weights, settings in canonical order: exact probabilities (float) when
@@ -415,19 +408,16 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     or ``seeds`` is None) and its settings the seeds
     ``child_seeds(seed, 3**n)``, derived for every preparation in one
     ``backend._seed_words`` call.  The setting circuits are built and checked
-    once per (qubits, register size), as two stages (one for one qubit):
-    the heads rotate the first n // 2 measured qubits, the tails the others
-    and then measure.  Each preparation is evolved once, alone; the heads
-    run once over the stack of the preparations' states, the tails once over
-    the stack of head states that leaves, in batches of at most 256 KiB of
-    head states (one 5-qubit preparation's 9).  The backend writes the
-    weights into the stack block by block (see ``backend``), and every row
-    is bitwise what ``execute_many`` gives for ``prep.then(setting)``.  The
-    weights are checked as a dataset's are, all as one stack, and only
-    there: the datasets ``collect_dataset`` and ``run_qst`` build keep a
-    stack's rows.  An empty ``preps`` raises ``ValueError``; a setting that
-    does not fit the register, or a preparation that measures,
-    ``CircuitError``.
+    once per (qubits, register size) (``_setting_circuits``).  Each
+    preparation is evolved once, alone, and its settings are read out of its
+    state one measured qubit at a time (see ``backend``): every row is what
+    ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
+    noise, within 1e-15 in exact mode with noise on, and bit for bit when
+    idle decay makes the settings run as those circuits.  The weights are
+    checked as a dataset's are, all as one stack, and only there: the
+    datasets ``collect_dataset`` and ``run_qst`` build keep a stack's rows.
+    An empty ``preps`` raises ``ValueError``; a setting that does not fit
+    the register, or a preparation that measures, ``CircuitError``.
     """
     return _collect(preps, backend, qubits, shots, seeds)[0]
 
@@ -436,9 +426,9 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
-    """Run every setting circuit for ``prep``: the one-preparation case of
-    ``collect_weights``, whose checked row the dataset holds, not checked
-    again."""
+    """Take every setting of ``prep``, read out of its once-evolved state:
+    the one-preparation case of ``collect_weights``, whose checked row the
+    dataset holds, not checked again."""
     weights, _ = _collect([prep], backend, qubits, shots, [seed])
     return TomographyDataset._of_checked(shots, weights[0])
 

@@ -10,8 +10,7 @@ stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
 time; both combine and invert as the package did before it worked on stacks
 (``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own, and
-``setting_circuits`` every setting's circuit as the product of the
-tomography's stages.  ``distribution`` and ``sample`` read out one circuit
+``setting_circuits`` every setting's circuit that way.  ``distribution`` and ``sample`` read out one circuit
 at a time, as the backend did before it read out each checked chunk as one
 stack; ``sample`` folds the readout flips in with ``flipped``, which
 ``flip_matrix`` writes as a Kronecker product.
@@ -49,8 +48,8 @@ from qptkit.process_tomography import (
 )
 from qptkit.qasm import Circuit, Gate, Measure
 from qptkit.state_tomography import (
-    _setting_stages,
     collect_dataset,
+    qst_settings,
     reconstruct_states,
 )
 
@@ -87,10 +86,9 @@ def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
 def setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit, ...]:
     """Every setting's circuit on ``qubits`` of a ``qubit_count``-qubit
     register in ``qst_settings`` order, the basis rotations and then the
-    measures: the product of ``state_tomography._setting_stages``, sharing
-    its instructions."""
-    return tuple(reduce(Circuit.then, chain)
-                 for chain in itertools.product(*_setting_stages(qubits, qubit_count)))
+    measures, each built on its own by ``append_setting``."""
+    return tuple(append_setting(Circuit(qubit_count, 0), tag, qubits)
+                 for tag in qst_settings(len(qubits)))
 
 
 def distribution(reduced: np.ndarray, active: tuple[int, ...],

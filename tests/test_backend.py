@@ -963,21 +963,20 @@ def test_trace_drift_is_reported(qx4_quiet, monkeypatch):
 
 def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, monkeypatch):
     apply = backend_module._apply
+    calls = itertools.count()
 
     def leaky(sup, rho, layout, axes, k):
         out, order = apply(sup, rho, layout, axes, k)
-        if len(rho) > 1:  # only on the stack: its third state loses half its trace
-            out = out.copy()
-            out[2] *= 0.5
+        if next(calls) == 1:  # the h of preparation p, which r resumes from
+            out = out * 0.5
         return out, order
 
     monkeypatch.setattr(backend_module, "_apply", leaky)
     preps = [preparation_circuit(label, (1,), 5) for label in "01pr"]
-    # the settings over the stack of the 4 preparations' states, circuit-major:
-    # Z applies nothing with noise off, and the h of X is the first stacked
-    # map, so state 2 of X is the first bad one; the readout test stops the
-    # run before any weight is handed out
-    with pytest.raises(ValueError, match=r"^circuits 0\.\.2: matrix 6: density matrix trace "
+    # the x of 1, then the h of p and the s of r: states 2 and 3 of the
+    # stack of the 4 preparations' states lose half their trace, and the
+    # readout test of the stack stops the run before any weight is handed out
+    with pytest.raises(ValueError, match=r"^circuits 0\.\.3: matrix 2: density matrix trace "
                                          r"0\.5\+0j differs from 1$"):
         collect_weights(preps, qx4_quiet, (1,))
 
@@ -1049,9 +1048,9 @@ def test_golden_exact_runs_leave_only_density_matrices(monkeypatch):
 
     monkeypatch.setattr(backend_module, "_check_readout", full)
     regen.report_digests()
-    # 54 single-qubit placements of 12 settings (45 on qx4, 9 on qx2), 6 cx
-    # of 144, 8 qst of 243
-    assert sum(checked) == 54 * 12 + 6 * 144 + 8 * 243
+    # the preparation states the settings are read out of: 54 single-qubit
+    # placements of 4 (45 on qx4, 9 on qx2), 6 cx of 16, 8 qst of 1
+    assert sum(checked) == 54 * 4 + 6 * 16 + 8 * 1
 
 
 def test_states_checked_in_bounded_stacks_before_they_are_yielded(qx4_quiet, monkeypatch,
@@ -1138,32 +1137,18 @@ def test_off_map_cx_of_a_later_circuit_raises_before_anything_evolves(qx4_quiet,
 
 
 def test_start_must_hold_every_qubit_a_circuit_touches(qx4_quiet, monkeypatch):
-    # |1><1| on q1; the circuit also flips q0, so outcome 11 is certain
-    one = np.array([[[0, 0], [0, 1]]], dtype=complex)
+    # the circuit flips q0 of |00> on q1 q0, which q1 is measured in too,
+    # so outcome 01 is certain
     circuit = Circuit(2, 2, (Gate("x", (0,)), Measure(0, 0), Measure(1, 1)))
-    ((_, states, active),) = backend_module._evolve([circuit], qx4_quiet,
-                                                    ((1, 0), np.kron(one[0], np.diag([1, 0]))
-                                                     .reshape(1, 2, 2, 2, 2)))
+    ((_, states, active),) = backend_module._evolve([circuit], qx4_quiet, (1, 0))
     assert active == (1, 0) and outcome_dict(
         backend_module._distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
-                                      circuit.measurements, 2)[0]) == {"11": 1.0}
+                                      circuit.measurements, 2)[0]) == {"01": 1.0}
     # a start on q1 alone does not hold q0: the circuit is named before anything evolves
     _no_evolution(monkeypatch)
     with pytest.raises(ValueError, match=r"^circuit 0 acts on qubit 0, outside the start's "
                                          r"qubits \(1,\)$"):
-        next(backend_module._evolve([circuit], qx4_quiet, ((1,), one)))
-    # a stack's qubits come from its first setting, the first circuit of
-    # each stage: a later circuit of the last stage, or of a head stage,
-    # that acts on another qubit is named the same way
-    monkeypatch.undo()
-    prep = Circuit(2, 0, (Gate("x", (1,)),))
-    settings = (Circuit(2, 1, (Measure(1, 0),)),
-                Circuit(2, 2, (Gate("h", (0,)), Measure(0, 0), Measure(1, 1))))
-    heads = (Circuit(2, 0, ()), Circuit(2, 0, (Gate("h", (0,)),)))
-    for stages in ((settings,), (heads, settings[:1])):
-        with pytest.raises(ValueError, match=r"^circuit 1 acts on qubit 0, outside the "
-                                             r"start's qubits \(1,\)$"):
-            backend_module._execute_preparations([prep], [stages], qx4_quiet)
+        next(backend_module._evolve([circuit], qx4_quiet, (1,)))
 
 
 def test_shared_prefix_skips_identical_instructions(monkeypatch):
@@ -1181,6 +1166,23 @@ def test_shared_prefix_skips_identical_instructions(monkeypatch):
     assert backend_module._shared_prefix(a.instructions, b.instructions) == (
         len(prep.instructions) + 3)
     assert len(compared) == 4  # the appended rotations only
+
+
+def test_distributions_raise_for_clipped_weight_past_1e_12():
+    # the readout clips a negative weight to 0 and says so once a row's
+    # clipped weights sum past 1e-12; rounding-sized ones pass
+    circuit = Circuit(2, 2, (Measure(1, 1), Measure(0, 0)))
+    diagonals = np.array([[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0]])
+    for negative, raises in ((-1e-9, True), (-1e-18, False)):
+        drifted = diagonals.copy()
+        drifted[1] = [0.25, 0.25 - negative, 0.5, negative]
+        if raises:
+            with pytest.raises(ValueError, match=r"^row 1: clipped negative weights sum to "
+                                                 r"-1\.000e-09, past -1e-12$"):
+                backend_module._distributions(drifted, (1, 0), circuit.measurements, 2)
+        else:
+            probs = backend_module._distributions(drifted, (1, 0), circuit.measurements, 2)
+            assert probs[1, 3] == 0.0 and np.array_equal(probs[0], [0.5, 0.5, 0.0, 0.0])
 
 
 def test_distribution_total_is_a_sequential_sum():

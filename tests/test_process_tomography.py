@@ -674,9 +674,9 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
     streams, checks = [], []
     evolve = backend_module._evolve
 
-    def counting_evolve(circuits, backend, start=None):
-        streams.append((len(circuits), 1 if start is None else len(start[1])))
-        return evolve(circuits, backend, start)
+    def counting_evolve(circuits, backend, active=None):
+        streams.append((len(circuits), active))
+        return evolve(circuits, backend, active)
 
     monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
     for name in ("_check_readout", "check_density_matrix"):
@@ -686,16 +686,22 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
             return original(matrices, *args, **kwargs)
         monkeypatch.setattr(backend_module, name, counting_check)
     run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
-    # the 16 preparations in one stream, then the 3 basis rotations of the
-    # first line over the stack of their 16 states, then the 3 rotations and
-    # measures of the second over the 48 states that leaves, whose 144 final
-    # states pass the readout test as one stack, and no full check
-    assert streams == [(16, 1), (3, 16), (3, 48)] and checks == [("_check_readout", 144)]
+    # the 16 preparations in one stream, whose 16 states pass the readout
+    # test as one stack and are read out in the 9 settings, which do not
+    # evolve; no full check
+    assert streams == [(16, (4, 2))] and checks == [("_check_readout", 16)]
     streams.clear()
     checks.clear()
-    # one line has no head stage: its 3 settings run over the 4 states
     run_qpt("h", (0,), qx4)
-    assert streams == [(4, 1), (3, 4)] and checks == [("_check_readout", 12)]
+    assert streams == [(4, (0,))] and checks == [("_check_readout", 4)]
+    streams.clear()
+    checks.clear()
+    # with idle decay the 144 setting circuits run as execute_many runs them,
+    # each on the qubits it touches, and are read out in chunks of at most
+    # 64 KiB of states
+    run_qpt("cx", (2, 4), qx4.with_idle_decay(True))
+    assert streams == [(16, (4, 2)), (144, None)]
+    assert checks[0] == ("_check_readout", 16) and sum(n for _, n in checks[1:]) == 144
 
 
 def test_run_qpt_argument_errors(qx4):

@@ -28,8 +28,10 @@ from qptkit import (
 )
 from oracles import append_setting, outcome_dict, pauli_string_matrix, setting_circuits
 from qptkit.process_tomography import preparation_circuit
+from qptkit.backend import _qubits
 from qptkit.state_tomography import (
-    _setting_stages,
+    BASIS_ORDER,
+    _setting_circuits,
     child_seeds,
     collect_weights,
     project_psd,
@@ -88,7 +90,7 @@ def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
     def build(*args):
         raise AssertionError("built setting circuits for no preparation")
 
-    monkeypatch.setattr(qptkit.state_tomography, "_setting_stages", build)
+    monkeypatch.setattr(qptkit.state_tomography, "_setting_circuits", build)
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", build)
     for qubits in (None, (0,)):
         with pytest.raises(ValueError, match="^no preparations to run$"):
@@ -424,6 +426,20 @@ def _setting_loop(prep, backend, qubits, shots=None, seed=None):
     return np.array(rows)
 
 
+def _assert_rows(got, want, bitwise=True):
+    """Weight rows as each setting circuit gives them alone: bitwise, or
+    within 1e-15 where exact rows are read out through the settings' maps
+    with noise on: there each measured qubit's measure decays before the
+    next qubit rotates, where a setting circuit decays them after every
+    rotation."""
+    want = np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if bitwise:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-15
+
+
 @pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
 def test_collect_dataset_matches_per_setting_loop(qx4, mode):
     backend = {"quiet": qx4.with_noise(False), "noisy": qx4,
@@ -439,10 +455,11 @@ def test_collect_dataset_matches_per_setting_loop(qx4, mode):
         for shots in (None, 500):
             got = collect_dataset(prep, backend, qubits=qubits, shots=shots, seed=9)
             want = _setting_loop(prep, backend, measured, shots=shots, seed=9)
-            assert np.array_equal(got.weights, want)
+            bitwise = mode != "noisy" or shots is not None
+            _assert_rows(got.weights, want.astype(float), bitwise)
             # the stream keeps the backend's dtype: float probabilities, int counts
             stream = collect_weights([prep], backend, qubits, shots, [9])
-            assert stream.dtype == want.dtype and np.array_equal(stream[0], want)
+            _assert_rows(stream[0], want, bitwise)
 
 
 # the 5-qubit circuit of CI's determinism step
@@ -462,7 +479,8 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
         # each setting alone through execute_many: no stack, no shared prefix
         (alone,) = execute_many([prep.then(setting)], backend, shots,
                                 None if shots is None else [seed])
-        assert np.array_equal(row, alone.probabilities if shots is None else alone.counts)
+        _assert_rows(row, alone.probabilities if shots is None else alone.counts,
+                     mode != "noise_on")
 
 
 @pytest.mark.parametrize("mode", ["noise_off", "noise_on", "idle", "sampled"])
@@ -508,14 +526,14 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     monkeypatch.setattr(qptkit.backend, "_apply", counting_apply)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\nh q[0];\ns q[0];\n")
     collect_dataset(prep, qx4_quiet)
-    # 4 preparation gates once, then h (X) and sdg, h (Y); noiseless measures apply nothing
-    assert len(applied) == 4 + 1 + 2
+    # 4 preparation gates once; the settings are read out of its state, not evolved
+    assert len(applied) == 4
 
 
 def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
-    # the stages are built once per key; their product shares their objects
-    assert _setting_stages((4, 1), 5) is _setting_stages((4, 1), 5)
-    circuits = setting_circuits((4, 1), 5)
+    # the settings are built once per key and share their objects
+    assert _setting_circuits((4, 1), 5) is _setting_circuits((4, 1), 5)
+    circuits = _setting_circuits((4, 1), 5)
     prep = parse_qasm("OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n")
     # the instructions of one setting at a time: one object per (letter, qubit)
     # for the rotations (h of X, sdg and h of Y) and one measure per qubit
@@ -528,19 +546,22 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
             compared.append((self, other))
             return original(self, other)
         monkeypatch.setattr(cls, "__eq__", recording)
-    weights = collect_weights([prep], qx4_quiet, (4, 1))
+    # with idle decay the settings run as circuits, and neighbouring settings
+    # are compared by value only where they branch apart
+    idle = qx4_quiet.with_noise(True).with_idle_decay(True)
+    weights = collect_weights([prep], idle, (4, 1))
     monkeypatch.undo()
-    # neighbouring settings are compared by value only where they branch apart
     assert compared and all(a != b for a, b in compared)
-    assert np.array_equal(weights[0], collect_dataset(prep, qx4_quiet, (4, 1)).weights)
+    assert np.array_equal(weights[0], collect_dataset(prep, idle, (4, 1)).weights)
 
 
-@pytest.mark.parametrize("mode", ["exact", "sampled", "idle", "flips"])
+@pytest.mark.parametrize("mode", ["exact", "quiet", "sampled", "idle", "flips"])
 def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
     flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
-    backend = {"exact": qx4, "sampled": qx4, "idle": qx4.with_idle_decay(True),
+    backend = {"exact": qx4, "quiet": qx4.with_noise(False), "sampled": qx4,
+               "idle": qx4.with_idle_decay(True),
                "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
-    shots = None if mode in ("exact", "idle") else 8192
+    shots = None if mode in ("exact", "quiet", "idle") else 8192
     placements = [(g, (q,)) for g in GATE_TABLE_ORDER for q in range(5)]
     placements += [("cx", pair) for pair in sorted(qx4.coupling.pairs)]
     assert len(placements) == 51
@@ -557,7 +578,7 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         stream = [r.probabilities if shots is None else r.counts
                   for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        assert np.array_equal(stacked.reshape(len(circuits), -1), stream)
+        _assert_rows(stacked.reshape(len(circuits), -1), stream, mode != "exact")
 
 
 def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
@@ -568,40 +589,37 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
     stacks = []
     evolve = qptkit.backend._evolve
 
-    def recording(circuits, backend, start=None):
-        if start is not None:  # a stage over a stack, not execute_many's stream
-            stacks.append((len(circuits), len(start[1]), start[0]))
-        return evolve(circuits, backend, start)
+    def recording(circuits, backend, active=None):
+        if active is not None:  # a stack of preparations, not execute_many's stream
+            stacks.append((len(circuits), active))
+        return evolve(circuits, backend, active)
 
     monkeypatch.setattr(qptkit.backend, "_evolve", recording)
     seeds = [11, 12, 13, 14]
     for shots in (None, 300):
         stacks.clear()
         got = collect_weights(preps, qx4, (1, 0), shots, seeds)
-        # the two preparations on q4 q2 q1 q0 share a stack, which the 3
-        # rotations of q1 and then the 3 rotations and measures of q0 run
-        # over; q1 q0 of a 5-qubit and of a 3-qubit register are two more
+        # the two preparations on q4 q2 q1 q0 evolve as one stack, whose
+        # settings are read out of their states; q1 q0 of a 5-qubit and of a
+        # 3-qubit register are two more
         wide, narrow = (4, 2, 1, 0), (1, 0)
-        assert stacks == [(2, 1, wide), (3, 2, wide), (3, 6, wide),
-                          (1, 1, narrow), (3, 1, narrow), (3, 3, narrow),
-                          (1, 1, narrow), (3, 1, narrow), (3, 3, narrow)]
+        assert stacks == [(2, wide), (1, narrow), (1, narrow)]
         circuits = [p.then(c) for p in preps for c in setting_circuits((1, 0), p.qubit_count)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
         want = [r.probabilities if shots is None else r.counts
                 for r in execute_many(circuits, qx4, shots, circuit_seeds)]
-        assert np.array_equal(got.reshape(len(circuits), -1), want)
+        _assert_rows(got.reshape(len(circuits), -1), want, shots is not None)
 
 
 def _built_circuits(monkeypatch, preps, backend, qubits):
     """The circuits ``collect_weights`` hands to the backend: each preparation
-    joined to each setting of the product of the stages it is handed with."""
+    joined to each setting it is handed with."""
     built = []
     execute = qptkit.state_tomography._execute_preparations
 
-    def recording(preps, stages, *args):
-        built.extend(reduce(Circuit.then, setting, p)
-                     for p, chain in zip(preps, stages) for setting in itertools.product(*chain))
-        return execute(preps, stages, *args)
+    def recording(preps, settings, *args):
+        built.extend(p.then(setting) for p, chain in zip(preps, settings) for setting in chain)
+        return execute(preps, settings, *args)
 
     monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", recording)
     collect_weights(preps, backend, qubits)
@@ -613,7 +631,7 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
     prep = parse_qasm("OPENQASM 2.0;\nqreg r[5];\ncreg m[3];\nh r[2];\ncx r[2],r[4];\n"
                       "t r[1];\n")
     assert (prep.qreg, prep.creg, prep.classical_count) == ("r", "m", 3)
-    _setting_stages.cache_clear()
+    _setting_circuits.cache_clear()
     checks = []
     check = qptkit.qasm._check_instruction
     for qubits in ((4, 1), (0, 2, 4, 1, 3)):
@@ -622,14 +640,12 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
             monkeypatch.setattr(qptkit.qasm, "_check_instruction",
                                 lambda *args: checks.append(args[0]) or check(*args))
             built = _built_circuits(monkeypatch, preps, qx4_quiet, qubits)
-            settings = setting_circuits(qubits, 5)
-            # each instruction of each stage is checked once per (qubits,
-            # register size), on the first call, and never when joined to a
-            # preparation or to another stage
+            settings = _setting_circuits(qubits, 5)
+            # each rotation (one h for X, sdg and h for Y) and each measure
+            # is checked once per (qubits, register size), on the first call,
+            # and never when joined to a preparation or to another qubit's
             first = preps == [prep]
-            stages = _setting_stages(qubits, 5)
-            assert len(checks) == (sum(len(c.instructions) for stage in stages for c in stage)
-                                   if first else 0)
+            assert len(checks) == (4 * len(qubits) if first else 0)
             want = [p.extended(*c.instructions, classical_count=len(qubits))
                     for p in preps for c in settings]
             assert len(built) == len(want)
@@ -637,7 +653,9 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
                 assert got == expected and got.measurements == expected.measurements
                 assert vars(got) == vars(expected)  # fields and cached measurements
                 assert all(a is b for a, b in zip(got.instructions, expected.instructions))
-    assert _setting_stages.cache_info().misses == 2
+            assert [c.instructions for c in settings] == [
+                c.instructions for c in setting_circuits(qubits, 5)]
+    assert _setting_circuits.cache_info().misses == 2
     # a setting that does not fit the register raises its own construction error
     small = parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[0];\ncx q[1],q[2];\n")
     with pytest.raises(qptkit.qasm.CircuitError,
@@ -687,22 +705,22 @@ def test_datasets_of_a_run_are_checked_once(qx4, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_setting_stages_multiply_to_the_setting_circuits(n):
     qubits = (0, 2, 4, 1, 3)[:n]
-    stages = _setting_stages(qubits, 5)
-    settings = setting_circuits(qubits, 5)
+    settings = _setting_circuits(qubits, 5)
     tags = qst_settings(n)
-    # the heads rotate the first n // 2 qubits and measure nothing; one
-    # qubit has no head stage
-    *heads, tails = stages
-    heads = heads[0] if heads else (Circuit(5, 0),)
-    assert len(stages) == (1 if n == 1 else 2)
-    assert (len(heads), len(tails)) == (3 ** (n // 2), 3 ** (n - n // 2))
-    assert all(not h.measurements and h.classical_count == 0 for h in heads)
-    for h, head in enumerate(heads):
-        for t, tail in enumerate(tails):
-            s = h * len(tails) + t
-            joined = head.then(tail).instructions
-            assert all(a is b for a, b in zip(joined, settings[s].instructions, strict=True))
-            assert joined == append_setting(Circuit(5, 0), tags[s], qubits).instructions
+    assert len(settings) == 3 ** n
+    # the settings are the product of per-qubit stages, each qubit's
+    # rotations for its letter, then the shared measures: what a setting
+    # applies to a qubit is what the setting of that letter alone, Z on every
+    # other qubit, applies to it, which is where the backend reads it
+    for s, setting in enumerate(settings):
+        assert setting.instructions == append_setting(Circuit(5, 0), tags[s], qubits).instructions
+        for j, q in enumerate(qubits):
+            alone = settings[BASIS_ORDER.index(tags[s][j]) * 3 ** (n - 1 - j)]
+            on = [[i for i in c.instructions if _qubits((i,)) == {q}] for c in (setting, alone)]
+            assert all(a is b for a, b in zip(*on, strict=True))
+        assert _qubits(setting.instructions) == set(qubits)
+    # one object per (qubit, letter) rotation and one measure per qubit
+    assert len({id(i) for c in settings for i in c.instructions}) == 3 * n + n
 
 
 # preparations on all five qubits of CI's register, on some, and on one
@@ -711,14 +729,17 @@ _STAGED_PREPS = (CI_FIVE_QUBITS,
                  "OPENQASM 2.0;\nqreg q[5];\ny q[4];\n")
 
 
-@pytest.mark.parametrize("mode", ["exact", "idle", "flips"])
+@pytest.mark.parametrize("mode", ["exact", "quiet", "idle", "flips"])
 @pytest.mark.parametrize("lines", [(4, 2, 0), (3, 2, 1, 0), (1, 4, 0, 3, 2)])
 def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
+    # the settings are read out of each preparation's state in stages, one
+    # measured qubit at a time; with idle decay on they run as circuits
     flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
-    backend = {"exact": qx4, "idle": qx4.with_idle_decay(True),
+    backend = {"exact": qx4, "quiet": qx4.with_noise(False), "idle": qx4.with_idle_decay(True),
                "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
     shots = 8192 if mode == "flips" else None
     for count in (2, 3):
+        # the second preparation acts on q3, which (4, 2, 0) leaves unmeasured
         preps = [parse_qasm(text) for text in _STAGED_PREPS[:count]]
         seeds = child_seeds(0, count)
         got = collect_weights(preps, backend, lines, shots, seeds)
@@ -726,7 +747,7 @@ def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         want = [r.probabilities if shots is None else r.counts
                 for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        assert got.dtype == want[0].dtype and np.array_equal(got.reshape(len(circuits), -1), want)
+        _assert_rows(got.reshape(len(circuits), -1), want, mode != "exact")
 
 
 # a 24-gate 5-qubit circuit, 7 of them cx on qx4's coupling map: the size of
@@ -738,58 +759,51 @@ _TWENTY_FOUR_GATES = (
     "cx q[1],q[0];\nt q[4];\ny q[3];\n")
 
 
-def test_five_qubit_qst_applies_75_maps_and_checks_28_stacks(qx4_quiet, monkeypatch):
+@pytest.mark.parametrize("noise", [False, True])
+def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, noise, monkeypatch):
     circuit = parse_qasm(_TWENTY_FOUR_GATES)
     assert len(circuit.instructions) == 24
-    applied, full, readout = [], [], []
+    applied, full, readout, evolved = [], [], [], []
     apply, check = qptkit.backend._apply, qptkit.backend.check_density_matrix
-    check_readout = qptkit.backend._check_readout
+    check_readout, evolve = qptkit.backend._check_readout, qptkit.backend._evolve
     monkeypatch.setattr(qptkit.backend, "_apply",
                         lambda sup, rho, *args: applied.append(len(rho)) or apply(sup, rho, *args))
     monkeypatch.setattr(qptkit.backend, "check_density_matrix",
                         lambda m, *args, **kwargs: full.append(len(m)) or check(m, *args, **kwargs))
     monkeypatch.setattr(qptkit.backend, "_check_readout",
                         lambda m: readout.append(len(m)) or check_readout(m))
-    run = run_qst(circuit, qx4_quiet)
+    monkeypatch.setattr(qptkit.backend, "_evolve",
+                        lambda circuits, *args: evolved.append(list(circuits))
+                        or evolve(circuits, *args))
+    run = run_qst(circuit, qx4.with_noise(noise))
     assert run.reference is not None
-    # the 24 gates on one state; the heads' 12 rotations of q4 q3 on it
-    # (h for X, sdg and h for Y, each shared prefix once); the tails' 39
-    # rotations of q2 q1 q0 over the 9 head states; noiseless measures apply
-    # nothing
-    assert applied == [1] * (24 + 12) + [9] * 39
-    # each tail's 9 final states pass the readout test, and only the
+    # only the circuit evolves, its 24 gates on one state; the 243 settings
+    # are read out of that state; its stack passes the readout test, and the
     # reference meets the full check
-    assert readout == [9] * 27 and full == [1]
+    assert evolved == [[circuit]]
+    assert applied == [1] * 24
+    assert readout == [1] and full == [1]
 
 
-def test_head_stacks_stay_under_the_readout_cap(qx4_quiet, monkeypatch):
+def test_forty_preparations_read_out_from_one_stack(qx4_quiet, monkeypatch):
     lines = (4, 3, 2, 1, 0)
     preps = [preparation_circuit("".join(label), lines)
              for label in itertools.islice(itertools.product("01pr", repeat=5), 40)]
-    starts = []
-    evolve = qptkit.backend._evolve
-
-    def recording(circuits, backend, start=None):
-        if start is not None and circuits[0].measurements:  # the tails over a stack
-            starts.append(start[1].nbytes)
-        return evolve(circuits, backend, start)
-
-    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
+    evolved, readout = [], []
+    evolve, check_readout = qptkit.backend._evolve, qptkit.backend._check_readout
+    monkeypatch.setattr(qptkit.backend, "_evolve",
+                        lambda circuits, *args: evolved.append(len(circuits))
+                        or evolve(circuits, *args))
+    monkeypatch.setattr(qptkit.backend, "_check_readout",
+                        lambda m: readout.append(len(m)) or check_readout(m))
     got = collect_weights(preps, qx4_quiet, lines)
     monkeypatch.undo()
-    # 9 head states of 16 KiB each: one preparation a batch, two would pass the cap
-    assert starts == [9 << 14] * 40
-    assert 9 << 14 <= qptkit.backend._READOUT_BYTES < 18 << 14
+    # the 40 preparations evolve once, as one stack, which passes one readout
+    # test; no setting circuit evolves
+    assert evolved == [40] and readout == [40]
     want = [r.probabilities for r in execute_many(
         [p.then(s) for p in preps for s in setting_circuits(lines, 5)], qx4_quiet)]
     assert np.array_equal(got.reshape(-1, 32), want)
-    # four measured qubits of a four-qubit stack: 7 preparations a batch
-    narrow = [preparation_circuit("".join(label), lines[1:])
-              for label in itertools.islice(itertools.product("01pr", repeat=4), 40)]
-    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
-    starts.clear()
-    collect_weights(narrow, qx4_quiet, lines[1:])
-    assert starts == [7 * 9 << 12] * 5 + [5 * 9 << 12]
 
 
 def test_dataset_freezes_caller_arrays():
