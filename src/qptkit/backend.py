@@ -802,13 +802,6 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
             yield from (ExecutionResult(counts=row, shots=shots) for row in block)
 
 
-def _stacked(circuits: Sequence[Circuit], backend: BackendModel,
-             active: tuple[int, ...]) -> np.ndarray:
-    """The unchecked ``(len(circuits), 2**k, 2**k)`` stack of the circuits'
-    final states on ``active``, as ``_evolve`` leaves them."""
-    return np.concatenate([states for _, states, _ in _evolve(circuits, backend, active)])
-
-
 def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
                   backend: BackendModel) -> list[tuple[int, list[list[np.ndarray]]]] | None:
     """Per measured qubit of ``_execute_preparations``' settings, in measure
@@ -854,9 +847,9 @@ def _setting_diagonals(states: np.ndarray, active: tuple[int, ...],
     rho = states.reshape(count, *(2,) * (2 * k))
     # each axis by name: ("row", a), ("col", a), then ("out", a) once read out
     names = [("batch",), *(("row", a) for a in range(k)), *(("col", a) for a in range(k))]
-    measured = dict(lines)
-    steps = [(a, [[]]) for a in range(k) if a not in measured]
-    for step, (a, letters) in enumerate([*steps, *lines]):
+    measured = {a for a, _ in lines}
+    unmeasured = [(a, [[]]) for a in range(k) if a not in measured]
+    for step, (a, letters) in enumerate([*unmeasured, *lines]):
         front = [names.index(("row", a)), names.index(("col", a))]
         rest = [i for i in range(1, len(names)) if i not in front]
         flat = rho.transpose(0, *front, *rest).reshape(count, 4, -1)
@@ -909,9 +902,8 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     groups, at = [], 0
     for (chain, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
         stack = [prep for _, prep in jobs]
-        ((_, states, _),) = _checked(
-            [(stack, _stacked(stack, backend, active), active)],
-            _check_readout)
+        states = np.concatenate([states for _, states, _ in _evolve(stack, backend, active)])
+        ((_, states, _),) = _checked([(stack, states, active)], _check_readout)
         groups.append((active, states))
         lines = _setting_maps(chain, active, backend)
         if lines is None:

@@ -1137,8 +1137,7 @@ def test_off_map_cx_of_a_later_circuit_raises_before_anything_evolves(qx4_quiet,
 
 
 def test_start_must_hold_every_qubit_a_circuit_touches(qx4_quiet, monkeypatch):
-    # the circuit flips q0 of |00> on q1 q0, which q1 is measured in too,
-    # so outcome 01 is certain
+    # from |00> on q1 q0 the circuit flips q0, so outcome 01 is certain
     circuit = Circuit(2, 2, (Gate("x", (0,)), Measure(0, 0), Measure(1, 1)))
     ((_, states, active),) = backend_module._evolve([circuit], qx4_quiet, (1, 0))
     assert active == (1, 0) and outcome_dict(
