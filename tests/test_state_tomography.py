@@ -27,8 +27,8 @@ from qptkit import (
     run_qst,
 )
 from oracles import append_setting, outcome_dict, pauli_string_matrix, setting_circuits
-from qptkit.process_tomography import preparation_circuit
 from qptkit.backend import _qubits
+from qptkit.process_tomography import preparation_circuit
 from qptkit.state_tomography import (
     BASIS_ORDER,
     _setting_circuits,
