@@ -9,58 +9,74 @@ The fixed set is I, X, -iY, Z for one qubit; for two qubits the sixteen
 Kronecker products of those factors, ordered first factor slowest, are used,
 so every operator carries a (-i) per Y factor and all sixteen matrices are
 real.  The input basis is the d^2 matrix units |a><b| in row-major (a, b)
-order.  Their outputs form the Choi matrix of the channel,
+order.
 
-    C[(a,k),(b,l)] = eps(|a><b|)[k,l] = sum_mn chi_mn E_m[k,a] E_n[l,b]^* ,
+Three linear factors take the measured weights to chi, the first two one
+qubit at a time:
 
-that is C = W chi W^dagger with W[(a,k),m] = E_m[k,a].  The fixed set is
-orthogonal, Tr(E_m^dagger E_n) = d delta_mn, so W^dagger W = d I and
+* D, the letters (``state_tomography._QUBIT_TABLE``): a qubit's state is
+  sum_bo w[b,o] D[b,o], with w[b,o] its weight under letter b and outcome
+  o divided by its setting's total.
+* R, the recipes (``_RECIPES``): matrix units are not states, so each one
+  is assembled from the physically preparable pure states
 
-    chi = W^dagger C W / d^2
+      |0>, |1>, |+> = H|0>, |r> = SH|0>   (per qubit),
 
-exactly (Nielsen & Chuang §8.4.2, Box 8.5).  This is the paper's linear
-inversion chi = B^-1 lambda in closed form: with lambda the row-major stack
-of the outputs and B[(j,k),(m,n)] entry k of E_m rho_j E_n^dagger
-(rho_j the j-th unit, (j, k) and (m, n) flattened row-major), the same
-orthogonality gives B^dagger B = d^2 I, so B^-1 lambda = B^dagger lambda / d^2,
-whose entries are those of W^dagger C W / d^2.  B itself is built only by
-the test oracles (``beta_tensor`` in ``tests/oracles.py``), which tie the two
-together.
+  e.g.  |0><1| = |+><+| + i |r><r| - (1+i)/2 (|0><0| + |1><1|).  R[(a,b),p]
+  is the coefficient of preparation p in |a><b|; a two-qubit unit's recipe
+  is the product of its halves' (16 preparations overall).
+* W, the Choi-to-chi map: the units' outputs form the Choi matrix
 
-The operator sets, their labels (``OPERATOR_LABELS``) and W are read-only
-module constants.  ``tp_deviation`` reads the Choi matrix W chi W^dagger
-back: sum_mn chi_mn E_n^dagger E_m is the transpose of C traced over the
-output, sum_k C[(a,k),(b,k)].
+      C[(a,k),(b,l)] = eps(|a><b|)[k,l] = sum_mn chi_mn E_m[k,a] E_n[l,b]^* ,
 
-Matrix units are not states, so each one is assembled from at most four
-physically preparable pure states
+  that is C = W chi W^dagger with W[(a,k),m] = E_m[k,a].  The fixed set is
+  orthogonal, Tr(E_m^dagger E_n) = d delta_mn, so W^dagger W = d I and
 
-    |0>, |1>, |+> = H|0>, |r> = SH|0>   (per qubit),
+      chi = W^dagger C W / d^2
 
-e.g.  |0><1| = |+><+| + i |r><r| - (1+i)/2 (|0><0| + |1><1|).  Two-qubit
-recipes are the per-qubit products (16 preparations overall).  Nothing is
-verified at run time: the tests assert, to 1e-12, that every recipe rebuilds
-its unit (``test_recipes_rebuild_matrix_units`` and the acceptance test
-``test_preparation_recipe_identities``) and that both operator sets are
-orthogonal with W^dagger W = d I (``tests/test_process_tomography.py``).
+  exactly (Nielsen & Chuang §8.4.2, Box 8.5).
 
-The combination runs on stacks: the preparations' outputs arrive as one
-``(4**n, d, d)`` stack in sorted label order, and each unit is summed as
-0 + c0 o0 + c1 o1 + ... in term order, the same bits as the unit summed on
-its own.
+Two per-qubit tables carry the first two factors.  The state-side table
+Rs = R (x) I_4, Rs[(a,b,k,l),(p,k',l')] = R[(a,b),p] delta_kk' delta_ll',
+takes the preparations' output states to the units' outputs; the
+weights-side table U = Rs D, U[(a,b,k,l),(p,b',o)] = R[(a,b),p] D[b',o,k,l],
+takes the normalised weights there in one step.  ``_unit_outputs`` applies
+either to a ``(4**n, A**n, B**n)`` stack: one matrix-vector product for one
+qubit, table @ M @ table^T with the stack's axes regrouped qubit by qubit
+for two.  ``chi_from_outputs`` applies W, the one inversion both pipelines
+share.
+
+This is the paper's linear inversion chi = B^-1 lambda in closed form: with
+lambda the row-major stack of the outputs and B[(j,k),(m,n)] entry k of
+E_m rho_j E_n^dagger (rho_j the j-th unit, (j, k) and (m, n) flattened
+row-major), the same orthogonality gives B^dagger B = d^2 I, so
+B^-1 lambda = B^dagger lambda / d^2, whose entries are those of
+W^dagger C W / d^2.  B itself is built only by the test oracles
+(``beta_tensor`` in ``tests/oracles.py``), which tie both tables, followed
+by the inversion, to it.  Since W / sqrt(d) is unitary, ``residual`` =
+max|W chi W^dagger - C| is the round-off of the W map and back, not a
+fit.
+
+The operator sets, their labels (``OPERATOR_LABELS``), W and the tables are
+read-only module constants.  Nothing is verified at run time: the tests
+assert that R rebuilds every unit from the preparation states and that both
+operator sets are orthogonal with W^dagger W = d I
+(``tests/test_process_tomography.py``).  ``tp_deviation`` reads the Choi
+matrix W chi W^dagger back: sum_mn chi_mn E_n^dagger E_m is the transpose of
+C traced over the output, sum_k C[(a,k),(b,k)].
 
 ``run_qpt`` tomographs one gate placement on a backend: 4 (or 16)
-preparations x 3 (or 9) settings = 12 (or 144) circuit executions.  Each
-preparation's output state is reconstructed by state tomography, and the
-states are combined by the recipes, inverted, and scored by the overlap
-fidelity
+preparations x 3 (or 9) settings = 12 (or 144) circuit executions.  The
+weights, each divided by its setting's total, pass through U and are
+inverted, and chi is scored by the overlap fidelity
 
     F = Tr(chi_exp chi_th^dagger) / sqrt(Tr(chi_th^dagger chi_th))
                                   / sqrt(Tr(chi_exp^dagger chi_exp))
 
-against the ideal gate's chi.  ``qpt_channel`` combines and inverts a
-Kraus channel's exact output states, so the preparations, recipes and
-inversion can be checked against channels whose chi is known.
+against the ideal gate's chi.  ``qpt_channel`` passes a Kraus channel's
+exact outputs of the preparation states through Rs and inverts them, so
+the preparations, recipes and inversion can be checked against channels
+whose chi is known.
 """
 
 from __future__ import annotations
@@ -73,10 +89,10 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .backend import BackendModel, TopologyError
-from .channels import KrausChannel, _check_trace_preserving, apply_channel
+from .channels import COMPLETENESS_ATOL, KrausChannel, _check_trace_preserving, apply_channel
 from .operators import GATE_ARITY, dagger, kron, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, Gate
-from .state_tomography import child_seeds, collect_weights, project_psd, reconstruct_states
+from .state_tomography import _QUBIT_TABLE, _collect, child_seeds, project_psd
 
 __all__ = [
     "ChiMatrix",
@@ -175,17 +191,34 @@ def preparation_circuit(label: str, lines: tuple[int, ...], qubit_count: int = Q
     return Circuit(qubit_count, 0, tuple(gates))
 
 
-_HALF_PLUS = (1.0 + 1.0j) / 2.0
-_HALF_MINUS = (1.0 - 1.0j) / 2.0
+# R[(a, b), p]: the one-qubit matrix unit |a><b|, at row 2a + b, as a
+# combination of the preparations 0, 1, p, r
+_RECIPES = _read_only(np.array([
+    [1, 0, 0, 0],
+    [-(1 + 1j) / 2, -(1 + 1j) / 2, 1, 1j],
+    [-(1 - 1j) / 2, -(1 - 1j) / 2, 1, -1j],
+    [0, 1, 0, 0],
+]))
 
-# the recipe of each one-qubit matrix unit |a><b|, at index 2a + b: its
-# (coefficient, preparation) terms
-_SINGLE_RECIPES: tuple[tuple[tuple[complex, str], ...], ...] = (
-    ((1.0 + 0.0j, "0"),),
-    ((1.0 + 0.0j, "p"), (1.0j, "r"), (-_HALF_PLUS, "0"), (-_HALF_PLUS, "1")),
-    ((1.0 + 0.0j, "p"), (-1.0j, "r"), (-_HALF_MINUS, "0"), (-_HALF_MINUS, "1")),
-    ((1.0 + 0.0j, "1"),),
-)
+# the per-qubit tables of the module docstring: the state side
+# Rs[(a,b,k,l), (p,k,l)] and the weights side U[(a,b,k,l), (p,letter,outcome)]
+_STATE_TABLE = _read_only(np.kron(_RECIPES, np.eye(4)))
+_WEIGHT_TABLE = _read_only((_STATE_TABLE.reshape(16, 4, 4) @ _QUBIT_TABLE.reshape(6, 4).T)
+                           .reshape(16, 24))
+
+
+def _unit_outputs(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The matrix units' outputs, a ``(4**n, d, d)`` stack, of a per-qubit
+    table applied to a ``(4**n, I**n, J**n)`` stack (p, i, j) whose first
+    axis runs over the preparations in label order."""
+    if len(stack) == 4:
+        return (table @ stack.reshape(-1)).reshape(4, 2, 2)
+    i, j = math.isqrt(stack.shape[1]), math.isqrt(stack.shape[2])
+    # M[(p1,i1,j1), (p2,i2,j2)]: the stack's axes regrouped qubit by qubit
+    m = stack.reshape(4, 4, i, i, j, j).transpose(0, 2, 4, 1, 3, 5).reshape(4 * i * j, -1)
+    # X[(a1,b1,k1,l1), (a2,b2,k2,l2)] back to unit (a1 a2, b1 b2), entry (k1 k2, l1 l2)
+    x = (table @ m @ table.T).reshape((2,) * 8)
+    return x.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 4, 4)
 
 
 # --- the inversion ---------------------------------------------------------------
@@ -259,16 +292,23 @@ def theoretical_chi(gate) -> ChiMatrix:
     """Rank-one chi of an ideal unitary (gate name or explicit matrix).
 
     U = sum_m c_m E_m with c_m = Tr(E_m^dagger U) / d by orthogonality.  A
-    gate name's chi is computed once per process and shared; ``ChiMatrix``
-    is frozen and its matrix read-only.
+    matrix must be 2x2 or 4x4, finite, and unitary to the 1e-9 that
+    ``qpt_channel`` allows a channel's trace preservation; anything else
+    raises ``ValueError``.  A gate name's chi is computed once per process
+    and shared; ``ChiMatrix`` is frozen and its matrix read-only.
     """
     if isinstance(gate, str):
         return _named_chi(gate)
     u = np.asarray(gate, dtype=complex)
-    n = u.shape[0].bit_length() - 1
+    n = len(u).bit_length() - 1 if u.ndim == 2 else 0
     ops = _OPERATORS.get(n)
     if ops is None or u.shape != ops.shape[1:]:
         raise ValueError(f"unitary shape {u.shape} does not match the 1- or 2-qubit operator set")
+    if not np.isfinite(u).all():
+        raise ValueError("unitary has non-finite entries")
+    dev = float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+    if dev > COMPLETENESS_ATOL:
+        raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     coeffs = np.array([np.trace(dagger(em) @ u) for em in ops]) / u.shape[0]
     chi = np.outer(coeffs, coeffs.conj())
     return ChiMatrix(n, (chi + chi.conj().T) / 2.0, 0.0)
@@ -329,61 +369,13 @@ def process_fidelity(chi_theory, chi_experiment) -> float:
 # --- pipelines -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _recipe_table(qubit_count: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The matrix units' recipes grouped by term count, in order of first
-    appearance, as read-only (targets, coefficients, positions): row t of a
-    group's coefficients and positions is term t of each of its units, and
-    positions index the preparation stack.
-
-    The recipe of a two-qubit unit |a><b| is the product of the one-qubit
-    recipes of its high and low halves, high terms outer.
-    """
-    if qubit_count == 1:
-        recipes = enumerate(_SINGLE_RECIPES)
-    else:
-        recipes = [(a * 4 + b, [(ch * cl, lh + ll)
-                                for ch, lh in _SINGLE_RECIPES[(a >> 1) * 2 + (b >> 1)]
-                                for cl, ll in _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)]])
-                   for a, b in itertools.product(range(4), repeat=2)]
-    position = {label: i for i, label in enumerate(_PREP_LABELS[qubit_count])}
-    groups: dict[int, list] = {}
-    for target, terms in recipes:
-        groups.setdefault(len(terms), []).append((target, terms))
-    table = []
-    for members in groups.values():
-        targets = np.array([target for target, _ in members])
-        coeffs = np.array([[c for c, _ in terms] for _, terms in members], dtype=complex)
-        positions = np.array([[position[label] for _, label in terms] for _, terms in members])
-        # term-major
-        table.append(tuple(map(_read_only, (targets, coeffs.T[..., None, None], positions.T))))
-    return tuple(table)
-
-
-def _chi_from_preparations(outputs: np.ndarray, qubit_count: int) -> ChiMatrix:
-    """chi from the preparations' outputs, a ``(4**n, d, d)`` stack in label order.
-
-    Each recipe group adds term t of all its matrix units with one vector
-    add, starting from zeros, so every unit is 0 + c0 o0 + c1 o1 + ... in
-    term order, as one unit summed on its own.
-    """
-    units = np.empty(outputs.shape, dtype=complex)
-    for targets, coeffs, positions in _recipe_table(qubit_count):
-        acc = np.zeros((len(targets),) + outputs.shape[1:], dtype=complex)
-        for term in coeffs * outputs[positions]:
-            acc += term
-        units[targets] = acc
-    return chi_from_outputs(units, qubit_count)
-
-
 def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     """Tomograph a Kraus channel exactly (no circuits, no sampling).
 
     Mirrors the measurement pipeline: the stack of physical preparation
-    states is pushed through the channel in one call, and the recipe
-    combinations of the outputs feed the same linear inversion as
-    ``run_qpt``.  (On an exact state the
-    Pauli reconstruction of ``run_qpt`` is the identity, so it is skipped.)
+    states is pushed through the channel in one call, and the outputs pass
+    through the state-side table Rs into the same inversion as ``run_qpt``.
+    (An exact state needs no letter factor D, so U is not used.)
     Trace preservation is checked once per call, to 1e-9.  A Kraus sum of
     finite operators maps density matrices to density matrices, so the
     outputs are not checked again as states; ``chi_from_outputs`` checks
@@ -393,7 +385,7 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     if n not in (1, 2):
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
     _check_trace_preserving(channel)
-    return _chi_from_preparations(apply_channel(channel, _PREP_STACKS[n]), n)
+    return chi_from_outputs(_unit_outputs(_STATE_TABLE, apply_channel(channel, _PREP_STACKS[n])), n)
 
 
 @dataclass(frozen=True)
@@ -466,10 +458,10 @@ def run_qpt(
     labels = _PREP_LABELS[arity]
     preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
     seeds = None if shots is None else child_seeds(seed, len(labels))
-    weights = collect_weights(preps, backend, lines, shots, seeds)
+    weights, totals, _ = _collect(preps, backend, lines, shots, seeds)
     executions = weights.shape[0] * weights.shape[1]
 
-    chi = _chi_from_preparations(reconstruct_states(weights), arity)
+    chi = chi_from_outputs(_unit_outputs(_WEIGHT_TABLE, weights / totals), arity)
     theory = theoretical_chi(gate)
     fidelity = process_fidelity(theory, chi)
     return QptResult(

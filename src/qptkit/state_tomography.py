@@ -207,9 +207,15 @@ def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     whose total is not positive, naming the dataset, setting and outcome."""
     _shape_qubit_count(np.shape(weights), 3)
     weights = np.asarray(weights, dtype=float)
+    return _contract(weights / _check_weights(weights, None))
+
+
+def _contract(normalised: np.ndarray) -> np.ndarray:
+    """``reconstruct_states`` of a checked stack whose weights are already
+    divided by their setting totals."""
     # (L, rows, cols, settings, outcomes): the settings and outcomes left
     # to contract stay last, so the early, large products run on long rows
-    rho = (weights / _check_weights(weights, None))[:, None, None]
+    rho = normalised[:, None, None]
     table = _QUBIT_TABLE[:, :, :, None, :, None, None]
     while rho.shape[3] > 1:
         count, rows, cols, settings, outcomes = rho.shape
@@ -370,9 +376,10 @@ def child_seeds(seed: int | None, count: int) -> list[int]:
 def _collect(preps: Sequence[Circuit], backend: BackendModel,
              qubits: tuple[int, ...] | None, shots: int | None,
              seeds: Sequence[int | None] | None
-             ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
-    """``collect_weights``'s stack, and the groups of evolved preparation
-    states ``backend._execute_preparations`` returns with it.  Each
+             ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
+    """``collect_weights``'s stack, its setting totals as ``_check_weights``
+    returns them, and the groups of evolved preparation states
+    ``backend._execute_preparations`` returns with it.  Each
     preparation's settings go to the backend as the circuits of
     ``_setting_circuits``, whose rotations and measures it reads each
     preparation state out through, qubit by qubit."""
@@ -389,9 +396,9 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
         circuit_seeds = _seed_words(seeds, len(settings[0])).ravel().tolist()
     stack, groups = _execute_preparations(preps, settings, backend, shots, circuit_seeds)
-    _check_weights(stack, 1.0 if shots is None else float(shots))
+    totals = _check_weights(stack, 1.0 if shots is None else float(shots))
     stack.setflags(write=False)
-    return stack, groups
+    return stack, totals, groups
 
 
 def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
@@ -429,7 +436,7 @@ def collect_dataset(prep: Circuit, backend: BackendModel,
     """Take every setting of ``prep``, read out of its once-evolved state:
     the one-preparation case of ``collect_weights``, whose checked row the
     dataset holds, not checked again."""
-    weights, _ = _collect([prep], backend, qubits, shots, [seed])
+    weights, _, _ = _collect([prep], backend, qubits, shots, [seed])
     return TomographyDataset._of_checked(shots, weights[0])
 
 
@@ -459,7 +466,7 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     circuit is evolved once, as the settings' preparation, and that state is
     the run's ``reference`` when it covers the whole register.
     """
-    weights, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
+    weights, totals, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
     dataset = TomographyDataset._of_checked(shots, weights[0])
-    return QstRun(state=reconstruct_states(dataset.weights[None])[0], dataset=dataset,
+    return QstRun(state=_contract(dataset.weights[None] / totals)[0], dataset=dataset,
                   reference=_exact_state(circuit, active, states[0]))

@@ -83,7 +83,7 @@ from qptkit.operators import GATE_ARITY
 from qptkit.process_tomography import QptResult, run_qpt
 from qptkit.qasm import parse_qasm
 from qptkit.reports import chi_report_dict, dump_report
-from qptkit.state_tomography import collect_weights, reconstruct_states, run_qst
+from qptkit.state_tomography import reconstruct_states, run_qst
 
 MANIFEST = Path(__file__).with_name("counts.json")
 STATES = Path(__file__).with_name("states.json")
@@ -123,12 +123,14 @@ def flips_backend():
 def qpt_counts(gate: str, lines: tuple[int, ...], backend, shots: int) -> np.ndarray:
     """The count stack ``run_qpt`` draws for one placement with seed 0."""
     drawn = []
+    collect = process_tomography._collect
 
     def recording(*args, **kwargs):
-        drawn.append(collect_weights(*args, **kwargs))
-        return drawn[-1]
+        result = collect(*args, **kwargs)
+        drawn.append(result[0])
+        return result
 
-    with mock.patch.object(process_tomography, "collect_weights", recording):
+    with mock.patch.object(process_tomography, "_collect", recording):
         run_qpt(gate, lines, backend, shots=shots, seed=0)
     (stack,) = drawn
     return stack

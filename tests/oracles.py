@@ -7,20 +7,21 @@ function here builds the same object the slow, obvious way, on the
 conventions stated in ``qptkit.operators``; ``per_label_qpt`` is process tomography run one
 preparation at a time, as ``run_qpt`` did before it ran a placement as one
 stream, and ``per_label_channel_chi`` is ``qpt_channel`` one preparation at a
-time; both combine and invert as the package did before it worked on stacks
-(``kraus_apply``, ``combine_by_label``, ``per_output_chi``).
+time; both reconstruct, combine and invert as the package did before it
+worked on stacks and per-qubit tables (``kraus_apply``, ``combine_by_label``,
+``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own, and
 ``setting_circuits`` every setting's circuit that way.  ``distribution`` and ``sample`` read out one circuit
 at a time, as the backend did before it read out each checked chunk as one
 stack; ``sample`` folds the readout flips in with ``flipped``, which
 ``flip_matrix`` writes as a Kronecker product.
 ``pauli_string_matrix`` is a Pauli string as a dense Kronecker product, the
-reference for state tomography: a state is the dense sum
+reference for state tomography: ``dense_state`` is the dense sum
 2^-n sum_P <P> P over the Z-filled estimates.
 ``matrix_unit_basis``,
 ``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
 input basis, single preparations, each unit's recipe terms and chi as a map,
-which the package holds only as stacks, a compiled table and a Choi map.
+which the package holds only as stacks, per-qubit tables and a Choi map.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from qptkit.process_tomography import (
     _OPERATORS,
     _PREP_LABELS,
     _PREP_STACKS,
-    _SINGLE_RECIPES,
     ChiMatrix,
     preparation_circuit,
     process_fidelity,
@@ -275,6 +275,19 @@ def preparation_state(label: str) -> np.ndarray:
         raise ValueError(f"bad preparation label {label!r}") from None
 
 
+_HALF_PLUS = (1.0 + 1.0j) / 2.0
+_HALF_MINUS = (1.0 - 1.0j) / 2.0
+
+# the recipe of each one-qubit matrix unit |a><b|, at index 2a + b: its
+# (coefficient, preparation) terms
+_SINGLE_RECIPES: tuple[tuple[tuple[complex, str], ...], ...] = (
+    ((1.0 + 0.0j, "0"),),
+    ((1.0 + 0.0j, "p"), (1.0j, "r"), (-_HALF_PLUS, "0"), (-_HALF_PLUS, "1")),
+    ((1.0 + 0.0j, "p"), (-1.0j, "r"), (-_HALF_MINUS, "0"), (-_HALF_MINUS, "1")),
+    ((1.0 + 0.0j, "1"),),
+)
+
+
 def preparation_recipes(qubit_count: int) -> tuple[tuple[tuple[complex, str], ...], ...]:
     """The (coefficient, preparation) terms of every matrix unit, in basis
     order: the one-qubit recipes, and for two qubits the products of the
@@ -287,6 +300,22 @@ def preparation_recipes(qubit_count: int) -> tuple[tuple[tuple[complex, str], ..
               for cl, ll in _SINGLE_RECIPES[(a & 1) * 2 + (b & 1)])
         for a, b in itertools.product(range(4), repeat=2)
     )
+
+
+def dense_state(weights: np.ndarray) -> np.ndarray:
+    """The state of one ``(3**n, 2**n)`` dataset as the dense sum
+    2^-n sum_P <P> P, each <P> read off P's Z-filled setting: outcome i
+    signed by the parity of its bits at P's non-I positions, over the
+    setting's total."""
+    n = weights.shape[1].bit_length() - 1
+    row = {tag: r for r, tag in enumerate(qst_settings(n))}
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    for pauli in map("".join, itertools.product("IXYZ", repeat=n)):
+        mask = int("".join("0" if ch == "I" else "1" for ch in pauli), 2)
+        signs = np.array([(-1) ** bin(mask & i).count("1") for i in range(1 << n)])
+        setting = weights[row[pauli.replace("I", "Z")]]
+        rho += (signs @ setting) / setting.sum() * pauli_string_matrix(pauli)
+    return rho / (1 << n)
 
 
 def chi_to_channel(chi: ChiMatrix):

@@ -20,26 +20,31 @@ from qptkit import (
 from qptkit import backend as backend_module
 from qptkit import channels
 from qptkit.channels import amplitude_damping, apply_channel
-from qptkit.operators import standard_gate
+from qptkit.operators import GATE_ARITY, standard_gate
 from qptkit.process_tomography import (
     _CHOI_MAPS,
     _OPERATORS,
     _PREP_LABELS,
     _PREP_STACKS,
+    _RECIPES,
+    _STATE_TABLE,
+    _WEIGHT_TABLE,
     OPERATOR_LABELS,
-    _chi_from_preparations,
-    _recipe_table,
+    _unit_outputs,
     preparation_circuit,
     project_result,
     tp_deviation,
 )
 from qptkit.qasm import Gate
+from qptkit.state_tomography import _QUBIT_TABLE
 
 from conftest import haar_unitary, random_density
 from oracles import (
     beta_tensor,
     chi_to_channel,
     combine_by_label,
+    dense_state,
+    kraus_apply,
     matrix_unit_basis,
     per_label_channel_chi,
     per_label_qpt,
@@ -348,6 +353,46 @@ def test_chi_theory_accepts_matrices_and_checks_span():
     for shape in ((3, 3), (8, 8), (1, 1), (4, 2)):
         with pytest.raises(ValueError, match=re.escape(f"unitary shape {shape} does not match")):
             theoretical_chi(np.eye(*shape, dtype=complex))
+    for bad in (np.array(1.0), np.ones(4), np.ones((2, 2, 2))):
+        message = f"unitary shape {bad.shape} does not match"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            theoretical_chi(bad)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_chi_theory_rejects_non_finite_matrices(entry):
+    for d in (2, 4):
+        u = np.eye(d, dtype=complex)
+        u[d - 1, 0] = entry
+        with pytest.raises(ValueError, match="^unitary has non-finite entries$"):
+            theoretical_chi(u)
+
+
+def test_chi_theory_rejects_non_unitary_matrices():
+    # 2I would give a trace-4 chi and [[1, 1], [0, 1]] a trace-1.5 one
+    for matrix, deviation in ((2 * np.eye(2), 3.0), ([[1, 1], [0, 1]], 1.0),
+                              (np.diag([1, 1, 1, 0.5]), 0.75)):
+        message = f"matrix is not unitary: deviation {deviation:.3e}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theoretical_chi(matrix)
+    # the bound is qpt_channel's trace-preservation bound, 1e-9
+    for eps, passes in ((0.4e-9, True), (0.6e-9, False)):
+        u = np.diag([1.0 + eps, 1.0])  # u^dagger u - I is 2 eps + eps^2 in entry (0, 0)
+        if passes:
+            assert theoretical_chi(u).matrix.shape == (4, 4)
+        else:
+            with pytest.raises(ValueError, match="^matrix is not unitary: deviation 1.200e-09$"):
+                theoretical_chi(u)
+
+
+def test_named_chi_keeps_its_bits():
+    # the checks only reject: each named gate's chi is the outer product of
+    # its coefficients Tr(E_m^dagger U) / d, Hermitised, bit for bit
+    for name, arity in GATE_ARITY.items():
+        u = standard_gate(name)
+        coeffs = np.array([np.trace(em.conj().T @ u) for em in _OPERATORS[arity]]) / len(u)
+        chi = np.outer(coeffs, coeffs.conj())
+        assert theoretical_chi(name).matrix.tobytes() == ((chi + chi.conj().T) / 2.0).tobytes()
 
 
 def test_theory_is_trace_preserving_for_all_gates():
@@ -501,7 +546,8 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
     for _ in range(20):
         channel = _random_channel(rng, 2)
         # the chi of one apply_channel call on the stack of preparations
-        want = _chi_from_preparations(apply_channel(channel, _PREP_STACKS[2]), 2)
+        outputs = apply_channel(channel, _PREP_STACKS[2])
+        want = chi_from_outputs(_unit_outputs(_STATE_TABLE, outputs), 2)
         calls.clear()
         got = qpt_channel(channel)
         assert len(calls) == 1
@@ -532,15 +578,16 @@ def test_qpt_channel_checks_the_channel_where_it_enters():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_qpt_channel_matches_per_label_oracle(n):
-    # bitwise the chi of one Kraus sum per label, a dict combination and a
-    # per-output check, for channels of Kraus rank 1..4
+    # within 1e-15 the chi of one Kraus sum per label, a dict combination
+    # and a per-output check, for channels of Kraus rank 1..4
     rng = np.random.default_rng(40 + n)
     for _ in range(40):
         channel = _random_channel(rng, n)
         got = qpt_channel(channel)
         want = per_label_channel_chi(channel)
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.residual == want.residual
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+        assert abs(got.residual - want.residual) <= 1e-15
+        assert abs(tp_deviation(got) - tp_deviation(want)) <= 1e-15
 
 
 def test_preparation_stack_rows_are_the_states():
@@ -554,45 +601,73 @@ def test_preparation_stack_rows_are_the_states():
             assert row.tobytes() == preparation_state(label).tobytes()
 
 
-def test_recipe_table_groups_terms_by_count():
-    for n, sizes, adds in ((1, [1, 4], 5), (2, [1, 4, 16], 21)):
-        table = _recipe_table(n)
-        assert sorted(len(coeffs) for _, coeffs, _ in table) == sizes
-        assert sum(len(coeffs) for _, coeffs, _ in table) == adds
-        recipes = preparation_recipes(n)
-        assert sorted(i for targets, _, _ in table for i in targets) == list(range(4**n))
-        for targets, coeffs, positions in table:
-            assert not (targets.flags.writeable or coeffs.flags.writeable
-                        or positions.flags.writeable)
-            for column, target in enumerate(targets):
-                terms = recipes[target]
-                assert [c for c, _ in terms] == list(coeffs[:, column, 0, 0])
-                assert [label for _, label in terms] == [
-                    _PREP_LABELS[n][p] for p in positions[:, column]]
+def test_recipe_factor_and_tables_match_the_term_lists():
+    # R holds the one-qubit term lists; Rs and U are R (x) I_4 and R (x) D,
+    # entry by entry, and read-only
+    for u, terms in enumerate(preparation_recipes(1)):
+        row = dict(zip(_PREP_LABELS[1], _RECIPES[u].tolist()))
+        assert {label: c for label, c in row.items() if c} == {label: c for c, label in terms}
+    assert np.array_equal(_STATE_TABLE, np.kron(_RECIPES, np.eye(4)))
+    letters = _QUBIT_TABLE.transpose(2, 3, 0, 1)  # D[b, o, k, l] at [k, l, b, o]
+    weight = _RECIPES[:, None, None, :, None, None] * letters[None, :, :, None]
+    assert np.array_equal(_WEIGHT_TABLE, weight.reshape(16, 24))
+    for table in (_STATE_TABLE, _WEIGHT_TABLE):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_stacked_combination_matches_dict_oracle(n, monkeypatch):
-    # arbitrary unit-trace outputs with signed zeros: each unit is its recipe
-    # summed on its own from zeros, bit for bit
-    import qptkit.process_tomography as process_tomography
-
-    inverted = []
-    monkeypatch.setattr(process_tomography, "chi_from_outputs",
-                        lambda units, k: inverted.append(units) or chi_from_outputs(units, k))
+def test_stacked_combination_matches_dict_oracle(n):
+    # arbitrary unit-trace outputs with signed zeros: through Rs each unit is
+    # its recipe summed on its own, to rounding, and so is its chi
     rng = np.random.default_rng(60 + n)
     d = 1 << n
     for _ in range(20):
         outputs = rng.normal(size=(4**n, d, d)) + 1j * rng.normal(size=(4**n, d, d))
         outputs[rng.random(outputs.shape) < 0.3] = -0.0
         outputs[:, 0, 0] += 1.0 - np.trace(outputs, axis1=1, axis2=2)
-        inverted.clear()
-        got = _chi_from_preparations(outputs, n)
-        units = combine_by_label(dict(zip(_PREP_LABELS[n], outputs)), n)
-        assert inverted[0].tobytes() == np.array(units).tobytes()
-        want = per_output_chi(units, n)
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.residual == want.residual
+        units = _unit_outputs(_STATE_TABLE, outputs)
+        want_units = np.array(combine_by_label(dict(zip(_PREP_LABELS[n], outputs)), n))
+        scale = np.abs(want_units).max()
+        assert np.abs(units - want_units).max() <= 1e-15 * scale
+        got, want = chi_from_outputs(units, n), per_output_chi(want_units, n)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15 * scale
+        assert abs(got.residual - want.residual) <= 1e-15 * scale
+
+
+def _beta_solve(out_by_label, n):
+    """The paper's chi = B^-1 lambda, Hermitised, of the preparations'
+    outputs by label: the recipes summed by label, then one solve."""
+    d2 = 4**n
+    lam = np.concatenate([o.reshape(-1) for o in combine_by_label(out_by_label, n)])
+    x = np.linalg.solve(beta_tensor(n), lam).reshape(d2, d2)
+    return (x + x.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tables_then_inversion_match_beta_solve(n):
+    # U on weight stacks with zero weights and Rs on the outputs of random
+    # Kraus channels, each followed by chi_from_outputs, against B^-1 lambda
+    # of the dense state reconstruction and of Kraus sums one label at a time
+    rng = np.random.default_rng(90 + n)
+    d = 1 << n
+    for _ in range(20):
+        weights = rng.random((4**n, 3**n, d))
+        weights[rng.random(weights.shape) < 0.3] = 0.0
+        weights[..., 0] += weights.sum(axis=2) == 0.0  # every setting keeps a positive total
+        if rng.random() < 0.5:
+            weights = np.round(weights * 100)  # counts
+        normalised = weights / weights.sum(axis=2, keepdims=True)
+        got = chi_from_outputs(_unit_outputs(_WEIGHT_TABLE, normalised), n)
+        want = _beta_solve({label: dense_state(w) for label, w in zip(_PREP_LABELS[n], weights)}, n)
+        assert np.abs(got.matrix - want).max() <= 1e-14
+        channel = _random_channel(rng, n)
+        got = qpt_channel(channel)
+        assert np.array_equal(got.matrix, chi_from_outputs(
+            _unit_outputs(_STATE_TABLE, apply_channel(channel, _PREP_STACKS[n])), n).matrix)
+        want = _beta_solve({label: kraus_apply(channel, preparation_state(label))
+                            for label in _PREP_LABELS[n]}, n)
+        assert np.abs(got.matrix - want).max() <= 1e-14
 
 
 def test_qpt_channel_rejects_large_registers():
@@ -664,10 +739,10 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
     for shots, seed in ((None, None), (3000, 7)):
         res = run_qpt(gate, lines, backend, shots=shots, seed=seed)
         chi, fidelity, tp_dev = per_label_qpt(gate, lines, backend, shots=shots, seed=seed)
-        assert res.chi.matrix.tobytes() == chi.matrix.tobytes()
-        assert res.residual == chi.residual
-        assert res.fidelity == fidelity
-        assert res.tp_deviation == tp_dev
+        assert np.abs(res.chi.matrix - chi.matrix).max() <= 1e-15
+        assert abs(res.residual - chi.residual) <= 1e-15
+        assert abs(res.fidelity - fidelity) <= 1e-15
+        assert abs(res.tp_deviation - tp_dev) <= 1e-15
 
 
 def test_run_qpt_is_one_stream(qx4, monkeypatch):

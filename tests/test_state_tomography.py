@@ -28,7 +28,7 @@ from qptkit import (
 )
 from oracles import append_setting, outcome_dict, pauli_string_matrix, setting_circuits
 from qptkit.backend import _qubits
-from qptkit.process_tomography import preparation_circuit
+from qptkit.process_tomography import preparation_circuit, run_qpt
 from qptkit.state_tomography import (
     BASIS_ORDER,
     _setting_circuits,
@@ -693,13 +693,19 @@ def test_datasets_of_a_run_are_checked_once(qx4, monkeypatch):
         calls.clear()
         run = run_qst(prep, qx4, shots=shots, seed=4)
         dataset = collect_dataset(prep, qx4, shots=shots, seed=4)
-        # the stack _collect checks, once per run, and the stack run_qst
-        # reconstructs; the datasets keep the collected rows
-        assert calls == [(1, 243, 32)] * 3
+        # the stack _collect checks, once per run; run_qst reconstructs its
+        # row with the totals of that check, and the datasets keep the rows
+        assert calls == [(1, 243, 32)] * 2
         for got in (run.dataset, dataset):
             assert got == TomographyDataset(shots, dataset.weights)
             assert got.weights.dtype == float and not got.weights.flags.writeable
             assert got.shots == shots
+        assert np.array_equal(run.state, reconstruct_states(run.dataset.weights[None])[0])
+        # run_qpt divides its weights by the totals of its one check
+        for gate, lines, shape in (("h", (0,), (4, 3, 2)), ("cx", (3, 2), (16, 9, 4))):
+            calls.clear()
+            run_qpt(gate, lines, qx4, shots=shots, seed=4)
+            assert calls == [shape]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
