@@ -33,11 +33,11 @@ from .process_tomography import project_result, run_qpt
 from .qasm import parse_qasm
 from .reports import (
     GATE_TABLE_ORDER,
+    check_report,
     chi_grids,
     chi_report_dict,
     dump_report,
     load_report,
-    parse_report,
     qst_report_dict,
     render_fidelity_tables,
     seed_summary_dict,
@@ -143,8 +143,8 @@ def cmd_qpt(args) -> int:
                     (result,) = results
                     report = chi_report_dict(result)
                     done = f"fidelity={result.fidelity:.6f} residual={result.residual:.2e}"
+                check_report(report)
                 text = dump_report(report)
-                parse_report(text)
                 with _usable(out_dir):
                     out_dir.mkdir(parents=True, exist_ok=True)
                 path.write_text(text, encoding="utf-8")
@@ -189,10 +189,10 @@ def cmd_qst(args) -> int:
     )
     prefix = str(Path(args.out) / source.stem)
     report_path = prefix + "_qst.json"
-    text = dump_report(report)
     with _usable(report_path):
-        parse_report(text)
-    _write_all(prefix, {"_qst.json": text, "_qst_dataset.txt": write_dataset(run.dataset)})
+        check_report(report)
+    _write_all(prefix, {"_qst.json": dump_report(report),
+                        "_qst_dataset.txt": write_dataset(run.dataset)})
     print(f"{source.name}: state fidelity={fidelity:.6f} -> {report_path}")
     return 0
 

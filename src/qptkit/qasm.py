@@ -17,8 +17,10 @@ Semantic rules enforced on every Circuit (parsed or built in code):
   ill-defined).
 
 A circuit comes from construction, which checks every instruction (as
-``extended`` does), or from ``a.then(b)``, which joins two built circuits
-unchecked and requires a measurement-free ``a`` and a ``b`` on as many qubits.
+``extended`` does); from ``a.then(b)``, which joins two built circuits
+unchecked and requires a measurement-free ``a`` and a ``b`` on as many qubits;
+or from ``parse_qasm``, which makes construction's checks on each statement as
+it reads it and then builds the circuit without checking it again.
 
 ``emit_qasm`` writes a canonical form (one statement per line, include line
 always present, creg omitted when there are no classical bits) and
@@ -123,11 +125,21 @@ class Circuit:
             raise CircuitError("circuit already contains measurements")
         if other.qubit_count != self.qubit_count:
             raise CircuitError(f"qubit counts differ: {self.qubit_count} then {other.qubit_count}")
-        circuit = object.__new__(Circuit)
-        vars(circuit).update(
-            qubit_count=self.qubit_count, classical_count=other.classical_count,
-            instructions=self.instructions + other.instructions, qreg=self.qreg,
-            creg=self.creg, measurements=other.measurements)
+        return Circuit._of_checked(self.qubit_count, other.classical_count,
+                                   self.instructions + other.instructions, self.qreg,
+                                   self.creg, measurements=other.measurements)
+
+    @classmethod
+    def _of_checked(cls, qubit_count: int, classical_count: int,
+                    instructions: tuple[Gate | Measure, ...], qreg: str, creg: str,
+                    measurements: tuple[Measure, ...] | None = None) -> "Circuit":
+        """The circuit of instructions already checked against these registers,
+        built without a second check; ``measurements``, when known, is cached."""
+        circuit = object.__new__(cls)
+        vars(circuit).update(qubit_count=qubit_count, classical_count=classical_count,
+                             instructions=instructions, qreg=qreg, creg=creg)
+        if measurements is not None:
+            vars(circuit)["measurements"] = measurements
         return circuit
 
 
@@ -230,24 +242,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# a token: (kind, text, line, column), the last two 1-based
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
+    tokens: list[_Token] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0]
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            col = m.start() + 1
-            if kind == "bad":
-                raise QasmError(f"unexpected character {m.group()!r}", lineno, col)
-            tokens.append(_Token(kind, m.group(), lineno, col))
+        tokens += [(m.lastgroup, m.group(), lineno, m.start() + 1)
+                   for m in _TOKEN_RE.finditer(raw.split("//", 1)[0])]
+    for kind, bad, line, col in tokens:
+        if kind == "bad":
+            raise QasmError(f"unexpected character {bad!r}", line, col)
     return tokens
 
 
@@ -261,58 +267,55 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        if self.pos == len(self.tokens):
             raise QasmError("unexpected end of input", self.end_line, 1)
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str, what: str | None = None) -> _Token:
-        tok = self.take()
-        if tok.text != text:
-            raise QasmError(
-                f"expected {what or text!r}, got {tok.text!r}", tok.line, tok.col
-            )
+    def expect(self, text: str) -> _Token:
+        _, got, line, col = tok = self.take()
+        if got != text:
+            raise QasmError(f"expected {text!r}, got {got!r}", line, col)
         return tok
 
     def expect_int(self) -> tuple[int, _Token]:
-        tok = self.take()
-        if tok.kind != "num" or "." in tok.text:
-            raise QasmError(f"expected an integer, got {tok.text!r}", tok.line, tok.col)
-        return int(tok.text), tok
+        kind, text, line, col = tok = self.take()
+        if kind != "num" or "." in text:
+            raise QasmError(f"expected an integer, got {text!r}", line, col)
+        return int(text), tok
 
     def indexed_ref(self, what: str = "a register reference") -> tuple[str, int, _Token]:
         """name [ int ] -- returns (name, index, token-of-index)."""
-        tok = self.take()
-        if tok.kind != "id":
-            raise QasmError(f"expected {what}, got {tok.text!r}", tok.line, tok.col)
+        kind, name, line, col = self.take()
+        if kind != "id":
+            raise QasmError(f"expected {what}, got {name!r}", line, col)
         self.expect("[")
         index, itok = self.expect_int()
         self.expect("]")
-        return tok.text, index, itok
+        return name, index, itok
 
 
 def parse_qasm(text: str) -> Circuit:
-    """Parse source text into a Circuit, or raise QasmError with position."""
+    """Parse source text into a Circuit, or raise QasmError with position.
+
+    Each statement is checked once, as it is read, against the registers and
+    the statements before it; the circuit is then built without a second
+    check."""
     lines = max(1, len(text.splitlines()))
     p = _Parser(_tokenize(text), lines)
 
     p.expect("OPENQASM")
-    ver = p.take()
-    if ver.text != "2.0":
-        raise QasmError(f"unsupported OPENQASM version {ver.text!r}", ver.line, ver.col)
+    _, version, line, col = p.take()
+    if version != "2.0":
+        raise QasmError(f"unsupported OPENQASM version {version!r}", line, col)
     p.expect(";")
 
     nxt = p.peek()
-    if nxt is not None and nxt.text == "include":
+    if nxt is not None and nxt[1] == "include":
         p.take()
-        fname = p.take()
-        if fname.kind != "str" or fname.text != '"qelib1.inc"':
-            raise QasmError(
-                f'only include "qelib1.inc" is supported, got {fname.text}',
-                fname.line,
-                fname.col,
-            )
+        kind, fname, line, col = p.take()
+        if kind != "str" or fname != '"qelib1.inc"':
+            raise QasmError(f'only include "qelib1.inc" is supported, got {fname}', line, col)
         p.expect(";")
 
     def register_decl(keyword: str, header) -> tuple[str, int]:
@@ -324,18 +327,18 @@ def parse_qasm(text: str) -> Circuit:
         p.expect(";")
         if keyword == "qreg" and not 1 <= size <= QUBIT_COUNT:
             raise QasmError(f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
-                            stok.line, stok.col)
+                            *stok[2:])
         try:
             header(name, size)
         except CircuitError as exc:
-            raise QasmError(str(exc), ntok.line, ntok.col) from None
+            raise QasmError(str(exc), *ntok[2:]) from None
         return name, size
 
     qreg_name, qubit_count = register_decl("qreg", lambda name, size: Circuit(size, 0, (), name))
 
     creg_name, classical_count = "c", 0
     head = p.peek()
-    if head is not None and head.text == "creg":
+    if head is not None and head[1] == "creg":
         creg_name, classical_count = register_decl(
             "creg", lambda name, size: Circuit(qubit_count, size, (), qreg_name, name))
 
@@ -343,58 +346,52 @@ def parse_qasm(text: str) -> Circuit:
     measured: set[int] = set()
     used_clbits: set[int] = set()
 
-    def qubit_ref(stmt_tok: _Token) -> int:
+    def qubit_ref() -> int:
         name, index, itok = p.indexed_ref()
         if name != qreg_name:
-            raise QasmError(f"unknown register {name!r}", itok.line, itok.col)
+            raise QasmError(f"unknown register {name!r}", *itok[2:])
         if not 0 <= index < qubit_count:
-            raise QasmError(
-                f"qubit index {index} out of range for {qreg_name}[{qubit_count}]",
-                itok.line,
-                itok.col,
-            )
+            raise QasmError(f"qubit index {index} out of range for {qreg_name}[{qubit_count}]",
+                            *itok[2:])
         return index
 
     while (tok := p.peek()) is not None:
-        if tok.text in ("qreg", "creg"):
-            raise QasmError(f"register redeclaration {tok.text!r}", tok.line, tok.col)
-        stmt = p.take()
-        if stmt.kind != "id":
-            raise QasmError(f"expected a statement, got {stmt.text!r}", stmt.line, stmt.col)
-        if stmt.text == "measure":
-            qubit = qubit_ref(stmt)
+        if tok[1] in ("qreg", "creg"):
+            raise QasmError(f"register redeclaration {tok[1]!r}", *tok[2:])
+        kind, stmt, line, col = p.take()
+        if kind != "id":
+            raise QasmError(f"expected a statement, got {stmt!r}", line, col)
+        if stmt == "measure":
+            qubit = qubit_ref()
             p.expect("->")
             name, clbit, itok = p.indexed_ref()
             if name != creg_name or classical_count == 0:
-                raise QasmError(f"unknown register {name!r}", itok.line, itok.col)
+                raise QasmError(f"unknown register {name!r}", *itok[2:])
             if not 0 <= clbit < classical_count:
                 raise QasmError(
                     f"classical index {clbit} out of range for {creg_name}[{classical_count}]",
-                    itok.line,
-                    itok.col,
-                )
+                    *itok[2:])
             p.expect(";")
             instructions.append(Measure(qubit, clbit))
-        elif stmt.text in GATE_ARITY:
-            arity = GATE_ARITY[stmt.text]
-            targets = [qubit_ref(stmt)]
-            for _ in range(arity - 1):
+        elif stmt in GATE_ARITY:
+            targets = [qubit_ref()]
+            for _ in range(GATE_ARITY[stmt] - 1):
                 p.expect(",")
-                targets.append(qubit_ref(stmt))
+                targets.append(qubit_ref())
             p.expect(";")
-            instructions.append(Gate(stmt.text, tuple(targets)))
+            instructions.append(Gate(stmt, tuple(targets)))
         else:
-            raise QasmError(f"unknown gate {stmt.text!r}", stmt.line, stmt.col)
+            raise QasmError(f"unknown gate {stmt!r}", line, col)
 
         # the checks Circuit makes, one statement at a time
         try:
             _check_instruction(len(instructions) - 1, instructions[-1], qubit_count,
                                classical_count, measured, used_clbits)
         except CircuitError as exc:
-            raise QasmError(str(exc), stmt.line, stmt.col) from None
+            raise QasmError(str(exc), line, col) from None
 
-    return Circuit(qubit_count, classical_count, tuple(instructions),
-                   qreg_name, creg_name)
+    return Circuit._of_checked(qubit_count, classical_count, tuple(instructions),
+                               qreg_name, creg_name)
 
 
 def emit_qasm(circuit: Circuit) -> str:

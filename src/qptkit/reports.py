@@ -18,14 +18,16 @@ a row of a grid, with ``float.__repr__`` alone, which is what json's
 indenting encoder writes for them one call at a time; every other scalar
 goes through ``json.dumps``.
 
-Loaders re-validate what they read (format version, every field of the
-kind present and of its type and no other field, gate arity against lines,
-execution counts, a one- or two-qubit chi or a 1- to 5-qubit rho, shapes,
-Hermiticity, the operator labels of the fixed set, a non-negative residual
-and tp_deviation, process fidelities in -1..1, a non-negative state fidelity
-(shot noise can take the unprojected one above 1), stored mean/min/max
-against the per-seed list), so every emitted report doubles as a
-self-check.
+Loaders re-validate what they read with ``check_report`` (format version,
+every field of the kind present and of its type and no other field, gate
+arity against lines, execution counts, a one- or two-qubit chi or a 1- to
+5-qubit rho, shapes, Hermiticity, the operator labels of the fixed set, a
+non-negative residual and tp_deviation, process fidelities in -1..1, a
+non-negative state fidelity (shot noise can take the unprojected one above
+1), stored mean/min/max against the per-seed list).  The CLI runs the same
+check on the dict each report's text is dumped from, before writing it; the
+dict holds only what ``json.loads`` reads back, so it passes or fails as the
+text would.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "dump_report",
     "load_report",
     "parse_report",
+    "check_report",
     "seed_summary_dict",
     "qst_report_dict",
     "render_fidelity_tables",
@@ -249,10 +252,18 @@ def _hermitian(report: dict, name: str) -> np.ndarray:
 
 
 def parse_report(text: str) -> dict:
+    """The report a text holds, once ``check_report`` passes it."""
     try:
         report = json.loads(text)
     except RecursionError:  # json's decoder recurses once per nesting level
         raise ValueError("report nested too deeply") from None
+    return check_report(report)
+
+
+def check_report(report) -> dict:
+    """``report`` itself once it is a valid report, as ``json.loads`` reads
+    one: lists, not tuples, and plain ints, floats and bools, not numpy
+    scalars.  Raise ``ValueError`` naming the first invariant it breaks."""
     _require(isinstance(report, dict), "not a JSON object")
     _require(report.get("format") == 1, f"unsupported format {report.get('format')!r}")
     kind = report.get("kind")
@@ -260,7 +271,7 @@ def parse_report(text: str) -> dict:
     fields = _FIELDS[kind]
     missing = [key for key in fields if key not in report]
     _require(not missing, f"missing field(s) {', '.join(missing)}")
-    unknown = sorted(set(report) - set(fields) - {"format", "kind"})
+    unknown = sorted(set(map(str, report)) - set(fields) - {"format", "kind"})
     _require(not unknown, f"unknown field(s) {', '.join(unknown)}")
     for key in fields:
         check, description = _CHECKS[key]

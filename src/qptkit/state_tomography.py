@@ -200,8 +200,8 @@ def reconstruct_states(weights: np.ndarray) -> np.ndarray:
     """The reconstructed state of every dataset in an ``(L, 3**n, 2**n)``
     weight stack, settings in ``qst_settings`` order, as an
     ``(L, 2**n, 2**n)`` array: the stack is contracted one qubit at a time,
-    most significant first, with one elementwise product and one vector add
-    from zeros per (letter, outcome), so each state is bitwise the
+    most significant first, each qubit's four 2x2 blocks built elementwise
+    from its (letter, outcome) slices, so each state is bitwise the
     reconstruction of its own dataset alone.  Any other shape raises
     ``ValueError``, as does a negative or non-finite weight or a setting
     whose total is not positive, naming the dataset, setting and outcome."""
@@ -216,15 +216,21 @@ def _contract(normalised: np.ndarray) -> np.ndarray:
     # (L, rows, cols, settings, outcomes): the settings and outcomes left
     # to contract stay last, so the early, large products run on long rows
     rho = normalised[:, None, None]
-    table = _QUBIT_TABLE[:, :, :, None, :, None, None]
     while rho.shape[3] > 1:
         count, rows, cols, settings, outcomes = rho.shape
-        split = rho.reshape(count, rows, 1, cols, 1, 3, settings // 3, 2, outcomes // 2)
-        rho = np.zeros((count, rows, 2, cols, 2, settings // 3, outcomes // 2), dtype=complex)
-        for letter, outcome in itertools.product(range(3), range(2)):
-            rho += split[..., letter, :, outcome, :] * table[letter, outcome]
+        split = rho.reshape(count, rows, cols, 3, settings // 3, 2, outcomes // 2)
+        z0, z1, x0, x1, y0, y1 = (split[:, :, :, b, :, o] for b in range(3) for o in range(2))
+        # the 2x2 blocks of the sum over _QUBIT_TABLE: Z on the diagonal, X
+        # and Y off it, added in the table's order; each product by +-1/2 or
+        # +-i/2 is the table entry's own product
+        rho = np.empty((count, rows, 2, cols, 2, settings // 3, outcomes // 2), dtype=complex)
+        rho[:, :, 0, :, 0], rho[:, :, 1, :, 1] = z0, z1
+        x, y_0, y_1 = 0.5 * x0 - 0.5 * x1, y0 * -0.5j, y1 * 0.5j
+        np.add(x + y_0, y_1, out=rho[:, :, 0, :, 1])
+        np.subtract(x - y_0, y_1, out=rho[:, :, 1, :, 0])
         rho = rho.reshape(count, 2 * rows, 2 * cols, settings // 3, outcomes // 2)
-    return rho.reshape(rho.shape[:3])
+    # a zero the blocks leave as -0.0 is +0.0 in the sum from zeros
+    return rho.reshape(rho.shape[:3]) + 0.0
 
 
 def project_psd(rho: np.ndarray) -> np.ndarray:
@@ -258,37 +264,37 @@ def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=None)
-def _bitstrings(qubit_count: int) -> tuple[str, ...]:
-    return tuple(f"{i:0{qubit_count}b}" for i in range(1 << qubit_count))
-
-
-@lru_cache(maxsize=None)
-def _sorted_settings(qubit_count: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """The setting tags in sorted order and their rows in ``qst_settings``
-    order; the rows are read-only."""
+def _text_parts(qubit_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the setting tags in sorted order, the head of each (a
+    newline and the tag) and each outcome's key (a space, the bitstring and a
+    colon), all read-only, the texts as object arrays."""
     settings = qst_settings(qubit_count)
     rows = np.array(sorted(range(len(settings)), key=settings.__getitem__))
-    rows.setflags(write=False)
-    return tuple(settings[r] for r in rows.tolist()), rows
+    heads = np.array(["\n" + settings[r] for r in rows.tolist()], dtype=object)
+    keys = np.array([f" {i:0{qubit_count}b}:" for i in range(1 << qubit_count)], dtype=object)
+    for part in (rows, heads, keys):
+        part.setflags(write=False)
+    return rows, heads, keys
 
 
 def write_dataset(dataset: TomographyDataset) -> str:
-    """The dataset's text; each distinct nonzero weight is formatted once."""
+    """The dataset's text, its body one join of each setting's head and the
+    key and value of each of its items; each distinct nonzero weight is
+    formatted once."""
     n = dataset.qubit_count
-    keys = _bitstrings(n)
-    lines = ["format=1", f"qubits={n}",
-             f"shots={'exact' if dataset.shots is None else dataset.shots}"]
-    tags, rows = _sorted_settings(n)
+    rows, heads, keys = _text_parts(n)
     weights = dataset.weights[rows]
-    nonzero = weights != 0.0
-    values, which = np.unique(weights[nonzero], return_inverse=True)
-    text = [f":{v!r}" for v in values.tolist()]
-    pairs = [keys[i] + text[j] for i, j in
-             zip(np.nonzero(nonzero)[1].tolist(), which.tolist())]
-    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
-    for tag, start, end in zip(tags, [0, *ends], ends):
-        lines.append(" ".join([tag, *pairs[start:end]]))
-    return "\n".join(lines) + "\n"
+    flat = np.flatnonzero(weights)
+    row = flat >> n
+    values, which = np.unique(weights.ravel()[flat], return_inverse=True)
+    body = np.empty(len(heads) + 2 * len(flat), dtype=object)
+    # item k follows the heads of rows 0..row[k], head r the items of rows 0..r-1
+    at = 2 * np.arange(len(flat)) + row + 1
+    body[at] = keys[flat & ((1 << n) - 1)]
+    body[at + 1] = np.array(list(map(float.__repr__, values.tolist())), dtype=object)[which]
+    body[2 * np.searchsorted(row, np.arange(len(heads))) + np.arange(len(heads))] = heads
+    shots = "exact" if dataset.shots is None else dataset.shots
+    return f"format=1\nqubits={n}\nshots={shots}" + "".join(body.tolist()) + "\n"
 
 
 def read_dataset(text: str) -> TomographyDataset:

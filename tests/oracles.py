@@ -22,6 +22,10 @@ reference for state tomography: ``dense_state`` is the dense sum
 ``preparation_state``, ``preparation_recipes`` and ``chi_to_channel`` are the
 input basis, single preparations, each unit's recipe terms and chi as a map,
 which the package holds only as stacks, per-qubit tables and a Choi map.
+``six_product_contract`` is the state contraction as one multiply-add per
+``_QUBIT_TABLE`` entry and qubit, and ``unique_write_dataset`` the dataset
+text as one join per setting, as the package computed both before it built
+each qubit's 2x2 blocks directly and the text in one join.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from qptkit.process_tomography import (
 )
 from qptkit.qasm import Circuit, Gate, Measure
 from qptkit.state_tomography import (
+    _QUBIT_TABLE,
     collect_dataset,
     qst_settings,
     reconstruct_states,
@@ -426,3 +431,42 @@ def per_label_channel_chi(channel: KrausChannel) -> ChiMatrix:
     n = channel.qubit_count
     out_by_label = {label: kraus_apply(channel, preparation_state(label)) for label in _labels(n)}
     return per_output_chi(combine_by_label(out_by_label, n), n)
+
+
+def six_product_contract(normalised: np.ndarray) -> np.ndarray:
+    """The states of an ``(L, 3**n, 2**n)`` stack of weights already divided
+    by their setting totals, contracted one qubit at a time, most significant
+    first: each level sums its six (letter, outcome) products with
+    ``_QUBIT_TABLE`` from zeros, one full-size multiply-add each."""
+    rho = normalised[:, None, None]
+    table = _QUBIT_TABLE[:, :, :, None, :, None, None]
+    while rho.shape[3] > 1:
+        count, rows, cols, settings, outcomes = rho.shape
+        split = rho.reshape(count, rows, 1, cols, 1, 3, settings // 3, 2, outcomes // 2)
+        rho = np.zeros((count, rows, 2, cols, 2, settings // 3, outcomes // 2), dtype=complex)
+        for letter, outcome in itertools.product(range(3), range(2)):
+            rho += split[..., letter, :, outcome, :] * table[letter, outcome]
+        rho = rho.reshape(count, 2 * rows, 2 * cols, settings // 3, outcomes // 2)
+    return rho.reshape(rho.shape[:3])
+
+
+def unique_write_dataset(dataset) -> str:
+    """A dataset's text, built one setting at a time: the distinct nonzero
+    weights formatted once after an ``np.unique`` sort, one string per
+    (outcome, weight) pair, and one join per setting, in sorted tag order."""
+    n = dataset.qubit_count
+    keys = [f"{i:0{n}b}" for i in range(1 << n)]
+    lines = ["format=1", f"qubits={n}",
+             f"shots={'exact' if dataset.shots is None else dataset.shots}"]
+    settings = qst_settings(n)
+    rows = np.array(sorted(range(len(settings)), key=settings.__getitem__))
+    weights = dataset.weights[rows]
+    nonzero = weights != 0.0
+    values, which = np.unique(weights[nonzero], return_inverse=True)
+    text = [f":{v!r}" for v in values.tolist()]
+    pairs = [keys[i] + text[j] for i, j in
+             zip(np.nonzero(nonzero)[1].tolist(), which.tolist())]
+    ends = np.cumsum(np.count_nonzero(nonzero, axis=1)).tolist()
+    for row, start, end in zip(rows.tolist(), [0, *ends], ends):
+        lines.append(" ".join([settings[row], *pairs[start:end]]))
+    return "\n".join(lines) + "\n"

@@ -234,6 +234,20 @@ def test_roundtrip_structural_equality(circuit):
     assert parse_qasm(emit_qasm(circuit)) == circuit
 
 
+@given(circuits())
+@settings(max_examples=150, deadline=None)
+def test_parsed_circuit_is_the_checked_circuit(circuit):
+    # the parser checks each statement as it reads it and builds the circuit
+    # without a second check: it is the circuit construction checks
+    parsed = parse_qasm(emit_qasm(circuit))
+    checked = Circuit(parsed.qubit_count, parsed.classical_count, parsed.instructions,
+                      parsed.qreg, parsed.creg)
+    assert vars(parsed) == vars(checked)  # fields, and no measurements cached yet
+    assert parsed == checked and hash(parsed) == hash(checked)
+    assert type(parsed.instructions) is tuple
+    assert parsed.measurements == checked.measurements == circuit.measurements
+
+
 @st.composite
 def appended(draw):
     """Instructions to append, valid or not."""

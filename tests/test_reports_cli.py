@@ -16,6 +16,7 @@ import qptkit.state_tomography
 from qptkit import parse_report, run_qpt
 from qptkit.reports import (
     _grid,
+    check_report,
     chi_grids,
     chi_report_dict,
     dump_report,
@@ -188,8 +189,21 @@ def _as(report, **changes):
 def test_report_validation(h_report, mutate, message):
     bad = copy.deepcopy(h_report)
     mutate(bad)
-    with pytest.raises(ValueError, match=message):
-        parse_report(dump_report(bad))
+    text = dump_report(bad)
+    with pytest.raises(ValueError, match=message) as from_text:
+        parse_report(text)
+    # the CLI checks the dict it dumps: the dict fails with the text's message
+    for report in (json.loads(text), bad):
+        with pytest.raises(ValueError) as from_dict:
+            check_report(report)
+        assert str(from_dict.value) == str(from_text.value)
+
+
+def test_check_report_names_keys_json_cannot_hold():
+    # a dict built in code can carry keys json would turn into strings
+    for extra, names in (({1: 0.0}, "1"), ({2: 0.0, "x": 0.0}, "2, x")):
+        with pytest.raises(ValueError, match=rf"^invalid report: unknown field\(s\) {names}$"):
+            check_report({**_QST_REPORT, **extra})
 
 
 def test_report_nested_too_deeply_is_invalid():
@@ -798,14 +812,13 @@ def test_cli_checks_every_report_before_writing_it(tmp_path, monkeypatch):
     import qptkit.cli
 
     checked = []
-    original = qptkit.cli.parse_report
+    original = qptkit.cli.check_report
 
-    def recording(text):
-        report = original(text)
+    def recording(report):
         checked.append((report["kind"], sorted(p.name for p in tmp_path.glob("*.json"))))
-        return report
+        return original(report)
 
-    monkeypatch.setattr(qptkit.cli, "parse_report", recording)
+    monkeypatch.setattr(qptkit.cli, "check_report", recording)
     monkeypatch.setattr(qptkit.cli, "load_report", None)  # nothing is read back
     circuit = tmp_path / "ht.qasm"
     circuit.write_text('OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n')
@@ -817,6 +830,44 @@ def test_cli_checks_every_report_before_writing_it(tmp_path, monkeypatch):
                  "--out", str(tmp_path)]) == 0
     assert checked == [("qst", []), ("qpt-seeds", ["ht_qst.json"]),
                        ("qpt", ["ht_qst.json", "qpt_h_0_seeds.json"])]
+
+
+def _typed(value):
+    """``value`` with the type of every container and scalar spelled out."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(item) for item in value]
+    return type(value).__name__, value
+
+
+def test_every_report_the_cli_checks_reads_back_as_itself(tmp_path, monkeypatch):
+    # a report dict the CLI checks is what its text reads back as: no tuple
+    # and no numpy scalar in it, so the dict check sees what a reader sees
+    checked = []
+    original = qptkit.cli.check_report
+    monkeypatch.setattr(qptkit.cli, "check_report",
+                        lambda report: checked.append(report) or original(report))
+    circuit = tmp_path / "ht.qasm"
+    circuit.write_text('OPENQASM 2.0;\nqreg q[2];\nh q[1];\ncx q[1],q[0];\nt q[0];\n')
+    for psd in ([], ["--project-psd"]):
+        for sampling in ([], ["--shots", "64", "--seed", "1"]):
+            assert main(["qst", "--circuit", str(circuit), "--backend", "qx4",
+                         "--out", str(tmp_path), *sampling, *psd]) == 0
+            for gate, lines in (("h", "0"), ("cx", "1,0")):
+                assert main(["qpt", "--gate", gate, "--lines", lines, "--backend", "qx4",
+                             "--out", str(tmp_path), *sampling, *psd]) == 0
+        assert main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4", "--shots", "64",
+                     "--seed", "1", "--seeds", "2", "--out", str(tmp_path), *psd]) == 0
+    kinds = [(r["kind"], r.get("psd_projected"), r["shots"]) for r in checked]
+    assert kinds == [("qst", False, None), ("qpt", False, None), ("qpt", False, None),
+                     ("qst", False, 64), ("qpt", False, 64), ("qpt", False, 64),
+                     ("qpt-seeds", None, 64),
+                     ("qst", True, None), ("qpt", True, None), ("qpt", True, None),
+                     ("qst", True, 64), ("qpt", True, 64), ("qpt", True, 64),
+                     ("qpt-seeds", None, 64)]
+    for report in checked:
+        assert _typed(json.loads(dump_report(report))) == _typed(report)
 
 
 def test_cli_qpt_writes_no_report_that_fails_its_check(tmp_path, monkeypatch, capsys):

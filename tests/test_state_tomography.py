@@ -26,7 +26,14 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
-from oracles import append_setting, outcome_dict, pauli_string_matrix, setting_circuits
+from oracles import (
+    append_setting,
+    outcome_dict,
+    pauli_string_matrix,
+    setting_circuits,
+    six_product_contract,
+    unique_write_dataset,
+)
 from qptkit.backend import _qubits
 from qptkit.process_tomography import preparation_circuit, run_qpt
 from qptkit.state_tomography import (
@@ -962,3 +969,56 @@ def test_write_dataset_matches_outcome_loop(n):
         text = write_dataset(ds)
         assert text == _old_write_dataset(ds)
         assert read_dataset(text) == ds
+
+
+def test_write_dataset_matches_the_per_setting_join(qx4):
+    prep = parse_qasm(CI_FIVE_QUBITS)
+    flips = dataclasses.replace(qx4, qubits=tuple(
+        dataclasses.replace(p, readout_flip_prob=0.02) for p in qx4.qubits))
+    one = TomographyDataset(None, np.full((9, 4), 0.25))
+    noisy = collect_dataset(prep, qx4)
+    sparse = collect_dataset(prep, flips, shots=5, seed=0)
+    assert len(np.unique(one.weights)) == 1
+    assert len(np.unique(noisy.weights[noisy.weights != 0.0])) > 2000
+    # five shots leave most of a setting's 32 outcomes undrawn
+    assert np.count_nonzero(sparse.weights) <= 5 * 243
+    for ds in (one, noisy, sparse):
+        text = write_dataset(ds)
+        assert text.encode() == unique_write_dataset(ds).encode()
+        assert read_dataset(text) == ds
+
+
+def _same_bits(a, b):
+    """Equal bit patterns, so the sign of a zero counts."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_contraction_keeps_the_bits_of_six_products(n):
+    rng = np.random.default_rng(600 + n)
+    shape = (3, 3 ** n, 1 << n)
+    floats = rng.random(shape)
+    counts = rng.integers(0, 6, shape).astype(float)
+    counts[..., 0] += 1
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, floats)
+    signed = np.where(rng.random(shape) < 0.3, -0.0, zeros)
+    # halving weights this small reaches subnormals, where it rounds
+    tiny = floats * 10.0 ** rng.integers(-323, -295, shape)
+    tiny[..., 0] = 1.0
+    for name, weights in {"floats": floats, "counts": counts, "zeros": zeros,
+                          "signed zeros": signed, "tiny": tiny}.items():
+        normalised = weights / np.maximum(weights.sum(axis=2, keepdims=True), 1.0)
+        got = qptkit.state_tomography._contract(normalised)
+        assert _same_bits(got, six_product_contract(normalised)), name
+        assert not np.signbit(got.view(float)[got.view(float) == 0.0]).any(), name
+
+
+@pytest.mark.parametrize("noise", ["on", "off"])
+@pytest.mark.parametrize("shots", [None, 8192])
+def test_run_qst_state_keeps_the_bits_of_six_products(qx4, noise, shots):
+    backend = qx4.with_noise(noise == "on")
+    for source in (CI_FIVE_QUBITS, "OPENQASM 2.0;\n" + _ROUNDTRIP_CIRCUITS[2]):
+        run = run_qst(parse_qasm(source), backend, shots=shots, seed=0)
+        weights = run.dataset.weights[None]
+        normalised = weights / np.cumsum(weights, axis=2)[:, :, -1:]
+        assert _same_bits(run.state, six_product_contract(normalised)[0])
