@@ -22,6 +22,7 @@ gate does not matter.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,27 +44,36 @@ COMPLETENESS_ATOL = 1e-9
 @dataclass(frozen=True)
 class KrausChannel:
     """A channel given by one or more Kraus operators on ``qubit_count``
-    qubits, each a finite matrix of the register's size."""
+    qubits, each a finite matrix of the register's size.  The count must be
+    a positive integer: a bool, float or string raises ``ValueError``."""
 
     qubit_count: int
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if self.qubit_count < 1:
+        try:
+            if isinstance(self.qubit_count, bool):
+                raise TypeError
+            count = operator.index(self.qubit_count)
+        except TypeError:
+            raise ValueError(f"qubit count must be an integer, got {self.qubit_count!r}") from None
+        if count < 1:
             raise ValueError("channel needs at least one qubit")
         ops = tuple(np.array(op, dtype=complex) for op in self.operators)
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
-        dim = 1 << self.qubit_count
         for op in ops:
-            if op.shape != (dim, dim):
+            # square of side 2**count, read off the shape: the count may be
+            # any size, so 2**count is never built
+            side = op.shape[0] if op.ndim == 2 else 0
+            if op.shape != (side, side) or side & (side - 1) or side.bit_length() - 1 != count:
                 raise ValueError(
-                    f"Kraus operator shape {op.shape} does not match "
-                    f"{self.qubit_count} qubit(s)"
+                    f"Kraus operator shape {op.shape} does not match {count} qubit(s)"
                 )
             if not np.isfinite(op).all():
                 raise ValueError("Kraus operator has non-finite entries")
             op.setflags(write=False)
+        object.__setattr__(self, "qubit_count", count)
         object.__setattr__(self, "operators", ops)
 
 
@@ -154,14 +164,31 @@ def _check_trace_preserving(channel: KrausChannel) -> None:
         raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
 
 
+def _superoperator_matrix(operators) -> np.ndarray:
+    """sum_k K_k (x) K_k^*, the (d^2, d^2) matrix that takes a row-major
+    flattened rho to sum_k K_k rho K_k^dagger, of a sequence of (d, d) Kraus
+    operators.
+
+    One broadcast product, summed over the Kraus axis in Kraus order; the
+    final ``+ 0.0`` turns a -0.0 sum into 0.0, so every entry has the bits
+    of ``sum(np.kron(k, k.conj()) for k in operators)``, which adds its
+    terms to the integer 0.
+    """
+    ops = np.asarray(operators)
+    count, d = ops.shape[:2]
+    terms = ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]
+    return terms.reshape(count, d * d, d * d).sum(axis=0) + 0.0
+
+
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """sum_k E_k rho E_k^dagger, for a matrix of the channel's size or a
     ``(..., d, d)`` stack of them.
 
     The terms are added in Kraus order, so a stack gives each matrix the
     bits it gets on its own.  Only the trailing shape is checked: the map is
-    linear and also takes non-Hermitian matrices.  ``qpt_channel`` checks
-    trace preservation once per channel.
+    linear and also takes non-Hermitian matrices.  ``qpt_channel`` and the
+    backend apply a channel as one superoperator instead, which agrees with
+    this sum to rounding.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = 1 << channel.qubit_count

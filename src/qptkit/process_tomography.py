@@ -36,15 +36,15 @@ qubit at a time:
 
   exactly (Nielsen & Chuang §8.4.2, Box 8.5).
 
-Two per-qubit tables carry the first two factors.  The state-side table
-Rs = R (x) I_4, Rs[(a,b,k,l),(p,k',l')] = R[(a,b),p] delta_kk' delta_ll',
-takes the preparations' output states to the units' outputs; the
-weights-side table U = Rs D, U[(a,b,k,l),(p,b',o)] = R[(a,b),p] D[b',o,k,l],
-takes the normalised weights there in one step.  ``_unit_outputs`` applies
-either to a ``(4**n, A**n, B**n)`` stack: one matrix-vector product for one
-qubit, table @ M @ table^T with the stack's axes regrouped qubit by qubit
-for two.  ``chi_from_outputs`` applies W, the one inversion both pipelines
-share.
+On the state side, R^(x)n (``_UNIT_RECIPES``: one row per unit, in unit
+order, one column per preparation, in label order) takes the preparations'
+output states to the units' outputs in one product along the preparation
+axis.  On the weights side, the per-qubit table U = (R (x) I_4) D,
+U[(a,b,k,l),(p,b',o)] = R[(a,b),p] D[b',o,k,l], takes the normalised
+weights there in one step: ``_unit_outputs`` applies it to a ``(4**n,
+3**n, 2**n)`` stack, one matrix-vector product for one qubit, U @ M @ U^T
+with the stack's axes regrouped qubit by qubit for two.
+``chi_from_outputs`` applies W, the one inversion both pipelines share.
 
 This is the paper's linear inversion chi = B^-1 lambda in closed form: with
 lambda the row-major stack of the outputs and B[(j,k),(m,n)] entry k of
@@ -52,15 +52,15 @@ E_m rho_j E_n^dagger (rho_j the j-th unit, (j, k) and (m, n) flattened
 row-major), the same orthogonality gives B^dagger B = d^2 I, so
 B^-1 lambda = B^dagger lambda / d^2, whose entries are those of
 W^dagger C W / d^2.  B itself is built only by the test oracles
-(``beta_tensor`` in ``tests/oracles.py``), which tie both tables, followed
+(``beta_tensor`` in ``tests/oracles.py``), which tie both sides, followed
 by the inversion, to it.  Since W / sqrt(d) is unitary, ``residual`` =
 max|W chi W^dagger - C| is the round-off of the W map and back, not a
 fit.
 
-The operator sets, their labels (``OPERATOR_LABELS``), W and the tables are
-read-only module constants.  Nothing is verified at run time: the tests
-assert that R rebuilds every unit from the preparation states and that both
-operator sets are orthogonal with W^dagger W = d I
+The operator sets, their labels (``OPERATOR_LABELS``), W, W^dagger, R^(x)n
+and U are read-only module constants.  Nothing is verified at run time:
+the tests assert that R rebuilds every unit from the preparation states and
+that both operator sets are orthogonal with W^dagger W = d I
 (``tests/test_process_tomography.py``).  ``tp_deviation`` reads the Choi
 matrix W chi W^dagger back: sum_mn chi_mn E_n^dagger E_m is the transpose of
 C traced over the output, sum_k C[(a,k),(b,k)].
@@ -73,10 +73,13 @@ inverted, and chi is scored by the overlap fidelity
     F = Tr(chi_exp chi_th^dagger) / sqrt(Tr(chi_th^dagger chi_th))
                                   / sqrt(Tr(chi_exp^dagger chi_exp))
 
-against the ideal gate's chi.  ``qpt_channel`` passes a Kraus channel's
-exact outputs of the preparation states through Rs and inverts them, so
-the preparations, recipes and inversion can be checked against channels
-whose chi is known.
+against the ideal gate's chi.  ``qpt_channel`` applies a Kraus channel's
+superoperator, built as the backend builds each fused map, to the stack of
+preparation states with the backend's one matmul, passes the outputs
+through R^(x)n and inverts them, so the preparations, recipes and
+inversion can be checked against channels whose chi is known; a 2-qubit
+call takes about 60 us, against 100 us through a Kraus sum per operator
+and R (x) I_4 (2 vCPU VM, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .backend import BackendModel, TopologyError
-from .channels import COMPLETENESS_ATOL, KrausChannel, _check_trace_preserving, apply_channel
+from .backend import BackendModel, TopologyError, _apply
+from .channels import COMPLETENESS_ATOL, KrausChannel, _check_trace_preserving, _superoperator_matrix
 from .operators import GATE_ARITY, dagger, kron, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, Gate
 from .state_tomography import _QUBIT_TABLE, _collect, child_seeds, project_psd
@@ -145,6 +148,8 @@ _CHOI_MAPS: dict[int, np.ndarray] = {
     n: _read_only(ops.transpose(2, 1, 0).reshape(len(ops), len(ops)))
     for n, ops in _OPERATORS.items()
 }
+# W^dagger, read-only, laid out as the transpose view of W's conjugate
+_CHOI_ADJOINTS: dict[int, np.ndarray] = {n: _read_only(w.conj().T) for n, w in _CHOI_MAPS.items()}
 
 
 # --- physical preparations ------------------------------------------------------
@@ -200,24 +205,30 @@ _RECIPES = _read_only(np.array([
     [0, 1, 0, 0],
 ]))
 
-# the per-qubit tables of the module docstring: the state side
-# Rs[(a,b,k,l), (p,k,l)] and the weights side U[(a,b,k,l), (p,letter,outcome)]
-_STATE_TABLE = _read_only(np.kron(_RECIPES, np.eye(4)))
-_WEIGHT_TABLE = _read_only((_STATE_TABLE.reshape(16, 4, 4) @ _QUBIT_TABLE.reshape(6, 4).T)
-                           .reshape(16, 24))
+# the state side of the module docstring, per qubit count: R^(x)n with its
+# rows in unit order, R[(a, b), p] at row a d + b and column p in label order
+_UNIT_RECIPES: dict[int, np.ndarray] = {
+    1: _RECIPES,
+    2: _read_only(np.kron(_RECIPES, _RECIPES).reshape(2, 2, 2, 2, 16)
+                  .transpose(0, 2, 1, 3, 4).reshape(16, 16)),
+}
+
+# the weights side U[(a,b,k,l), (p,letter,outcome)] = R[(a,b),p] D[letter,outcome,k,l],
+# the product (R (x) I_4) D
+_WEIGHT_TABLE = _read_only((np.kron(_RECIPES, np.eye(4)).reshape(16, 4, 4)
+                            @ _QUBIT_TABLE.reshape(6, 4).T).reshape(16, 24))
 
 
-def _unit_outputs(table: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """The matrix units' outputs, a ``(4**n, d, d)`` stack, of a per-qubit
-    table applied to a ``(4**n, I**n, J**n)`` stack (p, i, j) whose first
-    axis runs over the preparations in label order."""
-    if len(stack) == 4:
-        return (table @ stack.reshape(-1)).reshape(4, 2, 2)
-    i, j = math.isqrt(stack.shape[1]), math.isqrt(stack.shape[2])
-    # M[(p1,i1,j1), (p2,i2,j2)]: the stack's axes regrouped qubit by qubit
-    m = stack.reshape(4, 4, i, i, j, j).transpose(0, 2, 4, 1, 3, 5).reshape(4 * i * j, -1)
+def _unit_outputs(normalised: np.ndarray) -> np.ndarray:
+    """The matrix units' outputs, a ``(4**n, 2**n, 2**n)`` stack, of a
+    ``(4**n, 3**n, 2**n)`` stack of normalised weights (p, setting, outcome)
+    whose first axis runs over the preparations in label order, through U."""
+    if len(normalised) == 4:
+        return (_WEIGHT_TABLE @ normalised.reshape(-1)).reshape(4, 2, 2)
+    # M[(p1,s1,o1), (p2,s2,o2)]: the stack's axes regrouped qubit by qubit
+    m = normalised.reshape(4, 4, 3, 3, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(24, 24)
     # X[(a1,b1,k1,l1), (a2,b2,k2,l2)] back to unit (a1 a2, b1 b2), entry (k1 k2, l1 l2)
-    x = (table @ m @ table.T).reshape((2,) * 8)
+    x = (_WEIGHT_TABLE @ m @ _WEIGHT_TABLE.T).reshape((2,) * 8)
     return x.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 4, 4)
 
 
@@ -248,11 +259,12 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
 
     ``outputs`` is a ``(d^2, d, d)`` stack or a list of d x d matrices.
     Every entry must be finite, and trace preservation fixes
-    Tr(eps(|a><b|)) = delta_ab; both are checked here on the whole stack
+    Tr(eps(|a><b|)) = delta_ab; both are checked once over the whole stack
     (a tomographic reconstruction's trace is 1 up to rounding, its Z...Z
-    setting's normalised total).  A wrong count is reported first, then
-    the first output of a wrong shape, then the first output that is
-    non-finite or off in trace (non-finite if it is both).
+    setting's normalised total), and only a stack that fails is scanned
+    output by output.  A wrong count is reported first, then the first
+    output of a wrong shape, then the first output that is non-finite or
+    off in trace (non-finite if it is both).
     chi = W^dagger C W / d^2 as in the module docstring; ``residual`` is
     max|W chi W^dagger - C| before Hermitisation, the entries of
     B chi - lambda in another order.
@@ -271,19 +283,21 @@ def chi_from_outputs(outputs, qubit_count: int) -> ChiMatrix:
     if stack is None or stack.shape[1:] != (d, d):
         j, shape = next((j, np.shape(o)) for j, o in enumerate(outputs) if np.shape(o) != (d, d))
         raise ValueError(f"output {j} has shape {shape}, expected {(d, d)}")
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):  # a non-finite output's trace is never reported
-        traces = np.trace(stack, axis1=1, axis2=2)
     expected = np.eye(d).reshape(d2)  # Tr |a><b| = delta_ab, at j = a d + b
-    bad = ~finite | (np.abs(traces - expected) > 1e-8)
-    if bad.any():
-        j = int(bad.argmax())
+    # one test of the whole stack; only a stack that fails it is scanned
+    # output by output, for the first one to name
+    if not (np.isfinite(stack).all()
+            and np.abs(stack.trace(axis1=1, axis2=2) - expected).max() <= 1e-8):
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        with np.errstate(invalid="ignore"):  # a non-finite output's trace is never reported
+            traces = np.trace(stack, axis1=1, axis2=2)
+        j = int((~finite | (np.abs(traces - expected) > 1e-8)).argmax())
         if not finite[j]:
             raise ValueError(f"output {j} has non-finite entries")
         raise ValueError(f"output {j}: trace {complex(traces[j]):.6g} differs from "
                          f"Tr(rho_j) = {complex(expected[j]):.6g}")
     choi = stack.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
-    chi = w.conj().T @ choi @ w / d2
+    chi = _CHOI_ADJOINTS[qubit_count] @ choi @ w / d2
     residual = float(np.abs(w @ chi @ w.conj().T - choi).max())
     return ChiMatrix(qubit_count, (chi + chi.conj().T) / 2.0, residual)
 
@@ -373,11 +387,12 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     """Tomograph a Kraus channel exactly (no circuits, no sampling).
 
     Mirrors the measurement pipeline: the stack of physical preparation
-    states is pushed through the channel in one call, and the outputs pass
-    through the state-side table Rs into the same inversion as ``run_qpt``.
-    (An exact state needs no letter factor D, so U is not used.)
-    Trace preservation is checked once per call, to 1e-9.  A Kraus sum of
-    finite operators maps density matrices to density matrices, so the
+    states is pushed through the channel's superoperator sum_k K_k (x) K_k^*
+    by ``backend._apply``, and R^(x)n takes the outputs to the matrix units,
+    which go into the same inversion as ``run_qpt``.  (An exact state needs
+    no letter factor D, so U is not used.)  Trace preservation is checked
+    once per call, to 1e-9, and the map is not certified again: a Kraus sum
+    of finite operators maps density matrices to density matrices, so the
     outputs are not checked again as states; ``chi_from_outputs`` checks
     that each is finite and has its trace.
     """
@@ -385,7 +400,10 @@ def qpt_channel(channel: KrausChannel) -> ChiMatrix:
     if n not in (1, 2):
         raise ValueError(f"process tomography covers 1 or 2 qubits, got {n}")
     _check_trace_preserving(channel)
-    return chi_from_outputs(_unit_outputs(_STATE_TABLE, apply_channel(channel, _PREP_STACKS[n])), n)
+    preps = _PREP_STACKS[n].reshape(4**n, -1)
+    outputs, _ = _apply(_superoperator_matrix(channel.operators), preps,
+                        tuple(range(2 * n)), tuple(range(n)), n)
+    return chi_from_outputs((_UNIT_RECIPES[n] @ outputs).reshape(4**n, 1 << n, 1 << n), n)
 
 
 @dataclass(frozen=True)
@@ -461,7 +479,7 @@ def run_qpt(
     weights, totals, _ = _collect(preps, backend, lines, shots, seeds)
     executions = weights.shape[0] * weights.shape[1]
 
-    chi = chi_from_outputs(_unit_outputs(_WEIGHT_TABLE, weights / totals), arity)
+    chi = chi_from_outputs(_unit_outputs(weights / totals), arity)
     theory = theoretical_chi(gate)
     fidelity = process_fidelity(theory, chi)
     return QptResult(

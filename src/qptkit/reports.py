@@ -293,8 +293,9 @@ def check_report(report) -> dict:
         _require(dim in (4, 16), f"chi dimension {dim} is not 4 or 16")
         _require(dim == 4**n, f"chi dimension {dim} does not fit lines {report['lines']}")
         labels = list(OPERATOR_LABELS[n])
-        _require(report["operator_labels"] == labels,
-                 f"operator_labels {reprlib.repr(report['operator_labels'])} are not {labels}")
+        if report["operator_labels"] != labels:
+            _require(False, f"operator_labels {reprlib.repr(report['operator_labels'])} "
+                            f"are not {labels}")
         _require(report["tp_deviation"] >= 0.0, "negative tp_deviation")
     for key in fields:
         if key.endswith(("_real", "_imag")):

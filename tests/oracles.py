@@ -26,6 +26,10 @@ which the package holds only as stacks, per-qubit tables and a Choi map.
 ``_QUBIT_TABLE`` entry and qubit, and ``unique_write_dataset`` the dataset
 text as one join per setting, as the package computed both before it built
 each qubit's 2x2 blocks directly and the text in one join.
+``state_table_channel_chi`` is ``qpt_channel`` as it ran before it applied
+the channel's superoperator: one Kraus sum over the stack of preparations
+(``apply_channel``), then the per-qubit table Rs = R (x) I_4 through the
+stack's axes regrouped qubit by qubit.
 """
 
 from __future__ import annotations
@@ -37,14 +41,16 @@ from functools import reduce
 import numpy as np
 
 from qptkit.backend import _outcome_index
-from qptkit.channels import COMPLETENESS_ATOL, KrausChannel
+from qptkit.channels import COMPLETENESS_ATOL, KrausChannel, apply_channel
 from qptkit.operators import GATE_ARITY, GATES, kron, num_qubits
 from qptkit.process_tomography import (
     _CHOI_MAPS,
     _OPERATORS,
     _PREP_LABELS,
     _PREP_STACKS,
+    _RECIPES,
     ChiMatrix,
+    chi_from_outputs,
     preparation_circuit,
     process_fidelity,
     theoretical_chi,
@@ -431,6 +437,21 @@ def per_label_channel_chi(channel: KrausChannel) -> ChiMatrix:
     n = channel.qubit_count
     out_by_label = {label: kraus_apply(channel, preparation_state(label)) for label in _labels(n)}
     return per_output_chi(combine_by_label(out_by_label, n), n)
+
+
+def state_table_channel_chi(channel: KrausChannel) -> ChiMatrix:
+    """chi of ``qpt_channel`` through one Kraus sum over the stack of
+    preparations and the per-qubit table Rs[(a,b,k,l), (p,k,l)] = R[(a,b),p]."""
+    n = channel.qubit_count
+    outputs = apply_channel(channel, _PREP_STACKS[n])
+    table = np.kron(_RECIPES, np.eye(4))
+    if n == 1:
+        return chi_from_outputs((table @ outputs.reshape(-1)).reshape(4, 2, 2), 1)
+    # M[(p1,k1,l1), (p2,k2,l2)]: the stack's axes regrouped qubit by qubit
+    m = outputs.reshape(4, 4, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3, 5).reshape(16, 16)
+    # X[(a1,b1,k1,l1), (a2,b2,k2,l2)] back to unit (a1 a2, b1 b2), entry (k1 k2, l1 l2)
+    x = (table @ m @ table.T).reshape((2,) * 8)
+    return chi_from_outputs(x.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 4, 4), 2)
 
 
 def six_product_contract(normalised: np.ndarray) -> np.ndarray:

@@ -135,6 +135,23 @@ def test_kraus_channel_validation():
                 KrausChannel(1, (np.eye(2) / 2, op))
 
 
+def test_kraus_channel_takes_only_integer_counts():
+    # a bool, float or string count is no count
+    for bad, shown in ((2.5, "2.5"), ("2", "'2'"), (True, "True"), (None, "None")):
+        with pytest.raises(ValueError, match=rf"^qubit count must be an integer, got {shown}$"):
+            KrausChannel(bad, (np.eye(4),))
+    channel = KrausChannel(np.int64(2), (np.eye(4),))
+    assert channel.qubit_count == 2 and type(channel.qubit_count) is int
+    # the count is compared with the operator's shape, never turned into
+    # 2**count: a count far past any register fails as a shape mismatch
+    for count in (3, 10**6, 10**30):
+        with pytest.raises(ValueError, match=rf"^Kraus operator shape \(4, 4\) does not match {count} qubit"):
+            KrausChannel(count, (np.eye(4),))
+    for shape in ((3, 3), (4, 2), (4,), (2, 2, 2)):
+        with pytest.raises(ValueError, match="does not match 1 qubit"):
+            KrausChannel(1, (np.ones(shape),))
+
+
 def test_compose_amplitude_damping_twice():
     t1_us = 1.0
     half = amplitude_damping(t1_us * 1e3 * math.log(2.0), t1_us)
@@ -266,3 +283,25 @@ def test_embed_channel_spectator_untouched():
 def test_identity_channel():
     rho = random_density(np.random.default_rng(0), 4)
     assert np.abs(apply_channel(identity_channel(2), rho) - rho).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_superoperator_matrix_matches_kron_sum(n):
+    # byte for byte the Kraus-order sum of Kronecker products from 0, for
+    # Kraus ranks 1..4 and operators whose signed zeros and real entries
+    # give -0.0 products
+    rng = np.random.default_rng(70 + n)
+    d = 1 << n
+    special = np.array([complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, -1.0])
+    negative_zeros = 0
+    for rank in (1, 2, 3, 4):
+        for _ in range(10):
+            ops = rng.normal(size=(rank, d, d)) + 1j * rng.normal(size=(rank, d, d))
+            pick = rng.random(ops.shape) < 0.5
+            ops[pick] = rng.choice(special, size=int(pick.sum()))
+            terms = np.array([np.kron(k, k.conj()) for k in ops]).view(float)
+            negative_zeros += int(((terms == 0.0) & np.signbit(terms)).sum())
+            got = channels._superoperator_matrix(tuple(ops))
+            want = sum(np.kron(k, k.conj()) for k in ops)
+            assert got.shape == (d * d, d * d) and got.tobytes() == want.tobytes()
+    assert negative_zeros > 0

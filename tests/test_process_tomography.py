@@ -19,7 +19,7 @@ from qptkit import (
 )
 from qptkit import backend as backend_module
 from qptkit import channels
-from qptkit.channels import amplitude_damping, apply_channel
+from qptkit.channels import amplitude_damping
 from qptkit.operators import GATE_ARITY, standard_gate
 from qptkit.process_tomography import (
     _CHOI_MAPS,
@@ -27,7 +27,7 @@ from qptkit.process_tomography import (
     _PREP_LABELS,
     _PREP_STACKS,
     _RECIPES,
-    _STATE_TABLE,
+    _UNIT_RECIPES,
     _WEIGHT_TABLE,
     OPERATOR_LABELS,
     _unit_outputs,
@@ -51,6 +51,7 @@ from oracles import (
     per_output_chi,
     preparation_recipes,
     preparation_state,
+    state_table_channel_chi,
     unitary_as_channel,
 )
 
@@ -545,13 +546,14 @@ def test_qpt_channel_checks_completeness_once(monkeypatch):
     rng = np.random.default_rng(17)
     for _ in range(20):
         channel = _random_channel(rng, 2)
-        # the chi of one apply_channel call on the stack of preparations
-        outputs = apply_channel(channel, _PREP_STACKS[2])
-        want = chi_from_outputs(_unit_outputs(_STATE_TABLE, outputs), 2)
+        # within rounding the chi of one apply_channel call on the stack of
+        # preparations, through Rs
+        want = state_table_channel_chi(channel)
         calls.clear()
         got = qpt_channel(channel)
         assert len(calls) == 1
-        assert np.array_equal(got.matrix, want.matrix) and got.residual == want.residual
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+        assert abs(got.residual - want.residual) <= 1e-15
     leaky = KrausChannel(1, (0.9 * np.eye(2, dtype=complex),))
     with pytest.raises(ValueError, match="channel is not trace preserving: deviation 1.900e-01"):
         qpt_channel(leaky)
@@ -602,31 +604,33 @@ def test_preparation_stack_rows_are_the_states():
 
 
 def test_recipe_factor_and_tables_match_the_term_lists():
-    # R holds the one-qubit term lists; Rs and U are R (x) I_4 and R (x) D,
-    # entry by entry, and read-only
-    for u, terms in enumerate(preparation_recipes(1)):
-        row = dict(zip(_PREP_LABELS[1], _RECIPES[u].tolist()))
-        assert {label: c for label, c in row.items() if c} == {label: c for c, label in terms}
-    assert np.array_equal(_STATE_TABLE, np.kron(_RECIPES, np.eye(4)))
+    # R^(x)n holds the term lists, one row per unit in basis order (R itself
+    # for one qubit); U is R (x) D, entry by entry; all are read-only
+    for n in (1, 2):
+        for u, terms in enumerate(preparation_recipes(n)):
+            row = dict(zip(_PREP_LABELS[n], _UNIT_RECIPES[n][u].tolist()))
+            assert {label: c for label, c in row.items() if c} == {label: c for c, label in terms}
+    assert _UNIT_RECIPES[1] is _RECIPES
     letters = _QUBIT_TABLE.transpose(2, 3, 0, 1)  # D[b, o, k, l] at [k, l, b, o]
     weight = _RECIPES[:, None, None, :, None, None] * letters[None, :, :, None]
     assert np.array_equal(_WEIGHT_TABLE, weight.reshape(16, 24))
-    for table in (_STATE_TABLE, _WEIGHT_TABLE):
+    for table in (_UNIT_RECIPES[1], _UNIT_RECIPES[2], _WEIGHT_TABLE):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_stacked_combination_matches_dict_oracle(n):
-    # arbitrary unit-trace outputs with signed zeros: through Rs each unit is
-    # its recipe summed on its own, to rounding, and so is its chi
+    # arbitrary unit-trace outputs with signed zeros: through R^(x)n along
+    # the preparation axis each unit is its recipe summed on its own, to
+    # rounding, and so is its chi
     rng = np.random.default_rng(60 + n)
     d = 1 << n
     for _ in range(20):
         outputs = rng.normal(size=(4**n, d, d)) + 1j * rng.normal(size=(4**n, d, d))
         outputs[rng.random(outputs.shape) < 0.3] = -0.0
         outputs[:, 0, 0] += 1.0 - np.trace(outputs, axis1=1, axis2=2)
-        units = _unit_outputs(_STATE_TABLE, outputs)
+        units = (_UNIT_RECIPES[n] @ outputs.reshape(4**n, -1)).reshape(outputs.shape)
         want_units = np.array(combine_by_label(dict(zip(_PREP_LABELS[n], outputs)), n))
         scale = np.abs(want_units).max()
         assert np.abs(units - want_units).max() <= 1e-15 * scale
@@ -646,9 +650,10 @@ def _beta_solve(out_by_label, n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_tables_then_inversion_match_beta_solve(n):
-    # U on weight stacks with zero weights and Rs on the outputs of random
-    # Kraus channels, each followed by chi_from_outputs, against B^-1 lambda
-    # of the dense state reconstruction and of Kraus sums one label at a time
+    # U on weight stacks with zero weights, followed by chi_from_outputs, and
+    # qpt_channel on random Kraus channels, against B^-1 lambda of the dense
+    # state reconstruction and of Kraus sums one label at a time; qpt_channel
+    # is also within rounding of its Kraus-sum route through Rs
     rng = np.random.default_rng(90 + n)
     d = 1 << n
     for _ in range(20):
@@ -658,13 +663,12 @@ def test_tables_then_inversion_match_beta_solve(n):
         if rng.random() < 0.5:
             weights = np.round(weights * 100)  # counts
         normalised = weights / weights.sum(axis=2, keepdims=True)
-        got = chi_from_outputs(_unit_outputs(_WEIGHT_TABLE, normalised), n)
+        got = chi_from_outputs(_unit_outputs(normalised), n)
         want = _beta_solve({label: dense_state(w) for label, w in zip(_PREP_LABELS[n], weights)}, n)
         assert np.abs(got.matrix - want).max() <= 1e-14
         channel = _random_channel(rng, n)
         got = qpt_channel(channel)
-        assert np.array_equal(got.matrix, chi_from_outputs(
-            _unit_outputs(_STATE_TABLE, apply_channel(channel, _PREP_STACKS[n])), n).matrix)
+        assert np.abs(got.matrix - state_table_channel_chi(channel).matrix).max() <= 1e-15
         want = _beta_solve({label: kraus_apply(channel, preparation_state(label))
                             for label in _PREP_LABELS[n]}, n)
         assert np.abs(got.matrix - want).max() <= 1e-14

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import qptkit.backend
 import qptkit.cli
+import qptkit.reports
 import qptkit.state_tomography
 
 from qptkit import parse_report, run_qpt
@@ -204,6 +205,16 @@ def test_check_report_names_keys_json_cannot_hold():
     for extra, names in (({1: 0.0}, "1"), ({2: 0.0, "x": 0.0}, "2, x")):
         with pytest.raises(ValueError, match=rf"^invalid report: unknown field\(s\) {names}$"):
             check_report({**_QST_REPORT, **extra})
+
+
+def test_check_report_formats_no_message_for_a_valid_report(h_report, monkeypatch):
+    # a message is built only for a report that fails a check
+    def refuse(obj):
+        raise AssertionError("a message was formatted for a valid report")
+
+    monkeypatch.setattr(qptkit.reports.reprlib, "repr", refuse)
+    for report in (h_report, _QST_REPORT, _SEEDS_REPORT):
+        assert check_report(report) is report
 
 
 def test_report_nested_too_deeply_is_invalid():
