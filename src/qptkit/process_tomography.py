@@ -78,8 +78,8 @@ superoperator, built as the backend builds each fused map, to the stack of
 preparation states with the backend's one matmul, passes the outputs
 through R^(x)n and inverts them, so the preparations, recipes and
 inversion can be checked against channels whose chi is known; a 2-qubit
-call takes about 60 us, against 100 us through a Kraus sum per operator
-and R (x) I_4 (2 vCPU VM, numpy 2.4).
+call takes about 58 us, against 87 us through a Kraus sum per operator
+and R (x) I_4 (Kraus ranks 1-4, 2 vCPU VM, numpy 2.4).
 """
 
 from __future__ import annotations
