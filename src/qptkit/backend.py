@@ -47,16 +47,15 @@ run on its own.
 
 Tomography (``_execute_preparations``) evolves each preparation alone, and
 the stack of preparation states passes one readout test.  Its 3^n
-settings are not evolved: each measured qubit's basis rotations and
-measure act on that qubit alone, so a setting's final diagonal is the
-preparation state read out one qubit at a time, each qubit's (row, column)
-pair through the maps of its letter (``_setting_diagonals``).  Without
-noise that gives each weight the bits the setting circuit gives it, and
-with noise within rounding (1e-15), since each qubit's measure then decays
-before the next qubit's rotations where the circuit decays all measured
-qubits last.  With idle decay on, a rotation decays the other qubits too;
-the settings then run as ``prep.then(setting)`` circuits, as
-``execute_many`` runs them.  The weights go into one ``(preparations,
+settings are not evolved: every map a setting applies acts on one qubit, a
+basis rotation on its qubit, a measure's decay on the measured qubit and,
+with idle decay on, each rotation's decay on every other active qubit.  So
+a setting's final diagonal is the preparation state read out one qubit at
+a time, through the maps of each qubit's letter (``_setting_diagonals``).
+Without noise that gives each weight the bits the setting circuit gives
+it, and with noise within rounding (1e-15): maps on different qubits
+commute, as do the decays on one qubit, and the readout applies them in
+another order than the circuit.  The weights go into one ``(preparations,
 settings, 2^m)`` array, handed back with the stacks of evolved
 preparation states.  Only ``execute_exact`` returns ``final_state``, the
 density matrix of the whole register; a preparation evolved on exactly
@@ -806,12 +805,14 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
             yield from (ExecutionResult(counts=row, shots=shots) for row in block)
 
 
-def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
-                  backend: BackendModel) -> list[tuple[int, list[list[np.ndarray]]]] | None:
+def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...], backend: BackendModel
+                  ) -> list[tuple[int, list[list[tuple[np.ndarray, int]]]]]:
     """Per measured qubit of ``_execute_preparations``' settings, in measure
-    order: its axis on ``active`` and, per letter, the (4, 4) matrices of the
-    maps its setting applies to it, in order.  None when one of those maps
-    acts on another qubit too, as idle decay makes them."""
+    order: its axis on ``active`` and, per letter, the maps the letter's
+    instructions apply, in circuit order, each a (4, 4) matrix with the axis
+    of the one qubit it acts on: each rotation on the qubit, followed, with
+    idle decay, by the decay of every other active qubit for its duration,
+    then the qubit's measure decay."""
     n = len(settings[0].measurements)
     axis = {q: a for a, q in enumerate(active)}
     lines = []
@@ -819,49 +820,64 @@ def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
         letters = []
         for letter in range(3):
             instructions = settings[letter * 3 ** (n - 1 - j)].instructions
-            maps = [m for inst in instructions
-                    if (inst.targets if isinstance(inst, Gate) else (inst.qubit,)) == (meas.qubit,)
-                    for m in _maps(inst, backend, axis)]
-            if any(axes != (axis[meas.qubit],) for _, axes in maps):
-                return None
-            letters.append([sup.reshape(4, 4) for sup, _ in maps])
+            letters.append([(sup.reshape(4, 4), a) for inst in instructions
+                            if _qubits((inst,)) == {meas.qubit}
+                            for sup, (a,) in _maps(inst, backend, axis)])
         lines.append((axis[meas.qubit], letters))
     return lines
 
 
 def _setting_diagonals(states: np.ndarray, active: tuple[int, ...],
-                       lines: list[tuple[int, list[list[np.ndarray]]]]) -> np.ndarray:
+                       lines: list[tuple[int, list[list[tuple[np.ndarray, int]]]]]) -> np.ndarray:
     """The ``(B * 3**n, 2**k)`` real diagonals, preparation by preparation,
     that the final states of n measured qubits' settings would have, from
     the ``(B, 2**k, 2**k)`` stack of preparation states; ``lines`` is what
     ``_setting_maps`` gives for those settings.
 
     The stack is read out one qubit at a time, the unmeasured qubits first,
-    then the measured ones in measure order: the qubit's (row, column) axis
-    pair is moved in front as 4 rows, the other axes flattened behind it,
-    and each of its letters multiplies them by its maps in turn and keeps the
-    two diagonal rows (an unmeasured qubit has one letter and no maps).  Each
-    value is the same sum of the same products, in the same order, as in the
-    setting circuit's evolution once every qubit's maps run before the next
-    qubit's.  So without noise, where a measure applies nothing, each
-    diagonal has the circuit's bits; with noise it may differ in its last
-    bits, since the circuit decays the measured qubits after all rotations.
+    then the measured ones in measure order, with each qubit's row and
+    column axes side by side.  The qubit's (row, column) pair is moved in
+    front as 4 rows, the other axes flattened behind it, and each of its
+    letters applies its maps in turn and keeps the two diagonal rows (an
+    unmeasured qubit has one letter and no maps).  A map on another qubit,
+    an idle decay, acts on that qubit's 4 values (row, column) if it is
+    still to be read out, else on its 2 outcome values through the map's
+    population block (a decay fills populations from populations alone):
+    one matrix product, with that axis moved in front of the others.  Every
+    map acts on one qubit, maps on different qubits commute, and so do the
+    decays on one qubit; so each diagonal is the setting circuit's within
+    rounding.  Without noise no map decays, and each value is the same sum
+    of the same products, in the same order, as in the circuit's evolution:
+    each diagonal has its bits.
     """
     count, k = len(states), len(active)
-    rho = states.reshape(count, *(2,) * (2 * k))
+    rho = states.reshape(count, *(2,) * (2 * k)).transpose(
+        0, *(a + 1 + side * k for a in range(k) for side in (0, 1)))
     # each axis by name: ("row", a), ("col", a), then ("out", a) once read out
-    names = [("batch",), *(("row", a) for a in range(k)), *(("col", a) for a in range(k))]
+    names = [("batch",), *((side, a) for a in range(k) for side in ("row", "col"))]
     measured = {a for a, _ in lines}
     unmeasured = [(a, [[]]) for a in range(k) if a not in measured]
     for step, (a, letters) in enumerate([*unmeasured, *lines]):
         front = [names.index(("row", a)), names.index(("col", a))]
         rest = [i for i in range(1, len(names)) if i not in front]
         flat = rho.transpose(0, *front, *rest).reshape(count, 4, -1)
+        # per other qubit: the values before its pair or outcome axis in flat, and its size
+        units, before = {}, 4 * count
+        for i in rest:
+            if names[i][0] in ("row", "out"):
+                units[names[i][1]] = (before, 4 if names[i][0] == "row" else 2)
+            before *= rho.shape[i]
         read = []
-        for mats in letters:
+        for maps in letters:
             x = flat
-            for mat in mats:
-                x = mat @ x
+            for mat, b in maps:
+                if b == a:
+                    x = mat @ x
+                else:
+                    lead, size = units[b]
+                    moved = x.reshape(lead, size, -1).swapaxes(0, 1).reshape(size, -1)
+                    x = ((mat if size == 4 else mat[::3, ::3]) @ moved).reshape(
+                        size, lead, -1).swapaxes(0, 1).reshape(flat.shape)
             read.append(x[:, ::3])  # the diagonal rows, (0, 0) and (1, 1)
         rho = np.stack(read, axis=1).reshape(count, len(letters), 2, *(rho.shape[i] for i in rest))
         names = [("batch",), ("letter", step), ("out", a), *(names[i] for i in rest)]
@@ -884,18 +900,17 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     They form a product over the measured qubits: what setting s applies to
     its j-th measured qubit, in measure order, is what setting d * 3**(n-1-j)
     applies to it, d being digit j of s in base 3 (the first digit most
-    significant), and no setting acts on another qubit.
+    significant), and no setting gate acts on more than one qubit.
 
     Each preparation is evolved once, alone, on the qubits it and its first
-    setting touch.  Consecutive preparations on the same qubits with the
-    same settings form a group: the stack of its preparation states passes
-    one readout test, and its settings' diagonals are read out of it
-    (``_setting_diagonals``), or, when some setting map acts on more than one
-    qubit, its ``prep.then(setting)`` circuits run as ``execute_many`` runs
-    them, bit for bit.  Without noise the diagonals are bitwise those the
-    setting circuits leave, and with it within rounding.  Also returned, per
-    group in order: its active qubits and the ``(count, 2**k, 2**k)`` stack
-    of its preparations' evolved states.
+    setting touch, and no setting circuit is evolved.  Consecutive
+    preparations on the same qubits with the same settings form a group: the
+    stack of its preparation states passes one readout test, and its
+    settings' diagonals are read out of it (``_setting_diagonals``).  Without
+    noise they are bitwise those the setting circuits leave, and with it,
+    idle decay on or off, within rounding (1e-15).  Also returned, per group
+    in order: its active qubits and the ``(count, 2**k, 2**k)`` stack of its
+    preparations' evolved states.
     """
     _check_shots(shots)
     keys = [(chain, tuple(sorted(_qubits(prep.then(chain[0]).instructions), reverse=True)))
@@ -909,14 +924,11 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
         states = np.concatenate([states for _, states, _ in _evolve(stack, backend, active)])
         ((_, states, _),) = _checked([(stack, states, active)], _check_readout)
         groups.append((active, states))
-        lines = _setting_maps(chain, active, backend)
-        if lines is None:
-            runs = _runs([prep.then(setting) for prep in stack for setting in chain], backend)
-        else:
-            runs = [(_setting_diagonals(states, active, lines), active, *_readout(chain[0]))]
-        for size, block in _blocks(runs, backend, shots, None if seeds is None else seeds[at:]):
-            rows[at:at + size] = block
-            at += size
+        diagonals = _setting_diagonals(states, active, _setting_maps(chain, active, backend))
+        ((size, block),) = _blocks([(diagonals, active, *_readout(chain[0]))], backend, shots,
+                                   None if seeds is None else seeds[at:])
+        rows[at:at + size] = block
+        at += size
     return out, groups
 
 

@@ -59,22 +59,23 @@ class KrausChannel:
             raise ValueError(f"qubit count must be an integer, got {self.qubit_count!r}") from None
         if count < 1:
             raise ValueError("channel needs at least one qubit")
-        ops = tuple(np.array(op, dtype=complex) for op in self.operators)
-        if not ops:
+        shapes = [np.shape(op) for op in self.operators]
+        if not shapes:
             raise ValueError("channel needs at least one Kraus operator")
-        for op in ops:
+        for shape in shapes:
             # square of side 2**count, read off the shape: the count may be
             # any size, so 2**count is never built
-            side = op.shape[0] if op.ndim == 2 else 0
-            if op.shape != (side, side) or side & (side - 1) or side.bit_length() - 1 != count:
-                raise ValueError(
-                    f"Kraus operator shape {op.shape} does not match {count} qubit(s)"
-                )
-            if not np.isfinite(op).all():
-                raise ValueError("Kraus operator has non-finite entries")
-            op.setflags(write=False)
+            side = shape[0] if len(shape) == 2 else 0
+            if shape != (side, side) or side & (side - 1) or side.bit_length() - 1 != count:
+                raise ValueError(f"Kraus operator shape {shape} does not match {count} qubit(s)")
+        # one complex copy of every operator, scanned once; each operator is
+        # a read-only view of it
+        stack = np.array(self.operators, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operator has non-finite entries")
+        stack.setflags(write=False)
         object.__setattr__(self, "qubit_count", count)
-        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "operators", tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -150,12 +151,11 @@ def compose(first: KrausChannel, second: KrausChannel) -> KrausChannel:
 
 
 def validate_completeness(channel: KrausChannel) -> float:
-    """Max-norm deviation of sum_k E_k^dagger E_k from the identity."""
-    dim = 1 << channel.qubit_count
-    acc = np.zeros((dim, dim), dtype=complex)
-    for op in channel.operators:
-        acc += op.conj().T @ op
-    return float(np.abs(acc - np.eye(dim)).max())
+    """Max-norm deviation of sum_k E_k^dagger E_k from the identity: one
+    stacked product, summed over the Kraus axis in Kraus order."""
+    ops = np.asarray(channel.operators)
+    acc = (ops.conj().transpose(0, 2, 1) @ ops).sum(axis=0)
+    return float(np.abs(acc - np.eye(1 << channel.qubit_count)).max())
 
 
 def _check_trace_preserving(channel: KrausChannel) -> None:

@@ -13,12 +13,12 @@ enumerated with the per-qubit order Z < X < Y, lexicographically
 
 ``collect_weights`` takes the 3**n settings of each of a list of
 preparations and returns the complete canonical stack ``(L, 3**n, 2**n)``:
-preparation, setting in ``qst_settings`` order, outcome.  Each setting
-rotates and measures every qubit on its own, so the backend reads the
-settings out of each once-evolved preparation state one qubit at a time,
-through that qubit's rotations and measure, and evolves no setting circuit
-unless idle decay makes a rotation act on other qubits.  A sampled setting
-draws with its own seed, derived from its preparation's seed.  That stack is
+preparation, setting in ``qst_settings`` order, outcome.  Every map a
+setting applies acts on one qubit, idle decay on or off, so the backend
+reads the settings out of each once-evolved preparation state one qubit at
+a time, through the maps of that qubit's letter, and evolves no setting
+circuit.  A sampled setting draws with its own seed, derived from its
+preparation's seed.  That stack is
 the only input ``reconstruct_states`` takes.
 
 The expectation value of a Pauli string reads the string's Z-filled
@@ -425,8 +425,8 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     preparation is evolved once, alone, and its settings are read out of its
     state one measured qubit at a time (see ``backend``): every row is what
     ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
-    noise, within 1e-15 in exact mode with noise on, and bit for bit when
-    idle decay makes the settings run as those circuits.  The weights are
+    noise, and within 1e-15 in exact mode with noise on, idle decay on or
+    off.  The weights are
     checked as a dataset's are, all as one stack, and only there: the
     datasets ``collect_dataset`` and ``run_qst`` build keep a stack's rows.
     An empty ``preps`` raises ``ValueError``; a setting that does not fit

@@ -29,7 +29,8 @@ each qubit's 2x2 blocks directly and the text in one join.
 ``state_table_channel_chi`` is ``qpt_channel`` as it ran before it applied
 the channel's superoperator: one Kraus sum over the stack of preparations
 (``apply_channel``), then the per-qubit table Rs = R (x) I_4 through the
-stack's axes regrouped qubit by qubit.
+stack's axes regrouped qubit by qubit.  ``loop_completeness`` is
+``validate_completeness`` as one product per Kraus operator.
 """
 
 from __future__ import annotations
@@ -385,6 +386,17 @@ def per_label_qpt(gate: str, lines: tuple[int, ...], backend, shots=None, seed=N
 
 def _labels(n: int) -> list[str]:
     return sorted({label for terms in preparation_recipes(n) for _, label in terms})
+
+
+def loop_completeness(channel: KrausChannel) -> float:
+    """``validate_completeness`` as it ran before it took one stacked
+    product: sum_k E_k^dagger E_k accumulated one operator at a time from
+    zeros, then its max-norm deviation from the identity."""
+    dim = 1 << channel.qubit_count
+    acc = np.zeros((dim, dim), dtype=complex)
+    for op in channel.operators:
+        acc += op.conj().T @ op
+    return float(np.abs(acc - np.eye(dim)).max())
 
 
 def kraus_apply(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:

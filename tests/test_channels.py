@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
-from oracles import embed_channel, identity_channel, kraus_apply, unitary_as_channel
+from oracles import (
+    embed_channel,
+    identity_channel,
+    kraus_apply,
+    loop_completeness,
+    unitary_as_channel,
+)
 from qptkit import KrausChannel, NoiseParams, channels, qpt_channel
 from qptkit.channels import (
     amplitude_damping,
@@ -133,6 +139,21 @@ def test_kraus_channel_validation():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^Kraus operator has non-finite entries$"):
                 KrausChannel(1, (np.eye(2) / 2, op))
+
+
+def test_kraus_channel_holds_views_of_one_checked_copy():
+    ops = [np.eye(2), np.array([[0, 1j], [0, 0]]), [[0.5, 0], [0, 0.5]]]
+    channel = KrausChannel(1, ops)
+    assert all(op.shape == (2, 2) and op.dtype == complex and not op.flags.writeable
+               for op in channel.operators)
+    assert len({id(op.base) for op in channel.operators}) == 1
+    assert channel.operators[0].base is not None
+    ops[0][0, 0] = 7.0  # the channel keeps its own copy
+    assert channel.operators[0][0, 0] == 1.0
+    # every shape is checked before any entry: a bad shape after a NaN
+    # operator is the error
+    with pytest.raises(ValueError, match=r"^Kraus operator shape \(4, 4\) does not match 1 qubit"):
+        KrausChannel(1, (np.full((2, 2), np.nan), np.eye(4)))
 
 
 def test_kraus_channel_takes_only_integer_counts():
@@ -283,6 +304,22 @@ def test_embed_channel_spectator_untouched():
 def test_identity_channel():
     rho = random_density(np.random.default_rng(0), 4)
     assert np.abs(apply_channel(identity_channel(2), rho) - rho).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_validate_completeness_matches_the_loop_bit_for_bit(n):
+    # one stacked product summed over the Kraus axis gives the float the
+    # per-operator loop gives, on channels of ranks 1..5, trace preserving
+    # or scaled off it
+    rng = np.random.default_rng(40 + n)
+    d = 1 << n
+    for rank in (1, 2, 3, 4, 5):
+        for _ in range(40):
+            a = rng.normal(size=(d * rank, d)) + 1j * rng.normal(size=(d * rank, d))
+            q, _ = np.linalg.qr(a)
+            ops = q.reshape(rank, d, d) * rng.choice([1.0, 1.0 + 1e-9, 1.1])
+            channel = KrausChannel(n, tuple(ops))
+            assert validate_completeness(channel) == loop_completeness(channel)
 
 
 @pytest.mark.parametrize("n", [1, 2])

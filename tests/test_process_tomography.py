@@ -775,12 +775,10 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
     assert streams == [(4, (0,))] and checks == [("_check_readout", 4)]
     streams.clear()
     checks.clear()
-    # with idle decay the 144 setting circuits run as execute_many runs them,
-    # each on the qubits it touches, and are read out in chunks of at most
-    # 64 KiB of states
+    # with idle decay too, the settings are read out of the 16 states, and no
+    # setting circuit evolves
     run_qpt("cx", (2, 4), qx4.with_idle_decay(True))
-    assert streams == [(16, (4, 2)), (144, None)]
-    assert checks[0] == ("_check_readout", 16) and sum(n for _, n in checks[1:]) == 144
+    assert streams == [(16, (4, 2))] and checks == [("_check_readout", 16)]
 
 
 def test_run_qpt_argument_errors(qx4):

@@ -438,7 +438,8 @@ def _assert_rows(got, want, bitwise=True):
     within 1e-15 where exact rows are read out through the settings' maps
     with noise on: there each measured qubit's measure decays before the
     next qubit rotates, where a setting circuit decays them after every
-    rotation."""
+    rotation, and with idle decay a rotation's decay of the other qubits
+    runs with their own maps, not with the rotation."""
     want = np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     if bitwise:
@@ -462,7 +463,7 @@ def test_collect_dataset_matches_per_setting_loop(qx4, mode):
         for shots in (None, 500):
             got = collect_dataset(prep, backend, qubits=qubits, shots=shots, seed=9)
             want = _setting_loop(prep, backend, measured, shots=shots, seed=9)
-            bitwise = mode != "noisy" or shots is not None
+            bitwise = mode == "quiet" or shots is not None
             _assert_rows(got.weights, want.astype(float), bitwise)
             # the stream keeps the backend's dtype: float probabilities, int counts
             stream = collect_weights([prep], backend, qubits, shots, [9])
@@ -487,7 +488,7 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
         (alone,) = execute_many([prep.then(setting)], backend, shots,
                                 None if shots is None else [seed])
         _assert_rows(row, alone.probabilities if shots is None else alone.counts,
-                     mode != "noise_on")
+                     mode not in ("noise_on", "idle"))
 
 
 @pytest.mark.parametrize("mode", ["noise_off", "noise_on", "idle", "sampled"])
@@ -553,13 +554,14 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
             compared.append((self, other))
             return original(self, other)
         monkeypatch.setattr(cls, "__eq__", recording)
-    # with idle decay the settings run as circuits, and neighbouring settings
-    # are compared by value only where they branch apart
+    # execute_many runs the joined circuits, and neighbouring settings are
+    # compared by value only where they branch apart
     idle = qx4_quiet.with_noise(True).with_idle_decay(True)
-    weights = collect_weights([prep], idle, (4, 1))
+    stream = [r.probabilities for r in execute_many([prep.then(c) for c in circuits], idle)]
     monkeypatch.undo()
     assert compared and all(a != b for a, b in compared)
-    assert np.array_equal(weights[0], collect_dataset(prep, idle, (4, 1)).weights)
+    # collect_weights reads the same rows out of the preparation's state
+    _assert_rows(collect_weights([prep], idle, (4, 1))[0], stream, bitwise=False)
 
 
 @pytest.mark.parametrize("mode", ["exact", "quiet", "sampled", "idle", "flips"])
@@ -585,7 +587,7 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         stream = [r.probabilities if shots is None else r.counts
                   for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        _assert_rows(stacked.reshape(len(circuits), -1), stream, mode != "exact")
+        _assert_rows(stacked.reshape(len(circuits), -1), stream, mode not in ("exact", "idle"))
 
 
 def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
@@ -746,7 +748,7 @@ _STAGED_PREPS = (CI_FIVE_QUBITS,
 @pytest.mark.parametrize("lines", [(4, 2, 0), (3, 2, 1, 0), (1, 4, 0, 3, 2)])
 def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
     # the settings are read out of each preparation's state in stages, one
-    # measured qubit at a time; with idle decay on they run as circuits
+    # measured qubit at a time, idle decay on or off
     flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
     backend = {"exact": qx4, "quiet": qx4.with_noise(False), "idle": qx4.with_idle_decay(True),
                "flips": dataclasses.replace(qx4, qubits=flipping)}[mode]
@@ -760,7 +762,7 @@ def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
         want = [r.probabilities if shots is None else r.counts
                 for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        _assert_rows(got.reshape(len(circuits), -1), want, mode != "exact")
+        _assert_rows(got.reshape(len(circuits), -1), want, mode not in ("exact", "idle"))
 
 
 # a 24-gate 5-qubit circuit, 7 of them cx on qx4's coupling map: the size of
@@ -772,8 +774,10 @@ _TWENTY_FOUR_GATES = (
     "cx q[1],q[0];\nt q[4];\ny q[3];\n")
 
 
-@pytest.mark.parametrize("noise", [False, True])
-def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, noise, monkeypatch):
+@pytest.mark.parametrize("noise, idle", [(False, False), (True, False), (True, True)],
+                         ids=["False", "True", "idle"])
+def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, noise, idle,
+                                                                      monkeypatch):
     circuit = parse_qasm(_TWENTY_FOUR_GATES)
     assert len(circuit.instructions) == 24
     applied, full, readout, evolved = [], [], [], []
@@ -788,13 +792,15 @@ def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, nois
     monkeypatch.setattr(qptkit.backend, "_evolve",
                         lambda circuits, *args: evolved.append(list(circuits))
                         or evolve(circuits, *args))
-    run = run_qst(circuit, qx4.with_noise(noise))
+    run = run_qst(circuit, qx4.with_noise(noise).with_idle_decay(idle))
     assert run.reference is not None
-    # only the circuit evolves, its 24 gates on one state; the 243 settings
-    # are read out of that state; its stack passes the readout test, and the
-    # reference meets the full check
+    # only the circuit evolves, its 24 gates on one state, with idle decay
+    # each followed by the decay of every other qubit (4 after each of the 17
+    # single-qubit gates, 3 after each of the 7 cx); the 243 settings are
+    # read out of that state, and no setting circuit evolves; its stack
+    # passes the readout test, and the reference meets the full check
     assert evolved == [[circuit]]
-    assert applied == [1] * 24
+    assert applied == [1] * (24 + (17 * 4 + 7 * 3 if idle else 0))
     assert readout == [1] and full == [1]
 
 
