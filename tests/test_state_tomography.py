@@ -561,7 +561,9 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
     monkeypatch.undo()
     assert compared and all(a != b for a, b in compared)
     # collect_weights reads the same rows out of the preparation's state
-    _assert_rows(collect_weights([prep], idle, (4, 1))[0], stream, bitwise=False)
+    weights = collect_weights([prep], idle, (4, 1))
+    _assert_rows(weights[0], stream, bitwise=False)
+    assert np.array_equal(weights[0], collect_dataset(prep, idle, (4, 1)).weights)
 
 
 @pytest.mark.parametrize("mode", ["exact", "quiet", "sampled", "idle", "flips"])
