@@ -18,35 +18,29 @@ Evolution semantics, in order, per instruction:
 Only the qubits some instruction touches are simulated.  Every other qubit
 stays in |0><0|, which is a fixed point of both amplitude damping and pure
 dephasing, so leaving it out is exact whether idle_decay is on or off.  One
-evolution loop runs circuits from |0...0>: each instruction is one fused
-superoperator (gate then decay) applied to the state by one ``np.matmul``.
-A circuit resumes from the state after the prefix it shares with the
-circuit before it.  Before anything evolves, what each circuit adds to
-that prefix is checked once: a cx off the coupling map raises
-``TopologyError``, and a qubit outside the register it is to evolve on a
-``ValueError``.  An instruction's superoperators are looked up once per
-active register and reused by every circuit that shares the instruction
-object; a measure that applies nothing costs that lookup.
-A state is held as one C-contiguous ``(1, 4^k)`` array with its layout,
-the order of the 2k row and column axes its last map stored it in: the
-next map gathers it into its own order with one flat ``take``, unless it is
-stored so already, and a final state is gathered into its chunk in the
-canonical order, that of its ``(2^k, 2^k)`` density matrix.
+evolution loop (``_evolve``) runs one circuit from |0...0>: each
+instruction is one fused superoperator (gate then decay) applied to the
+state by one ``np.matmul``.  Every circuit is checked before anything
+evolves: a cx off the coupling map raises ``TopologyError``, and a qubit
+outside the register it is to evolve on a ``ValueError``.  A state is held
+as one C-contiguous ``(1, 4^k)`` array with its layout, the order of the 2k
+row and column axes its last map stored it in: the next map gathers it into
+its own order with one flat ``take``, unless it is stored so already, and
+the final state is gathered into the canonical order, that of its ``(2^k,
+2^k)`` density matrix.
 
 Physicality holds by construction: every evolution starts from
 |0...0><0...0|, and each fused map is checked once, where it is built, as a
 channel (completely positive and trace preserving).  Before final states
-are read out, each stack of them is tested for what a fault in laying out
-or copying states can still break, Hermiticity and trace
-(``_check_readout``); only a state handed out as a ``final_state`` meets
-the full ``check_density_matrix``.  Each run of final states on the same
-active qubits with the same measures is read out as one block, a ``(rows,
-2^m)`` array of outcome weights or counts (``_blocks``).  ``execute_many``
-yields a block's rows as results, each bitwise what the circuit would give
-run on its own.
+are read out, they are tested for what a fault in laying out or copying
+states can still break, Hermiticity and trace (``_check_readout``); only a
+state handed out as a ``final_state`` meets the full
+``check_density_matrix``.  ``execute_many`` evolves, tests and reads out
+one circuit at a time (``_read``), and yields its result before the next
+circuit evolves.
 
 Tomography (``_execute_preparations``) evolves each preparation alone, and
-the stack of preparation states passes one readout test.  Its 3^n
+a group's stack of preparation states passes one readout test.  Its 3^n
 settings are not evolved: every map a setting applies acts on one qubit, a
 basis rotation on its qubit, a measure's decay on the measured qubit and,
 with idle decay on, each rotation's decay on every other active qubit.  So
@@ -105,7 +99,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from importlib import resources
@@ -318,10 +312,9 @@ def builtin_backend(name: str) -> BackendModel:
 # --- execution ---------------------------------------------------------------
 
 
-def _check_topology(circuit: Circuit, backend: BackendModel, start: int) -> None:
-    """Raise TopologyError for the first cx from instruction ``start`` on that
-    sits outside the coupling map."""
-    bad = validate_topology(circuit, backend.coupling, start)
+def _check_topology(circuit: Circuit, backend: BackendModel) -> None:
+    """Raise TopologyError for the first cx that sits outside the coupling map."""
+    bad = validate_topology(circuit, backend.coupling)
     if bad:
         pos, control, target = bad[0]
         raise TopologyError(
@@ -423,14 +416,12 @@ def _positions(layout: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return held, where
 
 
-def _gather(rho: np.ndarray, layout: tuple[int, ...], order: tuple[int, ...],
-            out: np.ndarray | None = None) -> np.ndarray:
+def _gather(rho: np.ndarray, layout: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
     """The ``(B, 4**k)`` stack ``rho`` stored in ``layout``, moved by one
-    flat ``take`` (into ``out`` when given) into ``order``: each value lands
-    where ``transpose`` and ``reshape`` of its states to that order put it.
-    The index is always in range; ``mode="clip"`` only skips the bounds check
-    and the buffer ``"raise"`` copies ``out`` through."""
-    return rho.take(_positions(layout)[1][_positions(order)[0]], axis=1, out=out, mode="clip")
+    flat ``take`` into ``order``: each value lands where ``transpose`` and
+    ``reshape`` of its states to that order put it.  The index is always in
+    range; ``mode="clip"`` only skips the bounds check."""
+    return rho.take(_positions(layout)[1][_positions(order)[0]], axis=1, mode="clip")
 
 
 def _apply(sup: np.ndarray, rho: np.ndarray, layout: tuple[int, ...],
@@ -450,24 +441,6 @@ def _apply(sup: np.ndarray, rho: np.ndarray, layout: tuple[int, ...],
         rho = _gather(rho, layout, order)
     n = 1 << (2 * len(axes))
     return np.matmul(sup.reshape(n, n), rho.reshape(len(rho), n, -1)).reshape(len(rho), -1), order
-
-
-def _shared_prefix(a: tuple[Gate | Measure, ...], b: tuple[Gate | Measure, ...]) -> int:
-    """Number of leading instructions two instruction tuples have in common.
-
-    ``Circuit.then`` shares both circuits' instruction objects, so an
-    identical object is equal without comparing fields.
-    """
-    n = min(len(a), len(b))
-    for i in range(n):
-        if a[i] is not b[i] and a[i] != b[i]:
-            return i
-    return n
-
-
-def _ground(k: int) -> np.ndarray:
-    """|0...0><0...0| on k qubits as a stack of one, shaped (1, 4**k)."""
-    return np.eye(1, 1 << (2 * k), dtype=complex)
 
 
 def _maps(inst: Gate | Measure, backend: BackendModel,
@@ -493,111 +466,46 @@ def _maps(inst: Gate | Measure, backend: BackendModel,
     return tuple(maps)
 
 
-# bound on the bytes of evolved states held for one stacked check
-_CHECK_BYTES = 1 << 16
-
-
 def _check_readout(states: np.ndarray) -> None:
-    """The readout's test of a ``(B, d, d)`` stack of final states: each
-    must be Hermitian and unit-trace within 1e-9 as ``_certified`` tests
-    them, and a stack that is not goes to ``check_density_matrix``, which
-    decides and words the ``ValueError``.
+    """The readout's test of a final state, or of a ``(B, d, d)`` stack of
+    them: each must be Hermitian and unit-trace within 1e-9 as
+    ``_certified`` tests them, and one that is not goes to
+    ``check_density_matrix``, which decides and words the ``ValueError``.
 
     Positivity is not tested per state, nor trace per map: every evolution
     starts from |0...0><0...0|, and every map it applies passed
     ``_check_channel``.  Hermiticity and trace can still break where states
     are laid out or copied, and a NaN fails here."""
-    if not _certified(states, 1e-9):
+    if not _certified(states.reshape(-1, *states.shape[-2:]), 1e-9):
         check_density_matrix(states)
 
 
-def _checked(chunks: Iterable[tuple[list[Circuit], np.ndarray, tuple[int, ...]]],
-             check: Callable[[np.ndarray], None]
-             ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Pass ``_evolve``'s chunks on, each once ``check`` passes its states as
-    one stack: ``_check_readout`` for states that are only read out,
-    ``check_density_matrix`` for a state handed out.  A failure names the
-    chunk's circuits by position."""
-    end = 0
-    for circuits, states, active in chunks:
-        end += len(circuits)
-        try:
-            check(states)
-        except ValueError as exc:
-            raise ValueError(f"circuits {end - len(circuits)}..{end - 1}: {exc}") from None
-        yield circuits, states, active
-        del states  # not held while the next chunk evolves
-
-
-def _evolve(circuits: Sequence[Circuit], backend: BackendModel,
-            active: tuple[int, ...] | None = None
-            ) -> Iterator[tuple[list[Circuit], np.ndarray, tuple[int, ...]]]:
-    """Yield the circuits chunk by chunk, each chunk with the ``(count,
-    2**k, 2**k)`` stack of its circuits' final active-register states and
-    the active qubits.  Each circuit starts from |0...0> on ``active``, or on
-    the qubits it touches when ``active`` is None.  A chunk holds at most
-    ``_CHECK_BYTES`` of states, or one circuit's; a yielded stack must not be
-    written to.
-
-    Before anything evolves, what each circuit adds to the prefix it shares
-    with the circuit before it is checked: a cx off the coupling map raises
-    ``TopologyError``, and a qubit outside ``active`` a ``ValueError``
-    naming the circuit.  A state evolves as a ``(1, 4**k)`` stack stored in
-    the layout ``_apply`` left it in, and each circuit's final state is
-    gathered into the chunk in the canonical order.  ``saved`` holds
-    checkpoints (instructions applied, state, its layout), deepest last, on
-    the prefix of the circuit evolved last: each circuit resumes from the
-    deepest one that is a prefix of its own.  ``steps`` holds each
-    instruction's ``_maps`` on the active register.
-    """
-    instructions = [circuit.instructions for circuit in circuits]
-    # shared[i]: the leading instructions circuits i and i + 1 have in common
-    shared = [*map(_shared_prefix, instructions, instructions[1:]), 0]
-    fresh = 0
-    for i, circuit in enumerate(circuits):
-        _check_topology(circuit, backend, fresh)
-        if active is not None:
-            outside = _qubits(instructions[i][fresh:]).difference(active)
-            if outside:
-                raise ValueError(f"circuit {i} acts on qubit {max(outside)}, outside the "
-                                 f"start's qubits {active}")
-        fresh = shared[i]
-    fixed, saved, pending = active is not None, [], []
-    for i, circuit in enumerate(circuits):
-        while saved and saved[-1][0] > (shared[i - 1] if i else 0):
-            saved.pop()
-        touched = active if fixed else tuple(sorted(_qubits(instructions[i]), reverse=True))
-        if not saved or touched != active:
-            if pending:
-                yield pending, states[:len(pending)], active
-                pending = []
-            active, canonical = touched, tuple(range(2 * len(touched)))
-            saved, steps = [(0, _ground(len(touched)), canonical)], {}
-        depth, rho, layout = saved[-1]
-        if not pending:
-            k = len(active)
-            axis = {q: a for a, q in enumerate(active)}
-            chunk = max(1, _CHECK_BYTES // (16 << (2 * k)))
-            states = np.empty((chunk, 1 << k, 1 << k), dtype=complex)
-        branch = shared[i]
-        for pos in range(depth, len(instructions[i])):
-            # keyed by identity: the circuits hold every instruction while this runs
-            inst = instructions[i][pos]
-            maps = steps.get(id(inst))
-            if maps is None:
-                maps = steps[id(inst)] = _maps(inst, backend, axis)
-            for sup, axes in maps:
-                rho, layout = _apply(sup, rho, layout, axes, k)
-            if pos + 1 == branch:
-                saved.append((branch, rho, layout))
-        _gather(rho, layout, canonical, out=states[len(pending)].reshape(1, -1))
-        del rho  # the final state lives on in ``states``, and as a checkpoint if one
-        pending.append(circuit)
-        if len(pending) == chunk:
-            yield pending, states, active
-            pending = []
-    if pending:
-        yield pending, states[:len(pending)], active
+def _evolve(circuit: Circuit, backend: BackendModel, active: tuple[int, ...] | None = None
+            ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The ``(2**k, 2**k)`` final state of a circuit evolved from |0...0> on
+    ``active``, or on the qubits it touches when ``active`` is None, and
+    those active qubits.  A qubit outside ``active`` raises ``ValueError``
+    before anything evolves; the caller has checked the circuit's cx
+    placements (``_check_topology``).  The state evolves as a ``(1, 4**k)``
+    stack stored in the layout ``_apply`` left it in, and is gathered into
+    the canonical order at the end."""
+    touched = _qubits(circuit.instructions)
+    if active is None:
+        active = tuple(sorted(touched, reverse=True))
+    elif outside := touched.difference(active):
+        raise ValueError(f"circuit acts on qubit {max(outside)}, outside the start's "
+                         f"qubits {active}")
+    k = len(active)
+    axis = {q: a for a, q in enumerate(active)}
+    canonical = tuple(range(2 * k))
+    # |0...0><0...0| as a stack of one state, stored canonically
+    rho, layout = np.eye(1, 1 << (2 * k), dtype=complex), canonical
+    for inst in circuit.instructions:
+        for sup, axes in _maps(inst, backend, axis):
+            rho, layout = _apply(sup, rho, layout, axes, k)
+    if layout != canonical:
+        rho = _gather(rho, layout, canonical)
+    return rho.reshape(1 << k, 1 << k), active
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -723,58 +631,33 @@ def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: Backend
 
 _readout = operator.attrgetter("measurements", "classical_count")
 
-# bound on the bytes of diagonals held for one readout: 1,024 five-qubit states
-_READOUT_BYTES = 1 << 18
-
-
-def _runs(circuits: Sequence[Circuit], backend: BackendModel
-          ) -> Iterator[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]]:
-    """Yield runs of consecutive circuits on the same active qubits with the
-    same measures and creg size: the ``(rows, 2**k)`` stack of their final
-    states' real diagonals, the active qubits, the measures and the creg
-    size.  A run holds at most ``_READOUT_BYTES`` of diagonals, or one
-    chunk's."""
-    key, blocks, held = None, [], 0
-    for chunk, states, active in _checked(_evolve(circuits, backend), _check_readout):
-        diagonals = np.diagonal(states, axis1=1, axis2=2).real
-        for readout, run in itertools.groupby(chunk, _readout):
-            rows = len(list(run))
-            size = rows * diagonals.itemsize << len(active)
-            if blocks and (key != (active, *readout) or held + size > _READOUT_BYTES):
-                yield np.concatenate(blocks), *key
-                blocks, held = [], 0
-            key = (active, *readout)
-            blocks.append(diagonals[:rows].copy())
-            held += size
-            diagonals = diagonals[rows:]
-        del states, diagonals  # not held while the next chunk evolves
-    if blocks:
-        yield np.concatenate(blocks), *key
-
 
 def _check_shots(shots: int | None) -> None:
-    if shots is not None and not 1 <= shots <= MAX_SHOTS:
+    """Raise ValueError unless ``shots`` is None or an integer (a numpy one
+    too, but no bool) from 1 to ``MAX_SHOTS``."""
+    if shots is None:
+        return
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if not 1 <= shots <= MAX_SHOTS:
         bound = "positive" if shots < 1 else f"at most {MAX_SHOTS}"
         raise ValueError(f"shots must be {bound}, got {shots}")
 
 
-def _blocks(runs: Iterable[tuple[np.ndarray, tuple[int, ...], tuple[Measure, ...], int]],
-            backend: BackendModel, shots: int | None, seeds: Sequence[int | None] | None
-            ) -> Iterator[tuple[int, np.ndarray | None]]:
-    """Each run of diagonals, as ``_runs`` yields them, read out in order: its
-    row count and its read-only ``(rows, 2**m)`` exact weights, or counts with
-    row r drawn with ``seeds[r]``; the weights are None for a run that
-    measures nothing, which sampling rejects."""
-    done = 0
-    for diagonals, active, measures, count in runs:
-        rows = len(diagonals)
-        block = _distributions(diagonals, active, measures, count)
-        if shots is not None:
-            if block is None:
-                raise ValueError("circuit has no measurements to sample")
-            block = _sample(block, measures, backend, shots, seeds[done:done + rows])
-        yield rows, block
-        done += rows
+def _read(diagonals: np.ndarray, active: tuple[int, ...], circuit: Circuit,
+          backend: BackendModel, shots: int | None, seeds: Sequence[int | None] | None
+          ) -> np.ndarray | None:
+    """The ``(rows, 2**k)`` real diagonals of final states on ``active``
+    read out by ``circuit``'s measures: read-only ``(rows, 2**m)`` exact
+    weights when ``shots`` is None (None when it measures nothing), else
+    counts with row r drawn with ``seeds[r]``; sampling a circuit that
+    measures nothing raises ``ValueError``."""
+    weights = _distributions(diagonals, active, *_readout(circuit))
+    if shots is None:
+        return weights
+    if weights is None:
+        raise ValueError("circuit has no measurements to sample")
+    return _sample(weights, circuit.measurements, backend, shots, seeds)
 
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
@@ -785,24 +668,33 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
     With ``shots=None`` each result carries only ``probabilities``, the same
     weights ``execute_exact`` returns (None for a circuit that measures
     nothing); otherwise it is what ``execute`` returns with the matching
-    entry of ``seeds``.  Shots outside 1..``MAX_SHOTS``, or not one seed per
-    circuit, raise ``ValueError``, and a cx off the coupling map in any
-    circuit ``TopologyError``, before anything is evolved.  The circuits
-    run through the evolution loop, each on the qubits it touches, and each
-    run of consecutive circuits on the same active qubits with the same
-    measures and creg size is read out as one stack: its results are yielded
-    once its last circuit is evolved, or once it holds 256 KiB of diagonals.
+    entry of ``seeds``.  Shots that are no integer from 1 to ``MAX_SHOTS``,
+    or not one seed per circuit, raise ``ValueError``, and a cx off the
+    coupling map in any circuit ``TopologyError``, before anything is
+    evolved.  Each circuit is then evolved on the qubits it touches, its
+    final state passes the readout test (a failure names it, ``circuit i:
+    ...``) and is read out, and its result is yielded before the next
+    circuit evolves.
     """
     _check_shots(shots)
     if shots is not None and (seeds is None or len(seeds) != len(circuits)):
         raise ValueError("sampling needs one seed per circuit")
-    for rows, block in _blocks(_runs(circuits, backend), backend, shots, seeds):
+    for circuit in circuits:
+        _check_topology(circuit, backend)
+    for i, circuit in enumerate(circuits):
+        state, active = _evolve(circuit, backend)
+        try:
+            _check_readout(state)
+        except ValueError as exc:
+            raise ValueError(f"circuit {i}: {exc}") from None
+        block = _read(np.diagonal(state).real[None], active, circuit, backend, shots,
+                      None if seeds is None else seeds[i:i + 1])
         if block is None:
-            yield from (ExecutionResult() for _ in range(rows))
+            yield ExecutionResult()
         elif shots is None:
-            yield from (ExecutionResult(probabilities=row) for row in block)
+            yield ExecutionResult(probabilities=block[0])
         else:
-            yield from (ExecutionResult(counts=row, shots=shots) for row in block)
+            yield ExecutionResult(counts=block[0], shots=shots)
 
 
 def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...], backend: BackendModel
@@ -902,33 +794,41 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     applies to it, d being digit j of s in base 3 (the first digit most
     significant), and no setting gate acts on more than one qubit.
 
-    Each preparation is evolved once, alone, on the qubits it and its first
-    setting touch, and no setting circuit is evolved.  Consecutive
+    Each preparation's cx placements are checked before anything evolves.
+    Each preparation is then evolved once, alone, on the qubits it and its
+    first setting touch, and no setting circuit is evolved.  Consecutive
     preparations on the same qubits with the same settings form a group: the
-    stack of its preparation states passes one readout test, and its
-    settings' diagonals are read out of it (``_setting_diagonals``).  Without
-    noise they are bitwise those the setting circuits leave, and with it,
-    idle decay on or off, within rounding (1e-15).  Also returned, per group
-    in order: its active qubits and the ``(count, 2**k, 2**k)`` stack of its
-    preparations' evolved states.
+    stack of its preparation states passes one readout test (a failure names
+    the group's preparations by position, ``circuits a..b: matrix j: ...``),
+    and its settings' diagonals are read out of it (``_setting_diagonals``).
+    Without noise they are bitwise those the setting circuits leave, and
+    with it, idle decay on or off, within rounding (1e-15).  Also returned,
+    per group in order: its active qubits and the ``(count, 2**k, 2**k)``
+    stack of its preparations' evolved states.
     """
     _check_shots(shots)
+    for prep in preps:
+        _check_topology(prep, backend)
     keys = [(chain, tuple(sorted(_qubits(prep.then(chain[0]).instructions), reverse=True)))
             for prep, chain in zip(preps, settings)]
     out = np.empty((len(preps), len(settings[0]), 1 << settings[0][0].classical_count),
                    dtype=float if shots is None else np.intp)
     rows = out.reshape(-1, out.shape[2])
-    groups, at = [], 0
+    groups, first = [], 0
     for (chain, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
         stack = [prep for _, prep in jobs]
-        states = np.concatenate([states for _, states, _ in _evolve(stack, backend, active)])
-        ((_, states, _),) = _checked([(stack, states, active)], _check_readout)
+        last = first + len(stack)
+        states = np.stack([_evolve(prep, backend, active)[0] for prep in stack])
+        try:
+            _check_readout(states)
+        except ValueError as exc:
+            raise ValueError(f"circuits {first}..{last - 1}: {exc}") from None
         groups.append((active, states))
         diagonals = _setting_diagonals(states, active, _setting_maps(chain, active, backend))
-        ((size, block),) = _blocks([(diagonals, active, *_readout(chain[0]))], backend, shots,
-                                   None if seeds is None else seeds[at:])
-        rows[at:at + size] = block
-        at += size
+        at, end = first * len(chain), last * len(chain)
+        rows[at:end] = _read(diagonals, active, chain[0], backend, shots,
+                             None if seeds is None else seeds[at:end])
+        first = last
     return out, groups
 
 
@@ -944,8 +844,8 @@ def _exact_state(circuit: Circuit, active: tuple[int, ...],
     bits."""
     if active != tuple(sorted(_qubits(circuit.instructions), reverse=True)):
         return None
-    ((_, states, _),) = _checked([([circuit], state[None], active)], check_density_matrix)
-    return _full_register(states[0], active, circuit.qubit_count)
+    check_density_matrix(state)
+    return _full_register(state, active, circuit.qubit_count)
 
 
 def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
@@ -954,11 +854,13 @@ def execute_exact(circuit: Circuit, backend: BackendModel) -> ExecutionResult:
     ``final_state`` is the register state after all instructions (including
     measure-duration decay when noise is on); ``probabilities`` holds the
     exact outcome weights by outcome index, or None when nothing is measured.
+    A cx off the coupling map raises ``TopologyError`` before anything
+    evolves.
     """
-    ((_, states, active),) = _evolve([circuit], backend)
-    final_state = _exact_state(circuit, active, states[0])
-    weights = _distributions(np.diagonal(states, axis1=1, axis2=2).real, active,
-                             *_readout(circuit))
+    _check_topology(circuit, backend)
+    state, active = _evolve(circuit, backend)
+    final_state = _exact_state(circuit, active, state)
+    weights = _distributions(np.diagonal(state).real[None], active, *_readout(circuit))
     return ExecutionResult(final_state=final_state,
                            probabilities=None if weights is None else weights[0])
 

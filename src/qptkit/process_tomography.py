@@ -454,9 +454,15 @@ def run_qpt(
     that is (control, target) and the pair must sit on the backend's
     coupling map.  ``shots=None`` runs on exact outcome probabilities and
     derives no seeds; otherwise every tomography circuit is sampled with
-    ``shots`` shots using per-circuit seeds derived from ``seed``.
+    ``shots`` shots using per-circuit seeds derived from ``seed``.  A line
+    that is no integer (a numpy one is, a bool or a float is not) raises
+    ``ValueError``.
     """
-    lines = tuple(int(x) for x in lines)
+    lines = tuple(lines)
+    for q in lines:
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise ValueError(f"lines must be integers, got {lines}")
+    lines = tuple(map(int, lines))
     arity = GATE_ARITY.get(gate)
     if arity is None:
         raise ValueError(f"unknown gate {gate!r}")

@@ -214,14 +214,10 @@ class CouplingMap:
         return (control, target) in self.pairs
 
 
-def validate_topology(circuit: Circuit, coupling: CouplingMap,
-                      start: int = 0) -> list[tuple[int, int, int]]:
-    """Return (instruction index, control, target) for every cx off the map,
-    from instruction ``start`` on."""
+def validate_topology(circuit: Circuit, coupling: CouplingMap) -> list[tuple[int, int, int]]:
+    """Return (instruction index, control, target) for every cx off the map."""
     bad = []
-    instructions = circuit.instructions
-    for pos in range(start, len(instructions)):
-        inst = instructions[pos]
+    for pos, inst in enumerate(circuit.instructions):
         if isinstance(inst, Gate) and inst.name == "cx":
             control, target = inst.targets
             if not coupling.allows(control, target):

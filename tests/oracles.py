@@ -11,10 +11,13 @@ time; both reconstruct, combine and invert as the package did before it
 worked on stacks and per-qubit tables (``kraus_apply``, ``combine_by_label``,
 ``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own, and
-``setting_circuits`` every setting's circuit that way.  ``distribution`` and ``sample`` read out one circuit
-at a time, as the backend did before it read out each checked chunk as one
-stack; ``sample`` folds the readout flips in with ``flipped``, which
-``flip_matrix`` writes as a Kronecker product.
+``setting_circuits`` every setting's circuit that way.  ``distribution`` and
+``sample`` read out one circuit's final state, evolved alone as the backend
+evolves every circuit, with a sequential total and ``default_rng``, where
+the backend reads rows through its batched readout, one per circuit in
+``execute_many`` and a group's settings at once in tomography; ``sample``
+folds the readout flips in with ``flipped``, which ``flip_matrix`` writes as
+a Kronecker product.
 ``pauli_string_matrix`` is a Pauli string as a dense Kronecker product, the
 reference for state tomography: ``dense_state`` is the dense sum
 2^-n sum_P <P> P over the Z-filled estimates.

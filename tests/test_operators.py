@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary, random_density
 from oracles import density_violation, embed_gate, pauli_string_matrix
-from qptkit.backend import _CHECK_BYTES, _check_readout
+from qptkit.backend import _check_readout
 from qptkit.operators import (
     GATES,
     _certified,
@@ -245,9 +245,9 @@ def test_stacked_check_matches_eigvalsh_oracle(d, kinds, layout, seed):
     mats = [_matrix_of_kind(rng, d, kind) for kind in (kinds[:1] or ["mixed"]
                                                        if layout == "single" else kinds)]
     if layout == "long":
-        # the drawn kinds among valid states, more than one chunk of a stacked check
+        # the drawn kinds among valid states, a stack of more than 64 KiB
         filler = random_density(rng, d)
-        drawn, mats = mats, [filler] * (_CHECK_BYTES // (16 * d * d) + 1)
+        drawn, mats = mats, [filler] * ((1 << 12) // (d * d) + 1)
         for m in drawn:
             mats.insert(int(rng.integers(len(mats) + 1)), m)
     want = next(((i, msg) for i, msg in enumerate(map(density_violation, mats)) if msg), None)
@@ -279,6 +279,9 @@ def test_mirrored_infinite_entries_are_rejected_without_a_warning(d):
         with pytest.raises(ValueError, match="^matrix 0: density matrix contains non-finite "
                                              "entries$"):
             _check_readout(rho[None])
+        # one state, as execute_many tests each circuit's
+        with pytest.raises(ValueError, match="^density matrix contains non-finite entries$"):
+            _check_readout(rho)
 
 
 @pytest.mark.parametrize("d", [2, 4, 32])

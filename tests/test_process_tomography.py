@@ -750,12 +750,12 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
 
 
 def test_run_qpt_is_one_stream(qx4, monkeypatch):
-    streams, checks = [], []
+    evolved, checks = [], []
     evolve = backend_module._evolve
 
-    def counting_evolve(circuits, backend, active=None):
-        streams.append((len(circuits), active))
-        return evolve(circuits, backend, active)
+    def counting_evolve(circuit, backend, active=None):
+        evolved.append(active)
+        return evolve(circuit, backend, active)
 
     monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
     for name in ("_check_readout", "check_density_matrix"):
@@ -765,20 +765,20 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
             return original(matrices, *args, **kwargs)
         monkeypatch.setattr(backend_module, name, counting_check)
     run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
-    # the 16 preparations in one stream, whose 16 states pass the readout
-    # test as one stack and are read out in the 9 settings, which do not
-    # evolve; no full check
-    assert streams == [(16, (4, 2))] and checks == [("_check_readout", 16)]
-    streams.clear()
+    # the 16 preparations evolve once each, and their 16 states pass the
+    # readout test as one stack and are read out in the 9 settings, which do
+    # not evolve; no full check
+    assert evolved == [(4, 2)] * 16 and checks == [("_check_readout", 16)]
+    evolved.clear()
     checks.clear()
     run_qpt("h", (0,), qx4)
-    assert streams == [(4, (0,))] and checks == [("_check_readout", 4)]
-    streams.clear()
+    assert evolved == [(0,)] * 4 and checks == [("_check_readout", 4)]
+    evolved.clear()
     checks.clear()
     # with idle decay too, the settings are read out of the 16 states, and no
     # setting circuit evolves
     run_qpt("cx", (2, 4), qx4.with_idle_decay(True))
-    assert streams == [(16, (4, 2))] and checks == [("_check_readout", 16)]
+    assert evolved == [(4, 2)] * 16 and checks == [("_check_readout", 16)]
 
 
 def test_run_qpt_argument_errors(qx4):
@@ -792,6 +792,22 @@ def test_run_qpt_argument_errors(qx4):
         run_qpt("h", (9,), qx4)
     with pytest.raises(TopologyError, match="coupling map"):
         run_qpt("cx", (0, 1), qx4)
+
+
+def test_run_qpt_lines_must_be_integers(qx4_quiet, monkeypatch):
+    # (0.7,) would tomograph line 0 and (True,) line 1 if they were truncated
+    def evolve(*args):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(backend_module, "_evolve", evolve)
+    for lines in ((0.7,), (True,), (1.0,), (np.bool_(True),), ("1",), (3, 2.0)):
+        with pytest.raises(ValueError, match=r"^lines must be integers, got \("):
+            run_qpt("cx" if len(lines) == 2 else "h", lines, qx4_quiet)
+    monkeypatch.undo()
+    # numpy integers are integers, and the result holds Python ints
+    res = run_qpt("h", [np.int64(1)], qx4_quiet)
+    assert res.lines == (1,) and type(res.lines[0]) is int
+    assert np.array_equal(res.chi.matrix, run_qpt("h", (1,), qx4_quiet).chi.matrix)
 
 
 def test_project_result(qx4_quiet):

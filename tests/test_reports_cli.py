@@ -634,9 +634,9 @@ def test_cli_qst_reference_failing_its_density_check_reads_as_before(tmp_path, m
     check = qptkit.backend.check_density_matrix
 
     def failing_alone(states, **kwargs):
-        # the reference is checked alone, the settings' states four at a time
-        if len(states) == 1:
-            raise ValueError("matrix 0: density matrix is not Hermitian")
+        # the reference is checked alone, as one matrix
+        if states.ndim == 2:
+            raise ValueError("density matrix is not Hermitian")
         return check(states, **kwargs)
 
     monkeypatch.setattr(qptkit.backend, "check_density_matrix", failing_alone)
@@ -650,8 +650,7 @@ def test_cli_qst_reference_failing_its_density_check_reads_as_before(tmp_path, m
             main(["qst", "--circuit", str(circuit), "--backend", "qx4",
                   "--out", str(tmp_path / "out")])
         errors.append(exc.value.code)
-    assert errors == [f"error: {circuit}: circuits 0..0: matrix 0: density matrix is not "
-                      "Hermitian"] * 2
+    assert errors == [f"error: {circuit}: density matrix is not Hermitian"] * 2
     assert not (tmp_path / "out").exists()
 
 

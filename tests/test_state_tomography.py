@@ -484,7 +484,7 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
     settings = setting_circuits((4, 3, 2, 1, 0), 5)
     seeds = child_seeds(3, len(settings))
     for row, setting, seed in zip(got, settings, seeds, strict=True):
-        # each setting alone through execute_many: no stack, no shared prefix
+        # each setting alone through execute_many
         (alone,) = execute_many([prep.then(setting)], backend, shots,
                                 None if shots is None else [seed])
         _assert_rows(row, alone.probabilities if shots is None else alone.counts,
@@ -538,7 +538,7 @@ def test_collect_dataset_evolves_the_preparation_once(qx4_quiet, monkeypatch):
     assert len(applied) == 4
 
 
-def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypatch):
+def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet):
     # the settings are built once per key and share their objects
     assert _setting_circuits((4, 1), 5) is _setting_circuits((4, 1), 5)
     circuits = _setting_circuits((4, 1), 5)
@@ -548,19 +548,10 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet, monkeypa
     alone = [append_setting(prep, tag, (4, 1)).instructions[3:] for tag in qst_settings(2)]
     assert [list(c.instructions) for c in circuits] == [list(s) for s in alone]
     assert len({id(inst) for c in circuits for inst in c.instructions}) == 2 + 4 + 2
-    compared = []
-    for cls in (Gate, Measure):
-        def recording(self, other, original=cls.__eq__):
-            compared.append((self, other))
-            return original(self, other)
-        monkeypatch.setattr(cls, "__eq__", recording)
-    # execute_many runs the joined circuits, and neighbouring settings are
-    # compared by value only where they branch apart
+    # execute_many runs the joined circuits, and collect_weights reads the
+    # same rows out of the preparation's state
     idle = qx4_quiet.with_noise(True).with_idle_decay(True)
     stream = [r.probabilities for r in execute_many([prep.then(c) for c in circuits], idle)]
-    monkeypatch.undo()
-    assert compared and all(a != b for a, b in compared)
-    # collect_weights reads the same rows out of the preparation's state
     weights = collect_weights([prep], idle, (4, 1))
     _assert_rows(weights[0], stream, bitwise=False)
     assert np.array_equal(weights[0], collect_dataset(prep, idle, (4, 1)).weights)
@@ -597,24 +588,23 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
     preps = [parse_qasm(wide), parse_qasm(wide).extended(Gate("s", (4,))),
              parse_qasm("OPENQASM 2.0;\nqreg q[5];\nx q[0];\n"),
              parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[1];\n")]
-    stacks = []
-    evolve = qptkit.backend._evolve
-
-    def recording(circuits, backend, active=None):
-        if active is not None:  # a stack of preparations, not execute_many's stream
-            stacks.append((len(circuits), active))
-        return evolve(circuits, backend, active)
-
-    monkeypatch.setattr(qptkit.backend, "_evolve", recording)
+    evolved, stacks = [], []
+    evolve, check_readout = qptkit.backend._evolve, qptkit.backend._check_readout
+    monkeypatch.setattr(qptkit.backend, "_evolve",
+                        lambda circuit, backend, active=None: evolved.append(active)
+                        or evolve(circuit, backend, active))
+    monkeypatch.setattr(qptkit.backend, "_check_readout",
+                        lambda states: stacks.append(len(states)) or check_readout(states))
     seeds = [11, 12, 13, 14]
     for shots in (None, 300):
+        evolved.clear()
         stacks.clear()
         got = collect_weights(preps, qx4, (1, 0), shots, seeds)
-        # the two preparations on q4 q2 q1 q0 evolve as one stack, whose
-        # settings are read out of their states; q1 q0 of a 5-qubit and of a
-        # 3-qubit register are two more
+        # the two preparations on q4 q2 q1 q0 form one stack, whose settings
+        # are read out of their states; q1 q0 of a 5-qubit and of a 3-qubit
+        # register are two more
         wide, narrow = (4, 2, 1, 0), (1, 0)
-        assert stacks == [(2, wide), (1, narrow), (1, narrow)]
+        assert evolved == [wide, wide, narrow, narrow] and stacks == [2, 1, 1]
         circuits = [p.then(c) for p in preps for c in setting_circuits((1, 0), p.qubit_count)]
         circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
         want = [r.probabilities if shots is None else r.counts
@@ -788,12 +778,11 @@ def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, nois
     monkeypatch.setattr(qptkit.backend, "_apply",
                         lambda sup, rho, *args: applied.append(len(rho)) or apply(sup, rho, *args))
     monkeypatch.setattr(qptkit.backend, "check_density_matrix",
-                        lambda m, *args, **kwargs: full.append(len(m)) or check(m, *args, **kwargs))
+                        lambda m, *args, **kwargs: full.append(m.shape) or check(m, *args, **kwargs))
     monkeypatch.setattr(qptkit.backend, "_check_readout",
                         lambda m: readout.append(len(m)) or check_readout(m))
     monkeypatch.setattr(qptkit.backend, "_evolve",
-                        lambda circuits, *args: evolved.append(list(circuits))
-                        or evolve(circuits, *args))
+                        lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
     run = run_qst(circuit, qx4.with_noise(noise).with_idle_decay(idle))
     assert run.reference is not None
     # only the circuit evolves, its 24 gates on one state, with idle decay
@@ -801,9 +790,9 @@ def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, nois
     # single-qubit gates, 3 after each of the 7 cx); the 243 settings are
     # read out of that state, and no setting circuit evolves; its stack
     # passes the readout test, and the reference meets the full check
-    assert evolved == [[circuit]]
+    assert evolved == [circuit]
     assert applied == [1] * (24 + (17 * 4 + 7 * 3 if idle else 0))
-    assert readout == [1] and full == [1]
+    assert readout == [1] and full == [(32, 32)]
 
 
 def test_forty_preparations_read_out_from_one_stack(qx4_quiet, monkeypatch):
@@ -813,15 +802,14 @@ def test_forty_preparations_read_out_from_one_stack(qx4_quiet, monkeypatch):
     evolved, readout = [], []
     evolve, check_readout = qptkit.backend._evolve, qptkit.backend._check_readout
     monkeypatch.setattr(qptkit.backend, "_evolve",
-                        lambda circuits, *args: evolved.append(len(circuits))
-                        or evolve(circuits, *args))
+                        lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
     monkeypatch.setattr(qptkit.backend, "_check_readout",
                         lambda m: readout.append(len(m)) or check_readout(m))
     got = collect_weights(preps, qx4_quiet, lines)
     monkeypatch.undo()
-    # the 40 preparations evolve once, as one stack, which passes one readout
-    # test; no setting circuit evolves
-    assert evolved == [40] and readout == [40]
+    # the 40 preparations evolve once each, and their stack passes one
+    # readout test; no setting circuit evolves
+    assert evolved == preps and readout == [40]
     want = [r.probabilities for r in execute_many(
         [p.then(s) for p in preps for s in setting_circuits(lines, 5)], qx4_quiet)]
     assert np.array_equal(got.reshape(-1, 32), want)
