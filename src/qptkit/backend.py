@@ -63,17 +63,31 @@ outcome and normalised to total 1; a diagonal whose negative entries sum
 below -1e-12 raises ``ValueError`` instead of being clipped.
 
 Sampled counts are ``Multinomial(shots, p')``, one ``Generator.multinomial``
-per circuit from its own generator: PCG64 on the words of
-``np.random.SeedSequence(seed)``, bitwise the generator
-``np.random.default_rng(seed)`` builds.  numpy mixes each seed into its
-pool; ``_seed_words`` runs the output hash of ``generate_state`` once over
-all the pools of a readout.  p' is the outcome weights with each measured
-classical bit's readout flip f folded in, in increasing classical-bit
-order: p' = (1-f) p' + f p'[i ^ (1 << bit)].  Flips are independent per
-shot and per bit, so this is exact in distribution.  Identical (circuit,
-backend, shots, seed) reproduce identical counts under one numpy version;
-numpy does not promise its binomial draws stay the same across versions.
-``seed=None`` draws fresh entropy.
+per row from its own PCG64, seeded with 4 uint64 words (``_Words``).  In
+``execute`` and ``execute_many`` a row is a circuit, and its words are
+``np.random.SeedSequence(seed).generate_state(4, np.uint64)``: its generator
+is bitwise the one ``np.random.default_rng(seed)`` builds.  In tomography
+(``_execute_preparations``) a row is a setting, and each preparation's seed
+is expanded once, ``SeedSequence(seed).generate_state(4 * 3**n, np.uint64)``:
+setting s draws on words 4s..4s+3 of it, so each setting keeps a stream of
+its own, and a change to one setting's weights changes no other setting's
+counts.  numpy mixes each seed into its pool; ``_seed_words`` runs the
+output hash of ``generate_state`` once over all the pools of a call.  p' is
+the outcome weights with each measured classical bit's readout flip f
+folded in, in increasing classical-bit order: p' = (1-f) p' + f
+p'[i ^ (1 << bit)].  Flips are independent per shot and per bit, so this is
+exact in distribution.  Identical (circuit, backend, shots, seed)
+reproduce identical counts under one numpy version; numpy does not promise
+its binomial draws stay the same across versions.  ``seed=None`` draws
+fresh entropy.
+
+The maps an instruction applies (``_maps``) and a tomography group's
+per-qubit setting maps (``_setting_maps``) depend only on the instruction
+or the settings, the active qubits and the fields of the model the maps
+read (its ``_map_key``: T1/T2, durations, the noise and idle-decay
+switches).  Each is built once per such key and process, in a cache that
+drops its oldest entry past ``_CACHE_ENTRIES``; models that differ in any
+of those fields never share an entry.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -99,9 +113,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -111,7 +125,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .channels import NoiseParams, _superoperator_matrix, decoherence_channel
 from .operators import GATE_ARITY, _certified, check_density_matrix, num_qubits, standard_gate
-from .qasm import QUBIT_COUNT, Circuit, CouplingMap, Gate, Measure, validate_topology
+from .qasm import QUBIT_COUNT, Circuit, CircuitError, CouplingMap, Gate, Measure, validate_topology
 
 __all__ = [
     "BackendModel",
@@ -166,6 +180,17 @@ class BackendModel:
         if not 0 <= self.measure_duration_ns < math.inf:
             raise ConfigError("measure duration must be finite and non-negative, "
                               f"got {self.measure_duration_ns!r}")
+
+    @cached_property
+    def _map_key(self) -> tuple:
+        """The fields the evolution's maps read, as one hashable value: each
+        qubit's T1 and T2, the gate and measure durations and the two
+        switches.  Models with equal keys apply the same maps, whatever their
+        names, coupling maps or readout flips, so the map tables are cached
+        per key (``_cached``)."""
+        return (tuple((p.t1_us, p.t2_us) for p in self.qubits),
+                tuple(sorted(self.gate_durations_ns.items())), self.measure_duration_ns,
+                self.noise_enabled, self.idle_decay)
 
     def with_noise(self, enabled: bool) -> "BackendModel":
         return replace(self, noise_enabled=enabled)
@@ -373,10 +398,9 @@ def _superoperator(gate: str | None, decay: tuple[NoiseParams, ...],
     significant target first.  The matrix is sum_k K_k (x) K_k^* of the fused
     Kraus operators K_k, built by ``channels._superoperator_matrix`` as
     ``qpt_channel`` builds its map, with the bits of the Kronecker sum it
-    replaced; a decaying ``cx`` map builds and is certified in about 0.43 ms,
-    against 0.65 ms with that sum (2 vCPU VM).  Each map is checked once, as
-    it is built, by ``_check_channel``; one that is no channel raises
-    ValueError naming the gate, the decay and the duration.
+    replaced.  Each map is checked once, as it is built, by
+    ``_check_channel``; one that is no channel raises ValueError naming the
+    gate, the decay and the duration.
     """
     ops = [standard_gate(gate)] if gate is not None else [np.eye(1 << len(decay))]
     if decay:
@@ -443,13 +467,40 @@ def _apply(sup: np.ndarray, rho: np.ndarray, layout: tuple[int, ...],
     return np.matmul(sup.reshape(n, n), rho.reshape(len(rho), n, -1)).reshape(len(rho), -1), order
 
 
-def _maps(inst: Gate | Measure, backend: BackendModel,
-          axis: Mapping[int, int]) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+# the most entries each cache of map tables keeps
+_CACHE_ENTRIES = 4096
+
+
+def _cached(cache: dict, key: Hashable, build: Callable[[], tuple]) -> tuple:
+    """``cache[key]``, built by ``build()`` on a miss; a full cache drops
+    its oldest entry first."""
+    value = cache.get(key)
+    if value is None:
+        if len(cache) >= _CACHE_ENTRIES:
+            del cache[next(iter(cache))]
+        value = cache[key] = build()
+    return value
+
+
+# per (instruction, active qubits, model key): what _maps gives
+_MAPS: dict = {}
+
+
+def _maps(inst: Gate | Measure, active: tuple[int, ...],
+          backend: BackendModel) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
     """The (superoperator, target axes) pairs one instruction applies, in
-    order, on the active qubits ``axis`` maps to their axes: the gate and its
-    decay, or a measure's decay; then, with idle decay, each other active
-    qubit's decay for the gate's duration.  A measure that does not decay
-    applies none."""
+    order, on the ``active`` qubits (qubit ``active[a]`` on axis a): the gate
+    and its decay, or a measure's decay; then, with idle decay, each other
+    active qubit's decay for the gate's duration.  A measure that does not
+    decay applies none.  Built once per (instruction, active qubits, model
+    key)."""
+    return _cached(_MAPS, (inst, active, backend._map_key),
+                   lambda: _instruction_maps(inst, active, backend))
+
+
+def _instruction_maps(inst: Gate | Measure, active: tuple[int, ...],
+                      backend: BackendModel) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    """``_maps``, built."""
     if isinstance(inst, Gate):
         gate, targets = inst.name, inst.targets
         duration = backend.gate_durations_ns[gate]
@@ -459,10 +510,10 @@ def _maps(inst: Gate | Measure, backend: BackendModel,
     if gate is None and not decay:
         return ()
     params = tuple(backend.qubits[q] for q in targets) if decay else ()
-    maps = [(_superoperator(gate, params, duration), tuple([axis[q] for q in targets]))]
+    maps = [(_superoperator(gate, params, duration), tuple([active.index(q) for q in targets]))]
     if decay and gate is not None and backend.idle_decay:
         maps += [(_superoperator(None, (backend.qubits[q],), duration), (a,))
-                 for q, a in axis.items() if q not in targets]
+                 for a, q in enumerate(active) if q not in targets]
     return tuple(maps)
 
 
@@ -496,12 +547,11 @@ def _evolve(circuit: Circuit, backend: BackendModel, active: tuple[int, ...] | N
         raise ValueError(f"circuit acts on qubit {max(outside)}, outside the start's "
                          f"qubits {active}")
     k = len(active)
-    axis = {q: a for a, q in enumerate(active)}
     canonical = tuple(range(2 * k))
     # |0...0><0...0| as a stack of one state, stored canonically
     rho, layout = np.eye(1, 1 << (2 * k), dtype=complex), canonical
     for inst in circuit.instructions:
-        for sup, axes in _maps(inst, backend, axis):
+        for sup, axes in _maps(inst, active, backend):
             rho, layout = _apply(sup, rho, layout, axes, k)
     if layout != canonical:
         rho = _gather(rho, layout, canonical)
@@ -590,20 +640,30 @@ def _seed_words(seeds: Sequence[int | None], count: int) -> np.ndarray:
             raise ValueError(f"seed must be non-negative, got {seed}")
     pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds],
                      dtype=np.uint32).reshape(len(seeds), -1)
-    words = 2 * count
-    # the hash constant before and after word i: INIT_B * MULT_B^i, mod 2^32
-    consts = np.full(words + 1, _MULT_B, dtype=np.uint32)
-    consts[0] = _INIT_B
-    consts = np.cumprod(consts, dtype=np.uint32)
-    state = pools[:, np.arange(words) % pools.shape[1]] ^ consts[:-1]
-    state *= consts[1:]
+    index, before, after = _hash_constants(2 * count, pools.shape[1])
+    state = pools[:, index] ^ before
+    state *= after
     state ^= state >> 16
     return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
+@lru_cache(maxsize=16)
+def _hash_constants(words: int, pool_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For ``words`` 32-bit output words of a pool of ``pool_size``: the
+    pool word each one hashes, and the hash constant before and after it,
+    INIT_B * MULT_B^i mod 2^32 for word i and i + 1; all read-only."""
+    consts = np.full(words + 1, _MULT_B, dtype=np.uint32)
+    consts[0] = _INIT_B
+    consts = np.cumprod(consts, dtype=np.uint32)
+    tables = (np.arange(words) % pool_size, consts[:-1], consts[1:])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class _Words(ISeedSequence):
-    """Seeds a bit generator with words ``_seed_words`` computed: PCG64 asks
-    for 4 uint64 words, and that is the only request it answers."""
+    """Seeds a bit generator with 4 words ``_seed_words`` computed: PCG64
+    asks for 4 uint64 words, and that is the only request it answers."""
 
     def __init__(self, words: np.ndarray) -> None:
         self.words = words
@@ -616,15 +676,16 @@ class _Words(ISeedSequence):
 
 
 def _sample(weights: np.ndarray, measures: tuple[Measure, ...], backend: BackendModel,
-            shots: int, seeds: Sequence[int | None]) -> np.ndarray:
+            shots: int, words: np.ndarray) -> np.ndarray:
     """Read-only ``(rows, 2**count)`` counts, row r drawn from weight row r
-    with ``seeds[r]``, as the module docstring describes."""
+    by PCG64 on the 4 uint64 words ``words[r]``, as the module docstring
+    describes."""
     index = np.arange(weights.shape[1])
     for meas in sorted(measures, key=lambda mm: mm.clbit):
         if (flip := backend.qubits[meas.qubit].readout_flip_prob) > 0.0:
             weights = (1.0 - flip) * weights + flip * weights[:, index ^ (1 << meas.clbit)]
-    counts = np.array([np.random.Generator(np.random.PCG64(_Words(words))).multinomial(shots, row)
-                       for row, words in zip(weights, _seed_words(seeds, 4))], dtype=np.intp)
+    counts = np.array([np.random.Generator(np.random.PCG64(_Words(four))).multinomial(shots, row)
+                       for row, four in zip(weights, words)], dtype=np.intp)
     counts.setflags(write=False)
     return counts
 
@@ -645,19 +706,19 @@ def _check_shots(shots: int | None) -> None:
 
 
 def _read(diagonals: np.ndarray, active: tuple[int, ...], circuit: Circuit,
-          backend: BackendModel, shots: int | None, seeds: Sequence[int | None] | None
+          backend: BackendModel, shots: int | None, words: np.ndarray | None
           ) -> np.ndarray | None:
     """The ``(rows, 2**k)`` real diagonals of final states on ``active``
     read out by ``circuit``'s measures: read-only ``(rows, 2**m)`` exact
     weights when ``shots`` is None (None when it measures nothing), else
-    counts with row r drawn with ``seeds[r]``; sampling a circuit that
-    measures nothing raises ``ValueError``."""
+    counts with row r drawn on the seed words ``words[r]``; sampling a
+    circuit that measures nothing raises ``ValueError``."""
     weights = _distributions(diagonals, active, *_readout(circuit))
     if shots is None:
         return weights
     if weights is None:
         raise ValueError("circuit has no measurements to sample")
-    return _sample(weights, circuit.measurements, backend, shots, seeds)
+    return _sample(weights, circuit.measurements, backend, shots, words)
 
 
 def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
@@ -688,7 +749,7 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
         except ValueError as exc:
             raise ValueError(f"circuit {i}: {exc}") from None
         block = _read(np.diagonal(state).real[None], active, circuit, backend, shots,
-                      None if seeds is None else seeds[i:i + 1])
+                      None if seeds is None else _seed_words(seeds[i:i + 1], 4))
         if block is None:
             yield ExecutionResult()
         elif shots is None:
@@ -697,30 +758,42 @@ def execute_many(circuits: Sequence[Circuit], backend: BackendModel,
             yield ExecutionResult(counts=block[0], shots=shots)
 
 
-def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...], backend: BackendModel
-                  ) -> list[tuple[int, list[list[tuple[np.ndarray, int]]]]]:
+# per (measured qubits, register size, active qubits, model key): what _setting_maps gives
+_SETTING_MAPS: dict = {}
+
+# per measured qubit: its axis and, per letter, its (4, 4) maps with their axes
+_Lines = tuple[tuple[int, tuple[tuple[tuple[np.ndarray, int], ...], ...]], ...]
+
+
+def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
+                  backend: BackendModel) -> _Lines:
     """Per measured qubit of ``_execute_preparations``' settings, in measure
     order: its axis on ``active`` and, per letter, the maps the letter's
     instructions apply, in circuit order, each a (4, 4) matrix with the axis
     of the one qubit it acts on: each rotation on the qubit, followed, with
     idle decay, by the decay of every other active qubit for its duration,
-    then the qubit's measure decay."""
-    n = len(settings[0].measurements)
-    axis = {q: a for a, q in enumerate(active)}
-    lines = []
-    for j, meas in enumerate(settings[0].measurements):
-        letters = []
-        for letter in range(3):
-            instructions = settings[letter * 3 ** (n - 1 - j)].instructions
-            letters.append([(sup.reshape(4, 4), a) for inst in instructions
-                            if _qubits((inst,)) == {meas.qubit}
-                            for sup, (a,) in _maps(inst, backend, axis)])
-        lines.append((axis[meas.qubit], letters))
-    return lines
+    then the qubit's measure decay.  Built once per (measured qubits,
+    register size, active qubits, model key): the settings of those qubits
+    are ``state_tomography``'s, the same on every call."""
+    measured = tuple(meas.qubit for meas in settings[0].measurements)
+
+    def build() -> _Lines:
+        lines = []
+        for j, q in enumerate(measured):
+            letters = []
+            for letter in range(3):
+                instructions = settings[letter * 3 ** (len(measured) - 1 - j)].instructions
+                letters.append(tuple((sup.reshape(4, 4), a) for inst in instructions
+                                     if _qubits((inst,)) == {q}
+                                     for sup, (a,) in _maps(inst, active, backend)))
+            lines.append((active.index(q), tuple(letters)))
+        return tuple(lines)
+
+    return _cached(_SETTING_MAPS, (measured, settings[0].qubit_count, active, backend._map_key),
+                   build)
 
 
-def _setting_diagonals(states: np.ndarray, active: tuple[int, ...],
-                       lines: list[tuple[int, list[list[tuple[np.ndarray, int]]]]]) -> np.ndarray:
+def _setting_diagonals(states: np.ndarray, active: tuple[int, ...], lines: _Lines) -> np.ndarray:
     """The ``(B * 3**n, 2**k)`` real diagonals, preparation by preparation,
     that the final states of n measured qubits' settings would have, from
     the ``(B, 2**k, 2**k)`` stack of preparation states; ``lines`` is what
@@ -780,12 +853,13 @@ def _setting_diagonals(states: np.ndarray, active: tuple[int, ...],
 
 def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
                           backend: BackendModel, shots: int | None = None,
-                          seeds: Sequence[int | None] | None = None
+                          words: np.ndarray | None = None
                           ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
-    """What ``execute_many`` gives for ``prep.then(setting)``, for each
-    setting of each preparation p in turn, with the same seeds, as one
-    ``(len(preps), 3**n, 2**m)`` array: exact weights (float) when ``shots``
-    is None, else counts (int).
+    """The outcome weights of ``prep.then(setting)``, for each setting of
+    each preparation p in turn, as one ``(len(preps), 3**n, 2**m)`` array:
+    exact weights (float), what ``execute_many`` gives, when ``shots`` is
+    None, else counts (int), row r of the settings in turn drawn by PCG64 on
+    the 4 uint64 words ``words[r]``.
 
     ``settings[p]`` holds preparation p's 3**n tomography settings over n
     measured qubits, each measuring them into the same m classical bits.
@@ -794,9 +868,10 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     applies to it, d being digit j of s in base 3 (the first digit most
     significant), and no setting gate acts on more than one qubit.
 
-    Each preparation's cx placements are checked before anything evolves.
-    Each preparation is then evolved once, alone, on the qubits it and its
-    first setting touch, and no setting circuit is evolved.  Consecutive
+    Each preparation's cx placements are checked, and a preparation that
+    measures raises ``CircuitError``, before anything evolves.  Each
+    preparation is then evolved once, alone, on the qubits it and its first
+    setting touch, and no setting circuit is evolved.  Consecutive
     preparations on the same qubits with the same settings form a group: the
     stack of its preparation states passes one readout test (a failure names
     the group's preparations by position, ``circuits a..b: matrix j: ...``),
@@ -809,7 +884,10 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     _check_shots(shots)
     for prep in preps:
         _check_topology(prep, backend)
-    keys = [(chain, tuple(sorted(_qubits(prep.then(chain[0]).instructions), reverse=True)))
+    if any(prep.measurements for prep in preps):
+        raise CircuitError("circuit already contains measurements")
+    keys = [(chain, tuple(sorted(_qubits(prep.instructions + chain[0].instructions),
+                                 reverse=True)))
             for prep, chain in zip(preps, settings)]
     out = np.empty((len(preps), len(settings[0]), 1 << settings[0][0].classical_count),
                    dtype=float if shots is None else np.intp)
@@ -827,7 +905,7 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
         diagonals = _setting_diagonals(states, active, _setting_maps(chain, active, backend))
         at, end = first * len(chain), last * len(chain)
         rows[at:end] = _read(diagonals, active, chain[0], backend, shots,
-                             None if seeds is None else seeds[at:end])
+                             None if words is None else words[at:end])
         first = last
     return out, groups
 

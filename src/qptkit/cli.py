@@ -10,9 +10,12 @@ Subcommands:
 ``--backend`` takes either a config file path or a builtin name (``qx4``,
 ``qx2``).  Runs are exact unless ``--shots`` is given; sampled runs accept
 ``--seed`` and are bit-reproducible: the same invocation writes byte-identical
-reports under one numpy version.  ``--seeds N`` repeats a sampled run with
-seeds seed..seed+N-1 and writes a summary report with per-seed fidelities and
-their mean/min/max.
+reports under one numpy version.  A ``qpt`` run's preparations take the
+seeds ``child_seeds(seed, 4**n)`` and a ``qst`` run's circuit the seed
+itself; each setting of a preparation draws on its own 4 words of that
+preparation's seed expansion (``collect_weights``).  ``--seeds N`` repeats
+a sampled run with seeds seed..seed+N-1 and writes a summary report with
+per-seed fidelities and their mean/min/max.
 
 Exit status is 0 only if every requested item succeeded; failures are
 reported on stderr and do not stop the remaining items.

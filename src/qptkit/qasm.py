@@ -9,7 +9,9 @@ token.
 
 Semantic rules enforced on every Circuit (parsed or built in code):
 
-* at most five qubits;
+* at most five qubits, and at most as many classical bits (``QUBIT_COUNT``):
+  each qubit is measured at most once, so no further bit could be written,
+  and the readout holds 2^m outcomes per row for m bits;
 * gate names known, arity respected, cx control != target;
 * all indices within the declared registers;
 * once a qubit is measured nothing else may touch it;
@@ -48,7 +50,8 @@ __all__ = [
     "QUBIT_COUNT",
 ]
 
-# qubits of the device register; a circuit uses at most this many
+# qubits of the device register; a circuit uses at most this many, and at
+# most this many classical bits
 QUBIT_COUNT = 5
 
 
@@ -91,8 +94,9 @@ class Circuit:
             raise CircuitError(
                 f"qubit count must be between 1 and {QUBIT_COUNT}, got {self.qubit_count}"
             )
-        if self.classical_count < 0:
-            raise CircuitError(f"negative classical count {self.classical_count}")
+        if not 0 <= self.classical_count <= QUBIT_COUNT:
+            raise CircuitError(f"classical count must be between 0 and {QUBIT_COUNT}, "
+                               f"got {self.classical_count}")
         for name in (self.qreg, self.creg):
             if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", name):
                 raise CircuitError(f"invalid register name {name!r}")
@@ -321,8 +325,9 @@ def parse_qasm(text: str) -> Circuit:
         ntok = p.peek()
         name, size, stok = p.indexed_ref("a register name")
         p.expect(";")
-        if keyword == "qreg" and not 1 <= size <= QUBIT_COUNT:
-            raise QasmError(f"qreg size {size} outside supported range 1..{QUBIT_COUNT}",
+        low = 1 if keyword == "qreg" else 0
+        if not low <= size <= QUBIT_COUNT:
+            raise QasmError(f"{keyword} size {size} outside supported range {low}..{QUBIT_COUNT}",
                             *stok[2:])
         try:
             header(name, size)

@@ -17,9 +17,9 @@ preparation, setting in ``qst_settings`` order, outcome.  Every map a
 setting applies acts on one qubit, idle decay on or off, so the backend
 reads the settings out of each once-evolved preparation state one qubit at
 a time, through the maps of that qubit's letter, and evolves no setting
-circuit.  A sampled setting draws with its own seed, derived from its
-preparation's seed.  That stack is
-the only input ``reconstruct_states`` takes.
+circuit.  A sampled setting draws on its own stream: its 4 words of its
+preparation's seed expansion.  That stack is the only input
+``reconstruct_states`` takes.
 
 The expectation value of a Pauli string reads the string's Z-filled
 setting (Z at every I position, the first compatible one in the
@@ -373,9 +373,9 @@ def read_dataset(text: str) -> TomographyDataset:
 
 
 def child_seeds(seed: int | None, count: int) -> list[int]:
-    """Per-circuit seeds derived from one master seed (fresh OS entropy when
-    None): ``np.random.SeedSequence(seed).generate_state(count, np.uint64)``
-    as ints, computed by ``backend._seed_words``."""
+    """Per-preparation seeds derived from one master seed (fresh OS entropy
+    when None): ``np.random.SeedSequence(seed).generate_state(count,
+    np.uint64)`` as ints, computed by ``backend._seed_words``."""
     return _seed_words([seed], count)[0].tolist()
 
 
@@ -395,13 +395,14 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
         qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
     qubits = tuple(qubits)
     settings = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
-    circuit_seeds = None
+    words = None
     if shots is not None:
         seeds = [None] * len(preps) if seeds is None else seeds
         if len(seeds) != len(preps):
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        circuit_seeds = _seed_words(seeds, len(settings[0])).ravel().tolist()
-    stack, groups = _execute_preparations(preps, settings, backend, shots, circuit_seeds)
+        # each setting's 4 words of its preparation's one seed expansion
+        words = _seed_words(seeds, 4 * len(settings[0])).reshape(-1, 4)
+    stack, groups = _execute_preparations(preps, settings, backend, shots, words)
     totals = _check_weights(stack, 1.0 if shots is None else float(shots))
     stack.setflags(write=False)
     return stack, totals, groups
@@ -418,15 +419,18 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     ``shots`` is None, else counts (int).  ``qubits`` lists the measured
     qubits most significant first and defaults to the whole register.  A
     sampled preparation takes its entry of ``seeds`` (fresh entropy when it
-    or ``seeds`` is None) and its settings the seeds
-    ``child_seeds(seed, 3**n)``, derived for every preparation in one
-    ``backend._seed_words`` call.  The setting circuits are built and checked
-    once per (qubits, register size) (``_setting_circuits``).  Each
-    preparation is evolved once, alone, and its settings are read out of its
-    state one measured qubit at a time (see ``backend``): every row is what
-    ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
-    noise, and within 1e-15 in exact mode with noise on, idle decay on or
-    off.  The weights are
+    or ``seeds`` is None), expanded once into
+    ``np.random.SeedSequence(seed).generate_state(4 * 3**n, np.uint64)``,
+    for every preparation in one ``backend._seed_words`` call: setting s
+    draws one multinomial from its own PCG64 on words 4s..4s+3, so no
+    setting's counts depend on another's weights.  The setting circuits are
+    built and checked once per (qubits, register size)
+    (``_setting_circuits``).  Each preparation is evolved once, alone, and
+    its settings are read out of its state one measured qubit at a time
+    (see ``backend``): every exact row is what ``execute_many`` gives for
+    ``prep.then(setting)``, bit for bit without noise, and within 1e-15 with
+    noise on, idle decay on or off, and a sampled row is drawn from the
+    exact one.  The weights are
     checked as a dataset's are, all as one stack, and only there: the
     datasets ``collect_dataset`` and ``run_qst`` build keep a stack's rows.
     An empty ``preps`` raises ``ValueError``; a setting that does not fit
@@ -468,9 +472,10 @@ def run_qst(circuit: Circuit, backend: BackendModel,
     """Tomograph the state a measurement-free circuit prepares.
 
     ``shots=None`` uses exact outcome probabilities; otherwise each of the
-    3**n settings is sampled with its own seed derived from ``seed``.  The
-    circuit is evolved once, as the settings' preparation, and that state is
-    the run's ``reference`` when it covers the whole register.
+    3**n settings is sampled on its own 4 words of ``seed``'s expansion
+    (``collect_weights``).  The circuit is evolved once, as the settings'
+    preparation, and that state is the run's ``reference`` when it covers
+    the whole register.
     """
     weights, totals, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
     dataset = TomographyDataset._of_checked(shots, weights[0])

@@ -32,13 +32,21 @@ def qx2():
     return builtin_backend("qx2")
 
 
+def clear_maps():
+    """Empty the cache of fused maps and the per-model tables built of them."""
+    backend._superoperator.cache_clear()
+    backend._MAPS.clear()
+    backend._SETTING_MAPS.clear()
+
+
 @pytest.fixture
 def fresh_maps():
-    """An empty cache of fused maps, emptied again after the test, so a map
-    built from patched inputs neither comes from nor stays in it."""
-    backend._superoperator.cache_clear()
+    """Empty caches of fused maps and of their per-model tables, emptied
+    again after the test, so a map built from patched inputs neither comes
+    from nor stays in them."""
+    clear_maps()
     yield
-    backend._superoperator.cache_clear()
+    clear_maps()
 
 
 @pytest.fixture(scope="session")

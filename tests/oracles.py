@@ -17,7 +17,9 @@ evolves every circuit, with a sequential total and ``default_rng``, where
 the backend reads rows through its batched readout, one per circuit in
 ``execute_many`` and a group's settings at once in tomography; ``sample``
 folds the readout flips in with ``flipped``, which ``flip_matrix`` writes as
-a Kronecker product.
+a Kronecker product.  ``sample_settings`` draws a preparation's settings
+from their exact weights as tomography does, each setting from its own
+PCG64 on its 4 words of numpy's expansion of the preparation's seed.
 ``pauli_string_matrix`` is a Pauli string as a dense Kronecker product, the
 reference for state tomography: ``dense_state`` is the dense sum
 2^-n sum_P <P> P over the Z-filled estimates.
@@ -43,6 +45,7 @@ import operator
 from functools import reduce
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from qptkit.backend import _outcome_index
 from qptkit.channels import COMPLETENESS_ATOL, KrausChannel, apply_channel
@@ -157,6 +160,32 @@ def sample(probabilities: np.ndarray, circuit: Circuit, backend,
     outcome weights from its own generator."""
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, flipped(probabilities, circuit, backend)).astype(np.intp)
+    counts.setflags(write=False)
+    return counts
+
+
+class _Handed(ISeedSequence):
+    """The 4 uint64 words PCG64 asks its seed sequence for, handed over as given."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        assert n_words == 4 and np.dtype(dtype) == np.uint64
+        return self.words
+
+
+def sample_settings(probabilities: np.ndarray, circuit: Circuit, backend,
+                    shots: int, seed: int | None) -> np.ndarray:
+    """Read-only counts of one preparation's settings, from their ``(S,
+    2**m)`` exact outcome weights, all read out by ``circuit``'s measures:
+    row s is one multinomial draw over its flipped weights from its own
+    PCG64, seeded with words 4s..4s+3 of numpy's
+    ``SeedSequence(seed).generate_state(4 * S, np.uint64)``."""
+    words = np.random.SeedSequence(seed).generate_state(4 * len(probabilities), np.uint64)
+    counts = np.array([np.random.Generator(np.random.PCG64(_Handed(words[4 * s:4 * s + 4])))
+                       .multinomial(shots, flipped(p, circuit, backend))
+                       for s, p in enumerate(probabilities)], dtype=np.intp)
     counts.setflags(write=False)
     return counts
 

@@ -6,6 +6,7 @@ import operator
 import re
 from dataclasses import replace
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from qptkit import (
     run_qpt,
     run_qst,
 )
+from conftest import clear_maps
 from golden import regen
 from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, MAX_SHOTS, builtin_backend_names, read_backend
@@ -444,21 +446,40 @@ def _tomography_batches(backend):
         yield [append_setting(parity, tag, lines) for tag in qst_settings(2)]
 
 
-def _per_circuit(circuits, backend):
-    """(circuit, final state, active qubits) of each circuit, evolved alone
-    by ``_evolve``."""
-    return [(circuit, *backend_module._evolve(circuit, backend)) for circuit in circuits]
+def _recording(monkeypatch):
+    """A list of (circuit, final state, active qubits) that each circuit
+    ``_evolve`` evolves from now on joins, as the backend evolved it."""
+    evolved = []
+    evolve = backend_module._evolve
+
+    def recording(circuit, *args):
+        state, active = evolve(circuit, *args)
+        evolved.append((circuit, state, active))
+        return state, active
+
+    monkeypatch.setattr(backend_module, "_evolve", recording)
+    return evolved
+
+
+def _evolved_with(evolved, batch, results):
+    """The records of ``_recording`` for a batch whose ``results`` are all
+    in, each with its result: one evolution per circuit, in order."""
+    results = list(results)
+    assert [circuit for circuit, _, _ in evolved] == batch
+    assert all(circuit is given for (circuit, _, _), given in zip(evolved, batch))
+    return [(*record, result) for record, result in zip(evolved, results, strict=True)]
 
 
 @pytest.mark.parametrize("mode", ["quiet", "noisy", "idle"])
-def test_distribution_matches_dict_reference(qx4, mode):
+def test_distribution_matches_dict_reference(qx4, mode, monkeypatch):
     backend = {"quiet": qx4.with_noise(False), "noisy": qx4,
                "idle": qx4.with_idle_decay(True)}[mode]
     compared = 0
+    evolved = _recording(monkeypatch)
     for batch in _tomography_batches(qx4):
-        evolved = _per_circuit(batch, backend)
-        for (circuit, reduced, active), result in zip(evolved, execute_many(batch, backend),
-                                                      strict=True):
+        evolved.clear()
+        for circuit, reduced, active, result in _evolved_with(evolved, batch,
+                                                              execute_many(batch, backend)):
             got = result.probabilities
             assert got.dtype == np.float64 and got.shape == (1 << circuit.classical_count,)
             assert not got.flags.writeable
@@ -477,7 +498,7 @@ def _with_flips(backend, flips):
 
 @pytest.mark.parametrize("shots", [1, 5, 8192])
 @pytest.mark.parametrize("flips", ["zero", "random"])
-def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots):
+def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots, monkeypatch):
     rng = np.random.default_rng(shots)
     if flips == "random":
         backend = _with_flips(qx4, rng.uniform(0.0, 0.1, size=5).tolist())
@@ -495,10 +516,11 @@ def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots):
            for label in ("0p", "r1") for tag in qst_settings(2)]
     runs.append((two, 300, list(range(100, 100 + len(two)))))
     compared = 0
+    evolved = _recording(monkeypatch)
     for batch, n, seeds in runs:
-        evolved = _per_circuit(batch, backend)
-        got = execute_many(batch, backend, shots=n, seeds=seeds)
-        for (circuit, reduced, active), seed, result in zip(evolved, seeds, got, strict=True):
+        evolved.clear()
+        got = _evolved_with(evolved, batch, execute_many(batch, backend, shots=n, seeds=seeds))
+        for (circuit, reduced, active, result), seed in zip(got, seeds, strict=True):
             want = sample(distribution(reduced, active, circuit), circuit, backend, n, seed)
             assert result.counts.dtype == want.dtype and not result.counts.flags.writeable
             assert np.array_equal(result.counts, want)
@@ -506,7 +528,7 @@ def test_sampled_stream_matches_per_circuit_oracle(qx4, flips, shots):
     assert compared > 300
 
 
-def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4):
+def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4, monkeypatch):
     backend = _with_flips(qx4, [0.0, 0.03, 0.0, 0.08, 0.0])
     prep = (Gate("h", (1,)), Gate("cx", (1, 0)), Gate("t", (3,)), Gate("h", (3,)))
     readouts = [
@@ -521,10 +543,10 @@ def test_chunk_with_mixed_readouts_matches_per_circuit_oracle(qx4):
     ]
     batch = [Circuit(5, 3, (*prep, Gate("x", (3,)) if i % 2 else Gate("h", (0,)), *measures))
              for i, measures in enumerate(readouts)]
-    evolved = _per_circuit(batch, backend)
+    evolved = _recording(monkeypatch)
     active = (3, 1, 0)
-    assert all(on == active for _, _, on in evolved)
-    for (circuit, state, _), result in zip(evolved, execute_many(batch, backend), strict=True):
+    for circuit, state, on, result in _evolved_with(evolved, batch, execute_many(batch, backend)):
+        assert on == active
         want = distribution(state, active, circuit)
         if want is None:
             assert result.probabilities is None
@@ -551,10 +573,8 @@ def _counting(monkeypatch, calls, *names):
 def test_execute_many_yields_its_first_result_before_the_second_circuit_evolves(
         qx4, shots, monkeypatch):
     backend = _with_flips(qx4, [0.0, 0.03, 0.0, 0.08, 0.0])
-    evolved, read = [], []
-    evolve = backend_module._evolve
-    monkeypatch.setattr(backend_module, "_evolve",
-                        lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
+    read = []
+    evolved = _recording(monkeypatch)
     _counting(monkeypatch, read, "_distributions", "_sample")
     prep = parse_qasm(FIVE_QUBIT_PREP)
     circuits = [append_setting(prep, tag, (3, 1)) for tag in qst_settings(2)]
@@ -563,12 +583,10 @@ def test_execute_many_yields_its_first_result_before_the_second_circuit_evolves(
     first = next(results)
     # one circuit evolved and read out, one row, and the rest not yet
     per_circuit = [("_distributions", 1)] + ([] if shots is None else [("_sample", 1)])
-    assert evolved == circuits[:1] and evolved[0] is circuits[0] and read == per_circuit
-    rest = list(results)
-    assert evolved == circuits and read == per_circuit * len(circuits)
-    monkeypatch.undo()
-    for (circuit, state, active), got, i in zip(_per_circuit(circuits, backend), [first, *rest],
-                                                range(len(circuits)), strict=True):
+    assert len(evolved) == 1 and evolved[0][0] is circuits[0] and read == per_circuit
+    records = _evolved_with(evolved, circuits, [first, *results])
+    assert read == per_circuit * len(circuits)
+    for (circuit, state, active, got), i in zip(records, range(len(circuits)), strict=True):
         want = distribution(state, active, circuit)
         if shots is None:
             assert got.probabilities.tobytes() == want.tobytes()
@@ -600,13 +618,13 @@ def test_sample_matches_per_circuit_oracle():
         seed = trial if trial % 2 else (trial + 1) << 64
         for shots in (int(rng.integers(1, 3000)), 1):
             got = backend_module._sample(probabilities[None], circuit.measurements, backend,
-                                         shots, [seed])[0]
+                                         shots, backend_module._seed_words([seed], 4))[0]
             want = sample(probabilities, circuit, backend, shots, seed)
             assert got.dtype == want.dtype and not got.flags.writeable
             assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("count", [1, 3, 4, 9, 16, 243])
+@pytest.mark.parametrize("count", [1, 3, 4, 9, 12, 16, 36, 243, 972])
 def test_seed_words_match_numpy(count):
     rng = np.random.default_rng(count)
     seeds = [*rng.integers(0, 1 << 64, 2000, dtype=np.uint64).tolist(),
@@ -647,7 +665,8 @@ def test_sample_moments_match_the_multinomial(flips):
     p = flip_matrix(circuit, backend) @ probabilities
     seeds, shots = 2000, 500
     counts = backend_module._sample(np.broadcast_to(probabilities, (seeds, 16)),
-                                    circuit.measurements, backend, shots, range(seeds))
+                                    circuit.measurements, backend, shots,
+                                    backend_module._seed_words(range(seeds), 4))
     assert counts.shape == (seeds, 16) and (counts.sum(axis=1) == shots).all()
     mean = counts.mean(axis=0)
     assert (abs(mean - shots * p) <= 4.0 * np.sqrt(shots * p * (1.0 - p) / seeds)).all()
@@ -943,7 +962,7 @@ def test_execute_many_rejections(qx4_quiet):
         next(results)
 
 
-def test_trace_drift_is_reported(qx4_quiet, monkeypatch):
+def test_trace_drift_is_reported(qx4_quiet, fresh_maps, monkeypatch):
     superoperator = backend_module._superoperator
     # x loses half the trace, patched in past the certificate that rejects
     # it where it is built; a measure with noise off applies nothing after it
@@ -1069,7 +1088,7 @@ def test_each_state_is_checked_alone_before_it_is_yielded(qx4_quiet, monkeypatch
     # stops the stream where the circuit that applies it evolves, after the
     # results of the circuits before it and before its state is checked
     monkeypatch.setitem(GATES, "x", 1.1 * standard_gate("x"))
-    backend_module._superoperator.cache_clear()
+    clear_maps()
     ok = Circuit(1, 1, (Gate("h", (0,)), Measure(0, 0)))
     bad = Circuit(1, 1, (Gate("x", (0,)), Measure(0, 0)))
     stacks.clear()
@@ -1179,3 +1198,40 @@ def test_distribution_total_is_a_sequential_sum():
     total = reduce(operator.add, [0.1] * 10, 0.0)
     assert total == 0.9999999999999999
     assert np.array_equal(probs, diagonal / total)
+
+
+def test_map_tables_are_keyed_by_every_field_the_maps_read(qx4, fresh_maps):
+    # models that differ only in durations, noise, idle decay or one qubit's
+    # T1 each build their own tables; run one after another in one process,
+    # each gives the bits it gives with every cache empty
+    t1 = replace(qx4, qubits=(replace(qx4.qubits[2], t1_us=30.0), *qx4.qubits[1:]))
+    gates_slower = MappingProxyType({g: 2.0 * d for g, d in qx4.gate_durations_ns.items()})
+    variants = {"base": qx4, "durations": replace(qx4, gate_durations_ns=gates_slower),
+                "noise": qx4.with_noise(False), "idle": qx4.with_idle_decay(True), "t1": t1}
+    assert len({model._map_key for model in variants.values()}) == len(variants)
+    prep = parse_qasm(FIVE_QUBIT_PREP)
+    measured = append_setting(prep, "XY", (4, 0))
+
+    def run(model):
+        return (execute_exact(measured, model).final_state,
+                collect_weights([prep], model, (4, 0)), run_qpt("h", (0,), model).chi.matrix)
+
+    shared = {name: run(model) for name, model in variants.items()}
+    assert {key for _, _, key in backend_module._MAPS} == {m._map_key for m in variants.values()}
+    for name, model in variants.items():
+        clear_maps()
+        assert all(np.array_equal(a, b) for a, b in zip(run(model), shared[name], strict=True))
+    # a name, a coupling map or readout flips leave the maps alone: one key
+    other = replace(_with_flips(qx4, [0.1] * 5), name="other",
+                    coupling=load_backend(_config()).coupling)
+    assert other._map_key == qx4._map_key
+
+
+def test_model_table_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(backend_module, "_CACHE_ENTRIES", 3)
+    cache = {}
+    for key in range(5):
+        assert backend_module._cached(cache, key, lambda key=key: (key,)) == (key,)
+    # the oldest entries went first, and a hit builds nothing
+    assert list(cache) == [2, 3, 4]
+    assert backend_module._cached(cache, 3, lambda: pytest.fail("built on a hit")) == (3,)

@@ -1,12 +1,14 @@
 """Parser, printer, circuit invariants, coupling maps."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qptkit import Circuit, CircuitError, Gate, Measure, QasmError, emit_qasm, parse_qasm
+from qptkit import (Circuit, CircuitError, Gate, Measure, QasmError, builtin_backend, emit_qasm,
+                    execute_exact, parse_qasm)
 from qptkit.qasm import CouplingMap, validate_topology
 
 MINIMAL = """OPENQASM 2.0;
@@ -123,6 +125,31 @@ def test_error_oversized_register():
         parse_qasm("OPENQASM 2.0;\nqreg q[6];\n")
 
 
+@pytest.mark.parametrize("size", [6, 22, 40])
+def test_classical_register_above_the_qubit_count_fails_before_any_outcome_array(size):
+    # a readout holds 2^m outcomes per row: creg c[22] asked for 2^22 of them
+    # on a two-gate circuit, and creg c[40] for 2^40
+    backend = builtin_backend("qx4")
+    text = f"OPENQASM 2.0;\nqreg q[2];\ncreg c[{size}];\nh q[1];\ncx q[1],q[0];\n"
+    gates = (Gate("h", (1,)), Gate("cx", (1, 0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(QasmError, match=f"^line 3, column 8: creg size {size} outside "
+                                            r"supported range 0\.\.5$"):
+            execute_exact(parse_qasm(text), backend)
+        with pytest.raises(CircuitError, match=f"^classical count must be between 0 and 5, "
+                                               f"got {size}$"):
+            execute_exact(Circuit(2, size, gates), backend)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # five bits, one per qubit of the register, still parse and run
+    five = parse_qasm(text.replace(f"c[{size}]", "c[5]") + "measure q[0] -> c[4];\n")
+    assert execute_exact(five, backend).probabilities.shape == (32,)
+    assert Circuit(2, 0, gates).classical_count == 0
+
+
 @pytest.mark.parametrize("source, line, name", [
     ("qreg Q[2];\n", 2, "Q"),
     ("qreg Q[2];\nh Q[0];\n", 2, "Q"),
@@ -192,7 +219,7 @@ def test_extended_raises_what_construction_raises():
         measured.extended(classical_count=1)
     with pytest.raises(CircuitError, match="^instruction 2: qubit 0 already measured"):
         measured.extended(Gate("h", (0,)))
-    with pytest.raises(CircuitError, match="^negative classical count -1"):
+    with pytest.raises(CircuitError, match="^classical count must be between 0 and 5, got -1$"):
         gates.extended(Gate("h", (1,)), classical_count=-1)
 
 

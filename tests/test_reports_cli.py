@@ -557,11 +557,12 @@ def test_cli_qst_sampled_is_deterministic(tmp_path):
 
 
 def test_cli_qst_sampled_fidelity_above_one_loads(tmp_path):
-    # <psi|rho|psi> of the unprojected estimate: shot noise takes it above 1 here
+    # <psi|rho|psi> of the unprojected estimate: shot noise takes it above 1
+    # with this seed (1.0088)
     circuit = tmp_path / "ht.qasm"
     circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nt q[0];\n", encoding="utf-8")
     assert main(["qst", "--circuit", str(circuit), "--backend", "qx4", "--noise", "off",
-                 "--shots", "8192", "--seed", "1", "--out", str(tmp_path)]) == 0
+                 "--shots", "8192", "--seed", "7", "--out", str(tmp_path)]) == 0
     assert load_report(tmp_path / "ht_qst.json")["fidelity"] > 1.0
     main(["qpt", "--gate", "h", "--lines", "0", "--backend", "qx4", "--noise", "off",
           "--out", str(tmp_path)])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qptkit.backend
+import qptkit.process_tomography
 import qptkit.qasm
 import qptkit.state_tomography
 from qptkit import (
@@ -20,7 +21,6 @@ from qptkit import (
     Measure,
     TomographyDataset,
     collect_dataset,
-    execute,
     execute_exact,
     execute_many,
     parse_qasm,
@@ -30,6 +30,7 @@ from oracles import (
     append_setting,
     outcome_dict,
     pauli_string_matrix,
+    sample_settings,
     setting_circuits,
     six_product_contract,
     unique_write_dataset,
@@ -410,27 +411,35 @@ def test_child_seeds_unseeded_draw_fresh_entropy():
 
 
 def test_golden_counts_cx_bell_preparation(qx4):
-    # Recorded when the sampler became one multinomial per circuit; a seeded
-    # sampled run must keep reproducing these counts exactly under one numpy.
+    # Recorded when each setting came to draw on its own 4 words of its
+    # preparation's seed expansion; a seeded sampled run must keep
+    # reproducing these counts exactly under one numpy.
     prep = preparation_circuit("p0", (3, 2), 5).extended(Gate("cx", (3, 2)))
     ds = collect_dataset(prep, qx4, qubits=(3, 2), shots=8192, seed=0)
-    assert outcome_dict(_row(ds, "ZZ")) == {"00": 4152, "01": 70, "10": 65, "11": 3905}
-    assert outcome_dict(_row(ds, "XX")) == {"00": 4086, "01": 81, "10": 72, "11": 3953}
-    assert outcome_dict(_row(ds, "YY")) == {"00": 137, "01": 4003, "10": 4007, "11": 45}
+    assert outcome_dict(_row(ds, "ZZ")) == {"00": 4047, "01": 69, "10": 58, "11": 4018}
+    assert outcome_dict(_row(ds, "XX")) == {"00": 4001, "01": 92, "10": 83, "11": 4016}
+    assert outcome_dict(_row(ds, "YY")) == {"00": 124, "01": 3981, "10": 4027, "11": 60}
 
 
 def _setting_loop(prep, backend, qubits, shots=None, seed=None):
-    """collect_dataset's weights as one execute_exact / execute call per
-    setting circuit, in qst_settings order."""
-    settings = qst_settings(len(qubits))
-    rows = []
-    for tag, s in zip(settings, child_seeds(seed, len(settings))):
-        circuit = append_setting(prep, tag, qubits)
-        if shots is None:
-            rows.append(execute_exact(circuit, backend).probabilities)
-        else:
-            rows.append(execute(circuit, backend, shots, s).counts)
-    return np.array(rows)
+    """collect_dataset's weights as one execute_exact call per setting
+    circuit, in qst_settings order, and at ``shots`` the oracle's draws from
+    them with the preparation's ``seed``."""
+    circuits = [append_setting(prep, tag, qubits) for tag in qst_settings(len(qubits))]
+    rows = np.array([execute_exact(circuit, backend).probabilities for circuit in circuits])
+    return rows if shots is None else sample_settings(rows, circuits[0], backend, shots, seed)
+
+
+def _stream(circuits, backend, shots, seeds):
+    """The rows of each preparation's joined setting circuits in turn, one
+    preparation per seed: what execute_many gives exactly, or at ``shots``
+    the oracle's draws from it with each preparation's seed."""
+    rows = np.array([r.probabilities for r in execute_many(circuits, backend)])
+    if shots is None:
+        return rows
+    per_prep = rows.reshape(len(seeds), -1, rows.shape[1])
+    return np.concatenate([sample_settings(exact, circuits[0], backend, shots, seed)
+                           for exact, seed in zip(per_prep, seeds, strict=True)])
 
 
 def _assert_rows(got, want, bitwise=True):
@@ -482,13 +491,9 @@ def test_collect_weights_matches_each_setting_run_alone(qx4, mode):
     prep = parse_qasm(CI_FIVE_QUBITS)
     got = collect_weights([prep], backend, shots=shots, seeds=[3])[0]
     settings = setting_circuits((4, 3, 2, 1, 0), 5)
-    seeds = child_seeds(3, len(settings))
-    for row, setting, seed in zip(got, settings, seeds, strict=True):
-        # each setting alone through execute_many
-        (alone,) = execute_many([prep.then(setting)], backend, shots,
-                                None if shots is None else [seed])
-        _assert_rows(row, alone.probabilities if shots is None else alone.counts,
-                     mode not in ("noise_on", "idle"))
+    # each setting alone through execute_many, sampled by the oracle
+    want = _stream([prep.then(setting) for setting in settings], backend, shots, [3])
+    _assert_rows(got, want, mode not in ("noise_on", "idle"))
 
 
 @pytest.mark.parametrize("mode", ["noise_off", "noise_on", "idle", "sampled"])
@@ -575,12 +580,10 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         # each preparation alone, a stack of one state
         alone = [collect_dataset(p, backend, lines, shots, s).weights for p, s in zip(preps, seeds)]
         assert np.array_equal(stacked, alone)
-        # the stream of every joined circuit, each setting with its own seed
+        # the stream of every joined circuit, each setting drawn on its own words
         circuits = [p.then(c) for p in preps for c in setting_circuits(lines, 5)]
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
-        stream = [r.probabilities if shots is None else r.counts
-                  for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        _assert_rows(stacked.reshape(len(circuits), -1), stream, mode not in ("exact", "idle"))
+        _assert_rows(stacked.reshape(len(circuits), -1), _stream(circuits, backend, shots, seeds),
+                     mode not in ("exact", "idle"))
 
 
 def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
@@ -606,10 +609,77 @@ def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
         wide, narrow = (4, 2, 1, 0), (1, 0)
         assert evolved == [wide, wide, narrow, narrow] and stacks == [2, 1, 1]
         circuits = [p.then(c) for p in preps for c in setting_circuits((1, 0), p.qubit_count)]
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 9)]
-        want = [r.probabilities if shots is None else r.counts
-                for r in execute_many(circuits, qx4, shots, circuit_seeds)]
-        _assert_rows(got.reshape(len(circuits), -1), want, shots is not None)
+        _assert_rows(got.reshape(len(circuits), -1), _stream(circuits, qx4, shots, seeds),
+                     shots is not None)
+
+
+def _drawn_stack(monkeypatch, run):
+    """The count stack ``run()`` has ``_collect`` draw, once."""
+    drawn = []
+    collect = qptkit.state_tomography._collect
+
+    def recording(*args):
+        result = collect(*args)
+        drawn.append(result[0])
+        return result
+
+    monkeypatch.setattr(qptkit.process_tomography, "_collect", recording)
+    monkeypatch.setattr(qptkit.state_tomography, "_collect", recording)
+    run()
+    monkeypatch.undo()
+    (stack,) = drawn
+    return stack
+
+
+@pytest.mark.parametrize("case", ["h 2", "cx 3,2", "qst"])
+def test_every_sampled_row_is_numpys_draw_from_its_setting_words(qx4, case, monkeypatch):
+    # each preparation's seed is expanded once by numpy's SeedSequence into 4
+    # words per setting; each setting row is one multinomial from its own
+    # PCG64 on its 4 words, over its exact weights with readout flips in
+    flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02 + 0.01 * i)
+                     for i, q in enumerate(qx4.qubits))
+    backend = dataclasses.replace(qx4, qubits=flipping)
+    shots, seed = 8192, 21
+    if case == "qst":
+        preps, lines = [parse_qasm(CI_FIVE_QUBITS)], (4, 3, 2, 1, 0)
+        prep_seeds = [seed]
+        got = _drawn_stack(monkeypatch, lambda: run_qst(preps[0], backend, shots, seed))
+    else:
+        gate, where = case.split()
+        lines = tuple(map(int, where.split(",")))
+        labels = map("".join, itertools.product("01pr", repeat=len(lines)))
+        preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
+        prep_seeds = np.random.SeedSequence(seed).generate_state(len(preps), np.uint64).tolist()
+        got = _drawn_stack(monkeypatch, lambda: run_qpt(gate, lines, backend, shots, seed))
+    exact = collect_weights(preps, backend, lines)
+    measures = append_setting(Circuit(5, 0), "Z" * len(lines), lines)
+    want = [sample_settings(rows, measures, backend, shots, s) for rows, s in zip(exact, prep_seeds)]
+    assert got.dtype == np.intp and np.array_equal(got, want)
+
+
+def test_each_setting_draws_from_its_own_stream(qx4, monkeypatch):
+    # two sampled stacks with the same preparation seeds whose exact weights
+    # differ in one setting row: every other row draws the same counts
+    preps = [preparation_circuit(label, (3, 2)).extended(Gate("cx", (3, 2)))
+             for label in ("0p", "r1", "pp")]
+    seeds = [5, 6, 7]
+    changed = 9 + qst_settings(2).index("XY")  # preparation 1, setting XY
+    diagonals = qptkit.backend._setting_diagonals
+
+    def one_row_moved(*args):
+        rows = diagonals(*args).copy()
+        rows[changed] = np.roll(rows[changed], 1)
+        return rows
+
+    stacks = {}
+    for moved in (False, True):
+        if moved:
+            monkeypatch.setattr(qptkit.backend, "_setting_diagonals", one_row_moved)
+        stacks[moved] = [collect_weights(preps, qx4, (3, 2), shots, seeds).reshape(27, 4)
+                         for shots in (None, 8192)]
+    for exact_or_counts in (0, 1):
+        differs = (stacks[False][exact_or_counts] != stacks[True][exact_or_counts]).any(axis=1)
+        assert differs.tolist() == [row == changed for row in range(27)]
 
 
 def _built_circuits(monkeypatch, preps, backend, qubits):
@@ -751,10 +821,8 @@ def test_staged_settings_match_each_setting_run_alone(qx4, mode, lines):
         seeds = child_seeds(0, count)
         got = collect_weights(preps, backend, lines, shots, seeds)
         circuits = [p.then(s) for p in preps for s in setting_circuits(lines, 5)]
-        circuit_seeds = [s for seed in seeds for s in child_seeds(seed, 3 ** len(lines))]
-        want = [r.probabilities if shots is None else r.counts
-                for r in execute_many(circuits, backend, shots, circuit_seeds)]
-        _assert_rows(got.reshape(len(circuits), -1), want, mode not in ("exact", "idle"))
+        _assert_rows(got.reshape(len(circuits), -1), _stream(circuits, backend, shots, seeds),
+                     mode not in ("exact", "idle"))
 
 
 # a 24-gate 5-qubit circuit, 7 of them cx on qx4's coupling map: the size of
