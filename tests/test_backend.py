@@ -1204,7 +1204,7 @@ def test_map_tables_are_keyed_by_every_field_the_maps_read(qx4, fresh_maps):
     # models that differ only in durations, noise, idle decay or one qubit's
     # T1 each build their own tables; run one after another in one process,
     # each gives the bits it gives with every cache empty
-    t1 = replace(qx4, qubits=(replace(qx4.qubits[2], t1_us=30.0), *qx4.qubits[1:]))
+    t1 = replace(qx4, qubits=(replace(qx4.qubits[0], t1_us=30.0), *qx4.qubits[1:]))
     gates_slower = MappingProxyType({g: 2.0 * d for g, d in qx4.gate_durations_ns.items()})
     variants = {"base": qx4, "durations": replace(qx4, gate_durations_ns=gates_slower),
                 "noise": qx4.with_noise(False), "idle": qx4.with_idle_decay(True), "t1": t1}
