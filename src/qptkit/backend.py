@@ -18,43 +18,47 @@ Evolution semantics, in order, per instruction:
 Only the qubits some instruction touches are simulated.  Every other qubit
 stays in |0><0|, which is a fixed point of both amplitude damping and pure
 dephasing, so leaving it out is exact whether idle_decay is on or off.  One
-evolution loop (``_evolve``) runs one circuit from |0...0>: each
-instruction is one fused superoperator (gate then decay) applied to the
-state by one ``np.matmul``.  Every circuit is checked before anything
-evolves: a cx off the coupling map raises ``TopologyError``, and a qubit
-outside the register it is to evolve on a ``ValueError``.  A state is held
-as one C-contiguous ``(1, 4^k)`` array with its layout, the order of the 2k
-row and column axes its last map stored it in: the next map gathers it into
-its own order with one flat ``take``, unless it is stored so already, and
-the final state is gathered into the canonical order, that of its ``(2^k,
-2^k)`` density matrix.
+evolution loop (``_evolve``) runs one circuit from |0...0>, or from a stack
+of states: each instruction is one fused superoperator (gate then decay)
+applied to the whole stack by one ``np.matmul``, which gives each state the
+bits it gets alone.  Every circuit is checked before anything evolves: a cx
+off the coupling map raises ``TopologyError``, and a qubit outside the
+register it is to evolve on a ``ValueError``.  A stack is held as one
+C-contiguous ``(B, 4^k)`` array with its layout, the order of the 2k row
+and column axes its last map stored it in: the next map gathers it into its
+own order with one flat ``take``, unless it is stored so already, and the
+final states are gathered into the canonical order, that of their ``(2^k,
+2^k)`` density matrices.
 
-Physicality holds by construction: every evolution starts from
-|0...0><0...0|, and each fused map is checked once, where it is built, as a
-channel (completely positive and trace preserving).  Before final states
-are read out, they are tested for what a fault in laying out or copying
-states can still break, Hermiticity and trace (``_check_readout``); only a
-state handed out as a ``final_state`` meets the full
+Physicality holds by construction: every state evolves from |0...0><0...0|
+through fused maps, and each fused map is checked once, where it is built,
+as a channel (completely positive and trace preserving).  Before final
+states are read out, they are tested for what a fault in laying out or
+copying states can still break, Hermiticity and trace (``_check_readout``);
+only a state handed out as a ``final_state`` meets the full
 ``check_density_matrix``.  ``execute_many`` evolves, tests and reads out
 one circuit at a time (``_read``), and yields its result before the next
 circuit evolves.
 
 Tomography (``_execute_preparations``) evolves each preparation alone, and
-a group's stack of preparation states passes one readout test.  Its 3^n
-settings are not evolved: every map a setting applies acts on one qubit, a
-basis rotation on its qubit, a measure's decay on the measured qubit and,
-with idle decay on, each rotation's decay on every other active qubit.  So
-a setting's final diagonal is the preparation state read out one qubit at
-a time, through the maps of each qubit's letter (``_setting_diagonals``).
-Without noise that gives each weight the bits the setting circuit gives
-it, and with noise within rounding (1e-15): maps on different qubits
-commute, as do the decays on one qubit, and the readout applies them in
-another order than the circuit.  The weights go into one ``(preparations,
-settings, 2^m)`` array, handed back with the stacks of evolved
-preparation states.  Only ``execute_exact`` returns ``final_state``, the
-density matrix of the whole register; a preparation evolved on exactly
-the qubits it touches gives the same state bit for bit (``_exact_state``),
-and on more qubits it may not.
+a group's stack of final states passes one readout test.  A gate
+placement (``run_qpt``) evolves none: its 4 or 16 preparations' states come
+from the preparation table of its lines (``_prepared``), each evolved once
+per model, and the gate's maps run through ``_evolve`` over that whole
+stack, whose final states pass one readout test.  The 3^n settings are not
+evolved: every map a setting applies acts on one qubit, a basis rotation on
+its qubit, a measure's decay on the measured qubit and, with idle decay on,
+each rotation's decay on every other active qubit.  So a setting's final
+diagonal is the preparation state read out one qubit at a time, through the
+maps of each qubit's letter (``_setting_diagonals``).  Without noise that
+gives each weight the bits the setting circuit gives it, and with noise
+within rounding (1e-15): maps on different qubits commute, as do the decays
+on one qubit, and the readout applies them in another order than the
+circuit.  The weights go into one ``(preparations, settings, 2^m)`` array,
+handed back with the stacks of final states.  Only ``execute_exact``
+returns ``final_state``, the density matrix of the whole register; a
+preparation evolved on exactly the qubits it touches gives the same state
+bit for bit (``_exact_state``), and on more qubits it may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -81,13 +85,14 @@ reproduce identical counts under one numpy version; numpy does not promise
 its binomial draws stay the same across versions.  ``seed=None`` draws
 fresh entropy.
 
-The maps an instruction applies (``_maps``) and a tomography group's
-per-qubit setting maps (``_setting_maps``) depend only on the instruction
-or the settings, the active qubits and the fields of the model the maps
-read (its ``_map_key``: T1/T2, durations, the noise and idle-decay
-switches).  Each is built once per such key and process, in a cache that
-drops its oldest entry past ``_CACHE_ENTRIES``; models that differ in any
-of those fields never share an entry.
+The maps an instruction applies (``_maps``), a tomography group's
+per-qubit setting maps (``_setting_maps``) and a placement's preparation
+table (``_prepared``) depend only on the instruction, the settings or the
+lines, the active qubits and the fields of the model the maps read (its
+``_map_key``: T1/T2, durations, the noise and idle-decay switches).  Each
+is built once per such key and process, in a cache that drops its oldest
+entry past ``_CACHE_ENTRIES``; models that differ in any of those fields
+never share an entry.
 
 Config files are flat ``key=value`` text, ``#`` comments allowed::
 
@@ -523,23 +528,26 @@ def _check_readout(states: np.ndarray) -> None:
     ``_certified`` tests them, and one that is not goes to
     ``check_density_matrix``, which decides and words the ``ValueError``.
 
-    Positivity is not tested per state, nor trace per map: every evolution
-    starts from |0...0><0...0|, and every map it applies passed
+    Positivity is not tested per state, nor trace per map: every state
+    evolves from |0...0><0...0|, and every map it meets passed
     ``_check_channel``.  Hermiticity and trace can still break where states
     are laid out or copied, and a NaN fails here."""
     if not _certified(states.reshape(-1, *states.shape[-2:]), 1e-9):
         check_density_matrix(states)
 
 
-def _evolve(circuit: Circuit, backend: BackendModel, active: tuple[int, ...] | None = None
-            ) -> tuple[np.ndarray, tuple[int, ...]]:
+def _evolve(circuit: Circuit, backend: BackendModel, active: tuple[int, ...] | None = None,
+            start: np.ndarray | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
     """The ``(2**k, 2**k)`` final state of a circuit evolved from |0...0> on
     ``active``, or on the qubits it touches when ``active`` is None, and
-    those active qubits.  A qubit outside ``active`` raises ``ValueError``
-    before anything evolves; the caller has checked the circuit's cx
-    placements (``_check_topology``).  The state evolves as a ``(1, 4**k)``
-    stack stored in the layout ``_apply`` left it in, and is gathered into
-    the canonical order at the end."""
+    those active qubits; from a C-contiguous ``(B, 4**k)`` stack of states
+    on ``active`` stored canonically, ``start``, the ``(B, 2**k, 2**k)``
+    stack of their final states.  A qubit outside ``active`` raises
+    ``ValueError`` before anything evolves; the caller has checked the
+    circuit's cx placements (``_check_topology``).  The stack evolves
+    stored in the layout ``_apply`` left it in, one ``np.matmul`` per map
+    for all its states, and is gathered into the canonical order at the
+    end."""
     touched = _qubits(circuit.instructions)
     if active is None:
         active = tuple(sorted(touched, reverse=True))
@@ -548,14 +556,16 @@ def _evolve(circuit: Circuit, backend: BackendModel, active: tuple[int, ...] | N
                          f"qubits {active}")
     k = len(active)
     canonical = tuple(range(2 * k))
-    # |0...0><0...0| as a stack of one state, stored canonically
-    rho, layout = np.eye(1, 1 << (2 * k), dtype=complex), canonical
+    # by default |0...0><0...0| as a stack of one state, stored canonically
+    rho = np.eye(1, 1 << (2 * k), dtype=complex) if start is None else start
+    layout = canonical
     for inst in circuit.instructions:
         for sup, axes in _maps(inst, active, backend):
             rho, layout = _apply(sup, rho, layout, axes, k)
     if layout != canonical:
         rho = _gather(rho, layout, canonical)
-    return rho.reshape(1 << k, 1 << k), active
+    d = 1 << k
+    return (rho.reshape(d, d) if start is None else rho.reshape(-1, d, d)), active
 
 
 def _scatter_bits(active: tuple[int, ...], moves) -> np.ndarray:
@@ -599,7 +609,12 @@ def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
     row whose clipped weights sum below -``_CLIP_ATOL`` raises ``ValueError``
     naming it.  Each row has the bits of its state read out alone: its
     weights are added in local-index order, and its total in the order of
-    each outcome's first nonzero weight, one addition at a time.
+    each outcome's first nonzero weight, one addition at a time.  When every
+    active qubit is measured into its own bit of the register, each outcome
+    holds one weight: the row is scattered, with -0.0 made 0.0 as a sum
+    from 0.0 makes it, and its total added in local-index order, which
+    differs from the first-nonzero order only by zeros, which leave a
+    non-negative sum as it is.
     """
     if not measures:
         return None
@@ -611,6 +626,13 @@ def _distributions(diagonals: np.ndarray, active: tuple[int, ...],
         row = int(np.argmax(clipped > _CLIP_ATOL))
         raise ValueError(f"row {row}: clipped negative weights sum to {-clipped[row]:.3e}, "
                          f"past -{_CLIP_ATOL}")
+    if len(measures) == count == len(active):
+        weights += 0.0
+        probs = np.empty((rows, size))
+        probs[:, _outcome_index(active, measures)] = weights
+        probs /= np.cumsum(weights, axis=1)[:, -1:]
+        probs.setflags(write=False)
+        return probs
     # each row's outcome indices, offset past the last row's
     index = (_outcome_index(active, measures) + np.arange(0, rows * size, size)[:, None]).ravel()
     probs = np.bincount(index, weights=weights.ravel(), minlength=rows * size).reshape(rows, size)
@@ -851,15 +873,38 @@ def _setting_diagonals(states: np.ndarray, active: tuple[int, ...], lines: _Line
     return rho.transpose(0, *order).reshape(-1, 1 << k).real
 
 
+# per (lines, model key): what _prepared gives
+_PREPARED: dict = {}
+
+
+def _prepared(preps: Sequence[Circuit], lines: tuple[int, ...],
+              backend: BackendModel) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The preparation table of ``lines``: the read-only ``(len(preps),
+    4**k)`` stack of ``preps`` each evolved by ``_evolve`` on the k qubits of
+    ``lines``, stored canonically, and those qubits, most significant first.
+    Built once per (lines, model key): ``preps`` are always the preparations
+    of ``lines`` (``process_tomography._preparations``), at most 25 keys per
+    model on the device register."""
+    def build() -> tuple[np.ndarray, tuple[int, ...]]:
+        active = tuple(sorted(lines, reverse=True))
+        stack = np.stack([_evolve(prep, backend, active)[0] for prep in preps]).reshape(
+            len(preps), -1)
+        stack.setflags(write=False)
+        return stack, active
+
+    return _cached(_PREPARED, (lines, backend._map_key), build)
+
+
 def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
                           backend: BackendModel, shots: int | None = None,
-                          words: np.ndarray | None = None
+                          words: np.ndarray | None = None, gate: Gate | None = None
                           ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """The outcome weights of ``prep.then(setting)``, for each setting of
     each preparation p in turn, as one ``(len(preps), 3**n, 2**m)`` array:
     exact weights (float), what ``execute_many`` gives, when ``shots`` is
     None, else counts (int), row r of the settings in turn drawn by PCG64 on
-    the 4 uint64 words ``words[r]``.
+    the 4 uint64 words ``words[r]``.  With ``gate``, the circuits are each
+    preparation, then ``gate``, then the setting.
 
     ``settings[p]`` holds preparation p's 3**n tomography settings over n
     measured qubits, each measuring them into the same m classical bits.
@@ -868,46 +913,61 @@ def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[
     applies to it, d being digit j of s in base 3 (the first digit most
     significant), and no setting gate acts on more than one qubit.
 
-    Each preparation's cx placements are checked, and a preparation that
-    measures raises ``CircuitError``, before anything evolves.  Each
-    preparation is then evolved once, alone, on the qubits it and its first
-    setting touch, and no setting circuit is evolved.  Consecutive
-    preparations on the same qubits with the same settings form a group: the
-    stack of its preparation states passes one readout test (a failure names
-    the group's preparations by position, ``circuits a..b: matrix j: ...``),
-    and its settings' diagonals are read out of it (``_setting_diagonals``).
-    Without noise they are bitwise those the setting circuits leave, and
-    with it, idle decay on or off, within rounding (1e-15).  Also returned,
-    per group in order: its active qubits and the ``(count, 2**k, 2**k)``
-    stack of its preparations' evolved states.
+    Each preparation's cx placements, and the gate's, are checked, and a
+    preparation that measures raises ``CircuitError``, before anything
+    evolves.  Without ``gate``, each preparation is then evolved once,
+    alone, on the qubits it and its first setting touch, and consecutive
+    preparations on the same qubits with the same settings form a group.
+    With ``gate``, ``preps`` are the preparations of its lines and
+    ``settings`` measure those lines: they form one group, whose evolved
+    preparations come from the lines' preparation table (``_prepared``),
+    and the gate's maps run through ``_evolve`` over the table's whole
+    stack, each state with the bits it gets evolved alone.  No setting
+    circuit is evolved.  A group's stack of final states passes one readout
+    test (a failure names the group's preparations by position, ``circuits
+    a..b: matrix j: ...``), and its settings' diagonals are read out of it
+    (``_setting_diagonals``).  Without noise they are bitwise those the
+    setting circuits leave, and with it, idle decay on or off, within
+    rounding (1e-15).  Also returned, per group in order: its active qubits
+    and the ``(count, 2**k, 2**k)`` stack of its final states.
     """
     _check_shots(shots)
     for prep in preps:
         _check_topology(prep, backend)
     if any(prep.measurements for prep in preps):
         raise CircuitError("circuit already contains measurements")
-    keys = [(chain, tuple(sorted(_qubits(prep.instructions + chain[0].instructions),
-                                 reverse=True)))
-            for prep, chain in zip(preps, settings)]
+    if gate is None:
+        keys = [(chain, tuple(sorted(_qubits(prep.instructions + chain[0].instructions),
+                                     reverse=True)))
+                for prep, chain in zip(preps, settings)]
+        groups = [(key, [prep for _, prep in jobs])
+                  for key, jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0))]
+    else:
+        step = Circuit(preps[0].qubit_count, 0, (gate,))
+        _check_topology(step, backend)
+        start, active = _prepared(preps, gate.targets, backend)
+        groups = [((settings[0], active), preps)]
     out = np.empty((len(preps), len(settings[0]), 1 << settings[0][0].classical_count),
                    dtype=float if shots is None else np.intp)
     rows = out.reshape(-1, out.shape[2])
-    groups, first = [], 0
-    for (chain, active), jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0)):
-        stack = [prep for _, prep in jobs]
+    evolved, first = [], 0
+    for (chain, active), stack in groups:
         last = first + len(stack)
-        states = np.stack([_evolve(prep, backend, active)[0] for prep in stack])
+        if gate is None:
+            states = np.stack([_evolve(prep, backend, active)[0] for prep in stack])
+        else:
+            states = _evolve(step, backend, active, start)[0]
         try:
             _check_readout(states)
         except ValueError as exc:
             raise ValueError(f"circuits {first}..{last - 1}: {exc}") from None
-        groups.append((active, states))
+        evolved.append((active, states))
         diagonals = _setting_diagonals(states, active, _setting_maps(chain, active, backend))
         at, end = first * len(chain), last * len(chain)
         rows[at:end] = _read(diagonals, active, chain[0], backend, shots,
                              None if words is None else words[at:end])
         first = last
-    return out, groups
+    return out, evolved
 
 
 def _exact_state(circuit: Circuit, active: tuple[int, ...],

@@ -33,7 +33,7 @@ from .backend import (MAX_SHOTS, BackendModel, builtin_backend, builtin_backend_
                       execute_exact, read_backend)
 from .operators import GATE_ARITY
 from .process_tomography import project_result, run_qpt
-from .qasm import parse_qasm
+from .qasm import _too_long, parse_qasm
 from .reports import (
     GATE_TABLE_ORDER,
     check_report,
@@ -83,8 +83,11 @@ def _resolve_backend(spec: str, noise: str | None, idle_decay: str | None) -> Ba
 
 
 def _parse_lines(spec: str) -> tuple[int, ...]:
+    parts = spec.split(",")
+    if why := _too_long(max(parts, key=len)):
+        raise SystemExit(f"error: bad --lines value: {why}")
     try:
-        return tuple(int(part) for part in spec.split(","))
+        return tuple(int(part) for part in parts)
     except ValueError:
         raise SystemExit(f"error: bad --lines value {spec!r}") from None
 
@@ -257,6 +260,8 @@ def _add_backend_options(p: argparse.ArgumentParser) -> None:
 
 def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
+        if why := _too_long(text):
+            raise argparse.ArgumentTypeError(why)
         try:
             value = int(text)
         except ValueError:

@@ -66,7 +66,8 @@ matrix W chi W^dagger back: sum_mn chi_mn E_n^dagger E_m is the transpose of
 C traced over the output, sum_k C[(a,k),(b,k)].
 
 ``run_qpt`` tomographs one gate placement on a backend: 4 (or 16)
-preparations x 3 (or 9) settings = 12 (or 144) circuit executions.  The
+preparations x 3 (or 9) settings = 12 (or 144) circuit executions, the gate
+applied once to the stack of its lines' preparation states.  The
 weights, each divided by its setting's total, pass through U and are
 inverted, and chi is scored by the overlap fidelity
 
@@ -463,9 +464,12 @@ def run_qpt(
     sampled with ``shots`` shots: the preparations take the seeds
     ``child_seeds(seed, 4**n)``, and each setting draws on its own 4 words
     of its preparation's seed expansion (``collect_weights``).  The
-    preparation circuits are built and checked once per ``lines``, and the
-    gate is joined to them unchecked (``Circuit.then``).  A line that is no
-    integer (a numpy one is, a bool or a float is not) raises
+    preparation circuits are built and checked once per ``lines``, and
+    their noisy states evolved once per ``lines`` and model, in the
+    preparation table (``backend._prepared``); the gate is then applied to
+    the table's whole stack, each state getting the bits it gets evolved
+    alone, and the settings are read out of the final states.  A line that
+    is no integer (a numpy one is, a bool or a float is not) raises
     ``ValueError``.
     """
     lines = tuple(lines)
@@ -489,10 +493,9 @@ def run_qpt(
             f"({backend.coupling.to_text()})"
         )
 
-    step = Circuit(QUBIT_COUNT, 0, (Gate(gate, lines),))
-    preps = [prep.then(step) for prep in _preparations(lines)]
+    preps = _preparations(lines)
     seeds = None if shots is None else child_seeds(seed, len(preps))
-    weights, totals, _ = _collect(preps, backend, lines, shots, seeds)
+    weights, totals, _ = _collect(preps, backend, lines, shots, seeds, Gate(gate, lines))
     executions = weights.shape[0] * weights.shape[1]
 
     chi = chi_from_outputs(_unit_outputs(weights / totals), arity)

@@ -54,6 +54,18 @@ __all__ = [
 # most this many classical bits
 QUBIT_COUNT = 5
 
+# the most characters of an integer any reader of the package converts:
+# every index, count, shot number and seed it takes needs far fewer, and
+# past 4300 digits Python's int() fails with a message naming no place
+_MAX_DIGITS = 100
+
+
+def _too_long(text: str) -> str | None:
+    """Why ``text`` is too long to be converted as an integer, or None."""
+    if len(text) > _MAX_DIGITS:
+        return f"integer of {len(text)} characters, more than {_MAX_DIGITS}"
+    return None
+
 
 class CircuitError(ValueError):
     """A circuit violates a structural rule."""
@@ -208,6 +220,8 @@ class CouplingMap:
                 m = re.fullmatch(r"\s*(\d+)\s*>\s*(\d+)\s*", item)
                 if not m:
                     raise ValueError(f"bad coupling entry {item!r}")
+                if why := _too_long(max(m.groups(), key=len)):
+                    raise ValueError(f"bad coupling entry: {why}")
                 pairs.add((int(m.group(1)), int(m.group(2))))
         return cls(frozenset(pairs))
 
@@ -282,6 +296,8 @@ class _Parser:
         kind, text, line, col = tok = self.take()
         if kind != "num" or "." in text:
             raise QasmError(f"expected an integer, got {text!r}", line, col)
+        if why := _too_long(text):
+            raise QasmError(why, line, col)
         return int(text), tok
 
     def indexed_ref(self, what: str = "a register reference") -> tuple[str, int, _Token]:

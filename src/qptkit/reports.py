@@ -40,7 +40,7 @@ import numpy as np
 
 from .operators import GATE_ARITY
 from .process_tomography import OPERATOR_LABELS, QptResult
-from .qasm import QUBIT_COUNT
+from .qasm import QUBIT_COUNT, _too_long
 
 __all__ = [
     "GATE_TABLE_ORDER",
@@ -251,10 +251,17 @@ def _hermitian(report: dict, name: str) -> np.ndarray:
     return matrix
 
 
+def _report_int(text: str) -> int:
+    """A JSON integer of a report, its length bounded before ``int`` reads it."""
+    if why := _too_long(text.lstrip("-")):
+        raise ValueError(f"invalid report: {why}")
+    return int(text)
+
+
 def parse_report(text: str) -> dict:
     """The report a text holds, once ``check_report`` passes it."""
     try:
-        report = json.loads(text)
+        report = json.loads(text, parse_int=_report_int)
     except RecursionError:  # json's decoder recurses once per nesting level
         raise ValueError("report nested too deeply") from None
     return check_report(report)

@@ -57,7 +57,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .backend import BackendModel, _exact_state, _execute_preparations, _seed_words
-from .qasm import QUBIT_COUNT, Circuit, Gate, Measure
+from .qasm import QUBIT_COUNT, Circuit, Gate, Measure, _too_long
 
 __all__ = [
     "BASIS_ORDER",
@@ -328,6 +328,8 @@ def read_dataset(text: str) -> TomographyDataset:
 
     def integer(key: str) -> int:
         lineno, value = header[key]
+        if why := _too_long(value):
+            raise ValueError(f"line {lineno}: dataset header {key!r}: {why}")
         try:
             return int(value)
         except ValueError:
@@ -381,14 +383,17 @@ def child_seeds(seed: int | None, count: int) -> list[int]:
 
 def _collect(preps: Sequence[Circuit], backend: BackendModel,
              qubits: tuple[int, ...] | None, shots: int | None,
-             seeds: Sequence[int | None] | None
+             seeds: Sequence[int | None] | None, gate: Gate | None = None
              ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
     """``collect_weights``'s stack, its setting totals as ``_check_weights``
-    returns them, and the groups of evolved preparation states
+    returns them, and the groups of final states
     ``backend._execute_preparations`` returns with it.  Each
     preparation's settings go to the backend as the circuits of
     ``_setting_circuits``, whose rotations and measures it reads each
-    preparation state out through, qubit by qubit."""
+    final state out through, qubit by qubit.  With ``gate``, on the lines
+    ``qubits``, ``preps`` are the preparations of those lines, and each is
+    followed by the gate before its settings, applied to the lines'
+    preparation table (``backend._prepared``)."""
     if not preps:
         raise ValueError("no preparations to run")
     if qubits is None:
@@ -402,7 +407,7 @@ def _collect(preps: Sequence[Circuit], backend: BackendModel,
             raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
         # each setting's 4 words of its preparation's one seed expansion
         words = _seed_words(seeds, 4 * len(settings[0])).reshape(-1, 4)
-    stack, groups = _execute_preparations(preps, settings, backend, shots, words)
+    stack, groups = _execute_preparations(preps, settings, backend, shots, words, gate)
     totals = _check_weights(stack, 1.0 if shots is None else float(shots))
     stack.setflags(write=False)
     return stack, totals, groups
@@ -425,12 +430,13 @@ def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
     draws one multinomial from its own PCG64 on words 4s..4s+3, so no
     setting's counts depend on another's weights.  The setting circuits are
     built and checked once per (qubits, register size)
-    (``_setting_circuits``).  Each preparation is evolved once, alone, and
-    its settings are read out of its state one measured qubit at a time
-    (see ``backend``): every exact row is what ``execute_many`` gives for
-    ``prep.then(setting)``, bit for bit without noise, and within 1e-15 with
-    noise on, idle decay on or off, and a sampled row is drawn from the
-    exact one.  The weights are
+    (``_setting_circuits``).  Each preparation is evolved once, alone (a
+    ``run_qpt`` placement instead applies its gate to the stack its lines'
+    preparation table holds), and its settings are read out of its state
+    one measured qubit at a time (see ``backend``): every exact row is what
+    ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
+    noise, and within 1e-15 with noise on, idle decay on or off, and a
+    sampled row is drawn from the exact one.  The weights are
     checked as a dataset's are, all as one stack, and only there: the
     datasets ``collect_dataset`` and ``run_qst`` build keep a stack's rows.
     An empty ``preps`` raises ``ValueError``; a setting that does not fit

@@ -33,10 +33,12 @@ def qx2():
 
 
 def clear_maps():
-    """Empty the cache of fused maps and the per-model tables built of them."""
+    """Empty the cache of fused maps and the per-model tables built of them,
+    the preparation tables too."""
     backend._superoperator.cache_clear()
     backend._MAPS.clear()
     backend._SETTING_MAPS.clear()
+    backend._PREPARED.clear()
 
 
 @pytest.fixture

@@ -135,6 +135,13 @@ def test_config_errors(text, message):
         load_backend(text)
 
 
+def test_config_coupling_with_a_huge_integer():
+    text = _config().replace("coupling=1>0", f"coupling=1>0,{'9' * 5000}>0")
+    with pytest.raises(ConfigError, match="^bad coupling entry: integer of 5000 characters, "
+                                          "more than 100$"):
+        load_backend(text)
+
+
 def test_config_error_reports_line_number():
     with pytest.raises(ConfigError, match="line 8: duplicate key"):
         load_backend(_config() + "q3.t1_us=99\n")  # line 8 duplicates line 5
@@ -1186,6 +1193,42 @@ def test_distributions_raise_for_clipped_weight_past_1e_12():
         else:
             probs = backend_module._distributions(drifted, (1, 0), circuit.measurements, 2)
             assert probs[1, 3] == 0.0 and np.array_equal(probs[0], [0.5, 0.5, 0.0, 0.0])
+
+
+def test_full_readout_scatter_has_the_bits_of_the_general_readout():
+    # every active qubit measured into its own bit: each outcome holds one
+    # weight, and its scatter gives the bits of the general readout, which a
+    # spare classical bit or an unmeasured active qubit takes; rows hold
+    # zeros, -0.0 and clipped negatives
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4):
+        qubits = rng.permutation(5)[:k + 1].tolist()
+        active = tuple(sorted(qubits[:k], reverse=True))
+        measures = tuple(Measure(q, int(b)) for q, b in zip(qubits[:k], rng.permutation(k)))
+        diagonals = rng.random((40, 1 << k))
+        diagonals[rng.random(diagonals.shape) < 0.3] = 0.0
+        diagonals[rng.random(diagonals.shape) < 0.2] = -0.0
+        diagonals[rng.random(diagonals.shape) < 0.1] = -1e-15
+        diagonals[:, 0] = np.where(diagonals.max(axis=1) > 0.0, diagonals[:, 0], 0.5)
+        diagonals[0] = -0.0
+        diagonals[0, -1] = 0.25  # one weight, the last in local-index order
+        fast = backend_module._distributions(diagonals, active, measures, k)
+        spare = backend_module._distributions(diagonals, active, measures, k + 1)
+        assert np.ascontiguousarray(spare[:, :1 << k]).tobytes() == fast.tobytes()
+        assert not spare[:, 1 << k:].any() and not fast.flags.writeable
+        # the same rows on one more active qubit, never set: its half of
+        # each row holds zeros and -0.0
+        wide = tuple(sorted(qubits, reverse=True))
+        bit = k - wide.index(qubits[k])
+        local = np.arange(1 << (k + 1))
+        narrow = ((local >> (bit + 1)) << bit) | (local & ((1 << bit) - 1))
+        padded = np.where(((local >> bit) & 1) == 0, diagonals[:, narrow],
+                          np.where(rng.random((40, len(local))) < 0.5, 0.0, -0.0))
+        unmeasured = backend_module._distributions(padded, wide, measures, k)
+        assert unmeasured.tobytes() == fast.tobytes()
+        # and with a spare bit too: as many bits as active qubits, one unmeasured
+        both = backend_module._distributions(padded, wide, measures, k + 1)
+        assert np.ascontiguousarray(both[:, :1 << k]).tobytes() == fast.tobytes()
 
 
 def test_distribution_total_is_a_sequential_sum():

@@ -1,8 +1,10 @@
 """Operator sets, the closed-form chi inversion, chi matrices, QPT pipelines."""
 
 import dataclasses
+import itertools
 import math
 import re
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -30,15 +32,17 @@ from qptkit.process_tomography import (
     _UNIT_RECIPES,
     _WEIGHT_TABLE,
     OPERATOR_LABELS,
+    _preparations,
     _unit_outputs,
     preparation_circuit,
     project_result,
     tp_deviation,
 )
-from qptkit.qasm import Gate
-from qptkit.state_tomography import _QUBIT_TABLE
+from qptkit.backend import execute_many
+from qptkit.qasm import Circuit, Gate
+from qptkit.state_tomography import _QUBIT_TABLE, _collect, _setting_circuits, child_seeds
 
-from conftest import haar_unitary, random_density
+from conftest import clear_maps, haar_unitary, random_density
 from oracles import (
     beta_tensor,
     chi_to_channel,
@@ -749,13 +753,13 @@ def test_run_qpt_matches_per_label_oracle(qx4, qx2, mode, gate, lines):
         assert abs(res.tp_deviation - tp_dev) <= 1e-15
 
 
-def test_run_qpt_is_one_stream(qx4, monkeypatch):
+def test_run_qpt_is_one_stream(qx4, monkeypatch, fresh_maps):
     evolved, checks = [], []
     evolve = backend_module._evolve
 
-    def counting_evolve(circuit, backend, active=None):
-        evolved.append(active)
-        return evolve(circuit, backend, active)
+    def counting_evolve(circuit, backend, active=None, start=None):
+        evolved.append((active, None if start is None else len(start)))
+        return evolve(circuit, backend, active, start)
 
     monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
     for name in ("_check_readout", "check_density_matrix"):
@@ -764,21 +768,105 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch):
             checks.append((name, len(matrices)))
             return original(matrices, *args, **kwargs)
         monkeypatch.setattr(backend_module, name, counting_check)
-    run_qpt("cx", (2, 4), qx4, shots=100, seed=1)
-    # the 16 preparations evolve once each, and their 16 states pass the
-    # readout test as one stack and are read out in the 9 settings, which do
-    # not evolve; no full check
-    assert evolved == [(4, 2)] * 16 and checks == [("_check_readout", 16)]
-    evolved.clear()
-    checks.clear()
-    run_qpt("h", (0,), qx4)
-    assert evolved == [(0,)] * 4 and checks == [("_check_readout", 4)]
-    evolved.clear()
-    checks.clear()
-    # with idle decay too, the settings are read out of the 16 states, and no
-    # setting circuit evolves
-    run_qpt("cx", (2, 4), qx4.with_idle_decay(True))
-    assert evolved == [(4, 2)] * 16 and checks == [("_check_readout", 16)]
+
+    def run(*args, **kwargs):
+        evolved.clear()
+        checks.clear()
+        run_qpt(*args, **kwargs)
+        return evolved, checks
+
+    # a fresh table evolves the 16 preparations once each, and the gate then
+    # runs once over their stack; the 16 final states pass the readout test as
+    # one stack and are read out in the 9 settings, which do not evolve; no
+    # full check
+    assert run("cx", (2, 4), qx4, shots=100, seed=1) == (
+        [((4, 2), None)] * 16 + [((4, 2), 16)], [("_check_readout", 16)])
+    # the same lines again, with another seed or exact: no preparation evolves
+    for shots, seed in ((100, 2), (None, None)):
+        assert run("cx", (2, 4), qx4, shots=shots, seed=seed) == (
+            [((4, 2), 16)], [("_check_readout", 16)])
+    assert run("h", (0,), qx4) == ([((0,), None)] * 4 + [((0,), 4)], [("_check_readout", 4)])
+    # another gate on the same line shares its table
+    assert run("x", (0,), qx4, shots=10, seed=3) == ([((0,), 4)], [("_check_readout", 4)])
+    # with idle decay too, a model of its own: its table is built once, and
+    # the settings are read out of the 16 states, no setting circuit evolving
+    idle = qx4.with_idle_decay(True)
+    assert run("cx", (2, 4), idle) == ([((4, 2), None)] * 16 + [((4, 2), 16)],
+                                       [("_check_readout", 16)])
+    assert run("cx", (2, 4), idle) == ([((4, 2), 16)], [("_check_readout", 16)])
+
+
+@pytest.mark.parametrize("mode", ["noise", "quiet", "idle"])
+@pytest.mark.parametrize("gate, lines", [("h", (2,)), ("cx", (3, 4)), ("cx", (3, 2))])
+def test_preparation_table_matches_each_joined_circuit_alone(qx4, mode, gate, lines, fresh_maps):
+    model = {"noise": qx4, "quiet": qx4.with_noise(False), "idle": qx4.with_idle_decay(True)}[mode]
+    step = Circuit(5, 0, (Gate(gate, lines),))
+    preps = _preparations(lines)
+    joined = [prep.then(step) for prep in preps]
+    settings = _setting_circuits(lines, 5)
+    active = tuple(sorted(lines, reverse=True))
+    for shots, seed in ((None, None), (8192, 7), (5, 3)):
+        seeds = None if shots is None else child_seeds(seed, len(preps))
+        got, _, ((on, states),) = _collect(preps, model, lines, shots, seeds, Gate(gate, lines))
+        # the per-circuit route: each prep.then(gate) evolved alone, its
+        # final states those of the table's stack bit for bit
+        want, _, ((_, alone),) = _collect(joined, model, lines, shots, seeds)
+        assert on == active and got.dtype == want.dtype
+        assert np.array_equal(got, want) and np.array_equal(states, alone)
+    # the exact weights are execute_many's of each prep.then(gate).then(setting):
+    # bit for bit without noise, within rounding with it
+    exact = _collect(preps, model, lines, None, None, Gate(gate, lines))[0]
+    circuits = [prep.then(setting) for prep in joined for setting in settings]
+    rows = np.array([r.probabilities for r in execute_many(circuits, model)])
+    if mode == "quiet":
+        assert np.array_equal(exact.reshape(rows.shape), rows)
+    else:
+        assert np.abs(exact.reshape(rows.shape) - rows).max() <= 1e-15
+
+
+def test_preparation_tables_are_keyed_by_lines_and_model(qx4, fresh_maps):
+    # models that differ only in durations, noise or idle decay each get a
+    # table of their own, as do lines that differ only in order; run one
+    # after another in one process, each gives the bits it gives from an
+    # empty table
+    slower = dataclasses.replace(qx4, gate_durations_ns=MappingProxyType(
+        {g: 2.0 * d for g, d in qx4.gate_durations_ns.items()}))
+    models = {"base": qx4, "durations": slower, "noise": qx4.with_noise(False),
+              "idle": qx4.with_idle_decay(True)}
+    assert len({model._map_key for model in models.values()}) == len(models)
+    placements = [("cx", (3, 2)), ("h", (3,)), ("x", (3,))]
+
+    def run(model):
+        # cx 2>3 is off qx4's map: lines (2, 3) get only their table
+        tables = [backend_module._prepared(_preparations(lines), lines, model)
+                  for lines in ((3, 2), (2, 3))]
+        return tables, [run_qpt(g, lines, model, 100, 5).chi.matrix for g, lines in placements]
+
+    shared = {name: run(model) for name, model in models.items()}
+    assert set(backend_module._PREPARED) == {
+        (lines, model._map_key) for model in models.values() for lines in ((3, 2), (2, 3), (3,))}
+    for name, model in models.items():
+        clear_maps()
+        tables, chis = run(model)
+        for (stack, active), (kept, kept_active) in zip(tables, shared[name][0], strict=True):
+            assert active == kept_active == (3, 2) and np.array_equal(stack, kept)
+            assert not stack.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip(chis, shared[name][1], strict=True))
+    # the lines' order picks the preparation on each line, and every model
+    # its own states
+    stacks = [stack for tables, _ in shared.values() for stack, _ in tables]
+    assert all(not np.array_equal(a, b) for a, b in itertools.combinations(stacks, 2))
+
+
+def test_preparation_table_is_bounded(qx4, monkeypatch, fresh_maps):
+    want = {lines: run_qpt("h", lines, qx4).chi.matrix for lines in ((q,) for q in range(5))}
+    clear_maps()
+    monkeypatch.setattr(backend_module, "_CACHE_ENTRIES", 3)
+    for lines, chi in want.items():
+        assert np.array_equal(run_qpt("h", lines, qx4).chi.matrix, chi)
+        assert len(backend_module._PREPARED) <= 3
+    # the oldest tables went first
+    assert [lines for lines, _ in backend_module._PREPARED] == [(2,), (3,), (4,)]
 
 
 def test_run_qpt_argument_errors(qx4):

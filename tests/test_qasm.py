@@ -125,6 +125,27 @@ def test_error_oversized_register():
         parse_qasm("OPENQASM 2.0;\nqreg q[6];\n")
 
 
+HUGE = "9" * 5000  # past the 4300 digits Python's int() converts
+
+
+@pytest.mark.parametrize("text, position", [
+    (f"OPENQASM 2.0;\nqreg q[{HUGE}];\n", (2, 8)),
+    (f"OPENQASM 2.0;\nqreg q[2];\ncreg c[{HUGE}];\n", (3, 8)),
+    (f"OPENQASM 2.0;\nqreg q[2];\nh q[{HUGE}];\n", (3, 5)),
+    (f"OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[{HUGE}];\n", (4, 19)),
+], ids=["qreg", "creg", "gate", "measure"])
+def test_huge_integer_fails_with_a_qasm_error_at_its_token(text, position):
+    with pytest.raises(QasmError, match=r"integer of 5000 characters, more than 100$") as exc:
+        parse_qasm(text)
+    assert (exc.value.line, exc.value.col) == position
+    # a hundred digits are read, and fail as any index out of range does
+    with pytest.raises(QasmError, match="qreg size 9{100} outside supported range 1..5"):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[{'9' * 100}];\n")
+    with pytest.raises(ValueError, match="^bad coupling entry: integer of 5000 characters, "
+                                         "more than 100$"):
+        CouplingMap.from_text(f"1>0,{HUGE}>0")
+
+
 @pytest.mark.parametrize("size", [6, 22, 40])
 def test_classical_register_above_the_qubit_count_fails_before_any_outcome_array(size):
     # a readout holds 2^m outcomes per row: creg c[22] asked for 2^22 of them

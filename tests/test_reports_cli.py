@@ -224,6 +224,33 @@ def test_report_nested_too_deeply_is_invalid():
             parse_report(text)
 
 
+def test_report_with_a_huge_integer_is_invalid(h_report):
+    # past the 4300 digits Python's int() converts, before json reads it
+    text = dump_report(h_report)
+    assert '"executions": 12' in text
+    for number in ("9" * 5000, "-" + "9" * 5000):
+        with pytest.raises(ValueError, match="^invalid report: integer of 5000 characters, "
+                                             "more than 100$"):
+            parse_report(text.replace('"executions": 12', f'"executions": {number}'))
+    # a hundred digits are read, and fail as any wrong count does
+    with pytest.raises(ValueError, match="^invalid report: executions"):
+        parse_report(text.replace('"executions": 12', f'"executions": {"9" * 100}'))
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--lines", "9" * 5000], "error: bad --lines value: integer of 5000 characters, more than 100"),
+    (["--lines", "0", "--shots", "9" * 5000],
+     "error: argument --shots: integer of 5000 characters, more than 100"),
+    (["--lines", "0", "--shots", "8", "--seed", "9" * 5000],
+     "error: argument --seed: integer of 5000 characters, more than 100"),
+], ids=["lines", "shots", "seed"])
+def test_cli_rejects_huge_integers(tmp_path, capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["qpt", "--gate", "h", *argv, "--backend", "qx4", "--out", str(tmp_path)])
+    assert reason in f"{exc.value.code}\n{capsys.readouterr().err}"
+    assert not list(tmp_path.glob("*.json"))
+
+
 def test_seed_summary(qx4_quiet):
     seeds = [0, 1, 2]
     results = [run_qpt("h", (0,), qx4_quiet, shots=256, seed=s) for s in seeds]

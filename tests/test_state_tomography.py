@@ -348,6 +348,16 @@ def test_dataset_equality():
         TomographyDataset(100, ds.weights[1:])
 
 
+@pytest.mark.parametrize("key", ["qubits", "shots"])
+def test_dataset_header_with_a_huge_integer_fails_at_its_line(key):
+    header = {"qubits": "1", "shots": "100", key: "9" * 5000}
+    text = f"format=1\nqubits={header['qubits']}\nshots={header['shots']}\nZ 0:100\n"
+    line = 2 if key == "qubits" else 3
+    with pytest.raises(ValueError, match=f"^line {line}: dataset header '{key}': integer of "
+                                         "5000 characters, more than 100$"):
+        read_dataset(text)
+
+
 def test_dataset_reader_errors():
     with pytest.raises(ValueError, match="missing dataset header"):
         read_dataset("format=1\nqubits=1\nZ 0:1.0\n")
