@@ -40,12 +40,13 @@ only a state handed out as a ``final_state`` meets the full
 one circuit at a time (``_read``), and yields its result before the next
 circuit evolves.
 
-Tomography (``_execute_preparations``) evolves each preparation alone, and
-a group's stack of final states passes one readout test.  A gate
-placement (``run_qpt``) evolves none: its 4 or 16 preparations' states come
-from the preparation table of its lines (``_prepared``), each evolved once
-per model, and the gate's maps run through ``_evolve`` over that whole
-stack, whose final states pass one readout test.  The 3^n settings are not
+Tomography reads its settings out of one stack of final states that is
+already evolved (``_read_settings``), and the stack passes one readout
+test.  A state tomography's stack is its one preparation, evolved on the
+qubits it and its settings touch.  A gate placement's (``run_qpt``) is its
+4 or 16 preparations' states, taken from the preparation table of its
+lines (``_prepared``), each evolved once per model, with the gate's maps
+run through ``_evolve`` over that whole stack.  The 3^n settings are not
 evolved: every map a setting applies acts on one qubit, a basis rotation on
 its qubit, a measure's decay on the measured qubit and, with idle decay on,
 each rotation's decay on every other active qubit.  So a setting's final
@@ -54,11 +55,11 @@ maps of each qubit's letter (``_setting_diagonals``).  Without noise that
 gives each weight the bits the setting circuit gives it, and with noise
 within rounding (1e-15): maps on different qubits commute, as do the decays
 on one qubit, and the readout applies them in another order than the
-circuit.  The weights go into one ``(preparations, settings, 2^m)`` array,
-handed back with the stacks of final states.  Only ``execute_exact``
-returns ``final_state``, the density matrix of the whole register; a
-preparation evolved on exactly the qubits it touches gives the same state
-bit for bit (``_exact_state``), and on more qubits it may not.
+circuit.  The weights go into one ``(preparations, settings, 2^m)`` array.
+Only ``execute_exact`` returns ``final_state``, the density matrix of the
+whole register; a preparation evolved on exactly the qubits it touches
+gives the same state bit for bit (``_exact_state``), and on more qubits it
+may not.
 
 Outcomes are read-only arrays of length 2^m over the m classical bits:
 entry i is the outcome whose bitstring, classical bit m-1 first, is
@@ -71,7 +72,7 @@ per row from its own PCG64, seeded with 4 uint64 words (``_Words``).  In
 ``execute`` and ``execute_many`` a row is a circuit, and its words are
 ``np.random.SeedSequence(seed).generate_state(4, np.uint64)``: its generator
 is bitwise the one ``np.random.default_rng(seed)`` builds.  In tomography
-(``_execute_preparations``) a row is a setting, and each preparation's seed
+(``_read_settings``) a row is a setting, and each preparation's seed
 is expanded once, ``SeedSequence(seed).generate_state(4 * 3**n, np.uint64)``:
 setting s draws on words 4s..4s+3 of it, so each setting keeps a stream of
 its own, and a change to one setting's weights changes no other setting's
@@ -85,9 +86,9 @@ reproduce identical counts under one numpy version; numpy does not promise
 its binomial draws stay the same across versions.  ``seed=None`` draws
 fresh entropy.
 
-The maps an instruction applies (``_maps``), a tomography group's
-per-qubit setting maps (``_setting_maps``) and a placement's preparation
-table (``_prepared``) depend only on the instruction, the settings or the
+The maps an instruction applies (``_maps``), the per-qubit maps of a set of
+settings (``_setting_maps``) and a placement's preparation table
+(``_prepared``) depend only on the instruction, the settings or the
 lines, the active qubits and the fields of the model the maps read (its
 ``_map_key``: T1/T2, durations, the noise and idle-decay switches).  Each
 is built once per such key and process, in a cache that drops its oldest
@@ -130,7 +131,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .channels import NoiseParams, _superoperator_matrix, decoherence_channel
 from .operators import GATE_ARITY, _certified, check_density_matrix, num_qubits, standard_gate
-from .qasm import QUBIT_COUNT, Circuit, CircuitError, CouplingMap, Gate, Measure, validate_topology
+from .qasm import QUBIT_COUNT, Circuit, CouplingMap, Gate, Measure, validate_topology
 
 __all__ = [
     "BackendModel",
@@ -789,14 +790,14 @@ _Lines = tuple[tuple[int, tuple[tuple[tuple[np.ndarray, int], ...], ...]], ...]
 
 def _setting_maps(settings: Sequence[Circuit], active: tuple[int, ...],
                   backend: BackendModel) -> _Lines:
-    """Per measured qubit of ``_execute_preparations``' settings, in measure
-    order: its axis on ``active`` and, per letter, the maps the letter's
-    instructions apply, in circuit order, each a (4, 4) matrix with the axis
-    of the one qubit it acts on: each rotation on the qubit, followed, with
-    idle decay, by the decay of every other active qubit for its duration,
-    then the qubit's measure decay.  Built once per (measured qubits,
-    register size, active qubits, model key): the settings of those qubits
-    are ``state_tomography``'s, the same on every call."""
+    """Per measured qubit of the settings ``_read_settings`` reads out, in
+    measure order: its axis on ``active`` and, per letter, the maps the
+    letter's instructions apply, in circuit order, each a (4, 4) matrix with
+    the axis of the one qubit it acts on: each rotation on the qubit,
+    followed, with idle decay, by the decay of every other active qubit for
+    its duration, then the qubit's measure decay.  Built once per (measured
+    qubits, register size, active qubits, model key): the settings of those
+    qubits are ``state_tomography``'s, the same on every call."""
     measured = tuple(meas.qubit for meas in settings[0].measurements)
 
     def build() -> _Lines:
@@ -895,79 +896,35 @@ def _prepared(preps: Sequence[Circuit], lines: tuple[int, ...],
     return _cached(_PREPARED, (lines, backend._map_key), build)
 
 
-def _execute_preparations(preps: Sequence[Circuit], settings: Sequence[Sequence[Circuit]],
-                          backend: BackendModel, shots: int | None = None,
-                          words: np.ndarray | None = None, gate: Gate | None = None
-                          ) -> tuple[np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
-    """The outcome weights of ``prep.then(setting)``, for each setting of
-    each preparation p in turn, as one ``(len(preps), 3**n, 2**m)`` array:
-    exact weights (float), what ``execute_many`` gives, when ``shots`` is
-    None, else counts (int), row r of the settings in turn drawn by PCG64 on
-    the 4 uint64 words ``words[r]``.  With ``gate``, the circuits are each
-    preparation, then ``gate``, then the setting.
+def _read_settings(states: np.ndarray, active: tuple[int, ...], settings: Sequence[Circuit],
+                   backend: BackendModel, shots: int | None, words: np.ndarray | None
+                   ) -> np.ndarray:
+    """The outcome weights of each of the ``(B, 2**k, 2**k)`` final states
+    ``states`` on ``active`` under each of ``settings``, as one read-only
+    ``(B, 3**n, 2**m)`` array: exact weights (float) when ``shots`` is None,
+    else counts (int), row r of the settings in turn drawn by PCG64 on the 4
+    uint64 words ``words[r]``; the caller has checked ``shots``.
 
-    ``settings[p]`` holds preparation p's 3**n tomography settings over n
-    measured qubits, each measuring them into the same m classical bits.
-    They form a product over the measured qubits: what setting s applies to
-    its j-th measured qubit, in measure order, is what setting d * 3**(n-1-j)
-    applies to it, d being digit j of s in base 3 (the first digit most
+    ``settings`` are the 3**n tomography settings of n measured qubits,
+    each measuring them into the same m classical bits.  They form a
+    product over the measured qubits: what setting s applies to its j-th
+    measured qubit, in measure order, is what setting d * 3**(n-1-j) applies
+    to it, d being digit j of s in base 3 (the first digit most
     significant), and no setting gate acts on more than one qubit.
 
-    Each preparation's cx placements, and the gate's, are checked, and a
-    preparation that measures raises ``CircuitError``, before anything
-    evolves.  Without ``gate``, each preparation is then evolved once,
-    alone, on the qubits it and its first setting touch, and consecutive
-    preparations on the same qubits with the same settings form a group.
-    With ``gate``, ``preps`` are the preparations of its lines and
-    ``settings`` measure those lines: they form one group, whose evolved
-    preparations come from the lines' preparation table (``_prepared``),
-    and the gate's maps run through ``_evolve`` over the table's whole
-    stack, each state with the bits it gets evolved alone.  No setting
-    circuit is evolved.  A group's stack of final states passes one readout
-    test (a failure names the group's preparations by position, ``circuits
-    a..b: matrix j: ...``), and its settings' diagonals are read out of it
-    (``_setting_diagonals``).  Without noise they are bitwise those the
-    setting circuits leave, and with it, idle decay on or off, within
-    rounding (1e-15).  Also returned, per group in order: its active qubits
-    and the ``(count, 2**k, 2**k)`` stack of its final states.
+    The stack passes one readout test (a failure names its states by
+    position, ``circuits 0..B-1: matrix j: ...``), and the settings'
+    diagonals are read out of it (``_setting_diagonals``): bitwise those the
+    setting circuits leave without noise, and with it, idle decay on or off,
+    within rounding (1e-15).
     """
-    _check_shots(shots)
-    for prep in preps:
-        _check_topology(prep, backend)
-    if any(prep.measurements for prep in preps):
-        raise CircuitError("circuit already contains measurements")
-    if gate is None:
-        keys = [(chain, tuple(sorted(_qubits(prep.instructions + chain[0].instructions),
-                                     reverse=True)))
-                for prep, chain in zip(preps, settings)]
-        groups = [(key, [prep for _, prep in jobs])
-                  for key, jobs in itertools.groupby(zip(keys, preps), operator.itemgetter(0))]
-    else:
-        step = Circuit(preps[0].qubit_count, 0, (gate,))
-        _check_topology(step, backend)
-        start, active = _prepared(preps, gate.targets, backend)
-        groups = [((settings[0], active), preps)]
-    out = np.empty((len(preps), len(settings[0]), 1 << settings[0][0].classical_count),
-                   dtype=float if shots is None else np.intp)
-    rows = out.reshape(-1, out.shape[2])
-    evolved, first = [], 0
-    for (chain, active), stack in groups:
-        last = first + len(stack)
-        if gate is None:
-            states = np.stack([_evolve(prep, backend, active)[0] for prep in stack])
-        else:
-            states = _evolve(step, backend, active, start)[0]
-        try:
-            _check_readout(states)
-        except ValueError as exc:
-            raise ValueError(f"circuits {first}..{last - 1}: {exc}") from None
-        evolved.append((active, states))
-        diagonals = _setting_diagonals(states, active, _setting_maps(chain, active, backend))
-        at, end = first * len(chain), last * len(chain)
-        rows[at:end] = _read(diagonals, active, chain[0], backend, shots,
-                             None if words is None else words[at:end])
-        first = last
-    return out, evolved
+    try:
+        _check_readout(states)
+    except ValueError as exc:
+        raise ValueError(f"circuits 0..{len(states) - 1}: {exc}") from None
+    diagonals = _setting_diagonals(states, active, _setting_maps(settings, active, backend))
+    weights = _read(diagonals, active, settings[0], backend, shots, words)
+    return weights.reshape(len(states), len(settings), -1)
 
 
 def _exact_state(circuit: Circuit, active: tuple[int, ...],

@@ -13,7 +13,7 @@ Subcommands:
 reports under one numpy version.  A ``qpt`` run's preparations take the
 seeds ``child_seeds(seed, 4**n)`` and a ``qst`` run's circuit the seed
 itself; each setting of a preparation draws on its own 4 words of that
-preparation's seed expansion (``collect_weights``).  ``--seeds N`` repeats
+preparation's seed expansion (``collect_dataset``).  ``--seeds N`` repeats
 a sampled run with seeds seed..seed+N-1 and writes a summary report with
 per-seed fidelities and their mean/min/max.
 

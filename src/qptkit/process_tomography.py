@@ -90,11 +90,12 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .backend import BackendModel, TopologyError, _apply
+from .backend import BackendModel, TopologyError, _apply, _evolve, _prepared
 from .channels import COMPLETENESS_ATOL, KrausChannel, _check_trace_preserving, _superoperator_matrix
 from .operators import GATE_ARITY, dagger, kron, standard_gate
 from .qasm import QUBIT_COUNT, Circuit, Gate
-from .state_tomography import _QUBIT_TABLE, _collect, child_seeds, project_psd
+from .state_tomography import (_QUBIT_TABLE, _collect, _settings_and_words, child_seeds,
+                               project_psd)
 
 __all__ = [
     "ChiMatrix",
@@ -463,14 +464,15 @@ def run_qpt(
     derives no seeds; otherwise every setting of every preparation is
     sampled with ``shots`` shots: the preparations take the seeds
     ``child_seeds(seed, 4**n)``, and each setting draws on its own 4 words
-    of its preparation's seed expansion (``collect_weights``).  The
-    preparation circuits are built and checked once per ``lines``, and
-    their noisy states evolved once per ``lines`` and model, in the
-    preparation table (``backend._prepared``); the gate is then applied to
-    the table's whole stack, each state getting the bits it gets evolved
-    alone, and the settings are read out of the final states.  A line that
-    is no integer (a numpy one is, a bool or a float is not) raises
-    ``ValueError``.
+    of its preparation's seed expansion, as in ``collect_dataset``.  A line
+    that is no integer (a numpy one is, a bool or a float is not) raises
+    ``ValueError``.  The lines, the cx pair, the seed and the shots are
+    checked before anything evolves; the preparations' x, h and s gates
+    need no coupling check.  The preparation circuits are built once per
+    ``lines``, and their noisy states evolved once per ``lines`` and model,
+    in the preparation table (``backend._prepared``); the gate is then
+    applied to the table's whole stack, each state getting the bits it gets
+    evolved alone, and the settings are read out of the final states.
     """
     lines = tuple(lines)
     for q in lines:
@@ -495,7 +497,10 @@ def run_qpt(
 
     preps = _preparations(lines)
     seeds = None if shots is None else child_seeds(seed, len(preps))
-    weights, totals, _ = _collect(preps, backend, lines, shots, seeds, Gate(gate, lines))
+    settings, words = _settings_and_words(lines, QUBIT_COUNT, shots, seeds)
+    start, active = _prepared(preps, lines, backend)
+    states, _ = _evolve(Circuit(QUBIT_COUNT, 0, (Gate(gate, lines),)), backend, active, start)
+    weights, totals = _collect(states, active, settings, backend, shots, words)
     executions = weights.shape[0] * weights.shape[1]
 
     chi = chi_from_outputs(_unit_outputs(weights / totals), arity)

@@ -11,14 +11,13 @@ enumerated with the per-qubit order Z < X < Y, lexicographically
 
     n=2:  ZZ ZX ZY XZ XX XY YZ YX YY
 
-``collect_weights`` takes the 3**n settings of each of a list of
-preparations and returns the complete canonical stack ``(L, 3**n, 2**n)``:
-preparation, setting in ``qst_settings`` order, outcome.  Every map a
-setting applies acts on one qubit, idle decay on or off, so the backend
-reads the settings out of each once-evolved preparation state one qubit at
+``collect_dataset`` takes the 3**n settings of one preparation.  Every map
+a setting applies acts on one qubit, idle decay on or off, so the backend
+reads the settings out of the once-evolved preparation state one qubit at
 a time, through the maps of that qubit's letter, and evolves no setting
 circuit.  A sampled setting draws on its own stream: its 4 words of its
-preparation's seed expansion.  That stack is the only input
+preparation's seed expansion.  The canonical stack ``(L, 3**n, 2**n)``,
+preparation, setting in ``qst_settings`` order, outcome, is the only input
 ``reconstruct_states`` takes.
 
 The expectation value of a Pauli string reads the string's Z-filled
@@ -37,14 +36,14 @@ it is exactly Hermitian, with trace 1 up to rounding.  The result can
 carry small negative eigenvalues at finite shots; ``project_psd`` clips
 them for reporting, the raw matrix is never silently altered.
 
-A ``TomographyDataset`` is one row of the ``collect_weights`` stack: a
-preparation's read-only float ``(3**n, 2**n)`` weights, settings in
-``qst_settings`` order, so ``reconstruct_states(ds.weights[None])[0]`` is
-its state.  It serialises to line-oriented text (``format=1`` header, one
-record per setting in sorted tag order, ``bitstring:weight`` by ``repr`` for
-every nonzero weight) so runs can be stored and re-analysed; the reader
-rejects text that lacks a setting or names an unknown one.  That text is
-the only place outcome bitstrings are written or read.
+A ``TomographyDataset`` is one row of a canonical stack: a preparation's
+read-only float ``(3**n, 2**n)`` weights, settings in ``qst_settings``
+order, so ``reconstruct_states(ds.weights[None])[0]`` is its state.  It
+serialises to line-oriented text (``format=1`` header, one record per
+setting in sorted tag order, ``bitstring:weight`` by ``repr`` for every
+nonzero weight) so runs can be stored and re-analysed; the reader rejects
+text that lacks a setting or names an unknown one.  That text is the only
+place outcome bitstrings are written or read.
 """
 
 from __future__ import annotations
@@ -56,8 +55,9 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .backend import BackendModel, _exact_state, _execute_preparations, _seed_words
-from .qasm import QUBIT_COUNT, Circuit, Gate, Measure, _too_long
+from .backend import (BackendModel, _check_shots, _check_topology, _evolve, _exact_state, _qubits,
+                      _read_settings, _seed_words)
+from .qasm import QUBIT_COUNT, Circuit, CircuitError, Gate, Measure, _too_long
 
 __all__ = [
     "BASIS_ORDER",
@@ -68,7 +68,6 @@ __all__ = [
     "state_fidelity",
     "write_dataset",
     "read_dataset",
-    "collect_weights",
     "collect_dataset",
     "QstRun",
     "run_qst",
@@ -152,15 +151,16 @@ class TomographyDataset:
     Row s of ``weights`` holds the 2**n counts (sampled runs) or exact
     probabilities of setting ``qst_settings(n)[s]``, indexed by outcome as in
     the module docstring; the dataset keeps a checked, read-only float copy.
-    ``shots`` is the per-setting shot count, or None for exact probabilities.
+    ``shots`` is the per-setting shot count, an integer from 1 to
+    ``MAX_SHOTS`` (a numpy one too, but no bool), or None for exact
+    probabilities.
     """
 
     shots: int | None
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.shots is not None and self.shots < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
+        _check_shots(self.shots)
         weights = np.array(self.weights, dtype=float)
         _shape_qubit_count(weights.shape, 2)
         _check_weights(weights, 1.0 if self.shots is None else float(self.shots))
@@ -341,8 +341,10 @@ def read_dataset(text: str) -> TomographyDataset:
         raise ValueError(f"line {header['qubits'][0]}: qubit count must be 1..{QUBIT_COUNT}, "
                          f"got {n}")
     shots = None if header["shots"][1] == "exact" else integer("shots")
-    if shots is not None and shots < 1:
-        raise ValueError(f"line {header['shots'][0]}: shots must be positive, got {shots}")
+    try:
+        _check_shots(shots)
+    except ValueError as exc:
+        raise ValueError(f"line {header['shots'][0]}: {exc}") from None
     settings = qst_settings(n)
     row_of = {tag: row for row, tag in enumerate(settings)}
     weights = np.zeros((len(settings), 1 << n))
@@ -381,78 +383,71 @@ def child_seeds(seed: int | None, count: int) -> list[int]:
     return _seed_words([seed], count)[0].tolist()
 
 
-def _collect(preps: Sequence[Circuit], backend: BackendModel,
-             qubits: tuple[int, ...] | None, shots: int | None,
-             seeds: Sequence[int | None] | None, gate: Gate | None = None
-             ) -> tuple[np.ndarray, np.ndarray, list[tuple[tuple[int, ...], np.ndarray]]]:
-    """``collect_weights``'s stack, its setting totals as ``_check_weights``
-    returns them, and the groups of final states
-    ``backend._execute_preparations`` returns with it.  Each
-    preparation's settings go to the backend as the circuits of
-    ``_setting_circuits``, whose rotations and measures it reads each
-    final state out through, qubit by qubit.  With ``gate``, on the lines
-    ``qubits``, ``preps`` are the preparations of those lines, and each is
-    followed by the gate before its settings, applied to the lines'
-    preparation table (``backend._prepared``)."""
-    if not preps:
-        raise ValueError("no preparations to run")
+def _settings_and_words(qubits: tuple[int, ...], qubit_count: int, shots: int | None,
+                        seeds: Sequence[int | None] | None
+                        ) -> tuple[tuple[Circuit, ...], np.ndarray | None]:
+    """The setting circuits of ``qubits`` on a ``qubit_count``-qubit register
+    and, when sampling, each setting's 4 words of its preparation's entry of
+    ``seeds`` expanded as ``collect_dataset`` describes, preparation by
+    preparation; bad qubits, seeds or shots raise before anything evolves."""
+    settings = _setting_circuits(qubits, qubit_count)
+    if shots is None:
+        return settings, None
+    words = _seed_words(seeds, 4 * len(settings)).reshape(-1, 4)
+    _check_shots(shots)
+    return settings, words
+
+
+def _collect(states: np.ndarray, active: tuple[int, ...], settings: tuple[Circuit, ...],
+             backend: BackendModel, shots: int | None, words: np.ndarray | None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only canonical stack ``backend._read_settings`` reads out of
+    ``states``, and its setting totals from its one check as a dataset's
+    weights (``_check_weights``): the datasets built of its rows keep them."""
+    stack = _read_settings(states, active, settings, backend, shots, words)
+    return stack, _check_weights(stack, 1.0 if shots is None else float(shots))
+
+
+def _tomograph(prep: Circuit, backend: BackendModel, qubits: tuple[int, ...] | None,
+               shots: int | None, seed: int | None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """``_collect`` of one preparation, its final state and its qubits: the
+    preparation's cx placements are checked, and one that measures raises
+    ``CircuitError``, before it evolves once on the qubits it and its
+    settings touch."""
     if qubits is None:
-        qubits = tuple(range(preps[0].qubit_count - 1, -1, -1))
-    qubits = tuple(qubits)
-    settings = [_setting_circuits(qubits, prep.qubit_count) for prep in preps]
-    words = None
-    if shots is not None:
-        seeds = [None] * len(preps) if seeds is None else seeds
-        if len(seeds) != len(preps):
-            raise ValueError(f"{len(seeds)} seed(s) for {len(preps)} preparation(s)")
-        # each setting's 4 words of its preparation's one seed expansion
-        words = _seed_words(seeds, 4 * len(settings[0])).reshape(-1, 4)
-    stack, groups = _execute_preparations(preps, settings, backend, shots, words, gate)
-    totals = _check_weights(stack, 1.0 if shots is None else float(shots))
-    stack.setflags(write=False)
-    return stack, totals, groups
-
-
-def collect_weights(preps: Sequence[Circuit], backend: BackendModel,
-                    qubits: tuple[int, ...] | None = None,
-                    shots: int | None = None,
-                    seeds: Sequence[int | None] | None = None) -> np.ndarray:
-    """Take every setting of every preparation.
-
-    Returns the read-only ``(len(preps), 3**n, 2**n)`` stack of outcome
-    weights, settings in canonical order: exact probabilities (float) when
-    ``shots`` is None, else counts (int).  ``qubits`` lists the measured
-    qubits most significant first and defaults to the whole register.  A
-    sampled preparation takes its entry of ``seeds`` (fresh entropy when it
-    or ``seeds`` is None), expanded once into
-    ``np.random.SeedSequence(seed).generate_state(4 * 3**n, np.uint64)``,
-    for every preparation in one ``backend._seed_words`` call: setting s
-    draws one multinomial from its own PCG64 on words 4s..4s+3, so no
-    setting's counts depend on another's weights.  The setting circuits are
-    built and checked once per (qubits, register size)
-    (``_setting_circuits``).  Each preparation is evolved once, alone (a
-    ``run_qpt`` placement instead applies its gate to the stack its lines'
-    preparation table holds), and its settings are read out of its state
-    one measured qubit at a time (see ``backend``): every exact row is what
-    ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
-    noise, and within 1e-15 with noise on, idle decay on or off, and a
-    sampled row is drawn from the exact one.  The weights are
-    checked as a dataset's are, all as one stack, and only there: the
-    datasets ``collect_dataset`` and ``run_qst`` build keep a stack's rows.
-    An empty ``preps`` raises ``ValueError``; a setting that does not fit
-    the register, or a preparation that measures, ``CircuitError``.
-    """
-    return _collect(preps, backend, qubits, shots, seeds)[0]
+        qubits = range(prep.qubit_count - 1, -1, -1)
+    settings, words = _settings_and_words(tuple(qubits), prep.qubit_count, shots, [seed])
+    _check_topology(prep, backend)
+    if prep.measurements:
+        raise CircuitError("circuit already contains measurements")
+    touched = _qubits(prep.instructions + settings[0].instructions)
+    state, active = _evolve(prep, backend, tuple(sorted(touched, reverse=True)))
+    weights, totals = _collect(state[None], active, settings, backend, shots, words)
+    return weights, totals, state, active
 
 
 def collect_dataset(prep: Circuit, backend: BackendModel,
                     qubits: tuple[int, ...] | None = None,
                     shots: int | None = None,
                     seed: int | None = None) -> TomographyDataset:
-    """Take every setting of ``prep``, read out of its once-evolved state:
-    the one-preparation case of ``collect_weights``, whose checked row the
-    dataset holds, not checked again."""
-    weights, _, _ = _collect([prep], backend, qubits, shots, [seed])
+    """Take every setting of a measurement-free preparation.
+
+    The dataset holds exact probabilities when ``shots`` is None, else
+    counts.  ``qubits`` lists the measured qubits most significant first
+    and defaults to the whole register.  A sampled dataset expands ``seed``
+    (fresh entropy when None) once into
+    ``np.random.SeedSequence(seed).generate_state(4 * 3**n, np.uint64)``:
+    setting s draws one multinomial from its own PCG64 on words 4s..4s+3,
+    so no setting's counts depend on another's weights.  The preparation is
+    evolved once, and its settings are read out of its state one measured
+    qubit at a time (see ``backend``): every exact row is what
+    ``execute_many`` gives for ``prep.then(setting)``, bit for bit without
+    noise, and within 1e-15 with noise on, idle decay on or off.  A setting
+    that does not fit the register, or a preparation that measures, raises
+    ``CircuitError``.
+    """
+    weights, _, _, _ = _tomograph(prep, backend, qubits, shots, seed)
     return TomographyDataset._of_checked(shots, weights[0])
 
 
@@ -479,11 +474,11 @@ def run_qst(circuit: Circuit, backend: BackendModel,
 
     ``shots=None`` uses exact outcome probabilities; otherwise each of the
     3**n settings is sampled on its own 4 words of ``seed``'s expansion
-    (``collect_weights``).  The circuit is evolved once, as the settings'
+    (``collect_dataset``).  The circuit is evolved once, as the settings'
     preparation, and that state is the run's ``reference`` when it covers
     the whole register.
     """
-    weights, totals, ((active, states),) = _collect([circuit], backend, None, shots, [seed])
+    weights, totals, state, active = _tomograph(circuit, backend, None, shots, seed)
     dataset = TomographyDataset._of_checked(shots, weights[0])
     return QstRun(state=_contract(dataset.weights[None] / totals)[0], dataset=dataset,
-                  reference=_exact_state(circuit, active, states[0]))
+                  reference=_exact_state(circuit, active, state))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,17 @@ def fresh_maps():
     clear_maps()
     yield
     clear_maps()
+
+
+def patch_evolve(monkeypatch, replacement):
+    """Put ``replacement`` in the place of ``backend._evolve`` in every
+    package module that holds it: the backend and the tomography modules,
+    which evolve their preparations and gate placements with it."""
+    original = backend._evolve
+    modules = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "qptkit" and getattr(m, "_evolve", None) is original]
+    for module in modules:
+        monkeypatch.setattr(module, "_evolve", replacement)
 
 
 @pytest.fixture(scope="session")

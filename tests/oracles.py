@@ -11,11 +11,14 @@ time; both reconstruct, combine and invert as the package did before it
 worked on stacks and per-qubit tables (``kraus_apply``, ``combine_by_label``,
 ``per_output_chi``).
 ``append_setting`` builds one setting circuit on its own, and
-``setting_circuits`` every setting's circuit that way.  ``distribution`` and
+``setting_circuits`` every setting's circuit that way.  ``collect_weights``
+stacks the datasets of several preparations, one ``collect_dataset`` call
+each, as the package collected them before it tomographed a preparation
+only alone or a gate placement only from its lines' preparation table.  ``distribution`` and
 ``sample`` read out one circuit's final state, evolved alone as the backend
 evolves every circuit, with a sequential total and ``default_rng``, where
 the backend reads rows through its batched readout, one per circuit in
-``execute_many`` and a group's settings at once in tomography; ``sample``
+``execute_many`` and a stack's settings at once in tomography; ``sample``
 folds the readout flips in with ``flipped``, which ``flip_matrix`` writes as
 a Kronecker product.  ``sample_settings`` draws a preparation's settings
 from their exact weights as tomography does, each setting from its own
@@ -88,7 +91,7 @@ def outcome_dict(weights: np.ndarray) -> dict:
 
 def append_setting(circuit: Circuit, setting: str, qubits=None) -> Circuit:
     """One setting circuit: ``circuit``, then the setting's basis rotations
-    (X after an H, Y after Sdg then H) and measures, as ``collect_weights``
+    (X after an H, Y after Sdg then H) and measures, as ``collect_dataset``
     builds it.  ``qubits`` lists the measured qubits most significant first
     and defaults to the whole register."""
     if qubits is None:
@@ -107,6 +110,19 @@ def setting_circuits(qubits: tuple[int, ...], qubit_count: int) -> tuple[Circuit
     measures, each built on its own by ``append_setting``."""
     return tuple(append_setting(Circuit(qubit_count, 0), tag, qubits)
                  for tag in qst_settings(len(qubits)))
+
+
+def collect_weights(preps, backend, qubits=None, shots=None, seeds=None) -> np.ndarray:
+    """The read-only ``(len(preps), 3**n, 2**n)`` stack of each
+    preparation's ``collect_dataset`` weights, sampled on its entry of
+    ``seeds`` (fresh entropy when it or ``seeds`` is None): float
+    probabilities when ``shots`` is None, else int counts."""
+    seeds = [None] * len(preps) if seeds is None else seeds
+    stack = np.array([collect_dataset(prep, backend, qubits, shots, seed).weights
+                      for prep, seed in zip(preps, seeds, strict=True)],
+                     dtype=float if shots is None else np.intp)
+    stack.setflags(write=False)
+    return stack
 
 
 def distribution(reduced: np.ndarray, active: tuple[int, ...],

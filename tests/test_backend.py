@@ -14,11 +14,13 @@ import pytest
 from qptkit import (
     BackendModel,
     Circuit,
+    CircuitError,
     ConfigError,
     Gate,
     Measure,
     TopologyError,
     builtin_backend,
+    collect_dataset,
     execute,
     execute_exact,
     execute_many,
@@ -27,7 +29,7 @@ from qptkit import (
     run_qpt,
     run_qst,
 )
-from conftest import clear_maps
+from conftest import clear_maps, patch_evolve
 from golden import regen
 from qptkit import backend as backend_module
 from qptkit.backend import DEFAULT_DURATIONS_NS, MAX_SHOTS, builtin_backend_names, read_backend
@@ -45,7 +47,7 @@ from oracles import (
 from qptkit.channels import KrausChannel, decoherence_channel
 from qptkit.operators import GATES, check_density_matrix, standard_gate
 from qptkit.process_tomography import preparation_circuit
-from qptkit.state_tomography import collect_weights, qst_settings
+from qptkit.state_tomography import qst_settings
 
 
 def _config(**overrides):
@@ -917,13 +919,13 @@ def test_shots_above_int64_raise_before_anything_evolves(qx4_quiet, monkeypatch)
     def evolve(*args):
         raise AssertionError("evolved")
 
-    monkeypatch.setattr(backend_module, "_evolve", evolve)
+    patch_evolve(monkeypatch, evolve)
     c = parse_qasm(H_MEASURED)
     too_many = rf"^shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}$"
     with pytest.raises(ValueError, match=too_many):
         next(execute_many([c], qx4_quiet, shots=MAX_SHOTS + 1, seeds=[1]))
     with pytest.raises(ValueError, match=too_many):
-        collect_weights([Circuit(1, 0)], qx4_quiet, shots=MAX_SHOTS + 1, seeds=[1])
+        collect_dataset(Circuit(1, 0), qx4_quiet, shots=MAX_SHOTS + 1, seed=1)
     monkeypatch.undo()
     # the largest count still draws
     assert MAX_SHOTS == 2**63 - 1
@@ -935,12 +937,12 @@ def test_shots_must_be_integers_before_anything_evolves(qx4_quiet, monkeypatch, 
     def evolve(*args):
         raise AssertionError("evolved")
 
-    monkeypatch.setattr(backend_module, "_evolve", evolve)
+    patch_evolve(monkeypatch, evolve)
     c = parse_qasm(H_MEASURED)
     entry_points = [
         lambda: execute(c, qx4_quiet, shots, 1),
         lambda: next(execute_many([c], qx4_quiet, shots, [1])),
-        lambda: collect_weights([Circuit(1, 0)], qx4_quiet, shots=shots, seeds=[1]),
+        lambda: collect_dataset(Circuit(1, 0), qx4_quiet, shots=shots, seed=1),
         lambda: run_qpt("h", (0,), qx4_quiet, shots, 0),
         lambda: run_qst(Circuit(1, 0), qx4_quiet, shots, 0),
     ]
@@ -952,7 +954,66 @@ def test_shots_must_be_integers_before_anything_evolves(qx4_quiet, monkeypatch, 
     # numpy integers are integers
     for n in (np.int64(10), np.uint8(10)):
         assert int(execute(c, qx4_quiet, n, 1).counts.sum()) == 10
-        assert collect_weights([Circuit(1, 0)], qx4_quiet, shots=n, seeds=[1]).sum() == 30
+        assert collect_dataset(Circuit(1, 0), qx4_quiet, shots=n, seed=1).weights.sum() == 30
+
+
+_QX4_MAP = "1>0,2>0,2>1,2>4,3>2,3>4"
+_H_ON_5 = Circuit(5, 0, (Gate("h", (0,)),))
+_TOO_MANY = MAX_SHOTS + 1
+# the shots and seeds every tomography entry point rejects, with their messages
+_BAD_DRAWS = [
+    (0, 0, "shots must be positive, got 0"),
+    (True, 0, "shots must be an integer, got True"),
+    (2.5, 0, "shots must be an integer, got 2.5"),
+    (_TOO_MANY, 0, f"shots must be at most {MAX_SHOTS}, got {_TOO_MANY}"),
+    (10, -1, "seed must be non-negative, got -1"),
+]
+_ENTRY_POINTS = {
+    "run_qpt": lambda b, shots, seed: run_qpt("h", (0,), b, shots, seed),
+    "run_qst": lambda b, shots, seed: run_qst(_H_ON_5, b, shots, seed),
+    "collect_dataset": lambda b, shots, seed: collect_dataset(_H_ON_5, b, (0,), shots, seed),
+}
+_MEASURES = Circuit(5, 1, (Gate("h", (0,)), Measure(0, 0)))
+_OFF_MAP = Circuit(5, 0, (Gate("h", (1,)), Gate("cx", (0, 1))))
+_OFF_MAP_MESSAGE = f"cx 0>1 not in the ibmqx4-sim coupling map ({_QX4_MAP})"
+# per case: the call on a backend, the error it raises and the message
+_REJECTED = {
+    **{f"{name}-shots={shots!r}-seed={seed}":
+       (lambda b, run=run, shots=shots, seed=seed: run(b, shots, seed), ValueError, message)
+       for name, run in _ENTRY_POINTS.items() for shots, seed, message in _BAD_DRAWS},
+    "run_qpt-off-map": (lambda b: run_qpt("cx", (0, 1), b), TopologyError, _OFF_MAP_MESSAGE),
+    "run_qpt-duplicate-line": (lambda b: run_qpt("cx", (3, 3), b), ValueError,
+                               "duplicate lines (3, 3)"),
+    "run_qpt-line-out-of-range": (lambda b: run_qpt("h", (5,), b), ValueError,
+                                  "line 5 out of range for a 5-qubit backend"),
+    "run_qst-measures": (lambda b: run_qst(_MEASURES, b), CircuitError,
+                         "circuit already contains measurements"),
+    "collect_dataset-measures": (lambda b: collect_dataset(_MEASURES, b, (0,), 10, 0),
+                                 CircuitError, "circuit already contains measurements"),
+    "run_qst-off-map": (lambda b: run_qst(_OFF_MAP, b, 10, 0), TopologyError,
+                        f"instruction 1: {_OFF_MAP_MESSAGE}"),
+    "collect_dataset-off-map": (lambda b: collect_dataset(_OFF_MAP, b), TopologyError,
+                                f"instruction 1: {_OFF_MAP_MESSAGE}"),
+    "collect_dataset-measured-outside-register": (
+        lambda b: collect_dataset(Circuit(3, 0, (Gate("h", (0,)),)), b, (4, 0)), CircuitError,
+        "instruction 0: qubit index 4 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTED))
+def test_rejected_tomography_inputs_fail_before_anything_evolves(qx4, fresh_maps, monkeypatch,
+                                                                 case):
+    # each message is the one the input raised when tomography still evolved
+    # its preparations group by group; nothing evolves first, not even a
+    # preparation table
+    run, error, message = _REJECTED[case]
+
+    def evolve(*args):
+        raise AssertionError("evolved")
+
+    patch_evolve(monkeypatch, evolve)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run(qx4)
 
 
 def test_execute_many_rejections(qx4_quiet):
@@ -988,7 +1049,7 @@ def test_trace_drift_is_reported(qx4_quiet, fresh_maps, monkeypatch):
         next(results)
 
 
-def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, monkeypatch):
+def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, fresh_maps, monkeypatch):
     apply = backend_module._apply
     calls = itertools.count()
 
@@ -999,13 +1060,13 @@ def test_trace_drift_inside_a_stack_is_reported(qx4_quiet, monkeypatch):
         return out, order
 
     monkeypatch.setattr(backend_module, "_apply", leaky)
-    preps = [preparation_circuit(label, (1,), 5) for label in "01pr"]
-    # the x of 1, then the h of p: state 2 of the stack of the 4
-    # preparations' states loses half its trace, and the readout test of the
-    # stack stops the run before any weight is handed out
+    # a fresh preparation table of line 1 applies the x of 1, then the h of
+    # p: state 2 of the 4 preparations' states loses half its trace, the
+    # gate keeps it, and the readout test of the stack stops the run before
+    # any weight is handed out
     with pytest.raises(ValueError, match=r"^circuits 0\.\.3: matrix 2: density matrix trace "
                                          r"0\.5\+0j differs from 1$"):
-        collect_weights(preps, qx4_quiet, (1,))
+        run_qpt("id", (1,), qx4_quiet)
 
 
 def _constant_state_map():
@@ -1257,7 +1318,7 @@ def test_map_tables_are_keyed_by_every_field_the_maps_read(qx4, fresh_maps):
 
     def run(model):
         return (execute_exact(measured, model).final_state,
-                collect_weights([prep], model, (4, 0)), run_qpt("h", (0,), model).chi.matrix)
+                collect_dataset(prep, model, (4, 0)).weights, run_qpt("h", (0,), model).chi.matrix)
 
     shared = {name: run(model) for name, model in variants.items()}
     assert {key for _, _, key in backend_module._MAPS} == {m._map_key for m in variants.values()}

@@ -17,9 +17,11 @@ from qptkit import (
     process_fidelity,
     qpt_channel,
     run_qpt,
+    run_qst,
     theoretical_chi,
 )
 from qptkit import backend as backend_module
+from qptkit import process_tomography as qpt_module
 from qptkit import channels
 from qptkit.channels import amplitude_damping
 from qptkit.operators import GATE_ARITY, standard_gate
@@ -40,12 +42,13 @@ from qptkit.process_tomography import (
 )
 from qptkit.backend import execute_many
 from qptkit.qasm import Circuit, Gate
-from qptkit.state_tomography import _QUBIT_TABLE, _collect, _setting_circuits, child_seeds
+from qptkit.state_tomography import _QUBIT_TABLE, _setting_circuits, child_seeds
 
-from conftest import clear_maps, haar_unitary, random_density
+from conftest import clear_maps, haar_unitary, patch_evolve, random_density
 from oracles import (
     beta_tensor,
     chi_to_channel,
+    collect_weights,
     combine_by_label,
     dense_state,
     kraus_apply,
@@ -761,7 +764,7 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch, fresh_maps):
         evolved.append((active, None if start is None else len(start)))
         return evolve(circuit, backend, active, start)
 
-    monkeypatch.setattr(backend_module, "_evolve", counting_evolve)
+    patch_evolve(monkeypatch, counting_evolve)
     for name in ("_check_readout", "check_density_matrix"):
         def counting_check(matrices, *args, original=getattr(backend_module, name), name=name,
                            **kwargs):
@@ -796,26 +799,65 @@ def test_run_qpt_is_one_stream(qx4, monkeypatch, fresh_maps):
     assert run("cx", (2, 4), idle) == ([((4, 2), 16)], [("_check_readout", 16)])
 
 
+def test_run_qpt_checks_the_coupling_of_no_circuit(qx4, monkeypatch, fresh_maps):
+    checked = []
+    validate = backend_module.validate_topology
+    monkeypatch.setattr(backend_module, "validate_topology",
+                        lambda circuit, coupling: checked.append(circuit)
+                        or validate(circuit, coupling))
+    # neither a fresh table nor a repeat call checks a circuit: the
+    # preparations hold only x, h and s, and run_qpt checks its cx pair itself
+    for gate, lines in (("cx", (3, 2)), ("h", (0,))):
+        for shots in (None, 100, None):
+            run_qpt(gate, lines, qx4, shots, 1)
+    assert checked == []
+    # a state tomography checks its one circuit
+    circuit = Circuit(5, 0, (Gate("h", (3,)), Gate("cx", (3, 2))))
+    run_qst(circuit, qx4)
+    assert checked == [circuit]
+
+
+def _read_out(monkeypatch, run):
+    """The stack ``run()`` reads out through ``process_tomography._collect``,
+    the final states it reads it out of and their qubits."""
+    calls = []
+    collect = qpt_module._collect
+
+    def recording(states, active, *args):
+        result = collect(states, active, *args)
+        calls.append((result[0], states, active))
+        return result
+
+    with monkeypatch.context() as patched:
+        patched.setattr(qpt_module, "_collect", recording)
+        run()
+    (call,) = calls
+    return call
+
+
 @pytest.mark.parametrize("mode", ["noise", "quiet", "idle"])
 @pytest.mark.parametrize("gate, lines", [("h", (2,)), ("cx", (3, 4)), ("cx", (3, 2))])
-def test_preparation_table_matches_each_joined_circuit_alone(qx4, mode, gate, lines, fresh_maps):
+def test_preparation_table_matches_each_joined_circuit_alone(qx4, mode, gate, lines, fresh_maps,
+                                                             monkeypatch):
     model = {"noise": qx4, "quiet": qx4.with_noise(False), "idle": qx4.with_idle_decay(True)}[mode]
     step = Circuit(5, 0, (Gate(gate, lines),))
-    preps = _preparations(lines)
-    joined = [prep.then(step) for prep in preps]
+    joined = [prep.then(step) for prep in _preparations(lines)]
     settings = _setting_circuits(lines, 5)
     active = tuple(sorted(lines, reverse=True))
+    # each prep.then(gate) evolved alone, on the lines
+    alone = [backend_module._evolve(circuit, model, active)[0] for circuit in joined]
     for shots, seed in ((None, None), (8192, 7), (5, 3)):
-        seeds = None if shots is None else child_seeds(seed, len(preps))
-        got, _, ((on, states),) = _collect(preps, model, lines, shots, seeds, Gate(gate, lines))
-        # the per-circuit route: each prep.then(gate) evolved alone, its
-        # final states those of the table's stack bit for bit
-        want, _, ((_, alone),) = _collect(joined, model, lines, shots, seeds)
-        assert on == active and got.dtype == want.dtype
+        got, states, on = _read_out(monkeypatch, lambda: run_qpt(gate, lines, model, shots, seed))
+        # the per-circuit route: each joined circuit tomographed alone, with
+        # its preparation's seed; the table's final states are its own bit
+        # for bit, and so are the weights read out of them
+        seeds = None if shots is None else child_seeds(seed, len(joined))
+        want = collect_weights(joined, model, lines, shots, seeds)
+        assert on == active and got.dtype == want.dtype and not got.flags.writeable
         assert np.array_equal(got, want) and np.array_equal(states, alone)
     # the exact weights are execute_many's of each prep.then(gate).then(setting):
     # bit for bit without noise, within rounding with it
-    exact = _collect(preps, model, lines, None, None, Gate(gate, lines))[0]
+    exact = _read_out(monkeypatch, lambda: run_qpt(gate, lines, model))[0]
     circuits = [prep.then(setting) for prep in joined for setting in settings]
     rows = np.array([r.probabilities for r in execute_many(circuits, model)])
     if mode == "quiet":
@@ -887,7 +929,7 @@ def test_run_qpt_lines_must_be_integers(qx4_quiet, monkeypatch):
     def evolve(*args):
         raise AssertionError("evolved")
 
-    monkeypatch.setattr(backend_module, "_evolve", evolve)
+    patch_evolve(monkeypatch, evolve)
     for lines in ((0.7,), (True,), (1.0,), (np.bool_(True),), ("1",), (3, 2.0)):
         with pytest.raises(ValueError, match=r"^lines must be integers, got \("):
             run_qpt("cx" if len(lines) == 2 else "h", lines, qx4_quiet)

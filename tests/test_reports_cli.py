@@ -26,8 +26,9 @@ from qptkit.reports import (
     render_fidelity_tables,
     seed_summary_dict,
 )
-from qptkit.state_tomography import collect_weights, read_dataset
+from qptkit.state_tomography import read_dataset
 from qptkit.cli import build_parser, main
+from conftest import patch_evolve
 from golden import regen
 
 
@@ -446,7 +447,7 @@ def test_cli_rejects_shots_above_int64_at_parsing(tmp_path, capsys, monkeypatch,
     def evolve(*args):
         raise AssertionError("evolved")
 
-    monkeypatch.setattr(qptkit.backend, "_evolve", evolve)
+    patch_evolve(monkeypatch, evolve)
     circuit = tmp_path / "h.qasm"
     circuit.write_text("OPENQASM 2.0;\nqreg q[1];\nh q[0];\n", encoding="utf-8")
     what = (["--all-gates", "--all-lines"] if command == "qpt"
@@ -649,7 +650,7 @@ def test_cli_qst_applies_the_circuits_instructions_once(qx4, monkeypatch):
         return apply(sup, rho, layout, axes, k)
 
     monkeypatch.setattr(qptkit.backend, "_apply", counting)
-    collect_weights([qptkit.parse_qasm(regen.FIVE_QUBIT_QASM)], qx4)
+    qptkit.collect_dataset(qptkit.parse_qasm(regen.FIVE_QUBIT_QASM), qx4)
     stream = list(applied)
     applied.clear()
     regen.qst_files(regen.FIVE_QUBIT_QASM, [])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import operator
+import re
 from functools import reduce
 
 import numpy as np
@@ -26,8 +27,10 @@ from qptkit import (
     parse_qasm,
     run_qst,
 )
+from conftest import patch_evolve
 from oracles import (
     append_setting,
+    collect_weights,
     outcome_dict,
     pauli_string_matrix,
     sample_settings,
@@ -35,13 +38,12 @@ from oracles import (
     six_product_contract,
     unique_write_dataset,
 )
-from qptkit.backend import _qubits
+from qptkit.backend import MAX_SHOTS, _qubits
 from qptkit.process_tomography import preparation_circuit, run_qpt
 from qptkit.state_tomography import (
     BASIS_ORDER,
     _setting_circuits,
     child_seeds,
-    collect_weights,
     project_psd,
     qst_settings,
     read_dataset,
@@ -92,17 +94,6 @@ def test_append_setting_rejections(qx4_quiet):
         collect_weights([Circuit(2, 0)], qx4_quiet, qubits=(1, 1))
     with pytest.raises(ValueError, match="duplicate qubits"):
         collect_weights([Circuit(5, 0)], qx4_quiet, qubits=(2, 0, 2))
-
-
-def test_collect_weights_rejects_no_preparations(qx4_quiet, monkeypatch):
-    def build(*args):
-        raise AssertionError("built setting circuits for no preparation")
-
-    monkeypatch.setattr(qptkit.state_tomography, "_setting_circuits", build)
-    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", build)
-    for qubits in (None, (0,)):
-        with pytest.raises(ValueError, match="^no preparations to run$"):
-            collect_weights([], qx4_quiet, qubits=qubits)
 
 
 def _row(dataset, tag):
@@ -358,6 +349,32 @@ def test_dataset_header_with_a_huge_integer_fails_at_its_line(key):
         read_dataset(text)
 
 
+@pytest.mark.parametrize("shots, message", [
+    (2.5, "shots must be an integer, got 2.5"),
+    (True, "shots must be an integer, got True"),
+    (MAX_SHOTS + 1, f"shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}"),
+])
+def test_dataset_shots_whose_text_would_not_read_back_are_rejected(shots, message):
+    # 2.5 and True would be written as shots= headers the reader rejects;
+    # no int64 count reaches MAX_SHOTS + 1, whose header the reader also
+    # rejects, at its line
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TomographyDataset(shots, np.full((3, 2), 0.5 * shots))
+    if shots == MAX_SHOTS + 1:
+        with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}$"):
+            read_dataset(f"format=1\nqubits=1\nshots={shots}\nZ 0:{float(shots)!r}\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), numpy_int=st.booleans(),
+       shots=st.one_of(st.none(), st.integers(1, 8192), st.integers(1, MAX_SHOTS)))
+def test_every_accepted_dataset_reads_back_equal(n, seed, numpy_int, shots):
+    dataset = _random_dataset(np.random.default_rng(seed), n, shots)
+    if numpy_int and shots is not None:
+        dataset = TomographyDataset(np.int64(shots), dataset.weights)
+    assert read_dataset(write_dataset(dataset)) == dataset
+
+
 def test_dataset_reader_errors():
     with pytest.raises(ValueError, match="missing dataset header"):
         read_dataset("format=1\nqubits=1\nZ 0:1.0\n")
@@ -573,7 +590,7 @@ def test_collect_weights_matches_shared_suffixes_by_identity(qx4_quiet):
 
 
 @pytest.mark.parametrize("mode", ["exact", "quiet", "sampled", "idle", "flips"])
-def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
+def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode, monkeypatch):
     flipping = tuple(dataclasses.replace(q, readout_flip_prob=0.02) for q in qx4.qubits)
     backend = {"exact": qx4, "quiet": qx4.with_noise(False), "sampled": qx4,
                "idle": qx4.with_idle_decay(True),
@@ -586,7 +603,8 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         labels = map("".join, itertools.product("01pr", repeat=len(lines)))
         preps = [preparation_circuit(label, lines).extended(Gate(gate, lines)) for label in labels]
         seeds = child_seeds(0, len(preps))
-        stacked = collect_weights(preps, backend, lines, shots, seeds)
+        # the stack run_qpt reads out of its preparation table's states after the gate
+        stacked = _drawn_stack(monkeypatch, lambda: run_qpt(gate, lines, backend, shots, 0))
         # each preparation alone, a stack of one state
         alone = [collect_dataset(p, backend, lines, shots, s).weights for p, s in zip(preps, seeds)]
         assert np.array_equal(stacked, alone)
@@ -594,33 +612,6 @@ def test_stacked_preparations_match_one_preparation_at_a_time(qx4, mode):
         circuits = [p.then(c) for p in preps for c in setting_circuits(lines, 5)]
         _assert_rows(stacked.reshape(len(circuits), -1), _stream(circuits, backend, shots, seeds),
                      mode not in ("exact", "idle"))
-
-
-def test_stacks_split_where_qubits_or_registers_differ(qx4, monkeypatch):
-    wide = "OPENQASM 2.0;\nqreg q[5];\nh q[2];\ncx q[2],q[4];\nt q[1];\n"
-    preps = [parse_qasm(wide), parse_qasm(wide).extended(Gate("s", (4,))),
-             parse_qasm("OPENQASM 2.0;\nqreg q[5];\nx q[0];\n"),
-             parse_qasm("OPENQASM 2.0;\nqreg q[3];\nh q[1];\n")]
-    evolved, stacks = [], []
-    evolve, check_readout = qptkit.backend._evolve, qptkit.backend._check_readout
-    monkeypatch.setattr(qptkit.backend, "_evolve",
-                        lambda circuit, backend, active=None: evolved.append(active)
-                        or evolve(circuit, backend, active))
-    monkeypatch.setattr(qptkit.backend, "_check_readout",
-                        lambda states: stacks.append(len(states)) or check_readout(states))
-    seeds = [11, 12, 13, 14]
-    for shots in (None, 300):
-        evolved.clear()
-        stacks.clear()
-        got = collect_weights(preps, qx4, (1, 0), shots, seeds)
-        # the two preparations on q4 q2 q1 q0 form one stack, whose settings
-        # are read out of their states; q1 q0 of a 5-qubit and of a 3-qubit
-        # register are two more
-        wide, narrow = (4, 2, 1, 0), (1, 0)
-        assert evolved == [wide, wide, narrow, narrow] and stacks == [2, 1, 1]
-        circuits = [p.then(c) for p in preps for c in setting_circuits((1, 0), p.qubit_count)]
-        _assert_rows(got.reshape(len(circuits), -1), _stream(circuits, qx4, shots, seeds),
-                     shots is not None)
 
 
 def _drawn_stack(monkeypatch, run):
@@ -668,12 +659,9 @@ def test_every_sampled_row_is_numpys_draw_from_its_setting_words(qx4, case, monk
 
 
 def test_each_setting_draws_from_its_own_stream(qx4, monkeypatch):
-    # two sampled stacks with the same preparation seeds whose exact weights
-    # differ in one setting row: every other row draws the same counts
-    preps = [preparation_circuit(label, (3, 2)).extended(Gate("cx", (3, 2)))
-             for label in ("0p", "r1", "pp")]
-    seeds = [5, 6, 7]
-    changed = 9 + qst_settings(2).index("XY")  # preparation 1, setting XY
+    # two sampled stacks of a cx placement on the same seed whose exact
+    # weights differ in one setting row: every other row draws the same counts
+    changed = 9 * 13 + qst_settings(2).index("XY")  # preparation r1, setting XY
     diagonals = qptkit.backend._setting_diagonals
 
     def one_row_moved(*args):
@@ -683,27 +671,29 @@ def test_each_setting_draws_from_its_own_stream(qx4, monkeypatch):
 
     stacks = {}
     for moved in (False, True):
-        if moved:
-            monkeypatch.setattr(qptkit.backend, "_setting_diagonals", one_row_moved)
-        stacks[moved] = [collect_weights(preps, qx4, (3, 2), shots, seeds).reshape(27, 4)
-                         for shots in (None, 8192)]
+        with monkeypatch.context() as patched:
+            if moved:
+                patched.setattr(qptkit.backend, "_setting_diagonals", one_row_moved)
+            stacks[moved] = [_drawn_stack(monkeypatch, lambda: run_qpt("cx", (3, 2), qx4, shots, 7))
+                             for shots in (None, 8192)]
     for exact_or_counts in (0, 1):
-        differs = (stacks[False][exact_or_counts] != stacks[True][exact_or_counts]).any(axis=1)
-        assert differs.tolist() == [row == changed for row in range(27)]
+        differs = (stacks[False][exact_or_counts] != stacks[True][exact_or_counts]).reshape(144, 4)
+        assert differs.any(axis=1).tolist() == [row == changed for row in range(144)]
 
 
 def _built_circuits(monkeypatch, preps, backend, qubits):
-    """The circuits ``collect_weights`` hands to the backend: each preparation
-    joined to each setting it is handed with."""
-    built = []
-    execute = qptkit.state_tomography._execute_preparations
+    """The circuits whose settings ``collect_weights`` has the backend read
+    out: each preparation joined to each setting it is read out under."""
+    handed = []
+    read_settings = qptkit.state_tomography._read_settings
 
-    def recording(preps, settings, *args):
-        built.extend(p.then(setting) for p, chain in zip(preps, settings) for setting in chain)
-        return execute(preps, settings, *args)
+    def recording(states, active, settings, *args):
+        handed.append(settings)
+        return read_settings(states, active, settings, *args)
 
-    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", recording)
+    monkeypatch.setattr(qptkit.state_tomography, "_read_settings", recording)
     collect_weights(preps, backend, qubits)
+    built = [p.then(setting) for p, chain in zip(preps, handed, strict=True) for setting in chain]
     monkeypatch.undo()
     return built
 
@@ -744,24 +734,21 @@ def test_setting_circuits_match_extended_with_suffixes_checked_once(qx4_quiet, m
         collect_weights([small], qx4_quiet, (4, 0))
 
 
-def test_collect_weights_checks_every_preparation(qx4_quiet, monkeypatch):
-    preps = [preparation_circuit(label, (1,), 5) for label in "01p"]
-    weights = collect_weights(preps, qx4_quiet, (1,))
-    assert weights.shape == (3, 3, 2) and not weights.flags.writeable
-    for prep, row in zip(preps, weights):
-        assert np.array_equal(row, collect_dataset(prep, qx4_quiet, (1,)).weights)
-    with pytest.raises(ValueError, match="2 seed"):
-        collect_weights(preps, qx4_quiet, (1,), shots=10, seeds=[1, 2])
-    execute = qptkit.state_tomography._execute_preparations
+def test_run_qpt_checks_every_preparation(qx4_quiet, monkeypatch):
+    weights = _drawn_stack(monkeypatch, lambda: run_qpt("h", (1,), qx4_quiet))
+    assert weights.shape == (4, 3, 2) and not weights.flags.writeable
+    # the stack is checked as one: a negative weight in the last
+    # preparation's last setting is named by its dataset
+    read_settings = qptkit.state_tomography._read_settings
 
     def corrupt_last(*args):
-        weights, groups = execute(*args)
+        weights = read_settings(*args).copy()
         weights[-1, -1] = [1.5, -0.5]
-        return weights, groups
+        return weights
 
-    monkeypatch.setattr(qptkit.state_tomography, "_execute_preparations", corrupt_last)
-    with pytest.raises(ValueError, match="negative weight for '1' under 'Y'"):
-        collect_weights(preps, qx4_quiet, (1,))
+    monkeypatch.setattr(qptkit.state_tomography, "_read_settings", corrupt_last)
+    with pytest.raises(ValueError, match=r"^dataset 3: negative weight for '1' under 'Y'$"):
+        run_qpt("h", (1,), qx4_quiet)
 
 
 def test_datasets_of_a_run_are_checked_once(qx4, monkeypatch):
@@ -859,8 +846,8 @@ def test_five_qubit_qst_applies_its_circuits_maps_and_checks_one_stack(qx4, nois
                         lambda m, *args, **kwargs: full.append(m.shape) or check(m, *args, **kwargs))
     monkeypatch.setattr(qptkit.backend, "_check_readout",
                         lambda m: readout.append(len(m)) or check_readout(m))
-    monkeypatch.setattr(qptkit.backend, "_evolve",
-                        lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
+    patch_evolve(monkeypatch,
+                 lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
     run = run_qst(circuit, qx4.with_noise(noise).with_idle_decay(idle))
     assert run.reference is not None
     # only the circuit evolves, its 24 gates on one state, with idle decay
@@ -877,17 +864,17 @@ def test_forty_preparations_read_out_from_one_stack(qx4_quiet, monkeypatch):
     lines = (4, 3, 2, 1, 0)
     preps = [preparation_circuit("".join(label), lines)
              for label in itertools.islice(itertools.product("01pr", repeat=5), 40)]
-    evolved, readout = [], []
-    evolve, check_readout = qptkit.backend._evolve, qptkit.backend._check_readout
-    monkeypatch.setattr(qptkit.backend, "_evolve",
-                        lambda circuit, *args: evolved.append(circuit) or evolve(circuit, *args))
+    states = np.stack([qptkit.backend._evolve(prep, qx4_quiet, lines)[0] for prep in preps])
+    readout = []
+    check_readout = qptkit.backend._check_readout
     monkeypatch.setattr(qptkit.backend, "_check_readout",
                         lambda m: readout.append(len(m)) or check_readout(m))
-    got = collect_weights(preps, qx4_quiet, lines)
+    got = qptkit.backend._read_settings(states, lines, _setting_circuits(lines, 5), qx4_quiet,
+                                        None, None)
     monkeypatch.undo()
-    # the 40 preparations evolve once each, and their stack passes one
-    # readout test; no setting circuit evolves
-    assert evolved == preps and readout == [40]
+    # the stack of 40 states passes one readout test, and each state's
+    # settings are read out of it, no setting circuit evolving
+    assert readout == [40] and got.shape == (40, 243, 32) and not got.flags.writeable
     want = [r.probabilities for r in execute_many(
         [p.then(s) for p in preps for s in setting_circuits(lines, 5)], qx4_quiet)]
     assert np.array_equal(got.reshape(-1, 32), want)
