@@ -1003,9 +1003,7 @@ _REJECTED = {
 @pytest.mark.parametrize("case", list(_REJECTED))
 def test_rejected_tomography_inputs_fail_before_anything_evolves(qx4, fresh_maps, monkeypatch,
                                                                  case):
-    # each message is the one the input raised when tomography still evolved
-    # its preparations group by group; nothing evolves first, not even a
-    # preparation table
+    # nothing evolves before the input is rejected, not even a preparation table
     run, error, message = _REJECTED[case]
 
     def evolve(*args):
